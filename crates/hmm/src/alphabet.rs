@@ -81,22 +81,98 @@ impl std::fmt::Display for AlphabetError {
 
 impl std::error::Error for AlphabetError {}
 
+/// Low five bits of a [`BYTE_CLASS`] entry: the residue code, when the
+/// byte is an alphabet symbol. An entry with no bit outside this mask is a
+/// plain residue (standard or degenerate), so OR-ing the entries of a whole
+/// line and testing `acc & !BYTE_CODE_MASK == 0` proves the line decoded
+/// cleanly without a branch per byte.
+pub const BYTE_CODE_MASK: u8 = 0x1f;
+/// [`BYTE_CLASS`] bit: the byte is gap-like (`-`, `.`, `*`, `~`); its code
+/// is still in the low bits.
+pub const BYTE_GAP: u8 = 0x20;
+/// [`BYTE_CLASS`] bit: the byte is ASCII whitespace, exactly the ASCII
+/// subset of `char::is_whitespace` (tab, LF, VT, FF, CR, space).
+pub const BYTE_SPACE: u8 = 0x40;
+/// [`BYTE_CLASS`] bit: the byte is not in the alphabet. Every byte
+/// `>= 0x80` is in this class: a non-ASCII character is never a residue,
+/// and what it *is* (which `char`, Unicode whitespace or not) is for the
+/// caller's text-level path to say.
+pub const BYTE_INVALID: u8 = 0x80;
+
+/// Byte → residue class: the one definition of the text alphabet, derived
+/// from [`SYMBOLS`] (case-insensitive, `.` read as `-`). Every decoder in
+/// the workspace ([`digitize`], [`digitize_seq`], the FASTA reader) looks
+/// bytes up here.
+pub const BYTE_CLASS: [u8; 256] = {
+    let mut table = [BYTE_INVALID; 256];
+    let mut code = 0;
+    while code < N_SYMBOLS {
+        let upper = SYMBOLS[code] as u8;
+        let class = if code < N_STANDARD + N_DEGENERATE {
+            code as u8
+        } else {
+            BYTE_GAP | code as u8
+        };
+        table[upper as usize] = class;
+        table[upper.to_ascii_lowercase() as usize] = class;
+        code += 1;
+    }
+    table[b'.' as usize] = table[b'-' as usize];
+    let mut b = 0x09;
+    while b <= 0x0d {
+        table[b] = BYTE_SPACE;
+        b += 1;
+    }
+    table[b' ' as usize] = BYTE_SPACE;
+    table
+};
+
+/// Residue code → canonical ASCII byte: [`SYMBOLS`] as bytes, the inverse
+/// of [`BYTE_CLASS`] on its residue and gap entries.
+pub const CODE_BYTE: [u8; N_SYMBOLS] = {
+    let mut table = [0u8; N_SYMBOLS];
+    let mut code = 0;
+    while code < N_SYMBOLS {
+        table[code] = SYMBOLS[code] as u8;
+        code += 1;
+    }
+    table
+};
+
+/// Translate `text` through [`BYTE_CLASS`] onto the end of `out` and return
+/// the OR of the entries written. If the result has no bit outside
+/// [`BYTE_CODE_MASK`], `out` grew by exactly the residue codes of `text`;
+/// otherwise the caller truncates `out` back and takes its text-level path
+/// to skip whitespace or name the offending character.
+#[inline]
+pub fn digitize_bytes_into(text: &[u8], out: &mut Vec<Residue>) -> u8 {
+    let mut acc = 0u8;
+    out.extend(text.iter().map(|&b| {
+        let class = BYTE_CLASS[b as usize];
+        acc |= class;
+        class
+    }));
+    acc
+}
+
 /// Digitize one residue character (case-insensitive). `.` is treated as `-`.
 pub fn digitize(c: char) -> Result<Residue, AlphabetError> {
-    let u = c.to_ascii_uppercase();
-    let u = if u == '.' { '-' } else { u };
-    SYMBOLS
-        .iter()
-        .position(|&s| s == u)
-        .map(|i| i as Residue)
-        .ok_or(AlphabetError::InvalidChar(c))
+    let class = if c.is_ascii() {
+        BYTE_CLASS[c as usize]
+    } else {
+        BYTE_INVALID
+    };
+    if class & (BYTE_SPACE | BYTE_INVALID) != 0 {
+        return Err(AlphabetError::InvalidChar(c));
+    }
+    Ok(class & BYTE_CODE_MASK)
 }
 
 /// Map a residue code back to its canonical character.
 pub fn symbol(code: Residue) -> Result<char, AlphabetError> {
-    SYMBOLS
+    CODE_BYTE
         .get(code as usize)
-        .copied()
+        .map(|&b| b as char)
         .ok_or(AlphabetError::InvalidCode(code))
 }
 
@@ -169,6 +245,12 @@ pub fn expand_scores(standard: &[f32; N_STANDARD], fill: f32) -> [f32; N_CODES] 
 /// Digitize a full text sequence, rejecting gap-like symbols (search tools
 /// operate on unaligned sequences).
 pub fn digitize_seq(text: &str) -> Result<Vec<Residue>, AlphabetError> {
+    let mut bulk = Vec::new();
+    if digitize_bytes_into(text.as_bytes(), &mut bulk) & !BYTE_CODE_MASK == 0 {
+        return Ok(bulk);
+    }
+    // Whitespace, a gap or a foreign character somewhere: the char-level
+    // walk skips the first and names the others.
     text.chars()
         .filter(|c| !c.is_whitespace())
         .map(|c| {
@@ -210,6 +292,61 @@ mod tests {
         assert_eq!(digitize('a').unwrap(), 0);
         assert_eq!(digitize('y').unwrap(), 19);
         assert_eq!(digitize('.').unwrap(), digitize('-').unwrap());
+    }
+
+    /// The pre-table definition: uppercase, `.` as `-`, linear search of
+    /// [`SYMBOLS`]. Kept as the oracle the table is checked against.
+    fn digitize_by_search(c: char) -> Option<Residue> {
+        let u = c.to_ascii_uppercase();
+        let u = if u == '.' { '-' } else { u };
+        SYMBOLS.iter().position(|&s| s == u).map(|i| i as Residue)
+    }
+
+    #[test]
+    fn byte_table_agrees_with_symbol_search_on_every_byte() {
+        for b in 0..=255u8 {
+            let class = BYTE_CLASS[b as usize];
+            if !b.is_ascii() {
+                assert_eq!(class, BYTE_INVALID, "byte {b:#04x} must be rejected");
+                continue;
+            }
+            let c = b as char;
+            match digitize_by_search(c) {
+                Some(code) => {
+                    assert_eq!(class & BYTE_CODE_MASK, code, "byte {b:#04x}");
+                    assert_eq!(class & BYTE_GAP != 0, is_gap(code), "byte {b:#04x}");
+                    assert_eq!(class & (BYTE_SPACE | BYTE_INVALID), 0, "byte {b:#04x}");
+                    assert_eq!(digitize(c), Ok(code));
+                }
+                None => {
+                    let expect = if c.is_whitespace() {
+                        BYTE_SPACE
+                    } else {
+                        BYTE_INVALID
+                    };
+                    assert_eq!(class, expect, "byte {b:#04x}");
+                    assert_eq!(digitize(c), Err(AlphabetError::InvalidChar(c)));
+                }
+            }
+        }
+        for (code, &b) in CODE_BYTE.iter().enumerate() {
+            assert_eq!(b as char, SYMBOLS[code]);
+            assert_eq!(BYTE_CLASS[b as usize] & BYTE_CODE_MASK, code as u8);
+        }
+        for c in ['\u{a0}', '\u{e9}', '\u{2028}', '\u{1f600}'] {
+            assert_eq!(digitize(c), Err(AlphabetError::InvalidChar(c)));
+        }
+    }
+
+    #[test]
+    fn bulk_digitize_flags_anything_but_plain_residues() {
+        let mut out = vec![7];
+        assert_eq!(digitize_bytes_into(b"acXy", &mut out) & !BYTE_CODE_MASK, 0);
+        assert_eq!(out, vec![7, 0, 1, 25, 19]);
+        for dirty in ["AC DE", "AC-DE", "AC1DE", "AC\u{e9}DE", "AC\tDE"] {
+            let acc = digitize_bytes_into(dirty.as_bytes(), &mut Vec::new());
+            assert_ne!(acc & !BYTE_CODE_MASK, 0, "{dirty:?}");
+        }
     }
 
     #[test]
@@ -265,6 +402,13 @@ mod tests {
         assert!(digitize_seq("ACDE-FG").is_err());
         let d = digitize_seq("acd efg").unwrap();
         assert_eq!(d, vec![0, 1, 2, 3, 4, 5]);
+        // Unicode whitespace is skipped, any other foreign character named.
+        assert_eq!(digitize_seq("ac\u{2028}d\u{a0}").unwrap(), vec![0, 1, 2]);
+        assert_eq!(
+            digitize_seq("ac\u{e9}d"),
+            Err(AlphabetError::InvalidChar('\u{e9}'))
+        );
+        assert_eq!(digitize_seq("ac*"), Err(AlphabetError::InvalidChar('*')));
     }
 
     #[test]

@@ -41,9 +41,9 @@
 //! ([`DiskDb::write`]), so a crash mid-write never leaves a torn file at
 //! the target path.
 
-use crate::pack::{pack_seq, PackedDb, PackedView, RESIDUES_PER_WORD};
+use crate::pack::{pack_seq, unpack_slot, PackedDb, PackedView, RESIDUES_PER_WORD};
 use crate::seq::{DigitalSeq, SeqDb};
-use h3w_hmm::alphabet::{N_DEGENERATE, N_STANDARD};
+use h3w_hmm::alphabet::{N_DEGENERATE, N_STANDARD, PAD_CODE};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -501,43 +501,51 @@ impl DiskDb {
         };
         // Validate residue codes: real slots must be in-alphabet, pad
         // slots must be exactly PAD_CODE. Guarantees downstream kernels
-        // never see a code the score tables were not built for.
+        // never see a code the score tables were not built for. The same
+        // decode feeds the content hash, through one reused buffer, which
+        // ties the header's logical hash to the payload: the recorded
+        // identity is recomputed, not trusted.
         let view = packed.view();
-        for (seqid, &len) in packed.lengths.iter().enumerate() {
-            let seq_words = (len as usize).div_ceil(RESIDUES_PER_WORD).max(1);
-            for slot in 0..seq_words * RESIDUES_PER_WORD {
-                let code = view.residue(seqid, slot);
-                if slot < len as usize {
-                    if code >= MAX_RESIDUE_CODE {
-                        return Err(DbFormatError::Corrupt(format!(
-                            "sequence {seqid} residue {slot} has invalid code {code}"
-                        )));
-                    }
-                } else if code != h3w_hmm::alphabet::PAD_CODE {
+        let mut content = ContentHasher::new(&db_name);
+        let mut residues = Vec::new();
+        for (seqid, (name, desc)) in headers.iter().enumerate() {
+            residues.clear();
+            view.unpack_seq_into(seqid, &mut residues);
+            if let Some(slot) = residues.iter().position(|&c| c >= MAX_RESIDUE_CODE) {
+                return Err(DbFormatError::Corrupt(format!(
+                    "sequence {seqid} residue {slot} has invalid code {}",
+                    residues[slot]
+                )));
+            }
+            // The tiling check above put this sequence's words in range.
+            let len = residues.len();
+            let seq_words = len.div_ceil(RESIDUES_PER_WORD).max(1);
+            let last = view.words[view.offsets[seqid] as usize + seq_words - 1];
+            for slot in len..seq_words * RESIDUES_PER_WORD {
+                let code = unpack_slot(last, slot % RESIDUES_PER_WORD);
+                if code != PAD_CODE {
                     return Err(DbFormatError::Corrupt(format!(
                         "sequence {seqid} pad slot {slot} holds code {code}"
                     )));
                 }
             }
+            content.push_seq(name, desc, &residues);
+        }
+        let recomputed = content.finish();
+        if recomputed != logical_hash {
+            return Err(DbFormatError::Corrupt(format!(
+                "header content hash {logical_hash:016x} but decoded content hashes to {recomputed:016x}"
+            )));
         }
 
-        let db = DiskDb {
+        Ok(DiskDb {
             name: db_name,
             packed,
             headers,
             total_residues,
             content_hash: logical_hash,
             bins,
-        };
-        // Tie the header's logical hash to the payload: recompute from
-        // the decoded content so the recorded identity is trustworthy.
-        let recomputed = content_hash(&db.to_seqdb());
-        if recomputed != logical_hash {
-            return Err(DbFormatError::Corrupt(format!(
-                "header content hash {logical_hash:016x} but decoded content hashes to {recomputed:016x}"
-            )));
-        }
-        Ok(db)
+        })
     }
 
     /// Load and validate a `.h3wdb` file.
@@ -1129,6 +1137,34 @@ mod tests {
                     "flip at byte {byte} bit {bit} was accepted"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn checksummed_file_with_a_wrong_pad_slot_is_corrupt() {
+        // Not reachable by bit rot (the trailer and CRC catch that): a file
+        // re-sealed around a pad slot that does not hold PAD_CODE, which the
+        // device kernels would read as a seventh residue.
+        let mut db = SeqDb::new("pad");
+        db.seqs.push(DigitalSeq::from_text("s1", "MKVL").unwrap());
+        let mut bytes = DiskDb::to_bytes(&db);
+        let table = 28; // magic + version + n_sections + reserved + content
+        let row = |i: usize| table + 16 * i;
+        let len_of = |bytes: &[u8], i: usize| {
+            u64::from_le_bytes(bytes[row(i) + 4..row(i) + 12].try_into().unwrap()) as usize
+        };
+        let words_at = row(5) + (0..3).map(|i| len_of(&bytes, i)).sum::<usize>();
+        let words_len = len_of(&bytes, 3);
+        assert_eq!(words_len, 8, "word count + one word");
+        bytes[words_at + 7] &= !0x3e; // slot 5 (bits 25..30): PAD_CODE -> 0
+        let crc = crc32(&bytes[words_at..words_at + words_len]);
+        bytes[row(3) + 12..row(3) + 16].copy_from_slice(&crc.to_le_bytes());
+        let body = bytes.len() - 8;
+        let trailer = fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&trailer.to_le_bytes());
+        match DiskDb::from_bytes(&bytes) {
+            Err(DbFormatError::Corrupt(msg)) => assert!(msg.contains("pad slot 5"), "{msg}"),
+            other => panic!("unexpected {other:?}"),
         }
     }
 

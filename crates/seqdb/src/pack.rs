@@ -118,9 +118,36 @@ impl<'a> PackedView<'a> {
             .map(move |i| unpack_slot(words[off + i / RESIDUES_PER_WORD], i % RESIDUES_PER_WORD))
     }
 
-    /// Unpack sequence `seqid` into a fresh vector.
+    /// Append the real residues of sequence `seqid` to `out`, a whole
+    /// word (six residues) at a time; only the last, partly padded word
+    /// is read slot by slot.
+    pub fn unpack_seq_into(&self, seqid: usize, out: &mut Vec<Residue>) {
+        let len = self.lengths[seqid] as usize;
+        let off = self.offsets[seqid] as usize;
+        let full = len / RESIDUES_PER_WORD;
+        out.reserve(len);
+        for &w in &self.words[off..off + full] {
+            out.extend_from_slice(&[
+                unpack_slot(w, 0),
+                unpack_slot(w, 1),
+                unpack_slot(w, 2),
+                unpack_slot(w, 3),
+                unpack_slot(w, 4),
+                unpack_slot(w, 5),
+            ]);
+        }
+        let tail = len % RESIDUES_PER_WORD;
+        if tail > 0 {
+            let w = self.words[off + full];
+            out.extend((0..tail).map(|j| unpack_slot(w, j)));
+        }
+    }
+
+    /// Unpack sequence `seqid` into a fresh vector of exactly its length.
     pub fn unpack_seq(&self, seqid: usize) -> Vec<Residue> {
-        self.iter_seq(seqid).collect()
+        let mut out = Vec::new();
+        self.unpack_seq_into(seqid, &mut out);
+        out
     }
 }
 
@@ -277,7 +304,7 @@ impl PackedDb {
 
     /// Unpack sequence `seqid` into a fresh vector.
     pub fn unpack_seq(&self, seqid: usize) -> Vec<Residue> {
-        self.iter_seq(seqid).collect()
+        self.view().unpack_seq(seqid)
     }
 
     /// Borrow the whole database as a kernel-consumable view.
@@ -376,6 +403,34 @@ mod tests {
         assert_eq!(packed.n_seqs(), 3);
         for (i, seq) in db.seqs.iter().enumerate() {
             assert_eq!(packed.unpack_seq(i), seq.residues, "seq {i}");
+        }
+    }
+
+    #[test]
+    fn word_wise_unpack_matches_slot_wise_at_every_tail_length() {
+        for len in 0..=20usize {
+            let res: Vec<Residue> = (0..len).map(|i| ((i * 5 + len) % 26) as Residue).collect();
+            let mut db = SeqDb::new("t");
+            for name in ["before", "probe", "after"] {
+                db.seqs.push(DigitalSeq {
+                    name: name.into(),
+                    desc: String::new(),
+                    residues: if name == "probe" {
+                        res.clone()
+                    } else {
+                        vec![3; 7]
+                    },
+                });
+            }
+            let packed = PackedDb::from_db(&db);
+            let view = packed.view();
+            assert_eq!(view.unpack_seq(1), res, "len {len}");
+            assert_eq!(view.iter_seq(1).collect::<Vec<_>>(), res, "len {len}");
+            // Appends after what is already there, and nothing else.
+            let mut out = vec![9];
+            view.unpack_seq_into(1, &mut out);
+            assert_eq!(out[0], 9);
+            assert_eq!(out[1..], res[..], "len {len}");
         }
     }
 

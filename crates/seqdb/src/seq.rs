@@ -3,7 +3,7 @@
 use h3w_hmm::alphabet::{digitize_seq, textize_seq, AlphabetError, Residue};
 
 /// One digitized protein sequence with its header.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DigitalSeq {
     /// FASTA identifier (first word of the header line).
     pub name: String,

@@ -228,8 +228,10 @@ fn scan_fasta<R: BufRead>(db_name: &str, reader: R) -> Result<FastaStats, ReadSe
     let mut hash = ContentHasher::new(db_name);
     let mut n_seqs = 0usize;
     let mut total_residues = 0u64;
-    for record in SeqReader::new(reader) {
-        let seq = record?;
+    let mut records = SeqReader::new(reader);
+    // One record buffer for the whole pass: nothing read here is kept.
+    let mut seq = DigitalSeq::default();
+    while records.read_record(&mut seq)? {
         hash.push_seq(&seq.name, &seq.desc, &seq.residues);
         n_seqs += 1;
         total_residues += seq.len() as u64;
@@ -485,6 +487,22 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fasta_identity_is_pinned_by_value() {
+        // Computed at the commit before the byte-level reader (PR 11,
+        // 2d4c21e). Checkpoints record this identity, so a different value
+        // here means sweeps checkpointed by an older build no longer resume.
+        const PIN_FASTA: &str = ">sp|P1|PIN pinned protein, first\nMKVLayWQRST\nacdxB\n\
+                                 ; comment\n\n>p2\nGHIKLMNPZ\n";
+        const PIN_IDENTITY: u64 = 0x9386_30a0_73ac_7343;
+        let streamed = FastaSource::new("pin", PIN_FASTA).unwrap();
+        assert_eq!(streamed.identity(), PIN_IDENTITY);
+        let parsed = fasta::parse("pin", PIN_FASTA).unwrap();
+        assert_eq!(content_hash(&parsed), PIN_IDENTITY);
+        assert_eq!(parsed.seqs[0].desc, "pinned protein, first");
+        assert_eq!(parsed.seqs[0].to_text(), "MKVLAYWQRSTACDXB");
     }
 
     #[test]

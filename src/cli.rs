@@ -7,7 +7,8 @@
 //! reported as an internal error, still with a nonzero exit.
 
 use h3w_pipeline::{CheckpointError, ConfigError, ScanError, SweepError};
-use h3w_seqdb::{fasta, DbFormatError, DiskDb, SeqDb};
+use h3w_seqdb::fasta::{self, ReadSeqError};
+use h3w_seqdb::{DbFormatError, DiskDb, SeqDb};
 use h3w_serve::ServeError;
 use std::process::ExitCode;
 
@@ -219,8 +220,16 @@ pub fn load_seqdb(path: &str) -> Result<SeqDb, ToolError> {
     if path.ends_with(".h3wdb") {
         Ok(DiskDb::load(std::path::Path::new(path))?.to_seqdb())
     } else {
-        let text = read_file(path)?;
-        fasta::parse(path, &text).map_err(|e| ToolError::Usage(e.to_string()))
+        // Streamed through the record reader: the text and the database
+        // are never both in memory.
+        let reading = |e: std::io::Error| format!("reading {path}: {e}");
+        let file = std::fs::File::open(path).map_err(reading)?;
+        fasta::read(path, std::io::BufReader::with_capacity(1 << 20, file)).map_err(|e| {
+            ToolError::Usage(match e {
+                ReadSeqError::Fasta(e) => e.to_string(),
+                ReadSeqError::Io(e) => reading(e),
+            })
+        })
     }
 }
 
@@ -325,6 +334,44 @@ mod tests {
         assert!(matches!(e, ToolError::Serve(_)));
         assert!(e.to_string().contains("serve"));
         assert!(e.to_string().contains("workers"));
+    }
+
+    #[test]
+    fn load_seqdb_streams_fasta_and_keeps_its_diagnostics() {
+        let dir = std::env::temp_dir().join(format!("h3w-cli-load-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let at = |name: &str, bytes: &[u8]| {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            path.display().to_string()
+        };
+        let good = at("good.fa", b">a first\nMKVL\nay\n>b\nWQ\n");
+        let db = load_seqdb(&good).unwrap();
+        assert_eq!(db.name, good);
+        assert_eq!(
+            db.seqs,
+            fasta::parse(&good, ">a first\nMKVLAY\n>b\nWQ\n")
+                .unwrap()
+                .seqs
+        );
+
+        let usage = |path: &str| match load_seqdb(path) {
+            Err(ToolError::Usage(msg)) => msg,
+            other => panic!("{path}: unexpected {other:?}"),
+        };
+        assert_eq!(
+            usage(&at("bad.fa", b">a\nMK1L\n")),
+            "line 2: invalid residue '1'"
+        );
+        let binary = at("binary.fa", b">a\nMK\xffL\n");
+        assert_eq!(
+            usage(&binary),
+            format!("reading {binary}: stream did not contain valid UTF-8")
+        );
+        let missing = dir.join("missing.fa").display().to_string();
+        let msg = usage(&missing);
+        assert!(msg.starts_with(&format!("reading {missing}: ")), "{msg}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

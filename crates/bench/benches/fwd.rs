@@ -1,6 +1,9 @@
 //! Criterion benches for the striped odds-space Forward filter — the
 //! stage-3 kernel — against the generic log-space reference, per backend
-//! and per batch width. The CI smoke run (`cargo test --benches`)
+//! and per batch width, plus the calibration shape (500 background
+//! sequences of L = 100, what every `Pipeline::prepare` scores), whose
+//! short rows of O(1) odds are where the D→D increments run into the
+//! subnormal range. The CI smoke run (`cargo test --benches`)
 //! executes each once to keep the harness honest; real numbers come from
 //! `--bench fwd` and the `throughput` binary's `forward_loops` section.
 
@@ -8,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use h3w_cpu::reference::forward_generic;
 use h3w_cpu::{Backend, FwdBatchWorkspace, FwdWorkspace, StripedFwd, MAX_BATCH};
 use h3w_hmm::build::{synthetic_model, BuildParams};
-use h3w_hmm::calibrate::random_seq;
+use h3w_hmm::calibrate::{self, random_seq};
 use h3w_hmm::profile::Profile;
 use h3w_hmm::NullModel;
 use rand::rngs::StdRng;
@@ -60,6 +63,31 @@ fn bench_forward_kernels(c: &mut Criterion) {
             let mut out = vec![0.0f32; width];
             b.iter(|| f.run_batch_into(&p, &refs, &mut ws, &mut out))
         });
+    }
+    g.finish();
+
+    // Calibration shape, per backend: the input the long / homolog-rich
+    // arms above never produce.
+    let bg = NullModel::new();
+    let sample = calibrate::sample(17, calibrate::DEFAULT_N, calibrate::DEFAULT_LEN);
+    let mut g = c.benchmark_group("forward_calibration_shape");
+    for m in [100usize, 400, 800] {
+        let p = Profile::config(&synthetic_model(m, 7, &BuildParams::default()), &bg);
+        let cells = 3 * m * calibrate::DEFAULT_LEN * sample.len();
+        g.throughput(Throughput::Elements(cells as u64));
+        for backend in Backend::all_available() {
+            let f = StripedFwd::with_backend(&p, backend);
+            let id = BenchmarkId::new(backend.name(), format!("m{m}"));
+            g.bench_with_input(id, &m, |b, _| {
+                let mut ws = FwdWorkspace::default();
+                b.iter(|| {
+                    sample
+                        .iter()
+                        .map(|s| f.run_into(&p, s, &mut ws))
+                        .sum::<f32>()
+                })
+            });
+        }
     }
     g.finish();
 }

@@ -7,7 +7,10 @@
 //!   * the full `Pipeline::search` funnel (per-stage residues/sec),
 //!   * one `Pipeline::search` sweep on the modeled device for reference,
 //!   * a pool scaling curve: each stage sweep on dedicated 1..N-worker
-//!     pools (Gcells/s and speedup over one worker, `scaling_curve`).
+//!     pools (Gcells/s and speedup over one worker, `scaling_curve`),
+//!   * the calibration shape (`calibration_shape`): the striped Forward
+//!     on 500 background sequences of L = 100 and one `Pipeline::prepare`
+//!     split into sample / msv / vit / fwd, at M = 100, 400 and 800.
 //!
 //! Every row records the active worker count (`workers`): 1 for the
 //! deliberately single-threaded kernel loops, the pipeline pool width
@@ -29,15 +32,19 @@ use h3w_cpu::sweep::{
     measure_ssv_batched, msv_sweep_batched, record_sweep, ssv_sweep_batched, vit_sweep,
     SweepTiming,
 };
-use h3w_cpu::{Backend, StripedFwd, StripedSsv, ThreadPool};
+use h3w_cpu::{
+    fwd_scores_batched, msv_outcomes_batched, Backend, FwdWorkspace, StripedFwd, StripedSsv,
+    ThreadPool,
+};
 use h3w_hmm::build::{synthetic_model, BuildParams};
+use h3w_hmm::calibrate;
 use h3w_hmm::msvprofile::MsvProfile;
 use h3w_hmm::profile::Profile;
 use h3w_hmm::vitprofile::VitProfile;
 use h3w_hmm::NullModel;
 use h3w_pipeline::{ExecPlan, Pipeline, PipelineConfig, StageStats};
 use h3w_seqdb::gen::{generate, DbGenSpec};
-use h3w_seqdb::SeqDb;
+use h3w_seqdb::{DigitalSeq, SeqDb};
 use h3w_simt::DeviceSpec;
 use h3w_trace::{Telemetry, Trace};
 use std::time::Instant;
@@ -64,6 +71,40 @@ fn time_best<F: FnMut()>(mut f: F) -> f64 {
         spent += dt;
     }
     best
+}
+
+/// Repetitions of every `calibration_shape` arm.
+const CALIBRATION_REPS: usize = 7;
+
+/// Time `f` [`CALIBRATION_REPS`] times after [`MIN_MEASURE_S`] of
+/// warm-up (an arm is 10–80 ms, and a second core that sat idle through
+/// the single-thread sections before it takes a few hundred ms of pooled
+/// work to give its full share); returns the sorted per-repetition
+/// milliseconds.
+fn time_reps_ms<F: FnMut()>(mut f: F) -> Vec<f64> {
+    let warm = Instant::now();
+    while warm.elapsed().as_secs_f64() < MIN_MEASURE_S {
+        f();
+    }
+    let mut ms: Vec<f64> = (0..CALIBRATION_REPS)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms
+}
+
+/// Median and spread of a sorted sample of milliseconds.
+fn spread(sorted_ms: &[f64]) -> Vec<(&'static str, Json)> {
+    let at = |i: usize| Json::Num(sorted_ms[i]);
+    vec![
+        ("median_ms", at(sorted_ms.len() / 2)),
+        ("min_ms", at(0)),
+        ("max_ms", at(sorted_ms.len() - 1)),
+    ]
 }
 
 /// A bench-local [`SweepTiming`] for loops timed with [`time_best`].
@@ -293,6 +334,117 @@ fn forward_rows(profile: &Profile, db: &SeqDb, trace: &Trace) -> Json {
         ("generic_cells_per_sec", Json::Num(generic_cps)),
         ("rows", Json::Arr(rows)),
         ("fwd_speedup", Json::Arr(speedups)),
+    ])
+}
+
+/// The calibration shape: what every `Pipeline::prepare` scores (500
+/// background sequences of L = 100). Short rows of O(1) odds are where
+/// the striped Forward's D→D increments reach the subnormal range, which
+/// the long / homolog-rich `forward_loops` input never shows. Per M:
+/// the single-thread Forward kernel on every backend, and one `prepare`
+/// on the detected backend and the shared pool, whole and split into the
+/// sample draw and the three sweeps it runs (timed here through the same
+/// public sweeps on the pipeline's own pool; `other_ms` is the rest:
+/// profile configuration, striping, the `null1` table, the fits).
+fn calibration_rows() -> Json {
+    const SEED: u64 = 0x5_eac4;
+    let (n, len) = (calibrate::DEFAULT_N, calibrate::DEFAULT_LEN);
+    let draw = || -> Vec<DigitalSeq> {
+        calibrate::sample(SEED, n, len)
+            .into_iter()
+            .map(|residues| DigitalSeq {
+                residues,
+                ..Default::default()
+            })
+            .collect()
+    };
+    let sample = draw();
+    let mut rows = Vec::new();
+    for m in [100usize, 400, 800] {
+        let core = synthetic_model(m, 7, &BuildParams::default());
+        let pipe = Pipeline::prepare(&core, PipelineConfig::default(), SEED);
+        let cells = (3 * m * len * n) as f64;
+        let kernel: Vec<Json> = Backend::all_available()
+            .into_iter()
+            .map(|backend| {
+                let f = StripedFwd::with_backend(&pipe.profile, backend);
+                let mut ws = FwdWorkspace::default();
+                let ms = time_reps_ms(|| {
+                    for s in &sample {
+                        std::hint::black_box(f.run_into(&pipe.profile, &s.residues, &mut ws));
+                    }
+                });
+                let mut row = vec![("backend", Json::Str(backend.name().into()))];
+                row.extend(spread(&ms));
+                let median_s = ms[CALIBRATION_REPS / 2] * 1e-3;
+                row.push(("fwd_cells_per_sec", Json::Num(cells / median_s)));
+                Json::Obj(row)
+            })
+            .collect();
+        let pool = pipe.pool();
+        let total = time_reps_ms(|| {
+            std::hint::black_box(Pipeline::prepare(&core, PipelineConfig::default(), SEED));
+        });
+        let draw_ms = time_reps_ms(|| {
+            std::hint::black_box(draw());
+        });
+        let msv_ms = time_reps_ms(|| {
+            let out = msv_outcomes_batched(pool, &pipe.striped_msv, &pipe.msv, &sample, None, 0);
+            std::hint::black_box(out);
+        });
+        let vit_ms = time_reps_ms(|| {
+            let out = pool.map_collect_init(n, VitWorkspace::default, |ws, i| {
+                pipe.striped_vit
+                    .run_into(&pipe.vit, &sample[i].residues, ws)
+                    .0
+                    .score
+            });
+            std::hint::black_box(out);
+        });
+        let fwd_ms = time_reps_ms(|| {
+            let out = fwd_scores_batched(pool, &pipe.striped_fwd, &pipe.profile, &sample, None, 0);
+            std::hint::black_box(out);
+        });
+        let mid = CALIBRATION_REPS / 2;
+        let parts = draw_ms[mid] + msv_ms[mid] + vit_ms[mid] + fwd_ms[mid];
+        let mut prepare: Vec<(&'static str, Json)> = [
+            ("total", &total),
+            ("sample", &draw_ms),
+            ("msv", &msv_ms),
+            ("vit", &vit_ms),
+            ("fwd", &fwd_ms),
+        ]
+        .into_iter()
+        .map(|(name, ms)| (name, Json::Obj(spread(ms))))
+        .collect();
+        prepare.push(("other_median_ms", Json::Num(total[mid] - parts)));
+        eprintln!(
+            "calibration_shape M={m}: prepare {:.1} ms = sample {:.1} + msv {:.1} + vit {:.1} + \
+             fwd {:.1} + other {:.1}",
+            total[mid],
+            draw_ms[mid],
+            msv_ms[mid],
+            vit_ms[mid],
+            fwd_ms[mid],
+            total[mid] - parts
+        );
+        rows.push(Json::Obj(vec![
+            ("model_m", Json::Num(m as f64)),
+            ("fwd_kernel", Json::Arr(kernel)),
+            ("prepare_ms", Json::Obj(prepare)),
+        ]));
+    }
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    Json::Obj(vec![
+        ("host_cores", Json::Num(cores as f64)),
+        ("workers", Json::Num(ThreadPool::global().threads() as f64)),
+        ("backend", Json::Str(Backend::detect().name().into())),
+        ("n_seqs", Json::Num(n as f64)),
+        ("seq_len", Json::Num(len as f64)),
+        ("reps", Json::Num(CALIBRATION_REPS as f64)),
+        ("rows", Json::Arr(rows)),
     ])
 }
 
@@ -822,6 +974,9 @@ fn main() {
     // Stage-3 Forward loops: striped odds-space vs the generic reference.
     let forward = forward_rows(&profile, &db, &trace);
 
+    // The calibration shape: Forward kernel and `prepare` ledger per M.
+    let calibration = calibration_rows();
+
     // Software-pipelined filter loops: depth sweep on every backend at
     // two model scales (short = latency-bound regime where the chains
     // pay, long = stripe-walk-bound regime), with bit-identity asserted
@@ -925,6 +1080,7 @@ fn main() {
         ("filter_loops", Json::Arr(filters)),
         ("batched_filter_loops", batched),
         ("forward_loops", forward),
+        ("calibration_shape", calibration),
         ("pipelined_filter_loops", pipelined),
         ("simt_pipelined", simt_pipelined),
         ("scaling_curve", scaling),

@@ -189,6 +189,22 @@ pub fn all_zero_f32(a: V4f32) -> bool {
     a[0] == 0.0 && a[1] == 0.0 && a[2] == 0.0 && a[3] == 0.0
 }
 
+/// Keep the lanes of `a` that are `>= floor`; every other lane (a NaN
+/// included, on every backend alike) becomes `+0.0` — an `and` with a
+/// `cmpge` mask. The striped Forward D→D passes use it to drop an
+/// increment before the multiply that would take it out of the normal
+/// `f32` range.
+#[inline(always)]
+pub fn keep_ge_f32(a: V4f32, floor: V4f32) -> V4f32 {
+    let mut r = [0.0f32; 4];
+    for i in 0..4 {
+        if a[i] >= floor[i] {
+            r[i] = a[i];
+        }
+    }
+    r
+}
+
 /// Lane-wise "any greater than" test (`_mm_movemask` of a compare) —
 /// the Lazy-F loop's continuation condition.
 #[inline(always)]
@@ -249,6 +265,11 @@ mod tests {
         assert_eq!(hsum_f32(a), (1.0 + 3.0) + (2.0 + 4.0));
         assert!(all_zero_f32([0.0; 4]));
         assert!(!all_zero_f32([0.0, 0.0, 1.0e-30, 0.0]));
+        assert_eq!(
+            keep_ge_f32([2.0, 1.0, 0.0, f32::NAN], [1.0, 2.0, f32::INFINITY, 0.0])
+                .map(f32::to_bits),
+            [2.0f32.to_bits(), 0, 0, 0]
+        );
     }
 
     #[test]

@@ -14,9 +14,40 @@
 //! is checked against [`RESCALE_THRESHOLD`]; when it trips, the current
 //! DP row and the special states are multiplied by `1/xE` and `ln(xE)`
 //! accumulates into a running `totscale`. The final score is
-//! `totscale + ln(xC) + move_sc` — exact in nats, no underflow (the
-//! filter's score floor ≈ −45 nats sits far above the `f32` denormal
-//! range) and no overflow (rescaling caps row magnitudes).
+//! `totscale + ln(xC) + move_sc` — exact in nats, with no overflow
+//! (rescaling caps row magnitudes) and no underflow of the *score* (the
+//! filter's floor ≈ −45 nats sits far above the `f32` denormal range).
+//!
+//! # Subnormals
+//!
+//! That is true of scores and false of one intermediate: the cross-lane
+//! D→D correction increments. They start at a D cell times `tdd` and
+//! shrink by another `tdd` (≈ 0.3) per stripe position, so on the
+//! calibration shape (background, L = 100) from M ≈ 100 up they run
+//! through the whole subnormal range, and on x86 every multiply with a
+//! subnormal operand or product is a microcode assist of some 150
+//! cycles: 60–75% of the kernel's time at M = 100…400 before this rule.
+//! So a lane of the increment is dropped to `+0.0` *before* the multiply
+//! whose product would fall under `2·f32::MIN_POSITIVE`, decided on the
+//! operand against a table computed once per model (`corr >=
+//! 2·MIN_POSITIVE / tdd[qi]`, one `cmpge` + `and`), and a pass ends as
+//! soon as every lane is zero. No multiply in the D→D passes then sees
+//! or produces a subnormal (a unit test counts them), without touching
+//! MXCSR: FTZ/DAZ is process-global and has no scalar or non-x86 twin,
+//! whereas a compare is the same operation on every backend.
+//!
+//! The rule is exact where it matters: a dropped product is below
+//! 2⁻¹²⁵, every later one in its chain is smaller (`tdd ≤ 1`), and
+//! adding less than 2⁻¹²⁵ changes a D cell only if that cell is below
+//! 2⁻¹⁰¹. Under a multihit profile (the only kind the pipeline
+//! configures) `xB ≥ (xN + xJ)·move` never falls below ~1e-6 of the
+//! row's scale, so every real M cell is above ~1e-20 and the D cells a
+//! drop could disturb are too small to reach one; scores, recorded
+//! rows, calibrations and hit lists are bit-identical to the kernel
+//! without the rule (`tests/fwd_equivalence.rs` pins them). The one
+//! regime where whole rows sink to 1e-36 — a unihit profile after three
+//! rescales, one rescale short of `xN` underflowing altogether — keeps
+//! its score bits but not its smallest recorded cells.
 //!
 //! # One stripe, three backends, bit-identical
 //!
@@ -34,8 +65,8 @@
 //! * The serial D→D chain runs at 128-bit width in every backend: one
 //!   full in-lane pass, then ≤ 3 cross-lane carry-only correction
 //!   passes (exact, since each pass propagates the previous pass's
-//!   increment — see `dd_passes`), with a deterministic `== 0.0` early
-//!   exit.
+//!   increment — see `dd_passes_x86`), each left as soon as the
+//!   increment is zero in every lane ("Subnormals" above).
 //!
 //! The AVX2 backend therefore speeds up the *same* arithmetic by
 //! processing two adjacent stripe vectors per 256-bit op (the element
@@ -50,7 +81,9 @@
 use crate::backend::Backend;
 use crate::batch::MAX_BATCH;
 use crate::pipe::{prefetch_read, resolve_pipeline_depth};
-use crate::simd::{add_f32, all_zero_f32, hsum_f32, mul_f32, shift_f32, splat_f32, V4f32};
+use crate::simd::{
+    add_f32, all_zero_f32, hsum_f32, keep_ge_f32, mul_f32, shift_f32, splat_f32, V4f32,
+};
 use h3w_hmm::alphabet::{Residue, N_CODES};
 use h3w_hmm::profile::{Profile, SpecialScores, NEG_INF};
 
@@ -243,6 +276,10 @@ pub struct StripedFwd {
     tdm: Vec<V4f32>,
     tmd: Vec<V4f32>,
     tdd: Vec<V4f32>,
+    /// `2·f32::MIN_POSITIVE / tdd`: the smallest D→D increment whose
+    /// product with `tdd[qi]` is still a normal `f32` (`+∞` at phantom
+    /// positions, whose `tdd` is zero). See the module doc, "Subnormals".
+    tdd_floor: Vec<V4f32>,
     tmi: Vec<V4f32>,
     tii: Vec<V4f32>,
     bmk: Vec<V4f32>,
@@ -283,6 +320,11 @@ impl StripedFwd {
         for code in 0..N_CODES {
             rfv.extend(stripe(&|k0| p.msc[k0 + 1][code]));
         }
+        let tdd = stripe(&|k0| p.tdd[k0]);
+        let tdd_floor = tdd
+            .iter()
+            .map(|v| v.map(|t| 2.0 * f32::MIN_POSITIVE / t))
+            .collect();
         StripedFwd {
             m,
             q,
@@ -294,7 +336,8 @@ impl StripedFwd {
             tim: stripe(&|k0| p.tim[k0]),
             tdm: stripe(&|k0| p.tdm[k0]),
             tmd: stripe(&|k0| p.tmd[k0]),
-            tdd: stripe(&|k0| p.tdd[k0]),
+            tdd,
+            tdd_floor,
             // I_k self transitions live at node k = k0+1; no I_M state.
             tmi: stripe(&|k0| if k0 + 1 < m { p.tmi[k0 + 1] } else { NEG_INF }),
             tii: stripe(&|k0| if k0 + 1 < m { p.tii[k0 + 1] } else { NEG_INF }),
@@ -527,7 +570,7 @@ impl StripedFwd {
         // D→D pass 1: full in-lane propagation (cross-lane input zero).
         let mut dprev = ZERO4;
         for qi in 0..q {
-            cd[qi] = add_f32(cd[qi], mul_f32(dprev, self.tdd[qi]));
+            cd[qi] = add_f32(cd[qi], dd_mul(dprev, self.tdd[qi]));
             dprev = cd[qi];
         }
         // Cross-lane carry-only correction passes: pass p hands each
@@ -535,18 +578,20 @@ impl StripedFwd {
         // below; D is linear in its inputs, so propagating increments
         // (never re-reading the D row) is exact and cannot double
         // count. Lane 0's chain head is exact after pass 1, so ≤ 3
-        // passes close the fixed point; a pass whose carry multiplies
-        // to exact zero everywhere ends the loop early (deterministic,
-        // hence backend-identical).
+        // passes close the fixed point. The increment decays
+        // geometrically: a lane is dropped to +0.0 before the multiply
+        // that would take it out of the normal range, and the pass ends
+        // once every lane is zero (module doc, "Subnormals") — the same
+        // compare on every backend, hence backend-identical.
         let mut carry = shift_f32(dprev, 0.0);
         for _ in 1..FWD_LANES {
-            let mut corr = mul_f32(carry, self.tdd[0]);
-            if all_zero_f32(corr) {
-                break;
-            }
-            cd[0] = add_f32(cd[0], corr);
-            for qi in 1..q {
-                corr = mul_f32(corr, self.tdd[qi]);
+            let mut corr = carry;
+            for qi in 0..q {
+                corr = keep_ge_f32(corr, self.tdd_floor[qi]);
+                if all_zero_f32(corr) {
+                    break;
+                }
+                corr = dd_mul(corr, self.tdd[qi]);
                 cd[qi] = add_f32(cd[qi], corr);
             }
             carry = shift_f32(corr, 0.0);
@@ -748,10 +793,11 @@ impl StripedFwd {
     /// the order-sensitive part of the row is identical everywhere.
     #[cfg(target_arch = "x86_64")]
     unsafe fn dd_passes_x86(&self, cd: *mut f32) {
-        use crate::x86::{all_zero_ps, loadu_ps, shl1_ps_128, storeu_ps};
+        use crate::x86::{all_zero_ps, keep_ge_ps, loadu_ps, shl1_ps_128, storeu_ps};
         use core::arch::x86_64::*;
         let q = self.q;
         let tdd = self.tdd.as_ptr() as *const f32;
+        let floor = self.tdd_floor.as_ptr() as *const f32;
         let mut dprev = _mm_setzero_ps();
         for qi in 0..q {
             let o = 4 * qi;
@@ -761,19 +807,30 @@ impl StripedFwd {
         }
         let mut carry = shl1_ps_128(dprev);
         for _ in 1..FWD_LANES {
-            let mut corr = _mm_mul_ps(carry, loadu_ps(tdd));
-            if all_zero_ps(corr) {
-                break;
-            }
-            storeu_ps(cd, _mm_add_ps(loadu_ps(cd), corr));
-            for qi in 1..q {
+            let mut corr = carry;
+            for qi in 0..q {
                 let o = 4 * qi;
+                corr = keep_ge_ps(corr, loadu_ps(floor.add(o)));
+                if all_zero_ps(corr) {
+                    break;
+                }
                 corr = _mm_mul_ps(corr, loadu_ps(tdd.add(o)));
                 storeu_ps(cd.add(o), _mm_add_ps(loadu_ps(cd.add(o)), corr));
             }
             carry = shl1_ps_128(corr);
         }
     }
+}
+
+/// The multiply of the scalar row's D→D passes. Under `cfg(test)` it
+/// also counts every subnormal operand or product on this thread, which
+/// is what the subnormal regression test reads: a count, not a timing.
+#[inline(always)]
+fn dd_mul(a: V4f32, b: V4f32) -> V4f32 {
+    let r = mul_f32(a, b);
+    #[cfg(test)]
+    tests::count_subnormals(&[a, b, r]);
+    r
 }
 
 #[cfg(test)]
@@ -789,6 +846,73 @@ mod tests {
     fn profile(m: usize, seed: u64) -> Profile {
         let bg = NullModel::new();
         Profile::config(&synthetic_model(m, seed, &BuildParams::default()), &bg)
+    }
+
+    thread_local! {
+        /// Subnormal operands and products seen by [`dd_mul`] on this
+        /// thread (tests run one per thread).
+        static DD_SUBNORMALS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    pub(super) fn count_subnormals(vs: &[V4f32]) {
+        let n = vs.iter().flatten().filter(|x| x.is_subnormal()).count() as u64;
+        DD_SUBNORMALS.with(|c| c.set(c.get() + n));
+    }
+
+    #[test]
+    fn dd_passes_never_touch_a_subnormal_on_calibration_shaped_input() {
+        // Background L = 100 at the sizes where the pre-rule kernel spent
+        // 60–75% of its time in microcode assists. A count, so it cannot
+        // flake: no multiply of the D→D passes may see a subnormal
+        // operand or produce a subnormal product.
+        let sample = h3w_hmm::calibrate::sample(17, 40, 100);
+        for m in [100usize, 400, 800] {
+            let p = profile(m, 7);
+            let f = StripedFwd::with_backend(&p, Backend::Scalar);
+            let mut ws = FwdWorkspace::default();
+            DD_SUBNORMALS.with(|c| c.set(0));
+            for s in &sample {
+                assert!(f.run_into(&p, s, &mut ws).is_finite());
+            }
+            assert_eq!(DD_SUBNORMALS.with(|c| c.get()), 0, "m={m}");
+        }
+        // The counter does count: an increment that is already subnormal
+        // entering pass 1 is seen.
+        count_subnormals(&[[1.0e-40, 0.0, 1.0, f32::MIN_POSITIVE]]);
+        assert_eq!(DD_SUBNORMALS.with(|c| c.get()), 1);
+    }
+
+    #[test]
+    fn recording_rows_equal_the_scoring_path_cell_for_cell() {
+        // run_recording and run_into share advance_row; this drives the
+        // row loop by hand the way run_into does and compares every M/I
+        // cell and scale with what run_recording stored, on each backend.
+        let mut rng = StdRng::seed_from_u64(19);
+        for m in [100usize, 400] {
+            let p = profile(m, 7);
+            let seq = random_seq(&mut rng, 100);
+            for backend in Backend::all_available() {
+                let f = StripedFwd::with_backend(&p, backend);
+                let mut ws = FwdWorkspace::default();
+                let mat = f.run_recording(&p, &seq, &mut ws);
+                let sp = OddsSpecials::from_scores(&p.specials_for(seq.len()));
+                ws.reset(f.q);
+                let mut st = RowState::start(&sp);
+                let bits = |row: &[V4f32]| -> Vec<u32> {
+                    row.iter().flatten().map(|x| x.to_bits()).collect()
+                };
+                for (i, &x) in seq.iter().enumerate() {
+                    f.advance_row(x, &mut ws, &mut st, &sp);
+                    let rows = i * f.q..(i + 1) * f.q;
+                    assert_eq!(bits(&ws.cm), bits(&mat.rows_m[rows.clone()]), "M row {i}");
+                    assert_eq!(bits(&ws.ci), bits(&mat.rows_i[rows]), "I row {i}");
+                    assert_eq!(st.totscale.to_bits(), mat.scales[i].to_bits());
+                }
+                let total = st.finish(&sp);
+                assert_eq!(total.to_bits(), mat.total.to_bits(), "{backend} m={m}");
+                assert_eq!(total.to_bits(), f.run_into(&p, &seq, &mut ws).to_bits());
+            }
+        }
     }
 
     #[test]

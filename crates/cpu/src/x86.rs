@@ -113,6 +113,13 @@ pub unsafe fn all_zero_ps(v: __m128) -> bool {
     _mm_movemask_ps(_mm_cmpneq_ps(v, _mm_setzero_ps())) == 0
 }
 
+/// Keep the lanes of `v` that are `>= floor`, zero the rest (NaN
+/// included) — bit-identical to [`crate::simd::keep_ge_f32`].
+#[inline(always)]
+pub unsafe fn keep_ge_ps(v: __m128, floor: __m128) -> __m128 {
+    _mm_and_ps(v, _mm_cmpge_ps(v, floor))
+}
+
 /// Horizontal max of 16 unsigned bytes.
 #[inline(always)]
 pub unsafe fn hmax_epu8(v: __m128i) -> u8 {
@@ -237,6 +244,13 @@ mod tests {
             assert_eq!(hsum_ps(v), crate::simd::hsum_f32(vals));
             assert!(all_zero_ps(_mm_setzero_ps()));
             assert!(!all_zero_ps(_mm_set_ps(0.0, 0.0, 0.0, 1.0e-30)));
+            let (a, floor) = ([2.0, 1.0, 0.0, f32::NAN], [1.0, 2.0, f32::INFINITY, 0.0]);
+            let kept = keep_ge_ps(loadu_ps(a.as_ptr()), loadu_ps(floor.as_ptr()));
+            storeu_ps(out.as_mut_ptr(), kept);
+            assert_eq!(
+                out.map(f32::to_bits),
+                crate::simd::keep_ge_f32(a, floor).map(f32::to_bits)
+            );
         }
     }
 

@@ -17,11 +17,13 @@
 
 use h3w_cpu::reference::{forward_generic, logsum, viterbi_filter_model};
 use h3w_cpu::striped_fwd::{FwdBatchWorkspace, FwdWorkspace, StripedFwd};
-use h3w_cpu::{Backend, MAX_BATCH};
+use h3w_cpu::{fwd_scores_batched, Backend, ThreadPool, MAX_BATCH};
 use h3w_hmm::build::{synthetic_model, BuildParams};
 use h3w_hmm::calibrate::random_seq;
-use h3w_hmm::profile::{Profile, NEG_INF};
+use h3w_hmm::profile::{Profile, SearchMode, NEG_INF};
 use h3w_hmm::NullModel;
+use h3w_seqdb::gen::sample_homolog;
+use h3w_seqdb::DigitalSeq;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -171,6 +173,219 @@ fn degenerate_inputs() {
     assert!(got.is_finite(), "len≫M score must be finite, got {got}");
     let want = forward_exact(&p_small, &seq);
     assert!((got - want).abs() < 1e-2, "len≫M: {got} vs {want}");
+}
+
+/// One pinned case: a profile and its sequences. [`PINNED`] holds the
+/// bits the commit before the subnormal rule (572a5cf) produced for it.
+struct Pinned {
+    label: &'static str,
+    profile: Profile,
+    seqs: Vec<Vec<u8>>,
+}
+
+/// The fixed mixed sample: calibration-shaped background (L = 100) at
+/// the three model sizes where the D→D increments go subnormal,
+/// background from L = 50 to 2000, planted homologs (one tandem), and a
+/// unihit model over a tandem long enough to rescale three times and
+/// more, where `xB` and the cells it seeds are genuinely tiny.
+fn pinned_cases() -> Vec<Pinned> {
+    let bg = NullModel::new();
+    let mut rng = StdRng::seed_from_u64(0x13_f0d);
+    let mut cases = Vec::new();
+    for (label, m) in [
+        ("bg100/m100", 100usize),
+        ("bg100/m400", 400),
+        ("bg100/m800", 800),
+    ] {
+        cases.push(Pinned {
+            label,
+            profile: profile(m, 7),
+            seqs: (0..3).map(|_| random_seq(&mut rng, 100)).collect(),
+        });
+    }
+    cases.push(Pinned {
+        label: "bg50-2000/m130",
+        profile: profile(130, 11),
+        seqs: [50usize, 333, 2000, 1000]
+            .iter()
+            .map(|&l| random_seq(&mut rng, l))
+            .collect(),
+    });
+    let core = synthetic_model(100, 21, &BuildParams::default());
+    let mut seqs: Vec<Vec<u8>> = (0..3)
+        .map(|_| sample_homolog(&mut rng, &core, 30))
+        .collect();
+    seqs.push(
+        (0..3)
+            .flat_map(|_| sample_homolog(&mut rng, &core, 5))
+            .collect(),
+    );
+    cases.push(Pinned {
+        label: "homologs/m100",
+        profile: Profile::config(&core, &bg),
+        seqs,
+    });
+    let core = synthetic_model(60, 23, &BuildParams::default());
+    cases.push(Pinned {
+        label: "unihit-tandem/m60",
+        profile: Profile::config_mode(&core, &bg, SearchMode::UnihitLocal),
+        seqs: vec![(0..12)
+            .flat_map(|_| sample_homolog(&mut rng, &core, 3))
+            .collect()],
+    });
+    cases
+}
+
+/// `(label, Forward score bits per sequence, FNV-1a hash over every
+/// recorded m_odds / i_odds / scale of the last sequence)`, all recorded
+/// at 572a5cf.
+///
+/// The unihit lattice is the one thing the rule does move, so it has no
+/// hash: after three rescales with no J state to refill `xB`, whole rows
+/// sit near 1e-36, every D cell in them is below the 2⁻¹⁰¹ the exactness
+/// argument needs, and dropping increments under 2⁻¹²⁵ changes those
+/// cells by up to 1.6% and whatever grows out of them later (9,859 of
+/// 46,860 recorded cells differ from 572a5cf, the largest 7e-13). The
+/// score does not move by a bit. No pipeline configures a unihit
+/// profile, and one rescale later `xN` underflows to zero on either
+/// kernel; the multihit cases, where `xJ` keeps every real cell above
+/// 1e-20, are pinned cell for cell.
+const PINNED: [(&str, &[u32], Option<u64>); 6] = [
+    (
+        "bg100/m100",
+        &[0x3f8946e8, 0x4089bdac, 0xbd4c4900],
+        Some(0x6163227eda9b6b41),
+    ),
+    (
+        "bg100/m400",
+        &[0x3f11b058, 0xbb8d1c00, 0xbe473fe0],
+        Some(0x1693376cd9b1909e),
+    ),
+    (
+        "bg100/m800",
+        &[0x405ca32a, 0x3fd7c99c, 0x400ac19a],
+        Some(0x4ffed568809eb466),
+    ),
+    (
+        "bg50-2000/m130",
+        &[0xbff00084, 0x3e8b8150, 0x3fb2ebcc, 0xbf1c6cb0],
+        Some(0xc117a2598dbe87ce),
+    ),
+    (
+        "homologs/m100",
+        &[0x42da82d0, 0x42e5911d, 0x42bbfddf, 0x43a4a4b8],
+        Some(0x8c92ae52808c7d8a),
+    ),
+    ("unihit-tandem/m60", &[0x42ab2ed1], None),
+];
+
+/// FNV-1a over every recorded cell and scale of one lattice, plus the
+/// number of rows that rescaled.
+fn lattice_hash(f: &StripedFwd, p: &Profile, seq: &[u8]) -> (u64, usize) {
+    let mat = f.run_recording(p, seq, &mut FwdWorkspace::default());
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bits: u32| {
+        for b in bits.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut rescales = 0;
+    for i in 1..=mat.l {
+        for k in 1..=mat.m {
+            eat(mat.m_odds(i, k).to_bits());
+            eat(mat.i_odds(i, k).to_bits());
+        }
+        eat(mat.scale(i).to_bits());
+        rescales += (i > 1 && mat.scale(i) != mat.scale(i - 1)) as usize;
+    }
+    (h, rescales)
+}
+
+#[test]
+fn forward_bits_are_pinned_to_the_pre_flush_kernel() {
+    // Dropping D→D increments before they leave the normal range is
+    // argued exact; this is where that is checked instead of assumed.
+    // Every path the pipeline scores through (each backend's
+    // single-sequence kernel, its recording variant, the pooled batched
+    // sweep at 1 and 2 threads) must reproduce the bits recorded before
+    // the rule existed.
+    let cases = pinned_cases();
+    let scalar: Vec<(Vec<u32>, u64)> = cases
+        .iter()
+        .map(|c| {
+            let f = StripedFwd::with_backend(&c.profile, Backend::Scalar);
+            let bits = c
+                .seqs
+                .iter()
+                .map(|s| f.run(&c.profile, s).to_bits())
+                .collect();
+            let last = c.seqs.last().expect("every case has a sequence");
+            let (hash, rescales) = lattice_hash(&f, &c.profile, last);
+            if c.label.starts_with("unihit") {
+                assert!(rescales >= 3, "{}: only {rescales} rescales", c.label);
+            }
+            (bits, hash)
+        })
+        .collect();
+    let matches = cases.len() == PINNED.len()
+        && cases
+            .iter()
+            .zip(&scalar)
+            .zip(&PINNED)
+            .all(|((c, got), want)| {
+                c.label == want.0 && got.0 == want.1 && want.2.is_none_or(|h| h == got.1)
+            });
+    if !matches {
+        let mut table = String::new();
+        for (c, (bits, hash)) in cases.iter().zip(&scalar) {
+            let bits: Vec<String> = bits.iter().map(|b| format!("{b:#010x}")).collect();
+            table += &format!(
+                "    ({:?}, &[{}], {hash:#018x}),\n",
+                c.label,
+                bits.join(", ")
+            );
+        }
+        panic!("scalar Forward bits moved off the pinned values; now:\n{table}");
+    }
+    let pools = [ThreadPool::new(1), ThreadPool::new(2)];
+    for backend in Backend::all_available() {
+        for (c, (bits, hash)) in cases.iter().zip(&scalar) {
+            let f = StripedFwd::with_backend(&c.profile, backend);
+            let mut ws = FwdWorkspace::default();
+            for (s, &want) in c.seqs.iter().zip(bits) {
+                let got = f.run_into(&c.profile, s, &mut ws).to_bits();
+                assert_eq!(got, want, "{backend} {}: single-sequence score", c.label);
+            }
+            let last = c.seqs.last().expect("every case has a sequence");
+            assert_eq!(
+                lattice_hash(&f, &c.profile, last).0,
+                *hash,
+                "{backend} {}: recorded lattice",
+                c.label
+            );
+            let db: Vec<DigitalSeq> = c
+                .seqs
+                .iter()
+                .map(|s| DigitalSeq {
+                    residues: s.clone(),
+                    ..Default::default()
+                })
+                .collect();
+            for pool in &pools {
+                let got: Vec<u32> = fwd_scores_batched(pool, &f, &c.profile, &db, None, 0)
+                    .iter()
+                    .map(|s| s.expect("unmasked sweep scores everything").to_bits())
+                    .collect();
+                assert_eq!(
+                    &got,
+                    bits,
+                    "{backend} {}: pooled sweep at {} threads",
+                    c.label,
+                    pool.threads()
+                );
+            }
+        }
+    }
 }
 
 /// Every backend, every batch width, and fresh-vs-reused workspaces must

@@ -8,9 +8,10 @@
 //! (`μ` for Gumbel, `τ` for the exponential tail) must be determined per
 //! model, by scoring a small sample of random background sequences.
 //!
-//! This module is scorer-agnostic: it fits locations from score samples
-//! produced by any scoring closure, so the CPU reference, the striped
-//! filters and the GPU kernels can all be calibrated identically.
+//! This module is scorer-agnostic: [`sample`] draws the random
+//! sequences once, the caller scores them however it sweeps a database
+//! (`h3w-pipeline` uses the pooled batch kernels its funnel runs), and
+//! [`Calibration::fit`] fits the locations from the score vectors.
 
 use crate::alphabet::{Residue, BACKGROUND_F};
 use rand::rngs::StdRng;
@@ -82,7 +83,7 @@ pub fn fit_exp_tail_tau(scores: &[f32], lambda: f32, tail_p: f32) -> f32 {
     assert!(!scores.is_empty(), "cannot fit an empty sample");
     assert!(tail_p > 0.0 && tail_p < 1.0);
     let mut sorted: Vec<f32> = scores.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted.sort_by(f32::total_cmp);
     let idx = ((1.0 - tail_p) * (sorted.len() as f32 - 1.0)).round() as usize;
     sorted[idx] + tail_p.ln() / lambda
 }
@@ -101,56 +102,24 @@ pub fn exp_pvalue(score: f32, tau: f32, lambda: f32) -> f64 {
     (-x).exp().min(1.0)
 }
 
-/// Fit a Gumbel location for one extra scoring function over the same
-/// deterministic `(seed, n, len)` random-sequence stream [`calibrate`]
-/// draws — for optional filter stages (e.g. an SSV pre-filter) calibrated
-/// outside the three-stage fit.
-pub fn calibrate_gumbel_mu<F>(seed: u64, n: usize, len: usize, mut score: F) -> f32
-where
-    F: FnMut(&[Residue]) -> f32,
-{
+/// Draw the calibration sample: `n` random background sequences of
+/// length `len`, deterministic in `seed`. Every stage of one model (the
+/// optional SSV pre-filter included) is calibrated on this one draw.
+pub fn sample(seed: u64, n: usize, len: usize) -> Vec<Vec<Residue>> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let scores: Vec<f32> = (0..n)
-        .map(|_| {
-            let seq = random_seq(&mut rng, len);
-            score(&seq)
-        })
-        .collect();
-    fit_gumbel_mu(&scores, LAMBDA)
+    (0..n).map(|_| random_seq(&mut rng, len)).collect()
 }
 
-/// Calibrate all three stages of the pipeline from scoring closures.
-///
-/// Each closure scores one digital sequence in nats. `n` random sequences
-/// of length `len` are drawn deterministically from `seed`.
-pub fn calibrate<FM, FV, FF>(
-    seed: u64,
-    n: usize,
-    len: usize,
-    mut msv: FM,
-    mut vit: FV,
-    mut fwd: FF,
-) -> Calibration
-where
-    FM: FnMut(&[Residue]) -> f32,
-    FV: FnMut(&[Residue]) -> f32,
-    FF: FnMut(&[Residue]) -> f32,
-{
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut ms = Vec::with_capacity(n);
-    let mut vs = Vec::with_capacity(n);
-    let mut fs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let seq = random_seq(&mut rng, len);
-        ms.push(msv(&seq));
-        vs.push(vit(&seq));
-        fs.push(fwd(&seq));
-    }
-    Calibration {
-        mu_msv: fit_gumbel_mu(&ms, LAMBDA),
-        mu_vit: fit_gumbel_mu(&vs, LAMBDA),
-        tau_fwd: fit_exp_tail_tau(&fs, LAMBDA, 0.04),
-        lambda: LAMBDA,
+impl Calibration {
+    /// Fit all three stages of the pipeline from the null-corrected
+    /// scores (nats) each stage gave one [`sample`].
+    pub fn fit(msv: &[f32], vit: &[f32], fwd: &[f32]) -> Calibration {
+        Calibration {
+            mu_msv: fit_gumbel_mu(msv, LAMBDA),
+            mu_vit: fit_gumbel_mu(vit, LAMBDA),
+            tau_fwd: fit_exp_tail_tau(fwd, LAMBDA, 0.04),
+            lambda: LAMBDA,
+        }
     }
 }
 
@@ -238,11 +207,43 @@ mod tests {
     }
 
     #[test]
-    fn calibrate_wires_all_three() {
-        let cal = calibrate(3, 50, 60, |s| s.len() as f32, |_| 1.0, |_| 0.5);
+    fn sample_is_one_deterministic_draw() {
+        let a = sample(9, 7, 30);
+        assert_eq!(a, sample(9, 7, 30));
+        assert_ne!(a, sample(10, 7, 30));
+        assert_eq!(a.len(), 7);
+        assert!(a.iter().all(|s| s.len() == 30));
+        // One stream, drawn sequence after sequence.
+        let mut rng = StdRng::seed_from_u64(9);
+        assert_eq!(a[0], random_seq(&mut rng, 30));
+        assert_eq!(a[1], random_seq(&mut rng, 30));
+    }
+
+    #[test]
+    fn fit_wires_all_three() {
+        let cal = Calibration::fit(&[60.0; 50], &[1.0; 50], &[0.5; 50]);
         // Constant samples: the ML location fit returns the constant.
         assert!((cal.mu_msv - 60.0).abs() < 1e-3);
         assert!((cal.mu_vit - 1.0).abs() < 1e-3);
         assert!(cal.tau_fwd < 0.5 + 1e-6);
+    }
+
+    #[test]
+    fn exp_tail_fit_survives_non_finite_scores() {
+        // A NaN used to panic the sort. total_cmp orders −∞ < finite <
+        // +∞ < NaN, so non-finite scores at the ends of the sample do
+        // not move the quantile as long as they stay outside the fitted
+        // tail: here −∞ / negative NaN stand in for the two lowest
+        // scores and +∞ / NaN for the two highest.
+        let clean: Vec<f32> = (0..500).map(|i| i as f32 * 0.01).collect();
+        let want = fit_exp_tail_tau(&clean, LAMBDA, 0.04);
+        let mut dirty = clean.clone();
+        dirty[0] = f32::NEG_INFINITY;
+        dirty[1] = -f32::NAN;
+        dirty[498] = f32::INFINITY;
+        dirty[499] = f32::NAN;
+        dirty.reverse();
+        let got = fit_exp_tail_tau(&dirty, LAMBDA, 0.04);
+        assert_eq!(got.to_bits(), want.to_bits());
     }
 }

@@ -203,7 +203,9 @@ pub fn scan_traced(
 /// on instead of spawning their own. Preparation — Gumbel calibration —
 /// is the expensive once-per-model half of a scan; resident services
 /// prepare a model library once and [`scan_prepared`] with it many
-/// times.
+/// times. The fan-out is over models: each model's calibration sweeps,
+/// pooled when a pipeline is prepared on its own, run inline on the
+/// worker that took the model (the pool never nests).
 pub fn prepare_scan(models: &[CoreModel], config: PipelineConfig, seed: u64) -> Vec<Pipeline> {
     let pipe_cfg = PipelineConfig {
         threads: 0,

@@ -19,13 +19,13 @@ use crate::report::{Hit, PipelineResult, StageStats};
 use h3w_core::fault::{SweepError, SweepTrace};
 use h3w_core::tiered::{run_fwd_device, run_msv_device, run_vit_device, StageRun};
 use h3w_cpu::reference::forward_generic;
-use h3w_cpu::striped_fwd::{FwdWorkspace, StripedFwd};
+use h3w_cpu::striped_fwd::StripedFwd;
 use h3w_cpu::striped_msv::StripedMsv;
 use h3w_cpu::striped_vit::{StripedVit, VitWorkspace};
 use h3w_cpu::{
     batch_schedule_stats, fwd_scores_batched_pipelined, msv_outcomes_batched_pipelined,
     posterior_decode_with, resolve_pipelined_width, ssv_outcomes_batched_pipelined, Backend,
-    BatchWorkspace, PoolHandle, StripedSsv, ThreadPool,
+    PoolHandle, StripedSsv, ThreadPool,
 };
 use h3w_hmm::calibrate::{self, Calibration};
 use h3w_hmm::msvprofile::MsvProfile;
@@ -33,7 +33,7 @@ use h3w_hmm::plan7::CoreModel;
 use h3w_hmm::profile::Profile;
 use h3w_hmm::vitprofile::VitProfile;
 use h3w_hmm::NullModel;
-use h3w_seqdb::{PackedDb, SeqDb};
+use h3w_seqdb::{DigitalSeq, PackedDb, SeqDb};
 use h3w_simt::DeviceSpec;
 use h3w_trace::{Telemetry, Trace};
 use std::sync::Arc;
@@ -177,49 +177,17 @@ impl Pipeline {
                 })
                 .collect()
         };
-        let null1_cal = null1[calibrate::DEFAULT_LEN];
         let msv = MsvProfile::from_profile(&profile);
         let vit = VitProfile::from_profile(&profile);
         let striped_msv = StripedMsv::with_backend(&msv, backend);
         let striped_vit = StripedVit::with_backend(&vit, backend);
         let backend = striped_msv.backend();
         let striped_fwd = StripedFwd::with_backend(&profile, backend);
-        let mut ws = VitWorkspace::default();
-        let mut dp = Vec::new();
-        let mut fws = FwdWorkspace::default();
-        // Calibration scores through the same Forward the sweep will run
-        // (striped by default, generic when the escape hatch is set), so
-        // tau_fwd always describes the production score stream.
-        let cal = calibrate::calibrate(
-            seed,
-            calibrate::DEFAULT_N,
-            calibrate::DEFAULT_LEN,
-            |s| striped_msv.run_into(&msv, s, &mut dp).score - null1_cal,
-            |s| striped_vit.run_into(&vit, s, &mut ws).0.score - null1_cal,
-            |s| {
-                let raw = if config.fwd_generic {
-                    forward_generic(&profile, s)
-                } else {
-                    striped_fwd.run_into(&profile, s, &mut fws)
-                };
-                raw - null1_cal
-            },
-        );
-        // The SSV pre-filter is calibrated over the same deterministic
-        // random-sequence stream, so an SSV-enabled pipeline stays fully
-        // reproducible from (model, seed).
-        let ssv = config.ssv.then(|| {
-            let striped = StripedSsv::with_backend(&msv, backend);
-            let mut ws = BatchWorkspace::default();
-            let mu = calibrate::calibrate_gumbel_mu(
-                seed,
-                calibrate::DEFAULT_N,
-                calibrate::DEFAULT_LEN,
-                |s| striped.run_into(&msv, s, &mut ws).score - null1_cal,
-            );
-            SsvPrefilter { striped, mu }
+        let ssv = config.ssv.then(|| SsvPrefilter {
+            striped: StripedSsv::with_backend(&msv, backend),
+            mu: 0.0,
         });
-        Pipeline {
+        let mut pipe = Pipeline {
             bg,
             profile,
             msv,
@@ -227,12 +195,64 @@ impl Pipeline {
             striped_msv,
             striped_vit,
             striped_fwd,
-            cal,
+            // Fitted by calibrate() just below; the stages it runs read
+            // no location.
+            cal: Calibration {
+                mu_msv: 0.0,
+                mu_vit: 0.0,
+                tau_fwd: 0.0,
+                lambda: calibrate::LAMBDA,
+            },
             config,
             backend,
             ssv,
             null1,
             pool: PoolHandle::with_threads(config.threads),
+        };
+        pipe.calibrate(seed);
+        pipe
+    }
+
+    /// Fit every stage's score distribution on one deterministic draw
+    /// of random background sequences, scored through the host stages
+    /// [`Pipeline::search`] runs (same kernels, same pool), so the
+    /// locations always describe the production score stream and the
+    /// most expensive step of preparing a query uses every core the
+    /// pipeline has. Inside another pool task (`prepare_scan`'s
+    /// per-model fan-out) the sweeps run inline, as all nested fan-outs
+    /// do.
+    fn calibrate(&mut self, seed: u64) {
+        let sample = SeqDb {
+            name: "calibration".into(),
+            seqs: calibrate::sample(seed, calibrate::DEFAULT_N, calibrate::DEFAULT_LEN)
+                .into_iter()
+                .map(|residues| DigitalSeq {
+                    residues,
+                    ..Default::default()
+                })
+                .collect(),
+        };
+        let all = vec![true; sample.len()];
+        let corrected = |raw: f32| self.corrected(raw, calibrate::DEFAULT_LEN);
+        let scored = |scores: Vec<Option<f32>>| -> Vec<f32> {
+            scores
+                .into_iter()
+                .map(|s| corrected(s.expect("an all-true mask scores everything")))
+                .collect()
+        };
+        let (msv, _, _) = self.msv_stage_host(&sample, false, &Trace::off());
+        let msv: Vec<f32> = msv.into_iter().map(corrected).collect();
+        let vit = scored(self.vit_stage_host(&sample, &all).0);
+        let fwd = scored(self.forward_stage(&sample, &all).0);
+        // SSV scores sit below MSV scores (no J state), so the
+        // pre-filter gets its own Gumbel location, from the same sample.
+        let ssv_mu = self.ssv_scores(&sample).map(|scores| {
+            let scores: Vec<f32> = scores.into_iter().map(corrected).collect();
+            calibrate::fit_gumbel_mu(&scores, calibrate::LAMBDA)
+        });
+        self.cal = Calibration::fit(&msv, &vit, &fwd);
+        if let (Some(pre), Some(mu)) = (self.ssv.as_mut(), ssv_mu) {
+            pre.mu = mu;
         }
     }
 
@@ -625,24 +645,13 @@ impl Pipeline {
         trace: &Trace,
     ) -> (Vec<f32>, Vec<bool>, f64) {
         let t0 = Instant::now();
-        let pre = if with_ssv { self.ssv.as_ref() } else { None };
-        let pass0: Option<Vec<bool>> = pre.map(|pre| {
-            ssv_outcomes_batched_pipelined(
-                self.pool(),
-                &pre.striped,
-                &self.msv,
-                &db.seqs,
-                None,
-                self.config.batch,
-                self.config.pipeline_depth,
-            )
-            .iter()
-            .zip(&db.seqs)
-            .map(|(o, q)| {
-                let sc = o.expect("unmasked sweep scores everything").score;
-                self.ssv_pvalue(sc, q.len()) < self.config.f0
-            })
-            .collect()
+        let ssv_scores = if with_ssv { self.ssv_scores(db) } else { None };
+        let pass0: Option<Vec<bool>> = ssv_scores.map(|scores| {
+            scores
+                .iter()
+                .zip(&db.seqs)
+                .map(|(&sc, q)| self.ssv_pvalue(sc, q.len()) < self.config.f0)
+                .collect()
         });
         let msv_out = msv_outcomes_batched_pipelined(
             self.pool(),
@@ -701,6 +710,28 @@ impl Pipeline {
             .collect();
         let eligible = msv_out.iter().map(|o| o.is_some()).collect();
         (scores, eligible, secs)
+    }
+
+    /// Raw SSV pre-filter scores of every sequence through the batched
+    /// interleaved kernel (`None` unless the pipeline was prepared with
+    /// `config.ssv`).
+    fn ssv_scores(&self, db: &SeqDb) -> Option<Vec<f32>> {
+        let pre = self.ssv.as_ref()?;
+        let outcomes = ssv_outcomes_batched_pipelined(
+            self.pool(),
+            &pre.striped,
+            &self.msv,
+            &db.seqs,
+            None,
+            self.config.batch,
+            self.config.pipeline_depth,
+        );
+        Some(
+            outcomes
+                .iter()
+                .map(|o| o.expect("unmasked sweep scores everything").score)
+                .collect(),
+        )
     }
 
     /// Host stage 2: the pool-parallel striped Viterbi filter over a

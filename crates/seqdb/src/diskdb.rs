@@ -37,11 +37,22 @@
 //! the diagnostic; and every parsed offset/length/code is bounds-checked
 //! so even a hypothetical colliding corruption cannot cause a panic.
 //!
+//! The loader does not run those layers one after another. It parses the
+//! structure first, unhashed, and then makes one pass over the payload
+//! that advances the trailer hash, the WORDS CRC, the residue decode and
+//! the content hash together ([`DiskDb::from_bytes`]). What it *reports*
+//! is still ordered by trust: magic, version, the trailer hash, the
+//! layout, each section CRC in table order, and only then anything the
+//! parsed structure or the residues revealed, so a flipped bit is named
+//! as a checksum failure and never as whatever nonsense it decoded to.
+//!
 //! Writes go through the same tmp-then-rename discipline as checkpoints
 //! ([`DiskDb::write`]), so a crash mid-write never leaves a torn file at
 //! the target path.
 
-use crate::pack::{pack_seq, unpack_slot, PackedDb, PackedView, RESIDUES_PER_WORD};
+use crate::pack::{
+    packed_words, unpack_slot, unpack_word, words_for, PackedDb, PackedView, RESIDUES_PER_WORD,
+};
 use crate::seq::{DigitalSeq, SeqDb};
 use h3w_hmm::alphabet::{N_DEGENERATE, N_STANDARD, PAD_CODE};
 use std::io::{BufWriter, Read, Write};
@@ -60,6 +71,11 @@ const MAX_RESIDUE_CODE: u8 = (N_STANDARD + N_DEGENERATE) as u8; // 26
 
 const SECTION_IDS: [u32; 5] = [1, 2, 3, 4, 5];
 const SECTION_NAMES: [&str; 5] = ["META", "NAMES", "INDEX", "WORDS", "LENBINS"];
+/// Position of the WORDS row in the section table.
+const WORDS: usize = 3;
+
+/// Longest string the format's `u16` length prefix can carry, in bytes.
+const MAX_STR_BYTES: usize = u16::MAX as usize;
 
 /// Why a packed database file could not be written or loaded. Every
 /// corruption mode maps to a variant — the loader returns, it never
@@ -187,6 +203,10 @@ pub fn content_hash(db: &SeqDb) -> u64 {
     h.finish()
 }
 
+/// Byte the content hash absorbs after a sequence's residues (not a
+/// residue code, so sequence boundaries cannot shift unnoticed).
+const SEQ_END: u8 = 0xff;
+
 /// Incremental form of [`content_hash`] for streaming producers (the
 /// FASTA scanner and [`DiskDbWriter`]) that never hold the whole
 /// database: feed sequences one at a time, in database order, and
@@ -207,12 +227,18 @@ impl ContentHasher {
 
     /// Absorb one sequence (must be called in database order).
     pub fn push_seq(&mut self, name: &str, desc: &str, residues: &[u8]) {
+        self.push_header(name, desc);
+        self.h.update(residues);
+        self.h.update(&[SEQ_END]);
+    }
+
+    /// The part of [`ContentHasher::push_seq`] before the residues, for
+    /// the loader, which feeds the residues as it decodes them.
+    fn push_header(&mut self, name: &str, desc: &str) {
         self.h.update(name.as_bytes());
         self.h.update(&[0]);
         self.h.update(desc.as_bytes());
         self.h.update(&[0]);
-        self.h.update(residues);
-        self.h.update(&[0xff]);
     }
 
     /// The hash of everything absorbed so far.
@@ -253,7 +279,23 @@ impl DiskDb {
     }
 
     /// Serialize a database to the `.h3wdb` byte image.
+    ///
+    /// # Panics
+    ///
+    /// If the database label, a sequence name or a description is longer
+    /// than 65,535 bytes, which the format's `u16` length prefix cannot
+    /// record. [`DiskDb::write`] and [`DiskDbWriter::push`] report the
+    /// same condition as an error.
     pub fn to_bytes(db: &SeqDb) -> Vec<u8> {
+        DiskDb::try_to_bytes(db).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`DiskDb::to_bytes`], with the over-long string as an error.
+    fn try_to_bytes(db: &SeqDb) -> Result<Vec<u8>, DbFormatError> {
+        check_str16(&db.name, || "database label".into())?;
+        for (seqid, seq) in db.seqs.iter().enumerate() {
+            check_seq_strings(seqid, seq)?;
+        }
         let mut meta = Vec::new();
         put_str16(&mut meta, &db.name);
         put_u32(&mut meta, db.len() as u32);
@@ -272,23 +314,13 @@ impl DiskDb {
         for s in &db.seqs {
             put_u32(&mut index, s.len() as u32);
             put_u32(&mut index, word_off);
-            let packed = pack_seq(&s.residues);
-            for w in &packed {
-                put_u32(&mut words, *w);
-            }
-            word_off += packed.len() as u32;
+            word_off += put_packed(&mut words, &s.residues);
         }
         let n_words_le = word_off.to_le_bytes();
         words[..4].copy_from_slice(&n_words_le);
 
         let mut lenbins = Vec::new();
-        let bins = length_bins(db);
-        put_u32(&mut lenbins, bins.len() as u32);
-        for b in &bins {
-            put_u32(&mut lenbins, b.min_len);
-            put_u32(&mut lenbins, b.max_len);
-            put_u32(&mut lenbins, b.count);
-        }
+        put_bins(&mut lenbins, &length_bins(db));
 
         let sections = [meta, names, index, words, lenbins];
         let mut out = Vec::new();
@@ -307,7 +339,7 @@ impl DiskDb {
         }
         let file_hash = fnv1a(&out);
         put_u64(&mut out, file_hash);
-        out
+        Ok(out)
     }
 
     /// Write a database to `path` atomically (tmp + rename, like
@@ -317,234 +349,109 @@ impl DiskDb {
             path: path.display().to_string(),
             msg: e.to_string(),
         };
+        let bytes = DiskDb::try_to_bytes(db)?;
         let tmp = path.with_extension("h3wdb.tmp");
-        std::fs::write(&tmp, DiskDb::to_bytes(db)).map_err(io)?;
+        std::fs::write(&tmp, bytes).map_err(io)?;
         std::fs::rename(&tmp, path).map_err(io)
     }
 
     /// Parse and validate a `.h3wdb` byte image. Every failure mode —
     /// truncation, bit flips, version skew, inconsistent indices — is a
     /// typed [`DbFormatError`]; this function never panics on any input.
+    ///
+    /// The structure (header, section table, META, NAMES, INDEX, tiling,
+    /// LENBINS) is read first, with bounds checks and no hashing; then
+    /// one walk over WORDS advances the whole-file hash, the section CRC,
+    /// the residue decode with its code and pad checks, and the content
+    /// hash together, because each of those alone is a byte-serial
+    /// dependency chain that leaves the core idle. A damaged file is
+    /// still judged in the order a trusting reader would meet the damage
+    /// (magic, version, file hash, layout, section CRCs in table order,
+    /// then structure, residues, content hash), so whatever the structure
+    /// pass found is held back until the checksums above it have passed.
     pub fn from_bytes(bytes: &[u8]) -> Result<DiskDb, DbFormatError> {
-        // Trailer first: the whole-file hash covers header and table too,
-        // so a flip anywhere (including inside the CRCs themselves) is
-        // caught before any field is trusted. Magic/version are checked
-        // before the hash so a wrong-format or wrong-version file gets
-        // its specific diagnostic rather than a generic hash mismatch.
         let mut c = Cursor::new(bytes);
-        let magic = c.take(8)?;
-        if magic != DISKDB_MAGIC {
+        if c.take(8)? != DISKDB_MAGIC {
             return Err(DbFormatError::BadMagic);
         }
         let version = c.u32()?;
         if version != DISKDB_VERSION {
             return Err(DbFormatError::Version { found: version });
         }
-        if bytes.len() < 8 {
-            return Err(DbFormatError::Truncated {
-                needed: 8,
-                have: bytes.len(),
-            });
-        }
-        let body_len = bytes.len() - 8;
-        let expected = u64::from_le_bytes(bytes[body_len..].try_into().expect("8 bytes"));
-        let found = fnv1a(&bytes[..body_len]);
-        if expected != found {
-            return Err(DbFormatError::FileHash { expected, found });
-        }
-        let body = &bytes[..body_len];
-        let mut c = Cursor::new(body);
-        c.take(8)?; // magic, already checked
-        c.u32()?; // version, already checked
-        let n_sections = c.u32()? as usize;
-        if n_sections != SECTION_IDS.len() {
-            return Err(DbFormatError::Layout(format!(
-                "expected {} sections, header says {n_sections}",
-                SECTION_IDS.len()
-            )));
-        }
-        let reserved = c.u32()?;
-        if reserved != 0 {
-            return Err(DbFormatError::Layout(format!(
-                "reserved field is {reserved:#x}, expected 0"
-            )));
-        }
-        let logical_hash = c.u64()?;
-        let mut table = Vec::with_capacity(n_sections);
-        for (i, &id) in SECTION_IDS.iter().enumerate() {
-            let found_id = c.u32()?;
-            if found_id != id {
-                return Err(DbFormatError::Layout(format!(
-                    "section {i} has id {found_id}, expected {id} ({})",
-                    SECTION_NAMES[i]
-                )));
+        let (body, trailer) = bytes.split_at(bytes.len() - 8);
+        let expected = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
+        let file_verdict = |found: u64| {
+            if found == expected {
+                Ok(())
+            } else {
+                Err(DbFormatError::FileHash { expected, found })
             }
-            let len = c.u64()?;
-            let crc = c.u32()?;
-            if len > body.len() as u64 {
-                return Err(DbFormatError::Layout(format!(
-                    "section {} claims {len} bytes in a {}-byte file",
-                    SECTION_NAMES[i],
-                    bytes.len()
-                )));
+        };
+
+        let table = match SectionTable::parse(body) {
+            Ok(table) => table,
+            Err(layout) => {
+                file_verdict(fnv1a(body))?;
+                return Err(layout);
             }
-            table.push((len as usize, crc));
-        }
-        let payload_total: usize = table.iter().map(|&(len, _)| len).sum();
-        let have = body.len() - c.pos;
-        if have != payload_total {
-            return Err(DbFormatError::Layout(format!(
-                "section table claims {payload_total} payload bytes, file holds {have}"
-            )));
-        }
-        let mut sections: Vec<&[u8]> = Vec::with_capacity(n_sections);
-        for (i, &(len, crc)) in table.iter().enumerate() {
-            let s = c.take(len)?;
-            if crc32(s) != crc {
+        };
+        let words_section = table.sections[WORDS];
+        let structure = Structure::parse(&table.sections);
+
+        // One pass over every byte of the body. When the structure is
+        // sound the WORDS payload goes through `walk_words`; otherwise
+        // there is no tiling to walk and only the checksums are wanted.
+        let mut file = Fnv::new();
+        let mut words_crc = Crc32::new();
+        let content = match &structure {
+            Ok(s) => {
+                let (count, after) = (table.words_at + 4, table.words_at + words_section.len());
+                file.update(&body[..count]);
+                words_crc.update(&words_section[..4]);
+                let content = s.walk_words(&mut file, &mut words_crc);
+                file.update(&body[after..]);
+                Some(content)
+            }
+            Err(_) => {
+                file.update(body);
+                words_crc.update(words_section);
+                None
+            }
+        };
+
+        file_verdict(file.finish())?;
+        for (i, (section, &crc)) in table.sections.iter().zip(&table.crcs).enumerate() {
+            let found = match i {
+                WORDS => words_crc.finish(),
+                _ => crc32(section),
+            };
+            if found != crc {
                 return Err(DbFormatError::SectionCrc {
                     section: SECTION_NAMES[i],
                 });
             }
-            sections.push(s);
         }
-
-        // META
-        let mut m = Cursor::new(sections[0]);
-        let db_name = m.str16()?;
-        let n_seqs = m.u32()? as usize;
-        let total_residues = m.u64()?;
-        m.end("META")?;
-
-        // NAMES
-        let mut n = Cursor::new(sections[1]);
-        let mut headers = Vec::with_capacity(n_seqs);
-        for _ in 0..n_seqs {
-            let name = n.str16()?;
-            let desc = n.str16()?;
-            headers.push((name, desc));
-        }
-        n.end("NAMES")?;
-
-        // INDEX
-        let mut ix = Cursor::new(sections[2]);
-        let mut lengths = Vec::with_capacity(n_seqs);
-        let mut offsets = Vec::with_capacity(n_seqs);
-        for _ in 0..n_seqs {
-            lengths.push(ix.u32()?);
-            offsets.push(ix.u32()?);
-        }
-        ix.end("INDEX")?;
-
-        // WORDS
-        let mut w = Cursor::new(sections[3]);
-        let n_words = w.u32()? as usize;
-        if sections[3].len() != 4 + n_words * 4 {
-            return Err(DbFormatError::Corrupt(format!(
-                "WORDS claims {n_words} words but section holds {} bytes",
-                sections[3].len()
-            )));
-        }
-        let mut words = Vec::with_capacity(n_words);
-        for _ in 0..n_words {
-            words.push(w.u32()?);
-        }
-
-        // Cross-checks: offsets/lengths must tile the word buffer exactly
-        // in database order, and the residue total must match META.
-        let mut expect_off = 0u64;
-        let mut residue_total = 0u64;
-        for (i, (&len, &off)) in lengths.iter().zip(&offsets).enumerate() {
-            if off as u64 != expect_off {
-                return Err(DbFormatError::Corrupt(format!(
-                    "sequence {i} at word offset {off}, expected {expect_off}"
-                )));
-            }
-            let seq_words = (len as u64).div_ceil(RESIDUES_PER_WORD as u64).max(1);
-            expect_off += seq_words;
-            residue_total += len as u64;
-        }
-        if expect_off != words.len() as u64 {
-            return Err(DbFormatError::Corrupt(format!(
-                "index tiles {expect_off} words, WORDS holds {}",
-                words.len()
-            )));
-        }
-        if residue_total != total_residues {
-            return Err(DbFormatError::Corrupt(format!(
-                "META says {total_residues} residues, index sums to {residue_total}"
-            )));
-        }
-
-        // LENBINS
-        let mut lb = Cursor::new(sections[4]);
-        let n_bins = lb.u32()? as usize;
-        let mut bins = Vec::with_capacity(n_bins.min(64));
-        for _ in 0..n_bins {
-            bins.push(LengthBin {
-                min_len: lb.u32()?,
-                max_len: lb.u32()?,
-                count: lb.u32()?,
-            });
-        }
-        lb.end("LENBINS")?;
-        let bin_total: u64 = bins.iter().map(|b| b.count as u64).sum();
-        if bin_total != n_seqs as u64 {
-            return Err(DbFormatError::Corrupt(format!(
-                "length bins cover {bin_total} sequences of {n_seqs}"
-            )));
-        }
-
-        let packed = PackedDb {
-            words,
-            offsets,
-            lengths,
-        };
-        // Validate residue codes: real slots must be in-alphabet, pad
-        // slots must be exactly PAD_CODE. Guarantees downstream kernels
-        // never see a code the score tables were not built for. The same
-        // decode feeds the content hash, through one reused buffer, which
-        // ties the header's logical hash to the payload: the recorded
-        // identity is recomputed, not trusted.
-        let view = packed.view();
-        let mut content = ContentHasher::new(&db_name);
-        let mut residues = Vec::new();
-        for (seqid, (name, desc)) in headers.iter().enumerate() {
-            residues.clear();
-            view.unpack_seq_into(seqid, &mut residues);
-            if let Some(slot) = residues.iter().position(|&c| c >= MAX_RESIDUE_CODE) {
-                return Err(DbFormatError::Corrupt(format!(
-                    "sequence {seqid} residue {slot} has invalid code {}",
-                    residues[slot]
-                )));
-            }
-            // The tiling check above put this sequence's words in range.
-            let len = residues.len();
-            let seq_words = len.div_ceil(RESIDUES_PER_WORD).max(1);
-            let last = view.words[view.offsets[seqid] as usize + seq_words - 1];
-            for slot in len..seq_words * RESIDUES_PER_WORD {
-                let code = unpack_slot(last, slot % RESIDUES_PER_WORD);
-                if code != PAD_CODE {
-                    return Err(DbFormatError::Corrupt(format!(
-                        "sequence {seqid} pad slot {slot} holds code {code}"
-                    )));
-                }
-            }
-            content.push_seq(name, desc, &residues);
-        }
-        let recomputed = content.finish();
+        let s = structure?;
+        // Recomputed from the decode, not trusted: this ties the header's
+        // logical hash to the payload.
+        let recomputed = content.expect("a parsed structure had its words walked")?;
+        let logical_hash = table.content_hash;
         if recomputed != logical_hash {
             return Err(DbFormatError::Corrupt(format!(
                 "header content hash {logical_hash:016x} but decoded content hashes to {recomputed:016x}"
             )));
         }
-
         Ok(DiskDb {
-            name: db_name,
-            packed,
-            headers,
-            total_residues,
+            name: s.db_name,
+            packed: PackedDb {
+                words: s.words,
+                offsets: s.offsets,
+                lengths: s.lengths,
+            },
+            headers: s.headers,
+            total_residues: s.total_residues,
             content_hash: logical_hash,
-            bins,
+            bins: s.bins,
         })
     }
 
@@ -616,6 +523,275 @@ impl DiskDb {
     }
 }
 
+/// The fixed header and section table of a file, read without hashing:
+/// where each section's payload lies and the checksum it must match.
+struct SectionTable<'a> {
+    /// Logical content hash recorded in the header.
+    content_hash: u64,
+    /// Payload of each section, table order.
+    sections: [&'a [u8]; 5],
+    /// CRC-32 the table records for each section.
+    crcs: [u32; 5],
+    /// Offset of the WORDS payload within the body.
+    words_at: usize,
+}
+
+impl<'a> SectionTable<'a> {
+    /// `body` is the file without its 8-byte trailer.
+    fn parse(body: &'a [u8]) -> Result<SectionTable<'a>, DbFormatError> {
+        let mut c = Cursor::new(body);
+        c.take(8)?; // magic, checked by the caller
+        c.u32()?; // version, likewise
+        let n_sections = c.u32()? as usize;
+        if n_sections != SECTION_IDS.len() {
+            return Err(DbFormatError::Layout(format!(
+                "expected {} sections, header says {n_sections}",
+                SECTION_IDS.len()
+            )));
+        }
+        let reserved = c.u32()?;
+        if reserved != 0 {
+            return Err(DbFormatError::Layout(format!(
+                "reserved field is {reserved:#x}, expected 0"
+            )));
+        }
+        let content_hash = c.u64()?;
+        let mut lens = [0usize; 5];
+        let mut crcs = [0u32; 5];
+        for (i, &id) in SECTION_IDS.iter().enumerate() {
+            let found_id = c.u32()?;
+            if found_id != id {
+                return Err(DbFormatError::Layout(format!(
+                    "section {i} has id {found_id}, expected {id} ({})",
+                    SECTION_NAMES[i]
+                )));
+            }
+            let len = c.u64()?;
+            crcs[i] = c.u32()?;
+            if len > body.len() as u64 {
+                return Err(DbFormatError::Layout(format!(
+                    "section {} claims {len} bytes in a {}-byte file",
+                    SECTION_NAMES[i],
+                    body.len() + 8
+                )));
+            }
+            lens[i] = len as usize;
+        }
+        let payload_total: usize = lens.iter().sum();
+        let have = body.len() - c.pos;
+        if have != payload_total {
+            return Err(DbFormatError::Layout(format!(
+                "section table claims {payload_total} payload bytes, file holds {have}"
+            )));
+        }
+        let words_at = c.pos + lens[..WORDS].iter().sum::<usize>();
+        let mut sections = [&body[..0]; 5];
+        for (section, &len) in sections.iter_mut().zip(&lens) {
+            *section = c.take(len)?;
+        }
+        Ok(SectionTable {
+            content_hash,
+            sections,
+            crcs,
+            words_at,
+        })
+    }
+}
+
+/// Everything a file says about its database apart from the checksums:
+/// parsed and cross-checked (counts, tiling, totals), residue codes not
+/// yet looked at, nothing yet verified against a hash.
+struct Structure {
+    db_name: String,
+    headers: Vec<(String, String)>,
+    lengths: Vec<u32>,
+    offsets: Vec<u32>,
+    words: Vec<u32>,
+    total_residues: u64,
+    bins: Vec<LengthBin>,
+}
+
+impl Structure {
+    fn parse(sections: &[&[u8]; 5]) -> Result<Structure, DbFormatError> {
+        let [meta, names, index, words, lenbins] = *sections;
+
+        let mut m = Cursor::new(meta);
+        let db_name = m.str16()?;
+        let n_seqs = m.u32()? as usize;
+        let total_residues = m.u64()?;
+        m.end("META")?;
+
+        // `n_seqs` sizes three allocations below, and a checksum is no
+        // proof of origin: hold it to what the sections can contain (8
+        // INDEX bytes and at least two NAMES length prefixes a sequence).
+        if index.len() as u64 != 8 * n_seqs as u64 {
+            return Err(DbFormatError::Corrupt(format!(
+                "META says {n_seqs} sequences but INDEX holds {} bytes, not {}",
+                index.len(),
+                8 * n_seqs as u64
+            )));
+        }
+        if (names.len() as u64) < 4 * n_seqs as u64 {
+            return Err(DbFormatError::Corrupt(format!(
+                "META says {n_seqs} sequences but NAMES holds only {} bytes",
+                names.len()
+            )));
+        }
+
+        let mut n = Cursor::new(names);
+        let mut headers = Vec::with_capacity(n_seqs);
+        for _ in 0..n_seqs {
+            let name = n.str16()?;
+            let desc = n.str16()?;
+            headers.push((name, desc));
+        }
+        n.end("NAMES")?;
+
+        let le32 = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4 bytes"));
+        let mut lengths = Vec::with_capacity(n_seqs);
+        let mut offsets = Vec::with_capacity(n_seqs);
+        for row in index.chunks_exact(8) {
+            lengths.push(le32(&row[..4]));
+            offsets.push(le32(&row[4..]));
+        }
+
+        let mut w = Cursor::new(words);
+        let n_words = w.u32()? as usize;
+        if words.len() as u64 != 4 + 4 * n_words as u64 {
+            return Err(DbFormatError::Corrupt(format!(
+                "WORDS claims {n_words} words but section holds {} bytes",
+                words.len()
+            )));
+        }
+        let words: Vec<u32> = words[4..].chunks_exact(4).map(le32).collect();
+
+        // Cross-checks: offsets/lengths must tile the word buffer exactly
+        // in database order, and the residue total must match META.
+        let mut expect_off = 0u64;
+        let mut residue_total = 0u64;
+        for (i, (&len, &off)) in lengths.iter().zip(&offsets).enumerate() {
+            if off as u64 != expect_off {
+                return Err(DbFormatError::Corrupt(format!(
+                    "sequence {i} at word offset {off}, expected {expect_off}"
+                )));
+            }
+            expect_off += words_for(len as usize) as u64;
+            residue_total += len as u64;
+        }
+        if expect_off != words.len() as u64 {
+            return Err(DbFormatError::Corrupt(format!(
+                "index tiles {expect_off} words, WORDS holds {}",
+                words.len()
+            )));
+        }
+        if residue_total != total_residues {
+            return Err(DbFormatError::Corrupt(format!(
+                "META says {total_residues} residues, index sums to {residue_total}"
+            )));
+        }
+
+        let mut lb = Cursor::new(lenbins);
+        let n_bins = lb.u32()? as usize;
+        let mut bins = Vec::with_capacity(n_bins.min(64));
+        for _ in 0..n_bins {
+            bins.push(LengthBin {
+                min_len: lb.u32()?,
+                max_len: lb.u32()?,
+                count: lb.u32()?,
+            });
+        }
+        lb.end("LENBINS")?;
+        let bin_total: u64 = bins.iter().map(|b| b.count as u64).sum();
+        if bin_total != n_seqs as u64 {
+            return Err(DbFormatError::Corrupt(format!(
+                "length bins cover {bin_total} sequences of {n_seqs}"
+            )));
+        }
+
+        Ok(Structure {
+            db_name,
+            headers,
+            lengths,
+            offsets,
+            words,
+            total_residues,
+            bins,
+        })
+    }
+
+    /// Walk WORDS once, sequence by sequence and word by word, advancing
+    /// the file hash and the section CRC over each word's bytes and the
+    /// content hash over its decoded residues, so the three serial chains
+    /// overlap. Returns the recomputed content hash, or the first slot
+    /// (sequence order; real residues before pads) that holds a code no
+    /// score table was built for: a real slot outside the alphabet or a
+    /// pad slot that is not `PAD_CODE`. `file` and `crc` are advanced over
+    /// every word either way.
+    fn walk_words(&self, file: &mut Fnv, crc: &mut Crc32) -> Result<u64, DbFormatError> {
+        let mut content = ContentHasher::new(&self.db_name);
+        let mut finding = None;
+        let mut rest = &self.words[..];
+        for (seqid, ((name, desc), &len)) in self.headers.iter().zip(&self.lengths).enumerate() {
+            let len = len as usize;
+            // In range: the tiling check put every sequence inside `words`.
+            let (seq, after) = rest.split_at(words_for(len));
+            rest = after;
+            content.push_header(name, desc);
+            let (full, last) = seq.split_at(len / RESIDUES_PER_WORD);
+            let (mut f, mut c, mut h) = (file.0, crc.0, content.h.0);
+            let mut suspect = false;
+            for &w in full {
+                f = fnv_word(f, w);
+                c = crc_word(c, w);
+                for r in unpack_word(w) {
+                    suspect |= r >= MAX_RESIDUE_CODE;
+                    h = fnv_step(h, r);
+                }
+            }
+            // The partly padded word (wholly, for an empty sequence).
+            if let Some(&w) = last.first() {
+                f = fnv_word(f, w);
+                c = crc_word(c, w);
+                let slots = unpack_word(w);
+                let (real, pad) = slots.split_at(len % RESIDUES_PER_WORD);
+                for &r in real {
+                    suspect |= r >= MAX_RESIDUE_CODE;
+                    h = fnv_step(h, r);
+                }
+                suspect |= pad.iter().any(|&r| r != PAD_CODE);
+            }
+            (file.0, crc.0, content.h.0) = (f, c, fnv_step(h, SEQ_END));
+            if suspect && finding.is_none() {
+                finding = bad_slot(seqid, seq, len);
+            }
+        }
+        match finding {
+            Some(e) => Err(e),
+            None => Ok(content.finish()),
+        }
+    }
+}
+
+/// The first offending slot of one sequence's words, as the diagnostic:
+/// real residues first, then the pad slots of the last word.
+#[cold]
+fn bad_slot(seqid: usize, seq: &[u32], len: usize) -> Option<DbFormatError> {
+    for slot in 0..seq.len() * RESIDUES_PER_WORD {
+        let code = unpack_slot(seq[slot / RESIDUES_PER_WORD], slot % RESIDUES_PER_WORD);
+        if slot < len && code >= MAX_RESIDUE_CODE {
+            return Some(DbFormatError::Corrupt(format!(
+                "sequence {seqid} residue {slot} has invalid code {code}"
+            )));
+        }
+        if slot >= len && code != PAD_CODE {
+            return Some(DbFormatError::Corrupt(format!(
+                "sequence {seqid} pad slot {slot} holds code {code}"
+            )));
+        }
+    }
+    None
+}
+
 /// Summary returned by [`DiskDbWriter::finish`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiskDbSummary {
@@ -645,6 +821,8 @@ pub struct DiskDbWriter {
     word_off: u32,
     content: ContentHasher,
     bin_counts: [u32; 32],
+    /// Serialization buffer reused by every `push`.
+    scratch: Vec<u8>,
 }
 
 /// One payload spilled to a temporary file, with its CRC and length
@@ -684,6 +862,7 @@ impl DiskDbWriter {
             path: path.display().to_string(),
             msg: e.to_string(),
         };
+        check_str16(db_name, || "database label".into())?;
         let spill = |ext: &str| -> Result<SectionSpill, DbFormatError> {
             SectionSpill::create(path.with_extension(ext)).map_err(io)
         };
@@ -698,10 +877,13 @@ impl DiskDbWriter {
             word_off: 0,
             content: ContentHasher::new(db_name),
             bin_counts: [0u32; 32],
+            scratch: Vec::new(),
         })
     }
 
-    /// Append one sequence (database order).
+    /// Append one sequence (database order). A name or description the
+    /// format cannot record (over 65,535 bytes) is an error and leaves
+    /// the writer as it was.
     pub fn push(&mut self, seq: &DigitalSeq) -> Result<(), DbFormatError> {
         let io = |e: std::io::Error| DbFormatError::Io {
             path: self.path.display().to_string(),
@@ -712,28 +894,24 @@ impl DiskDbWriter {
                 "database exceeds the format's u32 sequence count".into(),
             ));
         }
-        let mut name = Vec::new();
-        put_str16(&mut name, &seq.name);
-        put_str16(&mut name, &seq.desc);
-        self.names.put(&name).map_err(io)?;
+        check_seq_strings(self.n_seqs, seq)?;
+        let buf = &mut self.scratch;
+        buf.clear();
+        put_str16(buf, &seq.name);
+        put_str16(buf, &seq.desc);
+        self.names.put(buf).map_err(io)?;
 
-        let mut ix = Vec::new();
-        put_u32(&mut ix, seq.len() as u32);
-        put_u32(&mut ix, self.word_off);
-        self.index.put(&ix).map_err(io)?;
+        buf.clear();
+        put_u32(buf, seq.len() as u32);
+        put_u32(buf, self.word_off);
+        self.index.put(buf).map_err(io)?;
 
-        let packed = pack_seq(&seq.residues);
-        let mut wbytes = Vec::with_capacity(packed.len() * 4);
-        for w in &packed {
-            put_u32(&mut wbytes, *w);
-        }
-        self.words.put(&wbytes).map_err(io)?;
-        self.word_off = self
-            .word_off
-            .checked_add(packed.len() as u32)
-            .ok_or_else(|| {
-                DbFormatError::Corrupt("database exceeds the format's u32 word offset".into())
-            })?;
+        buf.clear();
+        let n_words = put_packed(buf, &seq.residues);
+        self.words.put(buf).map_err(io)?;
+        self.word_off = self.word_off.checked_add(n_words).ok_or_else(|| {
+            DbFormatError::Corrupt("database exceeds the format's u32 word offset".into())
+        })?;
 
         self.content.push_seq(&seq.name, &seq.desc, &seq.residues);
         self.bin_counts[length_bin_index(seq.len())] += 1;
@@ -762,6 +940,7 @@ impl DiskDbWriter {
             word_off,
             content,
             bin_counts,
+            scratch: _,
         } = self;
 
         let mut meta = Vec::new();
@@ -770,18 +949,9 @@ impl DiskDbWriter {
         put_u64(&mut meta, total_residues);
 
         let mut lenbins = Vec::new();
-        let bins = bins_from_counts(&bin_counts);
-        put_u32(&mut lenbins, bins.len() as u32);
-        for b in &bins {
-            put_u32(&mut lenbins, b.min_len);
-            put_u32(&mut lenbins, b.max_len);
-            put_u32(&mut lenbins, b.count);
-        }
+        put_bins(&mut lenbins, &bins_from_counts(&bin_counts));
 
-        // Close the spills and collect (path, len, crc) per section. The
-        // WORDS payload carries a leading word count that is only known
-        // now, so its CRC restarts from the 4-byte prefix and replays the
-        // spilled body.
+        // Close the spills and collect (path, len, crc) per section.
         let close = |s: SectionSpill| -> Result<(PathBuf, u64, Crc32), DbFormatError> {
             let SectionSpill {
                 path: p,
@@ -797,11 +967,14 @@ impl DiskDbWriter {
         };
         let (names_p, names_len, names_crc) = close(names)?;
         let (index_p, index_len, index_crc) = close(index)?;
-        let (words_p, words_len, _) = close(words)?;
+        let (words_p, words_len, words_body_crc) = close(words)?;
+        // The WORDS payload starts with a word count that is only known
+        // now. CRCs concatenate, so the checksum taken as the words were
+        // spilled is joined to the prefix's instead of reading them back.
         let words_prefix = word_off.to_le_bytes();
         let mut words_crc = Crc32::new();
         words_crc.update(&words_prefix);
-        stream_file(&words_p, |chunk| words_crc.update(chunk)).map_err(io)?;
+        let words_crc = words_crc.followed_by(&words_body_crc, words_len);
 
         // Header + section table, then payloads, all through one FNV so
         // the trailer covers every preceding byte — exactly `to_bytes`.
@@ -899,11 +1072,52 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// `s` must have passed [`check_str16`].
 fn put_str16(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(u16::MAX as usize);
-    out.extend_from_slice(&(len as u16).to_le_bytes());
-    out.extend_from_slice(&bytes[..len]);
+    debug_assert!(s.len() <= MAX_STR_BYTES);
+    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Append the packed words of one sequence, little-endian; returns how
+/// many there were.
+fn put_packed(out: &mut Vec<u8>, residues: &[u8]) -> u32 {
+    out.extend(packed_words(residues).flat_map(u32::to_le_bytes));
+    words_for(residues.len()) as u32
+}
+
+/// Append the LENBINS payload.
+fn put_bins(out: &mut Vec<u8>, bins: &[LengthBin]) {
+    put_u32(out, bins.len() as u32);
+    for b in bins {
+        put_u32(out, b.min_len);
+        put_u32(out, b.max_len);
+        put_u32(out, b.count);
+    }
+}
+
+/// A string the `u16` length prefix cannot record is refused, never cut:
+/// the content hash absorbs the whole string, so a file holding a prefix
+/// of it would fail its own loader (and the cut could split a UTF-8
+/// sequence).
+fn check_str16(s: &str, what: impl FnOnce() -> String) -> Result<(), DbFormatError> {
+    if s.len() <= MAX_STR_BYTES {
+        return Ok(());
+    }
+    Err(DbFormatError::Corrupt(format!(
+        "{} is {} bytes long, the format stores at most {MAX_STR_BYTES}",
+        what(),
+        s.len()
+    )))
+}
+
+/// [`check_str16`] for the name and description of sequence `seqid`.
+fn check_seq_strings(seqid: usize, seq: &DigitalSeq) -> Result<(), DbFormatError> {
+    let name = &seq.name;
+    check_str16(name, || format!("name of sequence {seqid} ({name:.32}...)"))?;
+    check_str16(&seq.desc, || {
+        format!("description of sequence {seqid} ({name:.32})")
+    })
 }
 
 /// Bounds-checked reader over a byte slice: every overrun is a typed
@@ -967,6 +1181,9 @@ impl<'a> Cursor<'a> {
 // ---------------------------------------------------------------------
 // Checksums (dependency-free).
 
+/// The CRC-32 generator polynomial (IEEE 802.3), reflected.
+const CRC_POLY: u32 = 0xedb8_8320;
+
 /// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
 const CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
@@ -976,7 +1193,7 @@ const CRC_TABLE: [u32; 256] = {
         let mut k = 0;
         while k < 8 {
             c = if c & 1 != 0 {
-                0xedb8_8320 ^ (c >> 1)
+                CRC_POLY ^ (c >> 1)
             } else {
                 c >> 1
             };
@@ -987,6 +1204,53 @@ const CRC_TABLE: [u32; 256] = {
     }
     table
 };
+
+/// Slice-by-8 tables: `CRC_SLICES[k][b]` is the CRC register after byte
+/// `b` and then `k` zero bytes, so eight input bytes are eight independent
+/// lookups XORed together instead of eight dependent ones.
+const CRC_SLICES: [[u32; 256]; 8] = {
+    let mut t = [CRC_TABLE; 8];
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = CRC_TABLE[(prev & 0xff) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// Advance a raw CRC register over the four little-endian bytes of `w`.
+#[inline(always)]
+fn crc_word(c: u32, w: u32) -> u32 {
+    let x = c ^ w;
+    CRC_SLICES[3][(x & 0xff) as usize]
+        ^ CRC_SLICES[2][(x >> 8 & 0xff) as usize]
+        ^ CRC_SLICES[1][(x >> 16 & 0xff) as usize]
+        ^ CRC_SLICES[0][(x >> 24) as usize]
+}
+
+/// `a · b mod P` in GF(2)[x], P the CRC polynomial, reflected bit order
+/// (bit 31 is the coefficient of x⁰).
+fn crc_mul(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 1u32 << 31;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 {
+            CRC_POLY ^ (b >> 1)
+        } else {
+            b >> 1
+        };
+        bit >>= 1;
+    }
+    product
+}
 
 /// CRC-32 (IEEE) of a byte slice.
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -1014,15 +1278,62 @@ impl Crc32 {
 
     /// Absorb bytes.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = CRC_TABLE[((self.0 ^ b as u32) & 0xff) as usize] ^ (self.0 >> 8);
+        let mut c = self.0;
+        let mut eights = bytes.chunks_exact(8);
+        for e in &mut eights {
+            let lo = c ^ u32::from_le_bytes([e[0], e[1], e[2], e[3]]);
+            c = CRC_SLICES[7][(lo & 0xff) as usize]
+                ^ CRC_SLICES[6][(lo >> 8 & 0xff) as usize]
+                ^ CRC_SLICES[5][(lo >> 16 & 0xff) as usize]
+                ^ CRC_SLICES[4][(lo >> 24) as usize]
+                ^ CRC_SLICES[3][e[4] as usize]
+                ^ CRC_SLICES[2][e[5] as usize]
+                ^ CRC_SLICES[1][e[6] as usize]
+                ^ CRC_SLICES[0][e[7] as usize];
         }
+        for &b in eights.remainder() {
+            c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        }
+        self.0 = c;
     }
 
     /// The CRC of everything absorbed so far.
     pub fn finish(&self) -> u32 {
         self.0 ^ 0xffff_ffff
     }
+
+    /// The state after absorbing, on top of what `self` has absorbed,
+    /// `len` more bytes that `tail` absorbed from a fresh state: the CRC
+    /// of a concatenation from the CRCs of its parts. `crc(A)` shifted
+    /// past `len` bytes is `crc(A) · x^(8·len) mod P`, by squaring.
+    fn followed_by(&self, tail: &Crc32, len: u64) -> Crc32 {
+        let mut shift = 1u32 << 31; // x^0
+        let mut power = 1u32 << 23; // x^8: one byte
+        let mut n = len;
+        while n != 0 {
+            if n & 1 != 0 {
+                shift = crc_mul(shift, power);
+            }
+            power = crc_mul(power, power);
+            n >>= 1;
+        }
+        Crc32(crc_mul(shift, self.finish()) ^ tail.0)
+    }
+}
+
+/// The FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One FNV-1a step.
+#[inline(always)]
+fn fnv_step(h: u64, b: u8) -> u64 {
+    (h ^ b as u64).wrapping_mul(FNV_PRIME)
+}
+
+/// Advance an FNV-1a state over the four little-endian bytes of `w`.
+#[inline(always)]
+fn fnv_word(h: u64, w: u32) -> u64 {
+    w.to_le_bytes().into_iter().fold(h, fnv_step)
 }
 
 /// FNV-1a 64-bit of a byte slice.
@@ -1050,10 +1361,7 @@ impl Fnv {
 
     /// Absorb bytes.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = bytes.iter().copied().fold(self.0, fnv_step);
     }
 
     /// The hash of everything absorbed so far.
@@ -1061,6 +1369,9 @@ impl Fnv {
         self.0
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {
@@ -1073,11 +1384,127 @@ mod tests {
         generate(&spec, None, 11)
     }
 
+    /// Offset of the section table in a file: magic + version +
+    /// n_sections + reserved + content hash.
+    pub(super) const TABLE_AT: usize = 28;
+
+    /// Where section `i`'s payload lies, going by the file's own table;
+    /// `None` when the table does not fit the file.
+    pub(super) fn section_span(bytes: &[u8], i: usize) -> Option<std::ops::Range<usize>> {
+        let len_of = |k: usize| {
+            let at = TABLE_AT + 16 * k + 4;
+            let len = u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().unwrap());
+            usize::try_from(len).ok()
+        };
+        let mut start = TABLE_AT + 16 * SECTION_IDS.len();
+        for k in 0..i {
+            start = start.checked_add(len_of(k)?)?;
+        }
+        let end = start.checked_add(len_of(i)?)?;
+        (end <= bytes.len().checked_sub(8)?).then_some(start..end)
+    }
+
+    /// Re-seal a tampered file: recompute every section CRC the table can
+    /// still locate, then the trailer. Neither checksum is cryptographic,
+    /// so this is what a hostile or buggy writer produces, and it is the
+    /// only way past the file hash to the loader's structural checks.
+    pub(super) fn reseal(bytes: &mut [u8]) {
+        for i in 0..SECTION_IDS.len() {
+            if let Some(span) = section_span(bytes, i) {
+                let crc = crc32(&bytes[span]);
+                let at = TABLE_AT + 16 * i + 12;
+                bytes[at..at + 4].copy_from_slice(&crc.to_le_bytes());
+            }
+        }
+        reseal_trailer(bytes);
+    }
+
+    /// Recompute the whole-file trailer only.
+    pub(super) fn reseal_trailer(bytes: &mut [u8]) {
+        if let Some(body) = bytes.len().checked_sub(8) {
+            let trailer = fnv1a(&bytes[..body]);
+            bytes[body..].copy_from_slice(&trailer.to_le_bytes());
+        }
+    }
+
+    /// The definition: one table lookup per byte.
+    fn crc32_bytewise(state: u32, bytes: &[u8]) -> u32 {
+        bytes.iter().fold(state, |c, &b| {
+            CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8)
+        })
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // Standard test vector: CRC-32("123456789") = 0xcbf43926.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"a"), 0xe8b7_be43);
+        assert_eq!(crc32(b"abc"), 0x3524_41c2);
+        assert_eq!(crc32(b"message digest"), 0x2015_9d7f);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414f_a339
+        );
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_loop_at_every_length_alignment_and_split() {
+        let data: Vec<u8> = (0..80u32).map(|i| (i * 37 + 11) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let piece = &data[start..start + len];
+                let want = crc32_bytewise(0xffff_ffff, piece) ^ 0xffff_ffff;
+                assert_eq!(crc32(piece), want, "start {start} len {len}");
+                for split in 0..=len {
+                    let mut c = Crc32::new();
+                    c.update(&piece[..split]);
+                    c.update(&piece[split..]);
+                    assert_eq!(c.finish(), want, "start {start} len {len} split {split}");
+                }
+                // The loader's word step is the same function of the same bytes.
+                if len % 4 == 0 {
+                    let by_words = piece.chunks_exact(4).fold(0xffff_ffff, |c, w| {
+                        crc_word(c, u32::from_le_bytes(w.try_into().unwrap()))
+                    });
+                    assert_eq!(by_words ^ 0xffff_ffff, want, "start {start} len {len}");
+                    let fnv_by_words = piece.chunks_exact(4).fold(Fnv::new().0, |h, w| {
+                        fnv_word(h, u32::from_le_bytes(w.try_into().unwrap()))
+                    });
+                    assert_eq!(fnv_by_words, fnv1a(piece), "start {start} len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_of_a_concatenation_from_the_crcs_of_its_parts() {
+        let data: Vec<u8> = (0..3000u32).map(|i| (i * 131 + 7) as u8).collect();
+        for (head, tail) in [
+            (0, 0),
+            (0, 5),
+            (4, 0),
+            (4, 1),
+            (4, 4),
+            (4, 2996),
+            (1000, 2000),
+        ] {
+            let (a, b) = data[..head + tail].split_at(head);
+            let mut first = Crc32::new();
+            first.update(a);
+            let mut second = Crc32::new();
+            second.update(b);
+            let joined = first.followed_by(&second, b.len() as u64);
+            assert_eq!(
+                joined.finish(),
+                crc32(&data[..head + tail]),
+                "{head}+{tail}"
+            );
+            // Still a live state: more bytes can follow.
+            let mut more = joined;
+            more.update(&data[head + tail..]);
+            assert_eq!(more.finish(), crc32(&data), "{head}+{tail}+rest");
+        }
     }
 
     #[test]
@@ -1148,24 +1575,148 @@ mod tests {
         let mut db = SeqDb::new("pad");
         db.seqs.push(DigitalSeq::from_text("s1", "MKVL").unwrap());
         let mut bytes = DiskDb::to_bytes(&db);
-        let table = 28; // magic + version + n_sections + reserved + content
-        let row = |i: usize| table + 16 * i;
-        let len_of = |bytes: &[u8], i: usize| {
-            u64::from_le_bytes(bytes[row(i) + 4..row(i) + 12].try_into().unwrap()) as usize
-        };
-        let words_at = row(5) + (0..3).map(|i| len_of(&bytes, i)).sum::<usize>();
-        let words_len = len_of(&bytes, 3);
-        assert_eq!(words_len, 8, "word count + one word");
-        bytes[words_at + 7] &= !0x3e; // slot 5 (bits 25..30): PAD_CODE -> 0
-        let crc = crc32(&bytes[words_at..words_at + words_len]);
-        bytes[row(3) + 12..row(3) + 16].copy_from_slice(&crc.to_le_bytes());
-        let body = bytes.len() - 8;
-        let trailer = fnv1a(&bytes[..body]);
-        bytes[body..].copy_from_slice(&trailer.to_le_bytes());
+        let words = section_span(&bytes, WORDS).unwrap();
+        assert_eq!(words.len(), 8, "word count + one word");
+        bytes[words.start + 7] &= !0x3e; // slot 5 (bits 25..30): PAD_CODE -> 0
+        reseal(&mut bytes);
         match DiskDb::from_bytes(&bytes) {
             Err(DbFormatError::Corrupt(msg)) => assert!(msg.contains("pad slot 5"), "{msg}"),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn checksummed_file_with_an_absurd_sequence_count_is_corrupt() {
+        // META's `n_seqs` sizes the loader's allocations. Re-sealed around
+        // u32::MAX it used to ask for ~206 GB and die in the allocator's
+        // abort path, which is not even a panic.
+        let mut db = SeqDb::new("count");
+        db.seqs.push(DigitalSeq::from_text("s1", "MKVL").unwrap());
+        let mut bytes = DiskDb::to_bytes(&db);
+        let meta = section_span(&bytes, 0).unwrap();
+        let n_seqs_at = meta.end - 12; // n_seqs u32, total_residues u64
+        assert_eq!(bytes[n_seqs_at..n_seqs_at + 4], 1u32.to_le_bytes());
+        for claimed in [u32::MAX, 2, 0] {
+            bytes[n_seqs_at..n_seqs_at + 4].copy_from_slice(&claimed.to_le_bytes());
+            reseal(&mut bytes);
+            match DiskDb::from_bytes(&bytes) {
+                Err(DbFormatError::Corrupt(msg)) => {
+                    assert!(
+                        msg.contains(&format!("META says {claimed} sequences")),
+                        "{msg}"
+                    );
+                    assert!(msg.contains("INDEX holds 8 bytes"), "{msg}");
+                }
+                other => panic!("n_seqs {claimed}: unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn checksummed_file_with_too_few_name_bytes_for_its_count_is_corrupt() {
+        // INDEX agrees with the count but NAMES cannot hold that many
+        // length prefixes: two sequences, NAMES emptied via the table.
+        let mut db = SeqDb::new("names");
+        db.seqs.push(DigitalSeq::from_text("", "MK").unwrap());
+        db.seqs.push(DigitalSeq::from_text("", "VL").unwrap());
+        let good = DiskDb::to_bytes(&db);
+        let names = section_span(&good, 1).unwrap();
+        assert_eq!(names.len(), 8, "four empty strings");
+        let mut bytes = good[..names.start + 4].to_vec();
+        bytes.extend_from_slice(&good[names.end..]);
+        let len_at = TABLE_AT + 16 + 4;
+        bytes[len_at..len_at + 8].copy_from_slice(&4u64.to_le_bytes());
+        reseal(&mut bytes);
+        match DiskDb::from_bytes(&bytes) {
+            Err(DbFormatError::Corrupt(msg)) => {
+                assert!(msg.contains("META says 2 sequences"), "{msg}");
+                assert!(msg.contains("NAMES holds only 4 bytes"), "{msg}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// A database whose second sequence carries `name` and `desc`.
+    fn db_with_strings(name: String, desc: String) -> SeqDb {
+        let mut db = SeqDb::new("strings");
+        db.seqs.push(DigitalSeq::from_text("ok", "MKVL").unwrap());
+        let mut seq = DigitalSeq::from_text("", "ACDE").unwrap();
+        (seq.name, seq.desc) = (name, desc);
+        db.seqs.push(seq);
+        db
+    }
+
+    #[test]
+    fn strings_the_format_cannot_record_are_refused_by_both_writers() {
+        // `put_str16` used to cut these at 65,535 bytes (the first inside a
+        // UTF-8 sequence) while the content hash absorbed all of them, so
+        // the writer sealed files its own loader rejected.
+        let dir = std::env::temp_dir().join(format!("h3w-diskdb-str-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("db.h3wdb");
+        let long = ["\u{e9}".repeat(40_000), "a".repeat(70_000)];
+        for text in &long {
+            for (db, field) in [
+                (db_with_strings(text.clone(), String::new()), "name"),
+                (db_with_strings("n".into(), text.clone()), "description"),
+            ] {
+                let expect = |res: Result<(), DbFormatError>| match res {
+                    Err(DbFormatError::Corrupt(msg)) => {
+                        assert!(msg.contains(&format!("{field} of sequence 1")), "{msg}");
+                        assert!(msg.contains(&format!("{} bytes", text.len())), "{msg}");
+                    }
+                    other => panic!("{field}: unexpected {other:?}"),
+                };
+                expect(DiskDb::write(&db, &path));
+                assert!(!path.exists() && !path.with_extension("h3wdb.tmp").exists());
+                let mut w = DiskDbWriter::create(&path, &db.name).unwrap();
+                w.push(&db.seqs[0]).unwrap();
+                expect(w.push(&db.seqs[1]));
+                // The refused push left the writer as it was.
+                let summary = w.finish().unwrap();
+                assert_eq!(summary.n_seqs, 1);
+                assert_eq!(DiskDb::load(&path).unwrap().to_seqdb().seqs, db.seqs[..1]);
+                std::fs::remove_file(&path).unwrap();
+                let panic = std::panic::catch_unwind(|| DiskDb::to_bytes(&db)).unwrap_err();
+                let msg = panic.downcast_ref::<String>().expect("formatted panic");
+                assert!(msg.contains(&format!("{field} of sequence 1")), "{msg}");
+            }
+        }
+        let label = "L".repeat(65_536);
+        assert!(matches!(
+            DiskDbWriter::create(&path, &label),
+            Err(DbFormatError::Corrupt(msg)) if msg.contains("database label is 65536 bytes")
+        ));
+        assert!(DiskDb::write(&SeqDb::new(label), &path).is_err());
+        // The longest strings the prefix can carry still round-trip.
+        let db = db_with_strings("n".repeat(65_535), "\u{e9}".repeat(32_767));
+        let loaded = DiskDb::from_bytes(&DiskDb::to_bytes(&db)).unwrap();
+        assert_eq!(loaded.to_seqdb().seqs, db.seqs);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn file_bytes_and_identities_are_pinned_by_value() {
+        // Computed at be2cae8, before the loader and writer were rebuilt:
+        // the format, both hash definitions and the identity are unchanged.
+        let db = sample_db();
+        assert_eq!(db.len(), 92);
+        assert_eq!(fnv1a(&DiskDb::to_bytes(&db)), 0x3bd0_098c_026c_981d);
+        assert_eq!(content_hash(&db), 0x34b8_cec7_7295_b31a);
+        let mut spec = DbGenSpec::envnr_like();
+        spec.n_seqs = 200;
+        spec.homolog_fraction = 0.0;
+        let db = generate(&spec, None, 14);
+        let bytes = DiskDb::to_bytes(&db);
+        assert_eq!(bytes.len(), 30_976);
+        assert_eq!(fnv1a(&bytes), 0xdd43_a1d0_f69c_8440);
+        assert_eq!(crc32(&bytes), 0x1ce8_2438);
+        assert_eq!(content_hash(&db), 0xa0d8_ad44_92bd_c87d);
+        assert_eq!(
+            DiskDb::from_bytes(&bytes).unwrap().content_hash,
+            0xa0d8_ad44_92bd_c87d
+        );
+        assert_eq!(DISKDB_VERSION, 1);
     }
 
     #[test]

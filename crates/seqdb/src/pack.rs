@@ -16,27 +16,64 @@ use h3w_hmm::alphabet::{Residue, PAD_CODE};
 /// Residues per packed 32-bit word.
 pub const RESIDUES_PER_WORD: usize = 6;
 
+/// One word with every slot holding [`PAD_CODE`] (an empty sequence's
+/// only word); bits 30-31 zero.
+pub(crate) const PAD_WORD: u32 = 0x3fff_ffff;
+
+/// Words a sequence of `len` residues occupies: an empty sequence still
+/// gets one all-pad word.
+#[inline]
+pub(crate) fn words_for(len: usize) -> usize {
+    len.div_ceil(RESIDUES_PER_WORD).max(1)
+}
+
+/// Pack up to six residues into one word, padding the unused high slots
+/// with [`PAD_CODE`].
+#[inline]
+pub(crate) fn pack_word(chunk: &[Residue]) -> u32 {
+    debug_assert!(chunk.len() <= RESIDUES_PER_WORD);
+    let mut word = 0u32;
+    for j in 0..RESIDUES_PER_WORD {
+        let code = chunk.get(j).copied().unwrap_or(PAD_CODE);
+        debug_assert!(code < 32);
+        word |= (code as u32) << (5 * j);
+    }
+    word
+}
+
+/// The packed words of one sequence, in order: [`pack_seq`] without the
+/// vector, for writers that serialize words as they are made.
+pub(crate) fn packed_words(residues: &[Residue]) -> impl Iterator<Item = u32> + '_ {
+    let pad = residues.is_empty().then_some(PAD_WORD);
+    residues.chunks(RESIDUES_PER_WORD).map(pack_word).chain(pad)
+}
+
 /// Pack one digital sequence into words, padding the tail with [`PAD_CODE`].
 pub fn pack_seq(residues: &[Residue]) -> Vec<u32> {
-    let n_words = residues.len().div_ceil(RESIDUES_PER_WORD).max(1);
-    let mut words = vec![0u32; n_words];
-    for (i, w) in words.iter_mut().enumerate() {
-        let mut word = 0u32;
-        for j in 0..RESIDUES_PER_WORD {
-            let idx = i * RESIDUES_PER_WORD + j;
-            let code = residues.get(idx).copied().unwrap_or(PAD_CODE);
-            debug_assert!(code < 32);
-            word |= (code as u32) << (5 * j);
-        }
-        *w = word;
-    }
-    words
+    packed_words(residues).collect()
 }
 
 /// Extract residue slot `j` (0..6) from a packed word.
 #[inline(always)]
 pub fn unpack_slot(word: u32, j: usize) -> Residue {
     ((word >> (5 * j)) & 0x1f) as Residue
+}
+
+/// All six slots of a packed word, in residue order. The 5-bit fields
+/// are spread to byte positions inside one `u64` (the upper three fields
+/// move up 9 bits, then the second and third of each triple 3 and 6), so
+/// a word costs a dozen ALU operations and one short copy instead of six
+/// shift-mask-store rounds.
+#[inline(always)]
+pub(crate) fn unpack_word(word: u32) -> [Residue; RESIDUES_PER_WORD] {
+    [
+        unpack_slot(word, 0),
+        unpack_slot(word, 1),
+        unpack_slot(word, 2),
+        unpack_slot(word, 3),
+        unpack_slot(word, 4),
+        unpack_slot(word, 5),
+    ]
 }
 
 /// A whole database packed for device transfer: one flat word buffer plus
@@ -118,35 +155,34 @@ impl<'a> PackedView<'a> {
             .map(move |i| unpack_slot(words[off + i / RESIDUES_PER_WORD], i % RESIDUES_PER_WORD))
     }
 
-    /// Append the real residues of sequence `seqid` to `out`, a whole
-    /// word (six residues) at a time; only the last, partly padded word
-    /// is read slot by slot.
-    pub fn unpack_seq_into(&self, seqid: usize, out: &mut Vec<Residue>) {
-        let len = self.lengths[seqid] as usize;
+    /// Decode sequence `seqid` into `dst`, which must be exactly its
+    /// length: a whole word (six residues) at a time, and only the last,
+    /// partly padded word slot by slot.
+    fn decode_seq(&self, seqid: usize, dst: &mut [Residue]) {
         let off = self.offsets[seqid] as usize;
-        let full = len / RESIDUES_PER_WORD;
-        out.reserve(len);
-        for &w in &self.words[off..off + full] {
-            out.extend_from_slice(&[
-                unpack_slot(w, 0),
-                unpack_slot(w, 1),
-                unpack_slot(w, 2),
-                unpack_slot(w, 3),
-                unpack_slot(w, 4),
-                unpack_slot(w, 5),
-            ]);
+        let words = &self.words[off..off + dst.len().div_ceil(RESIDUES_PER_WORD)];
+        let mut sixes = dst.chunks_exact_mut(RESIDUES_PER_WORD);
+        for (six, &w) in (&mut sixes).zip(words) {
+            six.copy_from_slice(&unpack_word(w));
         }
-        let tail = len % RESIDUES_PER_WORD;
-        if tail > 0 {
-            let w = self.words[off + full];
-            out.extend((0..tail).map(|j| unpack_slot(w, j)));
+        if let Some(&w) = words.last() {
+            for (j, r) in sixes.into_remainder().iter_mut().enumerate() {
+                *r = unpack_slot(w, j);
+            }
         }
+    }
+
+    /// Append the real residues of sequence `seqid` to `out`.
+    pub fn unpack_seq_into(&self, seqid: usize, out: &mut Vec<Residue>) {
+        let start = out.len();
+        out.resize(start + self.lengths[seqid] as usize, 0);
+        self.decode_seq(seqid, &mut out[start..]);
     }
 
     /// Unpack sequence `seqid` into a fresh vector of exactly its length.
     pub fn unpack_seq(&self, seqid: usize) -> Vec<Residue> {
-        let mut out = Vec::new();
-        self.unpack_seq_into(seqid, &mut out);
+        let mut out = vec![0; self.lengths[seqid] as usize];
+        self.decode_seq(seqid, &mut out);
         out
     }
 }
@@ -408,7 +444,7 @@ mod tests {
 
     #[test]
     fn word_wise_unpack_matches_slot_wise_at_every_tail_length() {
-        for len in 0..=20usize {
+        for len in 0..=40usize {
             let res: Vec<Residue> = (0..len).map(|i| ((i * 5 + len) % 26) as Residue).collect();
             let mut db = SeqDb::new("t");
             for name in ["before", "probe", "after"] {
@@ -423,14 +459,27 @@ mod tests {
                 });
             }
             let packed = PackedDb::from_db(&db);
+            assert_eq!(
+                packed.words,
+                db.seqs
+                    .iter()
+                    .flat_map(|s| pack_seq(&s.residues))
+                    .collect::<Vec<_>>()
+            );
             let view = packed.view();
             assert_eq!(view.unpack_seq(1), res, "len {len}");
+            assert_eq!(view.unpack_seq(1).capacity(), len, "len {len}");
             assert_eq!(view.iter_seq(1).collect::<Vec<_>>(), res, "len {len}");
             // Appends after what is already there, and nothing else.
-            let mut out = vec![9];
-            view.unpack_seq_into(1, &mut out);
-            assert_eq!(out[0], 9);
-            assert_eq!(out[1..], res[..], "len {len}");
+            for held in 0..=7usize {
+                let before: Vec<Residue> = (0..held).map(|i| 9 + i as Residue).collect();
+                let mut out = before.clone();
+                view.unpack_seq_into(1, &mut out);
+                view.unpack_seq_into(2, &mut out);
+                assert_eq!(out[..held], before[..], "len {len} held {held}");
+                assert_eq!(out[held..held + len], res[..], "len {len} held {held}");
+                assert_eq!(out[held + len..], [3; 7], "len {len} held {held}");
+            }
         }
     }
 

@@ -1,4 +1,4 @@
-//! Criterion benches for the batched interleaved MSV/SSV kernels —
+//! Criterion benches for the batched interleaved MSV kernel —
 //! per-width latency of one length-binned batch against the
 //! single-sequence striped filter on the same sequences. The CI smoke run
 //! (`cargo test --benches`) executes each once to keep the harness honest;
@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use h3w_cpu::striped_msv::StripedMsv;
-use h3w_cpu::{BatchWorkspace, MsvOutcome, StripedSsv, MAX_BATCH};
+use h3w_cpu::{BatchWorkspace, MsvOutcome, MAX_BATCH};
 use h3w_hmm::build::{synthetic_model, BuildParams};
 use h3w_hmm::calibrate::random_seq;
 use h3w_hmm::msvprofile::MsvProfile;
@@ -62,28 +62,5 @@ fn bench_batched_msv(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_batched_ssv(c: &mut Criterion) {
-    let (om, seqs) = setup();
-    let striped = StripedSsv::new(&om);
-    let mut g = c.benchmark_group("batched_ssv");
-    for width in [1usize, 2, 3, 4] {
-        let refs: Vec<&[u8]> = seqs[..width].iter().map(|s| s.as_slice()).collect();
-        g.throughput(Throughput::Elements((MODEL_M * SEQ_LEN * width) as u64));
-        g.bench_with_input(BenchmarkId::new("interleaved", width), &width, |b, _| {
-            let mut ws = BatchWorkspace::default();
-            let mut out = vec![
-                MsvOutcome {
-                    xj: 0,
-                    overflow: false,
-                    score: 0.0
-                };
-                width
-            ];
-            b.iter(|| striped.run_batch_into(&om, &refs, &mut ws, &mut out))
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_batched_msv, bench_batched_ssv);
+criterion_group!(benches, bench_batched_msv);
 criterion_main!(benches);

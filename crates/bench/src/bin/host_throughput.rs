@@ -2,16 +2,14 @@
 //! behind the `CpuModel` constants recorded in EXPERIMENTS.md.
 //!
 //! Prints the single-sequence numbers plus a `batched_filter_loops`
-//! section: the interleaved MSV/SSV kernels at batch widths 1/2/4 on every
+//! section: the interleaved MSV kernel at batch widths 1 to 4 on every
 //! available backend, so the batching win is visible per-host.
 //!
 //! Usage: `cargo run --release -p h3w-bench --bin host_throughput`
 
 fn main() {
-    use h3w_cpu::sweep::{
-        measure_msv_batched, measure_msv_throughput, measure_ssv_batched, measure_vit_throughput,
-    };
-    use h3w_cpu::{Backend, StripedMsv, StripedSsv};
+    use h3w_cpu::sweep::{measure_batched, measure_msv_throughput, measure_vit_throughput};
+    use h3w_cpu::{Backend, StripedMsv};
     use h3w_hmm::profile::Profile;
     use h3w_hmm::*;
     use h3w_seqdb::gen::{generate, DbGenSpec};
@@ -35,18 +33,14 @@ fn main() {
     println!("\nbatched_filter_loops (single-thread, real cells):");
     for backend in Backend::all_available() {
         let sm = StripedMsv::with_backend(&msv, backend);
-        let ss = StripedSsv::with_backend(&msv, backend);
         for width in [1usize, 2, 3, 4] {
             // Warm up once, then measure.
-            measure_msv_batched(&sm, &msv, &db, 200, width, 0);
-            let t_msv = measure_msv_batched(&sm, &msv, &db, 1000, width, 0);
-            measure_ssv_batched(&ss, &msv, &db, 200, width, 0);
-            let t_ssv = measure_ssv_batched(&ss, &msv, &db, 1000, width, 0);
+            measure_batched(&(&sm, &msv), &db, 200, width);
+            let t_msv = measure_batched(&(&sm, &msv), &db, 1000, width);
             println!(
-                "  {:6} S={width}: MSV {:7.2} Mcell/s   SSV {:7.2} Mcell/s",
+                "  {:6} S={width}: MSV {:7.2} Mcell/s",
                 backend.name(),
                 t_msv.cells_per_sec / 1e6,
-                t_ssv.cells_per_sec / 1e6,
             );
         }
     }

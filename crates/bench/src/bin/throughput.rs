@@ -28,13 +28,11 @@ use h3w_cpu::h3w_pool::configured_threads;
 use h3w_cpu::striped_msv::StripedMsv;
 use h3w_cpu::striped_vit::{StripedVit, VitWorkspace};
 use h3w_cpu::sweep::{
-    fwd_sweep_batched, measure_fwd_batched, measure_fwd_generic, measure_msv_batched,
-    measure_ssv_batched, msv_sweep_batched, record_sweep, ssv_sweep_batched, vit_sweep,
-    SweepTiming,
+    fwd_sweep_batched, measure_batched, measure_fwd_generic, msv_sweep_batched, record_sweep,
+    vit_sweep, SweepTiming,
 };
 use h3w_cpu::{
-    fwd_scores_batched, msv_outcomes_batched, Backend, FwdWorkspace, StripedFwd, StripedSsv,
-    ThreadPool,
+    fwd_scores_batched, msv_outcomes_batched, Backend, FwdWorkspace, StripedFwd, ThreadPool,
 };
 use h3w_hmm::build::{synthetic_model, BuildParams};
 use h3w_hmm::calibrate;
@@ -50,10 +48,6 @@ use h3w_trace::{Telemetry, Trace};
 use std::time::Instant;
 
 const MODEL_M: usize = 400;
-/// Short-domain model for the pipelined-loop sweep: one AVX2 stripe
-/// (zinc-finger scale), the regime where the row loop is bound by the
-/// serial row-to-row feedback and interleaved chains pay the most.
-const SHORT_MODEL_M: usize = 32;
 const MIN_MEASURE_S: f64 = 0.25;
 
 /// Time `f` over enough repetitions to cover [`MIN_MEASURE_S`]; returns
@@ -187,7 +181,7 @@ fn filter_rows(
     (rows, msv_rps)
 }
 
-/// The batched interleaved kernels at widths 1/2/4 on every backend:
+/// The batched interleaved MSV kernel at widths 1 to 4 on every backend:
 /// real-cell throughput plus, per backend, the speedup of the best batched
 /// MSV width over the *single-sequence* striped sweep (`single_msv_rps` is
 /// the `filter_loops` measurement, residues/s). This is the evidence for
@@ -203,32 +197,21 @@ fn batched_rows(
     let m = msv.m as f64;
     for backend in Backend::all_available() {
         let smsv = StripedMsv::with_backend(msv, backend);
-        let sssv = StripedSsv::with_backend(msv, backend);
+        let kernel = (&smsv, msv);
         for width in [1usize, 2, 3, 4] {
             // Warm-up pass, then best of 5 (same estimator as time_best).
-            measure_msv_batched(&smsv, msv, db, db.len(), width, 0);
-            measure_ssv_batched(&sssv, msv, db, db.len(), width, 0);
-            let mut best_m = measure_msv_batched(&smsv, msv, db, db.len(), width, 0);
-            let mut best_s = measure_ssv_batched(&sssv, msv, db, db.len(), width, 0);
+            measure_batched(&kernel, db, db.len(), width);
+            let mut best_m = measure_batched(&kernel, db, db.len(), width);
             for _ in 0..4 {
-                let t = measure_msv_batched(&smsv, msv, db, db.len(), width, 0);
+                let t = measure_batched(&kernel, db, db.len(), width);
                 if t.seconds < best_m.seconds {
                     best_m = t;
-                }
-                let t = measure_ssv_batched(&sssv, msv, db, db.len(), width, 0);
-                if t.seconds < best_s.seconds {
-                    best_s = t;
                 }
             }
             record_sweep(
                 trace,
                 &format!("bench/batched/{backend}/msv_w{width}"),
                 &best_m,
-            );
-            record_sweep(
-                trace,
-                &format!("bench/batched/{backend}/ssv_w{width}"),
-                &best_s,
             );
         }
     }
@@ -240,10 +223,7 @@ fn batched_rows(
         for width in [1usize, 2, 3, 4] {
             let (msv_s, msv_cells) =
                 sweep_at(&tel, &format!("bench/batched/{backend}/msv_w{width}"));
-            let (ssv_s, ssv_cells) =
-                sweep_at(&tel, &format!("bench/batched/{backend}/ssv_w{width}"));
             let msv_cps = msv_cells / msv_s;
-            let ssv_cps = ssv_cells / ssv_s;
             best_msv = best_msv.max(msv_cps);
             rows.push(Json::Obj(vec![
                 ("backend", Json::Str(backend.name().into())),
@@ -251,8 +231,6 @@ fn batched_rows(
                 ("workers", Json::Num(1.0)),
                 ("msv_cells_per_sec", Json::Num(msv_cps)),
                 ("msv_residues_per_sec", Json::Num(msv_cps / m)),
-                ("ssv_cells_per_sec", Json::Num(ssv_cps)),
-                ("ssv_residues_per_sec", Json::Num(ssv_cps / m)),
             ]));
         }
         let single = single_msv_rps
@@ -293,11 +271,12 @@ fn forward_rows(profile: &Profile, db: &SeqDb, trace: &Trace) -> Json {
     record_sweep(trace, "bench/forward/generic", &best_g);
     for backend in Backend::all_available() {
         let f = StripedFwd::with_backend(profile, backend);
+        let kernel = (&f, profile);
         for width in [1usize, 4] {
-            measure_fwd_batched(&f, profile, db, db.len(), width, 0); // warm-up
-            let mut best = measure_fwd_batched(&f, profile, db, db.len(), width, 0);
+            measure_batched(&kernel, db, db.len(), width); // warm-up
+            let mut best = measure_batched(&kernel, db, db.len(), width);
             for _ in 0..4 {
-                let t = measure_fwd_batched(&f, profile, db, db.len(), width, 0);
+                let t = measure_batched(&kernel, db, db.len(), width);
                 if t.seconds < best.seconds {
                     best = t;
                 }
@@ -448,168 +427,6 @@ fn calibration_rows() -> Json {
     ])
 }
 
-/// The software-pipelined batched filter loops: MSV, SSV, and Forward
-/// real-cell throughput at pipeline depths {1, 2, 4, 8} on every
-/// backend, at two model scales. Depth 1 is the honest un-pipelined
-/// baseline — one in-flight chain, no table-row prefetch — so each
-/// deeper row's ratio over it is the whole software-pipelining win
-/// (in-flight chains × prefetch lookahead, see `h3w_cpu::pipe`).
-///
-/// Two model scales because the win lives at opposite ends of the
-/// regime: a short model (M ≈ 30, one or two stripes — zinc-finger /
-/// EF-hand scale, a large share of Pfam) leaves the row loop dominated
-/// by the serial row-to-row `shl1(dp[last])` feedback, and interleaved
-/// chains recover 1.5–1.7× there; a long model (M = 400) amortizes that
-/// chain over a 13-stripe walk and the same knob is worth only a few
-/// percent. The headline `avx2_msv_depth4_speedup_vs_depth1` is taken
-/// on the short model (`headline_model_m` says so in the JSON) — that
-/// is the regime the knob exists for; the long-model ratio is reported
-/// alongside as `avx2_msv_depth4_speedup_vs_depth1_long`.
-///
-/// Depth arms are interleaved round-robin (best of 5 passes) so host
-/// noise hits every depth equally instead of biasing whichever arm ran
-/// during a quiet slice. Outcome bit-identity across depths is asserted
-/// here for all three kernels at both scales, not just in the test
-/// suite; the AVX2 MSV depth-4 ratio is the ≥ 1.15× acceptance bar.
-fn pipelined_filter_rows(
-    models: &[(usize, &MsvProfile, &Profile)],
-    db: &SeqDb,
-    trace: &Trace,
-) -> Json {
-    use h3w_cpu::sweep::{
-        fwd_scores_batched_pipelined, msv_outcomes_batched_pipelined,
-        ssv_outcomes_batched_pipelined, SweepTiming,
-    };
-    const DEPTHS: [usize; 4] = [1, 2, 4, 8];
-    const PASSES: usize = 5;
-    let pool = ThreadPool::global();
-    let fwd_cap = 60.min(db.len());
-    let headline_m = models.iter().map(|&(m, _, _)| m).min().unwrap();
-    let long_m = models.iter().map(|&(m, _, _)| m).max().unwrap();
-    let mut backends = Vec::new();
-    let mut hits_identical = true;
-    let mut avx2_msv_d4 = f64::NAN;
-    let mut avx2_msv_d4_long = f64::NAN;
-    for backend in Backend::all_available() {
-        let mut rows = Vec::new();
-        for &(model_m, msv, profile) in models {
-            let sm = StripedMsv::with_backend(msv, backend);
-            let ss = StripedSsv::with_backend(msv, backend);
-            let sf = StripedFwd::with_backend(profile, backend);
-
-            // Bit-identity across depths: the equivalence the knob
-            // promises, checked on the real sweep entry points (pooled,
-            // masked = all).
-            let msv_base = msv_outcomes_batched_pipelined(pool, &sm, msv, &db.seqs, None, 0, 1);
-            let ssv_base = ssv_outcomes_batched_pipelined(pool, &ss, msv, &db.seqs, None, 0, 1);
-            let fwd_base = fwd_scores_batched_pipelined(pool, &sf, profile, &db.seqs, None, 0, 1);
-            for &depth in &DEPTHS[1..] {
-                let m = msv_outcomes_batched_pipelined(pool, &sm, msv, &db.seqs, None, 0, depth);
-                let s = ssv_outcomes_batched_pipelined(pool, &ss, msv, &db.seqs, None, 0, depth);
-                let f = fwd_scores_batched_pipelined(pool, &sf, profile, &db.seqs, None, 0, depth);
-                if m != msv_base || s != ssv_base || f != fwd_base {
-                    hits_identical = false;
-                    eprintln!(
-                        "pipelined_filter_loops: {backend} M={model_m} depth {depth} DIVERGED"
-                    );
-                }
-            }
-
-            // Interleaved best-of-N: one warm-up pass, then every depth
-            // once per pass, keeping each depth's fastest run.
-            let better = |best: &mut [Option<SweepTiming>], i: usize, t: SweepTiming| {
-                if best[i].as_ref().is_none_or(|b| t.seconds < b.seconds) {
-                    best[i] = Some(t);
-                }
-            };
-            let mut bm: [Option<SweepTiming>; 4] = [None, None, None, None];
-            let mut bs: [Option<SweepTiming>; 4] = [None, None, None, None];
-            let mut bf: [Option<SweepTiming>; 4] = [None, None, None, None];
-            for &d in &DEPTHS {
-                measure_msv_batched(&sm, msv, db, 2000, 0, d);
-            }
-            for _ in 0..PASSES {
-                for (i, &d) in DEPTHS.iter().enumerate() {
-                    better(&mut bm, i, measure_msv_batched(&sm, msv, db, 2000, 0, d));
-                    better(&mut bs, i, measure_ssv_batched(&ss, msv, db, 2000, 0, d));
-                    better(
-                        &mut bf,
-                        i,
-                        measure_fwd_batched(&sf, profile, db, fwd_cap, 0, d),
-                    );
-                }
-            }
-            let msv_d1 = bm[0].as_ref().unwrap().cells_per_sec;
-            for (i, &depth) in DEPTHS.iter().enumerate() {
-                let (tm, ts, tf) = (
-                    bm[i].as_ref().unwrap(),
-                    bs[i].as_ref().unwrap(),
-                    bf[i].as_ref().unwrap(),
-                );
-                for (kernel, t) in [("msv", tm), ("ssv", ts), ("fwd", tf)] {
-                    record_sweep(
-                        trace,
-                        &format!("bench/pipelined/{backend}/m{model_m}/{kernel}/d{depth}"),
-                        t,
-                    );
-                }
-                if depth == 4 && backend == Backend::Avx2 {
-                    if model_m == headline_m {
-                        avx2_msv_d4 = tm.cells_per_sec / msv_d1;
-                    }
-                    if model_m == long_m {
-                        avx2_msv_d4_long = tm.cells_per_sec / msv_d1;
-                    }
-                }
-                rows.push(Json::Obj(vec![
-                    ("model_m", Json::Num(model_m as f64)),
-                    ("depth", Json::Num(depth as f64)),
-                    ("msv_gcells_per_sec", Json::Num(tm.cells_per_sec / 1e9)),
-                    ("ssv_gcells_per_sec", Json::Num(ts.cells_per_sec / 1e9)),
-                    ("fwd_gcells_per_sec", Json::Num(tf.cells_per_sec / 1e9)),
-                    (
-                        "msv_speedup_vs_depth1",
-                        Json::Num(tm.cells_per_sec / msv_d1),
-                    ),
-                ]));
-            }
-        }
-        backends.push(Json::Obj(vec![
-            ("backend", Json::Str(backend.name().into())),
-            ("workers", Json::Num(1.0)),
-            ("rows", Json::Arr(rows)),
-        ]));
-    }
-    eprintln!(
-        "pipelined_filter_loops: AVX2 MSV depth-4 vs depth-1 = {avx2_msv_d4:.2}x \
-         (M={headline_m}), {avx2_msv_d4_long:.2}x (M={long_m}), \
-         hits_identical = {hits_identical}"
-    );
-    Json::Obj(vec![
-        (
-            "depths",
-            Json::Arr(DEPTHS.iter().map(|&d| Json::Num(d as f64)).collect()),
-        ),
-        (
-            "model_lens",
-            Json::Arr(
-                models
-                    .iter()
-                    .map(|&(m, _, _)| Json::Num(m as f64))
-                    .collect(),
-            ),
-        ),
-        ("backends", Json::Arr(backends)),
-        ("headline_model_m", Json::Num(headline_m as f64)),
-        ("avx2_msv_depth4_speedup_vs_depth1", Json::Num(avx2_msv_d4)),
-        (
-            "avx2_msv_depth4_speedup_vs_depth1_long",
-            Json::Num(avx2_msv_d4_long),
-        ),
-        ("hits_identical", Json::Bool(hits_identical)),
-    ])
-}
-
 /// Warp specialization on the simulated device: the analytic model's
 /// predicted latency-hiding per ring depth against the simulator's
 /// measured full/empty-barrier overlap, on the same kernel run (the
@@ -741,18 +558,16 @@ fn scaling_rows(
             best
         };
         let msv_t = best(Box::new(|| msv_sweep_batched(&pool, msv, db, 0).1));
-        let ssv_t = best(Box::new(|| ssv_sweep_batched(&pool, msv, db, 0).1));
         let vit_t = best(Box::new(|| vit_sweep(&pool, vit, db).1));
         let fwd_t = best(Box::new(|| fwd_sweep_batched(&pool, profile, &fwd_db, 0).1));
         record_sweep(trace, &format!("bench/scaling/t{t}/msv"), &msv_t);
-        record_sweep(trace, &format!("bench/scaling/t{t}/ssv"), &ssv_t);
         record_sweep(trace, &format!("bench/scaling/t{t}/vit"), &vit_t);
         record_sweep(trace, &format!("bench/scaling/t{t}/fwd"), &fwd_t);
     }
 
     let tel = trace.snapshot().expect("bench trace is on");
     let mut rows = Vec::new();
-    for stage in ["msv", "ssv", "vit", "fwd"] {
+    for stage in ["msv", "vit", "fwd"] {
         let (s1, c1) = sweep_at(&tel, &format!("bench/scaling/t1/{stage}"));
         let base_cps = c1 / s1;
         for &t in &counts {
@@ -977,22 +792,6 @@ fn main() {
     // The calibration shape: Forward kernel and `prepare` ledger per M.
     let calibration = calibration_rows();
 
-    // Software-pipelined filter loops: depth sweep on every backend at
-    // two model scales (short = latency-bound regime where the chains
-    // pay, long = stripe-walk-bound regime), with bit-identity asserted
-    // across depths.
-    let short_core = synthetic_model(SHORT_MODEL_M, 5, &BuildParams::default());
-    let short_profile = Profile::config(&short_core, &bg);
-    let short_msv = MsvProfile::from_profile(&short_profile);
-    let pipelined = pipelined_filter_rows(
-        &[
-            (SHORT_MODEL_M, &short_msv, &short_profile),
-            (MODEL_M, &msv, &profile),
-        ],
-        &db,
-        &trace,
-    );
-
     // Warp specialization on the simulated device: predicted vs
     // simulated latency-hiding per ring depth.
     let simt_pipelined = simt_pipelined_rows(&trace);
@@ -1081,7 +880,6 @@ fn main() {
         ("batched_filter_loops", batched),
         ("forward_loops", forward),
         ("calibration_shape", calibration),
-        ("pipelined_filter_loops", pipelined),
         ("simt_pipelined", simt_pipelined),
         ("scaling_curve", scaling),
         ("multi_model", multi_model),

@@ -1,4 +1,4 @@
-//! Batched, multi-sequence **interleaved** MSV and SSV filter kernels.
+//! Batched, multi-sequence **interleaved** MSV filter kernel.
 //!
 //! The single-sequence striped filters are latency-bound, not width-bound:
 //! with `M = 400` a row is only `Q = 13–25` vector ops, all serialized
@@ -23,12 +23,10 @@
 //! batch members stay in lockstep for as long as possible.
 
 use crate::backend::Backend;
-use crate::pipe::{prefetch_read, resolve_pipeline_depth};
 use crate::quantized::MsvOutcome;
 use crate::simd::{
     adds_u8, hmax_u8, max_u8, min_u8, shift_u8, splat_u8, subs_u8, ByteRow16, V16u8,
 };
-use crate::ssv::StripedSsv;
 use crate::striped_msv::StripedMsv;
 use h3w_hmm::alphabet::Residue;
 use h3w_hmm::msvprofile::MsvProfile;
@@ -39,7 +37,6 @@ use h3w_hmm::msvprofile::MsvProfile;
 /// row loop keeps ~6 vectors per chain hot, and past four chains that
 /// working set spills out of a 16-register vector file and the spill
 /// traffic serializes exactly the work the interleave meant to overlap.
-/// Pipeline depths past 4 therefore buy prefetch lookahead only.
 pub const MAX_BATCH: usize = 4;
 
 /// Reusable scratch for one batch: a single zeroed allocation holding all
@@ -65,7 +62,7 @@ impl BatchWorkspace {
 }
 
 /// The 8-bit saturating byte pipeline one backend exposes to the fused
-/// kernels: just enough lane algebra for the MSV/SSV recurrences.
+/// kernel: just enough lane algebra for the MSV recurrence.
 ///
 /// # Safety
 ///
@@ -328,13 +325,6 @@ impl BytePipe for Avx2Pipe {
 /// row for every slot) as soon as any slot overflows, flagging it in
 /// `ovf`. State arrays are `MAX_BATCH`-sized; only `0..S` is live.
 ///
-/// `pf` is the software-pipelining prefetch distance in rows: before
-/// computing row `r` the loop touches the striped emission row that row
-/// `r + pf` will gather (`rbv[seq[r + pf] · stride]`), the
-/// data-dependent load the hardware prefetcher cannot predict. `pf = 0`
-/// disables the prefetch front entirely; no value of `pf` can change
-/// any result.
-///
 /// Every slot carries its own striped table pointer and model constants
 /// (`rbv`, `biasv`, `basev`, `overv`, …), so a batch may mix sequences
 /// *and models* — the multi-profile fused scan packs several small HMMs
@@ -344,7 +334,6 @@ impl BytePipe for Avx2Pipe {
 #[inline(always)]
 unsafe fn msv_chunk<P: BytePipe, const S: usize>(
     q: usize,
-    pf: usize,
     rbv: &[*const u8; MAX_BATCH],
     rows: usize,
     r0: usize,
@@ -369,13 +358,6 @@ unsafe fn msv_chunk<P: BytePipe, const S: usize>(
         for s in 0..S {
             rowp[s] = rbv[s].add(*seqs[s].get_unchecked(row) as usize * stride);
             mpv[s] = P::shl1(P::load(dp[s].add(stride - P::LANES)));
-        }
-        if pf > 0 {
-            for s in 0..S {
-                if let Some(&x) = seqs[s].get(row + pf) {
-                    prefetch_read(rbv[s].add(x as usize * stride));
-                }
-            }
         }
         // Stripe-outer, slot-inner: the interleave is in the source so
         // every stripe step issues S independent copies of the
@@ -445,66 +427,6 @@ unsafe fn msv_chunk<P: BytePipe, const S: usize>(
     rows
 }
 
-/// One fused SSV chunk — the best case for interleaving: no per-row
-/// reduction at all, so the only cross-row dependency is the `dp` row
-/// itself and `S` chains pipeline almost perfectly.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-unsafe fn ssv_chunk<P: BytePipe, const S: usize>(
-    q: usize,
-    pf: usize,
-    rbv: &[*const u8; MAX_BATCH],
-    rows: usize,
-    r0: usize,
-    seqs: &[&[Residue]; MAX_BATCH],
-    dp: &[*mut u8; MAX_BATCH],
-    biasv: &[P::V; MAX_BATCH],
-    overv: &[P::V; MAX_BATCH],
-    xbv: &[P::V; MAX_BATCH],
-    xmaxv: &mut [P::V; MAX_BATCH],
-    ovf: &mut [bool; MAX_BATCH],
-) -> usize {
-    let stride = q * P::LANES;
-    for i in 0..rows {
-        let row = r0 + i;
-        let mut rowp = [rbv[0]; S];
-        let mut mpv = [P::zero(); S];
-        for s in 0..S {
-            rowp[s] = rbv[s].add(*seqs[s].get_unchecked(row) as usize * stride);
-            mpv[s] = P::shl1(P::load(dp[s].add(stride - P::LANES)));
-        }
-        if pf > 0 {
-            for s in 0..S {
-                if let Some(&x) = seqs[s].get(row + pf) {
-                    prefetch_read(rbv[s].add(x as usize * stride));
-                }
-            }
-        }
-        for qi in 0..q {
-            let off = qi * P::LANES;
-            for s in 0..S {
-                let rv = P::load(rowp[s].add(off));
-                let cur = P::load(dp[s].add(off));
-                let sv = P::subs(P::adds(P::max(mpv[s], xbv[s]), biasv[s]), rv);
-                xmaxv[s] = P::max(xmaxv[s], sv);
-                mpv[s] = cur;
-                P::store(dp[s].add(off), sv);
-            }
-        }
-        let mut any_ovf = false;
-        for s in 0..S {
-            if P::any_ge(xmaxv[s], overv[s]) {
-                ovf[s] = true;
-                any_ovf = true;
-            }
-        }
-        if any_ovf {
-            return i + 1;
-        }
-    }
-    rows
-}
-
 /// Swap dense slot `a` and `b` across every struct-of-arrays column.
 macro_rules! swap_slots {
     ($a:expr, $b:expr; $($col:expr),+ $(,)?) => {
@@ -536,7 +458,6 @@ struct SlotSpec<'a> {
 #[inline(always)]
 unsafe fn msv_batch<P: BytePipe>(
     q: usize,
-    pf: usize,
     specs: &[SlotSpec],
     ws: &mut BatchWorkspace,
     out: &mut [MsvOutcome],
@@ -621,19 +542,19 @@ unsafe fn msv_batch<P: BytePipe>(
         let rows = (0..live).map(|d| seqd[d].len() - r).min().unwrap();
         let done = match live {
             1 => msv_chunk::<P, 1>(
-                q, pf, &rbv, rows, r, &seqd, &dp, &biasv, &basev, &overv, &tecv, &tjbmv, &mut xjv,
+                q, &rbv, rows, r, &seqd, &dp, &biasv, &basev, &overv, &tecv, &tjbmv, &mut xjv,
                 &mut xbv, &mut limm1, &mut ovf,
             ),
             2 => msv_chunk::<P, 2>(
-                q, pf, &rbv, rows, r, &seqd, &dp, &biasv, &basev, &overv, &tecv, &tjbmv, &mut xjv,
+                q, &rbv, rows, r, &seqd, &dp, &biasv, &basev, &overv, &tecv, &tjbmv, &mut xjv,
                 &mut xbv, &mut limm1, &mut ovf,
             ),
             3 => msv_chunk::<P, 3>(
-                q, pf, &rbv, rows, r, &seqd, &dp, &biasv, &basev, &overv, &tecv, &tjbmv, &mut xjv,
+                q, &rbv, rows, r, &seqd, &dp, &biasv, &basev, &overv, &tecv, &tjbmv, &mut xjv,
                 &mut xbv, &mut limm1, &mut ovf,
             ),
             _ => msv_chunk::<P, 4>(
-                q, pf, &rbv, rows, r, &seqd, &dp, &biasv, &basev, &overv, &tecv, &tjbmv, &mut xjv,
+                q, &rbv, rows, r, &seqd, &dp, &biasv, &basev, &overv, &tecv, &tjbmv, &mut xjv,
                 &mut xbv, &mut limm1, &mut ovf,
             ),
         };
@@ -658,96 +579,6 @@ unsafe fn msv_batch<P: BytePipe>(
     }
 }
 
-/// Generic batched SSV driver — same dropout scheme as [`msv_batch`] with
-/// the per-row feedback stripped (constant `xB`, global `xmax`). Slots are
-/// independent (model, sequence) pairs sharing the stripe count `q`.
-#[inline(always)]
-unsafe fn ssv_batch<P: BytePipe>(
-    q: usize,
-    pf: usize,
-    specs: &[SlotSpec],
-    ws: &mut BatchWorkspace,
-    out: &mut [MsvOutcome],
-) {
-    let n = specs.len();
-    let row_bytes = q * P::LANES;
-    let dp0 = ws.zeroed(n * row_bytes);
-
-    let mut slot = [0usize; MAX_BATCH];
-    let mut seqd: [&[Residue]; MAX_BATCH] = [&[]; MAX_BATCH];
-    let mut rbv = [core::ptr::null::<u8>(); MAX_BATCH];
-    let mut dp = [core::ptr::null_mut::<u8>(); MAX_BATCH];
-    let mut xbv = [P::zero(); MAX_BATCH];
-    let mut biasv = [P::zero(); MAX_BATCH];
-    let mut overv = [P::zero(); MAX_BATCH];
-    let mut xmaxv = [P::zero(); MAX_BATCH];
-    let mut ovf = [false; MAX_BATCH];
-    for (d, sp) in specs.iter().enumerate() {
-        let lc = sp.om.len_costs(sp.seq.len());
-        slot[d] = d;
-        seqd[d] = sp.seq;
-        rbv[d] = sp.rbv;
-        dp[d] = dp0.add(d * row_bytes);
-        xbv[d] = P::splat(sp.base.saturating_sub(lc.tjbm));
-        biasv[d] = P::splat(sp.bias);
-        overv[d] = P::splat(sp.overflow_at);
-    }
-
-    let mut r = 0usize;
-    let mut live = n;
-    while live > 0 {
-        let mut d = 0;
-        while d < live {
-            if seqd[d].len() == r {
-                let xmax = P::extract0(P::bcast_hmax(xmaxv[d]));
-                out[slot[d]] = MsvOutcome {
-                    xj: xmax,
-                    overflow: false,
-                    score: specs[slot[d]].om.ssv_score_to_nats(xmax, seqd[d].len()),
-                };
-                live -= 1;
-                swap_slots!(d, live; slot, seqd, rbv, dp, xbv, biasv, overv, xmaxv, ovf);
-                continue;
-            }
-            d += 1;
-        }
-        if live == 0 {
-            break;
-        }
-        let rows = (0..live).map(|d| seqd[d].len() - r).min().unwrap();
-        let done = match live {
-            1 => ssv_chunk::<P, 1>(
-                q, pf, &rbv, rows, r, &seqd, &dp, &biasv, &overv, &xbv, &mut xmaxv, &mut ovf,
-            ),
-            2 => ssv_chunk::<P, 2>(
-                q, pf, &rbv, rows, r, &seqd, &dp, &biasv, &overv, &xbv, &mut xmaxv, &mut ovf,
-            ),
-            3 => ssv_chunk::<P, 3>(
-                q, pf, &rbv, rows, r, &seqd, &dp, &biasv, &overv, &xbv, &mut xmaxv, &mut ovf,
-            ),
-            _ => ssv_chunk::<P, 4>(
-                q, pf, &rbv, rows, r, &seqd, &dp, &biasv, &overv, &xbv, &mut xmaxv, &mut ovf,
-            ),
-        };
-        r += done;
-        let mut d = 0;
-        while d < live {
-            if ovf[d] {
-                out[slot[d]] = MsvOutcome {
-                    xj: 255,
-                    overflow: true,
-                    score: MsvProfile::overflow_score(),
-                };
-                live -= 1;
-                swap_slots!(d, live; slot, seqd, rbv, dp, xbv, biasv, overv, xmaxv, ovf);
-                ovf[live] = false;
-                continue;
-            }
-            d += 1;
-        }
-    }
-}
-
 /// One (model, sequence) pairing for the fused multi-profile MSV entry
 /// point [`msv_multi_batch_into`].
 #[derive(Clone, Copy)]
@@ -760,43 +591,18 @@ pub struct MsvPair<'a> {
     pub seq: &'a [Residue],
 }
 
-/// One (model, sequence) pairing for the fused multi-profile SSV entry
-/// point [`ssv_multi_batch_into`].
-#[derive(Clone, Copy)]
-pub struct SsvPair<'a> {
-    /// Striped tables of the model scoring this slot.
-    pub striped: &'a StripedSsv,
-    /// That model's scoring profile.
-    pub om: &'a MsvProfile,
-    /// The digitized target sequence.
-    pub seq: &'a [Residue],
-}
-
-/// AVX2 monomorphizations behind `#[target_feature]` so the fused loops
-/// compile to 256-bit code (the `#[inline(always)]` generics fold into
+/// AVX2 monomorphization behind `#[target_feature]` so the fused loop
+/// compiles to 256-bit code (the `#[inline(always)]` generics fold into
 /// this feature context).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn msv_batch_avx2(
     q: usize,
-    pf: usize,
     specs: &[SlotSpec],
     ws: &mut BatchWorkspace,
     out: &mut [MsvOutcome],
 ) {
-    msv_batch::<Avx2Pipe>(q, pf, specs, ws, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn ssv_batch_avx2(
-    q: usize,
-    pf: usize,
-    specs: &[SlotSpec],
-    ws: &mut BatchWorkspace,
-    out: &mut [MsvOutcome],
-) {
-    ssv_batch::<Avx2Pipe>(q, pf, specs, ws, out)
+    msv_batch::<Avx2Pipe>(q, specs, ws, out)
 }
 
 /// Dispatch a spec array to the pipeline matching `backend`. `q` must be
@@ -805,38 +611,18 @@ unsafe fn ssv_batch_avx2(
 unsafe fn dispatch_msv(
     backend: Backend,
     q: usize,
-    pf: usize,
     specs: &[SlotSpec],
     ws: &mut BatchWorkspace,
     out: &mut [MsvOutcome],
 ) {
     match backend {
-        Backend::Scalar => msv_batch::<ScalarPipe>(q, pf, specs, ws, out),
+        Backend::Scalar => msv_batch::<ScalarPipe>(q, specs, ws, out),
         // SAFETY: with_backend only selects Sse2/Avx2 when the CPU
         // reports the feature.
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => msv_batch::<Sse2Pipe>(q, pf, specs, ws, out),
+        Backend::Sse2 => msv_batch::<Sse2Pipe>(q, specs, ws, out),
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => msv_batch_avx2(q, pf, specs, ws, out),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("non-scalar backend on a non-x86_64 host"),
-    }
-}
-
-unsafe fn dispatch_ssv(
-    backend: Backend,
-    q: usize,
-    pf: usize,
-    specs: &[SlotSpec],
-    ws: &mut BatchWorkspace,
-    out: &mut [MsvOutcome],
-) {
-    match backend {
-        Backend::Scalar => ssv_batch::<ScalarPipe>(q, pf, specs, ws, out),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => ssv_batch::<Sse2Pipe>(q, pf, specs, ws, out),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => ssv_batch_avx2(q, pf, specs, ws, out),
+        Backend::Avx2 => msv_batch_avx2(q, specs, ws, out),
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("non-scalar backend on a non-x86_64 host"),
     }
@@ -866,8 +652,7 @@ impl StripedMsv {
     /// Score up to [`MAX_BATCH`] sequences in one interleaved pass.
     /// `out[i]` receives `seqs[i]`'s outcome, bit-identical to
     /// [`StripedMsv::run_into`] on the same backend (and therefore to the
-    /// scalar reference). Runs at the auto pipeline depth; see
-    /// [`StripedMsv::run_batch_pipelined_into`] for the explicit knob.
+    /// scalar reference).
     pub fn run_batch_into(
         &self,
         om: &MsvProfile,
@@ -875,28 +660,11 @@ impl StripedMsv {
         ws: &mut BatchWorkspace,
         out: &mut [MsvOutcome],
     ) {
-        self.run_batch_pipelined_into(om, seqs, ws, out, 0)
-    }
-
-    /// [`StripedMsv::run_batch_into`] with an explicit software-pipeline
-    /// depth (`0` = auto): the resolved schedule's lookahead becomes the
-    /// fused loop's prefetch distance. The *chain* half of the depth is a
-    /// scheduling decision — callers cap the batch width they pass in
-    /// (see [`crate::sweep`]). Outcomes are bit-identical at every depth.
-    pub fn run_batch_pipelined_into(
-        &self,
-        om: &MsvProfile,
-        seqs: &[&[Residue]],
-        ws: &mut BatchWorkspace,
-        out: &mut [MsvOutcome],
-        depth: usize,
-    ) {
         assert!(seqs.len() <= MAX_BATCH, "batch wider than MAX_BATCH");
         assert_eq!(seqs.len(), out.len());
         if seqs.is_empty() {
             return;
         }
-        let pf = resolve_pipeline_depth(depth).lookahead;
         let mut specs = [self.slot_spec(om, &[]); MAX_BATCH];
         for (sp, &seq) in specs.iter_mut().zip(seqs) {
             sp.seq = seq;
@@ -905,73 +673,6 @@ impl StripedMsv {
             dispatch_msv(
                 self.backend(),
                 self.active_q(),
-                pf,
-                &specs[..seqs.len()],
-                ws,
-                out,
-            )
-        }
-    }
-}
-
-impl StripedSsv {
-    fn table_ptr(&self) -> *const u8 {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(t) = self.avx.as_ref() {
-            return t.rbv.as_ptr() as *const u8;
-        }
-        self.rbv.as_ptr() as *const u8
-    }
-
-    fn slot_spec<'a>(&'a self, om: &'a MsvProfile, seq: &'a [Residue]) -> SlotSpec<'a> {
-        SlotSpec {
-            rbv: self.table_ptr(),
-            base: self.base,
-            bias: self.bias,
-            overflow_at: self.overflow_at,
-            om,
-            seq,
-        }
-    }
-
-    /// Score up to [`MAX_BATCH`] sequences in one interleaved pass,
-    /// bit-identical to [`ssv_filter_scalar`](crate::ssv::ssv_filter_scalar)
-    /// per sequence. Runs at the auto pipeline depth.
-    pub fn run_batch_into(
-        &self,
-        om: &MsvProfile,
-        seqs: &[&[Residue]],
-        ws: &mut BatchWorkspace,
-        out: &mut [MsvOutcome],
-    ) {
-        self.run_batch_pipelined_into(om, seqs, ws, out, 0)
-    }
-
-    /// [`StripedSsv::run_batch_into`] with an explicit software-pipeline
-    /// depth (`0` = auto); outcomes are bit-identical at every depth.
-    pub fn run_batch_pipelined_into(
-        &self,
-        om: &MsvProfile,
-        seqs: &[&[Residue]],
-        ws: &mut BatchWorkspace,
-        out: &mut [MsvOutcome],
-        depth: usize,
-    ) {
-        assert!(seqs.len() <= MAX_BATCH, "batch wider than MAX_BATCH");
-        assert_eq!(seqs.len(), out.len());
-        if seqs.is_empty() {
-            return;
-        }
-        let pf = resolve_pipeline_depth(depth).lookahead;
-        let mut specs = [self.slot_spec(om, &[]); MAX_BATCH];
-        for (sp, &seq) in specs.iter_mut().zip(seqs) {
-            sp.seq = seq;
-        }
-        unsafe {
-            dispatch_ssv(
-                self.backend(),
-                self.active_q(),
-                pf,
                 &specs[..seqs.len()],
                 ws,
                 out,
@@ -990,23 +691,11 @@ impl StripedSsv {
 /// receives `pairs[i]`'s outcome, bit-identical to scoring that pair alone
 /// with [`StripedMsv::run_into`].
 pub fn msv_multi_batch_into(pairs: &[MsvPair], ws: &mut BatchWorkspace, out: &mut [MsvOutcome]) {
-    msv_multi_batch_pipelined_into(pairs, ws, out, 0)
-}
-
-/// [`msv_multi_batch_into`] with an explicit software-pipeline depth
-/// (`0` = auto); outcomes are bit-identical at every depth.
-pub fn msv_multi_batch_pipelined_into(
-    pairs: &[MsvPair],
-    ws: &mut BatchWorkspace,
-    out: &mut [MsvOutcome],
-    depth: usize,
-) {
     assert!(pairs.len() <= MAX_BATCH, "pack wider than MAX_BATCH");
     assert_eq!(pairs.len(), out.len());
     let Some(first) = pairs.first() else { return };
     let backend = first.striped.backend();
     let q = first.striped.active_q();
-    let pf = resolve_pipeline_depth(depth).lookahead;
     let mut specs = [first.striped.slot_spec(first.om, &[]); MAX_BATCH];
     for (sp, pair) in specs.iter_mut().zip(pairs) {
         assert_eq!(
@@ -1021,53 +710,13 @@ pub fn msv_multi_batch_pipelined_into(
         );
         *sp = pair.striped.slot_spec(pair.om, pair.seq);
     }
-    unsafe { dispatch_msv(backend, q, pf, &specs[..pairs.len()], ws, out) }
-}
-
-/// Score up to [`MAX_BATCH`] (model, sequence) pairs in one fused
-/// interleaved SSV pass — see [`msv_multi_batch_into`] for the pack
-/// shape rules. Bit-identical per pair to
-/// [`ssv_filter_scalar`](crate::ssv::ssv_filter_scalar).
-pub fn ssv_multi_batch_into(pairs: &[SsvPair], ws: &mut BatchWorkspace, out: &mut [MsvOutcome]) {
-    ssv_multi_batch_pipelined_into(pairs, ws, out, 0)
-}
-
-/// [`ssv_multi_batch_into`] with an explicit software-pipeline depth
-/// (`0` = auto); outcomes are bit-identical at every depth.
-pub fn ssv_multi_batch_pipelined_into(
-    pairs: &[SsvPair],
-    ws: &mut BatchWorkspace,
-    out: &mut [MsvOutcome],
-    depth: usize,
-) {
-    assert!(pairs.len() <= MAX_BATCH, "pack wider than MAX_BATCH");
-    assert_eq!(pairs.len(), out.len());
-    let Some(first) = pairs.first() else { return };
-    let backend = first.striped.backend();
-    let q = first.striped.active_q();
-    let pf = resolve_pipeline_depth(depth).lookahead;
-    let mut specs = [first.striped.slot_spec(first.om, &[]); MAX_BATCH];
-    for (sp, pair) in specs.iter_mut().zip(pairs) {
-        assert_eq!(
-            pair.striped.backend(),
-            backend,
-            "fused pack members must share a backend"
-        );
-        assert_eq!(
-            pair.striped.active_q(),
-            q,
-            "fused pack members must share the active stripe count"
-        );
-        *sp = pair.striped.slot_spec(pair.om, pair.seq);
-    }
-    unsafe { dispatch_ssv(backend, q, pf, &specs[..pairs.len()], ws, out) }
+    unsafe { dispatch_msv(backend, q, &specs[..pairs.len()], ws, out) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::quantized::msv_filter_scalar;
-    use crate::ssv::ssv_filter_scalar;
     use h3w_hmm::background::NullModel;
     use h3w_hmm::build::{synthetic_model, BuildParams};
     use h3w_hmm::calibrate::random_seq;
@@ -1108,45 +757,6 @@ mod tests {
                         striped.run_batch_into(&om, &refs, &mut ws, &mut out);
                         for (s, o) in chunk.iter().zip(&out) {
                             let want = msv_filter_scalar(&om, s);
-                            assert_eq!(
-                                (want.xj, want.overflow, want.score.to_bits()),
-                                (o.xj, o.overflow, o.score.to_bits()),
-                                "backend={backend} m={m} width={width} len={}",
-                                s.len()
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_ssv_matches_single_all_backends_and_widths() {
-        let mut rng = StdRng::seed_from_u64(5);
-        for m in [1usize, 16, 31, 90] {
-            let om = om(m, 7 + m as u64);
-            let seqs: Vec<Vec<u8>> = [3usize, 0, 250, 65, 65, 128, 9]
-                .iter()
-                .map(|&l| random_seq(&mut rng, l))
-                .collect();
-            for backend in Backend::all_available() {
-                let striped = StripedSsv::with_backend(&om, backend);
-                let mut ws = BatchWorkspace::default();
-                for width in 1..=MAX_BATCH {
-                    for chunk in seqs.chunks(width) {
-                        let refs: Vec<&[u8]> = chunk.iter().map(|s| s.as_slice()).collect();
-                        let mut out = vec![
-                            MsvOutcome {
-                                xj: 0,
-                                overflow: false,
-                                score: 0.0
-                            };
-                            refs.len()
-                        ];
-                        striped.run_batch_into(&om, &refs, &mut ws, &mut out);
-                        for (s, o) in chunk.iter().zip(&out) {
-                            let want = ssv_filter_scalar(&om, s);
                             assert_eq!(
                                 (want.xj, want.overflow, want.score.to_bits()),
                                 (o.xj, o.overflow, o.score.to_bits()),
@@ -1206,55 +816,6 @@ mod tests {
                 msv_multi_batch_into(&pairs, &mut ws, &mut out);
                 for (&(mi, si), o) in shape.iter().zip(&out) {
                     let want = msv_filter_scalar(&oms[mi], &seqs[si]);
-                    assert_eq!(
-                        (want.xj, want.overflow, want.score.to_bits()),
-                        (o.xj, o.overflow, o.score.to_bits()),
-                        "backend={backend} model={mi} seq={si}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_multi_profile_ssv_matches_single_models() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let oms: Vec<MsvProfile> = [33usize, 40, 48]
-            .iter()
-            .map(|&m| om(m, 100 + m as u64))
-            .collect();
-        let seqs: Vec<Vec<u8>> = [2usize, 0, 77, 210]
-            .iter()
-            .map(|&l| random_seq(&mut rng, l))
-            .collect();
-        for backend in Backend::all_available() {
-            let striped: Vec<StripedSsv> = oms
-                .iter()
-                .map(|om| StripedSsv::with_backend(om, backend))
-                .collect();
-            let mut ws = BatchWorkspace::default();
-            let shapes: [&[(usize, usize)]; 2] =
-                [&[(0, 0), (1, 0), (2, 0), (1, 2)], &[(2, 3), (0, 1), (1, 2)]];
-            for shape in shapes {
-                let pairs: Vec<SsvPair> = shape
-                    .iter()
-                    .map(|&(mi, si)| SsvPair {
-                        striped: &striped[mi],
-                        om: &oms[mi],
-                        seq: &seqs[si],
-                    })
-                    .collect();
-                let mut out = vec![
-                    MsvOutcome {
-                        xj: 0,
-                        overflow: false,
-                        score: 0.0
-                    };
-                    pairs.len()
-                ];
-                ssv_multi_batch_into(&pairs, &mut ws, &mut out);
-                for (&(mi, si), o) in shape.iter().zip(&out) {
-                    let want = ssv_filter_scalar(&oms[mi], &seqs[si]);
                     assert_eq!(
                         (want.xj, want.overflow, want.score.to_bits()),
                         (o.xj, o.overflow, o.score.to_bits()),

@@ -16,7 +16,6 @@
 pub mod backend;
 pub mod batch;
 pub mod null2;
-pub mod pipe;
 pub mod posterior;
 pub mod quantized;
 pub mod reference;
@@ -30,31 +29,23 @@ pub mod traceback;
 pub mod x86;
 
 pub use backend::Backend;
-pub use batch::{
-    msv_multi_batch_into, msv_multi_batch_pipelined_into, ssv_multi_batch_into,
-    ssv_multi_batch_pipelined_into, BatchWorkspace, MsvPair, SsvPair, MAX_BATCH,
-};
+pub use batch::{msv_multi_batch_into, BatchWorkspace, MsvPair, MAX_BATCH};
 pub use null2::null2_correction;
-pub use pipe::{
-    prefetch_read, resolve_pipeline_depth, PipeSchedule, AUTO_PIPELINE_DEPTH, MAX_PIPELINE_DEPTH,
-};
 pub use posterior::{find_domains, posterior_decode, posterior_decode_with, Domain, Posterior};
 pub use quantized::{msv_filter_scalar, vit_filter_scalar, MsvOutcome, VitOutcome};
 pub use reference::{
     backward_generic, forward_generic, msv_filter_model, msv_generic, viterbi_filter_model,
 };
-pub use ssv::{ssv_filter_scalar, ssv_reference, StripedSsv};
+pub use ssv::{ssv_filter_scalar, ssv_reference};
 pub use striped_fwd::{FwdBatchWorkspace, FwdMatrix, FwdWorkspace, StripedFwd};
 pub use striped_msv::StripedMsv;
 pub use striped_vit::{LazyFStats, StripedVit, VitWorkspace};
 pub use sweep::{
-    batch_schedule_stats, fused_pack_width, fwd_scores_batched, fwd_scores_batched_pipelined,
-    fwd_sweep_batched, length_binned_batches, model_pack_stats, model_packs, msv_multi_outcomes,
-    msv_multi_outcomes_pipelined, msv_outcomes_batched, msv_outcomes_batched_pipelined, msv_sweep,
-    msv_sweep_batched, record_sweep, resolve_batch_width, resolve_pipelined_width,
-    ssv_multi_outcomes, ssv_multi_outcomes_pipelined, ssv_outcomes_batched,
-    ssv_outcomes_batched_pipelined, ssv_sweep_batched, vit_sweep, vit_sweep_masked,
-    BatchScheduleStats, ModelPackStats, SweepTiming, FUSED_PACK_MIN_WORKERS,
+    batch_schedule_stats, fused_pack_width, fwd_scores_batched, fwd_sweep_batched,
+    length_binned_batches, measure_batched, model_pack_stats, model_packs, msv_multi_outcomes,
+    msv_outcomes_batched, msv_sweep, msv_sweep_batched, outcomes_batched, record_sweep,
+    resolve_batch_width, sweep_batched, vit_sweep, BatchKernel, BatchScheduleStats, ModelPackStats,
+    SweepTiming, FUSED_PACK_MIN_WORKERS,
 };
 pub use traceback::{viterbi_trace, AlignedSegment, Alignment, TraceState};
 

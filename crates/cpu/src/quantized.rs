@@ -13,7 +13,7 @@ use h3w_hmm::msvprofile::MsvProfile;
 use h3w_hmm::vitprofile::{wadd, VitProfile, W_NEG_INF};
 
 /// Outcome of an 8-bit MSV filter pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MsvOutcome {
     /// Final `xJ` byte (meaningless when `overflow` is set).
     pub xj: u8,

@@ -1,5 +1,8 @@
 //! SSV — the Single-Segment Viterbi pre-filter (an *extension* beyond the
-//! paper: HMMER 3.1 added it in front of MSV).
+//! paper: HMMER 3.1 added it in front of MSV). Only the specifications
+//! live here, as the reference `h3w_core::ssv_warp` and the `ext_ssv`
+//! experiment are checked against; the CPU funnel does not run an SSV
+//! stage (EXPERIMENTS.md records why).
 //!
 //! SSV scores the best **single** ungapped diagonal segment: the MSV model
 //! of Fig. 2 without the `J` state. Two consequences make it faster than
@@ -10,7 +13,7 @@
 //!   horizontal max at the end of the whole sequence.
 //!
 //! Same 8-bit biased-byte pipeline as the MSV filter
-//! ([`h3w_hmm::msvprofile`]), so the scalar, striped and warp versions are
+//! ([`h3w_hmm::msvprofile`]), so the scalar and warp versions are
 //! bit-exact with each other. Canonical recurrence (saturating u8):
 //!
 //! ```text
@@ -23,10 +26,7 @@
 //! score = (xmax − BASE)/scale + ln½ + move      // E→C, C→T
 //! ```
 
-use crate::backend::Backend;
-use crate::batch::BatchWorkspace;
 use crate::quantized::MsvOutcome;
-use crate::simd::ByteRow16;
 use h3w_hmm::alphabet::Residue;
 use h3w_hmm::msvprofile::MsvProfile;
 use h3w_hmm::profile::Profile;
@@ -92,118 +92,6 @@ pub fn ssv_filter_scalar(om: &MsvProfile, seq: &[Residue]) -> MsvOutcome {
     }
 }
 
-/// Striped SSV filter (Farrar layout; same stripes — and in fact the same
-/// emission tables — as [`StripedMsv`](crate::striped_msv::StripedMsv)).
-///
-/// Backend-dispatched like the MSV filter: portable 16-lane scalar, real
-/// SSE2 over the same layout, AVX2 over the re-striped 32-lane layout.
-/// All row loops live in [`crate::batch`] — a single-sequence run is just
-/// a width-1 batch, so there is exactly one SSV kernel to keep bit-exact.
-#[derive(Debug, Clone)]
-pub struct StripedSsv {
-    /// Model length.
-    pub m: usize,
-    /// Vectors per row in the 16-lane layout.
-    pub q: usize,
-    backend: Backend,
-    pub(crate) base: u8,
-    pub(crate) bias: u8,
-    pub(crate) overflow_at: u8,
-    /// Striped biased costs, code-major: `rbv[code * q + qi]`.
-    pub(crate) rbv: Vec<ByteRow16>,
-    #[cfg(target_arch = "x86_64")]
-    pub(crate) avx: Option<crate::striped_msv::AvxMsv>,
-}
-
-impl StripedSsv {
-    /// Re-stripe an [`MsvProfile`] for SSV on the auto-detected backend.
-    pub fn new(om: &MsvProfile) -> StripedSsv {
-        StripedSsv::with_backend(om, Backend::detect())
-    }
-
-    /// Re-stripe for a specific backend (downgrades to scalar if the
-    /// requested backend cannot run on this CPU).
-    pub fn with_backend(om: &MsvProfile, backend: Backend) -> StripedSsv {
-        let backend = if backend.available() {
-            backend
-        } else {
-            Backend::Scalar
-        };
-        let (q, rbv) = crate::striped_msv::stripe16(om);
-        #[cfg(target_arch = "x86_64")]
-        let avx = (backend == Backend::Avx2).then(|| crate::striped_msv::stripe32(om));
-        StripedSsv {
-            m: om.m,
-            q,
-            backend,
-            base: om.base,
-            bias: om.bias,
-            overflow_at: om.overflow_limit(),
-            rbv,
-            #[cfg(target_arch = "x86_64")]
-            avx,
-        }
-    }
-
-    /// The backend this instance dispatches to.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// Stripe count of the table the dispatched backend actually walks
-    /// (`⌈M/32⌉` under AVX2, `⌈M/16⌉` otherwise) — see
-    /// [`StripedMsv::active_q`](crate::striped_msv::StripedMsv::active_q).
-    pub fn active_q(&self) -> usize {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(t) = self.avx.as_ref() {
-            return t.q;
-        }
-        self.q
-    }
-
-    /// Score one sequence as a width-1 batch, reusing `ws` as the row
-    /// buffer. Bit-exact with the scalar spec on every backend.
-    pub fn run_into(
-        &self,
-        om: &MsvProfile,
-        seq: &[Residue],
-        ws: &mut BatchWorkspace,
-    ) -> MsvOutcome {
-        let mut out = [MsvOutcome {
-            xj: 0,
-            overflow: false,
-            score: 0.0,
-        }];
-        self.run_batch_into(om, &[seq], ws, &mut out);
-        out[0]
-    }
-
-    /// Score one sequence with a fresh workspace.
-    pub fn run(&self, om: &MsvProfile, seq: &[Residue]) -> MsvOutcome {
-        self.run_into(om, seq, &mut BatchWorkspace::default())
-    }
-
-    /// DP cells *computed* per residue row (`lanes · Q`, striping phantoms
-    /// included) — see
-    /// [`StripedMsv::padded_cells_per_row`](crate::striped_msv::StripedMsv::padded_cells_per_row).
-    pub fn padded_cells_per_row(&self) -> usize {
-        match self.backend {
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => self
-                .avx
-                .as_ref()
-                .map(|t| 32 * t.q)
-                .unwrap_or_else(|| 32 * self.m.div_ceil(32).max(1)),
-            _ => 16 * self.q,
-        }
-    }
-
-    /// DP cells *meaningful* per residue row — exactly `M`.
-    pub fn real_cells_per_row(&self) -> usize {
-        self.m
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,23 +108,6 @@ mod tests {
         let p = Profile::config(&core, &bg);
         let om = MsvProfile::from_profile(&p);
         (p, om)
-    }
-
-    #[test]
-    fn striped_equals_scalar() {
-        let mut rng = StdRng::seed_from_u64(31);
-        for m in [1usize, 15, 16, 17, 60, 130] {
-            let (_, om) = setup(m, m as u64);
-            let striped = StripedSsv::new(&om);
-            for len in [1usize, 30, 200] {
-                let seq = random_seq(&mut rng, len);
-                assert_eq!(
-                    striped.run(&om, &seq),
-                    ssv_filter_scalar(&om, &seq),
-                    "m={m} len={len}"
-                );
-            }
-        }
     }
 
     #[test]

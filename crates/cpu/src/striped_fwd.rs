@@ -80,7 +80,6 @@
 
 use crate::backend::Backend;
 use crate::batch::MAX_BATCH;
-use crate::pipe::{prefetch_read, resolve_pipeline_depth};
 use crate::simd::{
     add_f32, all_zero_f32, hsum_f32, keep_ge_f32, mul_f32, shift_f32, splat_f32, V4f32,
 };
@@ -403,28 +402,9 @@ impl StripedFwd {
         ws: &mut FwdBatchWorkspace,
         out: &mut [f32],
     ) {
-        self.run_batch_pipelined_into(p, seqs, ws, out, 0)
-    }
-
-    /// [`StripedFwd::run_batch_into`] with an explicit software-pipeline
-    /// depth (`0` = auto). The resolved lookahead prefetches the leading
-    /// cache line of the striped emission row that row `r + lookahead`
-    /// will gather (`rfv[seq[r+la] · q]` — the data-dependent load the
-    /// hardware prefetcher cannot predict; once the line is touched the
-    /// streamer follows the rest of the row). Prefetching cannot change
-    /// arithmetic, so scores stay bit-identical at every depth.
-    pub fn run_batch_pipelined_into(
-        &self,
-        p: &Profile,
-        seqs: &[&[Residue]],
-        ws: &mut FwdBatchWorkspace,
-        out: &mut [f32],
-        depth: usize,
-    ) {
         let n = seqs.len();
         assert!(n <= MAX_BATCH, "batch of {n} exceeds MAX_BATCH");
         assert_eq!(out.len(), n);
-        let la = resolve_pipeline_depth(depth).lookahead;
         while ws.slots.len() < n {
             ws.slots.push(FwdWorkspace::default());
         }
@@ -438,13 +418,6 @@ impl StripedFwd {
         }
         let max_len = seqs.iter().map(|s| s.len()).max().unwrap_or(0);
         for r in 0..max_len {
-            if la > 0 {
-                for seq in seqs.iter() {
-                    if let Some(&x) = seq.get(r + la) {
-                        prefetch_read(self.rfv[x as usize * self.q].as_ptr() as *const u8);
-                    }
-                }
-            }
             for (i, seq) in seqs.iter().enumerate() {
                 if let Some(&x) = seq.get(r) {
                     self.advance_row(x, &mut ws.slots[i], &mut sts[i], &sps[i]);

@@ -39,9 +39,8 @@ pub(crate) struct AvxMsv {
 }
 
 /// Stripe an [`MsvProfile`]'s biased byte costs into the 16-lane layout
-/// (`Q = ⌈M/16⌉`, code-major, phantoms pinned to 255). MSV and SSV share
-/// the same emission tables, so both striped filters build from here.
-pub(crate) fn stripe16(om: &MsvProfile) -> (usize, Vec<ByteRow16>) {
+/// (`Q = ⌈M/16⌉`, code-major, phantoms pinned to 255).
+fn stripe16(om: &MsvProfile) -> (usize, Vec<ByteRow16>) {
     let m = om.m;
     let q = m.div_ceil(MSV_LANES).max(1);
     let mut rbv = vec![ByteRow16([255u8; MSV_LANES]); N_CODES * q];
@@ -61,7 +60,7 @@ pub(crate) fn stripe16(om: &MsvProfile) -> (usize, Vec<ByteRow16>) {
 
 /// Stripe into the re-striped 32-lane AVX2 layout (`Q = ⌈M/32⌉`).
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn stripe32(om: &MsvProfile) -> AvxMsv {
+fn stripe32(om: &MsvProfile) -> AvxMsv {
     let m = om.m;
     let q32 = m.div_ceil(MSV_LANES_AVX2).max(1);
     let mut rbv32 = vec![crate::x86::ByteRow32([255u8; MSV_LANES_AVX2]); N_CODES * q32];

@@ -6,19 +6,23 @@
 //! [`h3w_pool`] work-stealing pool, with measured cell throughput for the
 //! analytic speedup model.
 //!
-//! Two sweep shapes exist for the byte filters:
+//! Two sweep shapes exist for the byte filter:
 //!
 //! * **one task per sequence** ([`msv_sweep`]) — work-stealing handles the
 //!   length skew;
-//! * **one task per batch** ([`msv_sweep_batched`], [`ssv_sweep_batched`])
-//!   — the [length-binned scheduler](length_binned_batches) groups
+//! * **one task per batch** ([`msv_sweep_batched`]) — the
+//!   [length-binned scheduler](length_binned_batches) groups
 //!   near-equal-length sequences into batches of `S` and the interleaved
-//!   kernels in [`crate::batch`] score each batch in one fused loop,
+//!   kernel in [`crate::batch`] scores each batch in one fused loop,
 //!   hiding the per-row reduction latency behind `S` independent chains.
 //!
 //! Both produce bit-identical outcomes; the batched shape is faster
 //! because the single-sequence row loop is latency-bound (see
-//! [`crate::batch`]).
+//! [`crate::batch`]). The batched shape is one driver
+//! ([`outcomes_batched`]) generic over a [`BatchKernel`] — the MSV and
+//! Forward `(striped tables, profile)` pairs — and monomorphized per
+//! filter, so stage 1 and stage 3 share the schedule, the fan-out and
+//! the scatter without sharing a call through a pointer.
 //!
 //! Every sweep takes the [`ThreadPool`] to fan out on. Each parallel item
 //! (a batch, or a sequence) writes its result into the slot indexed by
@@ -28,13 +32,8 @@
 //! hot loop still performs no allocation.
 
 use crate::backend::Backend;
-use crate::batch::{
-    msv_multi_batch_pipelined_into, ssv_multi_batch_pipelined_into, BatchWorkspace, MsvPair,
-    SsvPair, MAX_BATCH,
-};
-use crate::pipe::{resolve_pipeline_depth, PipeSchedule};
+use crate::batch::{msv_multi_batch_into, BatchWorkspace, MsvPair, MAX_BATCH};
 use crate::quantized::{MsvOutcome, VitOutcome};
-use crate::ssv::StripedSsv;
 use crate::striped_fwd::{FwdBatchWorkspace, StripedFwd};
 use crate::striped_msv::StripedMsv;
 use crate::striped_vit::{LazyFStats, StripedVit, VitWorkspace};
@@ -181,23 +180,6 @@ pub fn resolve_batch_width(backend: Backend, requested: usize) -> usize {
     }
 }
 
-/// Resolve the batch width **and** pipeline schedule a sweep will run
-/// with: the schedule's chain count caps the interleave width, so
-/// `depth = 1` really is the single-chain un-pipelined baseline no
-/// matter what width the caller (or the backend auto-pick) asked for.
-/// The cap is applied here, at the scheduling level — the fused drivers
-/// never see a wider batch than the schedule allows, so their dropout
-/// logic stays depth-oblivious.
-pub fn resolve_pipelined_width(
-    backend: Backend,
-    width: usize,
-    depth: usize,
-) -> (usize, PipeSchedule) {
-    let sched = resolve_pipeline_depth(depth);
-    let width = resolve_batch_width(backend, width).min(sched.chains).max(1);
-    (width, sched)
-}
-
 /// The length-binned batch schedule: indices of the selected sequences
 /// (all of them, or `mask`-selected survivors), sorted by descending
 /// length and chunked into batches of `width`.
@@ -224,38 +206,101 @@ pub fn length_binned_batches(
     idx.chunks(width).map(|c| c.to_vec()).collect()
 }
 
-const ZERO_OUTCOME: MsvOutcome = MsvOutcome {
-    xj: 0,
-    overflow: false,
-    score: 0.0,
-};
+/// A filter the batched sweep driver can run: striped tables paired with
+/// the profile they were built from, scoring up to [`MAX_BATCH`]
+/// sequences per call. The drivers below are generic over this trait and
+/// monomorphized per filter.
+pub trait BatchKernel: Sync {
+    /// Per-worker scratch, created lazily once per worker.
+    type Workspace: Default + Send;
+    /// Per-sequence result.
+    type Output: Copy + Default + Send;
+    /// The SIMD backend the tables were striped for (sets the auto width).
+    fn backend(&self) -> Backend;
+    /// Score `seqs` (at most [`MAX_BATCH`]) into `out`, slot for slot.
+    fn run_batch_into(
+        &self,
+        seqs: &[&[Residue]],
+        ws: &mut Self::Workspace,
+        out: &mut [Self::Output],
+    );
+    /// `(real, padded)` DP cells per residue row — the two
+    /// [`SweepTiming`] denominators.
+    fn cells_per_row(&self) -> (u64, u64);
+}
 
-/// Shared batched-sweep driver: schedule, score batches across the pool
-/// (workers steal whole batches), scatter back to original order. The
-/// per-batch sequence refs and outcomes live in fixed [`MAX_BATCH`]
-/// arrays — a worker's only heap state is its lazily-created workspace
-/// arena, so the steady-state hot loop performs no allocation at all.
-fn sweep_batched_with<F>(
+impl BatchKernel for (&StripedMsv, &MsvProfile) {
+    type Workspace = BatchWorkspace;
+    type Output = MsvOutcome;
+    fn backend(&self) -> Backend {
+        self.0.backend()
+    }
+    fn run_batch_into(&self, seqs: &[&[Residue]], ws: &mut BatchWorkspace, out: &mut [MsvOutcome]) {
+        self.0.run_batch_into(self.1, seqs, ws, out)
+    }
+    fn cells_per_row(&self) -> (u64, u64) {
+        (
+            self.0.real_cells_per_row() as u64,
+            self.0.padded_cells_per_row() as u64,
+        )
+    }
+}
+
+impl BatchKernel for (&StripedFwd, &Profile) {
+    type Workspace = FwdBatchWorkspace;
+    type Output = f32;
+    fn backend(&self) -> Backend {
+        self.0.backend()
+    }
+    fn run_batch_into(&self, seqs: &[&[Residue]], ws: &mut FwdBatchWorkspace, out: &mut [f32]) {
+        self.0.run_batch_into(self.1, seqs, ws, out)
+    }
+    fn cells_per_row(&self) -> (u64, u64) {
+        (self.0.real_cells_per_row(), self.0.padded_cells_per_row())
+    }
+}
+
+fn kernel_timing<K: BatchKernel>(kernel: &K, seconds: f64, residues: u64) -> SweepTiming {
+    let (real, padded) = kernel.cells_per_row();
+    timing(seconds, real * residues, padded * residues)
+}
+
+/// The residue slices of one scheduled batch, in a fixed [`MAX_BATCH`]
+/// array (only `0..batch.len()` is meaningful) so gathering a batch
+/// never allocates.
+fn batch_refs<'a>(seqs: &'a [DigitalSeq], batch: &[usize]) -> [&'a [Residue]; MAX_BATCH] {
+    let mut refs: [&[Residue]; MAX_BATCH] = [&[]; MAX_BATCH];
+    for (r, &i) in refs.iter_mut().zip(batch) {
+        *r = &seqs[i].residues;
+    }
+    refs
+}
+
+/// The batched-sweep driver: build the length-binned schedule over the
+/// `mask`-selected subset of `seqs` (`None` = all), score batches across
+/// the pool (workers steal whole batches), scatter back to original
+/// order. `width = 0` auto-selects the backend's preferred interleave.
+/// The per-batch refs and outputs live in fixed [`MAX_BATCH`] arrays — a
+/// worker's only heap state is its lazily-created workspace, so the
+/// steady-state hot loop performs no allocation — and slots are fully
+/// independent, so results are bit-identical at every width, thread
+/// count and backend.
+pub fn outcomes_batched<K: BatchKernel>(
     pool: &ThreadPool,
-    run_batch: &F,
+    kernel: &K,
     seqs: &[DigitalSeq],
     mask: Option<&[bool]>,
     width: usize,
-) -> Vec<Option<MsvOutcome>>
-where
-    F: Fn(&[&[Residue]], &mut BatchWorkspace, &mut [MsvOutcome]) + Sync,
-{
+) -> Vec<Option<K::Output>> {
+    let width = resolve_batch_width(kernel.backend(), width);
     let lens: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
     let batches = length_binned_batches(&lens, mask, width);
-    let scored: Vec<[MsvOutcome; MAX_BATCH]> =
-        pool.map_collect_init(batches.len(), BatchWorkspace::default, |ws, b| {
+    let scored: Vec<[K::Output; MAX_BATCH]> =
+        pool.map_collect_init(batches.len(), K::Workspace::default, |ws, b| {
             let batch = &batches[b];
-            let mut refs: [&[Residue]; MAX_BATCH] = [&[]; MAX_BATCH];
-            for (r, &i) in refs.iter_mut().zip(batch.iter()) {
-                *r = &seqs[i].residues;
-            }
-            let mut out = [ZERO_OUTCOME; MAX_BATCH];
-            run_batch(&refs[..batch.len()], ws, &mut out[..batch.len()]);
+            let refs = batch_refs(seqs, batch);
+            let mut out = [K::Output::default(); MAX_BATCH];
+            kernel.run_batch_into(&refs[..batch.len()], ws, &mut out[..batch.len()]);
             out
         });
     let mut result = vec![None; seqs.len()];
@@ -267,69 +312,8 @@ where
     result
 }
 
-/// Batched striped-Forward scores (nats) for the `mask`-selected subset
-/// of `seqs` (`None` = all), in original sequence order — the pipeline's
-/// stage-3 survivor rescoring. Same no-allocation discipline and
-/// length-binned schedule as the byte-filter sweeps; slots are fully
-/// independent, so scores are bit-identical at every width and on every
-/// backend.
-pub fn fwd_scores_batched(
-    pool: &ThreadPool,
-    striped: &StripedFwd,
-    p: &Profile,
-    seqs: &[DigitalSeq],
-    mask: Option<&[bool]>,
-    width: usize,
-) -> Vec<Option<f32>> {
-    fwd_scores_batched_pipelined(pool, striped, p, seqs, mask, width, 0)
-}
-
-/// [`fwd_scores_batched`] with an explicit software-pipeline depth
-/// (`0` = auto): the schedule's chain count caps the interleave width
-/// and its lookahead drives the emission-row prefetch. Scores are
-/// bit-identical at every depth.
-#[allow(clippy::too_many_arguments)]
-pub fn fwd_scores_batched_pipelined(
-    pool: &ThreadPool,
-    striped: &StripedFwd,
-    p: &Profile,
-    seqs: &[DigitalSeq],
-    mask: Option<&[bool]>,
-    width: usize,
-    depth: usize,
-) -> Vec<Option<f32>> {
-    let (width, _) = resolve_pipelined_width(striped.backend(), width, depth);
-    let lens: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
-    let batches = length_binned_batches(&lens, mask, width);
-    let scored: Vec<[f32; MAX_BATCH]> =
-        pool.map_collect_init(batches.len(), FwdBatchWorkspace::default, |ws, b| {
-            let batch = &batches[b];
-            let mut refs: [&[Residue]; MAX_BATCH] = [&[]; MAX_BATCH];
-            for (r, &i) in refs.iter_mut().zip(batch.iter()) {
-                *r = &seqs[i].residues;
-            }
-            let mut out = [0f32; MAX_BATCH];
-            striped.run_batch_pipelined_into(
-                p,
-                &refs[..batch.len()],
-                ws,
-                &mut out[..batch.len()],
-                depth,
-            );
-            out
-        });
-    let mut result = vec![None; seqs.len()];
-    for (batch, outs) in batches.iter().zip(scored) {
-        for (&i, s) in batch.iter().zip(outs) {
-            result[i] = Some(s);
-        }
-    }
-    result
-}
-
-/// Batched MSV outcomes for the `mask`-selected subset of `seqs`
-/// (`None` = all), in original sequence order. `width = 0` auto-selects
-/// the backend's preferred interleave.
+/// Batched MSV outcomes for the `mask`-selected subset of `seqs`, in
+/// original sequence order — [`outcomes_batched`] over the byte filter.
 pub fn msv_outcomes_batched(
     pool: &ThreadPool,
     striped: &StripedMsv,
@@ -338,71 +322,21 @@ pub fn msv_outcomes_batched(
     mask: Option<&[bool]>,
     width: usize,
 ) -> Vec<Option<MsvOutcome>> {
-    msv_outcomes_batched_pipelined(pool, striped, om, seqs, mask, width, 0)
+    outcomes_batched(pool, &(striped, om), seqs, mask, width)
 }
 
-/// [`msv_outcomes_batched`] with an explicit software-pipeline depth
-/// (`0` = auto): the schedule's chain count caps the interleave width
-/// (`depth = 1` forces single-chain batches) and its lookahead drives
-/// the table-row prefetch inside the fused loop. Outcomes are
-/// bit-identical at every depth.
-#[allow(clippy::too_many_arguments)]
-pub fn msv_outcomes_batched_pipelined(
+/// Batched striped-Forward scores (nats) for the `mask`-selected subset
+/// of `seqs` — [`outcomes_batched`] over the pipeline's stage-3 survivor
+/// rescoring.
+pub fn fwd_scores_batched(
     pool: &ThreadPool,
-    striped: &StripedMsv,
-    om: &MsvProfile,
+    striped: &StripedFwd,
+    p: &Profile,
     seqs: &[DigitalSeq],
     mask: Option<&[bool]>,
     width: usize,
-    depth: usize,
-) -> Vec<Option<MsvOutcome>> {
-    let (width, _) = resolve_pipelined_width(striped.backend(), width, depth);
-    sweep_batched_with(
-        pool,
-        &|refs: &[&[Residue]], ws: &mut BatchWorkspace, out: &mut [MsvOutcome]| {
-            striped.run_batch_pipelined_into(om, refs, ws, out, depth)
-        },
-        seqs,
-        mask,
-        width,
-    )
-}
-
-/// Batched SSV outcomes for the `mask`-selected subset of `seqs`
-/// (`None` = all), in original sequence order.
-pub fn ssv_outcomes_batched(
-    pool: &ThreadPool,
-    striped: &StripedSsv,
-    om: &MsvProfile,
-    seqs: &[DigitalSeq],
-    mask: Option<&[bool]>,
-    width: usize,
-) -> Vec<Option<MsvOutcome>> {
-    ssv_outcomes_batched_pipelined(pool, striped, om, seqs, mask, width, 0)
-}
-
-/// [`ssv_outcomes_batched`] with an explicit software-pipeline depth
-/// (`0` = auto); outcomes are bit-identical at every depth.
-#[allow(clippy::too_many_arguments)]
-pub fn ssv_outcomes_batched_pipelined(
-    pool: &ThreadPool,
-    striped: &StripedSsv,
-    om: &MsvProfile,
-    seqs: &[DigitalSeq],
-    mask: Option<&[bool]>,
-    width: usize,
-    depth: usize,
-) -> Vec<Option<MsvOutcome>> {
-    let (width, _) = resolve_pipelined_width(striped.backend(), width, depth);
-    sweep_batched_with(
-        pool,
-        &|refs: &[&[Residue]], ws: &mut BatchWorkspace, out: &mut [MsvOutcome]| {
-            striped.run_batch_pipelined_into(om, refs, ws, out, depth)
-        },
-        seqs,
-        mask,
-        width,
-    )
+) -> Vec<Option<f32>> {
+    outcomes_batched(pool, &(striped, p), seqs, mask, width)
 }
 
 /// Worker count below which the fused scan stops packing models
@@ -494,94 +428,24 @@ pub fn model_pack_stats(qs: &[usize], width: usize) -> ModelPackStats {
     stats
 }
 
-/// Shared driver for the fused multi-model sweeps: pack the models by
-/// stripe count (up to `pack_width` members per pack — see
-/// [`fused_pack_width`] for the worker-aware auto policy), split the
-/// interleave width between pack members and sequences
-/// (`width / pack_len` sequences per task, length-binned), and
-/// score every (pack, sequence-batch) task across the pool with the
-/// model-major fused kernels. Outcomes scatter back `[model][seq]`, so
-/// results are bit-identical at every thread count and pack width.
-fn multi_sweep_with<F>(
-    pool: &ThreadPool,
-    n_models: usize,
-    qs: &[usize],
-    run_pack: &F,
-    seqs: &[DigitalSeq],
-    width: usize,
-    pack_width: usize,
-) -> Vec<Vec<MsvOutcome>>
-where
-    F: Fn(&[usize], &[usize], &mut BatchWorkspace, &mut [MsvOutcome]) + Sync,
-{
-    let packs = model_packs(qs, pack_width);
-    let lens: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
-    // Sequence schedules keyed by the per-task sequence share; packs of
-    // equal size reuse the same schedule.
-    let mut schedules: Vec<Option<Vec<Vec<usize>>>> = vec![None; MAX_BATCH + 1];
-    let mut tasks: Vec<(usize, usize)> = Vec::new();
-    for (pi, pack) in packs.iter().enumerate() {
-        let share = (width.clamp(1, MAX_BATCH) / pack.len()).max(1);
-        let sched =
-            schedules[share].get_or_insert_with(|| length_binned_batches(&lens, None, share));
-        for bi in 0..sched.len() {
-            tasks.push((pi, bi));
-        }
-    }
-    let scored: Vec<[MsvOutcome; MAX_BATCH]> =
-        pool.map_collect_init(tasks.len(), BatchWorkspace::default, |ws, t| {
-            let (pi, bi) = tasks[t];
-            let pack = &packs[pi];
-            let share = (width.clamp(1, MAX_BATCH) / pack.len()).max(1);
-            let batch = &schedules[share].as_ref().expect("schedule built above")[bi];
-            let mut out = [ZERO_OUTCOME; MAX_BATCH];
-            run_pack(pack, batch, ws, &mut out[..pack.len() * batch.len()]);
-            out
-        });
-    let mut result = vec![vec![ZERO_OUTCOME; seqs.len()]; n_models];
-    for (&(pi, bi), outs) in tasks.iter().zip(&scored) {
-        let pack = &packs[pi];
-        let share = (width.clamp(1, MAX_BATCH) / pack.len()).max(1);
-        let batch = &schedules[share].as_ref().expect("schedule built above")[bi];
-        for (mp, &mi) in pack.iter().enumerate() {
-            for (sp, &si) in batch.iter().enumerate() {
-                result[mi][si] = outs[mp * batch.len() + sp];
-            }
-        }
-    }
-    result
-}
-
 /// Fused multi-profile MSV sweep: score **every** model against
 /// **every** sequence in one pass over the database. Models are packed
-/// by stripe count ([`model_packs`]) and each pool task runs one model
-/// pack against one length-binned sequence batch through the
-/// model-major fused kernel ([`msv_multi_batch_into`]), so a scan over
-/// N small models costs far less than N independent sweeps.
+/// by stripe count ([`model_packs`], up to [`fused_pack_width`] members
+/// per pack), the interleave width is split between pack members and
+/// sequences (`width / pack_len` sequences per task, length-binned), and
+/// each pool task runs one model pack against one sequence batch through
+/// the model-major fused kernel ([`msv_multi_batch_into`]), so a scan
+/// over N small models costs far less than N independent sweeps.
 ///
 /// All models must share a backend. Returns `out[model][seq]`,
-/// bit-identical to per-model [`msv_outcomes_batched`] at every width
-/// and thread count. `width = 0` auto-selects the backend's preferred
-/// interleave.
+/// bit-identical to per-model [`msv_outcomes_batched`] at every width,
+/// pack width and thread count. `width = 0` auto-selects the backend's
+/// preferred interleave.
 pub fn msv_multi_outcomes(
     pool: &ThreadPool,
     models: &[(&StripedMsv, &MsvProfile)],
     seqs: &[DigitalSeq],
     width: usize,
-) -> Vec<Vec<MsvOutcome>> {
-    msv_multi_outcomes_pipelined(pool, models, seqs, width, 0)
-}
-
-/// [`msv_multi_outcomes`] with an explicit software-pipeline depth
-/// (`0` = auto): the schedule's chain count caps the interleave width
-/// and its lookahead drives the table-row prefetch in the fused kernel.
-/// Outcomes are bit-identical at every depth and pack width.
-pub fn msv_multi_outcomes_pipelined(
-    pool: &ThreadPool,
-    models: &[(&StripedMsv, &MsvProfile)],
-    seqs: &[DigitalSeq],
-    width: usize,
-    depth: usize,
 ) -> Vec<Vec<MsvOutcome>> {
     let Some(first) = models.first() else {
         return Vec::new();
@@ -591,20 +455,35 @@ pub fn msv_multi_outcomes_pipelined(
         models.iter().all(|(s, _)| s.backend() == backend),
         "fused scan members must share a backend"
     );
-    let (width, _) = resolve_pipelined_width(backend, width, depth);
-    let pack_width = fused_pack_width(pool.threads(), width);
+    let width = resolve_batch_width(backend, width);
     let qs: Vec<usize> = models.iter().map(|(s, _)| s.active_q()).collect();
-    multi_sweep_with(
-        pool,
-        models.len(),
-        &qs,
-        &|pack: &[usize], batch: &[usize], ws: &mut BatchWorkspace, out: &mut [MsvOutcome]| {
-            let dummy = MsvPair {
-                striped: models[pack[0]].0,
-                om: models[pack[0]].1,
+    let packs = model_packs(&qs, fused_pack_width(pool.threads(), width));
+    let lens: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
+    // Sequence schedules keyed by the per-task sequence share; packs of
+    // equal size reuse the same schedule.
+    let share = |pack: &[usize]| (width / pack.len()).max(1);
+    let mut schedules: Vec<Option<Vec<Vec<usize>>>> = vec![None; MAX_BATCH + 1];
+    let mut tasks: Vec<(usize, usize)> = Vec::new();
+    for (pi, pack) in packs.iter().enumerate() {
+        let sched = schedules[share(pack)]
+            .get_or_insert_with(|| length_binned_batches(&lens, None, share(pack)));
+        tasks.extend((0..sched.len()).map(|bi| (pi, bi)));
+    }
+    let task = |t: usize| -> (&[usize], &[usize]) {
+        let (pi, bi) = tasks[t];
+        let pack = &packs[pi];
+        let sched = schedules[share(pack)].as_ref();
+        (pack, &sched.expect("schedule built above")[bi])
+    };
+    let scored: Vec<[MsvOutcome; MAX_BATCH]> =
+        pool.map_collect_init(tasks.len(), BatchWorkspace::default, |ws, t| {
+            let (pack, batch) = task(t);
+            let (striped, om) = models[pack[0]];
+            let mut pairs = [MsvPair {
+                striped,
+                om,
                 seq: &[],
-            };
-            let mut pairs = [dummy; MAX_BATCH];
+            }; MAX_BATCH];
             let mut n = 0;
             for &mi in pack {
                 for &si in batch {
@@ -616,75 +495,20 @@ pub fn msv_multi_outcomes_pipelined(
                     n += 1;
                 }
             }
-            msv_multi_batch_pipelined_into(&pairs[..n], ws, out, depth);
-        },
-        seqs,
-        width,
-        pack_width,
-    )
-}
-
-/// Fused multi-profile SSV sweep — the stage-0 twin of
-/// [`msv_multi_outcomes`], bit-identical to per-model
-/// [`ssv_outcomes_batched`].
-pub fn ssv_multi_outcomes(
-    pool: &ThreadPool,
-    models: &[(&StripedSsv, &MsvProfile)],
-    seqs: &[DigitalSeq],
-    width: usize,
-) -> Vec<Vec<MsvOutcome>> {
-    ssv_multi_outcomes_pipelined(pool, models, seqs, width, 0)
-}
-
-/// [`ssv_multi_outcomes`] with an explicit software-pipeline depth
-/// (`0` = auto); outcomes are bit-identical at every depth and pack
-/// width.
-pub fn ssv_multi_outcomes_pipelined(
-    pool: &ThreadPool,
-    models: &[(&StripedSsv, &MsvProfile)],
-    seqs: &[DigitalSeq],
-    width: usize,
-    depth: usize,
-) -> Vec<Vec<MsvOutcome>> {
-    let Some(first) = models.first() else {
-        return Vec::new();
-    };
-    let backend = first.0.backend();
-    assert!(
-        models.iter().all(|(s, _)| s.backend() == backend),
-        "fused scan members must share a backend"
-    );
-    let (width, _) = resolve_pipelined_width(backend, width, depth);
-    let pack_width = fused_pack_width(pool.threads(), width);
-    let qs: Vec<usize> = models.iter().map(|(s, _)| s.active_q()).collect();
-    multi_sweep_with(
-        pool,
-        models.len(),
-        &qs,
-        &|pack: &[usize], batch: &[usize], ws: &mut BatchWorkspace, out: &mut [MsvOutcome]| {
-            let dummy = SsvPair {
-                striped: models[pack[0]].0,
-                om: models[pack[0]].1,
-                seq: &[],
-            };
-            let mut pairs = [dummy; MAX_BATCH];
-            let mut n = 0;
-            for &mi in pack {
-                for &si in batch {
-                    pairs[n] = SsvPair {
-                        striped: models[mi].0,
-                        om: models[mi].1,
-                        seq: &seqs[si].residues,
-                    };
-                    n += 1;
-                }
+            let mut out = [MsvOutcome::default(); MAX_BATCH];
+            msv_multi_batch_into(&pairs[..n], ws, &mut out[..n]);
+            out
+        });
+    let mut result = vec![vec![MsvOutcome::default(); seqs.len()]; models.len()];
+    for (t, outs) in scored.iter().enumerate() {
+        let (pack, batch) = task(t);
+        for (mp, &mi) in pack.iter().enumerate() {
+            for (sp, &si) in batch.iter().enumerate() {
+                result[mi][si] = outs[mp * batch.len() + sp];
             }
-            ssv_multi_batch_pipelined_into(&pairs[..n], ws, out, depth);
-        },
-        seqs,
-        width,
-        pack_width,
-    )
+        }
+    }
+    result
 }
 
 /// MSV-filter every sequence of a database in parallel (one task per
@@ -707,7 +531,25 @@ pub fn msv_sweep(pool: &ThreadPool, om: &MsvProfile, db: &SeqDb) -> (Vec<MsvOutc
     )
 }
 
-/// MSV-filter every sequence with the interleaved batch kernels
+/// Sweep a whole database through a batched kernel
+/// ([`outcomes_batched`], unmasked) and time it. Results are in original
+/// order.
+pub fn sweep_batched<K: BatchKernel>(
+    pool: &ThreadPool,
+    kernel: &K,
+    db: &SeqDb,
+    width: usize,
+) -> (Vec<K::Output>, SweepTiming) {
+    let start = Instant::now();
+    let outcomes = outcomes_batched(pool, kernel, &db.seqs, None, width)
+        .into_iter()
+        .map(|o| o.expect("unmasked batched sweep scores every sequence"))
+        .collect();
+    let secs = start.elapsed().as_secs_f64();
+    (outcomes, kernel_timing(kernel, secs, db.total_residues()))
+}
+
+/// MSV-filter every sequence with the interleaved batch kernel
 /// (length-binned schedule, one task per batch). Outcomes are
 /// bit-identical to [`msv_sweep`], in original order.
 pub fn msv_sweep_batched(
@@ -716,74 +558,18 @@ pub fn msv_sweep_batched(
     db: &SeqDb,
     width: usize,
 ) -> (Vec<MsvOutcome>, SweepTiming) {
-    let striped = StripedMsv::new(om);
-    let start = Instant::now();
-    let outcomes: Vec<MsvOutcome> = msv_outcomes_batched(pool, &striped, om, &db.seqs, None, width)
-        .into_iter()
-        .map(|o| o.expect("unmasked batched sweep scores every sequence"))
-        .collect();
-    let secs = start.elapsed().as_secs_f64();
-    let res = db.total_residues();
-    (
-        outcomes,
-        timing(
-            secs,
-            striped.real_cells_per_row() as u64 * res,
-            striped.padded_cells_per_row() as u64 * res,
-        ),
-    )
-}
-
-/// SSV-filter every sequence with the interleaved batch kernels.
-pub fn ssv_sweep_batched(
-    pool: &ThreadPool,
-    om: &MsvProfile,
-    db: &SeqDb,
-    width: usize,
-) -> (Vec<MsvOutcome>, SweepTiming) {
-    let striped = StripedSsv::new(om);
-    let start = Instant::now();
-    let outcomes: Vec<MsvOutcome> = ssv_outcomes_batched(pool, &striped, om, &db.seqs, None, width)
-        .into_iter()
-        .map(|o| o.expect("unmasked batched sweep scores every sequence"))
-        .collect();
-    let secs = start.elapsed().as_secs_f64();
-    let res = db.total_residues();
-    (
-        outcomes,
-        timing(
-            secs,
-            striped.real_cells_per_row() as u64 * res,
-            striped.padded_cells_per_row() as u64 * res,
-        ),
-    )
+    sweep_batched(pool, &(&StripedMsv::new(om), om), db, width)
 }
 
 /// Forward-score every sequence with the striped odds-space batch
-/// kernels (length-binned schedule, one pool task per batch). Scores are
-/// in original order; timing counts real Forward cells (`3·M·L`).
+/// kernel; timing counts real Forward cells (`3·M·L`).
 pub fn fwd_sweep_batched(
     pool: &ThreadPool,
     p: &Profile,
     db: &SeqDb,
     width: usize,
 ) -> (Vec<f32>, SweepTiming) {
-    let striped = StripedFwd::new(p);
-    let start = Instant::now();
-    let scores: Vec<f32> = fwd_scores_batched(pool, &striped, p, &db.seqs, None, width)
-        .into_iter()
-        .map(|s| s.expect("unmasked batched sweep scores every sequence"))
-        .collect();
-    let secs = start.elapsed().as_secs_f64();
-    let res = db.total_residues();
-    (
-        scores,
-        timing(
-            secs,
-            striped.real_cells_per_row() * res,
-            striped.padded_cells_per_row() * res,
-        ),
-    )
+    sweep_batched(pool, &(&StripedFwd::new(p), p), db, width)
 }
 
 /// Viterbi-filter every sequence of a database in parallel.
@@ -820,39 +606,6 @@ pub fn vit_sweep(
     )
 }
 
-/// Viterbi-filter only the subset of sequences selected by `mask`
-/// (the post-MSV survivors in the pipeline).
-pub fn vit_sweep_masked(
-    pool: &ThreadPool,
-    om: &VitProfile,
-    db: &SeqDb,
-    mask: &[bool],
-) -> (Vec<Option<VitOutcome>>, SweepTiming) {
-    assert_eq!(mask.len(), db.len());
-    let striped = StripedVit::new(om);
-    let start = Instant::now();
-    let outcomes: Vec<Option<VitOutcome>> =
-        pool.map_collect_init(db.len(), VitWorkspace::default, |ws, i| {
-            mask[i].then(|| striped.run_into(om, &db.seqs[i].residues, ws).0)
-        });
-    let secs = start.elapsed().as_secs_f64();
-    let res: u64 = db
-        .seqs
-        .iter()
-        .zip(mask)
-        .filter(|&(_, &keep)| keep)
-        .map(|(s, _)| s.len() as u64)
-        .sum();
-    (
-        outcomes,
-        timing(
-            secs,
-            striped.real_cells_per_row() as u64 * res,
-            striped.padded_cells_per_row() as u64 * res,
-        ),
-    )
-}
-
 /// Measure single-thread striped-MSV throughput (cells/s) on a sample —
 /// the calibration input for the analytic CPU-side time model.
 pub fn measure_msv_throughput(om: &MsvProfile, db: &SeqDb, max_seqs: usize) -> SweepTiming {
@@ -872,124 +625,31 @@ pub fn measure_msv_throughput(om: &MsvProfile, db: &SeqDb, max_seqs: usize) -> S
     )
 }
 
-/// Measure single-thread **batched** striped-MSV throughput at a given
-/// interleave width and pipeline depth (the `batched_filter_loops` and
-/// `pipelined_filter_loops` bench rows). The depth's chain count caps
-/// the width, so `depth = 1` measures the honest single-chain baseline.
-pub fn measure_msv_batched(
-    striped: &StripedMsv,
-    om: &MsvProfile,
+/// Measure single-thread **batched** throughput of a kernel at a given
+/// interleave width over the first `max_seqs` sequences (the
+/// `batched_filter_loops` and `forward_loops` bench rows): the bare
+/// fused loop, with no pool, schedule or scatter inside the timed
+/// region.
+pub fn measure_batched<K: BatchKernel>(
+    kernel: &K,
     db: &SeqDb,
     max_seqs: usize,
     width: usize,
-    depth: usize,
 ) -> SweepTiming {
-    let (width, _) = resolve_pipelined_width(striped.backend(), width, depth);
-    let n = max_seqs.min(db.len());
-    let lens: Vec<usize> = db.seqs.iter().take(n).map(|s| s.len()).collect();
+    let width = resolve_batch_width(kernel.backend(), width);
+    let seqs = &db.seqs[..max_seqs.min(db.len())];
+    let lens: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
     let batches = length_binned_batches(&lens, None, width);
-    let mut ws = BatchWorkspace::default();
-    let mut out = [ZERO_OUTCOME; MAX_BATCH];
-    let res: u64 = lens.iter().map(|&l| l as u64).sum();
+    let mut ws = K::Workspace::default();
+    let mut out = [K::Output::default(); MAX_BATCH];
     let start = Instant::now();
     for batch in &batches {
-        let mut refs: [&[Residue]; MAX_BATCH] = [&[]; MAX_BATCH];
-        for (r, &i) in refs.iter_mut().zip(batch.iter()) {
-            *r = &db.seqs[i].residues;
-        }
-        striped.run_batch_pipelined_into(
-            om,
-            &refs[..batch.len()],
-            &mut ws,
-            &mut out[..batch.len()],
-            depth,
-        );
+        let refs = batch_refs(seqs, batch);
+        kernel.run_batch_into(&refs[..batch.len()], &mut ws, &mut out[..batch.len()]);
         std::hint::black_box(&out);
     }
-    timing(
-        start.elapsed().as_secs_f64(),
-        striped.real_cells_per_row() as u64 * res,
-        striped.padded_cells_per_row() as u64 * res,
-    )
-}
-
-/// Measure single-thread **batched** striped-SSV throughput at a given
-/// interleave width and pipeline depth.
-pub fn measure_ssv_batched(
-    striped: &StripedSsv,
-    om: &MsvProfile,
-    db: &SeqDb,
-    max_seqs: usize,
-    width: usize,
-    depth: usize,
-) -> SweepTiming {
-    let (width, _) = resolve_pipelined_width(striped.backend(), width, depth);
-    let n = max_seqs.min(db.len());
-    let lens: Vec<usize> = db.seqs.iter().take(n).map(|s| s.len()).collect();
-    let batches = length_binned_batches(&lens, None, width);
-    let mut ws = BatchWorkspace::default();
-    let mut out = [ZERO_OUTCOME; MAX_BATCH];
-    let res: u64 = lens.iter().map(|&l| l as u64).sum();
-    let start = Instant::now();
-    for batch in &batches {
-        let mut refs: [&[Residue]; MAX_BATCH] = [&[]; MAX_BATCH];
-        for (r, &i) in refs.iter_mut().zip(batch.iter()) {
-            *r = &db.seqs[i].residues;
-        }
-        striped.run_batch_pipelined_into(
-            om,
-            &refs[..batch.len()],
-            &mut ws,
-            &mut out[..batch.len()],
-            depth,
-        );
-        std::hint::black_box(&out);
-    }
-    timing(
-        start.elapsed().as_secs_f64(),
-        striped.real_cells_per_row() as u64 * res,
-        striped.padded_cells_per_row() as u64 * res,
-    )
-}
-
-/// Measure single-thread **batched** striped-Forward throughput at a
-/// given interleave width and pipeline depth (the `forward_loops` and
-/// `pipelined_filter_loops` bench rows).
-pub fn measure_fwd_batched(
-    striped: &StripedFwd,
-    p: &Profile,
-    db: &SeqDb,
-    max_seqs: usize,
-    width: usize,
-    depth: usize,
-) -> SweepTiming {
-    let (width, _) = resolve_pipelined_width(striped.backend(), width, depth);
-    let n = max_seqs.min(db.len());
-    let lens: Vec<usize> = db.seqs.iter().take(n).map(|s| s.len()).collect();
-    let batches = length_binned_batches(&lens, None, width);
-    let mut ws = FwdBatchWorkspace::default();
-    let mut out = [0f32; MAX_BATCH];
-    let res: u64 = lens.iter().map(|&l| l as u64).sum();
-    let start = Instant::now();
-    for batch in &batches {
-        let mut refs: [&[Residue]; MAX_BATCH] = [&[]; MAX_BATCH];
-        for (r, &i) in refs.iter_mut().zip(batch.iter()) {
-            *r = &db.seqs[i].residues;
-        }
-        striped.run_batch_pipelined_into(
-            p,
-            &refs[..batch.len()],
-            &mut ws,
-            &mut out[..batch.len()],
-            depth,
-        );
-        std::hint::black_box(&out);
-    }
-    timing(
-        start.elapsed().as_secs_f64(),
-        striped.real_cells_per_row() * res,
-        striped.padded_cells_per_row() * res,
-    )
+    let secs = start.elapsed().as_secs_f64();
+    kernel_timing(kernel, secs, lens.iter().map(|&l| l as u64).sum())
 }
 
 /// Measure single-thread throughput of the scalar log-space
@@ -1027,7 +687,6 @@ pub fn measure_vit_throughput(om: &VitProfile, db: &SeqDb, max_seqs: usize) -> S
 mod tests {
     use super::*;
     use crate::quantized::{msv_filter_scalar, vit_filter_scalar};
-    use crate::ssv::ssv_filter_scalar;
     use h3w_hmm::background::NullModel;
     use h3w_hmm::build::{synthetic_model, BuildParams};
     use h3w_hmm::profile::Profile;
@@ -1096,16 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_ssv_sweep_matches_scalar_spec() {
-        let (msv, _, db) = setup();
-        let (got, t) = ssv_sweep_batched(pool(), &msv, &db, 0);
-        for (i, seq) in db.seqs.iter().enumerate() {
-            assert_eq!(got[i], ssv_filter_scalar(&msv, &seq.residues), "seq {i}");
-        }
-        assert_eq!(t.real_cells, 40 * db.total_residues());
-    }
-
-    #[test]
     fn model_packs_never_mix_stripe_counts() {
         // q values with runs: three 3s, one 5, two 7s.
         let qs = [3usize, 7, 3, 5, 7, 3];
@@ -1147,7 +796,7 @@ mod tests {
     }
 
     /// Build a mixed-q model set spanning several stripe-count bins.
-    fn multi_setup() -> (Vec<(MsvProfile, StripedMsv, StripedSsv)>, SeqDb) {
+    fn multi_setup() -> (Vec<(MsvProfile, StripedMsv)>, SeqDb) {
         let bg = NullModel::new();
         let mut models = Vec::new();
         for (i, m) in [33usize, 40, 48, 70, 100].into_iter().enumerate() {
@@ -1155,8 +804,7 @@ mod tests {
             let p = Profile::config(&core, &bg);
             let om = MsvProfile::from_profile(&p);
             let msv = StripedMsv::new(&om);
-            let ssv = StripedSsv::new(&om);
-            models.push((om, msv, ssv));
+            models.push((om, msv));
         }
         let mut spec = DbGenSpec::swissprot_like().scaled(0.00015);
         spec.homolog_fraction = 0.1;
@@ -1169,24 +817,16 @@ mod tests {
     fn fused_multi_sweep_matches_per_model_scalar() {
         let (models, db) = multi_setup();
         let msv_refs: Vec<(&StripedMsv, &MsvProfile)> =
-            models.iter().map(|(om, s, _)| (s, om)).collect();
-        let ssv_refs: Vec<(&StripedSsv, &MsvProfile)> =
-            models.iter().map(|(om, _, s)| (s, om)).collect();
+            models.iter().map(|(om, s)| (s, om)).collect();
         for width in [0usize, 1, 2, 3, 4] {
             let m_out = msv_multi_outcomes(pool(), &msv_refs, &db.seqs, width);
-            let s_out = ssv_multi_outcomes(pool(), &ssv_refs, &db.seqs, width);
             assert_eq!(m_out.len(), models.len());
-            for (mi, (om, _, _)) in models.iter().enumerate() {
+            for (mi, (om, _)) in models.iter().enumerate() {
                 for (si, seq) in db.seqs.iter().enumerate() {
                     assert_eq!(
                         m_out[mi][si],
                         msv_filter_scalar(om, &seq.residues),
                         "msv model {mi} seq {si} width {width}"
-                    );
-                    assert_eq!(
-                        s_out[mi][si],
-                        ssv_filter_scalar(om, &seq.residues),
-                        "ssv model {mi} seq {si} width {width}"
                     );
                 }
             }
@@ -1197,8 +837,7 @@ mod tests {
     #[test]
     fn fused_multi_sweep_is_thread_invariant() {
         let (models, db) = multi_setup();
-        let refs: Vec<(&StripedMsv, &MsvProfile)> =
-            models.iter().map(|(om, s, _)| (s, om)).collect();
+        let refs: Vec<(&StripedMsv, &MsvProfile)> = models.iter().map(|(om, s)| (s, om)).collect();
         let one = ThreadPool::new(1);
         let want = msv_multi_outcomes(&one, &refs, &db.seqs, 0);
         for threads in [2usize, 4, 8] {
@@ -1292,20 +931,6 @@ mod tests {
     }
 
     #[test]
-    fn masked_sweep_skips_unselected() {
-        let (_, vit, db) = setup();
-        let mut mask = vec![false; db.len()];
-        mask[0] = true;
-        mask[db.len() - 1] = true;
-        let (out, t) = vit_sweep_masked(pool(), &vit, &db, &mask);
-        assert!(out[0].is_some());
-        assert!(out[1].is_none());
-        assert!(out[db.len() - 1].is_some());
-        let expect_cells = 3 * 40 * (db.seqs[0].len() as u64 + db.seqs[db.len() - 1].len() as u64);
-        assert_eq!(t.real_cells, expect_cells);
-    }
-
-    #[test]
     fn batched_fwd_scores_match_single_runs() {
         let bg = NullModel::new();
         let core = synthetic_model(40, 17, &BuildParams::default());
@@ -1328,7 +953,7 @@ mod tests {
                 }
             }
         }
-        let t = measure_fwd_batched(&striped, &p, &db, 30, 4, 0);
+        let t = measure_batched(&(&striped, &p), &db, 30, 4);
         let tg = measure_fwd_generic(&p, &db, 30);
         assert!(t.cells_per_sec > 1e6, "striped fwd {}", t.cells_per_sec);
         assert!(tg.cells_per_sec > 1e4, "generic fwd {}", tg.cells_per_sec);

@@ -1,5 +1,5 @@
-//! Property tests: the batched interleaved MSV/SSV kernels are bit-identical
-//! to the single-sequence kernels — scores, overflow flags, `xJ` state —
+//! Property tests: the batched interleaved MSV kernel is bit-identical
+//! to the single-sequence kernel — scores, overflow flags, `xJ` state —
 //! across every available backend, every batch width `1..=MAX_BATCH`, and
 //! the hard cases: overflowing slots dropping out mid-batch, length-skewed
 //! batches where slots retire one by one, and empty/degenerate sequences.
@@ -9,8 +9,8 @@
 
 use h3w_cpu::striped_msv::StripedMsv;
 use h3w_cpu::{
-    length_binned_batches, msv_filter_scalar, msv_outcomes_batched, ssv_filter_scalar,
-    ssv_outcomes_batched, Backend, BatchWorkspace, MsvOutcome, StripedSsv, MAX_BATCH,
+    length_binned_batches, msv_filter_scalar, msv_outcomes_batched, Backend, BatchWorkspace,
+    MsvOutcome, MAX_BATCH,
 };
 use h3w_hmm::build::{synthetic_model, BuildParams};
 use h3w_hmm::calibrate::random_seq;
@@ -37,7 +37,7 @@ fn bits(o: &MsvOutcome) -> (u8, bool, u32) {
 }
 
 /// Score `seqs` through the batched kernel at `width` on `backend` and
-/// assert every outcome matches the scalar single-sequence references.
+/// assert every outcome matches the scalar single-sequence reference.
 fn assert_batched_matches(
     om: &MsvProfile,
     seqs: &[Vec<u8>],
@@ -46,7 +46,6 @@ fn assert_batched_matches(
     ctx: &str,
 ) -> Result<(), TestCaseError> {
     let smsv = StripedMsv::with_backend(om, backend);
-    let sssv = StripedSsv::with_backend(om, backend);
     let mut ws = BatchWorkspace::default();
     for batch in seqs.chunks(width) {
         let refs: Vec<&[u8]> = batch.iter().map(|s| s.as_slice()).collect();
@@ -58,25 +57,13 @@ fn assert_batched_matches(
             };
             refs.len()
         ];
-        let mut got_ssv = got_msv.clone();
         smsv.run_batch_into(om, &refs, &mut ws, &mut got_msv);
-        sssv.run_batch_into(om, &refs, &mut ws, &mut got_ssv);
         for (i, seq) in batch.iter().enumerate() {
             let want_msv = msv_filter_scalar(om, seq);
-            let want_ssv = ssv_filter_scalar(om, seq);
             prop_assert_eq!(
                 bits(&want_msv),
                 bits(&got_msv[i]),
                 "MSV {} S={} slot {} len {} diverged ({ctx})",
-                backend,
-                width,
-                i,
-                seq.len()
-            );
-            prop_assert_eq!(
-                bits(&want_ssv),
-                bits(&got_ssv[i]),
-                "SSV {} S={} slot {} len {} diverged ({ctx})",
                 backend,
                 width,
                 i,
@@ -138,58 +125,12 @@ proptest! {
     }
 
     #[test]
-    fn pipelined_batches_bit_identical_at_every_depth(
-        m in 1usize..300,
-        model_seed in 0u64..10_000,
-        seq_seed in 0u64..10_000,
-    ) {
-        // The software-pipeline depth only changes the prefetch distance
-        // of the fused loop — outcomes must stay bit-identical to the
-        // scalar references at every depth, including depths deeper than
-        // the batch is wide.
-        let (_, om) = model_and_profile(m, model_seed);
-        let mut rng = StdRng::seed_from_u64(seq_seed);
-        let seqs: Vec<Vec<u8>> = (0..MAX_BATCH)
-            .map(|i| random_seq(&mut rng, 3 + 97 * i * i))
-            .collect();
-        let refs: Vec<&[u8]> = seqs.iter().map(|s| s.as_slice()).collect();
-        for backend in Backend::all_available() {
-            let smsv = StripedMsv::with_backend(&om, backend);
-            let sssv = StripedSsv::with_backend(&om, backend);
-            let mut ws = BatchWorkspace::default();
-            for depth in [0usize, 1, 2, 4, 8] {
-                let mut got_msv = vec![
-                    MsvOutcome { xj: 0, overflow: false, score: 0.0 };
-                    refs.len()
-                ];
-                let mut got_ssv = got_msv.clone();
-                smsv.run_batch_pipelined_into(&om, &refs, &mut ws, &mut got_msv, depth);
-                sssv.run_batch_pipelined_into(&om, &refs, &mut ws, &mut got_ssv, depth);
-                for (i, seq) in seqs.iter().enumerate() {
-                    prop_assert_eq!(
-                        bits(&msv_filter_scalar(&om, seq)),
-                        bits(&got_msv[i]),
-                        "MSV {} depth {} slot {} diverged",
-                        backend, depth, i
-                    );
-                    prop_assert_eq!(
-                        bits(&ssv_filter_scalar(&om, seq)),
-                        bits(&got_ssv[i]),
-                        "SSV {} depth {} slot {} diverged",
-                        backend, depth, i
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn masked_batched_sweep_matches_filters(
         m in 1usize..200,
         seq_seed in 0u64..10_000,
         mask_bits in 0u32..(1 << 10),
     ) {
-        // The full scheduler path: mask → length bins → batched kernels →
+        // The full scheduler path: mask → length bins → batched kernel →
         // scatter back to input order.
         let (_, om) = model_and_profile(m, 7);
         let mut rng = StdRng::seed_from_u64(seq_seed);
@@ -202,18 +143,12 @@ proptest! {
             .collect();
         let mask: Vec<bool> = (0..10).map(|i| mask_bits & (1 << i) != 0).collect();
         let striped_msv = StripedMsv::new(&om);
-        let striped_ssv = StripedSsv::new(&om);
         let pool = h3w_cpu::ThreadPool::global();
         let got_msv = msv_outcomes_batched(pool, &striped_msv, &om, &seqs, Some(&mask), 0);
-        let got_ssv = ssv_outcomes_batched(pool, &striped_ssv, &om, &seqs, Some(&mask), 0);
         for i in 0..10 {
             prop_assert_eq!(got_msv[i].is_some(), mask[i]);
-            prop_assert_eq!(got_ssv[i].is_some(), mask[i]);
             if let Some(o) = &got_msv[i] {
                 prop_assert_eq!(bits(&msv_filter_scalar(&om, &seqs[i].residues)), bits(o));
-            }
-            if let Some(o) = &got_ssv[i] {
-                prop_assert_eq!(bits(&ssv_filter_scalar(&om, &seqs[i].residues)), bits(o));
             }
         }
     }

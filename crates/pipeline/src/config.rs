@@ -7,7 +7,7 @@
 //! ≈ 2% → ≈ 0.1% of sequences down the pipeline — which is precisely the
 //! 100% → 2.2% → 0.1% funnel of the paper's Fig. 1.
 
-use h3w_cpu::{MAX_BATCH, MAX_PIPELINE_DEPTH};
+use h3w_cpu::MAX_BATCH;
 
 /// Stage thresholds and reporting cutoff.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,34 +24,10 @@ pub struct PipelineConfig {
     /// before P-values (HMMER applies it by default; here it is opt-in so
     /// raw-score comparisons across implementations stay exact).
     pub null2: bool,
-    /// Run the SSV filter as a stage-0 pre-filter ahead of MSV (off by
-    /// default, so the default funnel is exactly HMMER 3.0's). SSV is MSV
-    /// without the J (multi-hit) state — cheaper per row and the best-case
-    /// kernel for batched interleaving — at a small sensitivity cost the
-    /// loose `f0` threshold keeps negligible.
-    pub ssv: bool,
-    /// SSV pre-filter P-value threshold (only read when `ssv` is on).
-    /// Deliberately looser than `f1` so near-threshold MSV candidates are
-    /// never cut by the cheaper approximation.
-    pub f0: f64,
     /// Batch width for the interleaved filter sweeps: `0` picks the
     /// backend's preferred width, `1` scores sequences one at a time
     /// (bit-identical either way; see `h3w_cpu::batch`).
     pub batch: usize,
-    /// Software-pipeline depth for the batched filter loops: `0` = auto,
-    /// `1` = un-pipelined (single chain, no prefetch), up to
-    /// `h3w_cpu::MAX_PIPELINE_DEPTH`. The depth resolves to an in-flight
-    /// chain count (capping the batch width) plus a table-row prefetch
-    /// lookahead (see `h3w_cpu::pipe`). Hits and funnels are
-    /// bit-identical at every depth — the knob only moves wall time.
-    pub pipeline_depth: usize,
-    /// Escape hatch: score stage 3 with the generic log-space Forward
-    /// (`forward_generic`) instead of the striped odds-space filter.
-    /// Off by default — the striped filter is the production path and is
-    /// *closer* to the exact recurrence than the flogsum-table generic
-    /// code (see DESIGN.md) — but the oracle remains one flag away for
-    /// A/B validation and drift triage.
-    pub fwd_generic: bool,
     /// CPU worker threads for the sweep fan-out: `0` (the default) shares
     /// the process-global pool sized by `H3W_THREADS` / available
     /// parallelism; `n ≥ 1` gives this pipeline a dedicated `n`-thread
@@ -68,11 +44,7 @@ impl Default for PipelineConfig {
             f3: 1e-5,
             report_evalue: 10.0,
             null2: false,
-            ssv: false,
-            f0: 0.08,
             batch: 0,
-            pipeline_depth: 0,
-            fwd_generic: false,
             threads: 0,
         }
     }
@@ -85,14 +57,7 @@ impl PipelineConfig {
             f1: 1.0,
             f2: 1.0,
             f3: 1.0,
-            report_evalue: 10.0,
-            null2: false,
-            ssv: false,
-            f0: 1.0,
-            batch: 0,
-            pipeline_depth: 0,
-            fwd_generic: false,
-            threads: 0,
+            ..Default::default()
         }
     }
 
@@ -103,7 +68,6 @@ impl PipelineConfig {
     pub fn builder() -> PipelineConfigBuilder {
         PipelineConfigBuilder {
             config: PipelineConfig::default(),
-            f0_explicit: false,
         }
     }
 
@@ -112,12 +76,7 @@ impl PipelineConfig {
     /// kernels' [`MAX_BATCH`]. (Struct literals bypass this; the builder
     /// enforces it.)
     pub fn validate(&self) -> Result<(), ConfigError> {
-        for (field, value) in [
-            ("f0", self.f0),
-            ("f1", self.f1),
-            ("f2", self.f2),
-            ("f3", self.f3),
-        ] {
+        for (field, value) in [("f1", self.f1), ("f2", self.f2), ("f3", self.f3)] {
             if !(value.is_finite() && value > 0.0 && value <= 1.0) {
                 return Err(ConfigError::Threshold { field, value });
             }
@@ -133,12 +92,6 @@ impl PipelineConfig {
                 max: MAX_BATCH,
             });
         }
-        if self.pipeline_depth > MAX_PIPELINE_DEPTH {
-            return Err(ConfigError::PipelineDepthTooDeep {
-                requested: self.pipeline_depth,
-                max: MAX_PIPELINE_DEPTH,
-            });
-        }
         if self.threads > h3w_cpu::h3w_pool::MAX_THREADS {
             return Err(ConfigError::Threads {
                 requested: self.threads,
@@ -152,12 +105,9 @@ impl PipelineConfig {
 /// Why a [`PipelineConfigBuilder::build`] refused a configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
-    /// `f0` was set without enabling the SSV pre-filter — the threshold
-    /// would be silently ignored.
-    F0WithoutSsv,
     /// A P-value threshold outside `(0, 1]`.
     Threshold {
-        /// Which threshold (`f0`..`f3`).
+        /// Which threshold (`f1`..`f3`).
         field: &'static str,
         /// The rejected value.
         value: f64,
@@ -173,14 +123,6 @@ pub enum ConfigError {
         /// The rejected width.
         requested: usize,
         /// The kernels' maximum interleave.
-        max: usize,
-    },
-    /// Software-pipeline depth beyond what the fused loops support
-    /// (`0` = auto is always accepted).
-    PipelineDepthTooDeep {
-        /// The rejected depth.
-        requested: usize,
-        /// The kernels' maximum depth.
         max: usize,
     },
     /// Thread count beyond the pool's hard ceiling
@@ -202,12 +144,6 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::F0WithoutSsv => {
-                write!(
-                    f,
-                    "f0 is the SSV pre-filter threshold; enable ssv to use it"
-                )
-            }
             ConfigError::Threshold { field, value } => {
                 write!(f, "{field} must be a P-value in (0, 1], got {value}")
             }
@@ -218,12 +154,6 @@ impl std::fmt::Display for ConfigError {
                 write!(
                     f,
                     "batch width {requested} exceeds the kernel maximum {max} (0 = auto)"
-                )
-            }
-            ConfigError::PipelineDepthTooDeep { requested, max } => {
-                write!(
-                    f,
-                    "pipeline depth {requested} exceeds the kernel maximum {max} (0 = auto)"
                 )
             }
             ConfigError::Threads { requested, max } => {
@@ -250,7 +180,6 @@ impl std::error::Error for ConfigError {}
 #[derive(Debug, Clone)]
 pub struct PipelineConfigBuilder {
     config: PipelineConfig,
-    f0_explicit: bool,
 }
 
 impl PipelineConfigBuilder {
@@ -284,36 +213,9 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Enable the SSV stage-0 pre-filter.
-    pub fn ssv(mut self, on: bool) -> Self {
-        self.config.ssv = on;
-        self
-    }
-
-    /// SSV pre-filter P-value threshold; requires [`Self::ssv`] or
-    /// [`Self::build`] rejects the configuration.
-    pub fn f0(mut self, v: f64) -> Self {
-        self.config.f0 = v;
-        self.f0_explicit = true;
-        self
-    }
-
     /// Batch width for the interleaved filter sweeps (`0` = auto).
     pub fn batch(mut self, width: usize) -> Self {
         self.config.batch = width;
-        self
-    }
-
-    /// Software-pipeline depth for the batched filter loops (`0` = auto,
-    /// `1` = un-pipelined baseline).
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.config.pipeline_depth = depth;
-        self
-    }
-
-    /// Score stage 3 with the generic log-space Forward oracle.
-    pub fn fwd_generic(mut self, on: bool) -> Self {
-        self.config.fwd_generic = on;
         self
     }
 
@@ -327,15 +229,11 @@ impl PipelineConfigBuilder {
     /// Replace everything set so far with `--max` sensitivity mode.
     pub fn max_sensitivity(mut self) -> Self {
         self.config = PipelineConfig::max_sensitivity();
-        self.f0_explicit = false;
         self
     }
 
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<PipelineConfig, ConfigError> {
-        if self.f0_explicit && !self.config.ssv {
-            return Err(ConfigError::F0WithoutSsv);
-        }
         self.config.validate()?;
         Ok(self.config)
     }
@@ -351,6 +249,7 @@ mod tests {
         assert_eq!(c.f1, 0.02);
         assert_eq!(c.f2, 1e-3);
         assert_eq!(c.f3, 1e-5);
+        assert_eq!(c.batch, 0, "batch width defaults to auto");
     }
 
     #[test]
@@ -358,21 +257,7 @@ mod tests {
         let c = PipelineConfig::max_sensitivity();
         assert_eq!(c.f1, 1.0);
         assert_eq!(c.f2, 1.0);
-        assert!(!c.ssv);
-    }
-
-    #[test]
-    fn ssv_prefilter_defaults_off_and_loose() {
-        let c = PipelineConfig::default();
-        assert!(!c.ssv, "SSV must be opt-in: default funnels are HMMER's");
-        assert!(c.f0 > c.f1, "f0 must be looser than f1");
-        assert_eq!(c.batch, 0, "batch width defaults to auto");
-    }
-
-    #[test]
-    fn striped_forward_is_the_default_stage3() {
-        assert!(!PipelineConfig::default().fwd_generic);
-        assert!(!PipelineConfig::max_sensitivity().fwd_generic);
+        assert_eq!(c.f3, 1.0);
     }
 
     #[test]
@@ -385,23 +270,6 @@ mod tests {
             PipelineConfig::builder().max_sensitivity().build().unwrap(),
             PipelineConfig::max_sensitivity()
         );
-    }
-
-    #[test]
-    fn builder_rejects_f0_without_ssv() {
-        let err = PipelineConfig::builder().f0(0.05).build().unwrap_err();
-        assert_eq!(err, ConfigError::F0WithoutSsv);
-        // With SSV on, the same f0 is accepted…
-        let cfg = PipelineConfig::builder()
-            .ssv(true)
-            .f0(0.05)
-            .build()
-            .unwrap();
-        assert!(cfg.ssv);
-        assert_eq!(cfg.f0, 0.05);
-        // …and enabling SSV without touching f0 keeps the loose default.
-        let cfg = PipelineConfig::builder().ssv(true).build().unwrap();
-        assert_eq!(cfg.f0, PipelineConfig::default().f0);
     }
 
     #[test]
@@ -420,28 +288,6 @@ mod tests {
         // 0 = auto and the maximum itself are both valid.
         assert!(PipelineConfig::builder().batch(0).build().is_ok());
         assert!(PipelineConfig::builder().batch(MAX_BATCH).build().is_ok());
-    }
-
-    #[test]
-    fn builder_rejects_pipeline_depth_beyond_kernel_maximum() {
-        let err = PipelineConfig::builder()
-            .pipeline_depth(MAX_PIPELINE_DEPTH + 1)
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::PipelineDepthTooDeep {
-                requested: MAX_PIPELINE_DEPTH + 1,
-                max: MAX_PIPELINE_DEPTH
-            }
-        );
-        // 0 = auto, the un-pipelined baseline, and the maximum are valid.
-        assert!(PipelineConfig::builder().pipeline_depth(0).build().is_ok());
-        assert!(PipelineConfig::builder().pipeline_depth(1).build().is_ok());
-        assert!(PipelineConfig::builder()
-            .pipeline_depth(MAX_PIPELINE_DEPTH)
-            .build()
-            .is_ok());
     }
 
     #[test]
@@ -508,7 +354,6 @@ mod tests {
     #[test]
     fn config_errors_render_for_cli_use() {
         // guarded_main prints these verbatim; each must name the field.
-        assert!(ConfigError::F0WithoutSsv.to_string().contains("ssv"));
         let e = ConfigError::Threshold {
             field: "f2",
             value: 2.0,

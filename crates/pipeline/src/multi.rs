@@ -25,11 +25,9 @@ use crate::config::{ConfigError, PipelineConfig};
 use crate::report::{Hit, StageStats};
 use crate::run::{ExecPlan, Pipeline};
 use h3w_core::fault::SweepError;
-use h3w_cpu::reference::forward_generic;
 use h3w_cpu::{
-    fused_pack_width, model_pack_stats, msv_multi_outcomes_pipelined,
-    msv_outcomes_batched_pipelined, resolve_pipelined_width, ssv_multi_outcomes_pipelined,
-    FwdWorkspace, PoolHandle, StripedMsv, StripedSsv, ThreadPool, VitWorkspace,
+    fused_pack_width, model_pack_stats, msv_multi_outcomes, resolve_batch_width, FwdWorkspace,
+    PoolHandle, StripedMsv, ThreadPool, VitWorkspace,
 };
 use h3w_hmm::msvprofile::MsvProfile;
 use h3w_hmm::plan7::CoreModel;
@@ -220,9 +218,8 @@ pub fn prepare_scan(models: &[CoreModel], config: PipelineConfig, seed: u64) -> 
 /// the per-call calibration cost. `fused = true` drives the one-traversal
 /// fused sweep; `fused = false` fans independent per-pipe searches across
 /// the global pool. `config` must be the config the pipes were prepared
-/// with (thresholds, batch width, and the SSV pre-filter flag are read
-/// from it). Results are bit-identical to [`scan_with_plan`] on the CPU
-/// plan with the same seed.
+/// with (thresholds and batch width are read from it). Results are
+/// bit-identical to [`scan_with_plan`] on the CPU plan with the same seed.
 pub fn scan_prepared(
     pipes: &[Pipeline],
     db: &SeqDb,
@@ -302,66 +299,13 @@ fn scan_fused(
     let pool = scan_pool.pool();
 
     // Stage 1: every model against every sequence in one DB traversal.
-    // With the SSV pre-filter on, SSV is the fused full-database sweep
-    // and MSV runs per model over its own survivor mask (the same masked
-    // batched sweep `search` uses, so funnels stay bit-identical).
     let t0 = Instant::now();
-    let (msv_scores, eligible): (Vec<Vec<f32>>, Vec<Vec<bool>>) = if config.ssv {
-        let ssv_refs: Vec<(&StripedSsv, &MsvProfile)> = pipes
-            .iter()
-            .map(|p| {
-                let (striped, _) = p.ssv_prefilter().expect("config.ssv built the pre-filter");
-                (striped, &p.msv)
-            })
-            .collect();
-        let ssv_out = ssv_multi_outcomes_pipelined(
-            pool,
-            &ssv_refs,
-            &db.seqs,
-            config.batch,
-            config.pipeline_depth,
-        );
-        let mut scores = Vec::with_capacity(pipes.len());
-        let mut elig = Vec::with_capacity(pipes.len());
-        for (m, pipe) in pipes.iter().enumerate() {
-            let pass0: Vec<bool> = ssv_out[m]
-                .iter()
-                .zip(&db.seqs)
-                .map(|(o, q)| pipe.ssv_pvalue(o.score, q.len()) < config.f0)
-                .collect();
-            let out = msv_outcomes_batched_pipelined(
-                pool,
-                &pipe.striped_msv,
-                &pipe.msv,
-                &db.seqs,
-                Some(&pass0),
-                config.batch,
-                config.pipeline_depth,
-            );
-            scores.push(
-                out.iter()
-                    .map(|o| o.map_or(f32::NEG_INFINITY, |o| o.score))
-                    .collect(),
-            );
-            elig.push(out.iter().map(|o| o.is_some()).collect());
-        }
-        (scores, elig)
-    } else {
-        let refs: Vec<(&StripedMsv, &MsvProfile)> =
-            pipes.iter().map(|p| (&p.striped_msv, &p.msv)).collect();
-        let out = msv_multi_outcomes_pipelined(
-            pool,
-            &refs,
-            &db.seqs,
-            config.batch,
-            config.pipeline_depth,
-        );
-        let scores = out
-            .iter()
-            .map(|per_seq| per_seq.iter().map(|o| o.score).collect())
-            .collect();
-        (scores, vec![vec![true; n]; pipes.len()])
-    };
+    let refs: Vec<(&StripedMsv, &MsvProfile)> =
+        pipes.iter().map(|p| (&p.striped_msv, &p.msv)).collect();
+    let msv_scores: Vec<Vec<f32>> = msv_multi_outcomes(pool, &refs, &db.seqs, config.batch)
+        .iter()
+        .map(|per_seq| per_seq.iter().map(|o| o.score).collect())
+        .collect();
     // Per-model Gumbel thresholds at survivor-packing time.
     let pass1: Vec<Vec<bool>> = pipes
         .iter()
@@ -370,8 +314,7 @@ fn scan_fused(
             msv_scores[m]
                 .iter()
                 .zip(&db.seqs)
-                .zip(&eligible[m])
-                .map(|((&s, q), &e)| e && pipe.msv_pvalue(s, q.len()) < config.f1)
+                .map(|(&s, q)| pipe.msv_pvalue(s, q.len()) < config.f1)
                 .collect()
         })
         .collect();
@@ -416,23 +359,16 @@ fn scan_fused(
     // sweep bit for bit.
     let t2 = Instant::now();
     let fwd_pairs = flatten_survivors(&pass2);
-    let fwd_flat: Vec<f32> = if config.fwd_generic {
-        pool.map_collect(fwd_pairs.len(), |k| {
+    let fwd_flat: Vec<f32> = pool.map_collect_init(fwd_pairs.len(), FwdWorkspace::default, {
+        let pipes = &pipes;
+        let fwd_pairs = &fwd_pairs;
+        move |ws, k| {
             let (m, i) = fwd_pairs[k];
-            forward_generic(&pipes[m].profile, &db.seqs[i].residues)
-        })
-    } else {
-        pool.map_collect_init(fwd_pairs.len(), FwdWorkspace::default, {
-            let pipes = &pipes;
-            let fwd_pairs = &fwd_pairs;
-            move |ws, k| {
-                let (m, i) = fwd_pairs[k];
-                pipes[m]
-                    .striped_fwd
-                    .run_into(&pipes[m].profile, &db.seqs[i].residues, ws)
-            }
-        })
-    };
+            pipes[m]
+                .striped_fwd
+                .run_into(&pipes[m].profile, &db.seqs[i].residues, ws)
+        }
+    });
     let mut fwd_scores: Vec<Vec<Option<f32>>> = vec![vec![None; n]; pipes.len()];
     for (&(m, i), &s) in fwd_pairs.iter().zip(&fwd_flat) {
         fwd_scores[m][i] = Some(s);
@@ -442,8 +378,7 @@ fn scan_fused(
     if trace.is_on() {
         if let Some(first) = pipes.first() {
             let qs: Vec<usize> = pipes.iter().map(|p| p.striped_msv.active_q()).collect();
-            let (width, sched) =
-                resolve_pipelined_width(first.backend(), config.batch, config.pipeline_depth);
+            let width = resolve_batch_width(first.backend(), config.batch);
             let pack_width = fused_pack_width(pool.threads(), width);
             let stats = model_pack_stats(&qs, pack_width);
             trace.add("scan/packs", "models", stats.models);
@@ -451,12 +386,6 @@ fn scan_fused(
             trace.add("scan/packs", "width", stats.width as u64);
             trace.add("scan/packs", "slots", stats.slots);
             trace.add("scan/packs", "workers", pool.threads() as u64);
-            trace.add("scan/packs", "pipeline_depth", sched.depth as u64);
-            trace.add(
-                "scan/packs",
-                "prefetch_lookahead_rows",
-                sched.lookahead as u64,
-            );
         }
         trace.add("scan/stages", "vit_pairs", vit_pairs.len() as u64);
         trace.add("scan/stages", "fwd_pairs", fwd_pairs.len() as u64);
@@ -468,7 +397,7 @@ fn scan_fused(
         let n1 = pass1[mi].iter().filter(|&&b| b).count();
         let n2 = pass2[mi].iter().filter(|&&b| b).count();
         let stages = [
-            StageStats::new(pipe.stage0_name(), n, n1, msv_time).with_residues(db.total_residues()),
+            StageStats::new("MSV", n, n1, msv_time).with_residues(db.total_residues()),
             StageStats::new("P7Viterbi", n1, n2, vit_time)
                 .with_residues(Pipeline::masked_residues(db, &pass1[mi])),
             StageStats::new("Forward", n2, n2, fwd_time)
@@ -622,18 +551,6 @@ mod tests {
         spec.homolog_fraction = 0.04;
         let db = generate(&spec, Some(&families[1]), 23);
         assert_matches_independent_searches(&families, &db, PipelineConfig::default(), 11);
-    }
-
-    #[test]
-    fn fused_scan_matches_per_model_search_with_ssv_prefilter() {
-        let families: Vec<CoreModel> = (0..4)
-            .map(|i| synthetic_model(36 + 12 * i, 3000 + i as u64, &BuildParams::default()))
-            .collect();
-        let mut spec = DbGenSpec::envnr_like().scaled(1e-4);
-        spec.homolog_fraction = 0.05;
-        let db = generate(&spec, Some(&families[0]), 29);
-        let config = PipelineConfig::builder().ssv(true).build().unwrap();
-        assert_matches_independent_searches(&families, &db, config, 13);
     }
 
     #[test]

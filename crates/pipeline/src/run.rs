@@ -18,14 +18,12 @@ use crate::orchestrator::FtSweep;
 use crate::report::{Hit, PipelineResult, StageStats};
 use h3w_core::fault::{SweepError, SweepTrace};
 use h3w_core::tiered::{run_fwd_device, run_msv_device, run_vit_device, StageRun};
-use h3w_cpu::reference::forward_generic;
 use h3w_cpu::striped_fwd::StripedFwd;
 use h3w_cpu::striped_msv::StripedMsv;
 use h3w_cpu::striped_vit::{StripedVit, VitWorkspace};
 use h3w_cpu::{
-    batch_schedule_stats, fwd_scores_batched_pipelined, msv_outcomes_batched_pipelined,
-    posterior_decode_with, resolve_pipelined_width, ssv_outcomes_batched_pipelined, Backend,
-    PoolHandle, StripedSsv, ThreadPool,
+    batch_schedule_stats, fwd_scores_batched, posterior_decode_with, resolve_batch_width,
+    sweep_batched, Backend, PoolHandle, ThreadPool,
 };
 use h3w_hmm::calibrate::{self, Calibration};
 use h3w_hmm::msvprofile::MsvProfile;
@@ -51,8 +49,7 @@ const NULL1_TABLE_LEN: usize = 16384;
 /// only the stage labels and (measured vs modeled) stage times differ.
 #[derive(Clone)]
 pub enum ExecPlan<'a> {
-    /// The multi-core striped CPU baseline (with the optional SSV
-    /// stage-0 pre-filter when the pipeline was configured for it).
+    /// The multi-core striped CPU baseline.
     Cpu,
     /// MSV + Viterbi on one simulated device, Forward on the host — the
     /// paper's deployment.
@@ -101,14 +98,6 @@ pub struct SearchReport {
     pub telemetry: Option<Telemetry>,
 }
 
-/// The opt-in SSV stage-0 pre-filter: the striped filter plus its own
-/// calibrated Gumbel location (SSV scores sit below MSV scores — no J
-/// state — so they need their own null distribution).
-struct SsvPrefilter {
-    striped: StripedSsv,
-    mu: f32,
-}
-
 /// A fully prepared query: profile, quantized tables, striped filters,
 /// calibration.
 ///
@@ -136,9 +125,6 @@ pub struct Pipeline {
     pub config: PipelineConfig,
     /// SIMD backend the striped filters dispatched to.
     backend: Backend,
-    /// SSV stage-0 pre-filter — built (and calibrated) only when
-    /// `config.ssv` asked for it.
-    ssv: Option<SsvPrefilter>,
     /// `null1(L)` for `L ∈ 0..NULL1_TABLE_LEN`, hoisting the per-call
     /// `NullModel` clone out of [`Pipeline::corrected`].
     null1: Vec<f32>,
@@ -183,10 +169,6 @@ impl Pipeline {
         let striped_vit = StripedVit::with_backend(&vit, backend);
         let backend = striped_msv.backend();
         let striped_fwd = StripedFwd::with_backend(&profile, backend);
-        let ssv = config.ssv.then(|| SsvPrefilter {
-            striped: StripedSsv::with_backend(&msv, backend),
-            mu: 0.0,
-        });
         let mut pipe = Pipeline {
             bg,
             profile,
@@ -205,7 +187,6 @@ impl Pipeline {
             },
             config,
             backend,
-            ssv,
             null1,
             pool: PoolHandle::with_threads(config.threads),
         };
@@ -240,20 +221,11 @@ impl Pipeline {
                 .map(|s| corrected(s.expect("an all-true mask scores everything")))
                 .collect()
         };
-        let (msv, _, _) = self.msv_stage_host(&sample, false, &Trace::off());
+        let (msv, _) = self.msv_stage_host(&sample, &Trace::off());
         let msv: Vec<f32> = msv.into_iter().map(corrected).collect();
         let vit = scored(self.vit_stage_host(&sample, &all).0);
         let fwd = scored(self.forward_stage(&sample, &all).0);
-        // SSV scores sit below MSV scores (no J state), so the
-        // pre-filter gets its own Gumbel location, from the same sample.
-        let ssv_mu = self.ssv_scores(&sample).map(|scores| {
-            let scores: Vec<f32> = scores.into_iter().map(corrected).collect();
-            calibrate::fit_gumbel_mu(&scores, calibrate::LAMBDA)
-        });
         self.cal = Calibration::fit(&msv, &vit, &fwd);
-        if let (Some(pre), Some(mu)) = (self.ssv.as_mut(), ssv_mu) {
-            pre.mu = mu;
-        }
     }
 
     /// The SIMD backend the striped filters dispatched to (shared by the
@@ -285,14 +257,6 @@ impl Pipeline {
     /// length `len`.
     pub fn msv_pvalue(&self, raw: f32, len: usize) -> f64 {
         calibrate::gumbel_pvalue(self.corrected(raw, len), self.cal.mu_msv, self.cal.lambda)
-    }
-
-    /// P-value of a null-corrected SSV pre-filter score. Panics unless the
-    /// pipeline was prepared with `config.ssv` (there is no SSV
-    /// calibration otherwise).
-    pub fn ssv_pvalue(&self, raw: f32, len: usize) -> f64 {
-        let pre = self.ssv.as_ref().expect("SSV pre-filter not enabled");
-        calibrate::gumbel_pvalue(self.corrected(raw, len), pre.mu, self.cal.lambda)
     }
 
     /// P-value of a null-corrected Viterbi filter score.
@@ -340,13 +304,6 @@ impl Pipeline {
             }
         };
         h3w_cpu::find_domains(post, 0.5, 3)
-    }
-
-    /// The SSV stage-0 pre-filter's striped tables and calibrated Gumbel
-    /// location, when the pipeline was prepared with `config.ssv` — the
-    /// fused multi-model scan drives the pre-filter itself.
-    pub(crate) fn ssv_prefilter(&self) -> Option<(&StripedSsv, f32)> {
-        self.ssv.as_ref().map(|pre| (&pre.striped, pre.mu))
     }
 
     /// True when `H3W_PROFILE` asks [`Pipeline::search`] to arm a trace
@@ -414,21 +371,18 @@ impl Pipeline {
             _ => Vec::new(),
         };
 
-        // Stage 1: MSV over the whole database. `eligible` marks the
-        // sequences stage 1 actually scored — the SSV pre-filter's cuts
-        // carry −∞ scores and must stay out of pass1 without a P-value
-        // evaluation.
-        let (label1, msv_scores, eligible, msv_time) = match plan {
+        // Stage 1: MSV over the whole database.
+        let (label1, msv_scores, msv_time) = match plan {
             ExecPlan::Cpu => {
-                let (scores, eligible, secs) = self.msv_stage_host(db, true, trace);
-                (self.stage0_name(), scores, eligible, secs)
+                let (scores, secs) = self.msv_stage_host(db, trace);
+                ("MSV", scores, secs)
             }
             ExecPlan::Device { dev } | ExecPlan::DeviceFull { dev } => {
                 let packed = packed.as_ref().expect("device plans pack");
                 let run = run_msv_device(&self.msv, packed, dev, None)?;
                 Self::record_stage_run(trace, "pipeline/MSV (GPU)", &run.run);
                 let scores: Vec<f32> = run.hits.iter().map(|h| h.score).collect();
-                ("MSV (GPU)", scores, vec![true; n], run.run.time.total_s)
+                ("MSV (GPU)", scores, run.run.time.total_s)
             }
             ExecPlan::FaultTolerant { dev, sweep } => {
                 let packed = packed.as_ref().expect("device plans pack");
@@ -441,21 +395,20 @@ impl Pipeline {
                         }
                         ft_devices.retain(|d| !t.lost_devices.contains(d));
                         journal.merge(&t);
-                        ("MSV (multi-GPU)", scores, vec![true; n], makespan)
+                        ("MSV (multi-GPU)", scores, makespan)
                     }
                     Err(SweepError::AllDevicesLost { .. }) => {
                         degraded = true;
                         // The engine's journal dies with the error; every
                         // device still in the pool is gone, so record them
                         // here. The CPU fallback is the same batched sweep
-                        // as the CPU plan (without SSV — the degraded path
-                        // reproduces the device stage it replaces).
+                        // as the CPU plan.
                         journal.lost_devices.append(&mut ft_devices);
                         journal
                             .events
                             .push("MSV: all devices lost; striped CPU fallback".into());
-                        let (scores, _, secs) = self.msv_stage_host(db, false, trace);
-                        ("MSV (multi-GPU)", scores, vec![true; n], secs)
+                        let (scores, secs) = self.msv_stage_host(db, trace);
+                        ("MSV (multi-GPU)", scores, secs)
                     }
                     Err(e) => return Err(e),
                 }
@@ -464,8 +417,7 @@ impl Pipeline {
         let pass1: Vec<bool> = msv_scores
             .iter()
             .zip(&db.seqs)
-            .zip(&eligible)
-            .map(|((&s, q), &e)| e && self.msv_pvalue(s, q.len()) < self.config.f1)
+            .map(|(&s, q)| self.msv_pvalue(s, q.len()) < self.config.f1)
             .collect();
         let n1 = pass1.iter().filter(|&&b| b).count();
 
@@ -632,61 +584,17 @@ impl Pipeline {
         })
     }
 
-    /// Host stage 1: (optional SSV, then) MSV through the batched
-    /// interleaved kernels. Returns `(scores, eligible, seconds)` where
-    /// `eligible[i]` is false for sequences the pre-filter cut (their
-    /// score is −∞). Telemetry accounting (batch-schedule shape, dropout
-    /// counts, SSV funnel) runs outside the timed region and only when
-    /// the trace is armed.
-    fn msv_stage_host(
-        &self,
-        db: &SeqDb,
-        with_ssv: bool,
-        trace: &Trace,
-    ) -> (Vec<f32>, Vec<bool>, f64) {
-        let t0 = Instant::now();
-        let ssv_scores = if with_ssv { self.ssv_scores(db) } else { None };
-        let pass0: Option<Vec<bool>> = ssv_scores.map(|scores| {
-            scores
-                .iter()
-                .zip(&db.seqs)
-                .map(|(&sc, q)| self.ssv_pvalue(sc, q.len()) < self.config.f0)
-                .collect()
-        });
-        let msv_out = msv_outcomes_batched_pipelined(
-            self.pool(),
-            &self.striped_msv,
-            &self.msv,
-            &db.seqs,
-            pass0.as_deref(),
-            self.config.batch,
-            self.config.pipeline_depth,
-        );
-        let secs = t0.elapsed().as_secs_f64();
+    /// Host stage 1: MSV through the batched interleaved kernel. Returns
+    /// `(scores, seconds)`. Telemetry accounting (batch-schedule shape,
+    /// dropout counts) runs outside the timed region and only when the
+    /// trace is armed.
+    fn msv_stage_host(&self, db: &SeqDb, trace: &Trace) -> (Vec<f32>, f64) {
+        let kernel = (&self.striped_msv, &self.msv);
+        let (msv_out, timing) = sweep_batched(self.pool(), &kernel, db, self.config.batch);
         if trace.is_on() {
-            let (width, sched) = resolve_pipelined_width(
-                self.backend,
-                self.config.batch,
-                self.config.pipeline_depth,
-            );
+            let width = resolve_batch_width(self.backend, self.config.batch);
             let lens: Vec<usize> = db.seqs.iter().map(|s| s.len()).collect();
-            let stats = batch_schedule_stats(&lens, pass0.as_deref(), width);
-            trace.add("pipeline/batch", "pipeline_depth", sched.depth as u64);
-            trace.add("pipeline/batch", "pipeline_chains", sched.chains as u64);
-            trace.add(
-                "pipeline/batch",
-                "prefetch_lookahead_rows",
-                sched.lookahead as u64,
-            );
-            trace.add(
-                "pipeline/batch",
-                "prefetched_rows",
-                if sched.lookahead > 0 {
-                    stats.slot_rows
-                } else {
-                    0
-                },
-            );
+            let stats = batch_schedule_stats(&lens, None, width);
             trace.add("pipeline/batch", "batches", stats.batches);
             trace.add("pipeline/batch", "slots_filled", stats.seqs);
             trace.add("pipeline/batch", "slot_rows", stats.slot_rows);
@@ -696,42 +604,11 @@ impl Pipeline {
                 "early_finish_dropouts",
                 stats.early_finish,
             );
-            let overflow = msv_out.iter().flatten().filter(|o| o.overflow).count();
+            let overflow = msv_out.iter().filter(|o| o.overflow).count();
             trace.add("pipeline/batch", "overflow_dropouts", overflow as u64);
-            if let Some(p0) = &pass0 {
-                let kept = p0.iter().filter(|&&b| b).count() as u64;
-                trace.add("pipeline/ssv", "seqs_in", db.len() as u64);
-                trace.add("pipeline/ssv", "seqs_out", kept);
-            }
         }
-        let scores = msv_out
-            .iter()
-            .map(|o| o.map_or(f32::NEG_INFINITY, |o| o.score))
-            .collect();
-        let eligible = msv_out.iter().map(|o| o.is_some()).collect();
-        (scores, eligible, secs)
-    }
-
-    /// Raw SSV pre-filter scores of every sequence through the batched
-    /// interleaved kernel (`None` unless the pipeline was prepared with
-    /// `config.ssv`).
-    fn ssv_scores(&self, db: &SeqDb) -> Option<Vec<f32>> {
-        let pre = self.ssv.as_ref()?;
-        let outcomes = ssv_outcomes_batched_pipelined(
-            self.pool(),
-            &pre.striped,
-            &self.msv,
-            &db.seqs,
-            None,
-            self.config.batch,
-            self.config.pipeline_depth,
-        );
-        Some(
-            outcomes
-                .iter()
-                .map(|o| o.expect("unmasked sweep scores everything").score)
-                .collect(),
-        )
+        let scores = msv_out.iter().map(|o| o.score).collect();
+        (scores, timing.seconds)
     }
 
     /// Host stage 2: the pool-parallel striped Viterbi filter over a
@@ -763,26 +640,18 @@ impl Pipeline {
 
     /// Stage 3: Forward over the stage-2 survivor mask. One body shared
     /// by every plan that keeps Forward on the host — the striped
-    /// odds-space filter on a length-binned batched sweep by default,
-    /// `forward_generic` when `config.fwd_generic` asks for the oracle.
-    /// Returns `(scores, seconds)`.
+    /// odds-space filter on a length-binned batched sweep. Returns
+    /// `(scores, seconds)`.
     pub(crate) fn forward_stage(&self, db: &SeqDb, pass2: &[bool]) -> (Vec<Option<f32>>, f64) {
         let t = Instant::now();
-        let scores = if self.config.fwd_generic {
-            self.pool().map_collect(db.len(), |i| {
-                pass2[i].then(|| forward_generic(&self.profile, &db.seqs[i].residues))
-            })
-        } else {
-            fwd_scores_batched_pipelined(
-                self.pool(),
-                &self.striped_fwd,
-                &self.profile,
-                &db.seqs,
-                Some(pass2),
-                self.config.batch,
-                self.config.pipeline_depth,
-            )
-        };
+        let scores = fwd_scores_batched(
+            self.pool(),
+            &self.striped_fwd,
+            &self.profile,
+            &db.seqs,
+            Some(pass2),
+            self.config.batch,
+        );
         (scores, t.elapsed().as_secs_f64())
     }
 
@@ -795,17 +664,6 @@ impl Pipeline {
             .filter(|&(_, &k)| k)
             .map(|(s, _)| s.len() as u64)
             .sum()
-    }
-
-    /// Label of the first funnel stage: `"SSV+MSV"` when the pre-filter is
-    /// on, plain `"MSV"` otherwise. `stream.rs` uses the same label so
-    /// chunked and single-pass reports agree.
-    pub fn stage0_name(&self) -> &'static str {
-        if self.ssv.is_some() {
-            "SSV+MSV"
-        } else {
-            "MSV"
-        }
     }
 
     pub(crate) fn assemble(
@@ -1032,30 +890,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn ssv_prefilter_cuts_background_but_keeps_hits() {
-        let core = synthetic_model(80, 42, &BuildParams::default());
-        let mut spec = DbGenSpec::envnr_like().scaled(0.0004);
-        spec.homolog_fraction = 0.02;
-        let db = generate(&spec, Some(&core), 3);
-        let plain = Pipeline::prepare(&core, PipelineConfig::default(), 7);
-        let cfg = PipelineConfig {
-            ssv: true,
-            ..Default::default()
-        };
-        let pre = Pipeline::prepare(&core, cfg, 7);
-        let a = plain.search(&db, &ExecPlan::Cpu).unwrap();
-        let b = pre.search(&db, &ExecPlan::Cpu).unwrap();
-        assert_eq!(a.stages[0].name, "MSV");
-        assert_eq!(b.stages[0].name, "SSV+MSV");
-        // MSV survivors with the pre-filter are a subset of those without
-        // (a sequence must pass SSV to even reach MSV)…
-        assert!(b.stages[0].seqs_out <= a.stages[0].seqs_out);
-        // …and the loose f0 threshold keeps every reported hit: real
-        // homologs sit far below P = 0.08 on the single-hit score too.
-        assert_eq!(a.hits, b.hits);
     }
 
     #[test]

@@ -150,9 +150,6 @@ where
         Some((_, db_hash)) => StreamCheckpoint::fresh(total_seqs, db_hash),
         None => StreamCheckpoint::fresh(total_seqs, 0),
     };
-    // The checkpoint's stage labels follow the pipeline configuration
-    // (the counters, not the labels, carry the resume state).
-    state.stages[0].name = pipe.stage0_name().to_string();
     let resume_from = state.chunks_done;
     let mut skipped_seqs = 0u32;
     let mut residues_done = 0u64;

@@ -11,9 +11,6 @@
 //!   --threads <n>        size the CPU worker pool (0 or absent = the
 //!                        shared global pool; hits are bit-identical
 //!                        either way)
-//!   --pipeline-depth <d> software-pipeline depth for the batched filter
-//!                        loops (0 or absent = auto, 1 = un-pipelined
-//!                        baseline; hits are bit-identical at any depth)
 //!   --profile            collect scan telemetry; print the per-family
 //!                        funnel table and the telemetry JSON
 //!   --profile-json <p>   collect scan telemetry; write the JSON to p
@@ -21,7 +18,7 @@
 //!
 //! `models.hmm` may hold any number of concatenated HMMER3 records (as
 //! Pfam releases do). By default the scan is **fused**: models are
-//! length-binned into packs and the batched SSV/MSV kernels interleave
+//! length-binned into packs and the batched MSV kernel interleaves
 //! each pack against every sequence block, so one pass over the database
 //! feeds every resident model (the multi-HMM direction of the paper's
 //! §VI). `--no-fused` falls back to one independent pipeline sweep per
@@ -35,7 +32,7 @@ use hmmer3_warp::pipeline::{best_hits_per_target, scan_traced, ExecPlan, Pipelin
 use std::process::ExitCode;
 
 const USAGE: &str = "hmmscan <models.hmm> <targets.fasta|targets.h3wdb> [-E evalue] \
-[--no-fused] [--threads n] [--pipeline-depth d] [--profile] [--profile-json path]";
+[--no-fused] [--threads n] [--profile] [--profile-json path]";
 
 fn main() -> ExitCode {
     cli::guarded_main("hmmscan", USAGE, run)
@@ -45,7 +42,7 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
     let args = Args::parse(
         argv,
         &["--fused", "--no-fused", "--profile"],
-        &["-E", "--threads", "--pipeline-depth", "--profile-json"],
+        &["-E", "--threads", "--profile-json"],
     )?;
     let hmm_path = args.positional(0, "model library")?;
     let db_path = args.positional(1, "target database")?;
@@ -63,9 +60,6 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
     }
     if let Some(n) = args.parse_value::<usize>("--threads")? {
         builder = builder.threads(n);
-    }
-    if let Some(d) = args.parse_value::<usize>("--pipeline-depth")? {
-        builder = builder.pipeline_depth(d);
     }
     let config = builder.build()?;
 

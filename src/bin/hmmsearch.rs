@@ -28,9 +28,6 @@
 //!   --threads <n>        size the CPU worker pool (0 or absent = the
 //!                        shared global pool, sized by H3W_THREADS or
 //!                        the machine; hits are bit-identical either way)
-//!   --pipeline-depth <d> software-pipeline depth for the batched filter
-//!                        loops (0 or absent = auto, 1 = un-pipelined
-//!                        baseline; hits are bit-identical at any depth)
 //! ```
 //!
 //! Runs the full HMMER3-style task pipeline (Fig. 1 of the paper):
@@ -47,8 +44,7 @@ use std::process::ExitCode;
 const USAGE: &str =
     "hmmsearch <query.hmm> <targets.fasta|targets.h3wdb> [--gpu k40|gtx580] [--devices n] \
 [--max] [-E evalue] [--ali] [--dom] [--null2] [--tbl path] [--chunk residues] \
-[--checkpoint path] [--gpu-full] [--profile] [--profile-json path] [--threads n] \
-[--pipeline-depth d]";
+[--checkpoint path] [--gpu-full] [--profile] [--profile-json path] [--threads n]";
 
 fn main() -> ExitCode {
     cli::guarded_main("hmmsearch", USAGE, run)
@@ -82,7 +78,6 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
             "--checkpoint",
             "--profile-json",
             "--threads",
-            "--pipeline-depth",
         ],
     )?;
     let hmm_path = args.positional(0, "query .hmm")?;
@@ -99,9 +94,6 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
     }
     if let Some(n) = args.parse_value::<usize>("--threads")? {
         builder = builder.threads(n);
-    }
-    if let Some(d) = args.parse_value::<usize>("--pipeline-depth")? {
-        builder = builder.pipeline_depth(d);
     }
     let config = builder.build()?;
     let gpu = args.value("--gpu").map(device_by_name).transpose()?;

@@ -321,7 +321,7 @@ mod tests {
         let e: ToolError = "missing query".to_string().into();
         assert!(matches!(e, ToolError::Usage(_)));
         assert_eq!(e.to_string(), "missing query");
-        let e: ToolError = ConfigError::F0WithoutSsv.into();
+        let e: ToolError = ConfigError::ReportEvalue { value: -1.0 }.into();
         assert!(matches!(e, ToolError::Config(_)));
         assert!(e.to_string().contains("configuration"));
         let e: ToolError = CheckpointError::Mismatch("chunking changed".into()).into();

@@ -283,6 +283,17 @@ fn expect_failure(bin: &str, args: &[&str], needle: &str) {
 #[test]
 fn bad_flags_and_values_are_rejected_without_panicking() {
     expect_failure("hmmsearch", &["--frobnicate"], "unknown flag");
+    // Retired knobs are unknown flags like any other.
+    expect_failure(
+        "hmmsearch",
+        &["q.hmm", "db.fa", "--pipeline-depth", "4"],
+        "unknown flag \"--pipeline-depth\"",
+    );
+    expect_failure(
+        "hmmscan",
+        &["lib.hmm", "db.fa", "--pipeline-depth", "4"],
+        "unknown flag \"--pipeline-depth\"",
+    );
     expect_failure("hmmsearch", &["q.hmm", "db.fa", "-E"], "needs a value");
     expect_failure(
         "hmmsearch",

@@ -182,25 +182,6 @@ fn planting_a_motif_raises_msv_score_statistically() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// SSV striped == scalar on arbitrary inputs (the extension filter's
-    /// own bit-exactness contract).
-    #[test]
-    fn ssv_striped_equals_scalar_on_arbitrary_inputs(
-        m in 1usize..60,
-        seed in 0u64..500,
-        seq in residue_seq(140),
-    ) {
-        use hmmer3_warp::cpu::ssv::{ssv_filter_scalar, StripedSsv};
-        let model = synthetic_model(m, seed, &BuildParams::default());
-        let bg = NullModel::new();
-        let p = Profile::config(&model, &bg);
-        let om = MsvProfile::from_profile(&p);
-        prop_assert_eq!(
-            StripedSsv::new(&om).run(&om, &seq),
-            ssv_filter_scalar(&om, &seq)
-        );
-    }
-
     /// Streaming chunker: any chunk bound yields an exact, order-preserving
     /// partition of the database.
     #[test]

@@ -87,6 +87,20 @@ fn bench_forward_kernels(c: &mut Criterion) {
                         .sum::<f32>()
                 })
             });
+            // The same rows four at a time: what calibration runs, and
+            // where the D→D chains of a batch resolve in lockstep.
+            let id = BenchmarkId::new(format!("{}_x{MAX_BATCH}", backend.name()), format!("m{m}"));
+            g.bench_with_input(id, &m, |b, _| {
+                let mut ws = FwdBatchWorkspace::default();
+                let mut out = [0.0f32; MAX_BATCH];
+                b.iter(|| {
+                    for batch in sample.chunks(MAX_BATCH) {
+                        let refs: [&[u8]; MAX_BATCH] = core::array::from_fn(|i| &batch[i][..]);
+                        f.run_batch_into(&p, &refs, &mut ws, &mut out);
+                    }
+                    out
+                })
+            });
         }
     }
     g.finish();

@@ -8,8 +8,8 @@
 //! Usage: `cargo run --release -p h3w-bench --bin host_throughput`
 
 fn main() {
-    use h3w_cpu::sweep::{measure_batched, measure_msv_throughput, measure_vit_throughput};
-    use h3w_cpu::{Backend, StripedMsv};
+    use h3w_cpu::sweep::{measure_batched, measure_msv_throughput};
+    use h3w_cpu::{Backend, StripedMsv, StripedVit};
     use h3w_hmm::profile::Profile;
     use h3w_hmm::*;
     use h3w_seqdb::gen::{generate, DbGenSpec};
@@ -20,7 +20,7 @@ fn main() {
     let vit = VitProfile::from_profile(&p);
     let db = generate(&DbGenSpec::envnr_like().scaled(0.0002), None, 5);
     let tm = measure_msv_throughput(&msv, &db, 1000);
-    let tv = measure_vit_throughput(&vit, &db, 400);
+    let tv = measure_batched(&(&StripedVit::new(&vit), &vit), &db, 400, 1);
     println!(
         "host striped MSV: {:.2} Gcell/s single-thread",
         tm.cells_per_sec / 1e9

@@ -10,7 +10,8 @@
 //!     pools (Gcells/s and speedup over one worker, `scaling_curve`),
 //!   * the calibration shape (`calibration_shape`): the striped Forward
 //!     on 500 background sequences of L = 100 and one `Pipeline::prepare`
-//!     split into sample / msv / vit / fwd, at M = 100, 400 and 800.
+//!     split into sample / msv / vit / fwd, at the paper's eight model
+//!     sizes (M = 48 … 2405).
 //!
 //! Every row records the active worker count (`workers`): 1 for the
 //! deliberately single-threaded kernel loops, the pipeline pool width
@@ -32,7 +33,8 @@ use h3w_cpu::sweep::{
     vit_sweep, SweepTiming,
 };
 use h3w_cpu::{
-    fwd_scores_batched, msv_outcomes_batched, Backend, FwdWorkspace, StripedFwd, ThreadPool,
+    fwd_scores_batched, msv_outcomes_batched, outcomes_batched, Backend, FwdBatchWorkspace,
+    StripedFwd, ThreadPool, MAX_BATCH,
 };
 use h3w_hmm::build::{synthetic_model, BuildParams};
 use h3w_hmm::calibrate;
@@ -320,7 +322,8 @@ fn forward_rows(profile: &Profile, db: &SeqDb, trace: &Trace) -> Json {
 /// background sequences of L = 100). Short rows of O(1) odds are where
 /// the striped Forward's D→D increments reach the subnormal range, which
 /// the long / homolog-rich `forward_loops` input never shows. Per M:
-/// the single-thread Forward kernel on every backend, and one `prepare`
+/// the single-thread Forward kernel on every backend at the width the
+/// sweep gives it, and one `prepare`
 /// on the detected backend and the shared pool, whole and split into the
 /// sample draw and the three sweeps it runs (timed here through the same
 /// public sweeps on the pipeline's own pool; `other_ms` is the rest:
@@ -338,8 +341,9 @@ fn calibration_rows() -> Json {
             .collect()
     };
     let sample = draw();
+    let refs: Vec<&[u8]> = sample.iter().map(|s| s.residues.as_slice()).collect();
     let mut rows = Vec::new();
-    for m in [100usize, 400, 800] {
+    for m in [48usize, 100, 200, 400, 800, 1002, 1528, 2405] {
         let core = synthetic_model(m, 7, &BuildParams::default());
         let pipe = Pipeline::prepare(&core, PipelineConfig::default(), SEED);
         let cells = (3 * m * len * n) as f64;
@@ -347,13 +351,19 @@ fn calibration_rows() -> Json {
             .into_iter()
             .map(|backend| {
                 let f = StripedFwd::with_backend(&pipe.profile, backend);
-                let mut ws = FwdWorkspace::default();
+                let width = backend.preferred_batch_width();
+                let mut ws = FwdBatchWorkspace::default();
+                let mut out = [0.0f32; MAX_BATCH];
                 let ms = time_reps_ms(|| {
-                    for s in &sample {
-                        std::hint::black_box(f.run_into(&pipe.profile, &s.residues, &mut ws));
+                    for batch in refs.chunks(width) {
+                        f.run_batch_into(&pipe.profile, batch, &mut ws, &mut out[..batch.len()]);
+                        std::hint::black_box(&out);
                     }
                 });
-                let mut row = vec![("backend", Json::Str(backend.name().into()))];
+                let mut row = vec![
+                    ("backend", Json::Str(backend.name().into())),
+                    ("width", Json::Num(width as f64)),
+                ];
                 row.extend(spread(&ms));
                 let median_s = ms[CALIBRATION_REPS / 2] * 1e-3;
                 row.push(("fwd_cells_per_sec", Json::Num(cells / median_s)));
@@ -372,13 +382,8 @@ fn calibration_rows() -> Json {
             std::hint::black_box(out);
         });
         let vit_ms = time_reps_ms(|| {
-            let out = pool.map_collect_init(n, VitWorkspace::default, |ws, i| {
-                pipe.striped_vit
-                    .run_into(&pipe.vit, &sample[i].residues, ws)
-                    .0
-                    .score
-            });
-            std::hint::black_box(out);
+            let kernel = (&pipe.striped_vit, &pipe.vit);
+            std::hint::black_box(outcomes_batched(pool, &kernel, &sample, None, 0));
         });
         let fwd_ms = time_reps_ms(|| {
             let out = fwd_scores_batched(pool, &pipe.striped_fwd, &pipe.profile, &sample, None, 0);

@@ -25,7 +25,7 @@ pub struct MsvOutcome {
 }
 
 /// Outcome of a 16-bit Viterbi filter pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct VitOutcome {
     /// Final `xC` word.
     pub xc: i16,

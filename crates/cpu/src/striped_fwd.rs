@@ -62,11 +62,19 @@
 //! * `xE` accumulates into an even-`qi` and an odd-`qi` register,
 //!   reduced at the end by the fixed tree `(v0+v2)+(v1+v3)` — precisely
 //!   what AVX2 gets for free from its low/high 128-bit halves.
-//! * The serial D→D chain runs at 128-bit width in every backend: one
+//! * The serial D→D chain runs at 128-bit width in every backend, and
+//!   batch-wide: a row runs the M/I loop of every live slot, then one
+//!   `dd_resolve` advances the chains of all of them side by side (one
 //!   full in-lane pass, then ≤ 3 cross-lane carry-only correction
-//!   passes (exact, since each pass propagates the previous pass's
-//!   increment — see `dd_passes_x86`), each left as soon as the
-//!   increment is zero in every lane ("Subnormals" above).
+//!   passes), because each chain is latency-bound (`mul → add`;
+//!   `cmpge → and → mul` in a correction pass) and N independent chains
+//!   cost what one does. A pass is left when the increment is zero in
+//!   every lane of every slot ("Subnormals" above). That is exact by
+//!   construction: a slot whose increment has died holds `+0.0`,
+//!   `keep_ge(+0, floor) = +0`, `+0·tdd = +0`, and `cd + +0 = cd` for
+//!   every value a D cell can hold (non-negative, `+0`, `+∞`), so each
+//!   slot sees its width-1 operation sequence plus additions of `+0.0`,
+//!   and no multiply meets a subnormal.
 //!
 //! The AVX2 backend therefore speeds up the *same* arithmetic by
 //! processing two adjacent stripe vectors per 256-bit op (the element
@@ -140,6 +148,32 @@ impl RowState {
             xc: 0.0,
             xb: sp.move_o,
             totscale: 0.0,
+        }
+    }
+
+    /// Phase C of a row: fold `xE` into the specials and, if it tripped
+    /// [`RESCALE_THRESHOLD`], rescale them and the slot's current row.
+    /// Scalar and elementwise — identical on every backend by
+    /// construction.
+    fn end_row(&mut self, xe: f32, sp: &OddsSpecials, ws: &mut FwdWorkspace) {
+        self.xj = self.xj * sp.loop_o + xe * sp.e2j_o;
+        self.xc = self.xc * sp.loop_o + xe * sp.e2c_o;
+        self.xn *= sp.loop_o;
+        self.xb = (self.xn + self.xj) * sp.move_o;
+        if xe > RESCALE_THRESHOLD {
+            self.totscale += xe.ln();
+            let inv = 1.0 / xe;
+            self.xj *= inv;
+            self.xc *= inv;
+            self.xn *= inv;
+            self.xb *= inv;
+            for buf in [&mut ws.cm, &mut ws.ci, &mut ws.cd] {
+                for v in buf.iter_mut() {
+                    for lane in v.iter_mut() {
+                        *lane *= inv;
+                    }
+                }
+            }
         }
     }
 
@@ -373,14 +407,9 @@ impl StripedFwd {
     /// Score one sequence in nats, reusing `ws` buffers. Bit-identical
     /// on every backend.
     pub fn run_into(&self, p: &Profile, seq: &[Residue], ws: &mut FwdWorkspace) -> f32 {
-        debug_assert_eq!(p.m, self.m);
-        let sp = OddsSpecials::from_scores(&p.specials_for(seq.len()));
-        ws.reset(self.q);
-        let mut st = RowState::start(&sp);
-        for &x in seq {
-            self.advance_row(x, ws, &mut st, &sp);
-        }
-        st.finish(&sp)
+        let mut out = [0.0];
+        self.drive(p, &[seq], std::slice::from_mut(ws), &mut out, |_, _, _| {});
+        out[0]
     }
 
     /// Convenience wrapper allocating a fresh workspace.
@@ -389,12 +418,9 @@ impl StripedFwd {
         self.run_into(p, seq, &mut ws)
     }
 
-    /// Score up to [`MAX_BATCH`] sequences with row-level interleaving:
-    /// each residue row advances every live slot before the next row,
-    /// giving the out-of-order core [`MAX_BATCH`] independent dependency
-    /// chains to overlap (the same win the batched MSV kernel gets).
-    /// Slots are fully independent, so results are bit-identical to
-    /// [`StripedFwd::run_into`] at every width.
+    /// Score up to [`MAX_BATCH`] sequences in lockstep, their D→D chains
+    /// resolved side by side (module doc, "One stripe"). Results are
+    /// bit-identical to [`StripedFwd::run_into`] at every width.
     pub fn run_batch_into(
         &self,
         p: &Profile,
@@ -408,45 +434,24 @@ impl StripedFwd {
         while ws.slots.len() < n {
             ws.slots.push(FwdWorkspace::default());
         }
-        let sps: [OddsSpecials; MAX_BATCH] = core::array::from_fn(|i| {
-            let len = seqs.get(i).map_or(0, |s| s.len());
-            OddsSpecials::from_scores(&p.specials_for(len))
-        });
-        let mut sts: [RowState; MAX_BATCH] = core::array::from_fn(|i| RowState::start(&sps[i]));
-        for slot in ws.slots.iter_mut().take(n) {
-            slot.reset(self.q);
-        }
-        let max_len = seqs.iter().map(|s| s.len()).max().unwrap_or(0);
-        for r in 0..max_len {
-            for (i, seq) in seqs.iter().enumerate() {
-                if let Some(&x) = seq.get(r) {
-                    self.advance_row(x, &mut ws.slots[i], &mut sts[i], &sps[i]);
-                }
-            }
-        }
-        for i in 0..n {
-            out[i] = sts[i].finish(&sps[i]);
-        }
+        self.drive(p, seqs, &mut ws.slots[..n], out, |_, _, _| {});
     }
 
     /// Score one sequence and record the odds-space M/I lattice plus the
     /// per-row cumulative scales for posterior decoding. The recorded
     /// values (and `total`) are bit-identical to [`StripedFwd::run_into`].
     pub fn run_recording(&self, p: &Profile, seq: &[Residue], ws: &mut FwdWorkspace) -> FwdMatrix {
-        debug_assert_eq!(p.m, self.m);
         let l = seq.len();
-        let sp = OddsSpecials::from_scores(&p.specials_for(l));
-        ws.reset(self.q);
-        let mut st = RowState::start(&sp);
         let mut rows_m = Vec::with_capacity(l * self.q);
         let mut rows_i = Vec::with_capacity(l * self.q);
         let mut scales = Vec::with_capacity(l);
-        for &x in seq {
-            self.advance_row(x, ws, &mut st, &sp);
+        let mut total = [0.0];
+        let slot = std::slice::from_mut(ws);
+        self.drive(p, &[seq], slot, &mut total, |_, ws, st| {
             rows_m.extend_from_slice(&ws.cm);
             rows_i.extend_from_slice(&ws.ci);
             scales.push(st.totscale);
-        }
+        });
         FwdMatrix {
             m: self.m,
             q: self.q,
@@ -454,46 +459,98 @@ impl StripedFwd {
             rows_m,
             rows_i,
             scales,
-            total: st.finish(&sp),
+            total: total[0],
         }
     }
 
-    /// One residue row: swap buffers, run the backend row loop, update
-    /// the specials, rescale if `xE` tripped the threshold. The specials
-    /// update and rescale are scalar and elementwise — identical on
-    /// every backend by construction.
+    /// The one row driver: `slots[j]` carries the `j`-th longest of
+    /// `seqs`, so the slots still live on a row are always a prefix.
+    /// Each row runs (A) every live slot's M / I / M→D-seed loop, (B) one
+    /// D→D resolution over all of them, (C) every live slot's specials
+    /// update and rescale, then hands `on_row` the slot with the index
+    /// of its sequence. Scores land in `out` in the order of `seqs`.
+    fn drive(
+        &self,
+        p: &Profile,
+        seqs: &[&[Residue]],
+        slots: &mut [FwdWorkspace],
+        out: &mut [f32],
+        mut on_row: impl FnMut(usize, &FwdWorkspace, &RowState),
+    ) {
+        debug_assert_eq!(p.m, self.m);
+        let n = seqs.len();
+        let mut order: [usize; MAX_BATCH] = core::array::from_fn(|j| j);
+        order[..n].sort_by_key(|&i| std::cmp::Reverse(seqs[i].len()));
+        let len = |j: usize| seqs.get(order[j]).map_or(0, |s| s.len());
+        let sps: [OddsSpecials; MAX_BATCH] =
+            core::array::from_fn(|j| OddsSpecials::from_scores(&p.specials_for(len(j))));
+        let mut sts: [RowState; MAX_BATCH] = core::array::from_fn(|j| RowState::start(&sps[j]));
+        for slot in slots.iter_mut() {
+            slot.reset(self.q);
+        }
+        let mut xes = [0.0f32; MAX_BATCH];
+        let (mut r, mut live) = (0, n);
+        loop {
+            while live > 0 && len(live - 1) <= r {
+                live -= 1;
+            }
+            if live == 0 {
+                break;
+            }
+            for j in 0..live {
+                slots[j].swap();
+                xes[j] = self.row_main(seqs[order[j]][r] as usize, &mut slots[j], sts[j].xb);
+            }
+            match live {
+                1 => self.dd_resolve::<1>(slots),
+                2 => self.dd_resolve::<2>(slots),
+                3 => self.dd_resolve::<3>(slots),
+                _ => self.dd_resolve::<MAX_BATCH>(slots),
+            }
+            for j in 0..live {
+                sts[j].end_row(xes[j], &sps[j], &mut slots[j]);
+                on_row(order[j], &slots[j], &sts[j]);
+            }
+            r += 1;
+        }
+        for j in 0..n {
+            out[order[j]] = sts[j].finish(&sps[j]);
+        }
+    }
+
+    /// Phase A of a row on the instance's backend: M, I and the M→D seed
+    /// of one slot (no D→D); returns the row's `xE`.
     #[inline]
-    fn advance_row(&self, x: Residue, ws: &mut FwdWorkspace, st: &mut RowState, sp: &OddsSpecials) {
-        ws.swap();
-        let xe = match self.backend {
-            Backend::Scalar => self.row_scalar(x as usize, ws, st.xb),
+    fn row_main(&self, x: usize, ws: &mut FwdWorkspace, xb: f32) -> f32 {
+        match self.backend {
+            Backend::Scalar => self.row_scalar(x, ws, xb),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: with_backend only selects Sse2/Avx2 when the CPU
             // reports the feature (SSE2 is the x86_64 baseline).
-            Backend::Sse2 => unsafe { self.row_sse2(x as usize, ws, st.xb) },
+            Backend::Sse2 => unsafe { self.row_sse2(x, ws, xb) },
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { self.row_avx2(x as usize, ws, st.xb) },
+            Backend::Avx2 => unsafe { self.row_avx2(x, ws, xb) },
             #[cfg(not(target_arch = "x86_64"))]
-            _ => self.row_scalar(x as usize, ws, st.xb),
-        };
-        st.xj = st.xj * sp.loop_o + xe * sp.e2j_o;
-        st.xc = st.xc * sp.loop_o + xe * sp.e2c_o;
-        st.xn *= sp.loop_o;
-        st.xb = (st.xn + st.xj) * sp.move_o;
-        if xe > RESCALE_THRESHOLD {
-            st.totscale += xe.ln();
-            let inv = 1.0 / xe;
-            st.xj *= inv;
-            st.xc *= inv;
-            st.xn *= inv;
-            st.xb *= inv;
-            for buf in [&mut ws.cm, &mut ws.ci, &mut ws.cd] {
-                for v in buf.iter_mut() {
-                    for lane in v.iter_mut() {
-                        *lane *= inv;
-                    }
-                }
-            }
+            _ => self.row_scalar(x, ws, xb),
+        }
+    }
+
+    /// Phase B of a row: resolve the D→D chains of the first `N` slots
+    /// together, on the instance's lane family.
+    #[inline]
+    fn dd_resolve<const N: usize>(&self, slots: &mut [FwdWorkspace]) {
+        let mut it = slots.iter_mut();
+        let cds: [&mut [V4f32]; N] =
+            core::array::from_fn(|_| it.next().expect("N live slots").cd.as_mut_slice());
+        match self.backend {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: each pointer covers its slot's `q` stripe vectors
+            // (`FwdWorkspace::reset`), the slots are distinct, and SSE2
+            // is the x86_64 baseline.
+            Backend::Sse2 | Backend::Avx2 => unsafe {
+                self.dd_resolve_x86(cds.map(|cd| cd.as_mut_ptr() as *mut f32))
+            },
+            _ => self.dd_resolve_scalar(cds),
         }
     }
 
@@ -540,35 +597,6 @@ impl StripedFwd {
         }
         // Cross-lane M→D seed into qi = 0.
         cd[0] = add_f32(cd[0], mul_f32(shift_f32(mcur_prev, 0.0), self.tmd[0]));
-        // D→D pass 1: full in-lane propagation (cross-lane input zero).
-        let mut dprev = ZERO4;
-        for qi in 0..q {
-            cd[qi] = add_f32(cd[qi], dd_mul(dprev, self.tdd[qi]));
-            dprev = cd[qi];
-        }
-        // Cross-lane carry-only correction passes: pass p hands each
-        // lane the *increment* pass p-1 added at qi = q-1 of the lane
-        // below; D is linear in its inputs, so propagating increments
-        // (never re-reading the D row) is exact and cannot double
-        // count. Lane 0's chain head is exact after pass 1, so ≤ 3
-        // passes close the fixed point. The increment decays
-        // geometrically: a lane is dropped to +0.0 before the multiply
-        // that would take it out of the normal range, and the pass ends
-        // once every lane is zero (module doc, "Subnormals") — the same
-        // compare on every backend, hence backend-identical.
-        let mut carry = shift_f32(dprev, 0.0);
-        for _ in 1..FWD_LANES {
-            let mut corr = carry;
-            for qi in 0..q {
-                corr = keep_ge_f32(corr, self.tdd_floor[qi]);
-                if all_zero_f32(corr) {
-                    break;
-                }
-                corr = dd_mul(corr, self.tdd[qi]);
-                cd[qi] = add_f32(cd[qi], corr);
-            }
-            carry = shift_f32(corr, 0.0);
-        }
         hsum_f32(add_f32(acc_e, acc_o))
     }
 
@@ -635,7 +663,6 @@ impl StripedFwd {
         }
         let wrap = _mm_mul_ps(shl1_ps_128(mcur_prev), loadu_ps(tmd));
         storeu_ps(cd, _mm_add_ps(loadu_ps(cd), wrap));
-        self.dd_passes_x86(cd);
         hsum_ps(_mm_add_ps(acc_e, acc_o))
     }
 
@@ -753,7 +780,6 @@ impl StripedFwd {
         }
         let wrap = _mm_mul_ps(shl1_ps_128(sv_carry), loadu_ps(tmd));
         storeu_ps(cd, _mm_add_ps(loadu_ps(cd), wrap));
-        self.dd_passes_x86(cd);
         // (low + tail) rebuilds the scalar even accumulator exactly
         // (same addition sequence), then the canonical reduction.
         let lo = _mm256_castps256_ps128(acc);
@@ -761,36 +787,87 @@ impl StripedFwd {
         hsum_ps(_mm_add_ps(_mm_add_ps(lo, acc_tail), hi))
     }
 
-    /// The serial D→D resolution at 128-bit width — shared by the SSE2
-    /// and AVX2 backends (and mirrored op-for-op by the scalar one) so
-    /// the order-sensitive part of the row is identical everywhere.
+    /// The D→D resolution of `N` slots in lockstep, in emulated 4-lane
+    /// vectors: the canonical operation order [`Self::dd_resolve_x86`]
+    /// mirrors op for op.
+    ///
+    /// Pass 1 is the full in-lane propagation (cross-lane input zero).
+    /// Each correction pass then hands every lane the *increment* the
+    /// previous pass added at `qi = q−1` of the lane below; D is linear
+    /// in its inputs, so propagating increments (never re-reading the D
+    /// row) is exact and cannot double count, and lane 0's chain head is
+    /// exact after pass 1, so ≤ 3 passes close the fixed point. Lanes
+    /// drop to `+0.0` and passes end as the module doc says.
+    #[allow(clippy::needless_range_loop)]
+    fn dd_resolve_scalar<const N: usize>(&self, mut cds: [&mut [V4f32]; N]) {
+        let mut dprev = [ZERO4; N];
+        for qi in 0..self.q {
+            for (cd, dp) in cds.iter_mut().zip(&mut dprev) {
+                cd[qi] = add_f32(cd[qi], dd_mul(*dp, self.tdd[qi]));
+                *dp = cd[qi];
+            }
+        }
+        let mut corr = dprev;
+        for _ in 1..FWD_LANES {
+            corr = corr.map(|c| shift_f32(c, 0.0));
+            for qi in 0..self.q {
+                corr = corr.map(|c| keep_ge_f32(c, self.tdd_floor[qi]));
+                if corr.iter().all(|&c| all_zero_f32(c)) {
+                    break;
+                }
+                for (cd, c) in cds.iter_mut().zip(&mut corr) {
+                    *c = dd_mul(*c, self.tdd[qi]);
+                    cd[qi] = add_f32(cd[qi], *c);
+                }
+            }
+        }
+    }
+
+    /// [`Self::dd_resolve_scalar`] at 128-bit width — shared by the SSE2
+    /// and AVX2 backends, so the order-sensitive part of the row is
+    /// identical everywhere. `tdd` / `tdd_floor` are loaded once per
+    /// `qi` for all `N` chains.
+    ///
+    /// # Safety
+    /// Every pointer of `cds` must be valid for reads and writes of
+    /// `4·q` floats and no two may overlap.
     #[cfg(target_arch = "x86_64")]
-    unsafe fn dd_passes_x86(&self, cd: *mut f32) {
+    unsafe fn dd_resolve_x86<const N: usize>(&self, cds: [*mut f32; N]) {
         use crate::x86::{all_zero_ps, keep_ge_ps, loadu_ps, shl1_ps_128, storeu_ps};
         use core::arch::x86_64::*;
         let q = self.q;
         let tdd = self.tdd.as_ptr() as *const f32;
         let floor = self.tdd_floor.as_ptr() as *const f32;
-        let mut dprev = _mm_setzero_ps();
+        let mut corr = [_mm_setzero_ps(); N];
         for qi in 0..q {
             let o = 4 * qi;
-            let v = _mm_add_ps(loadu_ps(cd.add(o)), _mm_mul_ps(dprev, loadu_ps(tdd.add(o))));
-            storeu_ps(cd.add(o), v);
-            dprev = v;
+            let t = loadu_ps(tdd.add(o));
+            for (&cd, dp) in cds.iter().zip(&mut corr) {
+                *dp = _mm_add_ps(loadu_ps(cd.add(o)), _mm_mul_ps(*dp, t));
+                storeu_ps(cd.add(o), *dp);
+            }
         }
-        let mut carry = shl1_ps_128(dprev);
         for _ in 1..FWD_LANES {
-            let mut corr = carry;
+            for c in &mut corr {
+                *c = shl1_ps_128(*c);
+            }
             for qi in 0..q {
                 let o = 4 * qi;
-                corr = keep_ge_ps(corr, loadu_ps(floor.add(o)));
-                if all_zero_ps(corr) {
+                let fl = loadu_ps(floor.add(o));
+                let mut any = _mm_setzero_ps();
+                for c in &mut corr {
+                    *c = keep_ge_ps(*c, fl);
+                    any = _mm_or_ps(any, *c);
+                }
+                if all_zero_ps(any) {
                     break;
                 }
-                corr = _mm_mul_ps(corr, loadu_ps(tdd.add(o)));
-                storeu_ps(cd.add(o), _mm_add_ps(loadu_ps(cd.add(o)), corr));
+                let t = loadu_ps(tdd.add(o));
+                for (&cd, c) in cds.iter().zip(&mut corr) {
+                    *c = _mm_mul_ps(*c, t);
+                    storeu_ps(cd.add(o), _mm_add_ps(loadu_ps(cd.add(o)), *c));
+                }
             }
-            carry = shl1_ps_128(corr);
         }
     }
 }
@@ -848,6 +925,21 @@ mod tests {
                 assert!(f.run_into(&p, s, &mut ws).is_finite());
             }
             assert_eq!(DD_SUBNORMALS.with(|c| c.get()), 0, "m={m}");
+            // The same through the lockstep resolution: ragged batches of
+            // four, so dead slots ride along with live ones and the batch
+            // narrows 4 → 1 as slots retire.
+            let mut bws = FwdBatchWorkspace::default();
+            for (b, chunk) in sample.chunks(MAX_BATCH).enumerate() {
+                let refs: Vec<&[u8]> = chunk
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| &s[..s.len() - 7 * ((i + b) % MAX_BATCH)])
+                    .collect();
+                let mut out = [0.0; MAX_BATCH];
+                f.run_batch_into(&p, &refs, &mut bws, &mut out[..refs.len()]);
+                assert!(out[..refs.len()].iter().all(|x| x.is_finite()));
+            }
+            assert_eq!(DD_SUBNORMALS.with(|c| c.get()), 0, "m={m}, width 4");
         }
         // The counter does count: an increment that is already subnormal
         // entering pass 1 is seen.
@@ -857,9 +949,9 @@ mod tests {
 
     #[test]
     fn recording_rows_equal_the_scoring_path_cell_for_cell() {
-        // run_recording and run_into share advance_row; this drives the
-        // row loop by hand the way run_into does and compares every M/I
-        // cell and scale with what run_recording stored, on each backend.
+        // run_recording and run_into share the row driver; this drives
+        // it the way run_into does and compares every M/I cell and scale
+        // with what run_recording stored, on each backend.
         let mut rng = StdRng::seed_from_u64(19);
         for m in [100usize, 400] {
             let p = profile(m, 7);
@@ -868,22 +960,72 @@ mod tests {
                 let f = StripedFwd::with_backend(&p, backend);
                 let mut ws = FwdWorkspace::default();
                 let mat = f.run_recording(&p, &seq, &mut ws);
-                let sp = OddsSpecials::from_scores(&p.specials_for(seq.len()));
-                ws.reset(f.q);
-                let mut st = RowState::start(&sp);
                 let bits = |row: &[V4f32]| -> Vec<u32> {
                     row.iter().flatten().map(|x| x.to_bits()).collect()
                 };
-                for (i, &x) in seq.iter().enumerate() {
-                    f.advance_row(x, &mut ws, &mut st, &sp);
+                let (mut i, mut total) = (0, [0.0]);
+                let slot = std::slice::from_mut(&mut ws);
+                f.drive(&p, &[&seq], slot, &mut total, |_, ws, st| {
                     let rows = i * f.q..(i + 1) * f.q;
                     assert_eq!(bits(&ws.cm), bits(&mat.rows_m[rows.clone()]), "M row {i}");
                     assert_eq!(bits(&ws.ci), bits(&mat.rows_i[rows]), "I row {i}");
                     assert_eq!(st.totscale.to_bits(), mat.scales[i].to_bits());
-                }
-                let total = st.finish(&sp);
+                    i += 1;
+                });
+                assert_eq!(i, seq.len());
+                let total = total[0];
                 assert_eq!(total.to_bits(), mat.total.to_bits(), "{backend} m={m}");
                 assert_eq!(total.to_bits(), f.run_into(&p, &seq, &mut ws).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn lockstep_slots_record_their_width_one_lattices() {
+        // Inside a ragged batch of four (a rescaling homolog among
+        // background, q on both sides of the 63-step decay) every slot's
+        // M/I rows and scales are the ones run_recording stores for its
+        // sequence alone, on each backend.
+        let mut rng = StdRng::seed_from_u64(23);
+        for m in [33usize, 280, 400] {
+            let core = synthetic_model(m, 31, &BuildParams::default());
+            let p = Profile::config(&core, &NullModel::new());
+            let mut hom = Vec::new();
+            while hom.len() < 3 * m {
+                hom.extend(h3w_seqdb::gen::sample_homolog(&mut rng, &core, 2));
+            }
+            let seqs = [
+                random_seq(&mut rng, 40),
+                hom,
+                random_seq(&mut rng, 1),
+                random_seq(&mut rng, 40),
+            ];
+            let refs: Vec<&[u8]> = seqs.iter().map(|s| s.as_slice()).collect();
+            for backend in Backend::all_available() {
+                let f = StripedFwd::with_backend(&p, backend);
+                let mats: Vec<FwdMatrix> = seqs
+                    .iter()
+                    .map(|s| f.run_recording(&p, s, &mut FwdWorkspace::default()))
+                    .collect();
+                assert_ne!(mats[1].scales[mats[1].l - 1], 0.0, "homolog must rescale");
+                assert_eq!(mats[0].scales[39], 0.0, "background must not");
+                let bits = |row: &[V4f32]| -> Vec<u32> {
+                    row.iter().flatten().map(|x| x.to_bits()).collect()
+                };
+                let mut slots: Vec<FwdWorkspace> = (0..4).map(|_| Default::default()).collect();
+                let (mut rows, mut out) = ([0usize; 4], [0.0; 4]);
+                f.drive(&p, &refs, &mut slots, &mut out, |s, ws, st| {
+                    let (i, mat) = (rows[s], &mats[s]);
+                    let span = i * f.q..(i + 1) * f.q;
+                    assert_eq!(bits(&ws.cm), bits(&mat.rows_m[span.clone()]), "M {s}/{i}");
+                    assert_eq!(bits(&ws.ci), bits(&mat.rows_i[span]), "I {s}/{i}");
+                    assert_eq!(st.totscale.to_bits(), mat.scales[i].to_bits(), "{s}/{i}");
+                    rows[s] += 1;
+                });
+                for s in 0..4 {
+                    assert_eq!(rows[s], seqs[s].len(), "{backend} m={m} slot {s}");
+                    assert_eq!(out[s].to_bits(), mats[s].total.to_bits(), "{backend} m={m}");
+                }
             }
         }
     }

@@ -4,18 +4,47 @@
 //! Same striping as the MSV filter but with i16 lanes and three DP rows
 //! (M/I/D). The D→D within-row chain (the sequential dependency the paper's
 //! §III-B is about) is resolved lazily: the main pass seeds `D` with the
-//! M→D path only; a fixed-point "Lazy-F" loop then propagates D→D until no
-//! element improves. The fixed point equals the exact in-order propagation
-//! of [`vit_filter_scalar`](crate::quantized::vit_filter_scalar) —
-//! bit-exactly — because `max` chains over the identical saturating-add
-//! paths.
+//! M→D path only, then
+//!
+//! 1. **pass 1**, branch-free, closes every in-lane chain:
+//!    `D[qi] = max(D[qi], carry ⊕ tdd[qi]); carry = D[qi]` from
+//!    `carry = −∞`, after which `D[qi+1] ≥ D[qi] ⊕ tdd[qi+1]` holds in
+//!    every lane;
+//! 2. **carry passes** hand each lane the closed `D[q−1]` of the lane
+//!    below and are left at the first `qi` where `carry ⊕ tdd[qi]`
+//!    improves no lane (Farrar's exit). That is sound because `⊕`
+//!    (saturating add) is monotone and pass 1's inequality survives every
+//!    update: a carry that fails at `qi` leaves `D[qi]` as it was, so it
+//!    fails everywhere after. A pass that stops short did not touch
+//!    `D[q−1]`, so the next carry would be the same one and the row is
+//!    closed; a pass that runs through moves every chain one lane
+//!    boundary further, and a chain crosses at most `LANES − 1` of them.
+//!    That is the loop bound; no pass is ever cut off.
+//!
+//! The system `D[k] = max(seed[k], D[k−1] ⊕ tdd[k])` has one solution, so
+//! the closed row equals the exact in-order propagation of
+//! [`vit_filter_scalar`](crate::quantized::vit_filter_scalar) — bit-exactly
+//! — at any lane count. On background rows the first carry pass leaves at
+//! `qi = 0`: two walks per row, one of them a single vector.
+//!
+//! **No pre-test.** HMMER skips the resolution on rows where no D→D path
+//! can beat `B→M` on the next row: with every `tdd, tdm ≤ 0`, a D→D-derived
+//! `D[k]` is at most `Dmax + tdd[k]`, so `Dmax + max_k(tdd[k] + tdm[k+1] −
+//! bmk[k+1]) ≤ xB` (in `i32`, with the row's new `xB`) proves the next
+//! row's M unchanged. Uniform local entry makes `−bmk = ln(M(M+1)/2)`
+//! thousands of words, and the test fired on no row of the calibration
+//! sample from M = 100 up (7.9% of rows at M = 48) nor of Swissprot-shaped
+//! survivors at M = 400, so it is not built (EXPERIMENTS.md E13).
+//!
+//! **No interleave.** The main loop has no serial chain and pass 1 a
+//! 2-cycle one against a 1.5-cycle load/store floor; pass 1 is a tenth of
+//! the kernel, so lockstep sequences could save ≈ 3%. The batched sweep
+//! ([`crate::sweep`]) therefore scores a batch one sequence at a time.
 //!
 //! Like [`StripedMsv`](crate::striped_msv::StripedMsv), the row loop is
 //! backend-dispatched: portable scalar reference (8 emulated lanes), SSE2
 //! intrinsics over the same 8 × i16 layout, and AVX2 intrinsics over a
-//! re-striped 16 × i16 layout (`Q = ⌈M/16⌉`). The Lazy-F fixed point is
-//! unique, so the wider stripe converges to the same D row and all
-//! backends score bit-identically.
+//! re-striped 16 × i16 layout (`Q = ⌈M/16⌉`); all score bit-identically.
 
 use crate::backend::Backend;
 use crate::quantized::VitOutcome;
@@ -35,12 +64,24 @@ pub const VIT_LANES_AVX2: usize = 16;
 pub struct LazyFStats {
     /// Rows (residues) processed.
     pub rows: u64,
-    /// Total Lazy-F passes over the D row (≥ 1 per row).
+    /// Walks over the D row that were started: pass 1 plus every carry
+    /// pass, one that leaves at `qi = 0` included.
     pub total_passes: u64,
-    /// Rows whose D values needed more than the single mandatory pass.
+    /// Rows that started a carry pass.
     pub rows_extra: u64,
-    /// Worst-case passes for any single row.
+    /// Worst-case walks for any single row (≤ the lane count).
     pub max_passes: u32,
+}
+
+impl LazyFStats {
+    /// Account one row that started `passes` walks over its D row.
+    #[inline(always)]
+    fn record(&mut self, passes: u32) {
+        self.rows += 1;
+        self.total_passes += passes as u64;
+        self.rows_extra += (passes > 1) as u64;
+        self.max_passes = self.max_passes.max(passes);
+    }
 }
 
 /// Reusable row buffers for [`StripedVit::run_into`]. The AVX2 backend
@@ -236,7 +277,6 @@ impl StripedVit {
         let mut xb = wadd(xn, ls.move_w);
 
         for &x in seq {
-            stats.rows += 1;
             let row = &self.rwv[x as usize * q..(x as usize + 1) * q];
             let xbv = splat_i16(xb);
             let mut xev = ninf;
@@ -267,29 +307,37 @@ impl StripedVit {
             let wrap = adds_i16(shift_i16(mcur_prev, W_NEG_INF), self.tmd[0]);
             dpd[0] = max_i16(dpd[0], wrap);
 
-            // Lazy-F: propagate D→D to its fixed point.
-            let mut passes = 0u32;
-            loop {
+            // Lazy-F pass 1: close every in-lane D→D chain, branch-free.
+            let mut carry = ninf;
+            for qi in 0..q {
+                dpd[qi] = max_i16(dpd[qi], adds_i16(carry, self.tdd[qi]));
+                carry = dpd[qi];
+            }
+            // Carry passes: one more lane boundary each, left at the
+            // first `qi` where the carry improves no lane.
+            let mut passes = 1;
+            for _ in 1..VIT_LANES {
                 passes += 1;
-                let mut changed = false;
                 let mut carry = shift_i16(dpd[q - 1], W_NEG_INF);
-                for qi in 0..q {
+                let mut qi = 0;
+                while qi < q {
                     let cand = adds_i16(carry, self.tdd[qi]);
-                    if any_gt_i16(cand, dpd[qi]) {
-                        dpd[qi] = max_i16(dpd[qi], cand);
-                        changed = true;
+                    if !any_gt_i16(cand, dpd[qi]) {
+                        break;
                     }
+                    dpd[qi] = max_i16(dpd[qi], cand);
                     carry = dpd[qi];
+                    qi += 1;
                 }
-                if !changed || passes > 2 * VIT_LANES as u32 + 2 {
+                if qi < q {
                     break;
                 }
             }
-            stats.total_passes += passes as u64;
-            if passes > 1 {
-                stats.rows_extra += 1;
-            }
-            stats.max_passes = stats.max_passes.max(passes);
+            debug_assert!(!any_gt_i16(
+                adds_i16(shift_i16(dpd[q - 1], W_NEG_INF), self.tdd[0]),
+                dpd[0]
+            ));
+            stats.record(passes);
 
             let xe = hmax_i16(xev);
             if xe == i16::MAX {
@@ -338,7 +386,6 @@ impl StripedVit {
         let mut xb = wadd(xn, ls.move_w);
 
         for &x in seq {
-            stats.rows += 1;
             let row = self.rwv.as_ptr().add(x as usize * q) as *const i16;
             let xbv = _mm_set1_epi16(xb);
             let mut xev = ninf;
@@ -377,32 +424,40 @@ impl StripedVit {
             );
             storeu128(dpd, _mm_max_epi16(loadu128(dpd), wrap));
 
-            let mut passes = 0u32;
-            loop {
+            let tdd = self.tdd.as_ptr();
+            let mut carry = ninf;
+            for qi in 0..q {
+                let cand = _mm_adds_epi16(carry, loadu128(tdd.add(qi)));
+                carry = _mm_max_epi16(loadu128(dpd.add(8 * qi)), cand);
+                storeu128(dpd.add(8 * qi), carry);
+            }
+            let mut passes = 1;
+            for _ in 1..VIT_LANES {
                 passes += 1;
-                let mut changed = false;
                 let mut carry = shl1_i16_128(loadu128(dpd.add(8 * (q - 1))), W_NEG_INF);
-                for qi in 0..q {
+                let mut qi = 0;
+                while qi < q {
                     let cur = loadu128(dpd.add(8 * qi));
-                    let cand = _mm_adds_epi16(carry, loadu128(self.tdd.as_ptr().add(qi)));
-                    if any_gt_epi16_128(cand, cur) {
-                        let nv = _mm_max_epi16(cur, cand);
-                        storeu128(dpd.add(8 * qi), nv);
-                        changed = true;
-                        carry = nv;
-                    } else {
-                        carry = cur;
+                    let cand = _mm_adds_epi16(carry, loadu128(tdd.add(qi)));
+                    if !any_gt_epi16_128(cand, cur) {
+                        break;
                     }
+                    carry = _mm_max_epi16(cur, cand);
+                    storeu128(dpd.add(8 * qi), carry);
+                    qi += 1;
                 }
-                if !changed || passes > 2 * VIT_LANES as u32 + 2 {
+                if qi < q {
                     break;
                 }
             }
-            stats.total_passes += passes as u64;
-            if passes > 1 {
-                stats.rows_extra += 1;
-            }
-            stats.max_passes = stats.max_passes.max(passes);
+            debug_assert!(!any_gt_epi16_128(
+                _mm_adds_epi16(
+                    shl1_i16_128(loadu128(dpd.add(8 * (q - 1))), W_NEG_INF),
+                    loadu128(tdd)
+                ),
+                loadu128(dpd)
+            ));
+            stats.record(passes);
 
             let xe = hmax_epi16(xev);
             if xe == i16::MAX {
@@ -458,7 +513,6 @@ impl StripedVit {
         let mut xb = wadd(xn, ls.move_w);
 
         for &x in seq {
-            stats.rows += 1;
             let row = t.rwv.as_ptr().add(x as usize * q) as *const i16;
             let xbv = _mm256_set1_epi16(xb);
             let mut xev = ninf;
@@ -495,32 +549,40 @@ impl StripedVit {
                 _mm256_adds_epi16(shl1_i16_256(mcur_prev, W_NEG_INF), loadu256(t.tmd.as_ptr()));
             storeu256(dpd, _mm256_max_epi16(loadu256(dpd), wrap));
 
-            let mut passes = 0u32;
-            loop {
+            let tdd = t.tdd.as_ptr();
+            let mut carry = ninf;
+            for qi in 0..q {
+                let cand = _mm256_adds_epi16(carry, loadu256(tdd.add(qi)));
+                carry = _mm256_max_epi16(loadu256(dpd.add(16 * qi)), cand);
+                storeu256(dpd.add(16 * qi), carry);
+            }
+            let mut passes = 1;
+            for _ in 1..VIT_LANES_AVX2 {
                 passes += 1;
-                let mut changed = false;
                 let mut carry = shl1_i16_256(loadu256(dpd.add(16 * (q - 1))), W_NEG_INF);
-                for qi in 0..q {
+                let mut qi = 0;
+                while qi < q {
                     let cur = loadu256(dpd.add(16 * qi));
-                    let cand = _mm256_adds_epi16(carry, loadu256(t.tdd.as_ptr().add(qi)));
-                    if any_gt_epi16_256(cand, cur) {
-                        let nv = _mm256_max_epi16(cur, cand);
-                        storeu256(dpd.add(16 * qi), nv);
-                        changed = true;
-                        carry = nv;
-                    } else {
-                        carry = cur;
+                    let cand = _mm256_adds_epi16(carry, loadu256(tdd.add(qi)));
+                    if !any_gt_epi16_256(cand, cur) {
+                        break;
                     }
+                    carry = _mm256_max_epi16(cur, cand);
+                    storeu256(dpd.add(16 * qi), carry);
+                    qi += 1;
                 }
-                if !changed || passes > 2 * VIT_LANES_AVX2 as u32 + 2 {
+                if qi < q {
                     break;
                 }
             }
-            stats.total_passes += passes as u64;
-            if passes > 1 {
-                stats.rows_extra += 1;
-            }
-            stats.max_passes = stats.max_passes.max(passes);
+            debug_assert!(!any_gt_epi16_256(
+                _mm256_adds_epi16(
+                    shl1_i16_256(loadu256(dpd.add(16 * (q - 1))), W_NEG_INF),
+                    loadu256(tdd)
+                ),
+                loadu256(dpd)
+            ));
+            stats.record(passes);
 
             let xe = hmax_epi16_256(xev);
             if xe == i16::MAX {

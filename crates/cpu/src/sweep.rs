@@ -19,10 +19,10 @@
 //! Both produce bit-identical outcomes; the batched shape is faster
 //! because the single-sequence row loop is latency-bound (see
 //! [`crate::batch`]). The batched shape is one driver
-//! ([`outcomes_batched`]) generic over a [`BatchKernel`] — the MSV and
-//! Forward `(striped tables, profile)` pairs — and monomorphized per
-//! filter, so stage 1 and stage 3 share the schedule, the fan-out and
-//! the scatter without sharing a call through a pointer.
+//! ([`outcomes_batched`]) generic over a [`BatchKernel`] — the MSV,
+//! Viterbi and Forward `(striped tables, profile)` pairs — and
+//! monomorphized per filter, so all three stages share the schedule, the
+//! fan-out and the scatter without sharing a call through a pointer.
 //!
 //! Every sweep takes the [`ThreadPool`] to fan out on. Each parallel item
 //! (a batch, or a sequence) writes its result into the slot indexed by
@@ -257,6 +257,29 @@ impl BatchKernel for (&StripedFwd, &Profile) {
     }
     fn cells_per_row(&self) -> (u64, u64) {
         (self.0.real_cells_per_row(), self.0.padded_cells_per_row())
+    }
+}
+
+/// Width 1 by measurement: the Viterbi row loop has no serial chain for
+/// an interleave to hide (see [`crate::striped_vit`]), so a batch is a
+/// loop over [`StripedVit::run_into`] and the schedule's width only sets
+/// how many sequences one pool task takes.
+impl BatchKernel for (&StripedVit, &VitProfile) {
+    type Workspace = VitWorkspace;
+    type Output = (VitOutcome, LazyFStats);
+    fn backend(&self) -> Backend {
+        self.0.backend()
+    }
+    fn run_batch_into(&self, seqs: &[&[Residue]], ws: &mut VitWorkspace, out: &mut [Self::Output]) {
+        for (seq, o) in seqs.iter().zip(out) {
+            *o = self.0.run_into(self.1, seq, ws);
+        }
+    }
+    fn cells_per_row(&self) -> (u64, u64) {
+        (
+            self.0.real_cells_per_row() as u64,
+            self.0.padded_cells_per_row() as u64,
+        )
     }
 }
 
@@ -572,38 +595,27 @@ pub fn fwd_sweep_batched(
     sweep_batched(pool, &(&StripedFwd::new(p), p), db, width)
 }
 
-/// Viterbi-filter every sequence of a database in parallel.
+/// Viterbi-filter every sequence of a database in parallel
+/// ([`sweep_batched`] over the word filter), with the summed Lazy-F
+/// effort.
 pub fn vit_sweep(
     pool: &ThreadPool,
     om: &VitProfile,
     db: &SeqDb,
 ) -> (Vec<VitOutcome>, SweepTiming, LazyFStats) {
-    let striped = StripedVit::new(om);
-    let start = Instant::now();
-    let results: Vec<(VitOutcome, LazyFStats)> =
-        pool.map_collect_init(db.len(), VitWorkspace::default, |ws, i| {
-            striped.run_into(om, &db.seqs[i].residues, ws)
-        });
-    let secs = start.elapsed().as_secs_f64();
+    let (results, timing) = sweep_batched(pool, &(&StripedVit::new(om), om), db, 0);
     let mut agg = LazyFStats::default();
-    let mut outcomes = Vec::with_capacity(results.len());
-    for (out, st) in results {
-        outcomes.push(out);
-        agg.rows += st.rows;
-        agg.total_passes += st.total_passes;
-        agg.rows_extra += st.rows_extra;
-        agg.max_passes = agg.max_passes.max(st.max_passes);
-    }
-    let res = db.total_residues();
-    (
-        outcomes,
-        timing(
-            secs,
-            striped.real_cells_per_row() as u64 * res,
-            striped.padded_cells_per_row() as u64 * res,
-        ),
-        agg,
-    )
+    let outcomes = results
+        .into_iter()
+        .map(|(out, st)| {
+            agg.rows += st.rows;
+            agg.total_passes += st.total_passes;
+            agg.rows_extra += st.rows_extra;
+            agg.max_passes = agg.max_passes.max(st.max_passes);
+            out
+        })
+        .collect();
+    (outcomes, timing, agg)
 }
 
 /// Measure single-thread striped-MSV throughput (cells/s) on a sample —
@@ -664,23 +676,6 @@ pub fn measure_fwd_generic(p: &Profile, db: &SeqDb, max_seqs: usize) -> SweepTim
     }
     let cells = 3 * p.m as u64 * res;
     timing(start.elapsed().as_secs_f64(), cells, cells)
-}
-
-/// Measure single-thread striped-Viterbi throughput (cells/s) on a sample.
-pub fn measure_vit_throughput(om: &VitProfile, db: &SeqDb, max_seqs: usize) -> SweepTiming {
-    let striped = StripedVit::new(om);
-    let mut ws = VitWorkspace::default();
-    let mut res = 0u64;
-    let start = Instant::now();
-    for seq in db.seqs.iter().take(max_seqs) {
-        std::hint::black_box(striped.run_into(om, &seq.residues, &mut ws));
-        res += seq.len() as u64;
-    }
-    timing(
-        start.elapsed().as_secs_f64(),
-        striped.real_cells_per_row() as u64 * res,
-        striped.padded_cells_per_row() as u64 * res,
-    )
 }
 
 #[cfg(test)]
@@ -963,7 +958,7 @@ mod tests {
     fn throughput_measurement_sane() {
         let (msv, vit, db) = setup();
         let tm = measure_msv_throughput(&msv, &db, 50);
-        let tv = measure_vit_throughput(&vit, &db, 50);
+        let tv = measure_batched(&(&StripedVit::new(&vit), &vit), &db, 50, 1);
         assert!(
             tm.cells_per_sec > 1e6,
             "MSV throughput {}",

@@ -6,14 +6,15 @@
 //! longer than 64 KiB).
 
 use h3w_cpu::striped_msv::StripedMsv;
-use h3w_cpu::striped_vit::{StripedVit, VitWorkspace};
-use h3w_cpu::Backend;
+use h3w_cpu::striped_vit::{StripedVit, VitWorkspace, VIT_LANES, VIT_LANES_AVX2};
+use h3w_cpu::{vit_filter_scalar, Backend};
 use h3w_hmm::build::{synthetic_model, BuildParams};
 use h3w_hmm::calibrate::random_seq;
 use h3w_hmm::msvprofile::MsvProfile;
 use h3w_hmm::profile::Profile;
 use h3w_hmm::vitprofile::VitProfile;
 use h3w_hmm::NullModel;
+use h3w_seqdb::gen::sample_homolog;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -126,6 +127,55 @@ fn degenerate_sequences_match_across_backends() {
         for seq in [&[][..], &[0u8][..], &[19u8][..], &long[..]] {
             assert_backends_match(&msv, &vit, seq, &format!("m={m} len={}", seq.len()))
                 .unwrap_or_else(|e| panic!("{e}"));
+        }
+    }
+}
+
+#[test]
+fn d_heavy_models_close_in_at_most_lanes_walks() {
+    // D→D at ≈ 0 nats and a generous M→D: a delete chain never decays,
+    // so a carry crosses every lane boundary and the Lazy-F runs its
+    // full pass budget (q = 1 for M ≤ 8 on the 128-bit layouts and
+    // M ≤ 16 on AVX2, where every hop is a lane boundary; M = 2405 for
+    // long stripes). Each backend must still equal the in-order scalar
+    // filter bit for bit, and no row may start more walks over its D
+    // row than the layout has lanes.
+    let bg = NullModel::new();
+    let mut rng = StdRng::seed_from_u64(0xdd);
+    for m in [1usize, 2, 7, 8, 9, 16, 17, 130, 2405] {
+        let mut core = synthetic_model(m, 77, &BuildParams::gappy());
+        for node in &mut core.nodes {
+            (node.t.mm, node.t.mi, node.t.md) = (0.55, 0.05, 0.40);
+            (node.t.dm, node.t.dd) = (0.001, 0.999);
+        }
+        let vit = VitProfile::from_profile(&Profile::config(&core, &bg));
+        let mut seqs = vec![
+            random_seq(&mut rng, 150),
+            sample_homolog(&mut rng, &core, 4),
+        ];
+        seqs.push([&seqs[1][..], &seqs[0][..40], &seqs[1][..]].concat());
+        for backend in Backend::all_available() {
+            let striped = StripedVit::with_backend(&vit, backend);
+            let lanes = if backend == Backend::Avx2 {
+                VIT_LANES_AVX2
+            } else {
+                VIT_LANES
+            };
+            let mut deepest = 0;
+            for seq in &seqs {
+                let (got, stats) = striped.run(&vit, seq);
+                assert_eq!(got, vit_filter_scalar(&vit, seq), "{backend} m={m}");
+                assert!(
+                    stats.max_passes as usize <= lanes && stats.total_passes >= stats.rows,
+                    "{backend} m={m}: {stats:?}"
+                );
+                deepest = deepest.max(stats.max_passes as usize);
+            }
+            // The budget is reached, not merely allowed: when the last
+            // lane holds a real node a chain runs through all of them.
+            if m > (lanes - 1) * m.div_ceil(lanes) {
+                assert_eq!(deepest, lanes, "{backend} m={m}");
+            }
         }
     }
 }

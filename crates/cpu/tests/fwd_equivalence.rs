@@ -20,6 +20,7 @@ use h3w_cpu::striped_fwd::{FwdBatchWorkspace, FwdWorkspace, StripedFwd};
 use h3w_cpu::{fwd_scores_batched, Backend, ThreadPool, MAX_BATCH};
 use h3w_hmm::build::{synthetic_model, BuildParams};
 use h3w_hmm::calibrate::random_seq;
+use h3w_hmm::plan7::CoreModel;
 use h3w_hmm::profile::{Profile, SearchMode, NEG_INF};
 use h3w_hmm::NullModel;
 use h3w_seqdb::gen::sample_homolog;
@@ -434,6 +435,80 @@ fn assert_all_paths_bit_identical(p: &Profile, seqs: &[Vec<u8>]) -> Result<(), T
         }
     }
     Ok(())
+}
+
+/// Ragged batches for the lockstep D→D resolution: lengths 0, 1, two
+/// equal, one three times longer than its neighbours, and one tandem
+/// homolog that rescales among background slots that never do.
+fn ragged_batch(core: &CoreModel, rng: &mut StdRng) -> Vec<Vec<u8>> {
+    let mut hom = Vec::new();
+    while hom.len() < 3 * core.len().max(20) {
+        hom.extend(sample_homolog(rng, core, 2));
+    }
+    let mut seqs: Vec<Vec<u8>> = [0usize, 1, 30, 30, 90]
+        .iter()
+        .map(|&l| random_seq(rng, l))
+        .collect();
+    seqs.insert(2, hom);
+    seqs
+}
+
+#[test]
+fn lockstep_batches_equal_width_one_at_every_model_size() {
+    // M ∈ 1..70 keeps every correction pass running the whole row; at
+    // 400, 1002 and 2405 (q > 63) an increment dies mid-row, at a step
+    // set by the D cell that seeded it, so the slots of a batch die at
+    // different `qi` and the dead ones ride along as `+0.0`. Every
+    // width × every runnable backend, in two slot orders (the longest
+    // slot early, and late), must give each slot its width-1 score,
+    // which is also its run_recording total.
+    let bg = NullModel::new();
+    let mut rng = StdRng::seed_from_u64(0x10c5);
+    for m in [1usize, 4, 5, 33, 69, 400, 1002, 2405] {
+        let core = synthetic_model(m, 40 + m as u64, &BuildParams::default());
+        let p = Profile::config(&core, &bg);
+        let mut seqs = ragged_batch(&core, &mut rng);
+        let scalar = StripedFwd::with_backend(&p, Backend::Scalar);
+        let (want, rescales): (Vec<(u32, u64)>, Vec<usize>) = seqs
+            .iter()
+            .map(|s| {
+                let (hash, rescales) = lattice_hash(&scalar, &p, s);
+                ((scalar.run(&p, s).to_bits(), hash), rescales)
+            })
+            .unzip();
+        if m >= 33 {
+            assert!(rescales[2] >= 1, "m={m}: the homolog slot never rescaled");
+        }
+        assert!(
+            rescales.iter().enumerate().all(|(i, &r)| i == 2 || r == 0),
+            "m={m}: a background slot rescaled: {rescales:?}"
+        );
+        let mut want_rev = want.clone();
+        for backend in Backend::all_available() {
+            let f = StripedFwd::with_backend(&p, backend);
+            for (s, w) in seqs.iter().zip(&want) {
+                let mat = f.run_recording(&p, s, &mut FwdWorkspace::default());
+                assert_eq!(mat.total.to_bits(), w.0, "{backend} m={m}: recording total");
+                assert_eq!(lattice_hash(&f, &p, s).0, w.1, "{backend} m={m}: lattice");
+            }
+            let mut bws = FwdBatchWorkspace::default();
+            for pass in 0..2 {
+                let want = if pass == 0 { &want } else { &want_rev };
+                for width in 1..=MAX_BATCH {
+                    for (chunk, w) in seqs.chunks(width).zip(want.chunks(width)) {
+                        let refs: Vec<&[u8]> = chunk.iter().map(|s| s.as_slice()).collect();
+                        let mut out = vec![0.0f32; refs.len()];
+                        f.run_batch_into(&p, &refs, &mut bws, &mut out);
+                        let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
+                        let w: Vec<u32> = w.iter().map(|x| x.0).collect();
+                        assert_eq!(got, w, "{backend} m={m} width {width} pass {pass}");
+                    }
+                }
+                seqs.reverse();
+                want_rev.reverse();
+            }
+        }
+    }
 }
 
 proptest! {

@@ -203,15 +203,31 @@ pub fn scan_traced(
 /// prepare a model library once and [`scan_prepared`] with it many
 /// times. The fan-out is over models: each model's calibration sweeps,
 /// pooled when a pipeline is prepared on its own, run inline on the
-/// worker that took the model (the pool never nests).
+/// worker that took the model (the pool never nests). Calibration cost
+/// grows with the model and the pool shards indices contiguously, so the
+/// models are dispatched largest first (ties by index): a library sorted
+/// by size would otherwise start its largest model last and finish it
+/// alone. Seeds are keyed on the model's own index, so the order changes
+/// no `Calibration` bit.
 pub fn prepare_scan(models: &[CoreModel], config: PipelineConfig, seed: u64) -> Vec<Pipeline> {
     let pipe_cfg = PipelineConfig {
         threads: 0,
         ..config
     };
-    ThreadPool::global().map_collect(models.len(), |qi| {
+    let mut order: Vec<usize> = (0..models.len()).collect();
+    order.sort_by_key(|&qi| std::cmp::Reverse(models[qi].len()));
+    let prepared = ThreadPool::global().map_collect(order.len(), |j| {
+        let qi = order[j];
         Pipeline::prepare(&models[qi], pipe_cfg, seed ^ ((qi as u64) << 17))
-    })
+    });
+    let mut pipes: Vec<Option<Pipeline>> = models.iter().map(|_| None).collect();
+    for (qi, pipe) in order.into_iter().zip(prepared) {
+        pipes[qi] = Some(pipe);
+    }
+    pipes
+        .into_iter()
+        .map(|p| p.expect("order is a permutation of the model indices"))
+        .collect()
 }
 
 /// Scan the database with pipelines built by [`prepare_scan`], skipping

@@ -20,10 +20,10 @@ use h3w_core::fault::{SweepError, SweepTrace};
 use h3w_core::tiered::{run_fwd_device, run_msv_device, run_vit_device, StageRun};
 use h3w_cpu::striped_fwd::StripedFwd;
 use h3w_cpu::striped_msv::StripedMsv;
-use h3w_cpu::striped_vit::{StripedVit, VitWorkspace};
+use h3w_cpu::striped_vit::StripedVit;
 use h3w_cpu::{
-    batch_schedule_stats, fwd_scores_batched, posterior_decode_with, resolve_batch_width,
-    sweep_batched, Backend, PoolHandle, ThreadPool,
+    batch_schedule_stats, fwd_scores_batched, outcomes_batched, posterior_decode_with,
+    resolve_batch_width, sweep_batched, Backend, PoolHandle, ThreadPool,
 };
 use h3w_hmm::calibrate::{self, Calibration};
 use h3w_hmm::msvprofile::MsvProfile;
@@ -611,20 +611,22 @@ impl Pipeline {
         (scores, timing.seconds)
     }
 
-    /// Host stage 2: the pool-parallel striped Viterbi filter over a
-    /// survivor mask (also the fault-tolerant plan's CPU fallback).
+    /// Host stage 2: the striped Viterbi filter over a survivor mask,
+    /// on the same length-binned batched sweep as stages 1 and 3 (also
+    /// the fault-tolerant plan's CPU fallback).
     fn vit_stage_host(&self, db: &SeqDb, pass1: &[bool]) -> (Vec<Option<f32>>, f64) {
         let t1 = Instant::now();
-        let scores: Vec<Option<f32>> =
-            self.pool()
-                .map_collect_init(db.len(), VitWorkspace::default, |ws, i| {
-                    pass1[i].then(|| {
-                        self.striped_vit
-                            .run_into(&self.vit, &db.seqs[i].residues, ws)
-                            .0
-                            .score
-                    })
-                });
+        let kernel = (&self.striped_vit, &self.vit);
+        let scores = outcomes_batched(
+            self.pool(),
+            &kernel,
+            &db.seqs,
+            Some(pass1),
+            self.config.batch,
+        )
+        .into_iter()
+        .map(|o| o.map(|(out, _)| out.score))
+        .collect();
         (scores, t1.elapsed().as_secs_f64())
     }
 

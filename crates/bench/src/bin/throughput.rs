@@ -32,10 +32,7 @@ use h3w_cpu::sweep::{
     fwd_sweep_batched, measure_batched, measure_fwd_generic, msv_sweep_batched, record_sweep,
     vit_sweep, SweepTiming,
 };
-use h3w_cpu::{
-    fwd_scores_batched, msv_outcomes_batched, outcomes_batched, Backend, FwdBatchWorkspace,
-    StripedFwd, ThreadPool, MAX_BATCH,
-};
+use h3w_cpu::{outcomes_batched, Backend, FwdBatchWorkspace, StripedFwd, ThreadPool, MAX_BATCH};
 use h3w_hmm::build::{synthetic_model, BuildParams};
 use h3w_hmm::calibrate;
 use h3w_hmm::msvprofile::MsvProfile;
@@ -378,16 +375,16 @@ fn calibration_rows() -> Json {
             std::hint::black_box(draw());
         });
         let msv_ms = time_reps_ms(|| {
-            let out = msv_outcomes_batched(pool, &pipe.striped_msv, &pipe.msv, &sample, None, 0);
-            std::hint::black_box(out);
+            let kernel = (&pipe.striped_msv, &pipe.msv);
+            std::hint::black_box(outcomes_batched(pool, &kernel, &sample, None, 0));
         });
         let vit_ms = time_reps_ms(|| {
             let kernel = (&pipe.striped_vit, &pipe.vit);
             std::hint::black_box(outcomes_batched(pool, &kernel, &sample, None, 0));
         });
         let fwd_ms = time_reps_ms(|| {
-            let out = fwd_scores_batched(pool, &pipe.striped_fwd, &pipe.profile, &sample, None, 0);
-            std::hint::black_box(out);
+            let kernel = (&pipe.striped_fwd, &pipe.profile);
+            std::hint::black_box(outcomes_batched(pool, &kernel, &sample, None, 0));
         });
         let mid = CALIBRATION_REPS / 2;
         let parts = draw_ms[mid] + msv_ms[mid] + vit_ms[mid] + fwd_ms[mid];
@@ -593,7 +590,7 @@ fn scaling_rows(
     ])
 }
 
-/// The fused multi-profile scan (`hmmscan --fused`): 100 small models
+/// The fused multi-profile scan (`hmmscan`): 100 small models
 /// (M ≈ 100–400, the pfam_scan regime) against an Env_nr-like slice,
 /// three ways — 100 independent `Pipeline::search` sweeps run serially,
 /// the unfused model-parallel scan, and the fused scan whose stage-1
@@ -804,7 +801,7 @@ fn main() {
     // Pool scaling curve: every stage sweep at 1..N workers.
     let scaling = scaling_rows(&msv, &vit, &profile, &db, &trace);
 
-    // Fused multi-profile scan vs independent sweeps (hmmscan --fused).
+    // Fused multi-profile scan vs independent sweeps (hmmscan).
     let multi_model = multi_model_rows(&trace);
 
     // Full CPU funnel per backend through `Pipeline::search`; best of 3

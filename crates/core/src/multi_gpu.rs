@@ -9,10 +9,9 @@
 use crate::fault::{run_chunks_ft, RetryPolicy, SweepError, SweepTrace};
 use crate::layout::{MemConfig, Stage};
 use crate::stats_model::DbAggregates;
-use crate::tiered::{model_stage_time, run_msv_device_on, run_vit_device_on, MsvRun, VitRun};
+use crate::tiered::{model_stage_time, run_msv_device_on, MsvRun};
 use crate::vit_warp::WarpLazyStats;
 use h3w_hmm::msvprofile::MsvProfile;
-use h3w_hmm::vitprofile::VitProfile;
 use h3w_seqdb::{PackedDb, SeqDb};
 use h3w_simt::{DeviceSpec, FaultInjector, TimeBreakdown};
 
@@ -66,18 +65,6 @@ pub struct MultiMsvRun {
     pub trace: SweepTrace,
 }
 
-/// Result of a functional multi-device Viterbi execution.
-#[derive(Debug)]
-pub struct MultiVitRun {
-    /// Per-chunk runs (completion order; one per partition when
-    /// fault-free, more after redistribution).
-    pub devices: Vec<VitRun>,
-    /// Makespan across devices.
-    pub makespan_s: f64,
-    /// Fault/recovery journal (empty when fault-free).
-    pub trace: SweepTrace,
-}
-
 /// Run the MSV stage across `n` identical devices (functional). The
 /// database is packed once; each device works a zero-copy index subset,
 /// and reported hit `seqid`s are remapped to **whole-database** order.
@@ -123,52 +110,6 @@ pub fn run_msv_multi_ft(
         |r| r.run.time.total_s,
     )?;
     Ok(MultiMsvRun {
-        devices,
-        makespan_s,
-        trace,
-    })
-}
-
-/// Run the P7Viterbi stage across `n` identical devices (functional).
-/// Same zero-copy routing and `seqid` remapping as [`run_msv_multi`].
-pub fn run_vit_multi(
-    om: &VitProfile,
-    db: &SeqDb,
-    dev: &DeviceSpec,
-    n: usize,
-    mem: Option<MemConfig>,
-) -> Result<MultiVitRun, SweepError> {
-    run_vit_multi_ft(om, db, dev, n, mem, &RetryPolicy::no_wait(), None)
-}
-
-/// [`run_vit_multi`] under a fault model; see [`run_msv_multi_ft`].
-pub fn run_vit_multi_ft(
-    om: &VitProfile,
-    db: &SeqDb,
-    dev: &DeviceSpec,
-    n: usize,
-    mem: Option<MemConfig>,
-    policy: &RetryPolicy,
-    injector: Option<&FaultInjector>,
-) -> Result<MultiVitRun, SweepError> {
-    let packed = PackedDb::from_db(db);
-    let device_ids: Vec<usize> = (0..n).collect();
-    let (devices, makespan_s, trace) = run_chunks_ft(
-        partition_ids(&packed, n),
-        &device_ids,
-        policy,
-        injector,
-        |ids, ctx| {
-            let sub = packed.subset(ids);
-            let mut run = run_vit_device_on(om, &sub, dev, mem, ctx)?;
-            for h in &mut run.hits {
-                h.seqid = sub.parent_id(h.seqid as usize) as u32;
-            }
-            Ok(run)
-        },
-        |r| r.run.time.total_s,
-    )?;
-    Ok(MultiVitRun {
         devices,
         makespan_s,
         trace,

@@ -22,14 +22,16 @@
 //! ([`outcomes_batched`]) generic over a [`BatchKernel`] — the MSV,
 //! Viterbi and Forward `(striped tables, profile)` pairs — and
 //! monomorphized per filter, so all three stages share the schedule, the
-//! fan-out and the scatter without sharing a call through a pointer.
+//! fan-out and the scatter without sharing a call through a pointer. A
+//! sweep over part of a database selects it by an ascending list of
+//! sequence ids and returns one outcome per id, in that order.
 //!
 //! Every sweep takes the [`ThreadPool`] to fan out on. Each parallel item
 //! (a batch, or a sequence) writes its result into the slot indexed by
-//! its original position, so outcomes are **bit-identical at every thread
-//! count**; per-worker workspace arenas are created lazily once per
-//! worker (the `map_collect_init` scratch pattern), so the steady-state
-//! hot loop still performs no allocation.
+//! its position in the selection, so outcomes are **bit-identical at
+//! every thread count**; per-worker workspace arenas are created lazily
+//! once per worker (the `map_collect_init` scratch pattern), so the
+//! steady-state hot loop still performs no allocation.
 
 use crate::backend::Backend;
 use crate::batch::{msv_multi_batch_into, BatchWorkspace, MsvPair, MAX_BATCH};
@@ -129,14 +131,14 @@ impl BatchScheduleStats {
 }
 
 /// Compute [`BatchScheduleStats`] for the schedule
-/// [`length_binned_batches`] builds over the same `(lens, mask, width)`.
+/// [`length_binned_batches`] builds over the same `(lens, ids, width)`.
 pub fn batch_schedule_stats(
     lens: &[usize],
-    mask: Option<&[bool]>,
+    ids: Option<&[u32]>,
     width: usize,
 ) -> BatchScheduleStats {
     let width = width.clamp(1, MAX_BATCH);
-    let batches = length_binned_batches(lens, mask, width);
+    let batches = length_binned_batches(lens, ids, width);
     let mut stats = BatchScheduleStats {
         width,
         batches: batches.len() as u64,
@@ -181,27 +183,21 @@ pub fn resolve_batch_width(backend: Backend, requested: usize) -> usize {
 }
 
 /// The length-binned batch schedule: indices of the selected sequences
-/// (all of them, or `mask`-selected survivors), sorted by descending
-/// length and chunked into batches of `width`.
+/// (all of them, or the survivors listed in `ids`, ascending), sorted by
+/// descending length and chunked into batches of `width`.
 ///
 /// Sorting is what makes interleaving pay: batch members enter the fused
 /// loop near-lockstep, so almost no rows run below full width. Descending
 /// order also hands the thread pool the long batches first, shrinking the
 /// work-stealing tail. Callers scatter outcomes back through the returned
 /// indices, so output order is unaffected.
-pub fn length_binned_batches(
-    lens: &[usize],
-    mask: Option<&[bool]>,
-    width: usize,
-) -> Vec<Vec<usize>> {
+pub fn length_binned_batches(lens: &[usize], ids: Option<&[u32]>, width: usize) -> Vec<Vec<usize>> {
     let width = width.clamp(1, MAX_BATCH);
-    let mut idx: Vec<usize> = match mask {
-        Some(m) => {
-            assert_eq!(m.len(), lens.len());
-            (0..lens.len()).filter(|&i| m[i]).collect()
-        }
+    let mut idx: Vec<usize> = match ids {
+        Some(ids) => ids.iter().map(|&i| i as usize).collect(),
         None => (0..lens.len()).collect(),
     };
+    // Stable: equal lengths keep ascending-id order.
     idx.sort_by_key(|&i| std::cmp::Reverse(lens[i]));
     idx.chunks(width).map(|c| c.to_vec()).collect()
 }
@@ -290,20 +286,24 @@ fn kernel_timing<K: BatchKernel>(kernel: &K, seconds: f64, residues: u64) -> Swe
 
 /// The residue slices of one scheduled batch, in a fixed [`MAX_BATCH`]
 /// array (only `0..batch.len()` is meaningful) so gathering a batch
-/// never allocates.
-fn batch_refs<'a>(seqs: &'a [DigitalSeq], batch: &[usize]) -> [&'a [Residue]; MAX_BATCH] {
+/// never allocates. `seq_of` resolves a scheduled index to its sequence.
+fn batch_refs<'a>(
+    batch: &[usize],
+    seq_of: impl Fn(usize) -> &'a DigitalSeq,
+) -> [&'a [Residue]; MAX_BATCH] {
     let mut refs: [&[Residue]; MAX_BATCH] = [&[]; MAX_BATCH];
     for (r, &i) in refs.iter_mut().zip(batch) {
-        *r = &seqs[i].residues;
+        *r = &seq_of(i).residues;
     }
     refs
 }
 
 /// The batched-sweep driver: build the length-binned schedule over the
-/// `mask`-selected subset of `seqs` (`None` = all), score batches across
-/// the pool (workers steal whole batches), scatter back to original
-/// order. `width = 0` auto-selects the backend's preferred interleave.
-/// The per-batch refs and outputs live in fixed [`MAX_BATCH`] arrays — a
+/// sequences of `seqs` that `ids` lists (ascending; `None` = all of
+/// them), score batches across the pool (workers steal whole batches),
+/// and return one outcome per selected sequence, aligned with `ids`.
+/// `width = 0` auto-selects the backend's preferred interleave. The
+/// per-batch refs and outputs live in fixed [`MAX_BATCH`] arrays — a
 /// worker's only heap state is its lazily-created workspace, so the
 /// steady-state hot loop performs no allocation — and slots are fully
 /// independent, so results are bit-identical at every width, thread
@@ -312,54 +312,31 @@ pub fn outcomes_batched<K: BatchKernel>(
     pool: &ThreadPool,
     kernel: &K,
     seqs: &[DigitalSeq],
-    mask: Option<&[bool]>,
+    ids: Option<&[u32]>,
     width: usize,
-) -> Vec<Option<K::Output>> {
+) -> Vec<K::Output> {
     let width = resolve_batch_width(kernel.backend(), width);
-    let lens: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
-    let batches = length_binned_batches(&lens, mask, width);
+    // The schedule runs over positions in the selection, which is the
+    // order of the output; `seq_of` maps a position to its sequence.
+    let seq_of = |k: usize| &seqs[ids.map_or(k, |ids| ids[k] as usize)];
+    let n = ids.map_or(seqs.len(), <[u32]>::len);
+    let lens: Vec<usize> = (0..n).map(|k| seq_of(k).len()).collect();
+    let batches = length_binned_batches(&lens, None, width);
     let scored: Vec<[K::Output; MAX_BATCH]> =
         pool.map_collect_init(batches.len(), K::Workspace::default, |ws, b| {
             let batch = &batches[b];
-            let refs = batch_refs(seqs, batch);
+            let refs = batch_refs(batch, seq_of);
             let mut out = [K::Output::default(); MAX_BATCH];
             kernel.run_batch_into(&refs[..batch.len()], ws, &mut out[..batch.len()]);
             out
         });
-    let mut result = vec![None; seqs.len()];
+    let mut result = vec![K::Output::default(); n];
     for (batch, outs) in batches.iter().zip(scored) {
-        for (&i, o) in batch.iter().zip(outs) {
-            result[i] = Some(o);
+        for (&k, o) in batch.iter().zip(outs) {
+            result[k] = o;
         }
     }
     result
-}
-
-/// Batched MSV outcomes for the `mask`-selected subset of `seqs`, in
-/// original sequence order — [`outcomes_batched`] over the byte filter.
-pub fn msv_outcomes_batched(
-    pool: &ThreadPool,
-    striped: &StripedMsv,
-    om: &MsvProfile,
-    seqs: &[DigitalSeq],
-    mask: Option<&[bool]>,
-    width: usize,
-) -> Vec<Option<MsvOutcome>> {
-    outcomes_batched(pool, &(striped, om), seqs, mask, width)
-}
-
-/// Batched striped-Forward scores (nats) for the `mask`-selected subset
-/// of `seqs` — [`outcomes_batched`] over the pipeline's stage-3 survivor
-/// rescoring.
-pub fn fwd_scores_batched(
-    pool: &ThreadPool,
-    striped: &StripedFwd,
-    p: &Profile,
-    seqs: &[DigitalSeq],
-    mask: Option<&[bool]>,
-    width: usize,
-) -> Vec<Option<f32>> {
-    outcomes_batched(pool, &(striped, p), seqs, mask, width)
 }
 
 /// Worker count below which the fused scan stops packing models
@@ -461,7 +438,7 @@ pub fn model_pack_stats(qs: &[usize], width: usize) -> ModelPackStats {
 /// over N small models costs far less than N independent sweeps.
 ///
 /// All models must share a backend. Returns `out[model][seq]`,
-/// bit-identical to per-model [`msv_outcomes_batched`] at every width,
+/// bit-identical to per-model [`outcomes_batched`] at every width,
 /// pack width and thread count. `width = 0` auto-selects the backend's
 /// preferred interleave.
 pub fn msv_multi_outcomes(
@@ -555,8 +532,8 @@ pub fn msv_sweep(pool: &ThreadPool, om: &MsvProfile, db: &SeqDb) -> (Vec<MsvOutc
 }
 
 /// Sweep a whole database through a batched kernel
-/// ([`outcomes_batched`], unmasked) and time it. Results are in original
-/// order.
+/// ([`outcomes_batched`] over every sequence) and time it. Results are in
+/// original order.
 pub fn sweep_batched<K: BatchKernel>(
     pool: &ThreadPool,
     kernel: &K,
@@ -564,10 +541,7 @@ pub fn sweep_batched<K: BatchKernel>(
     width: usize,
 ) -> (Vec<K::Output>, SweepTiming) {
     let start = Instant::now();
-    let outcomes = outcomes_batched(pool, kernel, &db.seqs, None, width)
-        .into_iter()
-        .map(|o| o.expect("unmasked batched sweep scores every sequence"))
-        .collect();
+    let outcomes = outcomes_batched(pool, kernel, &db.seqs, None, width);
     let secs = start.elapsed().as_secs_f64();
     (outcomes, kernel_timing(kernel, secs, db.total_residues()))
 }
@@ -656,7 +630,7 @@ pub fn measure_batched<K: BatchKernel>(
     let mut out = [K::Output::default(); MAX_BATCH];
     let start = Instant::now();
     for batch in &batches {
-        let refs = batch_refs(seqs, batch);
+        let refs = batch_refs(batch, |i| &seqs[i]);
         kernel.run_batch_into(&refs[..batch.len()], &mut ws, &mut out[..batch.len()]);
         std::hint::black_box(&out);
     }
@@ -846,31 +820,27 @@ mod tests {
     }
 
     #[test]
-    fn masked_batched_outcomes_respect_mask_and_order() {
+    fn id_list_outcomes_align_with_the_ids() {
         let (msv, _, db) = setup();
         let striped = StripedMsv::new(&msv);
-        let mask: Vec<bool> = (0..db.len()).map(|i| i % 3 != 1).collect();
-        let got = msv_outcomes_batched(pool(), &striped, &msv, &db.seqs, Some(&mask), 0);
-        for (i, seq) in db.seqs.iter().enumerate() {
-            match got[i] {
-                Some(o) => {
-                    assert!(mask[i]);
-                    assert_eq!(o, msv_filter_scalar(&msv, &seq.residues), "seq {i}");
-                }
-                None => assert!(!mask[i]),
-            }
+        let ids: Vec<u32> = (0..db.len() as u32).filter(|i| i % 3 != 1).collect();
+        let got = outcomes_batched(pool(), &(&striped, &msv), &db.seqs, Some(&ids), 0);
+        assert_eq!(got.len(), ids.len());
+        for (&i, o) in ids.iter().zip(got) {
+            let seq = &db.seqs[i as usize];
+            assert_eq!(o, msv_filter_scalar(&msv, &seq.residues), "seq {i}");
         }
     }
 
     #[test]
     fn length_binning_covers_exactly_the_selection() {
         let lens = [5usize, 100, 3, 42, 42, 7, 900, 1];
-        let mask = [true, false, true, true, true, true, true, true];
-        let batches = length_binned_batches(&lens, Some(&mask), 4);
+        let ids = [0u32, 2, 3, 4, 5, 6, 7]; // 1 is not selected
+        let batches = length_binned_batches(&lens, Some(&ids), 4);
         let mut seen: Vec<usize> = batches.iter().flatten().copied().collect();
         seen.sort_unstable();
-        assert_eq!(seen, vec![0, 2, 3, 4, 5, 6, 7]); // 1 is masked out
-                                                     // Within the schedule, lengths are non-increasing.
+        assert_eq!(seen, vec![0, 2, 3, 4, 5, 6, 7]);
+        // Within the schedule, lengths are non-increasing.
         let flat: Vec<usize> = batches.iter().flatten().map(|&i| lens[i]).collect();
         assert!(flat.windows(2).all(|w| w[0] >= w[1]), "{flat:?}");
         assert!(batches.iter().all(|b| b.len() <= 4 && !b.is_empty()));
@@ -887,9 +857,8 @@ mod tests {
         assert_eq!(s.loop_rows, 105);
         assert_eq!(s.early_finish, 3); // 90, 80, 10 retire early
         assert!((s.occupancy() - 290.0 / (105.0 * 4.0)).abs() < 1e-12);
-        // Masked: only the three shortest remain, one batch of width 3.
-        let mask = [false, false, false, true, true, true];
-        let m = batch_schedule_stats(&lens, Some(&mask), 4);
+        // Selected: only the three shortest remain, one batch of width 3.
+        let m = batch_schedule_stats(&lens, Some(&[3, 4, 5]), 4);
         assert_eq!(
             (m.batches, m.seqs, m.slot_rows, m.loop_rows),
             (1, 3, 20, 10)
@@ -934,18 +903,13 @@ mod tests {
         spec.homolog_fraction = 0.1;
         let db = generate(&spec, Some(&core), 5);
         let striped = StripedFwd::new(&p);
-        let mask: Vec<bool> = (0..db.len()).map(|i| i % 4 != 2).collect();
+        let ids: Vec<u32> = (0..db.len() as u32).filter(|i| i % 4 != 2).collect();
         for width in [0usize, 1, 3, 4] {
-            let got = fwd_scores_batched(pool(), &striped, &p, &db.seqs, Some(&mask), width);
-            for (i, seq) in db.seqs.iter().enumerate() {
-                match got[i] {
-                    Some(s) => {
-                        assert!(mask[i]);
-                        let want = striped.run(&p, &seq.residues);
-                        assert_eq!(want.to_bits(), s.to_bits(), "seq {i} width {width}");
-                    }
-                    None => assert!(!mask[i]),
-                }
+            let got = outcomes_batched(pool(), &(&striped, &p), &db.seqs, Some(&ids), width);
+            assert_eq!(got.len(), ids.len());
+            for (&i, s) in ids.iter().zip(got) {
+                let want = striped.run(&p, &db.seqs[i as usize].residues);
+                assert_eq!(want.to_bits(), s.to_bits(), "seq {i} width {width}");
             }
         }
         let t = measure_batched(&(&striped, &p), &db, 30, 4);

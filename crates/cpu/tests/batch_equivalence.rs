@@ -9,7 +9,7 @@
 
 use h3w_cpu::striped_msv::StripedMsv;
 use h3w_cpu::{
-    length_binned_batches, msv_filter_scalar, msv_outcomes_batched, Backend, BatchWorkspace,
+    length_binned_batches, msv_filter_scalar, outcomes_batched, Backend, BatchWorkspace,
     MsvOutcome, MAX_BATCH,
 };
 use h3w_hmm::build::{synthetic_model, BuildParams};
@@ -125,13 +125,16 @@ proptest! {
     }
 
     #[test]
-    fn masked_batched_sweep_matches_filters(
+    fn id_list_batched_sweep_matches_filters(
         m in 1usize..200,
         seq_seed in 0u64..10_000,
-        mask_bits in 0u32..(1 << 10),
+        pick_bits in 0u32..(1 << 10),
     ) {
-        // The full scheduler path: mask → length bins → batched kernel →
-        // scatter back to input order.
+        // The full scheduler path: id list → length bins → batched kernel
+        // → one outcome per listed id, in list order. A random ascending
+        // subset, the empty list and every id, at every width on every
+        // runnable backend, each against the width-1 single-sequence
+        // score of the sequence the id names.
         let (_, om) = model_and_profile(m, 7);
         let mut rng = StdRng::seed_from_u64(seq_seed);
         let seqs: Vec<DigitalSeq> = (0..10)
@@ -141,14 +144,35 @@ proptest! {
                 residues: random_seq(&mut rng, 11 + 53 * i),
             })
             .collect();
-        let mask: Vec<bool> = (0..10).map(|i| mask_bits & (1 << i) != 0).collect();
-        let striped_msv = StripedMsv::new(&om);
+        let picked: Vec<u32> = (0..10).filter(|i| pick_bits & (1 << i) != 0).collect();
+        let all: Vec<u32> = (0..10).collect();
         let pool = h3w_cpu::ThreadPool::global();
-        let got_msv = msv_outcomes_batched(pool, &striped_msv, &om, &seqs, Some(&mask), 0);
-        for i in 0..10 {
-            prop_assert_eq!(got_msv[i].is_some(), mask[i]);
-            if let Some(o) = &got_msv[i] {
-                prop_assert_eq!(bits(&msv_filter_scalar(&om, &seqs[i].residues)), bits(o));
+        for backend in Backend::all_available() {
+            let striped_msv = StripedMsv::with_backend(&om, backend);
+            let single: Vec<_> = seqs.iter().map(|s| bits(&striped_msv.run(&om, &s.residues))).collect();
+            for (i, s) in seqs.iter().enumerate() {
+                prop_assert_eq!(bits(&msv_filter_scalar(&om, &s.residues)), single[i]);
+            }
+            let kernel = (&striped_msv, &om);
+            for width in 1..=MAX_BATCH {
+                for ids in [&picked[..], &[], &all[..]] {
+                    let got_msv = outcomes_batched(pool, &kernel, &seqs, Some(ids), width);
+                    prop_assert_eq!(got_msv.len(), ids.len());
+                    for (k, o) in got_msv.iter().enumerate() {
+                        prop_assert_eq!(
+                            single[ids[k] as usize],
+                            bits(o),
+                            "{} S={} position {} of {:?}",
+                            backend,
+                            width,
+                            k,
+                            ids
+                        );
+                    }
+                }
+                // `None` is the list of every id.
+                let unlisted = outcomes_batched(pool, &kernel, &seqs, None, width);
+                prop_assert_eq!(unlisted.iter().map(bits).collect::<Vec<_>>(), single.clone());
             }
         }
     }
@@ -157,15 +181,15 @@ proptest! {
     fn length_binning_is_a_permutation_of_the_selection(
         n in 0usize..40,
         width in 1usize..=MAX_BATCH,
-        mask_seed in 0u64..1000,
+        pick_seed in 0u64..1000,
         len_seed in 0u64..1000,
     ) {
         use rand::Rng;
         let mut lrng = StdRng::seed_from_u64(len_seed);
         let lens: Vec<usize> = (0..n).map(|_| lrng.gen_range(0..5000)).collect();
-        let mut mrng = StdRng::seed_from_u64(mask_seed);
-        let mask: Vec<bool> = (0..n).map(|_| mrng.gen_bool(0.5)).collect();
-        let batches = length_binned_batches(&lens, Some(&mask), width);
+        let mut prng = StdRng::seed_from_u64(pick_seed);
+        let ids: Vec<u32> = (0..n as u32).filter(|_| prng.gen_bool(0.5)).collect();
+        let batches = length_binned_batches(&lens, Some(&ids), width);
         let mut seen: Vec<usize> = batches.iter().flatten().copied().collect();
         for b in &batches {
             prop_assert!(!b.is_empty() && b.len() <= width);
@@ -175,7 +199,7 @@ proptest! {
             }
         }
         seen.sort_unstable();
-        let want: Vec<usize> = (0..n).filter(|&i| mask[i]).collect();
+        let want: Vec<usize> = ids.iter().map(|&i| i as usize).collect();
         prop_assert_eq!(seen, want);
     }
 }

@@ -17,7 +17,7 @@
 
 use h3w_cpu::reference::{forward_generic, logsum, viterbi_filter_model};
 use h3w_cpu::striped_fwd::{FwdBatchWorkspace, FwdWorkspace, StripedFwd};
-use h3w_cpu::{fwd_scores_batched, Backend, ThreadPool, MAX_BATCH};
+use h3w_cpu::{outcomes_batched, Backend, ThreadPool, MAX_BATCH};
 use h3w_hmm::build::{synthetic_model, BuildParams};
 use h3w_hmm::calibrate::random_seq;
 use h3w_hmm::plan7::CoreModel;
@@ -373,9 +373,9 @@ fn forward_bits_are_pinned_to_the_pre_flush_kernel() {
                 })
                 .collect();
             for pool in &pools {
-                let got: Vec<u32> = fwd_scores_batched(pool, &f, &c.profile, &db, None, 0)
+                let got: Vec<u32> = outcomes_batched(pool, &(&f, &c.profile), &db, None, 0)
                     .iter()
-                    .map(|s| s.expect("unmasked sweep scores everything").to_bits())
+                    .map(|s| s.to_bits())
                     .collect();
                 assert_eq!(
                     &got,

@@ -133,12 +133,6 @@ pub enum ConfigError {
         /// The pool's `MAX_THREADS` ceiling.
         max: usize,
     },
-    /// A fused multi-model scan was requested on an execution tier the
-    /// fused kernels do not cover (only the CPU tier interleaves models).
-    FusedPlanUnsupported {
-        /// Label of the rejected plan.
-        plan: &'static str,
-    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -160,13 +154,6 @@ impl std::fmt::Display for ConfigError {
                 write!(
                     f,
                     "thread count {requested} exceeds the pool maximum {max} (0 = auto)"
-                )
-            }
-            ConfigError::FusedPlanUnsupported { plan } => {
-                write!(
-                    f,
-                    "fused multi-model scan only runs on the cpu tier, not `{plan}` \
-                     (disable fusing to use device plans)"
                 )
             }
         }
@@ -371,7 +358,5 @@ mod tests {
             max: 512,
         };
         assert!(e.to_string().contains("1000") && e.to_string().contains("512"));
-        let e = ConfigError::FusedPlanUnsupported { plan: "device" };
-        assert!(e.to_string().contains("device") && e.to_string().contains("cpu"));
     }
 }

@@ -7,6 +7,10 @@
 //! calibration); [`run::Pipeline::search`] sweeps a database under an
 //! [`run::ExecPlan`] — CPU baseline, simulated GPU, fully-on-device, or
 //! fault-tolerant multi-device — through one shared stage driver.
+//! [`stream::search_source`] / [`stream::search_chunks`] run that driver
+//! chunk by chunk over a database that is not resident, and
+//! [`multi::scan`] / [`multi::scan_prepared`] run the funnel for a whole
+//! model library at once.
 //! [`report`] carries the funnel and time-fraction statistics Fig. 1
 //! reports; [`h3w_trace::Trace`] (re-exported here) collects the optional
 //! per-run funnel telemetry behind `hmmsearch --profile`.
@@ -24,14 +28,13 @@ pub use config::{ConfigError, PipelineConfig, PipelineConfigBuilder};
 pub use h3w_core::fault::SweepError;
 pub use h3w_trace::{Telemetry, Trace};
 pub use multi::{
-    best_hits_per_target, prepare_scan, scan, scan_prepared, scan_traced, scan_with_plan,
-    FamilyResult, ScanError, ScanReport, TargetMatch,
+    best_hits_per_target, prepare_scan, scan, scan_prepared, FamilyResult, ScanError, ScanReport,
+    TargetMatch,
 };
-pub use orchestrator::{FtSweep, SweepReport};
+pub use orchestrator::FtSweep;
 pub use report::{Hit, PipelineResult, StageStats};
 pub use run::{ExecPlan, Pipeline, SearchReport};
 pub use stream::{
-    search_chunked, search_chunked_checkpointed, search_chunked_traced, search_shards_observed,
-    search_source, search_source_checkpointed, ChunkObserver, ChunkProgress, FastaChunks,
-    StreamError, StreamReport,
+    search_chunks, search_source, ChunkObserver, ChunkProgress, StreamError, StreamOptions,
+    StreamReport,
 };

@@ -1,25 +1,29 @@
-//! Multi-query search — scan a database with many models (hmmscan-style),
-//! either as independent per-family sweeps or as one **fused** sweep that
-//! amortizes the database traversal over every model.
+//! Multi-query search — scan a database with many models (hmmscan-style)
+//! in one **fused** sweep that amortizes the database traversal over
+//! every model.
 //!
 //! This is the workload §IV's Pfam statistics are about: "about 98.9% of
 //! Pfam database have size less than 1002", so a family sweep spends
 //! nearly all of its time in configurations where small-model packing
 //! pays (the CUDAMPF++ shape: pack several profiles into one pass to
-//! exhaust execution resources). [`scan`] drives the fused path on the
-//! CPU tier: models are binned by stripe count
-//! ([`h3w_cpu::model_packs`]), the byte filters score every (model,
-//! sequence) pair in one pass over the database
-//! ([`h3w_cpu::msv_multi_outcomes`]), and each model's survivors route
-//! into the shared Viterbi/Forward stages as flattened (model, sequence)
-//! work items on one scan-level pool. Per-model Gumbel thresholds are
-//! applied at survivor-packing time, so hits, E-values, and funnel
-//! counts are **bit-identical** to running [`Pipeline::search`] once per
-//! model — the fused path is a pure throughput optimization.
+//! exhaust execution resources). The fused path runs on the CPU tier:
+//! models are binned by stripe count ([`h3w_cpu::model_packs`]), the byte
+//! filters score every (model, sequence) pair in one pass over the
+//! database ([`h3w_cpu::msv_multi_outcomes`]), and each model's survivor
+//! id list — thresholded by the same `Pipeline::survivors` step a
+//! single-model search uses, with the model's own calibration — is
+//! concatenated with the others into one flat (model, sequence) task
+//! list per late stage, on one scan-level pool. Hits, E-values, and
+//! funnel counts are **bit-identical** to running [`Pipeline::search`]
+//! once per model — the fused path is a pure throughput optimization.
 //!
-//! [`scan_with_plan`] exposes the unfused per-model path for the device
-//! execution tiers; [`best_hits_per_target`] inverts results to the
-//! hmmscan view (for each target, which families match?).
+//! [`scan`] is the one-shot entry (`hmmscan`): [`prepare_scan`], then
+//! [`scan_prepared`] fused, plus the per-family telemetry. A resident
+//! service prepares once and calls [`scan_prepared`] many times; its
+//! `fused = false` arm (one independent [`Pipeline::search`] per model)
+//! is the reference the fused sweep is tested against.
+//! [`best_hits_per_target`] inverts results to the hmmscan view (for each
+//! target, which families match?).
 
 use crate::config::{ConfigError, PipelineConfig};
 use crate::report::{Hit, StageStats};
@@ -29,6 +33,7 @@ use h3w_cpu::{
     fused_pack_width, model_pack_stats, msv_multi_outcomes, resolve_batch_width, FwdWorkspace,
     PoolHandle, StripedMsv, ThreadPool, VitWorkspace,
 };
+use h3w_hmm::alphabet::Residue;
 use h3w_hmm::msvprofile::MsvProfile;
 use h3w_hmm::plan7::CoreModel;
 use h3w_seqdb::SeqDb;
@@ -38,10 +43,9 @@ use std::time::Instant;
 /// Why a multi-model [`scan`] failed.
 #[derive(Debug)]
 pub enum ScanError {
-    /// A per-model sweep failed (device plans can lose devices).
+    /// A per-model sweep failed.
     Sweep(SweepError),
-    /// The configuration was rejected — bad thresholds, or a fused scan
-    /// requested on an execution tier the fused kernels do not cover.
+    /// The configuration was rejected (bad thresholds or thread count).
     Config(ConfigError),
 }
 
@@ -104,8 +108,8 @@ pub struct TargetMatch {
     pub evalue: f64,
 }
 
-/// A completed [`scan_traced`]: per-family results plus the telemetry
-/// snapshot when the trace was armed.
+/// A completed [`scan`]: per-family results plus the telemetry snapshot
+/// when the trace was armed.
 #[derive(Debug)]
 pub struct ScanReport {
     /// Per-family results, in model order.
@@ -118,61 +122,21 @@ pub struct ScanReport {
 /// pass over the database feeds every model (see the module docs).
 /// Results come back in model order regardless of thread count, and are
 /// bit-identical to per-model [`Pipeline::search`] runs at every pack
-/// width, backend, and pool size.
+/// width, backend, and pool size. With an armed `trace` (`hmmscan
+/// --profile`) per-family funnel counters land under
+/// `scan/families/<name>` and the model-packing schedule under
+/// `scan/packs`; tracing never changes scores or hits.
 pub fn scan(
     models: &[CoreModel],
     db: &SeqDb,
     config: PipelineConfig,
     seed: u64,
-) -> Result<Vec<FamilyResult>, ScanError> {
-    scan_with_plan(models, db, config, &ExecPlan::Cpu, true, seed)
-}
-
-/// [`scan`] with an explicit execution plan and fused-path switch. The
-/// fused sweep only exists on the CPU tier; `fused = true` with a device
-/// plan is rejected with a typed [`ConfigError`]. `fused = false` runs
-/// one independent [`Pipeline::search`] per model (fanned across the
-/// global pool) under any plan.
-pub fn scan_with_plan(
-    models: &[CoreModel],
-    db: &SeqDb,
-    config: PipelineConfig,
-    plan: &ExecPlan,
-    fused: bool,
-    seed: u64,
-) -> Result<Vec<FamilyResult>, ScanError> {
-    let trace = if Pipeline::profile_env() {
-        Trace::on()
-    } else {
-        Trace::off()
-    };
-    scan_traced(models, db, config, plan, fused, seed, &trace).map(|r| r.results)
-}
-
-/// [`scan_with_plan`] with a caller-supplied telemetry trace (`hmmscan
-/// --profile`). Per-family funnel counters land under
-/// `scan/families/<name>`, and the fused path records its model-packing
-/// schedule under `scan/packs`. Tracing never changes scores or hits.
-pub fn scan_traced(
-    models: &[CoreModel],
-    db: &SeqDb,
-    config: PipelineConfig,
-    plan: &ExecPlan,
-    fused: bool,
-    seed: u64,
     trace: &Trace,
 ) -> Result<ScanReport, ScanError> {
     config.validate()?;
-    if fused && !matches!(plan, ExecPlan::Cpu) {
-        return Err(ConfigError::FusedPlanUnsupported { plan: plan.label() }.into());
-    }
     let whole = trace.span("scan");
-    let results = if fused {
-        let pipes = prepare_scan(models, config, seed);
-        scan_fused(&pipes, db, config, trace)
-    } else {
-        scan_independent(models, db, config, plan, seed)?
-    };
+    let pipes = prepare_scan(models, config, seed);
+    let results = scan_prepared(&pipes, db, config, true, trace)?;
     if trace.is_on() {
         for fr in &results {
             let base = format!("scan/families/{}", fr.family);
@@ -195,8 +159,7 @@ pub fn scan_traced(
 }
 
 /// Prepare one pipeline per model under the scan conventions: the
-/// per-model seed split (`seed ^ (qi << 17)`, identical to the unfused
-/// path, so calibrations and E-values match it bit for bit) and
+/// per-model seed split (`seed ^ (qi << 17)`) and
 /// `threads: 0` so the pipes defer to whichever pool the scan fans out
 /// on instead of spawning their own. Preparation — Gumbel calibration —
 /// is the expensive once-per-model half of a scan; resident services
@@ -234,8 +197,9 @@ pub fn prepare_scan(models: &[CoreModel], config: PipelineConfig, seed: u64) -> 
 /// the per-call calibration cost. `fused = true` drives the one-traversal
 /// fused sweep; `fused = false` fans independent per-pipe searches across
 /// the global pool. `config` must be the config the pipes were prepared
-/// with (thresholds and batch width are read from it). Results are
-/// bit-identical to [`scan_with_plan`] on the CPU plan with the same seed.
+/// with (thresholds and batch width are read from it). The first failing
+/// model of the unfused arm (in model order — deterministic at every
+/// thread count) reports its error.
 pub fn scan_prepared(
     pipes: &[Pipeline],
     db: &SeqDb,
@@ -263,35 +227,6 @@ pub fn scan_prepared(
     }
 }
 
-/// The unfused path: one full [`Pipeline::search`] per model, fanned
-/// across the global pool (per-query sweeps detect they are on a pool
-/// worker and run inline, so model-level parallelism owns the cores).
-/// The first failing model (in model order — deterministic at every
-/// thread count) reports its error.
-fn scan_independent(
-    models: &[CoreModel],
-    db: &SeqDb,
-    config: PipelineConfig,
-    plan: &ExecPlan,
-    seed: u64,
-) -> Result<Vec<FamilyResult>, ScanError> {
-    let results: Vec<Result<FamilyResult, SweepError>> =
-        ThreadPool::global().map_collect(models.len(), |qi| {
-            let model = &models[qi];
-            let pipe = Pipeline::prepare(model, config, seed ^ ((qi as u64) << 17));
-            let res = pipe.search(db, plan)?;
-            Ok(FamilyResult {
-                family: model.name.clone(),
-                m: model.len(),
-                passed: (res.stages[0].seqs_out, res.stages[1].seqs_out),
-                stages: res.stages.to_vec(),
-                hits: res.hits,
-            })
-        });
-    let collected: Result<Vec<FamilyResult>, SweepError> = results.into_iter().collect();
-    Ok(collected?)
-}
-
 /// The fused CPU path over prepared pipelines: drive the three funnel
 /// stages over flattened (model, sequence) work items so each stage is
 /// one pool fan-out for the whole scan instead of one per model.
@@ -299,11 +234,8 @@ fn scan_independent(
 /// Equivalence to per-model `search` holds stage by stage: stage 1 is
 /// the fused multi-profile byte sweep (bit-identical to the per-model
 /// batched sweep — slots are independent), stages 2 and 3 run the same
-/// per-sequence kernels the host stages run, and per-model thresholds
-/// are applied with each model's own calibration at survivor-packing
-/// time. [`prepare_scan`] seeds each pipe the way the unfused path
-/// does (`seed ^ (qi << 17)`), so calibrations — and therefore
-/// E-values — are identical too.
+/// per-sequence kernels the host stages run, and the survivor lists come
+/// from the same thresholding step with each model's own calibration.
 fn scan_fused(
     pipes: &[Pipeline],
     db: &SeqDb,
@@ -313,6 +245,33 @@ fn scan_fused(
     let n = db.len();
     let scan_pool = PoolHandle::with_threads(config.threads);
     let pool = scan_pool.pool();
+    // One late stage: every model's survivor list concatenated,
+    // model-major, into one flat (model, sequence) task list (the
+    // deterministic list the fan-out runs on), and the scores handed
+    // back per model, aligned with that model's list.
+    fn fan_out<W: Send>(
+        pool: &ThreadPool,
+        pipes: &[Pipeline],
+        db: &SeqDb,
+        ids: &[Vec<u32>],
+        workspace: impl Fn() -> W + Sync,
+        score: impl Fn(&Pipeline, &[Residue], &mut W) -> f32 + Sync,
+    ) -> Vec<Vec<f32>> {
+        let tasks: Vec<(usize, u32)> = ids
+            .iter()
+            .enumerate()
+            .flat_map(|(m, ids)| ids.iter().map(move |&i| (m, i)))
+            .collect();
+        let mut flat = pool
+            .map_collect_init(tasks.len(), workspace, |ws, k| {
+                let (m, i) = tasks[k];
+                score(&pipes[m], &db.seqs[i as usize].residues, ws)
+            })
+            .into_iter();
+        ids.iter()
+            .map(|ids| flat.by_ref().take(ids.len()).collect())
+            .collect()
+    }
 
     // Stage 1: every model against every sequence in one DB traversal.
     let t0 = Instant::now();
@@ -322,51 +281,34 @@ fn scan_fused(
         .iter()
         .map(|per_seq| per_seq.iter().map(|o| o.score).collect())
         .collect();
-    // Per-model Gumbel thresholds at survivor-packing time.
-    let pass1: Vec<Vec<bool>> = pipes
+    let ids1: Vec<Vec<u32>> = pipes
         .iter()
-        .enumerate()
-        .map(|(m, pipe)| {
-            msv_scores[m]
-                .iter()
-                .zip(&db.seqs)
-                .map(|(&s, q)| pipe.msv_pvalue(s, q.len()) < config.f1)
-                .collect()
+        .zip(&msv_scores)
+        .map(|(pipe, scores)| {
+            let pvalue = |s, len| pipe.msv_pvalue(s, len);
+            Pipeline::survivors(db, 0..n as u32, scores, pvalue, config.f1).0
         })
         .collect();
     let msv_time = t0.elapsed().as_secs_f64();
 
-    // Stage 2: Viterbi over the flattened (model, survivor) pairs — one
-    // fan-out for the whole scan.
+    // Stage 2: Viterbi over every model's stage-1 survivors.
     let t1 = Instant::now();
-    let vit_pairs = flatten_survivors(&pass1);
-    let vit_flat: Vec<f32> = pool.map_collect_init(vit_pairs.len(), VitWorkspace::default, {
-        let pipes = &pipes;
-        let vit_pairs = &vit_pairs;
-        move |ws, k| {
-            let (m, i) = vit_pairs[k];
-            pipes[m]
-                .striped_vit
-                .run_into(&pipes[m].vit, &db.seqs[i].residues, ws)
-                .0
-                .score
-        }
-    });
-    let mut vit_scores: Vec<Vec<Option<f32>>> = vec![vec![None; n]; pipes.len()];
-    for (&(m, i), &s) in vit_pairs.iter().zip(&vit_flat) {
-        vit_scores[m][i] = Some(s);
-    }
-    let pass2: Vec<Vec<bool>> = pipes
+    let vit_scores = fan_out(
+        pool,
+        pipes,
+        db,
+        &ids1,
+        VitWorkspace::default,
+        |pipe, seq, ws| pipe.striped_vit.run_into(&pipe.vit, seq, ws).0.score,
+    );
+    let (ids2, vit_scores): (Vec<Vec<u32>>, Vec<Vec<f32>>) = pipes
         .iter()
-        .enumerate()
-        .map(|(m, pipe)| {
-            vit_scores[m]
-                .iter()
-                .zip(&db.seqs)
-                .map(|(s, q)| s.is_some_and(|s| pipe.vit_pvalue(s, q.len()) < config.f2))
-                .collect()
+        .zip(ids1.iter().zip(&vit_scores))
+        .map(|(pipe, (ids, scores))| {
+            let pvalue = |s, len| pipe.vit_pvalue(s, len);
+            Pipeline::survivors(db, ids.iter().copied(), scores, pvalue, config.f2)
         })
-        .collect();
+        .unzip();
     let vit_time = t1.elapsed().as_secs_f64();
 
     // Stage 3: Forward over the remainder, same flattened shape. The
@@ -374,21 +316,14 @@ fn scan_fused(
     // width, so single-pair scoring here matches `search`'s batched
     // sweep bit for bit.
     let t2 = Instant::now();
-    let fwd_pairs = flatten_survivors(&pass2);
-    let fwd_flat: Vec<f32> = pool.map_collect_init(fwd_pairs.len(), FwdWorkspace::default, {
-        let pipes = &pipes;
-        let fwd_pairs = &fwd_pairs;
-        move |ws, k| {
-            let (m, i) = fwd_pairs[k];
-            pipes[m]
-                .striped_fwd
-                .run_into(&pipes[m].profile, &db.seqs[i].residues, ws)
-        }
-    });
-    let mut fwd_scores: Vec<Vec<Option<f32>>> = vec![vec![None; n]; pipes.len()];
-    for (&(m, i), &s) in fwd_pairs.iter().zip(&fwd_flat) {
-        fwd_scores[m][i] = Some(s);
-    }
+    let fwd_scores = fan_out(
+        pool,
+        pipes,
+        db,
+        &ids2,
+        FwdWorkspace::default,
+        |pipe, seq, ws| pipe.striped_fwd.run_into(&pipe.profile, seq, ws),
+    );
     let fwd_time = t2.elapsed().as_secs_f64();
 
     if trace.is_on() {
@@ -403,52 +338,41 @@ fn scan_fused(
             trace.add("scan/packs", "slots", stats.slots);
             trace.add("scan/packs", "workers", pool.threads() as u64);
         }
-        trace.add("scan/stages", "vit_pairs", vit_pairs.len() as u64);
-        trace.add("scan/stages", "fwd_pairs", fwd_pairs.len() as u64);
+        let pairs = |ids: &[Vec<u32>]| ids.iter().map(Vec::len).sum::<usize>() as u64;
+        trace.add("scan/stages", "vit_pairs", pairs(&ids1));
+        trace.add("scan/stages", "fwd_pairs", pairs(&ids2));
     }
 
     // Assemble per family through the same hit assembly `search` uses.
-    let mut results = Vec::with_capacity(pipes.len());
-    for (mi, pipe) in pipes.iter().enumerate() {
-        let n1 = pass1[mi].iter().filter(|&&b| b).count();
-        let n2 = pass2[mi].iter().filter(|&&b| b).count();
-        let stages = [
-            StageStats::new("MSV", n, n1, msv_time).with_residues(db.total_residues()),
-            StageStats::new("P7Viterbi", n1, n2, vit_time)
-                .with_residues(Pipeline::masked_residues(db, &pass1[mi])),
-            StageStats::new("Forward", n2, n2, fwd_time)
-                .with_residues(Pipeline::masked_residues(db, &pass2[mi])),
-        ];
-        let res = pipe.assemble(
-            db,
-            msv_scores[mi].clone(),
-            vit_scores[mi].clone(),
-            fwd_scores[mi].clone(),
-            stages,
-        );
-        results.push(FamilyResult {
-            family: pipe.profile.name.clone(),
-            m: pipe.profile.m,
-            passed: (n1, n2),
-            stages: res.stages.to_vec(),
-            hits: res.hits,
-        });
-    }
-    results
-}
-
-/// Flatten per-model survivor masks into (model, sequence) work items,
-/// model-major — the deterministic task list both late stages fan out on.
-fn flatten_survivors(masks: &[Vec<bool>]) -> Vec<(usize, usize)> {
-    let mut pairs = Vec::new();
-    for (m, mask) in masks.iter().enumerate() {
-        for (i, &keep) in mask.iter().enumerate() {
-            if keep {
-                pairs.push((m, i));
+    pipes
+        .iter()
+        .enumerate()
+        .map(|(mi, pipe)| {
+            let (n1, n2) = (ids1[mi].len(), ids2[mi].len());
+            let stages = [
+                StageStats::new("MSV", n, n1, msv_time).with_residues(db.total_residues()),
+                StageStats::new("P7Viterbi", n1, n2, vit_time)
+                    .with_residues(Pipeline::residues_of(db, &ids1[mi])),
+                StageStats::new("Forward", n2, n2, fwd_time)
+                    .with_residues(Pipeline::residues_of(db, &ids2[mi])),
+            ];
+            let res = pipe.assemble(
+                db,
+                &msv_scores[mi],
+                &ids2[mi],
+                &vit_scores[mi],
+                &fwd_scores[mi],
+                stages,
+            );
+            FamilyResult {
+                family: pipe.profile.name.clone(),
+                m: pipe.profile.m,
+                passed: (n1, n2),
+                stages: res.stages.to_vec(),
+                hits: res.hits,
             }
-        }
-    }
-    pairs
+        })
+        .collect()
 }
 
 /// Invert family results into the per-target view: for each target that
@@ -481,6 +405,16 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The one-shot fused scan's per-family results.
+    fn scan_results(
+        families: &[CoreModel],
+        db: &SeqDb,
+        config: PipelineConfig,
+        seed: u64,
+    ) -> Result<Vec<FamilyResult>, ScanError> {
+        scan(families, db, config, seed, &Pipeline::env_trace()).map(|r| r.results)
+    }
+
     #[test]
     fn scan_attributes_targets_to_the_right_family() {
         // Three distinct families; a database whose homologs come from
@@ -499,7 +433,7 @@ mod tests {
                 });
             }
         }
-        let results = scan(&families, &db, PipelineConfig::default(), 9).unwrap();
+        let results = scan_results(&families, &db, PipelineConfig::default(), 9).unwrap();
         assert_eq!(results.len(), 3);
         let hits_of =
             |i: usize| -> Vec<&str> { results[i].hits.iter().map(|h| h.name.as_str()).collect() };
@@ -531,7 +465,7 @@ mod tests {
         config: PipelineConfig,
         seed: u64,
     ) {
-        let fused = scan(families, db, config, seed).unwrap();
+        let fused = scan_results(families, db, config, seed).unwrap();
         for (qi, (fr, model)) in fused.iter().zip(families).enumerate() {
             let pipe = Pipeline::prepare(model, config, seed ^ ((qi as u64) << 17));
             let want = pipe.search(db, &ExecPlan::Cpu).unwrap();
@@ -577,21 +511,15 @@ mod tests {
         let mut spec = DbGenSpec::envnr_like().scaled(1e-4);
         spec.homolog_fraction = 0.04;
         let db = generate(&spec, Some(&families[2]), 31);
-        let base = scan_with_plan(
-            &families,
-            &db,
-            PipelineConfig::default(),
-            &ExecPlan::Cpu,
-            false,
-            17,
-        )
-        .unwrap();
+        let config = PipelineConfig::default();
+        let pipes = prepare_scan(&families, config, 17);
+        let base = scan_prepared(&pipes, &db, config, false, &Trace::off()).unwrap();
         for batch in [0usize, 1, 2, 4] {
             let config = PipelineConfig {
                 batch,
                 ..Default::default()
             };
-            let fused = scan(&families, &db, config, 17).unwrap();
+            let fused = scan_results(&families, &db, config, 17).unwrap();
             for (f, b) in fused.iter().zip(&base) {
                 assert_eq!(f.hits, b.hits, "family {} at batch {batch}", f.family);
                 assert_eq!(f.passed, b.passed, "family {} at batch {batch}", f.family);
@@ -613,7 +541,7 @@ mod tests {
         spec.homolog_fraction = 0.05;
         let db = generate(&spec, Some(&families[1]), 47);
         let config = PipelineConfig::default();
-        let one_shot = scan(&families, &db, config, 19).unwrap();
+        let one_shot = scan_results(&families, &db, config, 19).unwrap();
 
         let pipes = prepare_scan(&families, config, 19);
         let fused = scan_prepared(&pipes, &db, config, true, &Trace::off()).unwrap();
@@ -640,60 +568,13 @@ mod tests {
                 ..
             }))
         ));
-    }
-
-    #[test]
-    fn fused_scan_rejects_device_plans_with_typed_error() {
-        let families = vec![synthetic_model(40, 1, &BuildParams::default())];
-        let db = generate(&DbGenSpec::envnr_like().scaled(2e-5), None, 3);
-        let plan = ExecPlan::Device {
-            dev: h3w_simt::DeviceSpec::tesla_k40(),
-        };
-        let err =
-            scan_with_plan(&families, &db, PipelineConfig::default(), &plan, true, 7).unwrap_err();
-        match err {
-            ScanError::Config(ConfigError::FusedPlanUnsupported { plan }) => {
-                assert_eq!(plan, "device")
-            }
-            other => panic!("want FusedPlanUnsupported, got {other:?}"),
-        }
-        // The same plan works unfused…
-        let ok = scan_with_plan(&families, &db, PipelineConfig::default(), &plan, false, 7);
-        assert_eq!(ok.unwrap().len(), 1);
-        // …and an invalid config is rejected before any sweep runs.
-        let bad = PipelineConfig {
-            f1: 2.0,
-            ..Default::default()
-        };
-        let err = scan(&families, &db, bad, 7).unwrap_err();
         assert!(matches!(
-            err,
-            ScanError::Config(ConfigError::Threshold { field: "f1", .. })
+            scan_results(&families, &db, bad, 19),
+            Err(ScanError::Config(ConfigError::Threshold {
+                field: "f2",
+                ..
+            }))
         ));
-    }
-
-    #[test]
-    fn unfused_device_scan_matches_fused_cpu_hits() {
-        // Filters are bit-exact across tiers, so the same families report
-        // the same hit lists whichever path scores them.
-        let families: Vec<CoreModel> = (0..3)
-            .map(|i| synthetic_model(40 + 10 * i, 5000 + i as u64, &BuildParams::default()))
-            .collect();
-        let mut spec = DbGenSpec::envnr_like().scaled(1e-4);
-        spec.homolog_fraction = 0.05;
-        let db = generate(&spec, Some(&families[0]), 37);
-        let cpu = scan(&families, &db, PipelineConfig::default(), 7).unwrap();
-        let plan = ExecPlan::Device {
-            dev: h3w_simt::DeviceSpec::tesla_k40(),
-        };
-        let dev =
-            scan_with_plan(&families, &db, PipelineConfig::default(), &plan, false, 7).unwrap();
-        for (c, d) in cpu.iter().zip(&dev) {
-            let c_ids: Vec<u32> = c.hits.iter().map(|h| h.seqid).collect();
-            let d_ids: Vec<u32> = d.hits.iter().map(|h| h.seqid).collect();
-            assert_eq!(c_ids, d_ids, "family {}", c.family);
-            assert_eq!(c.passed, d.passed, "family {}", c.family);
-        }
     }
 
     #[test]
@@ -705,16 +586,7 @@ mod tests {
         spec.homolog_fraction = 0.05;
         let db = generate(&spec, Some(&families[0]), 41);
         let trace = Trace::on();
-        let report = scan_traced(
-            &families,
-            &db,
-            PipelineConfig::default(),
-            &ExecPlan::Cpu,
-            true,
-            7,
-            &trace,
-        )
-        .unwrap();
+        let report = scan(&families, &db, PipelineConfig::default(), 7, &trace).unwrap();
         let tel = report.telemetry.expect("armed trace yields telemetry");
         let packs = tel.at_path("scan/packs").expect("pack schedule node");
         assert_eq!(packs.counter("models"), families.len() as u64);
@@ -734,16 +606,7 @@ mod tests {
             }
         }
         // Disabled trace: same results, no telemetry.
-        let off = scan_traced(
-            &families,
-            &db,
-            PipelineConfig::default(),
-            &ExecPlan::Cpu,
-            true,
-            7,
-            &Trace::off(),
-        )
-        .unwrap();
+        let off = scan(&families, &db, PipelineConfig::default(), 7, &Trace::off()).unwrap();
         assert!(off.telemetry.is_none());
         for (a, b) in off.results.iter().zip(&report.results) {
             assert_eq!(a.hits, b.hits);

@@ -1,36 +1,33 @@
 //! Fault-tolerant multi-device sweep orchestration.
 //!
-//! [`Pipeline::run_gpu_ft`] is the deployment entry point the paper's
-//! §IV-A multi-GPU story needs in practice: the MSV and Viterbi filter
-//! stages fan out across `n` devices through the recovery engine
-//! ([`h3w_core::fault::run_chunks_ft`]) — transient faults retry with
-//! capped backoff, a dead device's partition redistributes across
-//! survivors, and when every device is gone the stage (and the rest of
-//! the sweep) degrades to the striped CPU backend. Because the CPU and
-//! device filters are bit-identical and every sequence is scored
-//! independently, the reported hits and funnel counters are **always**
-//! bit-identical to a fault-free run; only the modeled stage times and
-//! the recovery journal differ.
+//! [`ExecPlan::FaultTolerant`](crate::run::ExecPlan::FaultTolerant) is
+//! the deployment the paper's §IV-A multi-GPU story needs in practice:
+//! the MSV and Viterbi filter stages fan out across `n` devices through
+//! the recovery engine ([`h3w_core::fault::run_chunks_ft`]) — transient
+//! faults retry with capped backoff, a dead device's partition
+//! redistributes across survivors, and when every device is gone the
+//! stage (and the rest of the sweep) degrades to the striped CPU backend.
+//! Because the CPU and device filters are bit-identical and every
+//! sequence is scored independently, the reported hits and funnel
+//! counters are **always** bit-identical to a fault-free run; only the
+//! modeled stage times and the recovery journal differ.
 //!
-//! The stage sequencing itself lives in [`Pipeline::search_traced`]
-//! (the `ExecPlan::FaultTolerant` arms); this module holds the sweep
-//! descriptor, the per-stage recovery-engine adapters, and the
-//! [`SweepReport`]-shaped convenience wrapper.
+//! The stage sequencing itself lives in
+//! [`Pipeline::search_traced`](crate::run::Pipeline::search_traced); this
+//! module holds the sweep descriptor ([`FtSweep`]) and the one adapter
+//! from a device launch to the recovery engine (`FtPool::stage`), which
+//! speaks the driver's language: ids in, scores aligned with them out.
 
-use crate::report::PipelineResult;
-use crate::run::{ExecPlan, Pipeline};
-use h3w_core::fault::{run_chunks_ft, RetryPolicy, SweepError, SweepTrace};
+use h3w_core::fault::{run_chunks_ft, DeviceCtx, RetryPolicy, SweepError, SweepTrace};
 use h3w_core::multi_gpu::partition_id_slice;
-use h3w_core::tiered::{run_msv_device_on, run_vit_device_on};
-use h3w_seqdb::{PackedDb, SeqDb};
-use h3w_simt::{DeviceSpec, FaultInjector};
-use h3w_trace::Trace;
+use h3w_seqdb::{PackedDb, PackedSubset};
+use h3w_simt::FaultInjector;
 
 /// How a fault-tolerant sweep runs: device pool size, retry policy, and
 /// the (optional) fault injector driving the simulation.
 #[derive(Clone, Copy)]
 pub struct FtSweep<'a> {
-    /// Devices in the pool (all the same [`DeviceSpec`], per §IV-A).
+    /// Devices in the pool (all the same `DeviceSpec`, per §IV-A).
     pub n_devices: usize,
     /// Transient-fault retry policy.
     pub policy: RetryPolicy,
@@ -49,113 +46,85 @@ impl FtSweep<'_> {
     }
 }
 
-/// A completed fault-tolerant sweep: the (fault-invariant) results plus
-/// the recovery journal.
-#[derive(Debug)]
-pub struct SweepReport {
-    /// Hits and funnel counters — bit-identical to a fault-free sweep.
-    pub result: PipelineResult,
-    /// What the recovery engine did across all stages.
-    pub trace: SweepTrace,
-    /// True if any stage fell back to the striped CPU backend.
-    pub degraded_to_cpu: bool,
+/// The device pool of one fault-tolerant search: which devices are still
+/// alive, what the recovery engine has done across the stages so far,
+/// and whether any stage fell back to the host.
+pub(crate) struct FtPool<'a> {
+    sweep: FtSweep<'a>,
+    alive: Vec<usize>,
+    pub(crate) journal: SweepTrace,
+    pub(crate) degraded: bool,
 }
 
-impl Pipeline {
-    /// Sweep a database with MSV + Viterbi fanned out over `n` simulated
-    /// devices under a fault model, Forward on the host. Survives device
-    /// loss by redistribution and total device loss by CPU fallback;
-    /// planning errors ([`SweepError::NoConfig`] / [`SweepError::Launch`])
-    /// still propagate, since no amount of rerouting fixes those.
-    ///
-    /// Convenience wrapper over [`Pipeline::search_traced`] with
-    /// [`ExecPlan::FaultTolerant`] — the sweep runs through exactly the
-    /// same driver as every other plan.
-    pub fn run_gpu_ft(
-        &self,
-        db: &SeqDb,
-        dev: &DeviceSpec,
-        sweep: &FtSweep,
-    ) -> Result<SweepReport, SweepError> {
-        let trace = if Self::profile_env() {
-            Trace::on()
-        } else {
-            Trace::off()
-        };
-        let plan = ExecPlan::FaultTolerant {
-            dev: dev.clone(),
-            sweep: *sweep,
-        };
-        let report = self.search_traced(db, &plan, &trace)?;
-        Ok(SweepReport {
-            result: report.result,
-            trace: report.recovery,
-            degraded_to_cpu: report.degraded_to_cpu,
-        })
+impl<'a> FtPool<'a> {
+    pub(crate) fn new(sweep: FtSweep<'a>) -> FtPool<'a> {
+        assert!(sweep.n_devices >= 1);
+        FtPool {
+            sweep,
+            alive: (0..sweep.n_devices).collect(),
+            journal: SweepTrace::default(),
+            degraded: false,
+        }
     }
 
-    /// MSV stage through the recovery engine: survivor ids in, global
-    /// `(seqid, score)` pairs out.
+    /// One filter stage through the recovery engine: ascending `ids` in,
+    /// `Some((scores aligned with ids, makespan))` out. `launch` runs one
+    /// partition on one device and returns its scores in subset order
+    /// with its modeled seconds. `None` means no device is left (lost in
+    /// this stage or an earlier one) and the caller runs the stage on the
+    /// host; no partial device results survive an `AllDevicesLost` (the
+    /// engine drops them), so the host rescoring every id never
+    /// double-scores. Planning errors (`SweepError::NoConfig` /
+    /// `SweepError::Launch`) still propagate, since no amount of
+    /// rerouting fixes those.
     #[allow(clippy::type_complexity)]
-    pub(crate) fn ft_stage_msv(
-        &self,
+    pub(crate) fn stage(
+        &mut self,
+        name: &str,
         packed: &PackedDb,
         ids: &[u32],
-        dev: &DeviceSpec,
-        sweep: &FtSweep,
-        devices: &[usize],
-    ) -> Result<(Vec<(u32, f32)>, f64, SweepTrace), SweepError> {
-        let (runs, makespan, trace) = run_chunks_ft(
-            partition_id_slice(packed, ids, devices.len()),
-            devices,
-            &sweep.policy,
-            sweep.injector,
+        launch: impl Fn(&PackedSubset, &DeviceCtx) -> Result<(Vec<f32>, f64), SweepError>,
+    ) -> Result<Option<(Vec<f32>, f64)>, SweepError> {
+        if self.alive.is_empty() {
+            return Ok(None);
+        }
+        let swept = run_chunks_ft(
+            partition_id_slice(packed, ids, self.alive.len()),
+            &self.alive,
+            &self.sweep.policy,
+            self.sweep.injector,
             |chunk, ctx| {
-                let sub = packed.subset(chunk);
-                let run = run_msv_device_on(&self.msv, &sub, dev, None, ctx)?;
-                let scores: Vec<(u32, f32)> = run
-                    .hits
-                    .iter()
-                    .map(|h| (sub.parent_id(h.seqid as usize) as u32, h.score))
-                    .collect();
-                Ok((scores, run.run.time.total_s))
+                let (scores, secs) = launch(&packed.subset(chunk), ctx)?;
+                let scored: Vec<(u32, f32)> = chunk.iter().copied().zip(scores).collect();
+                Ok((scored, secs))
             },
-            |(_, t)| *t,
-        )?;
-        let scores = runs.into_iter().flat_map(|(s, _)| s).collect();
-        Ok((scores, makespan, trace))
-    }
-
-    /// Viterbi stage through the recovery engine; same shape as
-    /// [`Pipeline::ft_stage_msv`].
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn ft_stage_vit(
-        &self,
-        packed: &PackedDb,
-        ids: &[u32],
-        dev: &DeviceSpec,
-        sweep: &FtSweep,
-        devices: &[usize],
-    ) -> Result<(Vec<(u32, f32)>, f64, SweepTrace), SweepError> {
-        let (runs, makespan, trace) = run_chunks_ft(
-            partition_id_slice(packed, ids, devices.len()),
-            devices,
-            &sweep.policy,
-            sweep.injector,
-            |chunk, ctx| {
-                let sub = packed.subset(chunk);
-                let run = run_vit_device_on(&self.vit, &sub, dev, None, ctx)?;
-                let scores: Vec<(u32, f32)> = run
-                    .hits
-                    .iter()
-                    .map(|h| (sub.parent_id(h.seqid as usize) as u32, h.score))
-                    .collect();
-                Ok((scores, run.run.time.total_s))
-            },
-            |(_, t)| *t,
-        )?;
-        let scores = runs.into_iter().flat_map(|(s, _)| s).collect();
-        Ok((scores, makespan, trace))
+            |(_, secs)| *secs,
+        );
+        match swept {
+            Ok((runs, makespan, trace)) => {
+                self.alive.retain(|d| !trace.lost_devices.contains(d));
+                self.journal.merge(&trace);
+                // Partitions come back in completion order; every id is
+                // in exactly one of them.
+                let mut scored: Vec<(u32, f32)> = runs.into_iter().flat_map(|(s, _)| s).collect();
+                scored.sort_unstable_by_key(|&(id, _)| id);
+                Ok(Some((
+                    scored.into_iter().map(|(_, s)| s).collect(),
+                    makespan,
+                )))
+            }
+            Err(SweepError::AllDevicesLost { .. }) => {
+                self.degraded = true;
+                // The engine's journal dies with the error; every device
+                // still in the pool is gone, so record them here.
+                self.journal.lost_devices.append(&mut self.alive);
+                self.journal
+                    .events
+                    .push(format!("{name}: all devices lost; striped CPU fallback"));
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
     }
 }
 
@@ -163,8 +132,12 @@ impl Pipeline {
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
+    use crate::report::PipelineResult;
+    use crate::run::{ExecPlan, Pipeline, SearchReport};
     use h3w_hmm::build::{synthetic_model, BuildParams};
     use h3w_seqdb::gen::{generate, DbGenSpec};
+    use h3w_seqdb::SeqDb;
+    use h3w_simt::DeviceSpec;
     use h3w_simt::{FaultKind, FaultPlan};
 
     fn setup() -> (Pipeline, SeqDb) {
@@ -174,6 +147,16 @@ mod tests {
         spec.homolog_fraction = 0.02;
         let db = generate(&spec, Some(&core), 3);
         (pipe, db)
+    }
+
+    /// One fault-tolerant search through the driver every plan shares.
+    fn ft_search(pipe: &Pipeline, db: &SeqDb, dev: &DeviceSpec, sweep: &FtSweep) -> SearchReport {
+        let plan = ExecPlan::FaultTolerant {
+            dev: dev.clone(),
+            sweep: *sweep,
+        };
+        pipe.search_traced(db, &plan, &Pipeline::env_trace())
+            .unwrap()
     }
 
     fn funnel(r: &PipelineResult) -> Vec<(usize, usize)> {
@@ -187,7 +170,7 @@ mod tests {
         let single = pipe
             .search(&db, &ExecPlan::Device { dev: dev.clone() })
             .unwrap();
-        let ft = pipe.run_gpu_ft(&db, &dev, &FtSweep::fault_free(4)).unwrap();
+        let ft = ft_search(&pipe, &db, &dev, &FtSweep::fault_free(4));
         assert!(!ft.degraded_to_cpu);
         assert_eq!(ft.result.hits, single.hits);
         assert_eq!(funnel(&ft.result), funnel(&single));
@@ -197,7 +180,7 @@ mod tests {
     fn device_death_mid_sweep_is_invisible_in_results() {
         let (pipe, db) = setup();
         let dev = DeviceSpec::tesla_k40();
-        let clean = pipe.run_gpu_ft(&db, &dev, &FtSweep::fault_free(4)).unwrap();
+        let clean = ft_search(&pipe, &db, &dev, &FtSweep::fault_free(4));
         // Device 1 dies on its second launch: after its MSV chunk, during
         // the Viterbi stage (or a redistributed MSV chunk).
         let inj = FaultInjector::new(FaultPlan::none().kill_device(1, 1), 4);
@@ -206,8 +189,8 @@ mod tests {
             policy: RetryPolicy::no_wait(),
             injector: Some(&inj),
         };
-        let faulted = pipe.run_gpu_ft(&db, &dev, &sweep).unwrap();
-        assert_eq!(faulted.trace.lost_devices, vec![1]);
+        let faulted = ft_search(&pipe, &db, &dev, &sweep);
+        assert_eq!(faulted.recovery.lost_devices, vec![1]);
         assert!(!faulted.degraded_to_cpu);
         assert_eq!(faulted.result.hits, clean.result.hits);
         assert_eq!(funnel(&faulted.result), funnel(&clean.result));
@@ -217,7 +200,7 @@ mod tests {
     fn total_device_loss_degrades_to_cpu_bit_identically() {
         let (pipe, db) = setup();
         let dev = DeviceSpec::tesla_k40();
-        let clean = pipe.run_gpu_ft(&db, &dev, &FtSweep::fault_free(2)).unwrap();
+        let clean = ft_search(&pipe, &db, &dev, &FtSweep::fault_free(2));
         let plan = FaultPlan::none().kill_device(0, 0).kill_device(1, 1);
         let inj = FaultInjector::new(plan, 2);
         let sweep = FtSweep {
@@ -225,7 +208,7 @@ mod tests {
             policy: RetryPolicy::no_wait(),
             injector: Some(&inj),
         };
-        let faulted = pipe.run_gpu_ft(&db, &dev, &sweep).unwrap();
+        let faulted = ft_search(&pipe, &db, &dev, &sweep);
         assert!(faulted.degraded_to_cpu);
         assert_eq!(faulted.result.hits, clean.result.hits);
         assert_eq!(funnel(&faulted.result), funnel(&clean.result));
@@ -235,7 +218,7 @@ mod tests {
     fn transient_storm_retries_without_result_drift() {
         let (pipe, db) = setup();
         let dev = DeviceSpec::tesla_k40();
-        let clean = pipe.run_gpu_ft(&db, &dev, &FtSweep::fault_free(3)).unwrap();
+        let clean = ft_search(&pipe, &db, &dev, &FtSweep::fault_free(3));
         let plan = FaultPlan::none()
             .transient(0, 0, FaultKind::KernelTimeout, 1)
             .transient(2, 0, FaultKind::LaunchTransient, 2);
@@ -245,9 +228,9 @@ mod tests {
             policy: RetryPolicy::no_wait(),
             injector: Some(&inj),
         };
-        let faulted = pipe.run_gpu_ft(&db, &dev, &sweep).unwrap();
-        assert!(faulted.trace.retries >= 3);
-        assert!(faulted.trace.lost_devices.is_empty());
+        let faulted = ft_search(&pipe, &db, &dev, &sweep);
+        assert!(faulted.recovery.retries >= 3);
+        assert!(faulted.recovery.lost_devices.is_empty());
         assert_eq!(faulted.result.hits, clean.result.hits);
     }
 }

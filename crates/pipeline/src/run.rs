@@ -3,27 +3,42 @@
 //! [`Pipeline`] owns every representation of one query model (float
 //! profile, 8-bit MSV tables, 16-bit Viterbi tables, striped CPU filters)
 //! plus its score calibration. [`Pipeline::search`] is the one entry
-//! point for database sweeps: an [`ExecPlan`] picks where each stage
-//! runs — the multi-core striped CPU baseline, the simulated GPU of the
-//! paper's deployment (Forward stays on the host), the fully-on-device
-//! §VI variant, or the fault-tolerant multi-device orchestration — while
-//! the stage sequencing, thresholding, and funnel accounting are written
-//! exactly once. [`Pipeline::search_traced`] is the same driver with a
-//! caller-supplied [`Trace`] for funnel telemetry (`hmmsearch
-//! --profile`); tracing is zero-cost when the trace is disabled and
-//! never changes scores or hits when enabled.
+//! point for sweeps of a resident database: an [`ExecPlan`] picks where
+//! each stage runs — the multi-core striped CPU baseline, the simulated
+//! GPU of the paper's deployment (Forward stays on the host), the
+//! fully-on-device §VI variant, or the fault-tolerant multi-device
+//! orchestration — while the stage sequencing, thresholding, and funnel
+//! accounting are written exactly once.
+//!
+//! **A stage is ids → scores.** The funnel carries its survivors in one
+//! shape: an ascending list of `u32` sequence ids. Every stage, on every
+//! plan, takes the ids that reached it and returns one score per id, in
+//! that order, with its (measured or modeled) seconds: the host stages
+//! hand the list to `h3w_cpu::outcomes_batched`, the device stages
+//! launch over the zero-copy `PackedDb::subset` of it and read the
+//! scores back in subset order. Between stages, `Pipeline::survivors` is
+//! the one thresholding step: ids and their scores in, the ids under the
+//! stage's P-value cut-off (and their scores) out. Nothing of database
+//! length exists after stage 1.
+//!
+//! [`Pipeline::search_traced`] is the same driver with a caller-supplied
+//! [`Trace`] for funnel telemetry (`hmmsearch --profile`); tracing is
+//! zero-cost when the trace is disabled and never changes scores or hits
+//! when enabled.
 
 use crate::config::PipelineConfig;
-use crate::orchestrator::FtSweep;
+use crate::orchestrator::{FtPool, FtSweep};
 use crate::report::{Hit, PipelineResult, StageStats};
 use h3w_core::fault::{SweepError, SweepTrace};
-use h3w_core::tiered::{run_fwd_device, run_msv_device, run_vit_device, StageRun};
+use h3w_core::tiered::{
+    run_fwd_device, run_msv_device, run_msv_device_on, run_vit_device, run_vit_device_on, StageRun,
+};
 use h3w_cpu::striped_fwd::StripedFwd;
 use h3w_cpu::striped_msv::StripedMsv;
 use h3w_cpu::striped_vit::StripedVit;
 use h3w_cpu::{
-    batch_schedule_stats, fwd_scores_batched, outcomes_batched, posterior_decode_with,
-    resolve_batch_width, sweep_batched, Backend, PoolHandle, ThreadPool,
+    batch_schedule_stats, outcomes_batched, posterior_decode_with, resolve_batch_width, Backend,
+    BatchKernel, PoolHandle, ThreadPool,
 };
 use h3w_hmm::calibrate::{self, Calibration};
 use h3w_hmm::msvprofile::MsvProfile;
@@ -44,7 +59,7 @@ const NULL1_TABLE_LEN: usize = 16384;
 /// Where a [`Pipeline::search`] runs each stage.
 ///
 /// Every plan funnels through the same driver: identical thresholding,
-/// identical survivor masks, identical hit assembly. Because the CPU and
+/// identical survivor lists, identical hit assembly. Because the CPU and
 /// device filters are bit-exact, the reported hits are plan-invariant;
 /// only the stage labels and (measured vs modeled) stage times differ.
 #[derive(Clone)]
@@ -70,18 +85,6 @@ pub enum ExecPlan<'a> {
         /// Pool size, retry policy, and optional fault injector.
         sweep: FtSweep<'a>,
     },
-}
-
-impl ExecPlan<'_> {
-    /// Short plan label for error messages, logs, and telemetry.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ExecPlan::Cpu => "cpu",
-            ExecPlan::Device { .. } => "device",
-            ExecPlan::DeviceFull { .. } => "device-full",
-            ExecPlan::FaultTolerant { .. } => "fault-tolerant",
-        }
-    }
 }
 
 /// A completed [`Pipeline::search_traced`]: results, recovery journal,
@@ -213,18 +216,14 @@ impl Pipeline {
                 })
                 .collect(),
         };
-        let all = vec![true; sample.len()];
-        let corrected = |raw: f32| self.corrected(raw, calibrate::DEFAULT_LEN);
-        let scored = |scores: Vec<Option<f32>>| -> Vec<f32> {
-            scores
-                .into_iter()
-                .map(|s| corrected(s.expect("an all-true mask scores everything")))
+        let corrected = |raw: Vec<f32>| -> Vec<f32> {
+            raw.into_iter()
+                .map(|s| self.corrected(s, calibrate::DEFAULT_LEN))
                 .collect()
         };
-        let (msv, _) = self.msv_stage_host(&sample, &Trace::off());
-        let msv: Vec<f32> = msv.into_iter().map(corrected).collect();
-        let vit = scored(self.vit_stage_host(&sample, &all).0);
-        let fwd = scored(self.forward_stage(&sample, &all).0);
+        let msv = corrected(self.msv_stage_host(&sample, &Trace::off()).0);
+        let vit = corrected(self.vit_stage_host(&sample, None).0);
+        let fwd = corrected(self.forward_stage(&sample, None).0);
         self.cal = Calibration::fit(&msv, &vit, &fwd);
     }
 
@@ -306,11 +305,17 @@ impl Pipeline {
         h3w_cpu::find_domains(post, 0.5, 3)
     }
 
-    /// True when `H3W_PROFILE` asks [`Pipeline::search`] to arm a trace
-    /// (set to anything but `""`/`"0"`) — the hook CI uses to run the
-    /// whole test suite with the instrumentation live.
-    pub(crate) fn profile_env() -> bool {
-        std::env::var("H3W_PROFILE").is_ok_and(|v| !v.is_empty() && v != "0")
+    /// The trace [`Pipeline::search`] runs under: armed when `H3W_PROFILE`
+    /// is set to anything but `""`/`"0"` (the hook CI uses to run the
+    /// whole test suite with the instrumentation live), off otherwise.
+    /// The one place the variable is read; callers of the traced entry
+    /// points that want the same switch pass this.
+    pub fn env_trace() -> Trace {
+        if std::env::var("H3W_PROFILE").is_ok_and(|v| !v.is_empty() && v != "0") {
+            Trace::on()
+        } else {
+            Trace::off()
+        }
     }
 
     /// Sweep a database under an execution plan. **The** entry point:
@@ -321,12 +326,8 @@ impl Pipeline {
     /// Reported hits are plan-invariant (the filters are bit-exact across
     /// backends); stage labels and times reflect the plan.
     pub fn search(&self, db: &SeqDb, plan: &ExecPlan) -> Result<PipelineResult, SweepError> {
-        let trace = if Self::profile_env() {
-            Trace::on()
-        } else {
-            Trace::off()
-        };
-        self.search_traced(db, plan, &trace).map(|r| r.result)
+        self.search_traced(db, plan, &Self::env_trace())
+            .map(|r| r.result)
     }
 
     /// [`Pipeline::search`] with a caller-supplied telemetry trace and
@@ -334,7 +335,7 @@ impl Pipeline {
     ///
     /// With a disabled trace every hook is a no-op (no clock reads, no
     /// allocation). With an enabled trace the accounting passes run
-    /// outside the timed stage bodies, so scores, survivor masks, hits
+    /// outside the timed stage bodies, so scores, survivor lists, hits
     /// and measured stage times are identical either way.
     pub fn search_traced(
         &self,
@@ -344,8 +345,6 @@ impl Pipeline {
     ) -> Result<SearchReport, SweepError> {
         let whole = trace.span("pipeline");
         let n = db.len();
-        let mut journal = SweepTrace::default();
-        let mut degraded = false;
         // Pool occupancy/steal accounting is a snapshot delta taken
         // outside every timed region; with a disabled trace it costs
         // nothing at all.
@@ -363,167 +362,96 @@ impl Pipeline {
                 Some(p)
             }
         };
-        let mut ft_devices: Vec<usize> = match plan {
-            ExecPlan::FaultTolerant { sweep, .. } => {
-                assert!(sweep.n_devices >= 1);
-                (0..sweep.n_devices).collect()
+        let packed = || packed.as_ref().expect("device plans pack");
+        let mut ft = match plan {
+            ExecPlan::FaultTolerant { sweep, .. } => Some(FtPool::new(*sweep)),
+            _ => None,
+        };
+        let labels = match plan {
+            ExecPlan::Cpu => ["MSV", "P7Viterbi", "Forward"],
+            ExecPlan::Device { .. } => ["MSV (GPU)", "P7Viterbi (GPU)", "Forward (host)"],
+            ExecPlan::DeviceFull { .. } => ["MSV (GPU)", "P7Viterbi (GPU)", "Forward (GPU)"],
+            ExecPlan::FaultTolerant { .. } => {
+                ["MSV (multi-GPU)", "P7Viterbi (multi-GPU)", "Forward (host)"]
             }
-            _ => Vec::new(),
         };
 
         // Stage 1: MSV over the whole database.
-        let (label1, msv_scores, msv_time) = match plan {
-            ExecPlan::Cpu => {
-                let (scores, secs) = self.msv_stage_host(db, trace);
-                ("MSV", scores, secs)
-            }
+        let (msv_scores, msv_time) = match plan {
+            ExecPlan::Cpu => self.msv_stage_host(db, trace),
             ExecPlan::Device { dev } | ExecPlan::DeviceFull { dev } => {
-                let packed = packed.as_ref().expect("device plans pack");
-                let run = run_msv_device(&self.msv, packed, dev, None)?;
-                Self::record_stage_run(trace, "pipeline/MSV (GPU)", &run.run);
-                let scores: Vec<f32> = run.hits.iter().map(|h| h.score).collect();
-                ("MSV (GPU)", scores, run.run.time.total_s)
+                let run = run_msv_device(&self.msv, packed(), dev, None)?;
+                let scores = run.hits.iter().map(|h| h.score);
+                Self::device_stage(trace, labels[0], &run.run, scores)
             }
-            ExecPlan::FaultTolerant { dev, sweep } => {
-                let packed = packed.as_ref().expect("device plans pack");
-                let all_ids: Vec<u32> = (0..n as u32).collect();
-                match self.ft_stage_msv(packed, &all_ids, dev, sweep, &ft_devices) {
-                    Ok((pairs, makespan, t)) => {
-                        let mut scores = vec![0.0f32; n];
-                        for (id, s) in pairs {
-                            scores[id as usize] = s;
-                        }
-                        ft_devices.retain(|d| !t.lost_devices.contains(d));
-                        journal.merge(&t);
-                        ("MSV (multi-GPU)", scores, makespan)
-                    }
-                    Err(SweepError::AllDevicesLost { .. }) => {
-                        degraded = true;
-                        // The engine's journal dies with the error; every
-                        // device still in the pool is gone, so record them
-                        // here. The CPU fallback is the same batched sweep
-                        // as the CPU plan.
-                        journal.lost_devices.append(&mut ft_devices);
-                        journal
-                            .events
-                            .push("MSV: all devices lost; striped CPU fallback".into());
-                        let (scores, secs) = self.msv_stage_host(db, trace);
-                        ("MSV (multi-GPU)", scores, secs)
-                    }
-                    Err(e) => return Err(e),
-                }
+            ExecPlan::FaultTolerant { dev, .. } => {
+                let all: Vec<u32> = (0..n as u32).collect();
+                let ft = ft.as_mut().expect("fault-tolerant plans build a pool");
+                let on_pool = ft.stage("MSV", packed(), &all, |sub, ctx| {
+                    let run = run_msv_device_on(&self.msv, sub, dev, None, ctx)?;
+                    let scores = run.hits.iter().map(|h| h.score).collect();
+                    Ok((scores, run.run.time.total_s))
+                })?;
+                on_pool.unwrap_or_else(|| self.msv_stage_host(db, trace))
             }
         };
-        let pass1: Vec<bool> = msv_scores
-            .iter()
-            .zip(&db.seqs)
-            .map(|(&s, q)| self.msv_pvalue(s, q.len()) < self.config.f1)
-            .collect();
-        let n1 = pass1.iter().filter(|&&b| b).count();
+        let (ids1, _) = Self::survivors(
+            db,
+            0..n as u32,
+            &msv_scores,
+            |s, len| self.msv_pvalue(s, len),
+            self.config.f1,
+        );
 
-        // Stage 2: Viterbi over the stage-1 survivors.
-        let (label2, vit_scores, vit_time) = match plan {
-            ExecPlan::Cpu => {
-                let (scores, secs) = self.vit_stage_host(db, &pass1);
-                ("P7Viterbi", scores, secs)
-            }
+        // Stage 2: Viterbi over the stage-1 survivors. (A stage nothing
+        // reaches does not run on any plan: no launch, no fan-out.)
+        let (vit_scores, vit_time) = match plan {
+            _ if ids1.is_empty() => (Vec::new(), 0.0),
+            ExecPlan::Cpu => self.vit_stage_host(db, Some(&ids1)),
             ExecPlan::Device { dev } | ExecPlan::DeviceFull { dev } => {
-                let packed = packed.as_ref().expect("device plans pack");
-                let sub = packed.subset_by_mask(&pass1);
-                let mut scores: Vec<Option<f32>> = vec![None; n];
-                let mut secs = 0.0;
-                if !sub.is_empty() {
-                    let run = run_vit_device(&self.vit, &sub, dev, None)?;
-                    Self::record_stage_run(trace, "pipeline/P7Viterbi (GPU)", &run.run);
-                    for h in &run.hits {
-                        scores[sub.parent_id(h.seqid as usize)] = Some(h.score);
-                    }
-                    secs = run.run.time.total_s;
-                }
-                ("P7Viterbi (GPU)", scores, secs)
+                let run = run_vit_device(&self.vit, &packed().subset(&ids1), dev, None)?;
+                let scores = run.hits.iter().map(|h| h.score);
+                Self::device_stage(trace, labels[1], &run.run, scores)
             }
-            ExecPlan::FaultTolerant { dev, sweep } => {
-                let survivors: Vec<u32> = (0..n as u32).filter(|&i| pass1[i as usize]).collect();
-                let mut scores: Vec<Option<f32>> = vec![None; n];
-                let mut secs = 0.0;
-                if !survivors.is_empty() {
-                    let mut on_cpu = ft_devices.is_empty();
-                    if !on_cpu {
-                        let packed = packed.as_ref().expect("device plans pack");
-                        match self.ft_stage_vit(packed, &survivors, dev, sweep, &ft_devices) {
-                            Ok((pairs, makespan, t)) => {
-                                for (id, s) in pairs {
-                                    scores[id as usize] = Some(s);
-                                }
-                                secs = makespan;
-                                ft_devices.retain(|d| !t.lost_devices.contains(d));
-                                journal.merge(&t);
-                            }
-                            Err(SweepError::AllDevicesLost { .. }) => {
-                                degraded = true;
-                                journal.lost_devices.append(&mut ft_devices);
-                                on_cpu = true;
-                                journal
-                                    .events
-                                    .push("Viterbi: all devices lost; striped CPU fallback".into());
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    // No partial device results survive an AllDevicesLost
-                    // (the engine drops them), so the CPU path rescoring
-                    // every survivor never double-scores.
-                    if on_cpu {
-                        let (s, t) = self.vit_stage_host(db, &pass1);
-                        scores = s;
-                        secs = t;
-                    }
-                }
-                ("P7Viterbi (multi-GPU)", scores, secs)
+            ExecPlan::FaultTolerant { dev, .. } => {
+                let ft = ft.as_mut().expect("fault-tolerant plans build a pool");
+                let on_pool = ft.stage("Viterbi", packed(), &ids1, |sub, ctx| {
+                    let run = run_vit_device_on(&self.vit, sub, dev, None, ctx)?;
+                    let scores = run.hits.iter().map(|h| h.score).collect();
+                    Ok((scores, run.run.time.total_s))
+                })?;
+                on_pool.unwrap_or_else(|| self.vit_stage_host(db, Some(&ids1)))
             }
         };
-        let pass2: Vec<bool> = vit_scores
-            .iter()
-            .zip(&db.seqs)
-            .map(|(s, q)| s.is_some_and(|s| self.vit_pvalue(s, q.len()) < self.config.f2))
-            .collect();
-        let n2 = pass2.iter().filter(|&&b| b).count();
+        let (ids2, vit_scores) = Self::survivors(
+            db,
+            ids1.iter().copied(),
+            &vit_scores,
+            |s, len| self.vit_pvalue(s, len),
+            self.config.f2,
+        );
 
         // Stage 3: Forward over the remainder — on the host for every
         // plan except the §VI fully-on-device deployment.
-        let (label3, fwd_scores, fwd_time) = match plan {
-            ExecPlan::Cpu => {
-                let (scores, secs) = self.forward_stage(db, &pass2);
-                ("Forward", scores, secs)
-            }
-            ExecPlan::Device { .. } | ExecPlan::FaultTolerant { .. } => {
-                let (scores, secs) = self.forward_stage(db, &pass2);
-                ("Forward (host)", scores, secs)
-            }
+        let (fwd_scores, fwd_time) = match plan {
+            _ if ids2.is_empty() => (Vec::new(), 0.0),
             ExecPlan::DeviceFull { dev } => {
-                let packed = packed.as_ref().expect("device plans pack");
-                let fsub = packed.subset_by_mask(&pass2);
-                let mut scores: Vec<Option<f32>> = vec![None; n];
-                let mut secs = 0.0;
-                if !fsub.is_empty() {
-                    let run = run_fwd_device(&self.profile, &fsub, dev)?;
-                    Self::record_stage_run(trace, "pipeline/Forward (GPU)", &run.run);
-                    for h in &run.hits {
-                        scores[fsub.parent_id(h.seqid as usize)] = Some(h.score);
-                    }
-                    secs = run.run.time.total_s;
-                }
-                ("Forward (GPU)", scores, secs)
+                let run = run_fwd_device(&self.profile, &packed().subset(&ids2), dev)?;
+                let scores = run.hits.iter().map(|h| h.score);
+                Self::device_stage(trace, labels[2], &run.run, scores)
             }
+            _ => self.forward_stage(db, Some(&ids2)),
         };
 
-        let r1 = Self::masked_residues(db, &pass1);
-        let r2 = Self::masked_residues(db, &pass2);
+        let (n1, n2) = (ids1.len(), ids2.len());
         let stages = [
-            StageStats::new(label1, n, n1, msv_time).with_residues(db.total_residues()),
-            StageStats::new(label2, n1, n2, vit_time).with_residues(r1),
-            StageStats::new(label3, n2, n2, fwd_time).with_residues(r2),
+            StageStats::new(labels[0], n, n1, msv_time).with_residues(db.total_residues()),
+            StageStats::new(labels[1], n1, n2, vit_time)
+                .with_residues(Self::residues_of(db, &ids1)),
+            StageStats::new(labels[2], n2, n2, fwd_time)
+                .with_residues(Self::residues_of(db, &ids2)),
         ];
+        let (journal, degraded) = ft.map_or_else(Default::default, |ft| (ft.journal, ft.degraded));
         if trace.is_on() {
             // Funnel telemetry is recorded *from* the stage records, so
             // the `--profile` tree and the StageStats report can never
@@ -565,7 +493,7 @@ impl Pipeline {
                 trace.add("pipeline/recovery", "cpu_fallbacks", degraded as u64);
             }
         }
-        let result = self.assemble(db, msv_scores, vit_scores, fwd_scores, stages);
+        let result = self.assemble(db, &msv_scores, &ids2, &vit_scores, &fwd_scores, stages);
         trace.add("pipeline/hits", "reported", result.hits.len() as u64);
         if let Some(before) = pool_before {
             // Per-worker spans and occupancy/steal counters for this
@@ -584,13 +512,43 @@ impl Pipeline {
         })
     }
 
+    /// The funnel's one thresholding step: of `ids` (with `scores`
+    /// aligned to them), keep the sequences whose `pvalue(score, length)`
+    /// is under `cut`. Returns the surviving ids, still ascending, and
+    /// their scores.
+    pub(crate) fn survivors(
+        db: &SeqDb,
+        ids: impl IntoIterator<Item = u32>,
+        scores: &[f32],
+        pvalue: impl Fn(f32, usize) -> f64,
+        cut: f64,
+    ) -> (Vec<u32>, Vec<f32>) {
+        ids.into_iter()
+            .zip(scores.iter().copied())
+            .filter(|&(id, s)| pvalue(s, db.seqs[id as usize].len()) < cut)
+            .unzip()
+    }
+
+    /// A host stage: `kernel` over the listed sequences (`None` = every
+    /// sequence) on the length-binned batched sweep. Returns one outcome
+    /// per id and the measured seconds.
+    fn host_stage<K: BatchKernel>(
+        &self,
+        kernel: &K,
+        db: &SeqDb,
+        ids: Option<&[u32]>,
+    ) -> (Vec<K::Output>, f64) {
+        let t = Instant::now();
+        let out = outcomes_batched(self.pool(), kernel, &db.seqs, ids, self.config.batch);
+        (out, t.elapsed().as_secs_f64())
+    }
+
     /// Host stage 1: MSV through the batched interleaved kernel. Returns
     /// `(scores, seconds)`. Telemetry accounting (batch-schedule shape,
     /// dropout counts) runs outside the timed region and only when the
     /// trace is armed.
     fn msv_stage_host(&self, db: &SeqDb, trace: &Trace) -> (Vec<f32>, f64) {
-        let kernel = (&self.striped_msv, &self.msv);
-        let (msv_out, timing) = sweep_batched(self.pool(), &kernel, db, self.config.batch);
+        let (msv_out, secs) = self.host_stage(&(&self.striped_msv, &self.msv), db, None);
         if trace.is_on() {
             let width = resolve_batch_width(self.backend, self.config.batch);
             let lens: Vec<usize> = db.seqs.iter().map(|s| s.len()).collect();
@@ -607,79 +565,63 @@ impl Pipeline {
             let overflow = msv_out.iter().filter(|o| o.overflow).count();
             trace.add("pipeline/batch", "overflow_dropouts", overflow as u64);
         }
-        let scores = msv_out.iter().map(|o| o.score).collect();
-        (scores, timing.seconds)
+        (msv_out.iter().map(|o| o.score).collect(), secs)
     }
 
-    /// Host stage 2: the striped Viterbi filter over a survivor mask,
-    /// on the same length-binned batched sweep as stages 1 and 3 (also
-    /// the fault-tolerant plan's CPU fallback).
-    fn vit_stage_host(&self, db: &SeqDb, pass1: &[bool]) -> (Vec<Option<f32>>, f64) {
-        let t1 = Instant::now();
-        let kernel = (&self.striped_vit, &self.vit);
-        let scores = outcomes_batched(
-            self.pool(),
-            &kernel,
-            &db.seqs,
-            Some(pass1),
-            self.config.batch,
-        )
-        .into_iter()
-        .map(|o| o.map(|(out, _)| out.score))
-        .collect();
-        (scores, t1.elapsed().as_secs_f64())
+    /// Host stage 2: the striped Viterbi filter over a survivor list
+    /// (also calibration's, and the fault-tolerant plan's CPU fallback).
+    fn vit_stage_host(&self, db: &SeqDb, ids: Option<&[u32]>) -> (Vec<f32>, f64) {
+        let (out, secs) = self.host_stage(&(&self.striped_vit, &self.vit), db, ids);
+        (out.into_iter().map(|(o, _)| o.score).collect(), secs)
     }
 
-    /// Surface one device stage's kernel counters and modeled time split
-    /// under `{path}/device` in the telemetry tree.
-    fn record_stage_run(trace: &Trace, path: &str, run: &StageRun) {
-        if !trace.is_on() {
-            return;
+    /// Stage 3 on the host, for every plan that keeps Forward there: the
+    /// striped odds-space filter over the stage-2 survivor list.
+    fn forward_stage(&self, db: &SeqDb, ids: Option<&[u32]>) -> (Vec<f32>, f64) {
+        self.host_stage(&(&self.striped_fwd, &self.profile), db, ids)
+    }
+
+    /// A single-device stage's outcome as the driver wants it: `scores`
+    /// in launch (= subset) order and the modeled seconds, with the
+    /// kernel counters and modeled time split surfaced under
+    /// `pipeline/{label}/device` in the telemetry tree.
+    fn device_stage(
+        trace: &Trace,
+        label: &str,
+        run: &StageRun,
+        scores: impl Iterator<Item = f32>,
+    ) -> (Vec<f32>, f64) {
+        if trace.is_on() {
+            let path = format!("pipeline/{label}/device");
+            run.stats.record_into(trace, &path);
+            run.time.record_into(trace, &format!("{path}/time"));
         }
-        run.stats.record_into(trace, &format!("{path}/device"));
-        run.time.record_into(trace, &format!("{path}/device/time"));
+        (scores.collect(), run.time.total_s)
     }
 
-    /// Stage 3: Forward over the stage-2 survivor mask. One body shared
-    /// by every plan that keeps Forward on the host — the striped
-    /// odds-space filter on a length-binned batched sweep. Returns
-    /// `(scores, seconds)`.
-    pub(crate) fn forward_stage(&self, db: &SeqDb, pass2: &[bool]) -> (Vec<Option<f32>>, f64) {
-        let t = Instant::now();
-        let scores = fwd_scores_batched(
-            self.pool(),
-            &self.striped_fwd,
-            &self.profile,
-            &db.seqs,
-            Some(pass2),
-            self.config.batch,
-        );
-        (scores, t.elapsed().as_secs_f64())
+    /// Total residues of the listed sequences (the denominator for
+    /// per-stage cell rates).
+    pub(crate) fn residues_of(db: &SeqDb, ids: &[u32]) -> u64 {
+        ids.iter().map(|&i| db.seqs[i as usize].len() as u64).sum()
     }
 
-    /// Total residues of the sequences a stage mask keeps (the
-    /// denominator for per-stage cell rates).
-    pub(crate) fn masked_residues(db: &SeqDb, mask: &[bool]) -> u64 {
-        db.seqs
-            .iter()
-            .zip(mask)
-            .filter(|&(_, &k)| k)
-            .map(|(s, _)| s.len() as u64)
-            .sum()
-    }
-
+    /// Turn the funnel's outputs into the ranked hit list: `msv` is the
+    /// dense stage-1 score vector, `ids` the stage-3 survivor list with
+    /// its Viterbi (`vit`) and Forward (`fwd`) scores aligned to it.
     pub(crate) fn assemble(
         &self,
         db: &SeqDb,
-        msv: Vec<f32>,
-        vit: Vec<Option<f32>>,
-        fwd: Vec<Option<f32>>,
+        msv: &[f32],
+        ids: &[u32],
+        vit: &[f32],
+        fwd: &[f32],
         stages: [StageStats; 3],
     ) -> PipelineResult {
         let n = db.len();
         let mut hits = Vec::new();
-        for i in 0..n {
-            let Some(mut fwd_sc) = fwd[i] else { continue };
+        for ((&id, &vit_score), &fwd_raw) in ids.iter().zip(vit).zip(fwd) {
+            let i = id as usize;
+            let mut fwd_sc = fwd_raw;
             // A non-finite Forward score cannot be ranked or reported
             // honestly; drop the sequence rather than panic downstream.
             if !fwd_sc.is_finite() {
@@ -703,10 +645,10 @@ impl Pipeline {
             let evalue = p * n as f64;
             if evalue <= self.config.report_evalue {
                 hits.push(Hit {
-                    seqid: i as u32,
+                    seqid: id,
                     name: db.seqs[i].name.clone(),
                     msv_score: msv[i],
-                    vit_score: vit[i].unwrap_or(f32::NEG_INFINITY),
+                    vit_score,
                     fwd_score: fwd_sc,
                     pvalue: p,
                     evalue,
@@ -912,6 +854,108 @@ mod tests {
         assert_eq!(cpu_ids, gpu_ids);
         assert_eq!(cpu.stages[0].seqs_out, gpu.stages[0].seqs_out);
         assert_eq!(cpu.stages[1].seqs_out, gpu.stages[1].seqs_out);
+    }
+
+    /// The lattice the one driver owns, once: every plan — and, for the
+    /// fault-tolerant one, the whole device pool dying under each filter
+    /// stage — against databases that leave each stage full, empty or
+    /// with a single sequence must report exactly what the CPU plan
+    /// reports.
+    #[test]
+    fn every_plan_matches_cpu_on_full_empty_and_single_sequence_funnels() {
+        use h3w_core::fault::RetryPolicy;
+        use h3w_simt::{FaultInjector, FaultPlan};
+
+        let (mut pipe, mix) = setup(0.02, 0.0002);
+        let background = generate(&DbGenSpec::envnr_like().scaled(0.0002), None, 3);
+        let mut single = SeqDb::new("single");
+        let homolog = mix.seqs.iter().find(|s| s.name.starts_with("hom"));
+        single
+            .seqs
+            .push(homolog.expect("the mix plants homologs").clone());
+        let PipelineConfig { f1, f2, .. } = pipe.config;
+        // (database, f1, f2, sequences expected out of stages 1 and 2:
+        // Some(0) = nothing, None = something). A saturated Viterbi score
+        // has P = 0, which every cut-off `validate` accepts admits, so
+        // the f2 that passes nothing is set past the builder.
+        let cases = [
+            ("homolog mix", &mix, f1, f2, None, None),
+            (
+                "nothing passes MSV",
+                &background,
+                1e-12,
+                f2,
+                Some(0),
+                Some(0),
+            ),
+            ("nothing passes Viterbi", &mix, f1, 0.0, None, Some(0)),
+            ("single sequence", &single, f1, f2, Some(1), Some(1)),
+        ];
+        let dev = DeviceSpec::tesla_k40;
+        for (case, db, f1, f2, want_n1, want_n2) in cases {
+            pipe.config.f1 = f1;
+            pipe.config.f2 = f2;
+            let funnel = |r: &PipelineResult| -> Vec<(usize, usize, u64)> {
+                r.stages
+                    .iter()
+                    .map(|s| (s.seqs_in, s.seqs_out, s.residues_in))
+                    .collect()
+            };
+            let cpu = pipe
+                .search_traced(db, &ExecPlan::Cpu, &Trace::off())
+                .unwrap();
+            assert!(!cpu.degraded_to_cpu, "{case}");
+            let (n1, n2) = (cpu.result.stages[0].seqs_out, cpu.result.stages[1].seqs_out);
+            assert!(want_n1.map_or(n1 > 0, |w| n1 == w), "{case}: n1 = {n1}");
+            assert!(want_n2.map_or(n2 > 0, |w| n2 == w), "{case}: n2 = {n2}");
+            assert_eq!(cpu.result.hits.is_empty(), n2 == 0, "{case}");
+
+            // Both devices die at their first stage-1 launch, or at their
+            // first stage-2 launch (a device the database is too small to
+            // give a stage-1 partition has launched nothing by then).
+            let dead_at_msv = FaultPlan::none().kill_device(0, 0).kill_device(1, 0);
+            let stage1_launches = |d: usize| (d < db.len()) as u64;
+            let dead_at_vit = FaultPlan::none()
+                .kill_device(0, stage1_launches(0))
+                .kill_device(1, stage1_launches(1));
+            let injectors = [dead_at_msv, dead_at_vit].map(|plan| FaultInjector::new(plan, 2));
+            let ft = |injector| ExecPlan::FaultTolerant {
+                dev: dev(),
+                sweep: FtSweep {
+                    n_devices: 2,
+                    policy: RetryPolicy::no_wait(),
+                    injector,
+                },
+            };
+            let plans = [
+                ("device", ExecPlan::Device { dev: dev() }, false),
+                ("device-full", ExecPlan::DeviceFull { dev: dev() }, false),
+                ("ft", ft(None), false),
+                ("ft, pool dies in MSV", ft(Some(&injectors[0])), true),
+                ("ft, pool dies in Viterbi", ft(Some(&injectors[1])), n1 > 0),
+            ];
+            for (label, plan, want_degraded) in &plans {
+                let got = pipe.search_traced(db, plan, &Trace::off()).unwrap();
+                assert_eq!(funnel(&got.result), funnel(&cpu.result), "{case}, {label}");
+                assert_eq!(got.degraded_to_cpu, *want_degraded, "{case}, {label}");
+                assert_eq!(
+                    got.recovery.lost_devices.len(),
+                    if *want_degraded { 2 } else { 0 },
+                    "{case}, {label}"
+                );
+                if matches!(plan, ExecPlan::DeviceFull { .. }) {
+                    // The device Forward sums with the flogsum table (see
+                    // `fully_on_device_pipeline_matches_cpu_hits`): same
+                    // sequences, scores within its bias.
+                    let ids = |r: &PipelineResult| -> Vec<u32> {
+                        r.hits.iter().map(|h| h.seqid).collect()
+                    };
+                    assert_eq!(ids(&got.result), ids(&cpu.result), "{case}, {label}");
+                } else {
+                    assert_eq!(got.result.hits, cpu.result.hits, "{case}, {label}");
+                }
+            }
+        }
     }
 
     #[test]

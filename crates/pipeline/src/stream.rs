@@ -5,31 +5,32 @@
 //! any [`SeqSource`] (in-memory [`SeqDb`], packed `DiskDb`, FASTA text or
 //! file, or a generation recipe that never materializes) in bounded-size
 //! chunks, each swept with the normal parallel pipeline under **any**
-//! [`ExecPlan`] — threads, batching, pipeline depth, fused device stages,
-//! and fault injection all apply per chunk; multi-device plans partition
-//! each chunk across the pool, so device recovery operates at
-//! source-chunk granularity. Per-chunk survivors merge with E-values kept
+//! [`ExecPlan`] — threads, batching, fused device stages, and fault
+//! injection all apply per chunk; multi-device plans partition each
+//! chunk across the pool, so device recovery operates at source-chunk
+//! granularity. Per-chunk survivors merge with E-values kept
 //! global (P-values scale by the *total* database size, exactly as a
 //! single-pass run would), so streamed hits are bit-identical to
 //! single-pass hits.
 //!
-//! All public entry points are thin shells over one internal driver:
-//! [`search_source`] / [`search_source_checkpointed`] stream a source,
-//! [`search_chunked`] and friends accept pre-built chunks, and
-//! [`search_shards_observed`] lets a resident service sweep borrowed
-//! shards with a deadline/chaos observer between chunks. Checkpointed
-//! runs persist the sweep state after every chunk so a killed process
-//! resumes where it left off with bit-identical results.
+//! There are two entries. [`search_chunks`] is the driver itself: it
+//! takes any fallible stream of chunks (owned or borrowed), the E-value
+//! scale, a plan, and [`StreamOptions`] — an optional **checkpoint**
+//! (path + drift guard: the sweep state is persisted after every chunk,
+//! and an existing file is resumed from, so a killed process picks up
+//! where it left off with bit-identical results) and an optional
+//! **observer** consulted before each chunk (a resident service's
+//! deadline and chaos hook). [`search_source`] is the plain case: stream
+//! a [`SeqSource`] in chunks of at most `max_residues`, no options.
 
 use crate::checkpoint::{CheckpointError, StreamCheckpoint};
 use crate::report::PipelineResult;
 use crate::run::{ExecPlan, Pipeline};
 use h3w_core::fault::SweepError;
-use h3w_seqdb::fasta::{FastaError, ReadSeqError, SeqReader};
-use h3w_seqdb::source::{Chunker, SeqSource, SourceError};
-use h3w_seqdb::{length_bins, DigitalSeq, SeqDb};
+use h3w_seqdb::source::{SeqSource, SourceError};
+use h3w_seqdb::{length_bins, SeqDb};
 use h3w_trace::Trace;
-use std::borrow::Cow;
+use std::borrow::Borrow;
 use std::path::Path;
 
 /// Why a streamed sweep stopped early. Every failure mode of the layered
@@ -112,22 +113,45 @@ pub struct StreamReport {
     pub degraded_to_cpu: bool,
 }
 
-/// The one streamed-sweep driver. Every public entry point builds a
-/// chunk iterator (owned or borrowed) and lands here; chunked,
-/// checkpointed, observed, and source-driven execution differ only in
-/// which optional features they enable.
-fn drive<'c, I>(
+/// What a streamed sweep does besides sweeping; the default is nothing.
+#[derive(Default)]
+pub struct StreamOptions<'o> {
+    /// Persist the accumulated state (chunk cursor, funnel counters,
+    /// survivor hits) atomically to this path after every chunk, and
+    /// resume after its last completed chunk if the file already exists.
+    /// The `u64` is the drift guard, normally [`SeqSource::identity`] /
+    /// [`h3w_seqdb::content_hash`]: resuming against a different value is
+    /// rejected with [`CheckpointError::DatabaseDrift`], and a changed
+    /// chunking by the cursor cross-check ([`CheckpointError::Mismatch`]).
+    pub checkpoint: Option<(&'o Path, u64)>,
+    /// Consulted before each chunk is swept; see [`ChunkObserver`].
+    pub observer: Option<ChunkObserver<'o>>,
+}
+
+/// The streamed-sweep driver: sweep `chunks` one at a time under `plan`
+/// (each through [`Pipeline::search_traced`], so per-chunk funnel
+/// counters and stage times accumulate in the one `trace`) and merge.
+/// `total_seqs` fixes the E-value scale (the full database size); chunks
+/// may be owned or borrowed, and a chunk error ends the sweep with it.
+/// A killed-then-resumed checkpointed sweep reports bit-identical hits
+/// and funnel counts to an uninterrupted one.
+pub fn search_chunks<I, C, E>(
     pipe: &Pipeline,
     chunks: I,
     total_seqs: usize,
     plan: &ExecPlan,
-    ckpt: Option<(&Path, u64)>,
+    options: StreamOptions<'_>,
     trace: &Trace,
-    mut observer: Option<ChunkObserver<'_>>,
 ) -> Result<StreamReport, StreamError>
 where
-    I: IntoIterator<Item = Result<Cow<'c, SeqDb>, StreamError>>,
+    I: IntoIterator<Item = Result<C, E>>,
+    C: Borrow<SeqDb>,
+    E: Into<StreamError>,
 {
+    let StreamOptions {
+        checkpoint: ckpt,
+        mut observer,
+    } = options;
     let mut state = match ckpt {
         Some((path, db_hash)) if path.exists() => {
             let ck = StreamCheckpoint::load(path)?;
@@ -154,9 +178,12 @@ where
     let mut skipped_seqs = 0u32;
     let mut residues_done = 0u64;
     let mut degraded = false;
+    let mut chunks_seen = 0usize;
     for (i, chunk) in chunks.into_iter().enumerate() {
-        let chunk = chunk?;
+        let chunk = chunk.map_err(Into::<StreamError>::into)?;
+        let chunk: &SeqDb = chunk.borrow();
         let chunk_residues = chunk.total_residues();
+        chunks_seen = i + 1;
         if i < resume_from {
             // Checkpoint resume: replay the cursor without sweeping, and
             // reject a chunking that no longer lines up.
@@ -189,9 +216,9 @@ where
             // Length-bin shape of this chunk — what the batched
             // scheduler re-bins per chunk; a high bin count per chunk
             // means more partially-filled batches.
-            trace.add("stream", "len_bins", length_bins(&chunk).len() as u64);
+            trace.add("stream", "len_bins", length_bins(chunk).len() as u64);
         }
-        let report = pipe.search_traced(chunk.as_ref(), plan, trace)?;
+        let report = pipe.search_traced(chunk, plan, trace)?;
         degraded |= report.degraded_to_cpu;
         let res = report.result;
         for (acc, st) in state.stages.iter_mut().zip(&res.stages) {
@@ -221,6 +248,17 @@ where
             state.save(path)?;
         }
     }
+    if chunks_seen < resume_from {
+        // The stream ended before reaching the checkpoint's cursor (a
+        // coarser chunking): the in-loop cross-check never ran, and the
+        // saved partial state must not be reported as the whole sweep.
+        return Err(CheckpointError::Mismatch(format!(
+            "resumed chunking ends at chunk {chunks_seen}, before the checkpoint's cursor \
+             (chunk {resume_from}, {} sequences); was the chunk size or input changed?",
+            state.seq_base
+        ))
+        .into());
+    }
     if trace.is_on() {
         // Recorded once per sweep: the process high-water mark. For a
         // constant-memory streamed sweep this is bounded by the chunk
@@ -239,15 +277,6 @@ where
     })
 }
 
-fn source_chunks<'s>(
-    source: &'s dyn SeqSource,
-    max_residues: u64,
-) -> impl Iterator<Item = Result<Cow<'static, SeqDb>, StreamError>> + 's {
-    source
-        .chunks(max_residues)
-        .map(|r| r.map(Cow::Owned).map_err(StreamError::Source))
-}
-
 /// Sweep a [`SeqSource`] in chunks of at most `max_residues` residues
 /// under `plan`, in memory bounded by the chunk size. E-values scale by
 /// `source.n_seqs()`; hits are bit-identical to an unchunked
@@ -259,184 +288,15 @@ pub fn search_source(
     max_residues: u64,
     trace: &Trace,
 ) -> Result<PipelineResult, StreamError> {
-    drive(
+    search_chunks(
         pipe,
-        source_chunks(source, max_residues),
+        source.chunks(max_residues),
         source.n_seqs(),
         plan,
-        None,
+        StreamOptions::default(),
         trace,
-        None,
     )
     .map(|r| r.result)
-}
-
-/// [`search_source`] with checkpoint/resume: after every chunk the
-/// accumulated state (chunk cursor, funnel counters, survivor hits) is
-/// written atomically to `ckpt_path`; if that file already exists, the
-/// sweep resumes after its last completed chunk. The source's
-/// [`SeqSource::identity`] is the drift guard — resuming against a
-/// source with a different identity is rejected with
-/// [`CheckpointError::DatabaseDrift`], and a changed `max_residues` is
-/// caught by the cursor cross-check. A killed-then-resumed sweep reports
-/// bit-identical hits and funnel counts to an uninterrupted one.
-pub fn search_source_checkpointed(
-    pipe: &Pipeline,
-    source: &dyn SeqSource,
-    plan: &ExecPlan,
-    max_residues: u64,
-    ckpt_path: &Path,
-    trace: &Trace,
-) -> Result<PipelineResult, StreamError> {
-    drive(
-        pipe,
-        source_chunks(source, max_residues),
-        source.n_seqs(),
-        plan,
-        Some((ckpt_path, source.identity())),
-        trace,
-        None,
-    )
-    .map(|r| r.result)
-}
-
-/// Sweep borrowed shards with an observer consulted at every chunk
-/// boundary — the resident-service entry point: deadline checks and
-/// chaos injection happen in the observer, shards are never cloned, and
-/// the report carries the degradation flag services surface per query.
-pub fn search_shards_observed<'a, I>(
-    pipe: &Pipeline,
-    shards: I,
-    total_seqs: usize,
-    plan: &ExecPlan,
-    trace: &Trace,
-    observer: ChunkObserver<'_>,
-) -> Result<StreamReport, StreamError>
-where
-    I: IntoIterator<Item = &'a SeqDb>,
-{
-    drive(
-        pipe,
-        shards.into_iter().map(|s| Ok(Cow::Borrowed(s))),
-        total_seqs,
-        plan,
-        None,
-        trace,
-        Some(observer),
-    )
-}
-
-/// Sweep pre-chunked databases under `plan` and merge results.
-/// `total_seqs` fixes the E-value scale (the full database size).
-pub fn search_chunked<I>(
-    pipe: &Pipeline,
-    chunks: I,
-    total_seqs: usize,
-    plan: &ExecPlan,
-) -> Result<PipelineResult, StreamError>
-where
-    I: IntoIterator<Item = SeqDb>,
-{
-    let trace = if Pipeline::profile_env() {
-        Trace::on()
-    } else {
-        Trace::off()
-    };
-    search_chunked_traced(pipe, chunks, total_seqs, plan, &trace)
-}
-
-/// [`search_chunked`] with a caller-supplied telemetry trace: every chunk
-/// sweeps through [`Pipeline::search_traced`], so the per-chunk funnel
-/// counters and stage times *accumulate* in the one trace — the final
-/// snapshot describes the whole streamed sweep, exactly as a single-pass
-/// run over the concatenated database would.
-pub fn search_chunked_traced<I>(
-    pipe: &Pipeline,
-    chunks: I,
-    total_seqs: usize,
-    plan: &ExecPlan,
-    trace: &Trace,
-) -> Result<PipelineResult, StreamError>
-where
-    I: IntoIterator<Item = SeqDb>,
-{
-    drive(
-        pipe,
-        chunks.into_iter().map(|c| Ok(Cow::Owned(c))),
-        total_seqs,
-        plan,
-        None,
-        trace,
-        None,
-    )
-    .map(|r| r.result)
-}
-
-/// [`search_chunked`] with checkpoint/resume (see
-/// [`search_source_checkpointed`] for the resume contract; `db_hash` is
-/// the caller-supplied drift guard, normally
-/// [`h3w_seqdb::content_hash`]).
-pub fn search_chunked_checkpointed<I>(
-    pipe: &Pipeline,
-    chunks: I,
-    total_seqs: usize,
-    plan: &ExecPlan,
-    ckpt_path: &Path,
-    db_hash: u64,
-) -> Result<PipelineResult, StreamError>
-where
-    I: IntoIterator<Item = SeqDb>,
-{
-    let trace = if Pipeline::profile_env() {
-        Trace::on()
-    } else {
-        Trace::off()
-    };
-    drive(
-        pipe,
-        chunks.into_iter().map(|c| Ok(Cow::Owned(c))),
-        total_seqs,
-        plan,
-        Some((ckpt_path, db_hash)),
-        &trace,
-        None,
-    )
-    .map(|r| r.result)
-}
-
-/// Iterator over bounded-residue chunks of a FASTA text: the streaming
-/// parser ([`SeqReader`]) grouped under the shared source boundary rule
-/// ([`Chunker`]). A chunk never exceeds `max_residues` unless a single
-/// sequence does, in which case it rides alone.
-pub struct FastaChunks<'a> {
-    inner: Chunker<Box<dyn Iterator<Item = Result<DigitalSeq, FastaError>> + 'a>, FastaError>,
-}
-
-impl<'a> FastaChunks<'a> {
-    /// Chunk `text` into databases of at most `max_residues` residues
-    /// (each chunk holds whole sequences; a single longer sequence forms
-    /// its own chunk).
-    pub fn new(text: &'a str, max_residues: u64) -> FastaChunks<'a> {
-        let records: Box<dyn Iterator<Item = Result<DigitalSeq, FastaError>> + 'a> =
-            Box::new(SeqReader::new(text.as_bytes()).map(|r| {
-                r.map_err(|e| match e {
-                    ReadSeqError::Fasta(e) => e,
-                    // An in-memory byte slice cannot fail to read.
-                    ReadSeqError::Io(e) => unreachable!("io error on in-memory text: {e}"),
-                })
-            }));
-        FastaChunks {
-            inner: Chunker::new("chunk", records, max_residues),
-        }
-    }
-}
-
-impl Iterator for FastaChunks<'_> {
-    type Item = Result<SeqDb, FastaError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
-    }
 }
 
 #[cfg(test)]
@@ -445,9 +305,9 @@ mod tests {
     use crate::config::PipelineConfig;
     use crate::report::Hit;
     use h3w_hmm::build::{synthetic_model, BuildParams};
-    use h3w_seqdb::fasta;
+    use h3w_seqdb::fasta::{self, FastaError};
     use h3w_seqdb::gen::{generate, DbGenSpec};
-    use h3w_seqdb::source::GenSource;
+    use h3w_seqdb::source::{FastaSource, GenSource};
 
     fn setup() -> (Pipeline, SeqDb) {
         let core = synthetic_model(50, 77, &BuildParams::default());
@@ -458,13 +318,47 @@ mod tests {
         (pipe, db)
     }
 
+    /// FASTA text as bounded chunks, through the chunker every source
+    /// shares.
+    fn fasta_chunks(text: &str, max_residues: u64) -> Result<Vec<SeqDb>, FastaError> {
+        FastaSource::new("chunk", text)?
+            .chunks(max_residues)
+            .map(|c| {
+                c.map_err(|e| match e {
+                    SourceError::Fasta(e) => e,
+                    other => panic!("in-memory text cannot fail to read: {other}"),
+                })
+            })
+            .collect()
+    }
+
+    /// Sweep owned chunks on the CPU plan, optionally checkpointed.
+    fn sweep(
+        pipe: &Pipeline,
+        chunks: Vec<SeqDb>,
+        total_seqs: usize,
+        checkpoint: Option<(&Path, u64)>,
+    ) -> Result<PipelineResult, StreamError> {
+        let options = StreamOptions {
+            checkpoint,
+            observer: None,
+        };
+        search_chunks(
+            pipe,
+            chunks.into_iter().map(Ok::<_, StreamError>),
+            total_seqs,
+            &ExecPlan::Cpu,
+            options,
+            &Pipeline::env_trace(),
+        )
+        .map(|r| r.result)
+    }
+
     #[test]
     fn fasta_chunks_partition_whole_sequences() {
         let (_, db) = setup();
         let text = fasta::render(&db);
-        let chunks: Vec<SeqDb> = FastaChunks::new(&text, 20_000)
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let chunks: Vec<SeqDb> = fasta_chunks(&text, 20_000).unwrap();
         assert!(
             chunks.len() > 3,
             "expected several chunks, got {}",
@@ -494,10 +388,8 @@ mod tests {
         let (pipe, db) = setup();
         let single = pipe.search(&db, &ExecPlan::Cpu).unwrap();
         let text = fasta::render(&db);
-        let chunks: Vec<SeqDb> = FastaChunks::new(&text, 15_000)
-            .collect::<Result<_, _>>()
-            .unwrap();
-        let streamed = search_chunked(&pipe, chunks, db.len(), &ExecPlan::Cpu).unwrap();
+        let chunks: Vec<SeqDb> = fasta_chunks(&text, 15_000).unwrap();
+        let streamed = sweep(&pipe, chunks, db.len(), None).unwrap();
         assert_eq!(
             single.hits.iter().map(|h| h.seqid).collect::<Vec<_>>(),
             streamed.hits.iter().map(|h| h.seqid).collect::<Vec<_>>()
@@ -531,9 +423,7 @@ mod tests {
     #[test]
     fn observer_sees_progress_and_can_cancel() {
         let (pipe, db) = setup();
-        let shards: Vec<SeqDb> = FastaChunks::new(&fasta::render(&db), 15_000)
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let shards: Vec<SeqDb> = fasta_chunks(&fasta::render(&db), 15_000).unwrap();
         assert!(shards.len() >= 3);
         // Observe every boundary: progress is monotone and complete.
         let mut seen = Vec::new();
@@ -541,15 +431,21 @@ mod tests {
             seen.push((p.index, p.seqs_done, p.residues_done));
             Ok(())
         };
-        let report = search_shards_observed(
-            &pipe,
-            shards.iter(),
-            db.len(),
-            &ExecPlan::Cpu,
-            &Trace::off(),
-            &mut obs,
-        )
-        .unwrap();
+        let observed = |obs: ChunkObserver<'_>| {
+            let options = StreamOptions {
+                checkpoint: None,
+                observer: Some(obs),
+            };
+            search_chunks(
+                &pipe,
+                shards.iter().map(Ok::<_, StreamError>),
+                db.len(),
+                &ExecPlan::Cpu,
+                options,
+                &Trace::off(),
+            )
+        };
+        let report = observed(&mut obs).unwrap();
         assert!(!report.degraded_to_cpu);
         assert_eq!(seen.len(), shards.len());
         assert_eq!(seen[0], (0, 0, 0));
@@ -564,28 +460,20 @@ mod tests {
                 Ok(())
             }
         };
-        let err = search_shards_observed(
-            &pipe,
-            shards.iter(),
-            db.len(),
-            &ExecPlan::Cpu,
-            &Trace::off(),
-            &mut obs,
-        )
-        .unwrap_err();
+        let err = observed(&mut obs).unwrap_err();
         assert!(matches!(err, StreamError::Cancelled(ref why) if why == "deadline"));
     }
 
     #[test]
     fn chunk_errors_propagate() {
         let bad = ">a\nMK1V\n";
-        let r: Result<Vec<SeqDb>, _> = FastaChunks::new(bad, 100).collect();
+        let r = fasta_chunks(bad, 100);
         assert!(matches!(
             r,
             Err(FastaError::BadResidue { line: 2, ch: '1' })
         ));
         let orphan = "MKV\n>a\nMKV\n";
-        let r: Result<Vec<SeqDb>, _> = FastaChunks::new(orphan, 100).collect();
+        let r = fasta_chunks(orphan, 100);
         assert!(matches!(r, Err(FastaError::DataBeforeHeader { line: 1 })));
     }
 
@@ -606,11 +494,9 @@ mod tests {
     fn killed_and_resumed_sweep_matches_uninterrupted() {
         let (pipe, db) = setup();
         let text = fasta::render(&db);
-        let all: Vec<SeqDb> = FastaChunks::new(&text, 15_000)
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let all: Vec<SeqDb> = fasta_chunks(&text, 15_000).unwrap();
         assert!(all.len() >= 3, "need several chunks, got {}", all.len());
-        let baseline = search_chunked(&pipe, all.clone(), db.len(), &ExecPlan::Cpu).unwrap();
+        let baseline = sweep(&pipe, all.clone(), db.len(), None).unwrap();
 
         // "Kill" the sweep after two chunks: run it on a truncated chunk
         // stream, leaving the checkpoint behind.
@@ -618,7 +504,7 @@ mod tests {
         let path = tmp_ckpt("resume");
         let _ = std::fs::remove_file(&path);
         let partial: Vec<SeqDb> = all.iter().take(2).cloned().collect();
-        search_chunked_checkpointed(&pipe, partial, db.len(), &ExecPlan::Cpu, &path, hash).unwrap();
+        sweep(&pipe, partial, db.len(), Some((&path, hash))).unwrap();
         let ck = StreamCheckpoint::load(&path).unwrap();
         assert_eq!(ck.chunks_done, 2);
         assert_eq!(ck.seq_base as usize, all[0].len() + all[1].len());
@@ -627,9 +513,7 @@ mod tests {
         // Resume with the full stream: chunks 0–1 are skipped, the rest
         // run, and the merged result is bit-identical to the baseline
         // (modulo posteriors, which checkpointed sweeps drop).
-        let resumed =
-            search_chunked_checkpointed(&pipe, all.clone(), db.len(), &ExecPlan::Cpu, &path, hash)
-                .unwrap();
+        let resumed = sweep(&pipe, all.clone(), db.len(), Some((&path, hash))).unwrap();
         let strip = |hits: &[Hit]| -> Vec<Hit> {
             hits.iter()
                 .cloned()
@@ -655,32 +539,25 @@ mod tests {
     fn checkpoint_rejects_changed_chunking_and_scale() {
         let (pipe, db) = setup();
         let text = fasta::render(&db);
-        let all: Vec<SeqDb> = FastaChunks::new(&text, 15_000)
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let all: Vec<SeqDb> = fasta_chunks(&text, 15_000).unwrap();
         let hash = h3w_seqdb::content_hash(&db);
         let path = tmp_ckpt("mismatch");
         let _ = std::fs::remove_file(&path);
         let partial: Vec<SeqDb> = all.iter().take(2).cloned().collect();
-        search_chunked_checkpointed(&pipe, partial, db.len(), &ExecPlan::Cpu, &path, hash).unwrap();
+        sweep(&pipe, partial, db.len(), Some((&path, hash))).unwrap();
         // Different database size: a different sweep.
-        let err = search_chunked_checkpointed(
-            &pipe,
-            all.clone(),
-            db.len() + 1,
-            &ExecPlan::Cpu,
-            &path,
-            hash,
-        )
-        .unwrap_err();
+        let err = sweep(&pipe, all.clone(), db.len() + 1, Some((&path, hash))).unwrap_err();
         assert!(matches!(expect_ckpt(err), CheckpointError::Mismatch(_)));
         // Different chunk bound: the skip cursor no longer lines up.
-        let rechunked: Vec<SeqDb> = FastaChunks::new(&text, 4_000)
-            .collect::<Result<_, _>>()
-            .unwrap();
-        let err =
-            search_chunked_checkpointed(&pipe, rechunked, db.len(), &ExecPlan::Cpu, &path, hash)
-                .unwrap_err();
+        let rechunked: Vec<SeqDb> = fasta_chunks(&text, 4_000).unwrap();
+        let err = sweep(&pipe, rechunked, db.len(), Some((&path, hash))).unwrap_err();
+        assert!(matches!(expect_ckpt(err), CheckpointError::Mismatch(_)));
+        // A coarser bound: the whole database is one chunk, so the stream
+        // ends before it reaches the two-chunk cursor. The saved partial
+        // state must not come back as the result of the whole sweep.
+        let coarse: Vec<SeqDb> = fasta_chunks(&text, 100_000_000).unwrap();
+        assert_eq!(coarse.len(), 1);
+        let err = sweep(&pipe, coarse, db.len(), Some((&path, hash))).unwrap_err();
         assert!(matches!(expect_ckpt(err), CheckpointError::Mismatch(_)));
         let _ = std::fs::remove_file(&path);
     }
@@ -689,14 +566,12 @@ mod tests {
     fn checkpoint_rejects_database_drift() {
         let (pipe, db) = setup();
         let text = fasta::render(&db);
-        let all: Vec<SeqDb> = FastaChunks::new(&text, 15_000)
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let all: Vec<SeqDb> = fasta_chunks(&text, 15_000).unwrap();
         let hash = h3w_seqdb::content_hash(&db);
         let path = tmp_ckpt("drift");
         let _ = std::fs::remove_file(&path);
         let partial: Vec<SeqDb> = all.iter().take(2).cloned().collect();
-        search_chunked_checkpointed(&pipe, partial, db.len(), &ExecPlan::Cpu, &path, hash).unwrap();
+        sweep(&pipe, partial, db.len(), Some((&path, hash))).unwrap();
         // Same size and chunking, different database content: one residue
         // changed somewhere. The hash guard catches what the cursor
         // arithmetic cannot.
@@ -704,15 +579,7 @@ mod tests {
         mutated.seqs[0].residues[0] = (mutated.seqs[0].residues[0] + 1) % 20;
         let drifted = h3w_seqdb::content_hash(&mutated);
         assert_ne!(hash, drifted);
-        let err = search_chunked_checkpointed(
-            &pipe,
-            all.clone(),
-            db.len(),
-            &ExecPlan::Cpu,
-            &path,
-            drifted,
-        )
-        .unwrap_err();
+        let err = sweep(&pipe, all.clone(), db.len(), Some((&path, drifted))).unwrap_err();
         match expect_ckpt(err) {
             CheckpointError::DatabaseDrift { expected, found } => {
                 assert_eq!(expected, hash);
@@ -721,16 +588,14 @@ mod tests {
             other => panic!("expected DatabaseDrift, got {other:?}"),
         }
         // The original database still resumes cleanly.
-        search_chunked_checkpointed(&pipe, all, db.len(), &ExecPlan::Cpu, &path, hash).unwrap();
+        sweep(&pipe, all, db.len(), Some((&path, hash))).unwrap();
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn single_oversized_sequence_forms_own_chunk() {
         let text = format!(">big\n{}\n>small\nMKVL\n", "A".repeat(5000));
-        let chunks: Vec<SeqDb> = FastaChunks::new(&text, 100)
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let chunks: Vec<SeqDb> = fasta_chunks(&text, 100).unwrap();
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[0].seqs[0].len(), 5000);
         assert_eq!(chunks[1].seqs[0].name, "small");

@@ -368,18 +368,6 @@ impl PackedDb {
             parent_ids: ids.to_vec(),
         }
     }
-
-    /// Zero-copy subset of the sequences whose mask entry is `true`.
-    pub fn subset_by_mask(&self, mask: &[bool]) -> PackedSubset<'_> {
-        assert_eq!(mask.len(), self.n_seqs());
-        let ids: Vec<u32> = mask
-            .iter()
-            .enumerate()
-            .filter(|&(_, &keep)| keep)
-            .map(|(i, _)| i as u32)
-            .collect();
-        self.subset(&ids)
-    }
 }
 
 #[cfg(test)]
@@ -541,15 +529,6 @@ mod tests {
         );
         // Padded accounting covers only the subset's own words.
         assert_eq!(view.padded_residues(), (3 + 2) * 6);
-    }
-
-    #[test]
-    fn subset_by_mask_selects_survivors() {
-        let db = sample_db();
-        let packed = PackedDb::from_db(&db);
-        let sub = packed.subset_by_mask(&[true, false, true]);
-        assert_eq!(sub.parent_ids(), &[0, 2]);
-        assert_eq!(sub.view().unpack_seq(1), db.seqs[2].residues);
     }
 
     #[test]

@@ -32,8 +32,8 @@ use crate::protocol::{
 use crate::resident::ResidentDb;
 use crate::QUERY_SEED;
 use h3w_pipeline::{
-    search_shards_observed, ChunkProgress, ExecPlan, FtSweep, Pipeline, PipelineConfig,
-    StreamError, Trace,
+    search_chunks, ChunkProgress, ExecPlan, FtSweep, Pipeline, PipelineConfig, StreamError,
+    StreamOptions, Trace,
 };
 use h3w_seqdb::diskdb::fnv1a;
 use h3w_seqdb::DbFormatError;
@@ -635,10 +635,10 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
 
 /// Execute one admitted query: parse, fetch/prepare the pipeline, then
 /// sweep the resident shards through the streamed-sweep driver
-/// (`search_shards_observed`) — the same driver behind `hmmsearch
-/// --chunk` — with deadline checks and chaos injection in the chunk
-/// observer. Shards are borrowed, never cloned; the merged hit list is
-/// bit-identical to a single-pass sweep of the whole database.
+/// (`search_chunks`) — the same driver behind `hmmsearch --chunk` — with
+/// deadline checks and chaos injection in the chunk observer. Shards are
+/// borrowed, never cloned; the merged hit list is bit-identical to a
+/// single-pass sweep of the whole database.
 fn run_query(
     inner: &Arc<ServerInner>,
     hmm_text: &str,
@@ -696,13 +696,17 @@ fn run_query(
         }
         Ok(())
     };
-    let report = search_shards_observed(
+    let options = StreamOptions {
+        checkpoint: None,
+        observer: Some(&mut observer),
+    };
+    let report = search_chunks(
         &pipe,
-        inner.db.shards.iter(),
+        inner.db.shards.iter().map(Ok::<_, StreamError>),
         inner.db.total_seqs,
         &plan,
+        options,
         &trace,
-        &mut observer,
     )
     .map_err(|e| match e {
         StreamError::Cancelled(_) => QueryError::Deadline,

@@ -256,7 +256,7 @@ impl Telemetry {
     }
 
     /// Render the per-family funnels of a fused multi-model scan (the
-    /// `scan/` tree `h3w-pipeline::multi::scan_traced` records) — the
+    /// `scan/` tree `h3w-pipeline::multi::scan` records) — the
     /// `hmmscan --profile` view. One row per (family, stage) plus the
     /// model-pack schedule footer.
     pub fn render_scan(&self) -> String {

@@ -7,7 +7,7 @@
 //! ```
 
 use hmmer3_warp::hmm::msa::{build_from_msa, Msa, MsaBuildParams};
-use hmmer3_warp::pipeline::{best_hits_per_target, scan};
+use hmmer3_warp::pipeline::{best_hits_per_target, scan, Trace};
 use hmmer3_warp::prelude::*;
 use hmmer3_warp::seqdb::gen::sample_homolog;
 use hmmer3_warp::seqdb::DigitalSeq;
@@ -75,7 +75,9 @@ fn main() {
     );
 
     // 3. Scan.
-    let results = scan(&families, &db, PipelineConfig::default(), 99).expect("cpu scan succeeds");
+    let results = scan(&families, &db, PipelineConfig::default(), 99, &Trace::off())
+        .expect("cpu scan succeeds")
+        .results;
     println!();
     for fr in &results {
         println!(

@@ -37,7 +37,10 @@
 
 use hmmer3_warp::cli::{self, Args, ToolError};
 use hmmer3_warp::hmm::hmmio::read_hmm;
-use hmmer3_warp::pipeline::{ExecPlan, FtSweep, Pipeline, PipelineConfig, PipelineResult, Trace};
+use hmmer3_warp::pipeline::{
+    search_chunks, ExecPlan, FtSweep, Pipeline, PipelineConfig, PipelineResult, StreamOptions,
+    Trace,
+};
 use hmmer3_warp::prelude::*;
 use std::process::ExitCode;
 
@@ -205,29 +208,21 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
                 source.total_residues()
             );
             eprintln!("streaming in ≤{max}-residue chunks");
-            let res = match checkpoint {
-                Some(path) => {
-                    let path = std::path::Path::new(path);
-                    if path.exists() {
-                        eprintln!("resuming from checkpoint {}", path.display());
-                    }
-                    let res = hmmer3_warp::pipeline::search_source_checkpointed(
-                        &pipe,
-                        source.as_ref(),
-                        &plan,
-                        max,
-                        path,
-                        &trace,
-                    )
-                    .map_err(|e| e.to_string())?;
-                    eprintln!("checkpoint saved to {}", path.display());
-                    res
-                }
-                None => {
-                    hmmer3_warp::pipeline::search_source(&pipe, source.as_ref(), &plan, max, &trace)
-                        .map_err(|e| e.to_string())?
-                }
+            let path = checkpoint.map(std::path::Path::new);
+            if let Some(path) = path.filter(|p| p.exists()) {
+                eprintln!("resuming from checkpoint {}", path.display());
+            }
+            let options = StreamOptions {
+                checkpoint: path.map(|p| (p, source.identity())),
+                observer: None,
             };
+            let n_seqs = source.n_seqs();
+            let res = search_chunks(&pipe, source.chunks(max), n_seqs, &plan, options, &trace)
+                .map_err(|e| e.to_string())?
+                .result;
+            if let Some(path) = path {
+                eprintln!("checkpoint saved to {}", path.display());
+            }
             res
         }
     };

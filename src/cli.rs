@@ -6,10 +6,13 @@
 //! escape a tool (a bug, by definition) is caught at the top level and
 //! reported as an internal error, still with a nonzero exit.
 
-use h3w_pipeline::{CheckpointError, ConfigError, ScanError, SweepError};
+use h3w_pipeline::{
+    best_hits_per_target, CheckpointError, ConfigError, FamilyResult, ScanError, SweepError,
+};
 use h3w_seqdb::fasta::{self, ReadSeqError};
 use h3w_seqdb::{DbFormatError, DiskDb, SeqDb};
 use h3w_serve::ServeError;
+use std::fmt::Write as _;
 use std::process::ExitCode;
 
 /// Everything a workspace tool can fail with, so [`guarded_main`] prints
@@ -231,6 +234,40 @@ pub fn load_seqdb(path: &str) -> Result<SeqDb, ToolError> {
             })
         })
     }
+}
+
+/// The `hmmscan` report: the per-family funnel summary, then, per
+/// target, the families that hit it (best E-value first, four shown).
+pub fn render_scan(results: &[FamilyResult], db: &SeqDb) -> String {
+    let mut out = String::from("# per-family summary\n");
+    for fr in results {
+        let _ = writeln!(
+            out,
+            "{:<24} M={:<5} msv_pass={:<6} vit_pass={:<5} hits={}",
+            fr.family,
+            fr.m,
+            fr.passed.0,
+            fr.passed.1,
+            fr.hits.len()
+        );
+    }
+    out.push_str("\n# per-target assignments (best family first)\n");
+    let per_target = best_hits_per_target(results);
+    if per_target.is_empty() {
+        out.push_str("(no hits)\n");
+    }
+    for (seqid, matches) in per_target {
+        let name = &db.seqs[seqid as usize].name;
+        let _ = write!(out, "{name:<24}");
+        for m in matches.iter().take(4) {
+            let _ = write!(out, "  {} (E={:.2e})", m.family, m.evalue);
+        }
+        if matches.len() > 4 {
+            let _ = write!(out, "  +{} more", matches.len() - 4);
+        }
+        out.push('\n');
+    }
+    out
 }
 
 /// Run a tool body with the shared error contract: `Err` prints

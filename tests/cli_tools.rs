@@ -294,6 +294,11 @@ fn bad_flags_and_values_are_rejected_without_panicking() {
         &["lib.hmm", "db.fa", "--pipeline-depth", "4"],
         "unknown flag \"--pipeline-depth\"",
     );
+    expect_failure(
+        "hmmscan",
+        &["lib.hmm", "db.fa", "--no-fused"],
+        "unknown flag \"--no-fused\"",
+    );
     expect_failure("hmmsearch", &["q.hmm", "db.fa", "-E"], "needs a value");
     expect_failure(
         "hmmsearch",
@@ -329,11 +334,6 @@ fn bad_flags_and_values_are_rejected_without_panicking() {
     );
     expect_failure("hmmsearch", &["only.hmm"], "missing target FASTA");
     expect_failure("hmmscan", &["lib.hmm"], "missing target database");
-    expect_failure(
-        "hmmscan",
-        &["lib.hmm", "db.fa", "--fused", "--no-fused"],
-        "mutually exclusive",
-    );
     expect_failure(
         "hmmsearch",
         &["q.hmm", "db.fa", "--chunk", "5000", "--ali"],
@@ -550,6 +550,20 @@ fn checkpointed_search_resumes_to_identical_output() {
     assert!(ok, "{stderr}");
     assert!(stderr.contains("resuming from checkpoint"), "{stderr}");
     assert_eq!(resumed, baseline);
+    // A coarser --chunk makes the stream end before the checkpoint's
+    // cursor: refused, never answered from the saved state.
+    expect_failure(
+        "hmmsearch",
+        &[
+            hmm.to_str().unwrap(),
+            fasta.to_str().unwrap(),
+            "--chunk",
+            "100000000",
+            "--checkpoint",
+            ckpt.to_str().unwrap(),
+        ],
+        "checkpoint mismatch",
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -613,21 +627,23 @@ fn hmmscan_multi_model_library() {
         .unwrap();
     assert!(hits >= 3, "family A hits: {fam_a_line}");
 
-    // The fused sweep is the default; --no-fused (one independent sweep
-    // per family) must report byte-identical results.
-    let out_unfused = Command::new(env!("CARGO_BIN_EXE_hmmscan"))
-        .args([lib.to_str().unwrap(), fasta.to_str().unwrap(), "--no-fused"])
-        .output()
-        .unwrap();
-    assert!(
-        out_unfused.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out_unfused.stderr)
-    );
+    // The scan is fused; the unfused reference arm (one independent sweep
+    // per family), reached in-process, must describe the same report.
+    use hmmer3_warp::hmm::hmmio::read_hmm_many;
+    use hmmer3_warp::pipeline::{prepare_scan, scan_prepared, PipelineConfig, Trace};
+    let models: Vec<_> = read_hmm_many(&std::fs::read_to_string(&lib).unwrap())
+        .unwrap()
+        .into_iter()
+        .map(|f| f.model)
+        .collect();
+    let db = hmmer3_warp::cli::load_seqdb(fasta.to_str().unwrap()).unwrap();
+    let config = PipelineConfig::default();
+    let pipes = prepare_scan(&models, config, 0x5ca9);
+    let out_unfused = scan_prepared(&pipes, &db, config, false, &Trace::off()).unwrap();
     assert_eq!(
-        String::from_utf8_lossy(&out_unfused.stdout),
+        hmmer3_warp::cli::render_scan(&out_unfused, &db),
         stdout,
-        "--no-fused changed the report"
+        "the unfused reference arm describes a different report"
     );
 
     // A packed .h3wdb of the same database scans identically.

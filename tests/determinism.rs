@@ -13,7 +13,10 @@
 //! what order), so these tests are the canary for any future change
 //! that introduces order-dependent accumulation.
 
-use hmmer3_warp::pipeline::{search_chunked_checkpointed, FastaChunks, PipelineResult};
+mod common;
+
+use common::{fasta_chunks, sweep_chunks};
+use hmmer3_warp::pipeline::{prepare_scan, scan, scan_prepared, FamilyResult, PipelineResult};
 use hmmer3_warp::prelude::*;
 use hmmer3_warp::seqdb::{content_hash, fasta};
 use proptest::prelude::*;
@@ -131,9 +134,7 @@ proptest! {
 fn checkpoint_resume_mid_sweep_is_bit_identical_across_thread_counts() {
     let (model, db) = fixture(60, 17, 23);
     let text = fasta::render(&db);
-    let chunks: Vec<SeqDb> = FastaChunks::new(&text, 9_000)
-        .collect::<Result<_, _>>()
-        .unwrap();
+    let chunks: Vec<SeqDb> = fasta_chunks(&text, 9_000).unwrap();
     assert!(
         chunks.len() >= 3,
         "need several chunks, got {}",
@@ -146,13 +147,12 @@ fn checkpoint_resume_mid_sweep_is_bit_identical_across_thread_counts() {
     std::fs::create_dir_all(&dir).unwrap();
     let ref_ckpt = dir.join("ref.ckpt");
     let _ = std::fs::remove_file(&ref_ckpt);
-    let baseline = search_chunked_checkpointed(
+    let baseline = sweep_chunks(
         &base_pipe,
         chunks.clone(),
         db.len(),
         &ExecPlan::Cpu,
-        &ref_ckpt,
-        content_hash(&db),
+        Some((&ref_ckpt, content_hash(&db))),
     )
     .unwrap();
 
@@ -163,25 +163,23 @@ fn checkpoint_resume_mid_sweep_is_bit_identical_across_thread_counts() {
         let _ = std::fs::remove_file(&ckpt);
         let pre_kill = Pipeline::prepare(&model, config(1), 0x5_eac4);
         let prefix: Vec<SeqDb> = chunks.iter().take(1).cloned().collect();
-        search_chunked_checkpointed(
+        sweep_chunks(
             &pre_kill,
             prefix,
             db.len(),
             &ExecPlan::Cpu,
-            &ckpt,
-            content_hash(&db),
+            Some((&ckpt, content_hash(&db))),
         )
         .unwrap();
         assert_eq!(StreamCheckpoint::load(&ckpt).unwrap().chunks_done, 1);
 
         let resumed_pipe = Pipeline::prepare(&model, config(*t), 0x5_eac4);
-        let resumed = search_chunked_checkpointed(
+        let resumed = sweep_chunks(
             &resumed_pipe,
             chunks.clone(),
             db.len(),
             &ExecPlan::Cpu,
-            &ckpt,
-            content_hash(&db),
+            Some((&ckpt, content_hash(&db))),
         )
         .unwrap();
         assert_eq!(resumed.hits, baseline.hits, "hits differ at {t} threads");
@@ -195,9 +193,15 @@ fn checkpoint_resume_mid_sweep_is_bit_identical_across_thread_counts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The one-shot fused scan (seed 7), per family.
+fn fused_scan(families: &[CoreModel], db: &SeqDb, config: PipelineConfig) -> Vec<FamilyResult> {
+    scan(families, db, config, 7, &Pipeline::env_trace())
+        .unwrap()
+        .results
+}
+
 #[test]
 fn multi_model_scan_is_bit_identical_across_thread_counts() {
-    use hmmer3_warp::pipeline::multi::scan;
     let families: Vec<CoreModel> = (0..3)
         .map(|i| synthetic_model(40 + 8 * i, 300 + i as u64, &BuildParams::default()))
         .collect();
@@ -207,9 +211,9 @@ fn multi_model_scan_is_bit_identical_across_thread_counts() {
         41,
     );
 
-    let baseline = scan(&families, &db, config(1), 7).unwrap();
+    let baseline = fused_scan(&families, &db, config(1));
     for t in &THREAD_COUNTS[1..] {
-        let got = scan(&families, &db, config(*t), 7).unwrap();
+        let got = fused_scan(&families, &db, config(*t));
         assert_eq!(got.len(), baseline.len());
         for (g, b) in got.iter().zip(&baseline) {
             assert_eq!(g.family, b.family);
@@ -225,7 +229,6 @@ fn fused_scan_matches_independent_sweeps_at_every_thread_count() {
     // all resident models; fusing, the pack width schedule, and the pool
     // size must all be invisible in the output. Mixed model sizes force
     // several stripe-count packs; equal sizes exercise full-width packs.
-    use hmmer3_warp::pipeline::multi::scan_with_plan;
     let families: Vec<CoreModel> = [33usize, 40, 40, 48, 70, 70, 100]
         .iter()
         .enumerate()
@@ -237,9 +240,10 @@ fn fused_scan_matches_independent_sweeps_at_every_thread_count() {
         43,
     );
 
-    let baseline = scan_with_plan(&families, &db, config(1), &ExecPlan::Cpu, false, 7).unwrap();
+    let pipes = prepare_scan(&families, config(1), 7);
+    let baseline = scan_prepared(&pipes, &db, config(1), false, &Trace::off()).unwrap();
     for t in &THREAD_COUNTS {
-        let fused = scan_with_plan(&families, &db, config(*t), &ExecPlan::Cpu, true, 7).unwrap();
+        let fused = fused_scan(&families, &db, config(*t));
         assert_eq!(fused.len(), baseline.len());
         for (g, b) in fused.iter().zip(&baseline) {
             assert_eq!(g.family, b.family);

@@ -8,7 +8,10 @@
 //! degradation) must be invisible in the results, and a killed
 //! checkpointed sweep must resume to bit-identical output.
 
-use hmmer3_warp::pipeline::{search_chunked, search_chunked_checkpointed, FastaChunks};
+mod common;
+
+use common::{fasta_chunks, sweep_chunks};
+use hmmer3_warp::pipeline::SearchReport;
 use hmmer3_warp::prelude::*;
 use hmmer3_warp::seqdb::{content_hash, fasta};
 
@@ -19,6 +22,16 @@ fn fixture() -> (Pipeline, SeqDb) {
     spec.homolog_fraction = 0.02;
     let db = generate(&spec, Some(&model), 9);
     (pipe, db)
+}
+
+/// One fault-tolerant search through the driver every plan shares.
+fn ft_search(pipe: &Pipeline, db: &SeqDb, dev: &DeviceSpec, sweep: &FtSweep) -> SearchReport {
+    let plan = ExecPlan::FaultTolerant {
+        dev: dev.clone(),
+        sweep: *sweep,
+    };
+    pipe.search_traced(db, &plan, &Pipeline::env_trace())
+        .unwrap()
 }
 
 /// Funnel counters, excluding wall time (which legitimately varies).
@@ -33,7 +46,7 @@ fn funnel(r: &hmmer3_warp::pipeline::PipelineResult) -> Vec<(String, usize, usiz
 fn one_of_four_devices_dies_mid_sweep_without_changing_results() {
     let (pipe, db) = fixture();
     let dev = DeviceSpec::tesla_k40();
-    let clean = pipe.run_gpu_ft(&db, &dev, &FtSweep::fault_free(4)).unwrap();
+    let clean = ft_search(&pipe, &db, &dev, &FtSweep::fault_free(4));
     assert!(!clean.result.hits.is_empty(), "fixture must produce hits");
 
     // Device 2 is lost on its second kernel launch — mid-sweep, with work
@@ -44,10 +57,10 @@ fn one_of_four_devices_dies_mid_sweep_without_changing_results() {
         policy: RetryPolicy::no_wait(),
         injector: Some(&inj),
     };
-    let faulted = pipe.run_gpu_ft(&db, &dev, &sweep).unwrap();
+    let faulted = ft_search(&pipe, &db, &dev, &sweep);
 
-    assert_eq!(faulted.trace.lost_devices, vec![2]);
-    assert!(faulted.trace.redistributed_seqs > 0, "work must move");
+    assert_eq!(faulted.recovery.lost_devices, vec![2]);
+    assert!(faulted.recovery.redistributed_seqs > 0, "work must move");
     assert!(!faulted.degraded_to_cpu);
     assert_eq!(faulted.result.hits, clean.result.hits);
     assert_eq!(funnel(&faulted.result), funnel(&clean.result));
@@ -57,7 +70,7 @@ fn one_of_four_devices_dies_mid_sweep_without_changing_results() {
 fn losing_every_device_degrades_to_cpu_bit_identically() {
     let (pipe, db) = fixture();
     let dev = DeviceSpec::tesla_k40();
-    let clean = pipe.run_gpu_ft(&db, &dev, &FtSweep::fault_free(2)).unwrap();
+    let clean = ft_search(&pipe, &db, &dev, &FtSweep::fault_free(2));
 
     let plan = FaultPlan::none().kill_device(0, 0).kill_device(1, 1);
     let inj = FaultInjector::new(plan, 2);
@@ -66,10 +79,10 @@ fn losing_every_device_degrades_to_cpu_bit_identically() {
         policy: RetryPolicy::no_wait(),
         injector: Some(&inj),
     };
-    let report = pipe.run_gpu_ft(&db, &dev, &sweep).unwrap();
+    let report = ft_search(&pipe, &db, &dev, &sweep);
 
     assert!(report.degraded_to_cpu);
-    assert_eq!(report.trace.lost_devices.len(), 2);
+    assert_eq!(report.recovery.lost_devices.len(), 2);
     assert_eq!(report.result.hits, clean.result.hits);
     assert_eq!(funnel(&report.result), funnel(&clean.result));
 }
@@ -78,7 +91,7 @@ fn losing_every_device_degrades_to_cpu_bit_identically() {
 fn transient_fault_storms_are_retried_without_score_drift() {
     let (pipe, db) = fixture();
     let dev = DeviceSpec::tesla_k40();
-    let clean = pipe.run_gpu_ft(&db, &dev, &FtSweep::fault_free(3)).unwrap();
+    let clean = ft_search(&pipe, &db, &dev, &FtSweep::fault_free(3));
 
     // Several transient faults spread over devices and launches; each is
     // retryable and must be absorbed by the policy without escalating.
@@ -92,14 +105,14 @@ fn transient_fault_storms_are_retried_without_score_drift() {
         policy: RetryPolicy::no_wait(),
         injector: Some(&inj),
     };
-    let report = pipe.run_gpu_ft(&db, &dev, &sweep).unwrap();
+    let report = ft_search(&pipe, &db, &dev, &sweep);
 
     assert!(
-        report.trace.retries >= 3,
+        report.recovery.retries >= 3,
         "retries: {}",
-        report.trace.retries
+        report.recovery.retries
     );
-    assert!(report.trace.lost_devices.is_empty());
+    assert!(report.recovery.lost_devices.is_empty());
     assert!(!report.degraded_to_cpu);
     assert_eq!(report.result.hits, clean.result.hits);
     assert_eq!(funnel(&report.result), funnel(&clean.result));
@@ -109,9 +122,9 @@ fn transient_fault_storms_are_retried_without_score_drift() {
 fn device_count_does_not_change_results() {
     let (pipe, db) = fixture();
     let dev = DeviceSpec::tesla_k40();
-    let base = pipe.run_gpu_ft(&db, &dev, &FtSweep::fault_free(1)).unwrap();
+    let base = ft_search(&pipe, &db, &dev, &FtSweep::fault_free(1));
     for n in [2, 5] {
-        let more = pipe.run_gpu_ft(&db, &dev, &FtSweep::fault_free(n)).unwrap();
+        let more = ft_search(&pipe, &db, &dev, &FtSweep::fault_free(n));
         assert_eq!(more.result.hits, base.result.hits, "n_devices = {n}");
         assert_eq!(funnel(&more.result), funnel(&base.result));
     }
@@ -121,15 +134,13 @@ fn device_count_does_not_change_results() {
 fn killed_and_resumed_checkpointed_sweep_reports_identical_hits() {
     let (pipe, db) = fixture();
     let text = fasta::render(&db);
-    let chunks: Vec<SeqDb> = FastaChunks::new(&text, 12_000)
-        .collect::<Result<_, _>>()
-        .unwrap();
+    let chunks: Vec<SeqDb> = fasta_chunks(&text, 12_000).unwrap();
     assert!(
         chunks.len() >= 3,
         "need several chunks, got {}",
         chunks.len()
     );
-    let baseline = search_chunked(&pipe, chunks.clone(), db.len(), &ExecPlan::Cpu).unwrap();
+    let baseline = sweep_chunks(&pipe, chunks.clone(), db.len(), &ExecPlan::Cpu, None).unwrap();
 
     let dir = std::env::temp_dir().join(format!("h3w-ft-accept-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -139,13 +150,12 @@ fn killed_and_resumed_checkpointed_sweep_reports_identical_hits() {
     // Simulate a kill after the first chunk: feed only a prefix of the
     // chunk stream, leaving the checkpoint behind.
     let prefix: Vec<SeqDb> = chunks.iter().take(1).cloned().collect();
-    search_chunked_checkpointed(
+    sweep_chunks(
         &pipe,
         prefix,
         db.len(),
         &ExecPlan::Cpu,
-        &ckpt,
-        content_hash(&db),
+        Some((&ckpt, content_hash(&db))),
     )
     .unwrap();
     let saved = StreamCheckpoint::load(&ckpt).unwrap();
@@ -153,13 +163,12 @@ fn killed_and_resumed_checkpointed_sweep_reports_identical_hits() {
 
     // Restart with the full stream; the resumed sweep must be
     // bit-identical to an uninterrupted one.
-    let resumed = search_chunked_checkpointed(
+    let resumed = sweep_chunks(
         &pipe,
         chunks,
         db.len(),
         &ExecPlan::Cpu,
-        &ckpt,
-        content_hash(&db),
+        Some((&ckpt, content_hash(&db))),
     )
     .unwrap();
     assert_eq!(resumed.hits, baseline.hits);

@@ -1,5 +1,7 @@
 //! Property-based tests (proptest) on the workspace's core invariants.
 
+mod common;
+
 use hmmer3_warp::core::dd_prefix::{lazy_f_resolve, prefix_resolve, scalar_resolve};
 use hmmer3_warp::cpu::quantized::{msv_filter_scalar, vit_filter_scalar};
 use hmmer3_warp::cpu::{StripedMsv, StripedVit};
@@ -189,7 +191,6 @@ proptest! {
         lens in prop::collection::vec(1usize..80, 1..25),
         bound in 1u64..2000,
     ) {
-        use hmmer3_warp::pipeline::FastaChunks;
         use hmmer3_warp::seqdb::fasta;
         let mut db = SeqDb::new("p");
         for (i, &l) in lens.iter().enumerate() {
@@ -200,9 +201,7 @@ proptest! {
             });
         }
         let text = fasta::render(&db);
-        let chunks: Vec<SeqDb> = FastaChunks::new(&text, bound)
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let chunks: Vec<SeqDb> = common::fasta_chunks(&text, bound).unwrap();
         let mut idx = 0usize;
         for c in &chunks {
             for s in &c.seqs {
@@ -257,7 +256,6 @@ proptest! {
         cut_frac in 0.0f64..=1.0,
         flips in prop::collection::vec((0usize..4096, 0u8..=255u8), 0..6),
     ) {
-        use hmmer3_warp::pipeline::FastaChunks;
         use hmmer3_warp::seqdb::fasta;
         let mut db = SeqDb::new("p");
         for (i, &l) in lens.iter().enumerate() {
@@ -277,7 +275,7 @@ proptest! {
         }
         let text = String::from_utf8_lossy(&bytes);
         let _ = fasta::parse("fuzz", &text);
-        let _ = FastaChunks::new(&text, 64).collect::<Result<Vec<_>, _>>();
+        let _ = common::fasta_chunks(&text, 64);
     }
 
     /// Same totality contract for the HMM reader: any truncation or byte
@@ -377,9 +375,7 @@ proptest! {
         cap in 5_000u64..15_000,
         kill_after in 1usize..3,
     ) {
-        use hmmer3_warp::pipeline::{
-            search_chunked_checkpointed, FastaChunks, FtSweep, Pipeline, PipelineConfig,
-        };
+        use hmmer3_warp::pipeline::{FtSweep, Pipeline, PipelineConfig};
         use hmmer3_warp::seqdb::{content_hash, fasta};
 
         let core = synthetic_model(50, 77, &BuildParams::default());
@@ -388,9 +384,7 @@ proptest! {
         spec.homolog_fraction = 0.05;
         let db = generate(&spec, Some(&core), seed);
         let text = fasta::render(&db);
-        let chunks: Vec<SeqDb> = FastaChunks::new(&text, cap)
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let chunks: Vec<SeqDb> = common::fasta_chunks(&text, cap).unwrap();
         prop_assert!(chunks.len() >= 2, "need at least two chunks, got {}", chunks.len());
         let kill_after = kill_after.min(chunks.len() - 1);
         let hash = content_hash(&db);
@@ -419,10 +413,10 @@ proptest! {
             let ckpt = dir.join(format!("{tag}.ckpt"));
             let _ = std::fs::remove_file(&ckpt);
             let prefix: Vec<SeqDb> = chunks.iter().take(kill_after).cloned().collect();
-            search_chunked_checkpointed(&pipe, prefix, db.len(), plan, &ckpt, hash).unwrap();
+            let saved = Some((ckpt.as_path(), hash));
+            common::sweep_chunks(&pipe, prefix, db.len(), plan, saved).unwrap();
             let resumed =
-                search_chunked_checkpointed(&pipe, chunks.clone(), db.len(), plan, &ckpt, hash)
-                    .unwrap();
+                common::sweep_chunks(&pipe, chunks.clone(), db.len(), plan, saved).unwrap();
             prop_assert_eq!(&resumed.hits, &unchunked.hits, "plan {} diverged", tag);
             for (a, b) in resumed.stages.iter().zip(&unchunked.stages) {
                 prop_assert_eq!(a.seqs_in, b.seqs_in, "plan {} stage {}", tag, &a.name);

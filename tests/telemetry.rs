@@ -2,6 +2,8 @@
 //! `--profile` span tree must agree with the `StageStats` funnel exactly,
 //! and arming the trace must never change a single reported hit.
 
+mod common;
+
 use hmmer3_warp::pipeline::Telemetry;
 use hmmer3_warp::prelude::*;
 
@@ -177,23 +179,25 @@ fn chunked_traced_search_accumulates_the_whole_database() {
 
     let text = hmmer3_warp::seqdb::fasta::render(&db);
     let cap = db.total_residues() / 3 + 1;
-    let chunks: Vec<SeqDb> = hmmer3_warp::pipeline::FastaChunks::new(&text, cap)
-        .collect::<Result<_, _>>()
-        .unwrap();
+    let chunks: Vec<SeqDb> = common::fasta_chunks(&text, cap).unwrap();
     assert!(
         chunks.len() > 1,
         "workload should split into several chunks"
     );
 
     let trace = Trace::on();
-    let merged = hmmer3_warp::pipeline::search_chunked_traced(
+    let merged = hmmer3_warp::pipeline::search_chunks(
         &pipe,
-        chunks,
+        chunks
+            .into_iter()
+            .map(Ok::<_, hmmer3_warp::pipeline::StreamError>),
         db.len(),
         &ExecPlan::Cpu,
+        hmmer3_warp::pipeline::StreamOptions::default(),
         &trace,
     )
-    .unwrap();
+    .unwrap()
+    .result;
     assert_eq!(merged.hits.len(), single.hits.len());
     let tel = trace.snapshot().expect("trace armed");
 

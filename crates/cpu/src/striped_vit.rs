@@ -84,13 +84,27 @@ impl LazyFStats {
     }
 }
 
-/// Reusable row buffers for [`StripedVit::run_into`]. The AVX2 backend
-/// reinterprets each `Vec<V8i16>` as half as many 16-lane vectors.
+/// Reusable row buffers for [`StripedVit::run_into`]: the M, I and D rows
+/// in one allocation, back to back. Three separate `Vec`s land wherever
+/// the allocator has room, and the row loop's speed moved with that (a
+/// streamed sweep makes a workspace per chunk, in a heap full of freed
+/// records: the same Viterbi stage ran at 20 ms or at 35 ms); one arena
+/// fixes the rows' placement relative to each other. The AVX2 backend
+/// reinterprets each row as half as many 16-lane vectors.
 #[derive(Debug, Default)]
 pub struct VitWorkspace {
-    dpm: Vec<V8i16>,
-    dpi: Vec<V8i16>,
-    dpd: Vec<V8i16>,
+    rows: Vec<V8i16>,
+}
+
+impl VitWorkspace {
+    /// The three rows, `n` vectors each, reset to −∞.
+    fn rows(&mut self, n: usize) -> [&mut [V8i16]; 3] {
+        self.rows.clear();
+        self.rows.resize(3 * n, [W_NEG_INF; VIT_LANES]);
+        let (dpm, rest) = self.rows.split_at_mut(n);
+        let (dpi, dpd) = rest.split_at_mut(n);
+        [dpm, dpi, dpd]
+    }
 }
 
 /// AVX2 re-striped tables: `Q = ⌈M/16⌉` vectors of 16 words, phantoms −∞.
@@ -264,11 +278,7 @@ impl StripedVit {
         let q = self.q;
         let ls = om.len_scores(seq.len());
         let ninf = splat_i16(W_NEG_INF);
-        for buf in [&mut ws.dpm, &mut ws.dpi, &mut ws.dpd] {
-            buf.clear();
-            buf.resize(q, ninf);
-        }
-        let (dpm, dpi, dpd) = (&mut ws.dpm, &mut ws.dpi, &mut ws.dpd);
+        let [dpm, dpi, dpd] = ws.rows(q);
 
         let mut stats = LazyFStats::default();
         let mut xn = self.base;
@@ -370,13 +380,7 @@ impl StripedVit {
 
         let q = self.q;
         let ls = om.len_scores(seq.len());
-        for buf in [&mut ws.dpm, &mut ws.dpi, &mut ws.dpd] {
-            buf.clear();
-            buf.resize(q, [W_NEG_INF; VIT_LANES]);
-        }
-        let dpm = ws.dpm.as_mut_ptr() as *mut i16;
-        let dpi = ws.dpi.as_mut_ptr() as *mut i16;
-        let dpd = ws.dpd.as_mut_ptr() as *mut i16;
+        let [dpm, dpi, dpd] = ws.rows(q).map(|row| row.as_mut_ptr() as *mut i16);
         let ninf = _mm_set1_epi16(W_NEG_INF);
 
         let mut stats = LazyFStats::default();
@@ -497,13 +501,7 @@ impl StripedVit {
             .expect("AVX2 tables built at construction");
         let q = t.q;
         let ls = om.len_scores(seq.len());
-        for buf in [&mut ws.dpm, &mut ws.dpi, &mut ws.dpd] {
-            buf.clear();
-            buf.resize(2 * q, [W_NEG_INF; VIT_LANES]);
-        }
-        let dpm = ws.dpm.as_mut_ptr() as *mut i16;
-        let dpi = ws.dpi.as_mut_ptr() as *mut i16;
-        let dpd = ws.dpd.as_mut_ptr() as *mut i16;
+        let [dpm, dpi, dpd] = ws.rows(2 * q).map(|row| row.as_mut_ptr() as *mut i16);
         let ninf = _mm256_set1_epi16(W_NEG_INF);
 
         let mut stats = LazyFStats::default();

@@ -9,19 +9,24 @@
 //! injection all apply per chunk; multi-device plans partition each
 //! chunk across the pool, so device recovery operates at source-chunk
 //! granularity. Per-chunk survivors merge with E-values kept
-//! global (P-values scale by the *total* database size, exactly as a
+//! global (P-values scale by the *whole* database size, exactly as a
 //! single-pass run would), so streamed hits are bit-identical to
-//! single-pass hits.
+//! single-pass hits. That size is either pinned by the caller or, when
+//! the stream is the whole database, counted as the stream goes by: no
+//! filter threshold depends on it, only the E-value put on a hit at the
+//! merge, so nothing has to read the database ahead of the sweep.
 //!
 //! There are two entries. [`search_chunks`] is the driver itself: it
 //! takes any fallible stream of chunks (owned or borrowed), the E-value
-//! scale, a plan, and [`StreamOptions`] — an optional **checkpoint**
+//! scale (`Some(n)`, or `None` for "what streams is the database"), a
+//! plan, and [`StreamOptions`] — an optional **checkpoint**
 //! (path + drift guard: the sweep state is persisted after every chunk,
 //! and an existing file is resumed from, so a killed process picks up
 //! where it left off with bit-identical results) and an optional
 //! **observer** consulted before each chunk (a resident service's
 //! deadline and chaos hook). [`search_source`] is the plain case: stream
-//! a [`SeqSource`] in chunks of at most `max_residues`, no options.
+//! a [`SeqSource`] in chunks of at most `max_residues`, no options, scale
+//! from the stream, the source read exactly once.
 
 use crate::checkpoint::{CheckpointError, StreamCheckpoint};
 use crate::report::PipelineResult;
@@ -131,14 +136,24 @@ pub struct StreamOptions<'o> {
 /// The streamed-sweep driver: sweep `chunks` one at a time under `plan`
 /// (each through [`Pipeline::search_traced`], so per-chunk funnel
 /// counters and stage times accumulate in the one `trace`) and merge.
-/// `total_seqs` fixes the E-value scale (the full database size); chunks
-/// may be owned or borrowed, and a chunk error ends the sweep with it.
-/// A killed-then-resumed checkpointed sweep reports bit-identical hits
-/// and funnel counts to an uninterrupted one.
+/// Chunks may be owned or borrowed, and a chunk error ends the sweep with
+/// it: an `Err` never comes with a partial hit list.
+///
+/// `total_seqs` is the E-value scale, the size of the database the hits
+/// are ranked against. `Some(n)` pins it: the caller knows the database
+/// (a resident one, a checkpointed sweep, a stream that is only part of
+/// it). `None` says the stream *is* the database: the filter thresholds
+/// are P-values and need no size, so the sweep counts what arrives and
+/// puts `evalue = pvalue × sequences streamed` and the `report_evalue`
+/// cut on the merged hits, bit for bit what `Some(that count)` gives. A
+/// checkpoint records its scale, so a checkpointed sweep must pin it
+/// ([`CheckpointError::Mismatch`] otherwise). A killed-then-resumed
+/// checkpointed sweep reports bit-identical hits and funnel counts to an
+/// uninterrupted one.
 pub fn search_chunks<I, C, E>(
     pipe: &Pipeline,
     chunks: I,
-    total_seqs: usize,
+    total_seqs: Option<usize>,
     plan: &ExecPlan,
     options: StreamOptions<'_>,
     trace: &Trace,
@@ -152,12 +167,20 @@ where
         checkpoint: ckpt,
         mut observer,
     } = options;
+    if total_seqs.is_none() && ckpt.is_some() {
+        return Err(CheckpointError::Mismatch(
+            "a checkpoint records its sweep's E-value scale; pin total_seqs".into(),
+        )
+        .into());
+    }
+    // Only a checkpoint reads the scale out of `state`.
+    let pinned = total_seqs.unwrap_or(0);
     let mut state = match ckpt {
         Some((path, db_hash)) if path.exists() => {
             let ck = StreamCheckpoint::load(path)?;
-            if ck.total_seqs != total_seqs {
+            if ck.total_seqs != pinned {
                 return Err(CheckpointError::Mismatch(format!(
-                    "checkpoint is for a {}-sequence sweep, this one has {total_seqs}",
+                    "checkpoint is for a {}-sequence sweep, this one has {pinned}",
                     ck.total_seqs
                 ))
                 .into());
@@ -171,8 +194,8 @@ where
             }
             ck
         }
-        Some((_, db_hash)) => StreamCheckpoint::fresh(total_seqs, db_hash),
-        None => StreamCheckpoint::fresh(total_seqs, 0),
+        Some((_, db_hash)) => StreamCheckpoint::fresh(pinned, db_hash),
+        None => StreamCheckpoint::fresh(pinned, 0),
     };
     let resume_from = state.chunks_done;
     let mut skipped_seqs = 0u32;
@@ -227,9 +250,13 @@ where
             acc.residues_in += st.residues_in;
             acc.time_s += st.time_s;
         }
+        // The database size as far as it is known: pinned, or what has
+        // streamed so far. The second only grows, so a hit the final
+        // scale will report is never cut here.
+        let db_size = total_seqs.unwrap_or(state.seq_base as usize + chunk.len());
         for mut h in res.hits {
-            // Rescale E-value from the chunk size to the full database.
-            h.evalue = h.pvalue * total_seqs as f64;
+            // Rescale E-value from the chunk size to the database.
+            h.evalue = h.pvalue * db_size as f64;
             h.seqid += state.seq_base;
             if ckpt.is_some() {
                 // Posteriors are not persisted (see StreamCheckpoint), so
@@ -268,19 +295,33 @@ where
         }
     }
     let StreamCheckpoint {
-        stages, mut hits, ..
+        stages,
+        mut hits,
+        seq_base,
+        ..
     } = state;
+    let db_size = total_seqs.unwrap_or(seq_base as usize);
+    if total_seqs.is_none() {
+        // The stream has ended, so its length is the scale.
+        for h in &mut hits {
+            h.evalue = h.pvalue * db_size as f64;
+        }
+        hits.retain(|h| h.evalue <= pipe.config.report_evalue);
+    }
     hits.sort_by(|a, b| a.evalue.total_cmp(&b.evalue));
     Ok(StreamReport {
-        result: PipelineResult::new(stages, hits, total_seqs),
+        result: PipelineResult::new(stages, hits, db_size),
         degraded_to_cpu: degraded,
     })
 }
 
 /// Sweep a [`SeqSource`] in chunks of at most `max_residues` residues
-/// under `plan`, in memory bounded by the chunk size. E-values scale by
-/// `source.n_seqs()`; hits are bit-identical to an unchunked
-/// [`Pipeline::search`] over the materialized database.
+/// under `plan`, in memory bounded by the chunk size. The stream is the
+/// database: the source is read once, through `chunks` only (never asked
+/// for `n_seqs` or `identity`, which cost a FASTA file a pass of their
+/// own), E-values scale by the number of sequences it delivered, and hits
+/// are bit-identical to an unchunked [`Pipeline::search`] over the
+/// materialized database.
 pub fn search_source(
     pipe: &Pipeline,
     source: &dyn SeqSource,
@@ -291,7 +332,7 @@ pub fn search_source(
     search_chunks(
         pipe,
         source.chunks(max_residues),
-        source.n_seqs(),
+        None,
         plan,
         StreamOptions::default(),
         trace,
@@ -346,7 +387,7 @@ mod tests {
         search_chunks(
             pipe,
             chunks.into_iter().map(Ok::<_, StreamError>),
-            total_seqs,
+            Some(total_seqs),
             &ExecPlan::Cpu,
             options,
             &Pipeline::env_trace(),
@@ -439,7 +480,7 @@ mod tests {
             search_chunks(
                 &pipe,
                 shards.iter().map(Ok::<_, StreamError>),
-                db.len(),
+                Some(db.len()),
                 &ExecPlan::Cpu,
                 options,
                 &Trace::off(),

@@ -87,6 +87,10 @@ pub struct SeqReader<R: BufRead> {
     next_desc: String,
     header_pending: bool,
     failed: bool,
+    /// The iterator's record buffer: every record is decoded into this one
+    /// allocation and handed out as an exact-capacity copy, so a kept
+    /// record never carries the slack of a `Vec` grown line by line.
+    scratch: DigitalSeq,
 }
 
 impl<R: BufRead> SeqReader<R> {
@@ -100,6 +104,7 @@ impl<R: BufRead> SeqReader<R> {
             next_desc: String::new(),
             header_pending: false,
             failed: false,
+            scratch: DigitalSeq::default(),
         }
     }
 
@@ -185,12 +190,16 @@ impl<R: BufRead> Iterator for SeqReader<R> {
     type Item = Result<DigitalSeq, ReadSeqError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let mut rec = DigitalSeq::default();
-        match self.read_record(&mut rec) {
-            Ok(true) => Some(Ok(rec)),
+        let mut rec = std::mem::take(&mut self.scratch);
+        let item = match self.read_record(&mut rec) {
+            // `clone` allocates `len` bytes per field, and none for an
+            // empty description.
+            Ok(true) => Some(Ok(rec.clone())),
             Ok(false) => None,
             Err(e) => Some(Err(e)),
-        }
+        };
+        self.scratch = rec;
+        item
     }
 }
 

@@ -10,6 +10,13 @@
 //! chunks of whole sequences — so a 1.29 G-residue Env_nr-scale sweep
 //! runs in memory proportional to the chunk cap, not the database.
 //!
+//! Only [`SeqSource::chunks`] is needed to search a source: the filter
+//! thresholds are P-values, and the E-value scale is the number of
+//! sequences the stream delivered. Size and identity are for callers
+//! that must know them *before* the stream ends (a checkpointed sweep
+//! pins both), and a source may have to read itself through to answer:
+//! [`FastaFileSource`] does, once, on first request.
+//!
 //! Chunk boundary rule (shared by every implementation, including
 //! [`crate::gen::GenChunks`] and `DiskDb::shards`): a chunk is closed
 //! *before* admitting a sequence that would push it past `max_residues`;
@@ -22,11 +29,13 @@ use crate::fasta::{FastaError, ReadSeqError, SeqReader};
 use crate::gen::{gen_chunks, gen_identity, DbGenSpec};
 use crate::seq::{DigitalSeq, SeqDb};
 use h3w_hmm::plan7::CoreModel;
-use std::io::BufRead;
+use std::fs::File;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, OnceLock};
 
 /// Why a source failed to deliver its next chunk.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SourceError {
     /// FASTA text violated the grammar.
     Fasta(FastaError),
@@ -61,7 +70,10 @@ pub trait SeqSource {
     /// Human-readable database label (reported in hits and telemetry).
     fn label(&self) -> &str;
 
-    /// Exact number of sequences (E-values scale by this).
+    /// Exact number of sequences `chunks` delivers (the E-value scale of
+    /// a sweep that pins it up front). Free for every source but a FASTA
+    /// file, which pays one pass over the file for the first of
+    /// `n_seqs` / `total_residues` / `identity`.
     fn n_seqs(&self) -> usize;
 
     /// Total residues. Exact for materialized sources; the analytic
@@ -70,7 +82,8 @@ pub trait SeqSource {
     fn total_residues(&self) -> u64;
 
     /// Stable content identity for checkpoint drift guards: two sources
-    /// with the same identity stream the same sweep.
+    /// with the same identity stream the same sweep. Covers the whole
+    /// database, so it is known only once all of it has been read.
     fn identity(&self) -> u64;
 
     /// Stream the database as chunks of at most `max_residues` residues
@@ -91,6 +104,10 @@ pub struct Chunker<I, E> {
     name: String,
     max_residues: u64,
     pending: Option<DigitalSeq>,
+    /// Sequences in the previous chunk: the next one is allocated for
+    /// about as many, where a `Vec` grown by doubling ends up to twice
+    /// over and copies itself a dozen times on the way.
+    last_len: usize,
     done: bool,
     _err: std::marker::PhantomData<E>,
 }
@@ -108,6 +125,7 @@ where
             name: name.to_string(),
             max_residues,
             pending: None,
+            last_len: 0,
             done: false,
             _err: std::marker::PhantomData,
         }
@@ -124,7 +142,12 @@ where
         if self.done {
             return None;
         }
-        let mut chunk = SeqDb::new(self.name.clone());
+        // Equal-residue chunks of one database hold nearly equal counts;
+        // the sixteenth covers the spread without a regrow.
+        let mut chunk = SeqDb {
+            name: self.name.clone(),
+            seqs: Vec::with_capacity(self.last_len + self.last_len / 16),
+        };
         let mut residues = 0u64;
         if let Some(s) = self.pending.take() {
             residues += s.len() as u64;
@@ -134,7 +157,7 @@ where
             match self.inner.next() {
                 None => {
                     self.done = true;
-                    return (!chunk.seqs.is_empty()).then_some(Ok(chunk));
+                    break;
                 }
                 Some(Err(e)) => {
                     self.done = true;
@@ -143,16 +166,18 @@ where
                 Some(Ok(s)) => {
                     if !chunk.seqs.is_empty() && residues + s.len() as u64 > self.max_residues {
                         self.pending = Some(s);
-                        return Some(Ok(chunk));
+                        break;
                     }
                     residues += s.len() as u64;
                     chunk.seqs.push(s);
                     if residues >= self.max_residues {
-                        return Some(Ok(chunk));
+                        break;
                     }
                 }
             }
         }
+        self.last_len = chunk.seqs.len();
+        (!chunk.seqs.is_empty()).then_some(Ok(chunk))
     }
 }
 
@@ -243,9 +268,10 @@ fn scan_fasta<R: BufRead>(db_name: &str, reader: R) -> Result<FastaStats, ReadSe
     })
 }
 
-/// FASTA text already in memory, exposed as a source. The identity
-/// equals `content_hash(&fasta::parse(name, text)?)`, so checkpoints
-/// interoperate with materialized loads of the same file.
+/// FASTA text already in memory, exposed as a source, validated when it
+/// is built (the text is resident, so that pass reads no file). The
+/// identity equals `content_hash(&fasta::parse(name, text)?)`, so
+/// checkpoints interoperate with materialized loads of the same file.
 pub struct FastaSource<'t> {
     name: String,
     text: &'t str,
@@ -299,42 +325,93 @@ impl SeqSource for FastaSource<'_> {
     }
 }
 
-/// A FASTA file on disk, streamed in constant memory: [`open`]
-/// validates with one buffered pass (never holding more than a record),
-/// and each [`SeqSource::chunks`] call re-reads the file. The database
-/// label is the path string, matching what `cli::load_seqdb` produces,
-/// so identities (and therefore checkpoints) agree between streamed and
-/// materialized runs.
+/// A FASTA file on disk, streamed in constant memory and, unless the
+/// caller asks for its size or identity, read exactly once.
+///
+/// [`open`] only opens the file. [`SeqSource::chunks`] decodes and
+/// validates as it goes, so a grammar error surfaces from the chunk that
+/// contains it. [`SeqSource::n_seqs`], [`SeqSource::total_residues`] and
+/// [`SeqSource::identity`] need the whole file: the first of them to be
+/// called runs one validating pass (never holding more than a record)
+/// and caches its totals, which is what a checkpointed sweep pays to pin
+/// its scale and drift guard before it commits anything. [`scan`] is
+/// that pass with its error; once it has failed, the three getters
+/// report zero and every `chunks` call yields the failure first, so a
+/// sweep pinned on them stops before its first chunk.
+///
+/// The database label is the path string, matching what
+/// `cli::load_seqdb` produces, so identities (and therefore checkpoints)
+/// agree between streamed and materialized runs.
 ///
 /// [`open`]: FastaFileSource::open
+/// [`scan`]: FastaFileSource::scan
 #[derive(Debug)]
 pub struct FastaFileSource {
     path: PathBuf,
     name: String,
-    stats: FastaStats,
+    /// The handle `open` got, for the first pass over the file: a path
+    /// that can be opened only once (a FIFO) still streams.
+    opened: Mutex<Option<File>>,
+    stats: OnceLock<Result<FastaStats, SourceError>>,
 }
 
 impl FastaFileSource {
-    /// Open and validate `path` (one streaming pass).
+    /// Open `path` without reading it; a missing or unreadable file is
+    /// [`SourceError::Io`].
     pub fn open(path: &Path) -> Result<FastaFileSource, SourceError> {
         let name = path.display().to_string();
-        let file = std::fs::File::open(path).map_err(|e| SourceError::Io {
+        let io = |e: std::io::Error| SourceError::Io {
             path: name.clone(),
             msg: e.to_string(),
-        })?;
-        let reader = std::io::BufReader::with_capacity(1 << 20, file);
-        let stats = scan_fasta(&name, reader).map_err(|e| match e {
-            ReadSeqError::Fasta(e) => SourceError::Fasta(e),
-            ReadSeqError::Io(e) => SourceError::Io {
-                path: name.clone(),
-                msg: e.to_string(),
-            },
-        })?;
+        };
+        let file = File::open(path).map_err(io)?;
+        if file.metadata().map_err(io)?.is_dir() {
+            return Err(io(std::io::ErrorKind::IsADirectory.into()));
+        }
         Ok(FastaFileSource {
             path: path.to_path_buf(),
             name,
-            stats,
+            opened: Mutex::new(Some(file)),
+            stats: OnceLock::new(),
         })
+    }
+
+    /// Validate the whole file (one streaming pass, cached) so that the
+    /// size and identity getters are exact; the grammar or I/O error of
+    /// that pass otherwise.
+    pub fn scan(&self) -> Result<(), SourceError> {
+        self.stats().map(|_| ())
+    }
+
+    fn stats(&self) -> Result<FastaStats, SourceError> {
+        self.stats
+            .get_or_init(|| scan_fasta(&self.name, self.reader()?).map_err(|e| self.read_error(e)))
+            .clone()
+    }
+
+    /// A buffered reader at the start of the file: `open`'s handle the
+    /// first time, a fresh one after.
+    fn reader(&self) -> Result<BufReader<File>, SourceError> {
+        let opened = self
+            .opened
+            .lock()
+            .expect("poisoned only if a thread panicked inside this take()")
+            .take();
+        let file = match opened {
+            Some(file) => file,
+            None => File::open(&self.path).map_err(|e| self.read_error(ReadSeqError::Io(e)))?,
+        };
+        Ok(BufReader::with_capacity(1 << 20, file))
+    }
+
+    fn read_error(&self, e: ReadSeqError) -> SourceError {
+        match e {
+            ReadSeqError::Fasta(e) => SourceError::Fasta(e),
+            ReadSeqError::Io(e) => SourceError::Io {
+                path: self.name.clone(),
+                msg: e.to_string(),
+            },
+        }
     }
 }
 
@@ -344,40 +421,30 @@ impl SeqSource for FastaFileSource {
     }
 
     fn n_seqs(&self) -> usize {
-        self.stats.n_seqs
+        self.stats().map_or(0, |s| s.n_seqs)
     }
 
     fn total_residues(&self) -> u64 {
-        self.stats.total_residues
+        self.stats().map_or(0, |s| s.total_residues)
     }
 
     fn identity(&self) -> u64 {
-        self.stats.identity
+        self.stats().map_or(0, |s| s.identity)
     }
 
     fn chunks<'s>(
         &'s self,
         max_residues: u64,
     ) -> Box<dyn Iterator<Item = Result<SeqDb, SourceError>> + 's> {
-        let name = self.name.clone();
-        match std::fs::File::open(&self.path) {
-            Err(e) => Box::new(std::iter::once(Err(SourceError::Io {
-                path: name,
-                msg: e.to_string(),
-            }))),
-            Ok(file) => {
-                let reader = std::io::BufReader::with_capacity(1 << 20, file);
-                let err_name = name.clone();
-                let records = SeqReader::new(reader).map(move |r| {
-                    r.map_err(|e| match e {
-                        ReadSeqError::Fasta(e) => SourceError::Fasta(e),
-                        ReadSeqError::Io(e) => SourceError::Io {
-                            path: err_name.clone(),
-                            msg: e.to_string(),
-                        },
-                    })
-                });
-                Box::new(Chunker::new(&name, records, max_residues))
+        let reader = match self.stats.get() {
+            Some(Err(failed_scan)) => Err(failed_scan.clone()),
+            _ => self.reader(),
+        };
+        match reader {
+            Err(e) => Box::new(std::iter::once(Err(e))),
+            Ok(reader) => {
+                let records = SeqReader::new(reader).map(|r| r.map_err(|e| self.read_error(e)));
+                Box::new(Chunker::new(&self.name, records, max_residues))
             }
         }
     }
@@ -527,29 +594,68 @@ mod tests {
     fn fasta_errors_surface_through_chunks() {
         let bad = ">ok\nMKVL\n>broken\nMK1L\n";
         assert!(FastaSource::new("bad", bad).is_err());
-        // A file that turns bad mid-stream surfaces the error from the
-        // chunk iterator too (scan catches it first in practice).
-        let mut reader = SeqReader::new(bad.as_bytes()).map(|r| r.map_err(SourceError::from_read));
-        let chunker = Chunker::new("bad", &mut reader, 1 << 20);
-        let results: Vec<_> = chunker.collect();
-        assert!(results.iter().any(|r| r.is_err()));
+        // A file source validates as it streams: the chunk that holds the
+        // flaw is the one that fails, and the stream ends there.
+        let dir = std::env::temp_dir().join(format!("h3w-source-bad-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad.fa");
+        std::fs::write(&path, bad).unwrap();
+        let flaw = SourceError::Fasta(FastaError::BadResidue { line: 4, ch: '1' });
+        let src = FastaFileSource::open(&path).unwrap();
+        let results: Vec<_> = src.chunks(4).collect();
+        assert_eq!(results.len(), 2);
+        assert_eq!(results[0].as_ref().unwrap().seqs[0].name, "ok");
+        assert_eq!(results[1].as_ref().unwrap_err(), &flaw);
+        // Asking for the size scans the whole file. The failure is kept:
+        // the getters read zero and every later stream opens with it.
+        assert_eq!(src.scan().unwrap_err(), flaw);
+        assert_eq!(
+            (src.n_seqs(), src.total_residues(), src.identity()),
+            (0, 0, 0)
+        );
+        let results: Vec<_> = src.chunks(4).collect();
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].as_ref().unwrap_err(), &flaw);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn streamed_records_and_chunks_are_allocated_for_what_they_keep() {
+        // Near-equal lengths, so equal-residue chunks hold near-equal counts.
+        let mut db = SeqDb::new("even");
+        for i in 0..200usize {
+            let desc = if i % 2 == 0 { "" } else { "described" };
+            db.seqs.push(DigitalSeq {
+                name: format!("s{i}"),
+                desc: desc.to_string(),
+                residues: (0..48 + i % 6).map(|j| ((i + j) % 20) as u8).collect(),
+            });
+        }
+        let text = fasta::render(&db);
+        let src = FastaSource::new("mem", &text).unwrap();
+        let chunks: Vec<SeqDb> = src.chunks(1_000).collect::<Result<_, _>>().unwrap();
+        assert!(chunks.len() > 3);
+        for s in chunks.iter().flat_map(|c| &c.seqs) {
+            assert_eq!(s.residues.capacity(), s.residues.len());
+            assert_eq!(s.name.capacity(), s.name.len());
+            assert_eq!(s.desc.capacity(), s.desc.len());
+        }
+        // From the second chunk on, the sequence list is sized from the
+        // chunk before it, not doubled up to it.
+        for pair in chunks.windows(2) {
+            let cap = pair[1].seqs.capacity();
+            assert!(
+                cap <= pair[0].len().max(pair[1].len()) * 17 / 16,
+                "{cap} slots for {} sequences after a chunk of {}",
+                pair[1].len(),
+                pair[0].len()
+            );
+        }
     }
 
     #[test]
     fn missing_file_is_io() {
         let err = FastaFileSource::open(Path::new("/nonexistent/db.fa")).unwrap_err();
         assert!(matches!(err, SourceError::Io { .. }));
-    }
-
-    impl SourceError {
-        fn from_read(e: ReadSeqError) -> SourceError {
-            match e {
-                ReadSeqError::Fasta(e) => SourceError::Fasta(e),
-                ReadSeqError::Io(e) => SourceError::Io {
-                    path: "<memory>".into(),
-                    msg: e.to_string(),
-                },
-            }
-        }
     }
 }

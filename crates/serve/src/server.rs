@@ -703,7 +703,7 @@ fn run_query(
     let report = search_chunks(
         &pipe,
         inner.db.shards.iter().map(Ok::<_, StreamError>),
-        inner.db.total_seqs,
+        Some(inner.db.total_seqs),
         &plan,
         options,
         &trace,

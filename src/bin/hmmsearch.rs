@@ -38,8 +38,8 @@
 use hmmer3_warp::cli::{self, Args, ToolError};
 use hmmer3_warp::hmm::hmmio::read_hmm;
 use hmmer3_warp::pipeline::{
-    search_chunks, ExecPlan, FtSweep, Pipeline, PipelineConfig, PipelineResult, StreamOptions,
-    Trace,
+    search_chunks, ExecPlan, FtSweep, Pipeline, PipelineConfig, PipelineResult, StreamError,
+    StreamOptions, Trace,
 };
 use hmmer3_warp::prelude::*;
 use std::process::ExitCode;
@@ -167,6 +167,15 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
         ExecPlan::Cpu
     };
 
+    let banner = |label: &str, n_seqs: usize, residues: u64| {
+        eprintln!(
+            "query {} ({} columns) vs {label} ({n_seqs} sequences, {residues} residues)",
+            parsed.model.name,
+            parsed.model.len(),
+        );
+    };
+    let no_sequences = || ToolError::from(format!("{fa_path}: no sequences"));
+
     // --chunk streams the database through the pipeline in bounded-memory
     // chunks (any ExecPlan); without it the database is loaded resident.
     let mut resident: Option<hmmer3_warp::seqdb::SeqDb> = None;
@@ -174,16 +183,9 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
         None => {
             let db = cli::load_seqdb(fa_path)?;
             if db.is_empty() {
-                return Err(format!("{fa_path}: no sequences").into());
+                return Err(no_sequences());
             }
-            eprintln!(
-                "query {} ({} columns) vs {} ({} sequences, {} residues)",
-                parsed.model.name,
-                parsed.model.len(),
-                db.name,
-                db.len(),
-                db.total_residues()
-            );
+            banner(&db.name, db.len(), db.total_residues());
             let res = pipe.search_traced(&db, &plan, &trace)?.result;
             resident = Some(db);
             res
@@ -191,35 +193,57 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
         Some(max) => {
             use hmmer3_warp::seqdb::{DiskDb, FastaFileSource, SeqSource};
             let fa = std::path::Path::new(fa_path);
+            let path = checkpoint.map(std::path::Path::new);
             let source: Box<dyn SeqSource> = if fa_path.ends_with(".h3wdb") {
                 Box::new(DiskDb::load(fa).map_err(|e| format!("{fa_path}: {e}"))?)
             } else {
-                Box::new(FastaFileSource::open(fa).map_err(|e| format!("{fa_path}: {e}"))?)
+                let fasta = FastaFileSource::open(fa).map_err(|e| format!("{fa_path}: {e}"))?;
+                if path.is_some() {
+                    fasta.scan().map_err(|e| format!("{fa_path}: {e}"))?;
+                }
+                Box::new(fasta)
             };
-            if source.n_seqs() == 0 {
-                return Err(format!("{fa_path}: no sequences").into());
+            // A checkpoint pins the sweep's E-value scale and the whole
+            // database's identity before its first chunk, which costs a
+            // FASTA file a validating pass of its own (`scan` above). A
+            // plain sweep reads the file once and learns the size from
+            // the stream, so its banner and its empty-database error come
+            // after the sweep.
+            let pinned = path.map(|p| (p, source.n_seqs(), source.identity()));
+            if let Some((_, n_seqs, _)) = pinned {
+                if n_seqs == 0 {
+                    return Err(no_sequences());
+                }
+                banner(source.label(), n_seqs, source.total_residues());
             }
-            eprintln!(
-                "query {} ({} columns) vs {} ({} sequences, {} residues)",
-                parsed.model.name,
-                parsed.model.len(),
-                source.label(),
-                source.n_seqs(),
-                source.total_residues()
-            );
             eprintln!("streaming in ≤{max}-residue chunks");
-            let path = checkpoint.map(std::path::Path::new);
             if let Some(path) = path.filter(|p| p.exists()) {
                 eprintln!("resuming from checkpoint {}", path.display());
             }
             let options = StreamOptions {
-                checkpoint: path.map(|p| (p, source.identity())),
+                checkpoint: pinned.map(|(p, _, identity)| (p, identity)),
                 observer: None,
             };
-            let n_seqs = source.n_seqs();
-            let res = search_chunks(&pipe, source.chunks(max), n_seqs, &plan, options, &trace)
-                .map_err(|e| e.to_string())?
-                .result;
+            let total_seqs = pinned.map(|(_, n_seqs, _)| n_seqs);
+            let res = search_chunks(
+                &pipe,
+                source.chunks(max),
+                total_seqs,
+                &plan,
+                options,
+                &trace,
+            )
+            .map_err(|e| match e {
+                StreamError::Source(e) => format!("{fa_path}: {e}"),
+                other => other.to_string(),
+            })?
+            .result;
+            if res.db_size == 0 {
+                return Err(no_sequences());
+            }
+            if pinned.is_none() {
+                banner(source.label(), res.db_size, res.stages[0].residues_in);
+            }
             if let Some(path) = path {
                 eprintln!("checkpoint saved to {}", path.display());
             }

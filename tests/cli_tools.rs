@@ -693,3 +693,130 @@ fn hmmscan_multi_model_library() {
     assert!(prof.contains("models in"), "{prof}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `--chunk` without `--checkpoint` reads its FASTA exactly once: the
+/// sizes it reports and the "no sequences" verdict come from the finished
+/// stream, and a flaw deep in the file is diagnosed as before, with no
+/// hits printed ahead of it. `--checkpoint` still validates the whole
+/// file before the sweep and leaves no checkpoint for a file it refuses.
+#[test]
+fn plain_chunked_search_reads_its_fasta_once() {
+    let dir = tmpdir("once");
+    let hmm = dir.join("q.hmm");
+    let fasta = dir.join("t.fasta");
+    let ckpt = dir.join("sweep.ckpt");
+    let out = Command::new(env!("CARGO_BIN_EXE_hmmbuild"))
+        .args([hmm.to_str().unwrap(), "--synthetic", "55", "--seed", "3"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = Command::new(env!("CARGO_BIN_EXE_dbgen"))
+        .args([
+            fasta.to_str().unwrap(),
+            "--scale",
+            "0.00008",
+            "--hom",
+            "0.04",
+            "--model",
+            hmm.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let search = |target: &std::path::Path, extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_hmmsearch"))
+            .args([hmm.to_str().unwrap(), target.to_str().unwrap()])
+            .args(extra)
+            .output()
+            .unwrap()
+    };
+    let sizes = |stderr: &str| -> String {
+        let banner = stderr.lines().find(|l| l.starts_with("query ")).unwrap();
+        banner[banner.rfind('(').unwrap()..].to_string()
+    };
+
+    // The sizes are the resident run's, printed once the stream has ended.
+    let resident = search(&fasta, &[]);
+    let streamed = search(&fasta, &["--chunk", "5000"]);
+    assert!(resident.status.success() && streamed.status.success());
+    let stderr = String::from_utf8_lossy(&streamed.stderr).into_owned();
+    assert_eq!(
+        sizes(&stderr),
+        sizes(&String::from_utf8_lossy(&resident.stderr))
+    );
+    assert!(
+        stderr.find("streaming in").unwrap() < stderr.find("query ").unwrap(),
+        "{stderr}"
+    );
+
+    // Only a single-pass reader gets through a FIFO; a second pass would
+    // block on re-opening it, so coreutils `timeout` bounds the run.
+    #[cfg(unix)]
+    {
+        let fifo = dir.join("t.fifo");
+        let made = Command::new("mkfifo").arg(&fifo).status();
+        if made.as_ref().is_ok_and(|s| s.success()) {
+            let feed = {
+                let (fifo, text) = (fifo.clone(), std::fs::read(&fasta).unwrap());
+                std::thread::spawn(move || std::fs::write(fifo, text))
+            };
+            let piped = Command::new("timeout")
+                .args([
+                    "120",
+                    env!("CARGO_BIN_EXE_hmmsearch"),
+                    hmm.to_str().unwrap(),
+                ])
+                .args([fifo.to_str().unwrap(), "--chunk", "5000"])
+                .output()
+                .unwrap();
+            feed.join().unwrap().unwrap();
+            assert!(
+                piped.status.success(),
+                "{}",
+                String::from_utf8_lossy(&piped.stderr)
+            );
+            let hit_lines = |out: &std::process::Output| -> Vec<String> {
+                String::from_utf8_lossy(&out.stdout)
+                    .lines()
+                    .filter(|l| l.contains("E =") || l.contains("hits reported:"))
+                    .map(str::to_string)
+                    .collect()
+            };
+            assert_eq!(hit_lines(&piped), hit_lines(&streamed));
+        } else {
+            eprintln!("SKIP: mkfifo unavailable ({made:?})");
+        }
+    }
+
+    // An empty database is refused either way, checkpoint or not.
+    let empty = dir.join("empty.fasta");
+    std::fs::write(&empty, "; nothing here\n").unwrap();
+    let hmm_s = hmm.to_str().unwrap();
+    let ckpt_s = ckpt.to_str().unwrap();
+    for extra in [&[][..], &["--checkpoint", ckpt_s][..]] {
+        let mut args = vec![hmm_s, empty.to_str().unwrap(), "--chunk", "5000"];
+        args.extend_from_slice(extra);
+        expect_failure("hmmsearch", &args, "empty.fasta: no sequences");
+        assert!(!ckpt.exists());
+    }
+
+    // A bad residue in the last record: several chunks in.
+    let text = std::fs::read_to_string(&fasta).unwrap();
+    let last_line = text.lines().count();
+    let flawed = dir.join("flawed.fasta");
+    std::fs::write(&flawed, format!("{}1\n", text.trim_end())).unwrap();
+    let diagnosis = format!("flawed.fasta: line {last_line}: invalid residue '1'");
+    for extra in [&[][..], &["--checkpoint", ckpt_s][..]] {
+        let mut args = vec![hmm_s, flawed.to_str().unwrap(), "--chunk", "5000"];
+        args.extend_from_slice(extra);
+        expect_failure("hmmsearch", &args, &diagnosis);
+        let out = search(&flawed, &args[2..]);
+        assert!(
+            out.stdout.is_empty(),
+            "hits printed ahead of the error:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        assert!(!ckpt.exists(), "checkpoint left for a refused file");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

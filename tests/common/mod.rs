@@ -34,7 +34,7 @@ pub fn sweep_chunks(
     search_chunks(
         pipe,
         chunks.into_iter().map(Ok::<_, StreamError>),
-        total_seqs,
+        Some(total_seqs),
         plan,
         options,
         &Pipeline::env_trace(),

@@ -426,4 +426,56 @@ proptest! {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// Where the E-value scale comes from does not show: for any chunk
+    /// bound, a stream that is its own database (`search_source`, scale
+    /// counted as it goes), the same chunks under a pinned scale, that
+    /// pinned sweep killed and resumed, and the resident search report the
+    /// same hit ids, score bits, E-value bits and funnel counts.
+    #[test]
+    fn streamed_scale_pinned_scale_and_resident_search_agree(
+        seed in 0u64..200,
+        cap in 1_000u64..60_000,
+        kill_after in 1usize..6,
+    ) {
+        use hmmer3_warp::pipeline::{search_source, Pipeline, PipelineConfig, PipelineResult};
+        use hmmer3_warp::seqdb::{content_hash, fasta, FastaSource};
+
+        let core = synthetic_model(50, 77, &BuildParams::default());
+        let pipe = Pipeline::prepare(&core, PipelineConfig::default(), 3);
+        let mut spec = DbGenSpec::envnr_like().scaled(2e-4);
+        spec.homolog_fraction = 0.05;
+        let db = generate(&spec, Some(&core), seed);
+        let text = fasta::render(&db);
+        let resident = pipe.search(&db, &ExecPlan::Cpu).unwrap();
+        prop_assert!(!resident.hits.is_empty());
+
+        let source = FastaSource::new("chunk", &text).unwrap();
+        let from_stream =
+            search_source(&pipe, &source, &ExecPlan::Cpu, cap, &Pipeline::env_trace()).unwrap();
+        let chunks: Vec<SeqDb> = common::fasta_chunks(&text, cap).unwrap();
+        let pinned =
+            common::sweep_chunks(&pipe, chunks.clone(), db.len(), &ExecPlan::Cpu, None).unwrap();
+        let ckpt = std::env::temp_dir()
+            .join(format!("h3w-prop-scale-{}-{seed}-{cap}.ckpt", std::process::id()));
+        let _ = std::fs::remove_file(&ckpt);
+        let saved = Some((ckpt.as_path(), content_hash(&db)));
+        let prefix: Vec<SeqDb> = chunks.iter().take(kill_after).cloned().collect();
+        common::sweep_chunks(&pipe, prefix, db.len(), &ExecPlan::Cpu, saved).unwrap();
+        let resumed = common::sweep_chunks(&pipe, chunks, db.len(), &ExecPlan::Cpu, saved).unwrap();
+        let _ = std::fs::remove_file(&ckpt);
+
+        let key = |r: &PipelineResult| {
+            let hits: Vec<(u32, u32, u64)> = r
+                .hits
+                .iter()
+                .map(|h| (h.seqid, h.fwd_score.to_bits(), h.evalue.to_bits()))
+                .collect();
+            let funnel = r.stages.clone().map(|s| (s.seqs_in, s.seqs_out, s.residues_in));
+            (hits, funnel, r.db_size)
+        };
+        for (tag, streamed) in [("stream", from_stream), ("pinned", pinned), ("resumed", resumed)] {
+            prop_assert_eq!(key(&streamed), key(&resident), "{} scale, cap {}", tag, cap);
+        }
+    }
 }

@@ -191,7 +191,7 @@ fn chunked_traced_search_accumulates_the_whole_database() {
         chunks
             .into_iter()
             .map(Ok::<_, hmmer3_warp::pipeline::StreamError>),
-        db.len(),
+        Some(db.len()),
         &ExecPlan::Cpu,
         hmmer3_warp::pipeline::StreamOptions::default(),
         &trace,

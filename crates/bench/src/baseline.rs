@@ -11,9 +11,9 @@
 //! reports ~12 on a 2.66 GHz Xeon; the byte pipeline retires ~2 cells per
 //! clock per lane-issue) and ViterbiFilter ≈ 2–3 Gcell/s per core (3
 //! states, 8 lanes, more arithmetic per cell). We use 11 G and 2.3 G.
-//! `measure_*` in `h3w_cpu::sweep` reports what *this* host's Rust
-//! implementation actually sustains, recorded in EXPERIMENTS.md next to
-//! these constants.
+//! `cargo bench -p h3w-bench --bench filters` reports what *this* host's
+//! Rust implementation actually sustains, recorded in EXPERIMENTS.md next
+//! to these constants.
 
 use h3w_simt::CpuSpec;
 

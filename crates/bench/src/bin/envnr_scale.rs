@@ -5,10 +5,9 @@
 //! The database is a generation recipe (`GenSource`), never
 //! materialized: chunks are generated, swept, and dropped, so peak RSS
 //! is bounded by the chunk size no matter the database size. The run
-//! records per-stage wall-clock, residues/sec, analytic bytes-moved and
-//! bandwidth (from the striped kernels' row geometry), chunk counts, and
-//! the process peak RSS into the `envnr_scale` section of
-//! `BENCH_throughput.json`.
+//! prints one JSON record to stdout: per-stage wall-clock, residues/sec,
+//! analytic bytes-moved and bandwidth (from the striped kernels' row
+//! geometry), chunk counts, and the process peak RSS.
 //!
 //! Before measuring, the bin proves the streamed sweep honest: at 0.001
 //! scale it materializes the same recipe in memory and asserts the
@@ -16,13 +15,13 @@
 //!
 //! Usage:
 //!   cargo run --release -p h3w-bench --bin envnr_scale [--] \
-//!     [--scale F] [--chunk-mres N] [--rss-limit-mb N] [--smoke]
+//!     [--scale F] [--chunk-mres N] [--rss-limit-mb N]
 //!
-//! `--scale` scales the sequence count (default 1.0 = full Env_nr);
-//! `--chunk-mres` sets the chunk bound in megaresidues (default 32);
-//! `--rss-limit-mb` exits nonzero if peak RSS exceeds the ceiling;
-//! `--smoke` runs the CI shape: 0.01 scale unless overridden, and skips
-//! rewriting BENCH_throughput.json.
+//! `--scale` scales the sequence count (default 1.0 = full Env_nr; CI
+//! runs 0.01); `--chunk-mres` sets the chunk bound in megaresidues
+//! (default 32); `--rss-limit-mb` exits nonzero if peak RSS exceeds the
+//! ceiling. An unknown argument, or a flag whose value is missing or does
+//! not parse, is an error: a mistyped ceiling must not switch the gate off.
 
 use h3w_bench::json::Json;
 use h3w_hmm::build::{synthetic_model, BuildParams};
@@ -36,22 +35,38 @@ const MODEL_M: usize = 400;
 const MODEL_SEED: u64 = 5;
 const DB_SEED: u64 = 0xe9b_2026;
 
-fn arg_value(name: &str) -> Option<String> {
-    let argv: Vec<String> = std::env::args().collect();
-    argv.iter()
-        .position(|a| a == name)
-        .and_then(|i| argv.get(i + 1).cloned())
+/// `(scale, chunk_mres, rss_limit_mb)` from the command line. Anything
+/// but the three flags, a flag without a value, or a value that does not
+/// parse is an error, never a default.
+fn parse_args() -> Result<(f64, u64, Option<u64>), String> {
+    let (mut scale, mut chunk_mres, mut rss_limit_mb) = (1.0f64, 32u64, None);
+    let mut argv = std::env::args().skip(1);
+    while let Some(flag) = argv.next() {
+        if !["--scale", "--chunk-mres", "--rss-limit-mb"].contains(&flag.as_str()) {
+            return Err(format!("unknown argument '{flag}'"));
+        }
+        let raw = argv.next().ok_or(format!("{flag} needs a value"))?;
+        let bad = format!("{flag}: cannot parse '{raw}'");
+        match flag.as_str() {
+            "--scale" => scale = raw.parse().map_err(|_| bad)?,
+            "--chunk-mres" => chunk_mres = raw.parse().map_err(|_| bad)?,
+            _ => rss_limit_mb = Some(raw.parse().map_err(|_| bad)?),
+        }
+    }
+    if !(scale.is_finite() && scale > 0.0 && chunk_mres > 0) {
+        return Err("--scale and --chunk-mres must be positive".into());
+    }
+    Ok((scale, chunk_mres, rss_limit_mb))
 }
 
 fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let scale: f64 = arg_value("--scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 0.01 } else { 1.0 });
-    let chunk_mres: u64 = arg_value("--chunk-mres")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32);
-    let rss_limit_mb: Option<u64> = arg_value("--rss-limit-mb").and_then(|v| v.parse().ok());
+    let (scale, chunk_mres, rss_limit_mb) = match parse_args() {
+        Ok(args) => args,
+        Err(msg) => {
+            eprintln!("envnr_scale: {msg}");
+            return ExitCode::FAILURE;
+        }
+    };
     let chunk_residues = chunk_mres * 1_000_000;
 
     let core = synthetic_model(MODEL_M, MODEL_SEED, &BuildParams::default());
@@ -174,13 +189,7 @@ fn main() -> ExitCode {
         ("stages", Json::Arr(stage_rows)),
     ]);
 
-    if smoke {
-        println!("{}", section.pretty());
-    } else {
-        let text = splice_section("BENCH_throughput.json", "envnr_scale", &section.pretty());
-        std::fs::write("BENCH_throughput.json", text).expect("write BENCH_throughput.json");
-        eprintln!("wrote envnr_scale section to BENCH_throughput.json");
-    }
+    println!("{}", section.pretty());
 
     if let Some(limit_mb) = rss_limit_mb {
         let limit = limit_mb * (1 << 20);
@@ -194,93 +203,4 @@ fn main() -> ExitCode {
         eprintln!("peak RSS within the {limit_mb} MiB ceiling");
     }
     ExitCode::SUCCESS
-}
-
-/// Replace (or insert) one top-level `"key": {...}` section in a JSON
-/// object document, preserving everything else byte-for-byte. A full
-/// parser is not needed: the document is our own emitter's output, so a
-/// string-aware brace matcher suffices.
-fn splice_section(path: &str, key: &str, rendered: &str) -> String {
-    let needle = format!("\"{key}\":");
-    let indented = rendered.replace('\n', "\n  ");
-    let entry = format!("\"{key}\": {indented}");
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(_) => return format!("{{\n  {entry}\n}}"),
-    };
-    if let Some(start) = find_top_level_key(&text, &needle) {
-        // Replace the existing section: value spans from the first brace
-        // after the key to its matching close.
-        let vstart = start + needle.len();
-        let open = text[vstart..]
-            .find('{')
-            .map(|i| vstart + i)
-            .expect("section value is an object");
-        let close = matching_brace(&text, open).expect("balanced section");
-        format!("{}{entry}{}", &text[..start], &text[close + 1..])
-    } else {
-        // Insert before the document's final closing brace.
-        let end = text.rfind('}').expect("document is a JSON object");
-        let body = text[..end].trim_end();
-        format!("{body},\n  {entry}\n}}\n")
-    }
-}
-
-/// Find `needle` at a position that is outside any string literal.
-fn find_top_level_key(text: &str, needle: &str) -> Option<usize> {
-    let bytes = text.as_bytes();
-    let mut in_str = false;
-    let mut escaped = false;
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i];
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == b'\\' {
-                escaped = true;
-            } else if c == b'"' {
-                in_str = false;
-            }
-        } else if c == b'"' {
-            if text[i..].starts_with(needle) {
-                return Some(i);
-            }
-            in_str = true;
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Index of the `}` matching the `{` at `open`, skipping string bodies.
-fn matching_brace(text: &str, open: usize) -> Option<usize> {
-    let bytes = text.as_bytes();
-    let mut depth = 0i64;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (off, &c) in bytes[open..].iter().enumerate() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == b'\\' {
-                escaped = true;
-            } else if c == b'"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            b'"' => in_str = true,
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(open + off);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }

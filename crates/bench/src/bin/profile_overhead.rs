@@ -7,8 +7,7 @@
 //! telemetry). Exits nonzero if the instrumented median falls more than
 //! the tolerance below the uninstrumented one.
 //!
-//! Usage: `cargo run --release -p h3w-bench --bin profile_overhead [tol]`
-//! (`tol` is a fraction, default 0.02; `H3W_OVERHEAD_TOL` overrides it).
+//! Usage: `cargo run --release -p h3w-bench --bin profile_overhead`
 //!
 //! Alongside the human-readable verdict, one JSON row goes to stdout
 //! with the measurements and the active worker count — throughput on a
@@ -23,6 +22,9 @@ use h3w_trace::Trace;
 use std::process::ExitCode;
 
 const REPS: usize = 5;
+/// The tracing budget (DESIGN.md §8): instrumented MSV throughput may
+/// fall at most this fraction below uninstrumented.
+const TOL: f64 = 0.02;
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.total_cmp(b));
@@ -30,12 +32,6 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 fn main() -> ExitCode {
-    let tol: f64 = std::env::var("H3W_OVERHEAD_TOL")
-        .ok()
-        .or_else(|| std::env::args().nth(1))
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(0.02);
-
     let model = synthetic_model(400, 5, &BuildParams::default());
     let pipe = Pipeline::prepare(&model, PipelineConfig::default(), 7);
     let mut spec = DbGenSpec::envnr_like().scaled(0.001);
@@ -46,7 +42,7 @@ fn main() -> ExitCode {
         db.len(),
         db.total_residues(),
         model.len(),
-        tol * 100.0
+        TOL * 100.0
     );
 
     // MSV-stage residues/sec for one run, with or without a live trace.
@@ -85,18 +81,18 @@ fn main() -> ExitCode {
             ("base_msv_residues_per_sec", Json::Num(base_med)),
             ("instrumented_msv_residues_per_sec", Json::Num(instr_med)),
             ("ratio", Json::Num(ratio)),
-            ("tolerance", Json::Num(tol)),
+            ("tolerance", Json::Num(TOL)),
         ])
         .pretty()
     );
-    if ratio < 1.0 - tol {
+    if ratio < 1.0 - TOL {
         eprintln!(
             "FAIL: instrumented MSV throughput is {:.2}% below uninstrumented (tolerance {:.1}%)",
             (1.0 - ratio) * 100.0,
-            tol * 100.0
+            TOL * 100.0
         );
         return ExitCode::FAILURE;
     }
-    println!("OK: telemetry overhead within {:.1}% budget", tol * 100.0);
+    println!("OK: telemetry overhead within {:.1}% budget", TOL * 100.0);
     ExitCode::SUCCESS
 }

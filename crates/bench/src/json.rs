@@ -20,10 +20,6 @@ pub enum Json {
     Arr(Vec<Json>),
     /// Insertion-ordered object.
     Obj(Vec<(&'static str, Json)>),
-    /// Pre-rendered JSON spliced in verbatim (e.g. an `h3w-trace`
-    /// telemetry tree, which serializes itself). The caller guarantees
-    /// it is valid JSON; indentation is the embedded text's own.
-    Raw(String),
 }
 
 impl Json {
@@ -104,7 +100,6 @@ impl Json {
                 pad(out, indent);
                 out.push('}');
             }
-            Json::Raw(text) => out.push_str(text.trim_end()),
         }
     }
 }
@@ -127,12 +122,6 @@ impl<T: ToJson> ToJson for Option<T> {
             Some(v) => v.to_json(),
             None => Json::Null,
         }
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
     }
 }
 

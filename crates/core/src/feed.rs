@@ -128,13 +128,10 @@ impl<'a> RingFeed<'a> {
     ) -> RingFeed<'a> {
         let mut stream = Vec::new();
         let mut seqs = Vec::new();
-        let mut seqid = first_seq;
-        while seqid < db.n_seqs() {
+        for seqid in (first_seq..db.n_seqs()).step_by(stride) {
             seqs.push((seqid, stream.len()));
             let off = db.offsets[seqid];
-            let n_words = (db.lengths[seqid] as usize).div_ceil(RESIDUES_PER_WORD) as u32;
-            stream.extend(off..off + n_words);
-            seqid += stride;
+            stream.extend(off..off + seq_words(db, seqid) as u32);
         }
         RingFeed {
             db,

@@ -19,12 +19,13 @@
 //! scores agree within small float drift (asserted in tests), not
 //! bit-exactly — which is fine, Forward feeds a float threshold.
 
-use crate::feed::{DirectFeed, ResidueSource, RingFeed};
+use crate::feed::{DirectFeed, ResidueSource};
 use crate::layout::{SmemLayout, GM_EMIS_BASE, GM_OUT_BASE, GM_TRANS_BASE};
+use crate::stage::{run_stage, WarpStage};
 use h3w_hmm::logspace::flogsum;
 use h3w_hmm::profile::{Profile, NEG_INF};
 use h3w_seqdb::PackedView;
-use h3w_simt::{lane_ids, Lanes, PairKernel, RingSpec, SimtCtx, WarpKernel, WARP_SIZE};
+use h3w_simt::{lane_ids, Lanes, SimtCtx, WarpKernel, WARP_SIZE};
 
 /// ALU instructions per stride-32 inner iteration (≈ 8 table-logsums at
 /// 2 slots each plus addressing).
@@ -104,7 +105,7 @@ impl<'a> FwdWarpKernel<'a> {
         }
     }
 
-    fn score_one<F: ResidueSource>(
+    fn score<F: ResidueSource>(
         &self,
         ctx: &mut SimtCtx,
         row_base: usize,
@@ -312,67 +313,41 @@ fn lse64(a: f64, b: f64) -> f64 {
     }
 }
 
-impl<'a> WarpKernel for FwdWarpKernel<'a> {
+impl WarpStage for FwdWarpKernel<'_> {
     type Out = Vec<FwdHit>;
 
-    fn run_warp(&self, ctx: &mut SimtCtx, global_warp: usize, total_warps: usize) -> Vec<FwdHit> {
-        let row_base = self.layout.rows_base + ctx.warp_id as usize * self.layout.row_stride;
-        let mut out = Vec::new();
-        let mut feed = DirectFeed::new(self.db);
-        let mut seqid = global_warp;
-        while seqid < self.db.n_seqs() {
-            out.push(self.score_one(ctx, row_base, seqid, &mut feed));
-            ctx.stats.sequences += 1;
-            ctx.alu(2);
-            seqid += total_warps;
-        }
-        out
+    fn db(&self) -> PackedView<'_> {
+        self.db
+    }
+
+    fn layout(&self) -> &SmemLayout {
+        &self.layout
+    }
+
+    /// The float tables never fit in shared memory for useful M: Forward
+    /// reads them through L2 and its launch needs no barrier at all.
+    fn stage_tables_if_shared(&self, _ctx: &mut SimtCtx) -> bool {
+        false
+    }
+
+    fn score_one<F: ResidueSource>(
+        &self,
+        ctx: &mut SimtCtx,
+        row_base: usize,
+        seqid: usize,
+        feed: &mut F,
+        out: &mut Vec<FwdHit>,
+    ) {
+        out.push(self.score(ctx, row_base, seqid, feed));
     }
 }
 
-/// The warp-specialized Forward kernel (see
-/// [`crate::msv_warp::PipelinedMsvKernel`]). Forward never early-exits, so
-/// the loader's stream is consumed end to end — the best case for the
-/// ring. The compute warp stays barrier-free (`ring_syncs` is a separate
-/// counter from `barriers`).
-pub struct PipelinedFwdKernel<'a> {
-    /// The underlying kernel (layout must carry a ring region).
-    pub inner: FwdWarpKernel<'a>,
-    /// Ring depth.
-    pub ring: RingSpec,
-    /// Pairs per block of the launch.
-    pub pairs_per_block: usize,
-    /// Emit full/empty barrier arrivals (failure-injection switch).
-    pub sync: bool,
-}
-
-impl<'a> PairKernel for PipelinedFwdKernel<'a> {
+impl WarpKernel for FwdWarpKernel<'_> {
     type Out = Vec<FwdHit>;
 
-    fn run_pair(&self, ctx: &mut SimtCtx, global_pair: usize, total_pairs: usize) -> Vec<FwdHit> {
-        let pair = ctx.warp_id as usize / 2;
-        ctx.warp_id = pair as u16;
-        let row_base = self.inner.layout.rows_base + pair * self.inner.layout.row_stride;
-        let mut feed = RingFeed::new(
-            self.inner.db,
-            global_pair,
-            total_pairs,
-            self.ring,
-            self.inner.layout.ring_base + pair * self.ring.bytes_per_pair(),
-            (self.pairs_per_block + pair) as u16,
-            pair as u16,
-        );
-        feed.sync = self.sync;
-        let mut out = Vec::new();
-        let mut seqid = global_pair;
-        while seqid < self.inner.db.n_seqs() {
-            out.push(self.inner.score_one(ctx, row_base, seqid, &mut feed));
-            ctx.stats.sequences += 1;
-            ctx.alu(2);
-            seqid += total_pairs;
-        }
-        feed.finish(ctx);
-        out
+    fn run_warp(&self, ctx: &mut SimtCtx, global_warp: usize, total_warps: usize) -> Vec<FwdHit> {
+        let mut feed = DirectFeed::new(self.db);
+        run_stage(self, ctx, global_warp, total_warps, &mut feed)
     }
 }
 
@@ -460,53 +435,5 @@ mod tests {
         assert_eq!(stats.sequences, db.len() as u64);
         // Forward cannot early-exit: every residue row is processed.
         assert_eq!(stats.rows, db.total_residues());
-    }
-
-    #[test]
-    fn pipelined_forward_matches_fused_scores_exactly() {
-        // The ring changes *when* residue words move, never their values or
-        // the arithmetic order — so even float scores must be identical.
-        let m = 30usize;
-        let (prof, db, base, _) = launch(m, &BuildParams::default());
-        let packed = PackedDb::from_db(&db);
-        let dev = DeviceSpec::tesla_k40();
-        for stages in [2usize, 4, 8] {
-            let ring = h3w_simt::RingSpec::new(stages).unwrap();
-            let pairs = 2usize;
-            let layout = crate::layout::pipelined_layout(
-                Stage::Forward,
-                m,
-                pairs,
-                MemConfig::Global,
-                &dev,
-                ring,
-            );
-            let cfg = h3w_simt::KernelConfig {
-                warps_per_block: 2 * pairs,
-                blocks: 2,
-                regs_per_thread: crate::layout::regs_per_thread(Stage::Forward),
-                smem_per_block: layout.total,
-                track_hazards: true,
-            };
-            let kernel = PipelinedFwdKernel {
-                inner: FwdWarpKernel {
-                    prof: &prof,
-                    db: packed.view(),
-                    layout,
-                },
-                ring,
-                pairs_per_block: pairs,
-                sync: true,
-            };
-            let r = h3w_simt::run_grid_pairs(&dev, &cfg, &kernel).unwrap();
-            let mut hits: Vec<FwdHit> = r.outputs.into_iter().flatten().collect();
-            hits.sort_by_key(|h| h.seqid);
-            assert_eq!(hits, base, "stages={stages}");
-            assert_eq!(hits.len(), db.len());
-            assert_eq!(r.stats.hazards, 0, "stages={stages}");
-            assert_eq!(r.stats.barriers, 0, "compute warp stays barrier-free");
-            assert!(r.stats.ring_syncs > 0);
-            assert!(r.stats.simulated_overlap().expect("pipe ran") > 0.0);
-        }
     }
 }

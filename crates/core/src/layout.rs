@@ -190,48 +190,6 @@ pub fn pipelined_layout(
     l
 }
 
-/// Launch configuration for the warp-specialized kernels: search pair
-/// counts and keep the residency-maximizing one. `warps_per_block` in the
-/// returned config counts *both* roles (2 × pairs) — loader warps occupy
-/// real warp slots, which is the honest occupancy cost of specialization.
-pub fn best_pipelined_config(
-    stage: Stage,
-    m: usize,
-    mem: MemConfig,
-    dev: &DeviceSpec,
-    ring: h3w_simt::RingSpec,
-) -> Option<(KernelConfig, h3w_simt::Occupancy)> {
-    let mut best: Option<(KernelConfig, h3w_simt::Occupancy)> = None;
-    for pairs in [16usize, 8, 4, 2, 1] {
-        if 2 * pairs * h3w_simt::WARP_SIZE > dev.max_threads_per_block {
-            continue;
-        }
-        let l = pipelined_layout(stage, m, pairs, mem, dev, ring);
-        if l.total > dev.smem_per_sm {
-            continue;
-        }
-        let cfg = KernelConfig {
-            warps_per_block: 2 * pairs,
-            blocks: 1,
-            regs_per_thread: regs_per_thread(stage),
-            smem_per_block: l.total,
-            track_hazards: false,
-        };
-        let occ = h3w_simt::occupancy(dev, &cfg);
-        if occ.resident_blocks == 0 {
-            continue;
-        }
-        let better = match &best {
-            None => true,
-            Some((_, b)) => occ.occupancy > b.occupancy + 1e-12,
-        };
-        if better {
-            best = Some((cfg, occ));
-        }
-    }
-    best
-}
-
 /// Block sizes the tiered scheduler searches (warps per block, i.e.
 /// `blockDim.y`; `blockDim.x` is fixed at 32).
 pub const WPB_CANDIDATES: [usize; 6] = [32, 16, 8, 4, 2, 1];

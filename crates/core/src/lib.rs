@@ -16,19 +16,20 @@ pub mod msv_warp;
 pub mod multi_gpu;
 pub mod naive;
 pub mod ssv_warp;
+pub mod stage;
 pub mod stats_model;
 pub mod tiered;
 pub mod vit_warp;
 
 pub use fault::{run_chunks_ft, DeviceCtx, RetryPolicy, SweepError, SweepTrace};
 pub use feed::{DirectFeed, ResidueSource, RingFeed, GMEM_FILL_LATENCY_SLOTS};
-pub use fwd_warp::{FwdHit, FwdWarpKernel, PipelinedFwdKernel};
-pub use layout::{best_pipelined_config, pipelined_layout, MemConfig, Stage};
-pub use msv_warp::{MsvHit, MsvWarpKernel, PipelinedMsvKernel};
-pub use ssv_warp::PipelinedSsvKernel;
+pub use fwd_warp::{FwdHit, FwdWarpKernel};
+pub use layout::{pipelined_layout, MemConfig, Stage};
+pub use msv_warp::{MsvHit, MsvWarpKernel};
+pub use stage::{Pipelined, WarpStage};
 pub use stats_model::{predict_msv, predict_vit, DbAggregates, LaunchShape};
 pub use tiered::{
     auto_mem_config, model_stage_time, run_msv_device, run_msv_device_on, run_vit_device,
     run_vit_device_on, MsvRun, StageRun, VitRun,
 };
-pub use vit_warp::{PipelinedVitKernel, VitHit, VitWarpKernel, WarpLazyStats};
+pub use vit_warp::{VitHit, VitWarpKernel, WarpLazyStats};

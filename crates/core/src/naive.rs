@@ -13,8 +13,10 @@
 //! Scores are bit-exact with the scalar filter, so the ablation bench (E6)
 //! compares *schedules*, not algorithms.
 
-use crate::layout::{SmemLayout, GM_EMIS_BASE, GM_OUT_BASE, GM_RES_BASE};
-use crate::msv_warp::{MsvHit, MSV_ALU_PER_ITER, MSV_ALU_PER_ROW, MSV_ALU_PER_SEQ};
+use crate::layout::{SmemLayout, GM_OUT_BASE, GM_RES_BASE};
+use crate::msv_warp::{
+    stage_emission_table, zero_row, MsvHit, MSV_ALU_PER_ITER, MSV_ALU_PER_ROW, MSV_ALU_PER_SEQ,
+};
 use h3w_hmm::msvprofile::MsvProfile;
 use h3w_seqdb::{PackedView, RESIDUES_PER_WORD};
 use h3w_simt::{lane_ids, BlockKernel, Lanes, SimtCtx, WARP_SIZE};
@@ -45,26 +47,8 @@ impl<'a> NaiveMsvKernel<'a> {
     }
 
     fn stage_tables(&self, ctx: &mut SimtCtx) {
-        let m = self.om.m;
-        let ids = lane_ids();
         ctx.warp_id = 0;
-        for code in 0..crate::layout::STAGED_CODES as u8 {
-            let row = self.om.cost_row(code);
-            let mut base = 0usize;
-            while base < m {
-                let active = ids.map(|t| base + t < m);
-                ctx.gmem_access(
-                    ids.map(|t| GM_EMIS_BASE + code as usize * m + base + t),
-                    1,
-                    active,
-                );
-                let saddrs = ids.map(|t| self.layout.emis_base + code as usize * m + base + t);
-                let vals = Lanes::from_fn(|t| if base + t < m { row[base + t] } else { 0 });
-                ctx.st_smem_u8(saddrs, vals, active);
-                ctx.alu(1);
-                base += WARP_SIZE;
-            }
-        }
+        stage_emission_table(ctx, self.om, self.layout.emis_base);
         // The staging barrier is structural and kept even in the unsafe
         // variant — Fig. 4's missing barriers are the per-row ones.
         ctx.barrier();
@@ -84,12 +68,7 @@ impl<'a> NaiveMsvKernel<'a> {
 
         // Warp 0 zeroes the row, then a barrier publishes it.
         ctx.warp_id = 0;
-        let mut cell = 0usize;
-        while cell <= m {
-            let active = ids.map(|t| cell + t <= m);
-            ctx.st_smem_u8(ids.map(|t| row_base + cell + t), Lanes::splat(0), active);
-            cell += WARP_SIZE;
-        }
+        zero_row(ctx, row_base, m);
         self.barrier(ctx);
 
         let mut xj = 0u8;

@@ -10,11 +10,13 @@
 //! accordingly (measured by `ext_ssv`), which is exactly why HMMER 3.1
 //! put SSV in front of MSV.
 
-use crate::feed::{DirectFeed, ResidueSource, RingFeed};
-use crate::layout::{MemConfig, SmemLayout, GM_EMIS_BASE, GM_OUT_BASE};
+use crate::feed::{DirectFeed, ResidueSource};
+use crate::layout::{MemConfig, SmemLayout, GM_OUT_BASE};
+use crate::msv_warp::{emission, preload, stage_emission_table, zero_row};
+use crate::stage::{run_stage, WarpStage};
 use h3w_hmm::msvprofile::MsvProfile;
 use h3w_seqdb::PackedView;
-use h3w_simt::{lane_ids, Lanes, PairKernel, RingSpec, SimtCtx, WarpKernel, WARP_SIZE};
+use h3w_simt::{lane_ids, Lanes, SimtCtx, WarpKernel, WARP_SIZE};
 
 /// ALU instructions per stride-32 inner iteration (max, add, sub, running
 /// max, addressing — one fewer than MSV: no `xE` tree).
@@ -44,78 +46,7 @@ pub struct SsvWarpKernel<'a> {
 }
 
 impl<'a> SsvWarpKernel<'a> {
-    fn stage_tables(&self, ctx: &mut SimtCtx) {
-        let m = self.om.m;
-        let ids = lane_ids();
-        for code in 0..crate::layout::STAGED_CODES as u8 {
-            let row = self.om.cost_row(code);
-            let mut base = 0usize;
-            while base < m {
-                let active = ids.map(|t| base + t < m);
-                ctx.gmem_access(
-                    ids.map(|t| GM_EMIS_BASE + code as usize * m + base + t),
-                    1,
-                    active,
-                );
-                let saddrs = ids.map(|t| self.layout.emis_base + code as usize * m + base + t);
-                let vals = Lanes::from_fn(|t| if base + t < m { row[base + t] } else { 0 });
-                ctx.st_smem_u8(saddrs, vals, active);
-                ctx.alu(1);
-                base += WARP_SIZE;
-            }
-        }
-    }
-
-    fn emission(
-        &self,
-        ctx: &mut SimtCtx,
-        x: u8,
-        j: usize,
-        m: usize,
-        active: Lanes<bool>,
-    ) -> Lanes<u8> {
-        let ids = lane_ids();
-        match self.mem {
-            MemConfig::Shared => {
-                let addrs = ids.map(|t| {
-                    self.layout.emis_base + x as usize * m + (j * WARP_SIZE + t).min(m - 1)
-                });
-                ctx.ld_smem_u8(addrs, active)
-            }
-            MemConfig::Global => {
-                let addrs = ids.map(|t| GM_EMIS_BASE + x as usize * m + j * WARP_SIZE + t);
-                ctx.gmem_access_cached(addrs, 1, active);
-                let row = self.om.cost_row(x);
-                Lanes::from_fn(|t| {
-                    let k0 = j * WARP_SIZE + t;
-                    if k0 < m {
-                        row[k0]
-                    } else {
-                        255
-                    }
-                })
-            }
-        }
-    }
-
-    fn preload(
-        &self,
-        ctx: &mut SimtCtx,
-        row_base: usize,
-        j: usize,
-        iters: usize,
-        m: usize,
-    ) -> Lanes<u8> {
-        if j >= iters {
-            return Lanes::splat(0);
-        }
-        let ids = lane_ids();
-        let active = ids.map(|t| j * WARP_SIZE + t < m);
-        let addrs = ids.map(|t| row_base + j * WARP_SIZE + t);
-        ctx.ld_smem_u8(addrs, active)
-    }
-
-    fn score_one<F: ResidueSource>(
+    fn score<F: ResidueSource>(
         &self,
         ctx: &mut SimtCtx,
         row_base: usize,
@@ -131,12 +62,7 @@ impl<'a> SsvWarpKernel<'a> {
         ctx.alu(SSV_ALU_PER_SEQ);
         let ids = lane_ids();
 
-        let mut cell = 0usize;
-        while cell <= m {
-            let active = ids.map(|t| cell + t <= m);
-            ctx.st_smem_u8(ids.map(|t| row_base + cell + t), Lanes::splat(0), active);
-            cell += WARP_SIZE;
-        }
+        zero_row(ctx, row_base, m);
 
         let xb = om.base.saturating_sub(lc.tjbm); // constant — the SSV point
         let xbv = Lanes::splat(xb);
@@ -146,11 +72,11 @@ impl<'a> SsvWarpKernel<'a> {
         while i < len {
             let x = feed.residue(ctx, i);
             ctx.alu(SSV_ALU_PER_ROW);
-            let mut mpv = self.preload(ctx, row_base, 0, iters, m);
+            let mut mpv = preload(ctx, row_base, 0, iters, m);
             for j in 0..iters {
                 let pos_active = ids.map(|t| j * WARP_SIZE + t < m);
-                let nxt = self.preload(ctx, row_base, j + 1, iters, m);
-                let cost = self.emission(ctx, x, j, m, pos_active);
+                let nxt = preload(ctx, row_base, j + 1, iters, m);
+                let cost = emission(ctx, om, self.mem, self.layout.emis_base, x, j, pos_active);
                 ctx.alu(SSV_ALU_PER_ITER);
                 let sv = mpv
                     .zip(xbv, |a, b| a.max(b))
@@ -200,71 +126,43 @@ impl<'a> SsvWarpKernel<'a> {
     }
 }
 
-impl<'a> WarpKernel for SsvWarpKernel<'a> {
+impl WarpStage for SsvWarpKernel<'_> {
     type Out = Vec<SsvHit>;
 
-    fn run_warp(&self, ctx: &mut SimtCtx, global_warp: usize, total_warps: usize) -> Vec<SsvHit> {
-        if self.mem == MemConfig::Shared && ctx.warp_id == 0 {
-            self.stage_tables(ctx);
-            ctx.barrier();
+    fn db(&self) -> PackedView<'_> {
+        self.db
+    }
+
+    fn layout(&self) -> &SmemLayout {
+        &self.layout
+    }
+
+    fn stage_tables_if_shared(&self, ctx: &mut SimtCtx) -> bool {
+        let shared = self.mem == MemConfig::Shared;
+        if shared {
+            stage_emission_table(ctx, self.om, self.layout.emis_base);
         }
-        let row_base = self.layout.rows_base + ctx.warp_id as usize * self.layout.row_stride;
-        let mut out = Vec::new();
-        let mut feed = DirectFeed::new(self.db);
-        let mut seqid = global_warp;
-        while seqid < self.db.n_seqs() {
-            out.push(self.score_one(ctx, row_base, seqid, &mut feed));
-            ctx.stats.sequences += 1;
-            ctx.alu(2);
-            seqid += total_warps;
-        }
-        out
+        shared
+    }
+
+    fn score_one<F: ResidueSource>(
+        &self,
+        ctx: &mut SimtCtx,
+        row_base: usize,
+        seqid: usize,
+        feed: &mut F,
+        out: &mut Vec<SsvHit>,
+    ) {
+        out.push(self.score(ctx, row_base, seqid, feed));
     }
 }
 
-/// The warp-specialized SSV kernel (see [`crate::msv_warp::PipelinedMsvKernel`]).
-pub struct PipelinedSsvKernel<'a> {
-    /// The underlying kernel (layout must carry a ring region).
-    pub inner: SsvWarpKernel<'a>,
-    /// Ring depth.
-    pub ring: RingSpec,
-    /// Pairs per block of the launch.
-    pub pairs_per_block: usize,
-    /// Emit full/empty barrier arrivals (failure-injection switch).
-    pub sync: bool,
-}
-
-impl<'a> PairKernel for PipelinedSsvKernel<'a> {
+impl WarpKernel for SsvWarpKernel<'_> {
     type Out = Vec<SsvHit>;
 
-    fn run_pair(&self, ctx: &mut SimtCtx, global_pair: usize, total_pairs: usize) -> Vec<SsvHit> {
-        let pair = ctx.warp_id as usize / 2;
-        ctx.warp_id = pair as u16;
-        if self.inner.mem == MemConfig::Shared && pair == 0 {
-            self.inner.stage_tables(ctx);
-            ctx.barrier();
-        }
-        let row_base = self.inner.layout.rows_base + pair * self.inner.layout.row_stride;
-        let mut feed = RingFeed::new(
-            self.inner.db,
-            global_pair,
-            total_pairs,
-            self.ring,
-            self.inner.layout.ring_base + pair * self.ring.bytes_per_pair(),
-            (self.pairs_per_block + pair) as u16,
-            pair as u16,
-        );
-        feed.sync = self.sync;
-        let mut out = Vec::new();
-        let mut seqid = global_pair;
-        while seqid < self.inner.db.n_seqs() {
-            out.push(self.inner.score_one(ctx, row_base, seqid, &mut feed));
-            ctx.stats.sequences += 1;
-            ctx.alu(2);
-            seqid += total_pairs;
-        }
-        feed.finish(ctx);
-        out
+    fn run_warp(&self, ctx: &mut SimtCtx, global_warp: usize, total_warps: usize) -> Vec<SsvHit> {
+        let mut feed = DirectFeed::new(self.db);
+        run_stage(self, ctx, global_warp, total_warps, &mut feed)
     }
 }
 
@@ -361,66 +259,5 @@ mod tests {
             "ssv {ssv_per_row:.2} vs msv {msv_per_row:.2} slots/row"
         );
         assert!(rs.stats.shuffles < rm.stats.shuffles / 10);
-    }
-
-    #[test]
-    fn pipelined_ssv_bit_exact_at_every_ring_depth() {
-        let dev = DeviceSpec::tesla_k40();
-        let (om, db, packed) = setup(70);
-        // Unpipelined baseline.
-        let (mut cfg, _) = best_config(Stage::Msv, 70, MemConfig::Shared, &dev).unwrap();
-        cfg.blocks = 2;
-        cfg.track_hazards = true;
-        let layout = smem_layout(Stage::Msv, 70, cfg.warps_per_block, MemConfig::Shared, &dev);
-        let kernel = SsvWarpKernel {
-            om: &om,
-            db: packed.view(),
-            mem: MemConfig::Shared,
-            layout,
-            use_shfl: true,
-        };
-        let r = run_grid(&dev, &cfg, &kernel).unwrap();
-        let mut base: Vec<SsvHit> = r.outputs.into_iter().flatten().collect();
-        base.sort_by_key(|h| h.seqid);
-        assert_eq!(base.len(), db.len());
-
-        for stages in [2usize, 4, 8] {
-            let ring = h3w_simt::RingSpec::new(stages).unwrap();
-            let pairs = 4usize;
-            let playout = crate::layout::pipelined_layout(
-                Stage::Msv,
-                om.m,
-                pairs,
-                MemConfig::Shared,
-                &dev,
-                ring,
-            );
-            let pcfg = h3w_simt::KernelConfig {
-                warps_per_block: 2 * pairs,
-                blocks: 2,
-                regs_per_thread: crate::layout::regs_per_thread(Stage::Msv),
-                smem_per_block: playout.total,
-                track_hazards: true,
-            };
-            let pk = PipelinedSsvKernel {
-                inner: SsvWarpKernel {
-                    om: &om,
-                    db: packed.view(),
-                    mem: MemConfig::Shared,
-                    layout: playout,
-                    use_shfl: dev.has_shfl,
-                },
-                ring,
-                pairs_per_block: pairs,
-                sync: true,
-            };
-            let pr = h3w_simt::run_grid_pairs(&dev, &pcfg, &pk).unwrap();
-            let mut hits: Vec<SsvHit> = pr.outputs.into_iter().flatten().collect();
-            hits.sort_by_key(|h| h.seqid);
-            assert_eq!(hits, base, "stages={stages}");
-            assert_eq!(pr.stats.hazards, 0, "stages={stages}");
-            assert!(pr.stats.ring_syncs > 0);
-            assert!(pr.stats.simulated_overlap().expect("pipe ran") > 0.0);
-        }
     }
 }

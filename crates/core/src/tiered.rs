@@ -10,7 +10,8 @@
 //! paper's observed threshold (≈ model size 1002 for MSV on Kepler).
 
 use crate::fault::{DeviceCtx, SweepError};
-use crate::layout::{best_config, smem_layout, MemConfig, Stage};
+use crate::fwd_warp::{FwdHit, FwdWarpKernel};
+use crate::layout::{best_config, smem_layout, MemConfig, SmemLayout, Stage};
 use crate::msv_warp::{MsvHit, MsvWarpKernel};
 use crate::stats_model::{predict_msv, predict_vit, DbAggregates, LaunchShape};
 use crate::vit_warp::{DdMode, VitHit, VitWarpKernel, WarpLazyStats};
@@ -19,7 +20,7 @@ use h3w_hmm::vitprofile::VitProfile;
 use h3w_seqdb::PackedView;
 use h3w_simt::{
     imbalance_factor, kernel_time, run_grid, saturating_grid, CostParams, DeviceSpec, KernelConfig,
-    KernelStats, Occupancy, TimeBreakdown,
+    KernelStats, Occupancy, TimeBreakdown, WarpKernel,
 };
 
 /// Default grid depth: blocks per SM slot, so each warp slot sees several
@@ -63,6 +64,40 @@ pub struct VitRun {
     pub run: StageRun,
 }
 
+/// Predicted counters of one stage at one table placement, for a workload
+/// given by aggregates. Viterbi's Lazy-F effort defaults to the
+/// converge-immediately baseline. `None` for Forward: it has no analytic
+/// predictor (it runs on the 0.1% survivor set; model it functionally).
+fn predict_stage(
+    stage: Stage,
+    m: usize,
+    dev: &DeviceSpec,
+    mem: MemConfig,
+    occ: &Occupancy,
+    agg: &DbAggregates,
+    lazy: Option<&WarpLazyStats>,
+) -> Option<KernelStats> {
+    let shape = LaunchShape {
+        mem,
+        use_shfl: dev.has_shfl,
+        blocks: saturating_grid(dev, occ, DEFAULT_WAVES) as u64,
+    };
+    Some(match stage {
+        Stage::Msv => predict_msv(m, &shape, agg, agg.total_residues, agg.total_words),
+        Stage::Viterbi => {
+            let iters = m.div_ceil(h3w_simt::WARP_SIZE) as u64;
+            let baseline = WarpLazyStats {
+                rows: agg.total_residues,
+                rows_skipped: 0,
+                chunks: agg.total_residues * iters,
+                inner_iters: agg.total_residues * iters,
+            };
+            predict_vit(m, &shape, agg, lazy.unwrap_or(&baseline))
+        }
+        Stage::Forward => return None,
+    })
+}
+
 /// Pick the table placement by modeled time (the paper's "optimal speedup
 /// strategy", black curve of Fig. 9). `agg` supplies the workload shape;
 /// Lazy-F effort is taken as the converge-immediately baseline, which is
@@ -73,35 +108,17 @@ pub fn auto_mem_config(
     dev: &DeviceSpec,
     agg: &DbAggregates,
 ) -> Option<MemConfig> {
-    let params = CostParams::default();
     let mut best: Option<(MemConfig, f64)> = None;
     for mem in [MemConfig::Shared, MemConfig::Global] {
-        let Some((cfg, occ)) = best_config(stage, m, mem, dev) else {
+        let Some((_, occ)) = best_config(stage, m, mem, dev) else {
             continue;
         };
-        let shape = LaunchShape {
-            mem,
-            use_shfl: dev.has_shfl,
-            blocks: saturating_grid(dev, &occ, DEFAULT_WAVES) as u64,
+        // The Forward kernel has a single (global-table) configuration;
+        // there is nothing to choose.
+        let Some(stats) = predict_stage(stage, m, dev, mem, &occ, agg, None) else {
+            return Some(MemConfig::Global);
         };
-        let stats = match stage {
-            Stage::Msv => predict_msv(m, &shape, agg, agg.total_residues, agg.total_words),
-            Stage::Viterbi => {
-                let iters = m.div_ceil(h3w_simt::WARP_SIZE) as u64;
-                let lazy = WarpLazyStats {
-                    rows: agg.total_residues,
-                    rows_skipped: 0,
-                    chunks: agg.total_residues * iters,
-                    inner_iters: agg.total_residues * iters,
-                };
-                predict_vit(m, &shape, agg, &lazy)
-            }
-            // The Forward kernel has a single (global-table) configuration;
-            // there is nothing to choose.
-            Stage::Forward => return Some(MemConfig::Global),
-        };
-        let t = kernel_time(dev, &params, &stats, &occ, 1.0).total_s;
-        let _ = cfg;
+        let t = kernel_time(dev, &CostParams::default(), &stats, &occ, 1.0).total_s;
         if best.is_none_or(|(_, bt)| t < bt) {
             best = Some((mem, t));
         }
@@ -109,25 +126,54 @@ pub fn auto_mem_config(
     best.map(|(mem, _)| mem)
 }
 
-fn finalize_run(
+/// The launch sequence every device stage shares: pick the table
+/// placement (`mem = None` applies the automatic switch), take the
+/// residency-maximizing block shape, size the grid to the work, lay out
+/// shared memory, build the kernel, and run it. The fault injector is
+/// consulted exactly where a real `cudaLaunchKernel` /
+/// `cudaDeviceSynchronize` error would surface: before the grid runs.
+/// Returns the per-warp outputs in launch order.
+fn launch<K: WarpKernel>(
+    stage: Stage,
+    m: usize,
+    db: PackedView<'_>,
     dev: &DeviceSpec,
-    mem: MemConfig,
-    config: KernelConfig,
-    occupancy: Occupancy,
-    stats: KernelStats,
-    work: &[u64],
-) -> StageRun {
-    let slots = (occupancy.resident_warps * dev.sm_count).max(1);
-    let imbalance = imbalance_factor(work, slots);
-    let time = kernel_time(dev, &CostParams::default(), &stats, &occupancy, imbalance);
-    StageRun {
+    mem: Option<MemConfig>,
+    ctx: &DeviceCtx,
+    kernel: impl FnOnce(MemConfig, SmemLayout) -> K,
+) -> Result<(Vec<K::Out>, StageRun), SweepError> {
+    let no_config = || SweepError::NoConfig {
+        stage: match stage {
+            Stage::Msv => "msv",
+            Stage::Viterbi => "viterbi",
+            Stage::Forward => "forward",
+        },
+        m,
+    };
+    let mem = mem
+        .or_else(|| auto_mem_config(stage, m, dev, &DbAggregates::from_packed(db)))
+        .ok_or_else(no_config)?;
+    let (mut cfg, occ) = best_config(stage, m, mem, dev).ok_or_else(no_config)?;
+    cfg.blocks = saturating_grid(dev, &occ, DEFAULT_WAVES)
+        .min(db.n_seqs().div_ceil(cfg.warps_per_block).max(1));
+    let kernel = kernel(mem, smem_layout(stage, m, cfg.warps_per_block, mem, dev));
+    ctx.check_launch()?;
+    let r = run_grid(dev, &cfg, &kernel).map_err(|msg| SweepError::Launch {
+        device: ctx.device,
+        msg,
+    })?;
+    let slots = (occ.resident_warps * dev.sm_count).max(1);
+    let imbalance = imbalance_factor(&r.work_per_unit, slots);
+    let time = kernel_time(dev, &CostParams::default(), &r.stats, &occ, imbalance);
+    let run = StageRun {
         mem,
-        config,
-        occupancy,
-        stats,
+        config: cfg,
+        occupancy: occ,
+        stats: r.stats,
         imbalance,
         time,
-    }
+    };
+    Ok((r.outputs, run))
 }
 
 /// Run the MSV stage functionally on one device. `mem = None` applies the
@@ -143,8 +189,6 @@ pub fn run_msv_device<'a>(
 }
 
 /// [`run_msv_device`] with an explicit device identity and fault injector.
-/// The injector is consulted exactly where a real `cudaLaunchKernel` /
-/// `cudaDeviceSynchronize` error would surface: before the grid runs.
 pub fn run_msv_device_on<'a>(
     om: &MsvProfile,
     db: impl Into<PackedView<'a>>,
@@ -153,39 +197,19 @@ pub fn run_msv_device_on<'a>(
     ctx: &DeviceCtx,
 ) -> Result<MsvRun, SweepError> {
     let db = db.into();
-    let agg = DbAggregates::from_packed(db);
-    let mem = mem
-        .or_else(|| auto_mem_config(Stage::Msv, om.m, dev, &agg))
-        .ok_or(SweepError::NoConfig {
-            stage: "msv",
-            m: om.m,
-        })?;
-    let (mut cfg, occ) = best_config(Stage::Msv, om.m, mem, dev).ok_or(SweepError::NoConfig {
-        stage: "msv",
-        m: om.m,
+    let (outs, run) = launch(Stage::Msv, om.m, db, dev, mem, ctx, |mem, layout| {
+        MsvWarpKernel {
+            om,
+            db,
+            mem,
+            layout,
+            use_shfl: dev.has_shfl,
+            double_buffer: true,
+        }
     })?;
-    cfg.blocks = saturating_grid(dev, &occ, DEFAULT_WAVES)
-        .min(db.n_seqs().div_ceil(cfg.warps_per_block).max(1));
-    let layout = smem_layout(Stage::Msv, om.m, cfg.warps_per_block, mem, dev);
-    let kernel = MsvWarpKernel {
-        om,
-        db,
-        mem,
-        layout,
-        use_shfl: dev.has_shfl,
-        double_buffer: true,
-    };
-    ctx.check_launch()?;
-    let r = run_grid(dev, &cfg, &kernel).map_err(|msg| SweepError::Launch {
-        device: ctx.device,
-        msg,
-    })?;
-    let mut hits: Vec<MsvHit> = r.outputs.into_iter().flatten().collect();
+    let mut hits: Vec<MsvHit> = outs.into_iter().flatten().collect();
     hits.sort_by_key(|h| h.seqid);
-    Ok(MsvRun {
-        hits,
-        run: finalize_run(dev, mem, cfg, occ, r.stats, &r.work_per_unit),
-    })
+    Ok(MsvRun { hits, run })
 }
 
 /// Run the P7Viterbi stage functionally on one device. Fault-free entry
@@ -208,46 +232,24 @@ pub fn run_vit_device_on<'a>(
     ctx: &DeviceCtx,
 ) -> Result<VitRun, SweepError> {
     let db = db.into();
-    let agg = DbAggregates::from_packed(db);
-    let mem = mem
-        .or_else(|| auto_mem_config(Stage::Viterbi, om.m, dev, &agg))
-        .ok_or(SweepError::NoConfig {
-            stage: "viterbi",
-            m: om.m,
-        })?;
-    let (mut cfg, occ) =
-        best_config(Stage::Viterbi, om.m, mem, dev).ok_or(SweepError::NoConfig {
-            stage: "viterbi",
-            m: om.m,
-        })?;
-    cfg.blocks = saturating_grid(dev, &occ, DEFAULT_WAVES)
-        .min(db.n_seqs().div_ceil(cfg.warps_per_block).max(1));
-    let layout = smem_layout(Stage::Viterbi, om.m, cfg.warps_per_block, mem, dev);
-    let kernel = VitWarpKernel {
-        om,
-        db,
-        mem,
-        layout,
-        use_shfl: dev.has_shfl,
-        dd_mode: DdMode::default(),
-    };
-    ctx.check_launch()?;
-    let r = run_grid(dev, &cfg, &kernel).map_err(|msg| SweepError::Launch {
-        device: ctx.device,
-        msg,
+    let (outs, run) = launch(Stage::Viterbi, om.m, db, dev, mem, ctx, |mem, layout| {
+        VitWarpKernel {
+            om,
+            db,
+            mem,
+            layout,
+            use_shfl: dev.has_shfl,
+            dd_mode: DdMode::default(),
+        }
     })?;
     let mut hits = Vec::new();
     let mut lazy = WarpLazyStats::default();
-    for (h, l) in r.outputs {
+    for (h, l) in outs {
         hits.extend(h);
         lazy.merge(&l);
     }
     hits.sort_by_key(|h| h.seqid);
-    Ok(VitRun {
-        hits,
-        lazy,
-        run: finalize_run(dev, mem, cfg, occ, r.stats, &r.work_per_unit),
-    })
+    Ok(VitRun { hits, lazy, run })
 }
 
 /// Functional Forward-stage run on one device (the §VI future-work
@@ -255,7 +257,7 @@ pub fn run_vit_device_on<'a>(
 #[derive(Debug, Clone)]
 pub struct FwdRun {
     /// Per-sequence outcomes, indexed by database order.
-    pub hits: Vec<crate::fwd_warp::FwdHit>,
+    pub hits: Vec<FwdHit>,
     /// Execution report.
     pub run: StageRun,
 }
@@ -278,33 +280,13 @@ pub fn run_fwd_device_on<'a>(
     ctx: &DeviceCtx,
 ) -> Result<FwdRun, SweepError> {
     let db = db.into();
-    let (mut cfg, occ) = best_config(Stage::Forward, prof.m, MemConfig::Global, dev).ok_or(
-        SweepError::NoConfig {
-            stage: "forward",
-            m: prof.m,
-        },
-    )?;
-    cfg.blocks = saturating_grid(dev, &occ, DEFAULT_WAVES)
-        .min(db.n_seqs().div_ceil(cfg.warps_per_block).max(1));
-    let layout = smem_layout(
-        Stage::Forward,
-        prof.m,
-        cfg.warps_per_block,
-        MemConfig::Global,
-        dev,
-    );
-    let kernel = crate::fwd_warp::FwdWarpKernel { prof, db, layout };
-    ctx.check_launch()?;
-    let r = run_grid(dev, &cfg, &kernel).map_err(|msg| SweepError::Launch {
-        device: ctx.device,
-        msg,
+    let global = Some(MemConfig::Global);
+    let (outs, run) = launch(Stage::Forward, prof.m, db, dev, global, ctx, |_, layout| {
+        FwdWarpKernel { prof, db, layout }
     })?;
-    let mut hits: Vec<crate::fwd_warp::FwdHit> = r.outputs.into_iter().flatten().collect();
+    let mut hits: Vec<FwdHit> = outs.into_iter().flatten().collect();
     hits.sort_by_key(|h| h.seqid);
-    Ok(FwdRun {
-        hits,
-        run: finalize_run(dev, MemConfig::Global, cfg, occ, r.stats, &r.work_per_unit),
-    })
+    Ok(FwdRun { hits, run })
 }
 
 /// Analytic (no functional execution) stage timing for a workload given by
@@ -319,27 +301,7 @@ pub fn model_stage_time(
 ) -> Option<(MemConfig, Occupancy, KernelStats, TimeBreakdown)> {
     let mem = mem.or_else(|| auto_mem_config(stage, m, dev, agg))?;
     let (_, occ) = best_config(stage, m, mem, dev)?;
-    let shape = LaunchShape {
-        mem,
-        use_shfl: dev.has_shfl,
-        blocks: saturating_grid(dev, &occ, DEFAULT_WAVES) as u64,
-    };
-    let stats = match stage {
-        Stage::Msv => predict_msv(m, &shape, agg, agg.total_residues, agg.total_words),
-        Stage::Viterbi => {
-            let iters = m.div_ceil(h3w_simt::WARP_SIZE) as u64;
-            let default_lazy = WarpLazyStats {
-                rows: agg.total_residues,
-                rows_skipped: 0,
-                chunks: agg.total_residues * iters,
-                inner_iters: agg.total_residues * iters,
-            };
-            predict_vit(m, &shape, agg, lazy.unwrap_or(&default_lazy))
-        }
-        // No analytic predictor for the Forward kernel (it runs on the
-        // 0.1% survivor set; model it functionally instead).
-        Stage::Forward => return None,
-    };
+    let stats = predict_stage(stage, m, dev, mem, &occ, agg, lazy)?;
     let time = kernel_time(dev, &CostParams::default(), &stats, &occ, 1.0);
     Some((mem, occ, stats, time))
 }

@@ -15,11 +15,12 @@
 //! scalar propagation. Rows whose `Dmax` reduction is −∞ skip the
 //! procedure entirely (most rows, which is the point of the heuristic).
 
-use crate::feed::{DirectFeed, ResidueSource, RingFeed};
+use crate::feed::{DirectFeed, ResidueSource};
 use crate::layout::{MemConfig, SmemLayout, GM_EMIS_BASE, GM_OUT_BASE, GM_TRANS_BASE};
+use crate::stage::{run_stage, WarpStage};
 use h3w_hmm::vitprofile::{wadd, VitProfile, W_NEG_INF};
 use h3w_seqdb::PackedView;
-use h3w_simt::{lane_ids, Lanes, PairKernel, RingSpec, SimtCtx, WarpKernel, WARP_SIZE};
+use h3w_simt::{lane_ids, Lanes, SimtCtx, WarpKernel, WARP_SIZE};
 
 /// ALU instructions per stride-32 inner iteration (4 saturating adds + 3
 /// max for M, 2 adds + 1 max for I, 1 add for the D seed, addressing,
@@ -266,7 +267,7 @@ impl<'a> VitWarpKernel<'a> {
     }
 
     /// Score one sequence.
-    fn score_one<F: ResidueSource>(
+    fn score<F: ResidueSource>(
         &self,
         ctx: &mut SimtCtx,
         row_base: usize,
@@ -556,7 +557,38 @@ impl<'a> VitWarpKernel<'a> {
     }
 }
 
-impl<'a> WarpKernel for VitWarpKernel<'a> {
+impl WarpStage for VitWarpKernel<'_> {
+    type Out = (Vec<VitHit>, WarpLazyStats);
+
+    fn db(&self) -> PackedView<'_> {
+        self.db
+    }
+
+    fn layout(&self) -> &SmemLayout {
+        &self.layout
+    }
+
+    fn stage_tables_if_shared(&self, ctx: &mut SimtCtx) -> bool {
+        let shared = self.mem == MemConfig::Shared;
+        if shared {
+            self.stage_tables(ctx);
+        }
+        shared
+    }
+
+    fn score_one<F: ResidueSource>(
+        &self,
+        ctx: &mut SimtCtx,
+        row_base: usize,
+        seqid: usize,
+        feed: &mut F,
+        (hits, lazy): &mut (Vec<VitHit>, WarpLazyStats),
+    ) {
+        hits.push(self.score(ctx, row_base, seqid, lazy, feed));
+    }
+}
+
+impl WarpKernel for VitWarpKernel<'_> {
     type Out = (Vec<VitHit>, WarpLazyStats);
 
     fn run_warp(
@@ -565,78 +597,8 @@ impl<'a> WarpKernel for VitWarpKernel<'a> {
         global_warp: usize,
         total_warps: usize,
     ) -> (Vec<VitHit>, WarpLazyStats) {
-        if self.mem == MemConfig::Shared && ctx.warp_id == 0 {
-            self.stage_tables(ctx);
-            ctx.barrier(); // publish staged tables (launch setup, once)
-        }
-        let row_base = self.layout.rows_base + ctx.warp_id as usize * self.layout.row_stride;
-        let mut out = Vec::new();
-        let mut lazy = WarpLazyStats::default();
         let mut feed = DirectFeed::new(self.db);
-        let mut seqid = global_warp;
-        while seqid < self.db.n_seqs() {
-            out.push(self.score_one(ctx, row_base, seqid, &mut lazy, &mut feed));
-            ctx.stats.sequences += 1;
-            ctx.alu(2);
-            seqid += total_warps;
-        }
-        (out, lazy)
-    }
-}
-
-/// The warp-specialized Viterbi kernel (see
-/// [`crate::msv_warp::PipelinedMsvKernel`] for the loader/compute split).
-pub struct PipelinedVitKernel<'a> {
-    /// The underlying kernel (layout must carry a ring region).
-    pub inner: VitWarpKernel<'a>,
-    /// Ring depth.
-    pub ring: RingSpec,
-    /// Pairs per block of the launch.
-    pub pairs_per_block: usize,
-    /// Emit full/empty barrier arrivals (failure-injection switch).
-    pub sync: bool,
-}
-
-impl<'a> PairKernel for PipelinedVitKernel<'a> {
-    type Out = (Vec<VitHit>, WarpLazyStats);
-
-    fn run_pair(
-        &self,
-        ctx: &mut SimtCtx,
-        global_pair: usize,
-        total_pairs: usize,
-    ) -> (Vec<VitHit>, WarpLazyStats) {
-        let pair = ctx.warp_id as usize / 2;
-        ctx.warp_id = pair as u16;
-        if self.inner.mem == MemConfig::Shared && pair == 0 {
-            self.inner.stage_tables(ctx);
-            ctx.barrier();
-        }
-        let row_base = self.inner.layout.rows_base + pair * self.inner.layout.row_stride;
-        let mut feed = RingFeed::new(
-            self.inner.db,
-            global_pair,
-            total_pairs,
-            self.ring,
-            self.inner.layout.ring_base + pair * self.ring.bytes_per_pair(),
-            (self.pairs_per_block + pair) as u16,
-            pair as u16,
-        );
-        feed.sync = self.sync;
-        let mut out = Vec::new();
-        let mut lazy = WarpLazyStats::default();
-        let mut seqid = global_pair;
-        while seqid < self.inner.db.n_seqs() {
-            out.push(
-                self.inner
-                    .score_one(ctx, row_base, seqid, &mut lazy, &mut feed),
-            );
-            ctx.stats.sequences += 1;
-            ctx.alu(2);
-            seqid += total_pairs;
-        }
-        feed.finish(ctx);
-        (out, lazy)
+        run_stage(self, ctx, global_warp, total_warps, &mut feed)
     }
 }
 
@@ -817,52 +779,5 @@ mod tests {
             rate_g > rate_c,
             "gappy {rate_g} should exceed conserved {rate_c}"
         );
-    }
-
-    #[test]
-    fn pipelined_vit_bit_exact_at_every_ring_depth() {
-        let dev = DeviceSpec::tesla_k40();
-        let (om, db, packed) = setup(70, 0.00001, &BuildParams::default());
-        let (base, _, _) = launch(&om, &packed, MemConfig::Shared, &dev);
-        assert_eq!(base.len(), db.len());
-        for stages in [2usize, 4, 8] {
-            let ring = h3w_simt::RingSpec::new(stages).unwrap();
-            let pairs = 2usize;
-            let playout = crate::layout::pipelined_layout(
-                Stage::Viterbi,
-                om.m,
-                pairs,
-                MemConfig::Shared,
-                &dev,
-                ring,
-            );
-            let cfg = h3w_simt::KernelConfig {
-                warps_per_block: 2 * pairs,
-                blocks: 2,
-                regs_per_thread: crate::layout::regs_per_thread(Stage::Viterbi),
-                smem_per_block: playout.total,
-                track_hazards: true,
-            };
-            let kernel = PipelinedVitKernel {
-                inner: VitWarpKernel {
-                    om: &om,
-                    db: packed.view(),
-                    mem: MemConfig::Shared,
-                    layout: playout,
-                    use_shfl: dev.has_shfl,
-                    dd_mode: DdMode::default(),
-                },
-                ring,
-                pairs_per_block: pairs,
-                sync: true,
-            };
-            let r = h3w_simt::run_grid_pairs(&dev, &cfg, &kernel).unwrap();
-            let mut hits: Vec<VitHit> = r.outputs.into_iter().flat_map(|(h, _)| h).collect();
-            hits.sort_by_key(|h| h.seqid);
-            assert_eq!(hits, base, "stages={stages}");
-            assert_eq!(r.stats.hazards, 0, "stages={stages}");
-            assert!(r.stats.ring_syncs > 0);
-            assert!(r.stats.simulated_overlap().expect("pipe ran") > 0.0);
-        }
     }
 }

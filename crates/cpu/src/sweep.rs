@@ -158,19 +158,6 @@ pub fn batch_schedule_stats(
     stats
 }
 
-/// Record a measured sweep into a telemetry trace at `path`: both cell
-/// denominators as counters, the wall time as span seconds. This is how
-/// the bench throughput bins emit from telemetry instead of carrying
-/// ad-hoc stopwatch structs around.
-pub fn record_sweep(trace: &h3w_trace::Trace, path: &str, timing: &SweepTiming) {
-    if !trace.is_on() {
-        return;
-    }
-    trace.add(path, "real_cells", timing.real_cells);
-    trace.add(path, "padded_cells", timing.padded_cells);
-    trace.add_secs(path, timing.seconds);
-}
-
 /// Resolve a requested batch width: `0` means "auto" (the backend's
 /// preferred interleave), anything else is clamped to
 /// `1..=`[`MAX_BATCH`].
@@ -592,28 +579,8 @@ pub fn vit_sweep(
     (outcomes, timing, agg)
 }
 
-/// Measure single-thread striped-MSV throughput (cells/s) on a sample —
-/// the calibration input for the analytic CPU-side time model.
-pub fn measure_msv_throughput(om: &MsvProfile, db: &SeqDb, max_seqs: usize) -> SweepTiming {
-    let striped = StripedMsv::new(om);
-    let mut dp = Vec::new();
-    let take = db.seqs.iter().take(max_seqs);
-    let mut res = 0u64;
-    let start = Instant::now();
-    for seq in take {
-        std::hint::black_box(striped.run_into(om, &seq.residues, &mut dp));
-        res += seq.len() as u64;
-    }
-    timing(
-        start.elapsed().as_secs_f64(),
-        striped.real_cells_per_row() as u64 * res,
-        striped.padded_cells_per_row() as u64 * res,
-    )
-}
-
 /// Measure single-thread **batched** throughput of a kernel at a given
-/// interleave width over the first `max_seqs` sequences (the
-/// `batched_filter_loops` and `forward_loops` bench rows): the bare
+/// interleave width over the first `max_seqs` sequences: the bare
 /// fused loop, with no pool, schedule or scatter inside the timed
 /// region.
 pub fn measure_batched<K: BatchKernel>(
@@ -636,20 +603,6 @@ pub fn measure_batched<K: BatchKernel>(
     }
     let secs = start.elapsed().as_secs_f64();
     kernel_timing(kernel, secs, lens.iter().map(|&l| l as u64).sum())
-}
-
-/// Measure single-thread throughput of the scalar log-space
-/// [`forward_generic`](crate::reference::forward_generic) on a sample —
-/// the before side of the stage-3 Amdahl ledger.
-pub fn measure_fwd_generic(p: &Profile, db: &SeqDb, max_seqs: usize) -> SweepTiming {
-    let mut res = 0u64;
-    let start = Instant::now();
-    for seq in db.seqs.iter().take(max_seqs) {
-        std::hint::black_box(crate::reference::forward_generic(p, &seq.residues));
-        res += seq.len() as u64;
-    }
-    let cells = 3 * p.m as u64 * res;
-    timing(start.elapsed().as_secs_f64(), cells, cells)
 }
 
 #[cfg(test)]
@@ -874,27 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn record_sweep_mirrors_timing_into_trace() {
-        let t = SweepTiming {
-            seconds: 0.5,
-            real_cells: 1000,
-            padded_cells: 1200,
-            cells_per_sec: 2000.0,
-        };
-        let off = h3w_trace::Trace::off();
-        record_sweep(&off, "sweep/msv", &t); // must not panic or allocate
-        let on = h3w_trace::Trace::on();
-        record_sweep(&on, "sweep/msv", &t);
-        record_sweep(&on, "sweep/msv", &t);
-        let snap = on.snapshot().unwrap();
-        let node = snap.at_path("sweep/msv").unwrap();
-        assert_eq!(node.counter("real_cells"), 2000);
-        assert_eq!(node.counter("padded_cells"), 2400);
-        assert_eq!(node.span_count, 2);
-        assert!((node.seconds - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn batched_fwd_scores_match_single_runs() {
         let bg = NullModel::new();
         let core = synthetic_model(40, 17, &BuildParams::default());
@@ -913,15 +845,13 @@ mod tests {
             }
         }
         let t = measure_batched(&(&striped, &p), &db, 30, 4);
-        let tg = measure_fwd_generic(&p, &db, 30);
         assert!(t.cells_per_sec > 1e6, "striped fwd {}", t.cells_per_sec);
-        assert!(tg.cells_per_sec > 1e4, "generic fwd {}", tg.cells_per_sec);
     }
 
     #[test]
     fn throughput_measurement_sane() {
         let (msv, vit, db) = setup();
-        let tm = measure_msv_throughput(&msv, &db, 50);
+        let tm = measure_batched(&(&StripedMsv::new(&msv), &msv), &db, 50, 1);
         let tv = measure_batched(&(&StripedVit::new(&vit), &vit), &db, 50, 1);
         assert!(
             tm.cells_per_sec > 1e6,

@@ -50,7 +50,4 @@ pub use ring::{
     RING_STAGE_WORDS,
 };
 pub use smem::SharedMem;
-pub use timing::{
-    imbalance_factor, kernel_time, pipelined_kernel_time, predict_stage_depths, CostParams,
-    StageDepthPrediction, TimeBreakdown,
-};
+pub use timing::{imbalance_factor, kernel_time, CostParams, TimeBreakdown};

@@ -16,7 +16,9 @@
 //! (the full barrier). The pair's makespan is the critical path through
 //! that dependence graph; `serial` is the depth-1 equivalent where one
 //! warp does both jobs back to back. Their ratio is the simulated
-//! latency-hiding win that `timing.rs` predicts analytically.
+//! latency-hiding win. It has no analytic twin: the closed-form model
+//! that once sat in `timing.rs` was never within 6× of this recurrence
+//! and was removed (EXPERIMENTS.md E16).
 
 use crate::counters::KernelStats;
 use crate::device::WARP_SIZE;

@@ -124,92 +124,6 @@ pub fn kernel_time(
     }
 }
 
-/// Predicted time of a *warp-specialized* kernel at a given ring depth.
-///
-/// The plain [`kernel_time`] total, `max(compute, memory, l2)`, is the
-/// perfect-overlap limit — an infinitely deep ring where the loader's
-/// memory time hides entirely under compute (or vice versa). A finite
-/// `stages`-deep ring exposes `1/stages` of the *non-dominant* pipelines:
-/// every time the ring wraps, the trailing role must wait for a stage the
-/// leading role has not finished, and the un-hidden fraction shrinks
-/// inversely with the buffering depth (the classic pipeline-fill
-/// argument; SM100-style N-stage producer/consumer rings behave the same
-/// way). So
-///
-/// `total = (max + (sum − max)/stages) × imbalance + launch_overhead`,
-///
-/// which degenerates to fully serial pipelines at `stages = 1` and to the
-/// `max()` model as `stages → ∞` — monotone non-increasing in `stages` by
-/// construction.
-pub fn pipelined_kernel_time(
-    dev: &DeviceSpec,
-    params: &CostParams,
-    stats: &KernelStats,
-    occ: &Occupancy,
-    imbalance: f64,
-    stages: usize,
-) -> TimeBreakdown {
-    let base = kernel_time(dev, params, stats, occ, imbalance);
-    let stages = stages.max(1) as f64;
-    let sum = base.compute_s + base.memory_s + base.l2_s;
-    let dominant = base.compute_s.max(base.memory_s).max(base.l2_s);
-    let exposed = (sum - dominant) / stages;
-    TimeBreakdown {
-        total_s: (dominant + exposed) * base.imbalance + params.launch_overhead_s,
-        ..base
-    }
-}
-
-/// Predicted vs. achievable overlap at one ring depth — one row of the
-/// telemetry table comparing the analytic model against the simulated
-/// full/empty-barrier makespan.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StageDepthPrediction {
-    /// Ring depth in stages.
-    pub stages: usize,
-    /// Occupancy at this depth (deeper rings cost shared memory, which
-    /// can evict resident blocks).
-    pub occupancy: f64,
-    /// Modeled time with fully serial pipelines (depth-1 equivalent).
-    pub serial_s: f64,
-    /// Modeled time at this ring depth.
-    pub pipelined_s: f64,
-    /// Predicted hidden fraction: `1 − pipelined/serial`.
-    pub predicted_overlap: f64,
-}
-
-/// Sweep ring depths and predict the latency-hiding win of each, given a
-/// per-depth occupancy (from re-running the occupancy calculator with the
-/// ring's shared-memory footprint added).
-pub fn predict_stage_depths(
-    dev: &DeviceSpec,
-    params: &CostParams,
-    stats: &KernelStats,
-    occ_at_depth: impl Fn(usize) -> Occupancy,
-    imbalance: f64,
-    depths: &[usize],
-) -> Vec<StageDepthPrediction> {
-    depths
-        .iter()
-        .map(|&stages| {
-            let occ = occ_at_depth(stages);
-            let serial = pipelined_kernel_time(dev, params, stats, &occ, imbalance, 1);
-            let piped = pipelined_kernel_time(dev, params, stats, &occ, imbalance, stages);
-            StageDepthPrediction {
-                stages,
-                occupancy: occ.occupancy,
-                serial_s: serial.total_s,
-                pipelined_s: piped.total_s,
-                predicted_overlap: if serial.total_s > 0.0 {
-                    1.0 - piped.total_s / serial.total_s
-                } else {
-                    0.0
-                },
-            }
-        })
-        .collect()
-}
-
 /// Makespan inflation from uneven per-warp work: greedily schedule the
 /// work units onto `slots` resident execution slots (each unit goes to the
 /// least-loaded slot — the hardware's dynamic residency refill) and return
@@ -332,76 +246,6 @@ mod tests {
         let tl = kernel_time(&dev, &p, &s, &lean, 1.0);
         let tf = kernel_time(&dev, &p, &s, &fat, 1.0);
         assert!(tf.compute_s > 1.5 * tl.compute_s);
-    }
-
-    #[test]
-    fn deeper_pipeline_never_predicts_slower_on_memory_bound_specs() {
-        // Satellite guarantee: on a memory-bound kernel (DRAM time
-        // dominates compute), every deeper ring depth predicts a time no
-        // worse than the shallower one, on both device generations.
-        let p = CostParams::default();
-        let s = KernelStats {
-            instructions: 5_000_000,
-            gmem_bytes: 50_000_000_000,
-            l2_bytes: 2_000_000_000,
-            l2_transactions: 1_000_000,
-            ..Default::default()
-        };
-        for dev in [DeviceSpec::tesla_k40(), DeviceSpec::gtx_580()] {
-            let o = occ(&dev, 0.75);
-            let mut prev = f64::INFINITY;
-            for stages in 1..=8 {
-                let t = pipelined_kernel_time(&dev, &p, &s, &o, 1.0, stages);
-                assert!(
-                    t.total_s <= prev + 1e-15,
-                    "{}: stages={stages} got {} after {}",
-                    dev.name,
-                    t.total_s,
-                    prev
-                );
-                prev = t.total_s;
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_time_brackets_serial_and_perfect_overlap() {
-        let dev = DeviceSpec::tesla_k40();
-        let p = CostParams::default();
-        let s = KernelStats {
-            instructions: 40_000_000,
-            gmem_bytes: 8_000_000_000,
-            ..Default::default()
-        };
-        let o = occ(&dev, 1.0);
-        let serial = pipelined_kernel_time(&dev, &p, &s, &o, 1.0, 1);
-        let deep = pipelined_kernel_time(&dev, &p, &s, &o, 1.0, 1_000_000);
-        let base = kernel_time(&dev, &p, &s, &o, 1.0);
-        // Depth 1 is the sum of pipelines; depth ∞ converges to max().
-        let sum = base.compute_s + base.memory_s + base.l2_s + p.launch_overhead_s;
-        assert!((serial.total_s - sum).abs() < 1e-12);
-        assert!((deep.total_s - base.total_s).abs() < 1e-9);
-        let four = pipelined_kernel_time(&dev, &p, &s, &o, 1.0, 4);
-        assert!(four.total_s < serial.total_s);
-        assert!(four.total_s > deep.total_s);
-    }
-
-    #[test]
-    fn stage_depth_sweep_reports_monotone_overlap_at_fixed_occupancy() {
-        let dev = DeviceSpec::tesla_k40();
-        let p = CostParams::default();
-        let s = KernelStats {
-            instructions: 10_000_000,
-            gmem_bytes: 20_000_000_000,
-            ..Default::default()
-        };
-        let rows = predict_stage_depths(&dev, &p, &s, |_| occ(&dev, 1.0), 1.0, &[2, 4, 8]);
-        assert_eq!(rows.len(), 3);
-        assert!(rows[0].predicted_overlap > 0.0);
-        assert!(rows.windows(2).all(|w| {
-            w[1].predicted_overlap >= w[0].predicted_overlap - 1e-15
-                && w[1].pipelined_s <= w[0].pipelined_s + 1e-15
-        }));
     }
 
     #[test]

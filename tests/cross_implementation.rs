@@ -190,3 +190,77 @@ fn quantized_filters_track_float_references() {
         }
     }
 }
+
+/// The device tier's schedule, pinned by what it counts: one-device runs
+/// of a fixed small workload must reproduce these `KernelStats` exactly
+/// (recorded at commit 1ae5c64, before the kernels' striding loop and the
+/// three `run_*_device_on` launch sequences were each written once). Any
+/// change to what a warp issues, or to how the grid is sized, moves one.
+#[test]
+fn device_stage_counts_are_pinned() {
+    use hmmer3_warp::core::tiered::run_fwd_device;
+    use hmmer3_warp::core::WarpLazyStats;
+    use hmmer3_warp::simt::KernelStats;
+
+    let model = synthetic_model(120, 2024, &BuildParams::default());
+    let p = Profile::config(&model, &NullModel::new());
+    let packed = PackedDb::from_db(&mixed_db(&model, 2e-5, 24));
+    let dev = DeviceSpec::tesla_k40();
+    // (instructions, shuffles, gmem_bytes, barriers, smem_conflict_extra,
+    // hazards, rows, sequences)
+    let counts = |s: &KernelStats| {
+        (
+            s.instructions,
+            s.shuffles,
+            s.gmem_bytes,
+            s.barriers,
+            s.smem_conflict_extra,
+            s.hazards,
+            s.rows,
+            s.sequences,
+        )
+    };
+    let msv = MsvProfile::from_profile(&p);
+    let vit = VitProfile::from_profile(&p);
+    let lazy = WarpLazyStats {
+        rows: 25877,
+        rows_skipped: 0,
+        chunks: 103508,
+        inner_iters: 417074,
+    };
+
+    // The automatic switch lands on shared tables for M = 120.
+    let run = run_msv_device(&msv, &packed, &dev, None).unwrap();
+    assert_eq!(run.run.mem, MemConfig::Shared);
+    assert_eq!(run.run.config.blocks, 5);
+    assert_eq!(
+        counts(&run.run.stats),
+        (962627, 129090, 652416, 5, 0, 0, 25818, 131)
+    );
+    let run = run_vit_device(&vit, &packed, &dev, None).unwrap();
+    assert_eq!(run.run.mem, MemConfig::Shared);
+    assert_eq!(
+        counts(&run.run.stats),
+        (3432796, 258770, 692224, 5, 0, 0, 25877, 131)
+    );
+    assert_eq!(run.lazy, lazy);
+
+    let global = Some(MemConfig::Global);
+    let run = run_msv_device(&msv, &packed, &dev, global).unwrap();
+    assert_eq!(
+        counts(&run.run.stats),
+        (1064859, 129090, 574336, 0, 0, 0, 25818, 131)
+    );
+    let run = run_vit_device(&vit, &packed, &dev, global).unwrap();
+    assert_eq!(
+        counts(&run.run.stats),
+        (4363008, 258770, 575744, 0, 0, 0, 25877, 131)
+    );
+    assert_eq!(run.lazy, lazy);
+
+    let run = run_fwd_device(&p, &packed, &dev).unwrap();
+    assert_eq!(
+        counts(&run.run.stats),
+        (5259484, 1212165, 598144, 0, 0, 0, 26937, 131)
+    );
+}

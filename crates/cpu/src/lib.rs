@@ -42,9 +42,9 @@ pub use striped_msv::StripedMsv;
 pub use striped_vit::{LazyFStats, StripedVit, VitWorkspace};
 pub use sweep::{
     batch_schedule_stats, fused_pack_width, fwd_sweep_batched, length_binned_batches,
-    measure_batched, model_pack_stats, model_packs, msv_multi_outcomes, msv_sweep,
-    msv_sweep_batched, outcomes_batched, resolve_batch_width, sweep_batched, vit_sweep,
-    BatchKernel, BatchScheduleStats, ModelPackStats, SweepTiming, FUSED_PACK_MIN_WORKERS,
+    model_pack_stats, model_packs, msv_multi_outcomes, msv_sweep_batched, outcomes_batched,
+    sweep_batched, vit_sweep, BatchKernel, BatchScheduleStats, ModelPackStats, SweepTiming,
+    FUSED_PACK_MIN_WORKERS,
 };
 pub use traceback::{viterbi_trace, AlignedSegment, Alignment, TraceState};
 

@@ -6,19 +6,14 @@
 //! [`h3w_pool`] work-stealing pool, with measured cell throughput for the
 //! analytic speedup model.
 //!
-//! Two sweep shapes exist for the byte filter:
-//!
-//! * **one task per sequence** ([`msv_sweep`]) — work-stealing handles the
-//!   length skew;
-//! * **one task per batch** ([`msv_sweep_batched`]) — the
-//!   [length-binned scheduler](length_binned_batches) groups
-//!   near-equal-length sequences into batches of `S` and the interleaved
-//!   kernel in [`crate::batch`] scores each batch in one fused loop,
-//!   hiding the per-row reduction latency behind `S` independent chains.
-//!
-//! Both produce bit-identical outcomes; the batched shape is faster
-//! because the single-sequence row loop is latency-bound (see
-//! [`crate::batch`]). The batched shape is one driver
+//! There is one sweep shape, one task per batch: the
+//! [length-binned scheduler](length_binned_batches) groups
+//! near-equal-length sequences into batches of `S` and the interleaved
+//! kernel in [`crate::batch`] scores each batch in one fused loop, hiding
+//! the per-row reduction latency behind `S` independent chains (the
+//! single-sequence row loop is latency-bound). Outcomes are bit-identical
+//! to the scalar filters in [`crate::quantized`], the executable spec the
+//! tests compare against, at every width. The shape is one driver
 //! ([`outcomes_batched`]) generic over a [`BatchKernel`] — the MSV,
 //! Viterbi and Forward `(striped tables, profile)` pairs — and
 //! monomorphized per filter, so all three stages share the schedule, the
@@ -27,7 +22,7 @@
 //! sequence ids and returns one outcome per id, in that order.
 //!
 //! Every sweep takes the [`ThreadPool`] to fan out on. Each parallel item
-//! (a batch, or a sequence) writes its result into the slot indexed by
+//! (a batch, or a model pack × batch) writes its result into the slot indexed by
 //! its position in the selection, so outcomes are **bit-identical at
 //! every thread count**; per-worker workspace arenas are created lazily
 //! once per worker (the `map_collect_init` scratch pattern), so the
@@ -161,7 +156,7 @@ pub fn batch_schedule_stats(
 /// Resolve a requested batch width: `0` means "auto" (the backend's
 /// preferred interleave), anything else is clamped to
 /// `1..=`[`MAX_BATCH`].
-pub fn resolve_batch_width(backend: Backend, requested: usize) -> usize {
+fn resolve_batch_width(backend: Backend, requested: usize) -> usize {
     if requested == 0 {
         backend.preferred_batch_width()
     } else {
@@ -498,26 +493,6 @@ pub fn msv_multi_outcomes(
     result
 }
 
-/// MSV-filter every sequence of a database in parallel (one task per
-/// sequence).
-pub fn msv_sweep(pool: &ThreadPool, om: &MsvProfile, db: &SeqDb) -> (Vec<MsvOutcome>, SweepTiming) {
-    let striped = StripedMsv::new(om);
-    let start = Instant::now();
-    let outcomes: Vec<MsvOutcome> = pool.map_collect_init(db.len(), Vec::new, |dp, i| {
-        striped.run_into(om, &db.seqs[i].residues, dp)
-    });
-    let secs = start.elapsed().as_secs_f64();
-    let res = db.total_residues();
-    (
-        outcomes,
-        timing(
-            secs,
-            striped.real_cells_per_row() as u64 * res,
-            striped.padded_cells_per_row() as u64 * res,
-        ),
-    )
-}
-
 /// Sweep a whole database through a batched kernel
 /// ([`outcomes_batched`] over every sequence) and time it. Results are in
 /// original order.
@@ -535,7 +510,7 @@ pub fn sweep_batched<K: BatchKernel>(
 
 /// MSV-filter every sequence with the interleaved batch kernel
 /// (length-binned schedule, one task per batch). Outcomes are
-/// bit-identical to [`msv_sweep`], in original order.
+/// bit-identical to [`crate::msv_filter_scalar`], in original order.
 pub fn msv_sweep_batched(
     pool: &ThreadPool,
     om: &MsvProfile,
@@ -579,32 +554,6 @@ pub fn vit_sweep(
     (outcomes, timing, agg)
 }
 
-/// Measure single-thread **batched** throughput of a kernel at a given
-/// interleave width over the first `max_seqs` sequences: the bare
-/// fused loop, with no pool, schedule or scatter inside the timed
-/// region.
-pub fn measure_batched<K: BatchKernel>(
-    kernel: &K,
-    db: &SeqDb,
-    max_seqs: usize,
-    width: usize,
-) -> SweepTiming {
-    let width = resolve_batch_width(kernel.backend(), width);
-    let seqs = &db.seqs[..max_seqs.min(db.len())];
-    let lens: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
-    let batches = length_binned_batches(&lens, None, width);
-    let mut ws = K::Workspace::default();
-    let mut out = [K::Output::default(); MAX_BATCH];
-    let start = Instant::now();
-    for batch in &batches {
-        let refs = batch_refs(batch, |i| &seqs[i]);
-        kernel.run_batch_into(&refs[..batch.len()], &mut ws, &mut out[..batch.len()]);
-        std::hint::black_box(&out);
-    }
-    let secs = start.elapsed().as_secs_f64();
-    kernel_timing(kernel, secs, lens.iter().map(|&l| l as u64).sum())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -633,30 +582,24 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_matches_serial_scalar() {
+    fn batched_sweeps_match_the_scalar_filters() {
         let (msv, vit, db) = setup();
-        let (m_out, m_t) = msv_sweep(pool(), &msv, &db);
         let (v_out, _, _) = vit_sweep(pool(), &vit, &db);
-        assert_eq!(m_out.len(), db.len());
         assert_eq!(v_out.len(), db.len());
         for (i, seq) in db.seqs.iter().enumerate() {
-            assert_eq!(m_out[i], msv_filter_scalar(&msv, &seq.residues), "seq {i}");
             assert_eq!(v_out[i], vit_filter_scalar(&vit, &seq.residues), "seq {i}");
         }
-        assert_eq!(m_t.real_cells, 40 * db.total_residues());
-        assert!(m_t.padded_cells >= m_t.real_cells);
-        assert!(m_t.cells_per_sec > 0.0);
-        assert!(m_t.padded_cells_per_sec() >= m_t.cells_per_sec);
-    }
-
-    #[test]
-    fn batched_sweep_matches_per_sequence_sweep() {
-        let (msv, _, db) = setup();
-        let (want, _) = msv_sweep(pool(), &msv, &db);
         for width in [0usize, 1, 2, 3, 4] {
-            let (got, t) = msv_sweep_batched(pool(), &msv, &db, width);
-            assert_eq!(want, got, "width={width}");
+            let (m_out, t) = msv_sweep_batched(pool(), &msv, &db, width);
+            assert_eq!(m_out.len(), db.len());
+            for (i, seq) in db.seqs.iter().enumerate() {
+                let want = msv_filter_scalar(&msv, &seq.residues);
+                assert_eq!(m_out[i], want, "seq {i} width {width}");
+            }
             assert_eq!(t.real_cells, 40 * db.total_residues());
+            assert!(t.padded_cells >= t.real_cells);
+            assert!(t.cells_per_sec > 0.0);
+            assert!(t.padded_cells_per_sec() >= t.cells_per_sec);
         }
     }
 
@@ -844,27 +787,5 @@ mod tests {
                 assert_eq!(want.to_bits(), s.to_bits(), "seq {i} width {width}");
             }
         }
-        let t = measure_batched(&(&striped, &p), &db, 30, 4);
-        assert!(t.cells_per_sec > 1e6, "striped fwd {}", t.cells_per_sec);
-    }
-
-    #[test]
-    fn throughput_measurement_sane() {
-        let (msv, vit, db) = setup();
-        let tm = measure_batched(&(&StripedMsv::new(&msv), &msv), &db, 50, 1);
-        let tv = measure_batched(&(&StripedVit::new(&vit), &vit), &db, 50, 1);
-        assert!(
-            tm.cells_per_sec > 1e6,
-            "MSV throughput {}",
-            tm.cells_per_sec
-        );
-        assert!(
-            tv.cells_per_sec > 1e6,
-            "Vit throughput {}",
-            tv.cells_per_sec
-        );
-        // Per-cell, Viterbi does ≫ more work than MSV; with the 3× cell
-        // accounting they land within an order of magnitude.
-        assert!(tm.cells_per_sec > tv.cells_per_sec / 10.0);
     }
 }

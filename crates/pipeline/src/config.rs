@@ -7,8 +7,6 @@
 //! ≈ 2% → ≈ 0.1% of sequences down the pipeline — which is precisely the
 //! 100% → 2.2% → 0.1% funnel of the paper's Fig. 1.
 
-use h3w_cpu::MAX_BATCH;
-
 /// Stage thresholds and reporting cutoff.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
@@ -24,10 +22,6 @@ pub struct PipelineConfig {
     /// before P-values (HMMER applies it by default; here it is opt-in so
     /// raw-score comparisons across implementations stay exact).
     pub null2: bool,
-    /// Batch width for the interleaved filter sweeps: `0` picks the
-    /// backend's preferred width, `1` scores sequences one at a time
-    /// (bit-identical either way; see `h3w_cpu::batch`).
-    pub batch: usize,
     /// CPU worker threads for the sweep fan-out: `0` (the default) shares
     /// the process-global pool sized by `H3W_THREADS` / available
     /// parallelism; `n ≥ 1` gives this pipeline a dedicated `n`-thread
@@ -44,7 +38,6 @@ impl Default for PipelineConfig {
             f3: 1e-5,
             report_evalue: 10.0,
             null2: false,
-            batch: 0,
             threads: 0,
         }
     }
@@ -72,9 +65,9 @@ impl PipelineConfig {
     }
 
     /// Validate field ranges: every P-value threshold in `(0, 1]`, the
-    /// report E-value positive and finite, the batch width within the
-    /// kernels' [`MAX_BATCH`]. (Struct literals bypass this; the builder
-    /// enforces it.)
+    /// report E-value positive and finite, the thread count within the
+    /// pool's ceiling. (Struct literals bypass this; the builder enforces
+    /// it.)
     pub fn validate(&self) -> Result<(), ConfigError> {
         for (field, value) in [("f1", self.f1), ("f2", self.f2), ("f3", self.f3)] {
             if !(value.is_finite() && value > 0.0 && value <= 1.0) {
@@ -84,12 +77,6 @@ impl PipelineConfig {
         if !(self.report_evalue.is_finite() && self.report_evalue > 0.0) {
             return Err(ConfigError::ReportEvalue {
                 value: self.report_evalue,
-            });
-        }
-        if self.batch > MAX_BATCH {
-            return Err(ConfigError::BatchTooWide {
-                requested: self.batch,
-                max: MAX_BATCH,
             });
         }
         if self.threads > h3w_cpu::h3w_pool::MAX_THREADS {
@@ -117,14 +104,6 @@ pub enum ConfigError {
         /// The rejected value.
         value: f64,
     },
-    /// Batch width beyond what the interleaved kernels support
-    /// (`0` = auto is always accepted).
-    BatchTooWide {
-        /// The rejected width.
-        requested: usize,
-        /// The kernels' maximum interleave.
-        max: usize,
-    },
     /// Thread count beyond the pool's hard ceiling
     /// (`0` = share the global pool, always accepted).
     Threads {
@@ -143,12 +122,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ReportEvalue { value } => {
                 write!(f, "report E-value must be positive and finite, got {value}")
-            }
-            ConfigError::BatchTooWide { requested, max } => {
-                write!(
-                    f,
-                    "batch width {requested} exceeds the kernel maximum {max} (0 = auto)"
-                )
             }
             ConfigError::Threads { requested, max } => {
                 write!(
@@ -200,12 +173,6 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Batch width for the interleaved filter sweeps (`0` = auto).
-    pub fn batch(mut self, width: usize) -> Self {
-        self.config.batch = width;
-        self
-    }
-
     /// CPU worker threads for the sweep fan-out (`0` = share the global
     /// pool sized by `H3W_THREADS` / available parallelism).
     pub fn threads(mut self, n: usize) -> Self {
@@ -236,7 +203,6 @@ mod tests {
         assert_eq!(c.f1, 0.02);
         assert_eq!(c.f2, 1e-3);
         assert_eq!(c.f3, 1e-5);
-        assert_eq!(c.batch, 0, "batch width defaults to auto");
     }
 
     #[test]
@@ -257,24 +223,6 @@ mod tests {
             PipelineConfig::builder().max_sensitivity().build().unwrap(),
             PipelineConfig::max_sensitivity()
         );
-    }
-
-    #[test]
-    fn builder_rejects_batch_beyond_kernel_width() {
-        let err = PipelineConfig::builder()
-            .batch(MAX_BATCH + 1)
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::BatchTooWide {
-                requested: MAX_BATCH + 1,
-                max: MAX_BATCH
-            }
-        );
-        // 0 = auto and the maximum itself are both valid.
-        assert!(PipelineConfig::builder().batch(0).build().is_ok());
-        assert!(PipelineConfig::builder().batch(MAX_BATCH).build().is_ok());
     }
 
     #[test]
@@ -346,11 +294,6 @@ mod tests {
             value: 2.0,
         };
         assert!(e.to_string().contains("f2"));
-        let e = ConfigError::BatchTooWide {
-            requested: 99,
-            max: 8,
-        };
-        assert!(e.to_string().contains("99") && e.to_string().contains('8'));
         let e = ConfigError::ReportEvalue { value: -3.0 };
         assert!(e.to_string().contains("-3"));
         let e = ConfigError::Threads {

@@ -13,7 +13,14 @@
 //! model library at once.
 //! [`report`] carries the funnel and time-fraction statistics Fig. 1
 //! reports; [`h3w_trace::Trace`] (re-exported here) collects the optional
-//! per-run funnel telemetry behind `hmmsearch --profile`.
+//! per-run funnel telemetry behind `hmmsearch --profile`, armed only by
+//! passing [`Trace::on`] to a traced entry point ([`Pipeline::search`]
+//! runs untraced).
+//!
+//! The contract every entry point keeps: under any plan, driver, SIMD
+//! backend, pool size and trace setting, the hits are the scalar
+//! one-thread CPU search's, bit for bit. One oracle checks it over that
+//! whole lattice, the root package's `tests/lattice.rs`.
 
 pub mod checkpoint;
 pub mod config;

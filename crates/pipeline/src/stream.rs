@@ -344,11 +344,8 @@ pub fn search_source(
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
-    use crate::report::Hit;
     use h3w_hmm::build::{synthetic_model, BuildParams};
-    use h3w_seqdb::fasta::{self, FastaError};
     use h3w_seqdb::gen::{generate, DbGenSpec};
-    use h3w_seqdb::source::{FastaSource, GenSource};
 
     fn setup() -> (Pipeline, SeqDb) {
         let core = synthetic_model(50, 77, &BuildParams::default());
@@ -359,18 +356,9 @@ mod tests {
         (pipe, db)
     }
 
-    /// FASTA text as bounded chunks, through the chunker every source
-    /// shares.
-    fn fasta_chunks(text: &str, max_residues: u64) -> Result<Vec<SeqDb>, FastaError> {
-        FastaSource::new("chunk", text)?
-            .chunks(max_residues)
-            .map(|c| {
-                c.map_err(|e| match e {
-                    SourceError::Fasta(e) => e,
-                    other => panic!("in-memory text cannot fail to read: {other}"),
-                })
-            })
-            .collect()
+    /// The database as chunks of at most `max_residues` residues.
+    fn chunks(db: &SeqDb, max_residues: u64) -> Vec<SeqDb> {
+        db.chunks(max_residues).collect::<Result<_, _>>().unwrap()
     }
 
     /// Sweep owned chunks on the CPU plan, optionally checkpointed.
@@ -390,81 +378,15 @@ mod tests {
             Some(total_seqs),
             &ExecPlan::Cpu,
             options,
-            &Pipeline::env_trace(),
+            &Trace::off(),
         )
         .map(|r| r.result)
     }
 
     #[test]
-    fn fasta_chunks_partition_whole_sequences() {
-        let (_, db) = setup();
-        let text = fasta::render(&db);
-        let chunks: Vec<SeqDb> = fasta_chunks(&text, 20_000).unwrap();
-        assert!(
-            chunks.len() > 3,
-            "expected several chunks, got {}",
-            chunks.len()
-        );
-        let total: usize = chunks.iter().map(|c| c.len()).sum();
-        assert_eq!(total, db.len());
-        let residues: u64 = chunks.iter().map(|c| c.total_residues()).sum();
-        assert_eq!(residues, db.total_residues());
-        // Order and content preserved.
-        let mut idx = 0usize;
-        for c in &chunks {
-            for s in &c.seqs {
-                assert_eq!(s.residues, db.seqs[idx].residues, "seq {idx}");
-                idx += 1;
-            }
-        }
-        // Chunks respect the bound outright (close-before-overflow rule;
-        // only a single oversized sequence may exceed it, alone).
-        for c in &chunks {
-            assert!(c.total_residues() <= 20_000 || c.len() == 1);
-        }
-    }
-
-    #[test]
-    fn chunked_search_equals_single_pass() {
-        let (pipe, db) = setup();
-        let single = pipe.search(&db, &ExecPlan::Cpu).unwrap();
-        let text = fasta::render(&db);
-        let chunks: Vec<SeqDb> = fasta_chunks(&text, 15_000).unwrap();
-        let streamed = sweep(&pipe, chunks, db.len(), None).unwrap();
-        assert_eq!(
-            single.hits.iter().map(|h| h.seqid).collect::<Vec<_>>(),
-            streamed.hits.iter().map(|h| h.seqid).collect::<Vec<_>>()
-        );
-        for (a, b) in single.hits.iter().zip(&streamed.hits) {
-            assert_eq!(a.fwd_score, b.fwd_score);
-            assert!((a.evalue - b.evalue).abs() < 1e-9 * a.evalue.max(1e-30));
-        }
-        assert_eq!(streamed.stages[0].seqs_in, db.len());
-        assert_eq!(streamed.stages[0].residues_in, db.total_residues());
-    }
-
-    #[test]
-    fn source_sweep_matches_in_memory_sweep() {
-        let (pipe, db) = setup();
-        let single = pipe.search(&db, &ExecPlan::Cpu).unwrap();
-        // The in-memory database as a source.
-        let streamed = search_source(&pipe, &db, &ExecPlan::Cpu, 15_000, &Trace::off()).unwrap();
-        assert_eq!(single.hits, streamed.hits);
-        // A generation recipe as a source (never materialized): sweep it
-        // and compare against the materialized generate() database.
-        let core = synthetic_model(50, 77, &BuildParams::default());
-        let mut spec = DbGenSpec::envnr_like().scaled(2e-4);
-        spec.homolog_fraction = 0.02;
-        let gen_src = GenSource::new(spec, Some(&core), 5);
-        let gen_streamed =
-            search_source(&pipe, &gen_src, &ExecPlan::Cpu, 15_000, &Trace::off()).unwrap();
-        assert_eq!(single.hits, gen_streamed.hits);
-    }
-
-    #[test]
     fn observer_sees_progress_and_can_cancel() {
         let (pipe, db) = setup();
-        let shards: Vec<SeqDb> = fasta_chunks(&fasta::render(&db), 15_000).unwrap();
+        let shards: Vec<SeqDb> = chunks(&db, 15_000);
         assert!(shards.len() >= 3);
         // Observe every boundary: progress is monotone and complete.
         let mut seen = Vec::new();
@@ -505,19 +427,6 @@ mod tests {
         assert!(matches!(err, StreamError::Cancelled(ref why) if why == "deadline"));
     }
 
-    #[test]
-    fn chunk_errors_propagate() {
-        let bad = ">a\nMK1V\n";
-        let r = fasta_chunks(bad, 100);
-        assert!(matches!(
-            r,
-            Err(FastaError::BadResidue { line: 2, ch: '1' })
-        ));
-        let orphan = "MKV\n>a\nMKV\n";
-        let r = fasta_chunks(orphan, 100);
-        assert!(matches!(r, Err(FastaError::DataBeforeHeader { line: 1 })));
-    }
-
     fn tmp_ckpt(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("h3w-stream-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -532,71 +441,28 @@ mod tests {
     }
 
     #[test]
-    fn killed_and_resumed_sweep_matches_uninterrupted() {
-        let (pipe, db) = setup();
-        let text = fasta::render(&db);
-        let all: Vec<SeqDb> = fasta_chunks(&text, 15_000).unwrap();
-        assert!(all.len() >= 3, "need several chunks, got {}", all.len());
-        let baseline = sweep(&pipe, all.clone(), db.len(), None).unwrap();
-
-        // "Kill" the sweep after two chunks: run it on a truncated chunk
-        // stream, leaving the checkpoint behind.
-        let hash = h3w_seqdb::content_hash(&db);
-        let path = tmp_ckpt("resume");
-        let _ = std::fs::remove_file(&path);
-        let partial: Vec<SeqDb> = all.iter().take(2).cloned().collect();
-        sweep(&pipe, partial, db.len(), Some((&path, hash))).unwrap();
-        let ck = StreamCheckpoint::load(&path).unwrap();
-        assert_eq!(ck.chunks_done, 2);
-        assert_eq!(ck.seq_base as usize, all[0].len() + all[1].len());
-        assert_eq!(ck.db_hash, hash);
-
-        // Resume with the full stream: chunks 0–1 are skipped, the rest
-        // run, and the merged result is bit-identical to the baseline
-        // (modulo posteriors, which checkpointed sweeps drop).
-        let resumed = sweep(&pipe, all.clone(), db.len(), Some((&path, hash))).unwrap();
-        let strip = |hits: &[Hit]| -> Vec<Hit> {
-            hits.iter()
-                .cloned()
-                .map(|mut h| {
-                    h.posterior = None;
-                    h
-                })
-                .collect()
-        };
-        assert_eq!(resumed.hits, strip(&baseline.hits));
-        for (a, b) in resumed.stages.iter().zip(&baseline.stages) {
-            assert_eq!(
-                (a.seqs_in, a.seqs_out, a.residues_in),
-                (b.seqs_in, b.seqs_out, b.residues_in),
-                "funnel diverged at {}",
-                a.name
-            );
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn checkpoint_rejects_changed_chunking_and_scale() {
         let (pipe, db) = setup();
-        let text = fasta::render(&db);
-        let all: Vec<SeqDb> = fasta_chunks(&text, 15_000).unwrap();
+        let all: Vec<SeqDb> = chunks(&db, 15_000);
         let hash = h3w_seqdb::content_hash(&db);
         let path = tmp_ckpt("mismatch");
         let _ = std::fs::remove_file(&path);
         let partial: Vec<SeqDb> = all.iter().take(2).cloned().collect();
         sweep(&pipe, partial, db.len(), Some((&path, hash))).unwrap();
+        let ck = StreamCheckpoint::load(&path).unwrap();
+        let cursor = (ck.chunks_done, ck.seq_base as usize, ck.db_hash);
+        assert_eq!(cursor, (2, all[0].len() + all[1].len(), hash));
         // Different database size: a different sweep.
         let err = sweep(&pipe, all.clone(), db.len() + 1, Some((&path, hash))).unwrap_err();
         assert!(matches!(expect_ckpt(err), CheckpointError::Mismatch(_)));
         // Different chunk bound: the skip cursor no longer lines up.
-        let rechunked: Vec<SeqDb> = fasta_chunks(&text, 4_000).unwrap();
+        let rechunked: Vec<SeqDb> = chunks(&db, 4_000);
         let err = sweep(&pipe, rechunked, db.len(), Some((&path, hash))).unwrap_err();
         assert!(matches!(expect_ckpt(err), CheckpointError::Mismatch(_)));
         // A coarser bound: the whole database is one chunk, so the stream
         // ends before it reaches the two-chunk cursor. The saved partial
         // state must not come back as the result of the whole sweep.
-        let coarse: Vec<SeqDb> = fasta_chunks(&text, 100_000_000).unwrap();
+        let coarse: Vec<SeqDb> = chunks(&db, 100_000_000);
         assert_eq!(coarse.len(), 1);
         let err = sweep(&pipe, coarse, db.len(), Some((&path, hash))).unwrap_err();
         assert!(matches!(expect_ckpt(err), CheckpointError::Mismatch(_)));
@@ -606,8 +472,7 @@ mod tests {
     #[test]
     fn checkpoint_rejects_database_drift() {
         let (pipe, db) = setup();
-        let text = fasta::render(&db);
-        let all: Vec<SeqDb> = fasta_chunks(&text, 15_000).unwrap();
+        let all: Vec<SeqDb> = chunks(&db, 15_000);
         let hash = h3w_seqdb::content_hash(&db);
         let path = tmp_ckpt("drift");
         let _ = std::fs::remove_file(&path);
@@ -631,14 +496,5 @@ mod tests {
         // The original database still resumes cleanly.
         sweep(&pipe, all, db.len(), Some((&path, hash))).unwrap();
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn single_oversized_sequence_forms_own_chunk() {
-        let text = format!(">big\n{}\n>small\nMKVL\n", "A".repeat(5000));
-        let chunks: Vec<SeqDb> = fasta_chunks(&text, 100).unwrap();
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0].seqs[0].len(), 5000);
-        assert_eq!(chunks[1].seqs[0].name, "small");
     }
 }

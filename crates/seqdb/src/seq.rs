@@ -90,14 +90,6 @@ impl SeqDb {
             self.total_residues() as f64 / self.seqs.len() as f64
         }
     }
-
-    /// Indices of sequences ordered by descending length — the load-balance
-    /// friendly dispatch order for warp work assignment.
-    pub fn length_sorted_order(&self) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..self.seqs.len() as u32).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(self.seqs[i as usize].len()));
-        order
-    }
 }
 
 #[cfg(test)]
@@ -120,16 +112,6 @@ mod tests {
         assert_eq!(db.total_residues(), 10);
         assert_eq!(db.max_len(), 7);
         assert!((db.mean_len() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn length_sorted_order_descends() {
-        let mut db = SeqDb::new("t");
-        for (n, t) in [("a", "MK"), ("b", "MKVLAYW"), ("c", "MKVL")] {
-            db.seqs.push(DigitalSeq::from_text(n, t).unwrap());
-        }
-        let order = db.length_sorted_order();
-        assert_eq!(order, vec![1, 2, 0]);
     }
 
     #[test]

@@ -4,18 +4,17 @@
 //! cargo run --release --example multi_gpu_scan
 //! ```
 //!
-//! The database is partitioned length-sorted round-robin, each device runs
-//! the same warp-synchronous MSV kernel (shared-memory reductions — Fermi
-//! has no shuffle), and the wall time is the makespan.
+//! The fault-tolerant execution plan partitions each filter stage's
+//! input length-sorted round-robin across the device pool, every device
+//! runs the same warp-synchronous kernels (shared-memory reductions —
+//! Fermi has no shuffle), and a stage's modeled time is the makespan.
 
-use hmmer3_warp::core::multi_gpu::{partition_db, run_msv_multi};
+use hmmer3_warp::core::multi_gpu::partition_id_slice;
 use hmmer3_warp::prelude::*;
 
 fn main() {
     let model = synthetic_model(400, 580, &BuildParams::default());
-    let bg = NullModel::new();
-    let profile = Profile::config(&model, &bg);
-    let msv = MsvProfile::from_profile(&profile);
+    let pipe = Pipeline::prepare(&model, PipelineConfig::default(), 7);
     let mut spec = DbGenSpec::envnr_like().scaled(5e-5); // ≈ 330 seqs
     spec.homolog_fraction = 0.01;
     let db = generate(&spec, Some(&model), 33);
@@ -27,51 +26,45 @@ fn main() {
         dev.name
     );
 
-    let parts = partition_db(&db, 4);
+    // The stage-1 split: every sequence, as the MSV stage partitions it.
+    let packed = PackedDb::from_db(&db);
+    let all: Vec<u32> = (0..db.len() as u32).collect();
     println!();
-    println!("partition balance (residues per device):");
-    for (i, p) in parts.iter().enumerate() {
+    println!("MSV partition balance (residues per device):");
+    for (i, part) in partition_id_slice(&packed, &all, 4).iter().enumerate() {
+        let residues: usize = part.iter().map(|&id| db.seqs[id as usize].len()).sum();
         println!(
-            "  device {}: {:>8} residues / {:>4} seqs",
-            i,
-            p.total_residues(),
-            p.len()
+            "  device {i}: {residues:>8} residues / {:>4} seqs",
+            part.len()
         );
     }
 
-    let run = run_msv_multi(&msv, &db, &dev, 4, None).expect("multi-GPU run");
+    let plan = ExecPlan::FaultTolerant {
+        dev,
+        sweep: FtSweep::fault_free(4),
+    };
+    let report = pipe
+        .search_traced(&db, &plan, &Trace::off())
+        .expect("multi-GPU search");
     println!();
-    println!("per-device modeled MSV times:");
-    for (i, d) in run.devices.iter().enumerate() {
+    println!("per-stage time (makespan across the pool for device stages):");
+    for st in &report.result.stages {
         println!(
-            "  device {}: {:.3} ms ({:?} config, occupancy {:.0}%, {} rows)",
-            i,
-            d.run.time.total_s * 1e3,
-            d.run.mem,
-            d.run.occupancy.occupancy * 100.0,
-            d.run.stats.rows
+            "  {:<22} {:>5} seqs in, {:>4} out  {:.3} ms",
+            st.name,
+            st.seqs_in,
+            st.seqs_out,
+            st.time_s * 1e3
         );
     }
-    println!("makespan: {:.3} ms", run.makespan_s * 1e3);
-    let slowest = run
-        .devices
-        .iter()
-        .map(|d| d.run.time.total_s)
-        .fold(0.0f64, f64::max);
-    let fastest = run
-        .devices
-        .iter()
-        .map(|d| d.run.time.total_s)
-        .fold(f64::INFINITY, f64::min);
+    let journal = &report.recovery;
     println!(
-        "device time spread: {:.1}% (residue counts are balanced to ~5%; on a \
-         sample this small the per-device warp-scheduling tails dominate)",
-        (slowest / fastest - 1.0) * 100.0
+        "recovery journal: {} retries, {} devices lost, {} seqs redistributed, CPU fallback: {}",
+        journal.retries,
+        journal.lost_devices.len(),
+        journal.redistributed_seqs,
+        report.degraded_to_cpu
     );
-    let total: usize = run.devices.iter().map(|d| d.hits.len()).sum();
-    assert_eq!(total, db.len());
-    println!(
-        "all {} sequences scored exactly once across the 4 devices",
-        total
-    );
+    assert_eq!(report.result.stages[0].seqs_in, db.len());
+    println!("hits reported: {}", report.result.hits.len());
 }

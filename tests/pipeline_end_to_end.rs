@@ -1,5 +1,9 @@
 //! End-to-end pipeline invariants across the whole workspace.
 
+mod common;
+
+use common::lattice::{check, Plan, Point};
+use hmmer3_warp::cpu::Backend;
 use hmmer3_warp::prelude::*;
 
 fn setup(m: usize, hom: f64, scale: f64, seed: u64) -> (Pipeline, SeqDb) {
@@ -11,39 +15,29 @@ fn setup(m: usize, hom: f64, scale: f64, seed: u64) -> (Pipeline, SeqDb) {
     (pipe, db)
 }
 
+/// Bit-exact filters: the simulated Kepler and Fermi devices report the
+/// CPU plan's hits and funnel (named points of `common::lattice`).
 #[test]
 fn cpu_and_gpu_pipelines_are_hit_identical() {
-    let (pipe, db) = setup(70, 0.04, 2e-4, 41);
-    let cpu = pipe
-        .search(&db, &ExecPlan::Cpu)
-        .expect("the CPU plan cannot fail");
-    for dev in [DeviceSpec::tesla_k40(), DeviceSpec::gtx_580()] {
-        let gpu = pipe
-            .search(&db, &ExecPlan::Device { dev: dev.clone() })
-            .unwrap();
-        assert_eq!(
-            cpu.hits.iter().map(|h| h.seqid).collect::<Vec<_>>(),
-            gpu.hits.iter().map(|h| h.seqid).collect::<Vec<_>>(),
-            "{}",
-            dev.name
-        );
-        // Funnel identical too (bit-exact filters ⇒ same survivor sets).
-        for i in 0..3 {
-            assert_eq!(cpu.stages[i].seqs_out, gpu.stages[i].seqs_out, "stage {i}");
-        }
+    for plan in [Plan::K40, Plan::Gtx580] {
+        check(&Point {
+            m: 70,
+            seed: 41,
+            plan,
+            ..Point::default()
+        });
     }
 }
 
+/// The reference configuration itself, searched twice.
 #[test]
 fn pipeline_is_deterministic() {
-    let (pipe, db) = setup(50, 0.03, 1e-4, 42);
-    let a = pipe.search(&db, &ExecPlan::Cpu).unwrap();
-    let b = pipe.search(&db, &ExecPlan::Cpu).unwrap();
-    assert_eq!(a.hits.len(), b.hits.len());
-    for (x, y) in a.hits.iter().zip(&b.hits) {
-        assert_eq!(x.seqid, y.seqid);
-        assert_eq!(x.fwd_score, y.fwd_score);
-    }
+    check(&Point {
+        m: 50,
+        seed: 42,
+        backend: Backend::Scalar,
+        ..Point::default()
+    });
 }
 
 #[test]

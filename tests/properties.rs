@@ -361,121 +361,56 @@ proptest! {
     }
 }
 
-proptest! {
-    // Full pipeline sweeps per case; few cases.
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// For any database seed, chunk bound, and kill point, a chunked
-    /// sweep that is killed and checkpoint-resumed reports hits
-    /// bit-identical to an unchunked sweep — under every execution plan
-    /// (CPU, simulated device, full-device, fault-tolerant multi-device).
-    #[test]
-    fn checkpoint_resumed_stream_matches_unchunked_under_every_plan(
-        seed in 0u64..200,
-        cap in 5_000u64..15_000,
-        kill_after in 1usize..3,
-    ) {
-        use hmmer3_warp::pipeline::{FtSweep, Pipeline, PipelineConfig};
-        use hmmer3_warp::seqdb::{content_hash, fasta};
-
-        let core = synthetic_model(50, 77, &BuildParams::default());
-        let pipe = Pipeline::prepare(&core, PipelineConfig::default(), 3);
-        let mut spec = DbGenSpec::envnr_like().scaled(2e-4);
-        spec.homolog_fraction = 0.05;
-        let db = generate(&spec, Some(&core), seed);
-        let text = fasta::render(&db);
-        let chunks: Vec<SeqDb> = common::fasta_chunks(&text, cap).unwrap();
-        prop_assert!(chunks.len() >= 2, "need at least two chunks, got {}", chunks.len());
-        let kill_after = kill_after.min(chunks.len() - 1);
-        let hash = content_hash(&db);
-        let dir = std::env::temp_dir()
-            .join(format!("h3w-prop-{}-{seed}-{cap}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-
-        let dev = DeviceSpec::tesla_k40;
-        let plans: [(&str, ExecPlan); 4] = [
-            ("cpu", ExecPlan::Cpu),
-            ("dev", ExecPlan::Device { dev: dev() }),
-            ("devfull", ExecPlan::DeviceFull { dev: dev() }),
-            (
-                "ft2",
-                ExecPlan::FaultTolerant {
-                    dev: dev(),
-                    sweep: FtSweep::fault_free(2),
-                },
-            ),
-        ];
-        for (tag, plan) in &plans {
-            let mut unchunked = pipe.search(&db, plan).unwrap();
-            for h in &mut unchunked.hits {
-                h.posterior = None; // checkpointed sweeps do not persist posteriors
-            }
-            let ckpt = dir.join(format!("{tag}.ckpt"));
-            let _ = std::fs::remove_file(&ckpt);
-            let prefix: Vec<SeqDb> = chunks.iter().take(kill_after).cloned().collect();
-            let saved = Some((ckpt.as_path(), hash));
-            common::sweep_chunks(&pipe, prefix, db.len(), plan, saved).unwrap();
-            let resumed =
-                common::sweep_chunks(&pipe, chunks.clone(), db.len(), plan, saved).unwrap();
-            prop_assert_eq!(&resumed.hits, &unchunked.hits, "plan {} diverged", tag);
-            for (a, b) in resumed.stages.iter().zip(&unchunked.stages) {
-                prop_assert_eq!(a.seqs_in, b.seqs_in, "plan {} stage {}", tag, &a.name);
-                prop_assert_eq!(a.seqs_out, b.seqs_out, "plan {} stage {}", tag, &a.name);
-                prop_assert_eq!(a.residues_in, b.residues_in, "plan {} stage {}", tag, &a.name);
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Where the E-value scale comes from does not show: for any chunk
-    /// bound, a stream that is its own database (`search_source`, scale
-    /// counted as it goes), the same chunks under a pinned scale, that
-    /// pinned sweep killed and resumed, and the resident search report the
-    /// same hit ids, score bits, E-value bits and funnel counts.
-    #[test]
-    fn streamed_scale_pinned_scale_and_resident_search_agree(
-        seed in 0u64..200,
-        cap in 1_000u64..60_000,
-        kill_after in 1usize..6,
-    ) {
-        use hmmer3_warp::pipeline::{search_source, Pipeline, PipelineConfig, PipelineResult};
-        use hmmer3_warp::seqdb::{content_hash, fasta, FastaSource};
-
-        let core = synthetic_model(50, 77, &BuildParams::default());
-        let pipe = Pipeline::prepare(&core, PipelineConfig::default(), 3);
-        let mut spec = DbGenSpec::envnr_like().scaled(2e-4);
-        spec.homolog_fraction = 0.05;
-        let db = generate(&spec, Some(&core), seed);
-        let text = fasta::render(&db);
-        let resident = pipe.search(&db, &ExecPlan::Cpu).unwrap();
-        prop_assert!(!resident.hits.is_empty());
-
-        let source = FastaSource::new("chunk", &text).unwrap();
-        let from_stream =
-            search_source(&pipe, &source, &ExecPlan::Cpu, cap, &Pipeline::env_trace()).unwrap();
-        let chunks: Vec<SeqDb> = common::fasta_chunks(&text, cap).unwrap();
-        let pinned =
-            common::sweep_chunks(&pipe, chunks.clone(), db.len(), &ExecPlan::Cpu, None).unwrap();
-        let ckpt = std::env::temp_dir()
-            .join(format!("h3w-prop-scale-{}-{seed}-{cap}.ckpt", std::process::id()));
-        let _ = std::fs::remove_file(&ckpt);
-        let saved = Some((ckpt.as_path(), content_hash(&db)));
-        let prefix: Vec<SeqDb> = chunks.iter().take(kill_after).cloned().collect();
-        common::sweep_chunks(&pipe, prefix, db.len(), &ExecPlan::Cpu, saved).unwrap();
-        let resumed = common::sweep_chunks(&pipe, chunks, db.len(), &ExecPlan::Cpu, saved).unwrap();
-        let _ = std::fs::remove_file(&ckpt);
-
-        let key = |r: &PipelineResult| {
-            let hits: Vec<(u32, u32, u64)> = r
-                .hits
-                .iter()
-                .map(|h| (h.seqid, h.fwd_score.to_bits(), h.evalue.to_bits()))
-                .collect();
-            let funnel = r.stages.clone().map(|s| (s.seqs_in, s.seqs_out, s.residues_in));
-            (hits, funnel, r.db_size)
+/// A chunked sweep killed and checkpoint-resumed (on another pool)
+/// reports the unchunked CPU sweep's hits under every execution plan: a
+/// named row of the lattice's checkpointed driver (`common::lattice`).
+#[test]
+fn checkpoint_resumed_stream_matches_unchunked_under_every_plan() {
+    use common::lattice::{check, Driver, Faults, Plan, Point};
+    let ft = Plan::FaultTolerant {
+        devices: 2,
+        faults: Faults::None,
+    };
+    for plan in [Plan::Cpu, Plan::K40, Plan::DeviceFull, ft] {
+        let driver = Driver::Resumed {
+            cap: 5_000,
+            kill_after: 2,
+            backend: hmmer3_warp::cpu::Backend::detect(),
+            threads: 0,
         };
-        for (tag, streamed) in [("stream", from_stream), ("pinned", pinned), ("resumed", resumed)] {
-            prop_assert_eq!(key(&streamed), key(&resident), "{} scale, cap {}", tag, cap);
-        }
+        check(&Point {
+            m: 50,
+            seed: 77,
+            plan,
+            driver,
+            ..Point::default()
+        });
+    }
+}
+
+/// Where the E-value scale comes from does not show: a FASTA stream and a
+/// packed-database stream that are their own database (scale counted as
+/// they go) and a pinned-scale sweep killed and resumed report the
+/// resident search's hit ids, score bits, E-value bits and funnel.
+#[test]
+fn streamed_scale_pinned_scale_and_resident_search_agree() {
+    use common::lattice::{check, Driver, Point};
+    let resumed = Driver::Resumed {
+        cap: 1_000,
+        kill_after: 5,
+        backend: hmmer3_warp::cpu::Backend::detect(),
+        threads: 1,
+    };
+    for driver in [
+        Driver::Fasta { cap: 1_000 },
+        Driver::Packed { cap: 1_000 },
+        resumed,
+    ] {
+        check(&Point {
+            m: 50,
+            seed: 77,
+            driver,
+            ..Point::default()
+        });
     }
 }

@@ -34,7 +34,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 fn stream(pipe: &Pipeline, source: &dyn SeqSource) -> Result<PipelineResult, StreamError> {
-    search_source(pipe, source, &ExecPlan::Cpu, CAP, &Pipeline::env_trace())
+    search_source(pipe, source, &ExecPlan::Cpu, CAP, &Trace::off())
 }
 
 /// The resident search of `text` parsed whole: what every stream of the
@@ -287,7 +287,7 @@ fn grammar_errors_surface_from_their_chunk_with_the_parsers_diagnosis() {
             Some(source.n_seqs()),
             &ExecPlan::Cpu,
             options,
-            &Pipeline::env_trace(),
+            &Trace::off(),
         )
         .unwrap_err();
         assert_eq!(expect_fasta(err), want, "{tag}");
@@ -312,7 +312,7 @@ fn a_checkpointed_sweep_must_pin_its_scale() {
         None,
         &ExecPlan::Cpu,
         options,
-        &Pipeline::env_trace(),
+        &Trace::off(),
     )
     .unwrap_err();
     assert!(

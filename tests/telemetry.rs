@@ -66,6 +66,11 @@ fn cpu_plan_telemetry_matches_stage_stats() {
     assert!(batch.counter("batches") > 0);
     assert!(batch.counter("slot_rows") > 0);
     assert!(batch.counter("slot_rows") <= batch.counter("loop_rows") * 4);
+    // The pool node mirrors this search's fan-outs: one child per worker.
+    let pool = tel.at_path("pipeline/pool").expect("pool node");
+    assert_eq!(pool.counter("workers"), pipe.pool().threads() as u64);
+    assert!(pool.counter("tasks") > 0);
+    assert!(tel.at_path("pipeline/pool/worker0").is_some());
 }
 
 #[test]

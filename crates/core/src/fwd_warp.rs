@@ -19,7 +19,7 @@
 //! scores agree within small float drift (asserted in tests), not
 //! bit-exactly — which is fine, Forward feeds a float threshold.
 
-use crate::feed::{DirectFeed, ResidueSource};
+use crate::feed::DirectFeed;
 use crate::layout::{SmemLayout, GM_EMIS_BASE, GM_OUT_BASE, GM_TRANS_BASE};
 use crate::stage::{run_stage, WarpStage};
 use h3w_hmm::logspace::flogsum;
@@ -105,19 +105,19 @@ impl<'a> FwdWarpKernel<'a> {
         }
     }
 
-    fn score<F: ResidueSource>(
+    fn score(
         &self,
         ctx: &mut SimtCtx,
         row_base: usize,
         seqid: usize,
-        feed: &mut F,
+        feed: &mut DirectFeed<'_>,
     ) -> FwdHit {
         let p = self.prof;
         let m = p.m;
         let iters = m.div_ceil(WARP_SIZE);
         let len = self.db.lengths[seqid] as usize;
         let xs = p.specials_for(len);
-        feed.begin_seq(ctx, seqid);
+        feed.begin_seq(seqid);
         ctx.alu(FWD_ALU_PER_ROW);
         let ids = lane_ids();
 
@@ -330,12 +330,12 @@ impl WarpStage for FwdWarpKernel<'_> {
         false
     }
 
-    fn score_one<F: ResidueSource>(
+    fn score_one(
         &self,
         ctx: &mut SimtCtx,
         row_base: usize,
         seqid: usize,
-        feed: &mut F,
+        feed: &mut DirectFeed<'_>,
         out: &mut Vec<FwdHit>,
     ) {
         out.push(self.score(ctx, row_base, seqid, feed));
@@ -346,8 +346,7 @@ impl WarpKernel for FwdWarpKernel<'_> {
     type Out = Vec<FwdHit>;
 
     fn run_warp(&self, ctx: &mut SimtCtx, global_warp: usize, total_warps: usize) -> Vec<FwdHit> {
-        let mut feed = DirectFeed::new(self.db);
-        run_stage(self, ctx, global_warp, total_warps, &mut feed)
+        run_stage(self, ctx, global_warp, total_warps)
     }
 }
 

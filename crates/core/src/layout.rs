@@ -127,11 +127,7 @@ pub struct SmemLayout {
     pub trans_base: usize,
     /// Start of the Fermi reduction scratch (`usize::MAX` on Kepler).
     pub scratch_base: usize,
-    /// Start of the residue-ring region of the warp-specialized kernels
-    /// (pair `p`'s ring at `ring_base + p × stages × 128`; `usize::MAX`
-    /// in unpipelined launches).
-    pub ring_base: usize,
-    /// Total bytes (= [`smem_per_block`], plus the ring when pipelined).
+    /// Total bytes (= [`smem_per_block`]).
     pub total: usize,
 }
 
@@ -167,27 +163,8 @@ pub fn smem_layout(
         emis_base,
         trans_base,
         scratch_base,
-        ring_base: usize::MAX,
         total: smem_per_block(stage, m, warps_per_block, mem, dev),
     }
-}
-
-/// Layout for a *warp-specialized* launch: `pairs_per_block` loader/compute
-/// pairs, DP rows and scratch indexed by pair (compute warps take ids
-/// `0..pairs`, loaders `pairs..2·pairs`), plus one `stages × 128` B
-/// residue ring per pair appended after the unpipelined regions.
-pub fn pipelined_layout(
-    stage: Stage,
-    m: usize,
-    pairs_per_block: usize,
-    mem: MemConfig,
-    dev: &DeviceSpec,
-    ring: h3w_simt::RingSpec,
-) -> SmemLayout {
-    let mut l = smem_layout(stage, m, pairs_per_block, mem, dev);
-    l.ring_base = l.total;
-    l.total = round_up(l.ring_base + pairs_per_block * ring.bytes_per_pair(), 256);
-    l
 }
 
 /// Block sizes the tiered scheduler searches (warps per block, i.e.

@@ -22,11 +22,10 @@ pub mod tiered;
 pub mod vit_warp;
 
 pub use fault::{run_chunks_ft, DeviceCtx, RetryPolicy, SweepError, SweepTrace};
-pub use feed::{DirectFeed, ResidueSource, RingFeed, GMEM_FILL_LATENCY_SLOTS};
 pub use fwd_warp::{FwdHit, FwdWarpKernel};
-pub use layout::{pipelined_layout, MemConfig, Stage};
+pub use layout::{MemConfig, Stage};
 pub use msv_warp::{MsvHit, MsvWarpKernel};
-pub use stage::{Pipelined, WarpStage};
+pub use stage::WarpStage;
 pub use stats_model::{predict_msv, predict_vit, DbAggregates, LaunchShape};
 pub use tiered::{
     auto_mem_config, model_stage_time, run_msv_device, run_msv_device_on, run_vit_device,

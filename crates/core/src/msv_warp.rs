@@ -19,7 +19,7 @@
 //! to a 32-bit word (Fig. 6). Byte arithmetic is identical to the scalar
 //! and striped CPU filters, so scores are **bit-exact** across all three.
 
-use crate::feed::{DirectFeed, ResidueSource};
+use crate::feed::DirectFeed;
 use crate::layout::{MemConfig, SmemLayout, GM_EMIS_BASE, GM_OUT_BASE};
 use crate::stage::{run_stage, WarpStage};
 use h3w_hmm::alphabet::PAD_CODE;
@@ -157,22 +157,21 @@ pub(crate) fn emission(
 }
 
 impl<'a> MsvWarpKernel<'a> {
-    /// Score one sequence (the body of Algorithm 1's outer while loop).
-    /// Residue words arrive through `feed` — the compute warp's own
-    /// uniform fetches, or the paired loader warp's shared-memory ring.
-    fn score<F: ResidueSource>(
+    /// Score one sequence (the body of Algorithm 1's outer while loop),
+    /// decoding its residues from the packed words `feed` fetches.
+    fn score(
         &self,
         ctx: &mut SimtCtx,
         row_base: usize,
         seqid: usize,
-        feed: &mut F,
+        feed: &mut DirectFeed<'_>,
     ) -> MsvHit {
         let om = self.om;
         let m = om.m;
         let iters = m.div_ceil(WARP_SIZE);
         let len = self.db.lengths[seqid] as usize;
         let lc = om.len_costs(len);
-        feed.begin_seq(ctx, seqid);
+        feed.begin_seq(seqid);
         ctx.alu(MSV_ALU_PER_SEQ);
         let ids = lane_ids();
 
@@ -236,7 +235,6 @@ impl<'a> MsvWarpKernel<'a> {
             };
             ctx.stats.rows += 1;
             if xe >= om.overflow_limit() {
-                feed.skip_rest(ctx);
                 ctx.gmem_access_uniform(GM_OUT_BASE + seqid * 4, 4);
                 return MsvHit {
                     seqid: seqid as u32,
@@ -278,12 +276,12 @@ impl WarpStage for MsvWarpKernel<'_> {
         shared
     }
 
-    fn score_one<F: ResidueSource>(
+    fn score_one(
         &self,
         ctx: &mut SimtCtx,
         row_base: usize,
         seqid: usize,
-        feed: &mut F,
+        feed: &mut DirectFeed<'_>,
         out: &mut Vec<MsvHit>,
     ) {
         out.push(self.score(ctx, row_base, seqid, feed));
@@ -294,8 +292,7 @@ impl WarpKernel for MsvWarpKernel<'_> {
     type Out = Vec<MsvHit>;
 
     fn run_warp(&self, ctx: &mut SimtCtx, global_warp: usize, total_warps: usize) -> Vec<MsvHit> {
-        let mut feed = DirectFeed::new(self.db);
-        run_stage(self, ctx, global_warp, total_warps, &mut feed)
+        run_stage(self, ctx, global_warp, total_warps)
     }
 }
 

@@ -10,7 +10,7 @@
 //! accordingly (measured by `ext_ssv`), which is exactly why HMMER 3.1
 //! put SSV in front of MSV.
 
-use crate::feed::{DirectFeed, ResidueSource};
+use crate::feed::DirectFeed;
 use crate::layout::{MemConfig, SmemLayout, GM_OUT_BASE};
 use crate::msv_warp::{emission, preload, stage_emission_table, zero_row};
 use crate::stage::{run_stage, WarpStage};
@@ -46,19 +46,19 @@ pub struct SsvWarpKernel<'a> {
 }
 
 impl<'a> SsvWarpKernel<'a> {
-    fn score<F: ResidueSource>(
+    fn score(
         &self,
         ctx: &mut SimtCtx,
         row_base: usize,
         seqid: usize,
-        feed: &mut F,
+        feed: &mut DirectFeed<'_>,
     ) -> SsvHit {
         let om = self.om;
         let m = om.m;
         let iters = m.div_ceil(WARP_SIZE);
         let len = self.db.lengths[seqid] as usize;
         let lc = om.len_costs(len);
-        feed.begin_seq(ctx, seqid);
+        feed.begin_seq(seqid);
         ctx.alu(SSV_ALU_PER_SEQ);
         let ids = lane_ids();
 
@@ -99,7 +99,6 @@ impl<'a> SsvWarpKernel<'a> {
                 i += 1;
                 continue;
             }
-            feed.skip_rest(ctx);
             ctx.gmem_access_uniform(GM_OUT_BASE + seqid * 4, 4);
             return SsvHit {
                 seqid: seqid as u32,
@@ -145,12 +144,12 @@ impl WarpStage for SsvWarpKernel<'_> {
         shared
     }
 
-    fn score_one<F: ResidueSource>(
+    fn score_one(
         &self,
         ctx: &mut SimtCtx,
         row_base: usize,
         seqid: usize,
-        feed: &mut F,
+        feed: &mut DirectFeed<'_>,
         out: &mut Vec<SsvHit>,
     ) {
         out.push(self.score(ctx, row_base, seqid, feed));
@@ -161,8 +160,7 @@ impl WarpKernel for SsvWarpKernel<'_> {
     type Out = Vec<SsvHit>;
 
     fn run_warp(&self, ctx: &mut SimtCtx, global_warp: usize, total_warps: usize) -> Vec<SsvHit> {
-        let mut feed = DirectFeed::new(self.db);
-        run_stage(self, ctx, global_warp, total_warps, &mut feed)
+        run_stage(self, ctx, global_warp, total_warps)
     }
 }
 

@@ -3,20 +3,18 @@
 //! Every filter kernel maps warp ↦ sequence the same way: the block's
 //! first warp stages the shared-config tables and one barrier publishes
 //! them, then each warp strides statically over the database, scoring one
-//! sequence at a time into its own DP-row region. What differs per stage
-//! is only the body of the loop. [`WarpStage`] is that body and
-//! [`run_stage`] is the loop; the direct kernels call it with a
-//! [`DirectFeed`](crate::feed::DirectFeed) from their `WarpKernel` impls
-//! (a blanket impl would break the orphan rule), and [`Pipelined`] calls
-//! it with a [`RingFeed`] fed by the paired loader warp.
+//! sequence at a time into its own DP-row region and reading its residues
+//! through one [`DirectFeed`]. What differs per stage is only the body of
+//! the loop. [`WarpStage`] is that body and [`run_stage`] is the loop;
+//! each kernel's `WarpKernel` impl is one call into it (a blanket impl
+//! would break the orphan rule).
 
-use crate::feed::{ResidueSource, RingFeed};
+use crate::feed::DirectFeed;
 use crate::layout::SmemLayout;
 use h3w_seqdb::PackedView;
-use h3w_simt::{PairKernel, RingSpec, SimtCtx};
+use h3w_simt::SimtCtx;
 
-/// One filter stage's per-sequence work, independent of where its residue
-/// words come from.
+/// One filter stage's per-sequence work.
 pub trait WarpStage: Sync {
     /// What one warp hands back: its hits, plus whatever else the stage
     /// tallies (Viterbi carries its Lazy-F effort).
@@ -35,28 +33,27 @@ pub trait WarpStage: Sync {
 
     /// Score sequence `seqid` in the DP rows at `row_base`, reading its
     /// residues through `feed`, and fold the result into `out`.
-    fn score_one<F: ResidueSource>(
+    fn score_one(
         &self,
         ctx: &mut SimtCtx,
         row_base: usize,
         seqid: usize,
-        feed: &mut F,
+        feed: &mut DirectFeed<'_>,
         out: &mut Self::Out,
     );
 }
 
-/// One warp's (or one pair's compute warp's) lifetime: sequences `first,
-/// first + stride, …`, with `ctx.warp_id` naming its slot in the block.
-/// `#[inline]` keeps each kernel's entry point one body (loop plus
-/// `score_one`), the shape the hand-written loops compiled to; outlined,
-/// the simulator's wall clock moved with where the pieces linked (E16).
+/// One warp's lifetime: sequences `first, first + stride, …`, with
+/// `ctx.warp_id` naming its slot in the block. `#[inline]` folds the loop
+/// into each kernel's `run_warp`, where the hand-written loops were. The
+/// simulator's wall clock moves with where its code links, not with how
+/// the kernel body is split into functions (EXPERIMENTS.md E16).
 #[inline]
-pub fn run_stage<K: WarpStage, F: ResidueSource>(
+pub fn run_stage<K: WarpStage>(
     kernel: &K,
     ctx: &mut SimtCtx,
     first: usize,
     stride: usize,
-    feed: &mut F,
 ) -> K::Out {
     // The only barrier in the kernel's lifetime: launch setup, not the
     // per-row synchronization the paper's design eliminates (2/row in
@@ -66,11 +63,13 @@ pub fn run_stage<K: WarpStage, F: ResidueSource>(
     }
     let layout = kernel.layout();
     let row_base = layout.rows_base + ctx.warp_id as usize * layout.row_stride;
-    let n_seqs = kernel.db().n_seqs();
+    let db = kernel.db();
+    let n_seqs = db.n_seqs();
+    let mut feed = DirectFeed::new(db);
     let mut out = K::Out::default();
     let mut seqid = first;
     while seqid < n_seqs {
-        kernel.score_one(ctx, row_base, seqid, feed, &mut out);
+        kernel.score_one(ctx, row_base, seqid, &mut feed, &mut out);
         ctx.stats.sequences += 1;
         ctx.alu(2); // striding bookkeeping
         seqid += stride;
@@ -78,51 +77,11 @@ pub fn run_stage<K: WarpStage, F: ResidueSource>(
     out
 }
 
-/// A warp-specialized launch of stage `K`: the same DP schedule on the
-/// compute warp, with residue streaming split out to a paired loader warp
-/// that runs ahead through an N-stage shared-memory ring (launch with
-/// [`h3w_simt::run_grid_pairs`] over a [`crate::layout::pipelined_layout`]).
-/// The ring moves *when* residue words arrive, never their values or the
-/// arithmetic order, so every stage's output equals its direct kernel's.
-pub struct Pipelined<K> {
-    /// The underlying kernel (layout must carry a ring region).
-    pub inner: K,
-    /// Ring depth.
-    pub ring: RingSpec,
-    /// Pairs per block of the launch (loader warp ids start here).
-    pub pairs_per_block: usize,
-    /// Emit full/empty barrier arrivals. `false` reproduces the
-    /// unsynchronized-ring race for failure-injection tests.
-    pub sync: bool,
-}
-
-impl<K: WarpStage> PairKernel for Pipelined<K> {
-    type Out = K::Out;
-
-    fn run_pair(&self, ctx: &mut SimtCtx, global_pair: usize, total_pairs: usize) -> K::Out {
-        let pair = ctx.warp_id as usize / 2;
-        ctx.warp_id = pair as u16; // compute role
-        let mut feed = RingFeed::new(
-            self.inner.db(),
-            global_pair,
-            total_pairs,
-            self.ring,
-            self.inner.layout().ring_base + pair * self.ring.bytes_per_pair(),
-            (self.pairs_per_block + pair) as u16,
-            pair as u16,
-        );
-        feed.sync = self.sync;
-        let out = run_stage(&self.inner, ctx, global_pair, total_pairs, &mut feed);
-        feed.finish(ctx);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fwd_warp::FwdWarpKernel;
-    use crate::layout::{best_config, pipelined_layout, regs_per_thread, MemConfig, Stage};
+    use crate::layout::{best_config, smem_layout, MemConfig, Stage};
     use crate::msv_warp::MsvWarpKernel;
     use crate::ssv_warp::SsvWarpKernel;
     use crate::vit_warp::{DdMode, VitWarpKernel};
@@ -136,10 +95,7 @@ mod tests {
     use h3w_hmm::vitprofile::VitProfile;
     use h3w_seqdb::gen::{generate, DbGenSpec};
     use h3w_seqdb::{PackedDb, SeqDb};
-    use h3w_simt::{run_grid, run_grid_pairs, DeviceSpec, KernelConfig, KernelStats, WarpKernel};
-
-    const PAIRS: usize = 4;
-    const BLOCKS: usize = 2;
+    use h3w_simt::{run_grid, DeviceSpec, WarpKernel};
 
     fn setup(m: usize, frac: f64) -> (Profile, SeqDb, PackedDb) {
         let core = synthetic_model(m, 99, &BuildParams::default());
@@ -150,93 +106,51 @@ mod tests {
         (Profile::config(&core, &NullModel::new()), db, packed)
     }
 
-    /// Launch `make(layout)` behind a `stages`-deep ring on a fixed
-    /// geometry, so depth sweeps compare identical work streams.
-    fn launch_ring<K: WarpStage>(
+    /// Launch `make(layout)` for one (stage, table placement, device) and
+    /// hold it to the CPU reference: `hits` flattens the per-warp outputs,
+    /// `agrees` holds one hit against the CPU filter, and every one of the
+    /// `n_seqs` sequences must be scored with zero hazards and zero bank
+    /// conflicts. Returns `false` when the placement does not fit the
+    /// device.
+    fn matches_cpu<K: WarpKernel, H>(
         (stage, m, mem, dev): (Stage, usize, MemConfig, &DeviceSpec),
-        stages: usize,
-        sync: bool,
+        n_seqs: usize,
         make: impl Fn(SmemLayout) -> K,
-    ) -> (Vec<K::Out>, KernelStats) {
-        let ring = RingSpec::new(stages).unwrap();
-        let layout = pipelined_layout(stage, m, PAIRS, mem, dev, ring);
-        let cfg = KernelConfig {
-            warps_per_block: 2 * PAIRS,
-            blocks: BLOCKS,
-            regs_per_thread: regs_per_thread(stage),
-            smem_per_block: layout.total,
-            track_hazards: true,
-        };
-        let kernel = Pipelined {
-            inner: make(layout),
-            ring,
-            pairs_per_block: PAIRS,
-            sync,
-        };
-        let r = run_grid_pairs(dev, &cfg, &kernel).unwrap();
-        (r.outputs, r.stats)
-    }
-
-    /// `Pipelined<K>` == direct `K` == the CPU reference, at ring depths
-    /// 2, 4 and 8, for one (stage, table placement, device). `hits`
-    /// flattens the per-warp outputs into database order; `agrees` holds
-    /// one hit against the CPU filter. Returns `false` when the placement
-    /// does not fit the device.
-    fn ring_matches_direct_and_cpu<K, H>(
-        shape: (Stage, usize, MemConfig, &DeviceSpec),
-        make: impl Fn(SmemLayout) -> K,
-        hits: impl Fn(Vec<<K as WarpStage>::Out>) -> Vec<H>,
+        hits: impl Fn(Vec<<K as WarpKernel>::Out>) -> Vec<H>,
         agrees: impl Fn(&H),
-    ) -> bool
-    where
-        K: WarpStage + WarpKernel<Out = <K as WarpStage>::Out>,
-        H: PartialEq + std::fmt::Debug,
-    {
-        let (stage, m, mem, dev) = shape;
+    ) -> bool {
         let Some((mut cfg, _)) = best_config(stage, m, mem, dev) else {
             return false;
         };
-        cfg.blocks = BLOCKS;
+        cfg.blocks = 2;
         cfg.track_hazards = true;
-        let layout = crate::layout::smem_layout(stage, m, cfg.warps_per_block, mem, dev);
-        let direct = run_grid(dev, &cfg, &make(layout)).unwrap();
-        assert_eq!(direct.stats.hazards, 0);
-        let base = hits(direct.outputs);
-        base.iter().for_each(&agrees);
-        for stages in [2usize, 4, 8] {
-            let tag = format!("{stage:?} {mem:?} {} stages={stages}", dev.name);
-            let (outs, stats) = launch_ring(shape, stages, true, &make);
-            assert_eq!(hits(outs), base, "{tag}");
-            assert_eq!(stats.hazards, 0, "{tag}");
-            assert_eq!(stats.smem_conflict_extra, 0, "{tag}");
-            // The compute warp adds no barrier of its own: ring arrivals
-            // are a separate counter.
-            assert_eq!(stats.barriers, direct.stats.barriers, "{tag}");
-            assert!(stats.ring_syncs > 0, "{tag}");
-            assert!(stats.simulated_overlap().expect("pipe ran") > 0.0, "{tag}");
-        }
+        let layout = smem_layout(stage, m, cfg.warps_per_block, mem, dev);
+        let r = run_grid(dev, &cfg, &make(layout)).unwrap();
+        let tag = format!("{stage:?} {mem:?} {}", dev.name);
+        assert_eq!(r.stats.hazards, 0, "{tag}");
+        assert_eq!(r.stats.smem_conflict_extra, 0, "{tag}");
+        let hits = hits(r.outputs);
+        assert_eq!(hits.len(), n_seqs, "{tag}");
+        hits.iter().for_each(agrees);
         true
     }
 
-    fn by_seqid<H>(mut hits: Vec<H>, seqid: impl Fn(&H) -> u32) -> Vec<H> {
-        hits.sort_by_key(seqid);
-        hits
-    }
-
     #[test]
-    fn every_stage_is_bit_exact_through_the_ring_at_every_depth() {
+    fn every_stage_matches_the_cpu_reference_on_every_placement_and_device() {
         let m = 70usize;
         let (prof, db, packed) = setup(m, 6e-6);
         let msv = MsvProfile::from_profile(&prof);
         let vit = VitProfile::from_profile(&prof);
         let view = packed.view();
+        let n = db.len();
         let seq = |id: u32| &db.seqs[id as usize].residues[..];
         let mut ran = 0;
         for dev in [DeviceSpec::tesla_k40(), DeviceSpec::gtx_580()] {
             let use_shfl = dev.has_shfl;
             for mem in [MemConfig::Shared, MemConfig::Global] {
-                ran += ring_matches_direct_and_cpu(
+                ran += matches_cpu(
                     (Stage::Msv, m, mem, &dev),
+                    n,
                     |layout| MsvWarpKernel {
                         om: &msv,
                         db: view,
@@ -245,14 +159,15 @@ mod tests {
                         use_shfl,
                         double_buffer: true,
                     },
-                    |outs| by_seqid(outs.into_iter().flatten().collect(), |h| h.seqid),
+                    |outs| outs.into_iter().flatten().collect(),
                     |h| {
                         let e = msv_filter_scalar(&msv, seq(h.seqid));
                         assert_eq!((h.xj, h.overflow), (e.xj, e.overflow), "msv {}", h.seqid);
                     },
                 ) as usize;
-                ran += ring_matches_direct_and_cpu(
+                ran += matches_cpu(
                     (Stage::Msv, m, mem, &dev),
+                    n,
                     |layout| SsvWarpKernel {
                         om: &msv,
                         db: view,
@@ -260,14 +175,15 @@ mod tests {
                         layout,
                         use_shfl,
                     },
-                    |outs| by_seqid(outs.into_iter().flatten().collect(), |h| h.seqid),
+                    |outs| outs.into_iter().flatten().collect(),
                     |h| {
                         let e = ssv_filter_scalar(&msv, seq(h.seqid));
                         assert_eq!((h.xj, h.overflow), (e.xj, e.overflow), "ssv {}", h.seqid);
                     },
                 ) as usize;
-                ran += ring_matches_direct_and_cpu(
+                ran += matches_cpu(
                     (Stage::Viterbi, m, mem, &dev),
+                    n,
                     |layout| VitWarpKernel {
                         om: &vit,
                         db: view,
@@ -276,7 +192,7 @@ mod tests {
                         use_shfl,
                         dd_mode: DdMode::default(),
                     },
-                    |outs| by_seqid(outs.into_iter().flat_map(|(h, _)| h).collect(), |h| h.seqid),
+                    |outs| outs.into_iter().flat_map(|(h, _)| h).collect(),
                     |h| {
                         assert_eq!(
                             h.xc,
@@ -286,15 +202,16 @@ mod tests {
                         )
                     },
                 ) as usize;
-                // Float scores too: the ring never reorders arithmetic.
-                ran += ring_matches_direct_and_cpu(
+                // Float scores agree within reduction-order drift.
+                ran += matches_cpu(
                     (Stage::Forward, m, mem, &dev),
+                    n,
                     |layout| FwdWarpKernel {
                         prof: &prof,
                         db: view,
                         layout,
                     },
-                    |outs| by_seqid(outs.into_iter().flatten().collect(), |h| h.seqid),
+                    |outs| outs.into_iter().flatten().collect(),
                     |h| {
                         let cpu = forward_generic(&prof, seq(h.seqid));
                         let tol = 0.05 + 0.002 * seq(h.seqid).len() as f32;
@@ -309,45 +226,5 @@ mod tests {
             }
         }
         assert_eq!(ran, 16, "every stage × placement × device fits at M = {m}");
-    }
-
-    fn msv_ring(prof: &Profile, packed: &PackedDb, stages: usize, sync: bool) -> KernelStats {
-        let dev = DeviceSpec::tesla_k40();
-        let om = MsvProfile::from_profile(prof);
-        let shape = (Stage::Msv, om.m, MemConfig::Shared, &dev);
-        let (_, stats) = launch_ring(shape, stages, sync, |layout| MsvWarpKernel {
-            om: &om,
-            db: packed.view(),
-            mem: MemConfig::Shared,
-            layout,
-            use_shfl: true,
-            double_buffer: true,
-        });
-        stats
-    }
-
-    #[test]
-    fn unsynchronized_ring_trips_the_race_detector() {
-        // Failure injection: the loader/compute split is only safe because
-        // of the full/empty barrier pairs. Eliding them must race.
-        let (prof, _, packed) = setup(40, 2e-5);
-        let stats = msv_ring(&prof, &packed, 4, false);
-        assert!(stats.hazards > 0, "unsynchronized ring must race");
-    }
-
-    #[test]
-    fn deeper_ring_never_lengthens_the_simulated_makespan() {
-        let (prof, _, packed) = setup(33, 2e-5);
-        let mut prev = u64::MAX;
-        for stages in [2usize, 4, 8] {
-            let stats = msv_ring(&prof, &packed, stages, true);
-            assert!(
-                stats.pipe_makespan_slots <= prev,
-                "stages={stages}: {} after {prev}",
-                stats.pipe_makespan_slots
-            );
-            assert!(stats.pipe_makespan_slots <= stats.pipe_serial_slots);
-            prev = stats.pipe_makespan_slots;
-        }
     }
 }

@@ -15,7 +15,7 @@
 //! scalar propagation. Rows whose `Dmax` reduction is −∞ skip the
 //! procedure entirely (most rows, which is the point of the heuristic).
 
-use crate::feed::{DirectFeed, ResidueSource};
+use crate::feed::DirectFeed;
 use crate::layout::{MemConfig, SmemLayout, GM_EMIS_BASE, GM_OUT_BASE, GM_TRANS_BASE};
 use crate::stage::{run_stage, WarpStage};
 use h3w_hmm::vitprofile::{wadd, VitProfile, W_NEG_INF};
@@ -267,20 +267,20 @@ impl<'a> VitWarpKernel<'a> {
     }
 
     /// Score one sequence.
-    fn score<F: ResidueSource>(
+    fn score(
         &self,
         ctx: &mut SimtCtx,
         row_base: usize,
         seqid: usize,
         lazy: &mut WarpLazyStats,
-        feed: &mut F,
+        feed: &mut DirectFeed<'_>,
     ) -> VitHit {
         let om = self.om;
         let m = om.m;
         let iters = m.div_ceil(WARP_SIZE);
         let len = self.db.lengths[seqid] as usize;
         let ls = om.len_scores(len);
-        feed.begin_seq(ctx, seqid);
+        feed.begin_seq(seqid);
         ctx.alu(VIT_ALU_PER_SEQ);
         let ids = lane_ids();
         let ninf = Lanes::splat(W_NEG_INF);
@@ -412,7 +412,6 @@ impl<'a> VitWarpKernel<'a> {
             // Off-scale-high early exit (HMMER's eslERANGE): identical
             // check in the scalar and striped filters keeps bit-exactness.
             if xe == i16::MAX {
-                feed.skip_rest(ctx);
                 ctx.gmem_access_uniform(GM_OUT_BASE + seqid * 4, 4);
                 return VitHit {
                     seqid: seqid as u32,
@@ -576,12 +575,12 @@ impl WarpStage for VitWarpKernel<'_> {
         shared
     }
 
-    fn score_one<F: ResidueSource>(
+    fn score_one(
         &self,
         ctx: &mut SimtCtx,
         row_base: usize,
         seqid: usize,
-        feed: &mut F,
+        feed: &mut DirectFeed<'_>,
         (hits, lazy): &mut (Vec<VitHit>, WarpLazyStats),
     ) {
         hits.push(self.score(ctx, row_base, seqid, lazy, feed));
@@ -597,8 +596,7 @@ impl WarpKernel for VitWarpKernel<'_> {
         global_warp: usize,
         total_warps: usize,
     ) -> (Vec<VitHit>, WarpLazyStats) {
-        let mut feed = DirectFeed::new(self.db);
-        run_stage(self, ctx, global_warp, total_warps, &mut feed)
+        run_stage(self, ctx, global_warp, total_warps)
     }
 }
 

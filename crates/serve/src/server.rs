@@ -450,8 +450,7 @@ fn json_string(s: &str) -> String {
 }
 
 /// Per-connection loop: frames in, responses out, until EOF, transport
-/// error, or drain. Read timeouts let the loop poll the drain flag
-/// between frames without dropping bytes mid-frame.
+/// error, or drain. Read timeouts let the loop poll the drain flag.
 fn handle_conn(inner: &Arc<ServerInner>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
@@ -483,10 +482,12 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
-/// [`crate::protocol::read_frame`] specialized to the server side: while
-/// idle between frames (zero header bytes read) a drain request ends the
-/// connection cleanly; once a frame has started, reads push through
-/// timeouts so a slow client cannot desynchronize the stream.
+/// [`crate::protocol::read_frame`] specialized to the server side: reads
+/// push through timeouts so a slow client cannot desynchronize the stream,
+/// until the server drains. Then a timeout between frames (zero header
+/// bytes read) ends the connection cleanly, and one mid-frame abandons it
+/// as [`ProtocolError::Truncated`], so a stalled client cannot hold the
+/// drain open.
 fn read_frame_polling(
     stream: &mut TcpStream,
     draining: &AtomicBool,
@@ -494,22 +495,22 @@ fn read_frame_polling(
     let mut len_buf = [0u8; 4];
     let mut got = 0usize;
     while got < 4 {
-        match stream.read(&mut len_buf[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    Ok(None)
-                } else {
-                    Err(ProtocolError::Truncated)
-                };
+        let stop = match stream.read(&mut len_buf[got..]) {
+            Ok(0) => true,
+            Ok(n) => {
+                got += n;
+                false
             }
-            Ok(n) => got += n,
-            Err(e) if is_timeout(&e) => {
-                if got == 0 && draining.load(Ordering::SeqCst) {
-                    return Ok(None);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if is_timeout(&e) => draining.load(Ordering::SeqCst),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => false,
             Err(e) => return Err(ProtocolError::Io(e.to_string())),
+        };
+        if stop {
+            return if got == 0 {
+                Ok(None)
+            } else {
+                Err(ProtocolError::Truncated)
+            };
         }
     }
     let len = u32::from_be_bytes(len_buf) as usize;
@@ -522,6 +523,9 @@ fn read_frame_polling(
         match stream.read(&mut payload[got..]) {
             Ok(0) => return Err(ProtocolError::Truncated),
             Ok(n) => got += n,
+            Err(e) if is_timeout(&e) && draining.load(Ordering::SeqCst) => {
+                return Err(ProtocolError::Truncated)
+            }
             Err(e) if is_timeout(&e) || e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(ProtocolError::Io(e.to_string())),
         }

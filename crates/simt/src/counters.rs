@@ -38,27 +38,6 @@ pub struct KernelStats {
     pub rows: u64,
     /// Sequences completed.
     pub sequences: u64,
-    /// Ring full/empty barrier arrivals (`bar.arrive` analogues) issued by
-    /// the specialized loader/compute warp pairs. Each costs one issue
-    /// slot, like a named-barrier instruction.
-    pub ring_syncs: u64,
-    /// Ring stages the compute warp had to *wait* for (the stage's fill
-    /// had not retired when the consumer arrived) — the residual
-    /// un-hidden latency.
-    pub ring_full_waits: u64,
-    /// Ring stages the loader warp had to wait on (all stages still held
-    /// unconsumed data) — the loader ran ahead to the ring's depth.
-    pub ring_empty_waits: u64,
-    /// Issue slots spent inside the loader role of specialized pairs.
-    pub loader_slots: u64,
-    /// Issue slots spent inside the compute role of specialized pairs.
-    pub compute_slots: u64,
-    /// Serialized cost of the pipelined work: loader + compute slots as if
-    /// one warp did both back to back (the depth-1 equivalent).
-    pub pipe_serial_slots: u64,
-    /// Simulated makespan of the loader/compute pair in slots — the
-    /// critical path through the ring's full/empty dependence graph.
-    pub pipe_makespan_slots: u64,
 }
 
 impl KernelStats {
@@ -78,13 +57,6 @@ impl KernelStats {
         self.hazards += other.hazards;
         self.rows += other.rows;
         self.sequences += other.sequences;
-        self.ring_syncs += other.ring_syncs;
-        self.ring_full_waits += other.ring_full_waits;
-        self.ring_empty_waits += other.ring_empty_waits;
-        self.loader_slots += other.loader_slots;
-        self.compute_slots += other.compute_slots;
-        self.pipe_serial_slots += other.pipe_serial_slots;
-        self.pipe_makespan_slots += other.pipe_makespan_slots;
     }
 
     /// Total issue slots consumed in the compute pipeline: every counted
@@ -97,17 +69,6 @@ impl KernelStats {
             + self.shuffles
             + self.votes
             + self.barriers
-            + self.ring_syncs
-    }
-
-    /// Fraction of the serialized loader+compute cost hidden by the ring:
-    /// `1 − makespan/serial`. `None` when no specialized pair ran.
-    pub fn simulated_overlap(&self) -> Option<f64> {
-        if self.pipe_serial_slots == 0 {
-            None
-        } else {
-            Some(1.0 - self.pipe_makespan_slots as f64 / self.pipe_serial_slots as f64)
-        }
     }
 
     /// Record every counter into a telemetry trace at `path` — how the
@@ -132,24 +93,8 @@ impl KernelStats {
             ("hazards", self.hazards),
             ("rows", self.rows),
             ("sequences", self.sequences),
-            ("ring_syncs", self.ring_syncs),
-            ("ring_full_waits", self.ring_full_waits),
-            ("ring_empty_waits", self.ring_empty_waits),
-            ("loader_slots", self.loader_slots),
-            ("compute_slots", self.compute_slots),
-            ("pipe_serial_slots", self.pipe_serial_slots),
-            ("pipe_makespan_slots", self.pipe_makespan_slots),
         ] {
             trace.add(path, name, value);
-        }
-    }
-
-    /// Shared-memory accesses per row — a locality metric for reports.
-    pub fn smem_per_row(&self) -> f64 {
-        if self.rows == 0 {
-            0.0
-        } else {
-            (self.smem_loads + self.smem_stores) as f64 / self.rows as f64
         }
     }
 }
@@ -197,29 +142,12 @@ mod tests {
             hazards: 8,
             rows: 9,
             sequences: 1,
-            ring_syncs: 2,
-            pipe_serial_slots: 100,
-            pipe_makespan_slots: 60,
-            ..Default::default()
         };
         let b = a;
         a.merge(&b);
         assert_eq!(a.instructions, 20);
         assert_eq!(a.gmem_bytes, 1024);
         assert_eq!(a.sequences, 2);
-        assert_eq!(a.ring_syncs, 4);
-        assert_eq!(a.pipe_makespan_slots, 120);
-    }
-
-    #[test]
-    fn overlap_is_one_minus_makespan_over_serial() {
-        let s = KernelStats {
-            pipe_serial_slots: 200,
-            pipe_makespan_slots: 120,
-            ..Default::default()
-        };
-        assert!((s.simulated_overlap().unwrap() - 0.4).abs() < 1e-12);
-        assert_eq!(KernelStats::default().simulated_overlap(), None);
     }
 
     #[test]
@@ -232,21 +160,8 @@ mod tests {
             shuffles: 3,
             votes: 2,
             barriers: 1,
-            ring_syncs: 4,
             ..Default::default()
         };
-        assert_eq!(s.issue_slots(), 145);
-    }
-
-    #[test]
-    fn smem_per_row() {
-        let s = KernelStats {
-            smem_loads: 30,
-            smem_stores: 30,
-            rows: 20,
-            ..Default::default()
-        };
-        assert!((s.smem_per_row() - 3.0).abs() < 1e-12);
-        assert_eq!(KernelStats::default().smem_per_row(), 0.0);
+        assert_eq!(s.issue_slots(), 141);
     }
 }

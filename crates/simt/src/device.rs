@@ -106,16 +106,6 @@ impl DeviceSpec {
             has_shfl: false,
         }
     }
-
-    /// Total register file across the device.
-    pub fn total_regs(&self) -> usize {
-        self.regs_per_sm * self.sm_count
-    }
-
-    /// Peak warp-instruction throughput of the whole device (warps/s).
-    pub fn peak_issue_rate(&self) -> f64 {
-        self.issue_per_cycle * self.clock_hz * self.sm_count as f64
-    }
 }
 
 /// The paper's CPU baseline: Intel Core i5 quad core @ 3.4 GHz with SSE
@@ -171,14 +161,6 @@ mod tests {
         assert!(!f.has_shfl);
         assert_eq!(f.regs_per_sm, k.regs_per_sm / 2);
         assert!(f.max_warps_per_sm < k.max_warps_per_sm);
-    }
-
-    #[test]
-    fn derived_rates() {
-        let d = DeviceSpec::tesla_k40();
-        assert_eq!(d.total_regs(), 65_536 * 15);
-        let peak = d.peak_issue_rate();
-        assert!((peak - 6.0 * 745.0e6 * 15.0).abs() < 1.0);
     }
 
     #[test]

@@ -136,33 +136,6 @@ impl SimtCtx {
         self.stats.smem_conflict_extra += cost.transactions.saturating_sub(1) as u64;
     }
 
-    /// Shared-memory 32-bit unsigned load (packed residue words out of a
-    /// ring stage).
-    #[inline]
-    pub fn ld_smem_u32(&mut self, addrs: Lanes<usize>, active: Lanes<bool>) -> Lanes<u32> {
-        let (v, cost) = self.smem.ld_u32(addrs, active, self.warp_id);
-        self.stats.smem_loads += 1;
-        self.stats.smem_conflict_extra += cost.transactions.saturating_sub(1) as u64;
-        v
-    }
-
-    /// Shared-memory 32-bit unsigned store (ring stage fill).
-    #[inline]
-    pub fn st_smem_u32(&mut self, addrs: Lanes<usize>, vals: Lanes<u32>, active: Lanes<bool>) {
-        let cost = self.smem.st_u32(addrs, vals, active, self.warp_id);
-        self.stats.smem_stores += 1;
-        self.stats.smem_conflict_extra += cost.transactions.saturating_sub(1) as u64;
-    }
-
-    /// Ring barrier arrival (`bar.arrive` on a named full/empty barrier):
-    /// one issue slot, and — like any barrier — an ordering point for the
-    /// hazard detector, since the paired warp may only touch the stage
-    /// after observing the arrival.
-    pub fn ring_sync(&mut self) {
-        self.stats.ring_syncs += 1;
-        self.smem.advance_epoch();
-    }
-
     /// Butterfly reduction of float lanes under an arbitrary combine
     /// (e.g. log-sum-exp for the Forward kernel's row total) — 5 shuffle
     /// steps, result broadcast to all lanes.
@@ -325,21 +298,6 @@ pub trait WarpKernel: Sync {
     fn run_warp(&self, ctx: &mut SimtCtx, global_warp: usize, total_warps: usize) -> Self::Out;
 }
 
-/// A kernel of specialized warp *pairs*: warp `2p` of each block computes
-/// while warp `2p+1` loads, the two communicating only through a
-/// shared-memory ring (ROADMAP open item 1's producer/consumer split).
-/// The kernel body switches `ctx.warp_id` between the two roles so the
-/// hazard detector sees the cross-warp traffic, and accounts overlap
-/// through a [`crate::RingPipe`].
-pub trait PairKernel: Sync {
-    /// Per-pair output.
-    type Out: Send;
-
-    /// Execute one loader/compute pair's full lifetime; pairs stride the
-    /// database exactly like independent warps do.
-    fn run_pair(&self, ctx: &mut SimtCtx, global_pair: usize, total_pairs: usize) -> Self::Out;
-}
-
 /// A kernel where the warps of a block cooperate through shared memory and
 /// barriers (the Fig. 4 baseline).
 pub trait BlockKernel: Sync {
@@ -389,54 +347,6 @@ pub fn run_grid<K: WarpKernel>(
     let mut stats = KernelStats::default();
     let mut outputs = Vec::with_capacity(total_warps);
     let mut work = Vec::with_capacity(total_warps);
-    for (s, outs) in per_block {
-        stats.merge(&s);
-        for (o, w) in outs {
-            outputs.push(o);
-            work.push(w);
-        }
-    }
-    Ok(GridResult {
-        stats,
-        outputs,
-        work_per_unit: work,
-    })
-}
-
-/// Launch a specialized-pair kernel over a grid. `warps_per_block` must
-/// be even: each block holds `warps_per_block / 2` loader/compute pairs.
-#[allow(clippy::type_complexity)]
-pub fn run_grid_pairs<K: PairKernel>(
-    dev: &DeviceSpec,
-    cfg: &KernelConfig,
-    kernel: &K,
-) -> Result<GridResult<K::Out>, String> {
-    cfg.validate(dev)?;
-    if !cfg.warps_per_block.is_multiple_of(2) {
-        return Err(format!(
-            "pair kernel needs an even warp count per block, got {}",
-            cfg.warps_per_block
-        ));
-    }
-    let pairs_per_block = cfg.warps_per_block / 2;
-    let total_pairs = pairs_per_block * cfg.blocks;
-    let per_block: Vec<(KernelStats, Vec<(K::Out, u64)>)> =
-        ThreadPool::global().map_collect(cfg.blocks, |block| {
-            let mut ctx = SimtCtx::new(cfg.smem_per_block, cfg.track_hazards);
-            let mut outs = Vec::with_capacity(pairs_per_block);
-            for p in 0..pairs_per_block {
-                ctx.warp_id = (2 * p) as u16;
-                let before = ctx.stats.issue_slots();
-                let out = kernel.run_pair(&mut ctx, block * pairs_per_block + p, total_pairs);
-                outs.push((out, ctx.stats.issue_slots() - before));
-            }
-            ctx.finish_block();
-            (ctx.stats, outs)
-        });
-
-    let mut stats = KernelStats::default();
-    let mut outputs = Vec::with_capacity(total_pairs);
-    let mut work = Vec::with_capacity(total_pairs);
     for (s, outs) in per_block {
         stats.merge(&s);
         for (o, w) in outs {

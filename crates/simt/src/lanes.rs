@@ -63,13 +63,6 @@ impl<T: Copy + Default> Lanes<T> {
         debug_assert!(mask < WARP_SIZE);
         Lanes(core::array::from_fn(|i| self.0[i ^ mask]))
     }
-
-    /// Indexed shuffle `__shfl(v, src)`: every lane receives lane `src`'s
-    /// value (broadcast when `src` is uniform).
-    #[inline]
-    pub fn shfl_idx(self, src: Lanes<usize>) -> Self {
-        Lanes(core::array::from_fn(|i| self.0[src.0[i] % WARP_SIZE]))
-    }
 }
 
 impl Lanes<bool> {
@@ -78,21 +71,6 @@ impl Lanes<bool> {
     #[inline]
     pub fn vote_all(&self) -> bool {
         self.0.iter().all(|&b| b)
-    }
-
-    /// Warp vote `__any(pred)`.
-    #[inline]
-    pub fn vote_any(&self) -> bool {
-        self.0.iter().any(|&b| b)
-    }
-
-    /// Warp ballot: bitmask of lanes with a true predicate.
-    #[inline]
-    pub fn ballot(&self) -> u32 {
-        self.0
-            .iter()
-            .enumerate()
-            .fold(0u32, |acc, (i, &b)| acc | ((b as u32) << i))
     }
 }
 
@@ -141,13 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn shfl_idx_broadcast() {
-        let v = Lanes::from_fn(|i| i as i16);
-        let b = v.shfl_idx(Lanes::splat(5));
-        assert!(b.0.iter().all(|&x| x == 5));
-    }
-
-    #[test]
     fn butterfly_max_broadcasts_maximum() {
         let v = Lanes::from_fn(|i| ((i * 37) % 61) as u8);
         let expected = *v.0.iter().max().unwrap();
@@ -167,15 +138,8 @@ mod tests {
     fn votes() {
         let mut p = Lanes::splat(true);
         assert!(p.vote_all());
-        assert!(p.vote_any());
-        assert_eq!(p.ballot(), u32::MAX);
         p.set_lane(3, false);
         assert!(!p.vote_all());
-        assert!(p.vote_any());
-        assert_eq!(p.ballot(), !(1 << 3));
-        let none = Lanes::splat(false);
-        assert!(!none.vote_any());
-        assert_eq!(none.ballot(), 0);
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //!   kernels (Rayon across blocks);
 //! * [`occupancy`](mod@occupancy) — NVIDIA residency rules (registers / shared memory /
 //!   slots);
-//! * [`ring`] — producer/consumer ring accounting for warp-specialized
-//!   loader/compute pairs (N-stage full/empty barrier pipeline);
 //! * [`timing`] — counted events × device rates with occupancy-driven
 //!   latency hiding and measured load imbalance;
 //! * [`fault`] — deterministic device-fault injection (device-lost,
@@ -30,24 +28,18 @@ pub mod exec;
 pub mod fault;
 pub mod lanes;
 pub mod occupancy;
-pub mod ring;
 pub mod smem;
 pub mod timing;
 
 pub use counters::KernelStats;
 pub use device::{Arch, CpuSpec, DeviceSpec, WARP_SIZE};
 pub use exec::{
-    run_grid, run_grid_blocks, run_grid_pairs, BlockKernel, GridResult, KernelConfig, PairKernel,
-    SimtCtx, WarpKernel,
+    run_grid, run_grid_blocks, BlockKernel, GridResult, KernelConfig, SimtCtx, WarpKernel,
 };
 pub use fault::{DeviceFault, FaultInjector, FaultKind, FaultPlan, PlannedFault};
 pub use lanes::{butterfly_max, lane_ids, Lanes};
 pub use occupancy::{
     model_packing, occupancy, saturating_grid, ModelFootprint, ModelPacking, OccLimit, Occupancy,
-};
-pub use ring::{
-    RingError, RingPipe, RingSpec, MAX_RING_STAGES, MIN_RING_STAGES, RING_STAGE_BYTES,
-    RING_STAGE_WORDS,
 };
 pub use smem::SharedMem;
 pub use timing::{imbalance_factor, kernel_time, CostParams, TimeBreakdown};

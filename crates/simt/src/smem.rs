@@ -120,7 +120,7 @@ impl SharedMem {
                 continue;
             }
             // A width-wide access touches one word (alignment assumed —
-            // all uses here are naturally aligned u8/u16/u32).
+            // all uses here are naturally aligned u8/u16/f32).
             let word = addrs.lane(i) / BANK_WIDTH;
             debug_assert!(width <= BANK_WIDTH);
             let mut dup = false;
@@ -269,58 +269,6 @@ impl SharedMem {
             if active.lane(i) {
                 let a = addrs.lane(i);
                 debug_assert_eq!(a % 4, 0, "unaligned f32 shared store");
-                let b = vals.lane(i).to_le_bytes();
-                self.data[a..a + 4].copy_from_slice(&b);
-                for off in 0..4 {
-                    self.note_write(a + off, warp);
-                }
-            }
-        }
-        cost
-    }
-
-    /// Warp-wide 32-bit unsigned load (byte addresses, 4-aligned) — the
-    /// ring consumer reading packed residue words.
-    pub fn ld_u32(
-        &mut self,
-        addrs: Lanes<usize>,
-        active: Lanes<bool>,
-        warp: u16,
-    ) -> (Lanes<u32>, AccessCost) {
-        let cost = Self::bank_cost(&addrs, &active, 4);
-        let mut out = Lanes::splat(0u32);
-        for i in 0..WARP_SIZE {
-            if active.lane(i) {
-                let a = addrs.lane(i);
-                debug_assert_eq!(a % 4, 0, "unaligned u32 shared load");
-                let v = u32::from_le_bytes([
-                    self.data[a],
-                    self.data[a + 1],
-                    self.data[a + 2],
-                    self.data[a + 3],
-                ]);
-                out.set_lane(i, v);
-                for off in 0..4 {
-                    self.note_read(a + off, warp);
-                }
-            }
-        }
-        (out, cost)
-    }
-
-    /// Warp-wide 32-bit unsigned store — the ring loader filling a stage.
-    pub fn st_u32(
-        &mut self,
-        addrs: Lanes<usize>,
-        vals: Lanes<u32>,
-        active: Lanes<bool>,
-        warp: u16,
-    ) -> AccessCost {
-        let cost = Self::bank_cost(&addrs, &active, 4);
-        for i in 0..WARP_SIZE {
-            if active.lane(i) {
-                let a = addrs.lane(i);
-                debug_assert_eq!(a % 4, 0, "unaligned u32 shared store");
                 let b = vals.lane(i).to_le_bytes();
                 self.data[a..a + 4].copy_from_slice(&b);
                 for off in 0..4 {

@@ -1,10 +1,12 @@
 //! Chaos tests of the `h3w-serve` daemon binary: bit-identity with the
 //! one-shot `hmmsearch` tool, load shedding, deadlines, panic isolation,
 //! corrupted-database startup, device-loss degradation, and SIGTERM
-//! drain — all driving the real process over real sockets.
+//! drain (also behind clients stalled mid-frame) — all driving the real
+//! process over real sockets.
 
 use hmmer3_warp::serve::{Client, ErrorKind, Response};
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
@@ -328,6 +330,47 @@ fn sigterm_drains_in_flight_work_then_exits_zero() {
     assert!(refused, "a post-SIGTERM query must be refused");
     assert!(status.success(), "drain exits 0, got {status:?}");
     assert!(final_metrics.contains("\"served_ok\":1"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sigterm_drains_past_clients_stalled_mid_frame() {
+    let dir = tmpdir("stalled");
+    let (_, _, packed, _) = fixture(&dir);
+    let mut daemon = Daemon::start(&packed, &[]);
+    let pid = daemon.child.id().to_string();
+    // One client stops two bytes into a frame header, another ten bytes
+    // into a 64-byte payload; both then hold their connections open.
+    let mut in_header = TcpStream::connect(&daemon.addr).unwrap();
+    in_header.write_all(&[0, 0]).unwrap();
+    let mut in_payload = TcpStream::connect(&daemon.addr).unwrap();
+    in_payload.write_all(&64u32.to_be_bytes()).unwrap();
+    in_payload.write_all(&[0; 10]).unwrap();
+    // Connections are accepted in arrival order: once a third one is
+    // served, both stalled ones belong to the daemon, bytes included.
+    let metrics = Client::connect(daemon.addr.clone())
+        .unwrap()
+        .metrics()
+        .unwrap();
+    assert!(metrics.contains("\"connections\":3"), "metrics: {metrics}");
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let drain = std::thread::spawn(move || {
+        let _ = tx.send(daemon.terminate());
+    });
+    let outcome = rx.recv_timeout(Duration::from_secs(20));
+    if outcome.is_err() {
+        let _ = Command::new("kill").args(["-KILL", &pid]).status();
+    }
+    drain.join().unwrap();
+    let (status, final_metrics) =
+        outcome.expect("daemon still draining 20 s after SIGTERM behind stalled clients");
+    assert!(status.success(), "drain exits 0, got {status:?}");
+    assert!(
+        final_metrics.contains("\"draining\":true"),
+        "final metrics: {final_metrics}"
+    );
+    drop((in_header, in_payload));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

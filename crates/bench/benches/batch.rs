@@ -2,7 +2,8 @@
 //! per-width latency of one length-binned batch against the
 //! single-sequence striped filter on the same sequences. The CI smoke run
 //! (`cargo test --benches`) executes each once to keep the harness honest;
-//! real numbers come from `--bench batch` and the `throughput` binary.
+//! real numbers come from `cargo bench -p h3w-bench --bench batch` and,
+//! end to end, from `h3w-benchmark` (`crates/benchmark/README.md`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use h3w_cpu::striped_msv::StripedMsv;

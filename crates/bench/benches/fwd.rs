@@ -5,7 +5,9 @@
 //! short rows of O(1) odds are where the D→D increments run into the
 //! subnormal range. The CI smoke run (`cargo test --benches`)
 //! executes each once to keep the harness honest; real numbers come from
-//! `--bench fwd` and the `throughput` binary's `forward_loops` section.
+//! `cargo bench -p h3w-bench --bench fwd` (the calibration shape runs
+//! both ends of the library, M = 48 and 2405) and, end to end, from
+//! `h3w-benchmark` (`crates/benchmark/README.md`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use h3w_cpu::reference::forward_generic;
@@ -71,7 +73,7 @@ fn bench_forward_kernels(c: &mut Criterion) {
     let bg = NullModel::new();
     let sample = calibrate::sample(17, calibrate::DEFAULT_N, calibrate::DEFAULT_LEN);
     let mut g = c.benchmark_group("forward_calibration_shape");
-    for m in [100usize, 400, 800] {
+    for m in [48usize, 100, 400, 800, 2405] {
         let p = Profile::config(&synthetic_model(m, 7, &BuildParams::default()), &bg);
         let cells = 3 * m * calibrate::DEFAULT_LEN * sample.len();
         g.throughput(Throughput::Elements(cells as u64));

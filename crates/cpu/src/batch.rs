@@ -39,25 +39,40 @@ use h3w_hmm::msvprofile::MsvProfile;
 /// traffic serializes exactly the work the interleave meant to overlap.
 pub const MAX_BATCH: usize = 4;
 
-/// Reusable scratch for one batch: a single zeroed allocation holding all
-/// `S` DP rows back to back (32-byte aligned so AVX2 rows never split a
-/// cache line).
+/// Reusable scratch for one batch: all `S` DP rows back to back, on
+/// 4 KiB pages no other allocation shares.
+///
+/// Two workers' workspaces can land a few hundred bytes apart in one
+/// malloc arena. Then one worker's batches ran 3–7× slower, and the
+/// two-thread scalar MSV sweep ran no faster than one thread. Which
+/// placement a run gets changes whenever anything allocated earlier
+/// changes size. Rows alone on their pages were fast at every page
+/// offset tried; a 64-byte guard on either side was not enough.
 #[derive(Debug, Default)]
 pub struct BatchWorkspace {
     buf: Vec<ByteRow16>,
 }
 
+const PAGE: usize = 4096;
+
 impl BatchWorkspace {
-    /// A zeroed, 32-byte-aligned scratch region of at least `bytes` bytes.
+    /// A zeroed, page-aligned scratch region of at least `bytes` bytes
+    /// whose pages hold nothing else.
     fn zeroed(&mut self, bytes: usize) -> *mut u8 {
-        // Two spare rows let the working pointer snap to a 32-byte
-        // boundary.
-        let entries = bytes.div_ceil(16) + 2;
-        self.buf.clear();
-        self.buf.resize(entries, ByteRow16::ZERO);
+        // One spare page lets the working pointer snap to a page
+        // boundary with whole pages of the region still inside `buf`.
+        let entries = (bytes.next_multiple_of(PAGE) + PAGE) / 16;
+        if self.buf.len() < entries {
+            self.buf.resize(entries, ByteRow16::ZERO);
+        }
         let p = self.buf.as_mut_ptr() as *mut u8;
-        // SAFETY: the slack above covers the alignment bump.
-        unsafe { p.add(p.align_offset(32)) }
+        // SAFETY: the spare page covers the alignment bump, so
+        // `bytes` bytes from the aligned pointer stay inside `buf`.
+        unsafe {
+            let dp = p.add(p.align_offset(PAGE));
+            std::ptr::write_bytes(dp, 0, bytes);
+            dp
+        }
     }
 }
 

@@ -152,7 +152,7 @@ impl RowState {
     }
 
     /// Phase C of a row: fold `xE` into the specials and, if it tripped
-    /// [`RESCALE_THRESHOLD`], rescale them and the slot's current row.
+    /// [`RESCALE_THRESHOLD`], rescale them and the slot's row.
     /// Scalar and elementwise — identical on every backend by
     /// construction.
     fn end_row(&mut self, xe: f32, sp: &OddsSpecials, ws: &mut FwdWorkspace) {
@@ -167,12 +167,8 @@ impl RowState {
             self.xc *= inv;
             self.xn *= inv;
             self.xb *= inv;
-            for buf in [&mut ws.cm, &mut ws.ci, &mut ws.cd] {
-                for v in buf.iter_mut() {
-                    for lane in v.iter_mut() {
-                        *lane *= inv;
-                    }
-                }
+            for lane in ws.rows.iter_mut().flatten() {
+                *lane *= inv;
             }
         }
     }
@@ -188,39 +184,31 @@ impl RowState {
     }
 }
 
-/// Reusable double-buffered DP rows (previous + current M/I/D) for one
-/// in-flight sequence. Double-buffering — rather than the in-place row
-/// update the integer filters use — lets the AVX2 backend load the
-/// shifted diagonal of a vector *pair* as one unaligned 256-bit load.
+/// Reusable DP row for one in-flight sequence: M, I and D, `q` vectors
+/// each, in one allocation, updated in place as the integer filters
+/// update theirs. A row loop loads the previous row's M/I/D at `qi`
+/// before it overwrites `qi` and carries them in registers to `qi + 1`,
+/// the diagonal they feed; the AVX2 backend builds a *pair*'s diagonal
+/// `[old(qi−1), old(qi)]` from the carried high half of the previous
+/// pair and the low half of this one. One row per slot rather than two
+/// halves what four lockstep slots keep beside the tables in L1d.
 #[derive(Debug, Default)]
 pub struct FwdWorkspace {
-    pm: Vec<V4f32>,
-    pi: Vec<V4f32>,
-    pd: Vec<V4f32>,
-    cm: Vec<V4f32>,
-    ci: Vec<V4f32>,
-    cd: Vec<V4f32>,
+    rows: Vec<V4f32>,
 }
 
 impl FwdWorkspace {
     fn reset(&mut self, q: usize) {
-        for buf in [
-            &mut self.pm,
-            &mut self.pi,
-            &mut self.pd,
-            &mut self.cm,
-            &mut self.ci,
-            &mut self.cd,
-        ] {
-            buf.clear();
-            buf.resize(q, ZERO4);
-        }
+        self.rows.clear();
+        self.rows.resize(3 * q, ZERO4);
     }
 
-    fn swap(&mut self) {
-        std::mem::swap(&mut self.pm, &mut self.cm);
-        std::mem::swap(&mut self.pi, &mut self.ci);
-        std::mem::swap(&mut self.pd, &mut self.cd);
+    /// The M, I and D rows.
+    fn rows(&mut self) -> [&mut [V4f32]; 3] {
+        let q = self.rows.len() / 3;
+        let (m, rest) = self.rows.split_at_mut(q);
+        let (i, d) = rest.split_at_mut(q);
+        [m, i, d]
     }
 }
 
@@ -448,8 +436,9 @@ impl StripedFwd {
         let mut total = [0.0];
         let slot = std::slice::from_mut(ws);
         self.drive(p, &[seq], slot, &mut total, |_, ws, st| {
-            rows_m.extend_from_slice(&ws.cm);
-            rows_i.extend_from_slice(&ws.ci);
+            let (m, i) = ws.rows[..2 * self.q].split_at(self.q);
+            rows_m.extend_from_slice(m);
+            rows_i.extend_from_slice(i);
             scales.push(st.totscale);
         });
         FwdMatrix {
@@ -498,7 +487,6 @@ impl StripedFwd {
                 break;
             }
             for j in 0..live {
-                slots[j].swap();
                 xes[j] = self.row_main(seqs[order[j]][r] as usize, &mut slots[j], sts[j].xb);
             }
             match live {
@@ -540,8 +528,10 @@ impl StripedFwd {
     #[inline]
     fn dd_resolve<const N: usize>(&self, slots: &mut [FwdWorkspace]) {
         let mut it = slots.iter_mut();
-        let cds: [&mut [V4f32]; N] =
-            core::array::from_fn(|_| it.next().expect("N live slots").cd.as_mut_slice());
+        let cds: [&mut [V4f32]; N] = core::array::from_fn(|_| {
+            let [_, _, cd] = it.next().expect("N live slots").rows();
+            cd
+        });
         match self.backend {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: each pointer covers its slot's `q` stripe vectors
@@ -560,22 +550,17 @@ impl StripedFwd {
     fn row_scalar(&self, x: usize, ws: &mut FwdWorkspace, xb: f32) -> f32 {
         let q = self.q;
         let row = &self.rfv[x * q..(x + 1) * q];
-        let FwdWorkspace {
-            pm,
-            pi,
-            pd,
-            cm,
-            ci,
-            cd,
-        } = ws;
+        let [m, i, d] = ws.rows();
         let xbv = splat_f32(xb);
         let mut acc_e = ZERO4;
         let mut acc_o = ZERO4;
-        let mut mpv = shift_f32(pm[q - 1], 0.0);
-        let mut ipv = shift_f32(pi[q - 1], 0.0);
-        let mut dpv = shift_f32(pd[q - 1], 0.0);
+        // Previous row at qi-1 (the diagonal); qi = 0 wraps to q-1.
+        let mut mpv = shift_f32(m[q - 1], 0.0);
+        let mut ipv = shift_f32(i[q - 1], 0.0);
+        let mut dpv = shift_f32(d[q - 1], 0.0);
         let mut mcur_prev = ZERO4; // M of position qi-1, current row
         for qi in 0..q {
+            let (m_old, i_old, d_old) = (m[qi], i[qi], d[qi]);
             let mut sv = mul_f32(xbv, self.bmk[qi]);
             sv = add_f32(sv, mul_f32(mpv, self.tmm[qi]));
             sv = add_f32(sv, mul_f32(ipv, self.tim[qi]));
@@ -586,17 +571,15 @@ impl StripedFwd {
             } else {
                 acc_o = add_f32(acc_o, sv);
             }
-            ci[qi] = add_f32(mul_f32(pm[qi], self.tmi[qi]), mul_f32(pi[qi], self.tii[qi]));
+            i[qi] = add_f32(mul_f32(m_old, self.tmi[qi]), mul_f32(i_old, self.tii[qi]));
             // M→D seed; the qi=0 wrap and all D→D arrive below.
-            cd[qi] = mul_f32(mcur_prev, self.tmd[qi]);
-            mpv = pm[qi];
-            ipv = pi[qi];
-            dpv = pd[qi];
-            cm[qi] = sv;
+            d[qi] = mul_f32(mcur_prev, self.tmd[qi]);
+            (mpv, ipv, dpv) = (m_old, i_old, d_old);
+            m[qi] = sv;
             mcur_prev = sv;
         }
         // Cross-lane M→D seed into qi = 0.
-        cd[0] = add_f32(cd[0], mul_f32(shift_f32(mcur_prev, 0.0), self.tmd[0]));
+        d[0] = add_f32(d[0], mul_f32(shift_f32(mcur_prev, 0.0), self.tmd[0]));
         hsum_f32(add_f32(acc_e, acc_o))
     }
 
@@ -608,20 +591,7 @@ impl StripedFwd {
         use core::arch::x86_64::*;
         let q = self.q;
         let row = self.rfv.as_ptr().add(x * q) as *const f32;
-        let FwdWorkspace {
-            pm,
-            pi,
-            pd,
-            cm,
-            ci,
-            cd,
-        } = ws;
-        let pm = pm.as_ptr() as *const f32;
-        let pi = pi.as_ptr() as *const f32;
-        let pd = pd.as_ptr() as *const f32;
-        let cm = cm.as_mut_ptr() as *mut f32;
-        let ci = ci.as_mut_ptr() as *mut f32;
-        let cd = cd.as_mut_ptr() as *mut f32;
+        let [m, i, d] = ws.rows().map(|r| r.as_mut_ptr() as *mut f32);
         let tmm = self.tmm.as_ptr() as *const f32;
         let tim = self.tim.as_ptr() as *const f32;
         let tdm = self.tdm.as_ptr() as *const f32;
@@ -633,12 +603,14 @@ impl StripedFwd {
         let xbv = _mm_set1_ps(xb);
         let mut acc_e = _mm_setzero_ps();
         let mut acc_o = _mm_setzero_ps();
-        let mut mpv = shl1_ps_128(loadu_ps(pm.add(4 * (q - 1))));
-        let mut ipv = shl1_ps_128(loadu_ps(pi.add(4 * (q - 1))));
-        let mut dpv = shl1_ps_128(loadu_ps(pd.add(4 * (q - 1))));
+        let mut mpv = shl1_ps_128(loadu_ps(m.add(4 * (q - 1))));
+        let mut ipv = shl1_ps_128(loadu_ps(i.add(4 * (q - 1))));
+        let mut dpv = shl1_ps_128(loadu_ps(d.add(4 * (q - 1))));
         let mut mcur_prev = _mm_setzero_ps();
         for qi in 0..q {
             let o = 4 * qi;
+            let (m_old, i_old, d_old) =
+                (loadu_ps(m.add(o)), loadu_ps(i.add(o)), loadu_ps(d.add(o)));
             let mut sv = _mm_mul_ps(xbv, loadu_ps(bmk.add(o)));
             sv = _mm_add_ps(sv, _mm_mul_ps(mpv, loadu_ps(tmm.add(o))));
             sv = _mm_add_ps(sv, _mm_mul_ps(ipv, loadu_ps(tim.add(o))));
@@ -650,19 +622,17 @@ impl StripedFwd {
                 acc_o = _mm_add_ps(acc_o, sv);
             }
             let iv = _mm_add_ps(
-                _mm_mul_ps(loadu_ps(pm.add(o)), loadu_ps(tmi.add(o))),
-                _mm_mul_ps(loadu_ps(pi.add(o)), loadu_ps(tii.add(o))),
+                _mm_mul_ps(m_old, loadu_ps(tmi.add(o))),
+                _mm_mul_ps(i_old, loadu_ps(tii.add(o))),
             );
-            storeu_ps(ci.add(o), iv);
-            storeu_ps(cd.add(o), _mm_mul_ps(mcur_prev, loadu_ps(tmd.add(o))));
-            mpv = loadu_ps(pm.add(o));
-            ipv = loadu_ps(pi.add(o));
-            dpv = loadu_ps(pd.add(o));
-            storeu_ps(cm.add(o), sv);
+            storeu_ps(i.add(o), iv);
+            storeu_ps(d.add(o), _mm_mul_ps(mcur_prev, loadu_ps(tmd.add(o))));
+            (mpv, ipv, dpv) = (m_old, i_old, d_old);
+            storeu_ps(m.add(o), sv);
             mcur_prev = sv;
         }
         let wrap = _mm_mul_ps(shl1_ps_128(mcur_prev), loadu_ps(tmd));
-        storeu_ps(cd, _mm_add_ps(loadu_ps(cd), wrap));
+        storeu_ps(d, _mm_add_ps(loadu_ps(d), wrap));
         hsum_ps(_mm_add_ps(acc_e, acc_o))
     }
 
@@ -670,8 +640,8 @@ impl StripedFwd {
     /// stripe vectors (`qi`, `qi+1`) per 256-bit op. The low half maps
     /// to even `qi` and the high half to odd `qi`, so the single 256-bit
     /// `xE` accumulator *is* the scalar backend's even/odd accumulator
-    /// pair, and the double-buffered rows make each diagonal pair one
-    /// unaligned load at `prev + (qi-1)`.
+    /// pair. Each diagonal pair `[old(qi−1), old(qi)]` is the previous
+    /// pair's carried high half below this pair's low half.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn row_avx2(&self, x: usize, ws: &mut FwdWorkspace, xb: f32) -> f32 {
@@ -682,20 +652,7 @@ impl StripedFwd {
             return self.row_sse2(x, ws, xb);
         }
         let row = self.rfv.as_ptr().add(x * q) as *const f32;
-        let FwdWorkspace {
-            pm,
-            pi,
-            pd,
-            cm,
-            ci,
-            cd,
-        } = ws;
-        let pm = pm.as_ptr() as *const f32;
-        let pi = pi.as_ptr() as *const f32;
-        let pd = pd.as_ptr() as *const f32;
-        let cm = cm.as_mut_ptr() as *mut f32;
-        let ci = ci.as_mut_ptr() as *mut f32;
-        let cd = cd.as_mut_ptr() as *mut f32;
+        let [m, i, d] = ws.rows().map(|r| r.as_mut_ptr() as *mut f32);
         let tmm = self.tmm.as_ptr() as *const f32;
         let tim = self.tim.as_ptr() as *const f32;
         let tdm = self.tdm.as_ptr() as *const f32;
@@ -707,79 +664,71 @@ impl StripedFwd {
         let xbv = _mm256_set1_ps(xb);
         let mut acc = _mm256_setzero_ps();
         let mut acc_tail = _mm_setzero_ps();
-        // Diagonal pair for (qi=0, qi=1): low = cross-lane wrap of
-        // prev[q-1], high = prev[0].
-        let pair0 = |p: *const f32| -> __m256 {
-            _mm256_insertf128_ps::<1>(
-                _mm256_castps128_ps256(shl1_ps_128(loadu_ps(p.add(4 * (q - 1))))),
-                loadu_ps(p),
-            )
+        // `[carry, v.low]`: a pair moved up one stripe position.
+        let shifted = |carry: __m128, v: __m256| -> __m256 {
+            _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(carry), _mm256_castps256_ps128(v))
         };
+        // The previous row at qi-1 of the pair; for qi = 0 the
+        // cross-lane wrap of old(q-1).
+        let old_wrap = |p: *mut f32| shl1_ps_128(loadu_ps(p.add(4 * (q - 1))));
+        let (mut m_carry, mut i_carry, mut d_carry) = (old_wrap(m), old_wrap(i), old_wrap(d));
         let mut sv_carry = _mm_setzero_ps(); // M at the pair's qi-1
         for pair in 0..q / 2 {
-            let qi = 2 * pair;
-            let o = 4 * qi;
-            let (mpv, ipv, dpv) = if qi == 0 {
-                (pair0(pm), pair0(pi), pair0(pd))
-            } else {
-                (
-                    loadu_ps256(pm.add(o - 4)),
-                    loadu_ps256(pi.add(o - 4)),
-                    loadu_ps256(pd.add(o - 4)),
-                )
-            };
+            let o = 8 * pair;
+            let m_old = loadu_ps256(m.add(o));
+            let i_old = loadu_ps256(i.add(o));
+            let d_old = loadu_ps256(d.add(o));
             let mut sv = _mm256_mul_ps(xbv, loadu_ps256(bmk.add(o)));
-            sv = _mm256_add_ps(sv, _mm256_mul_ps(mpv, loadu_ps256(tmm.add(o))));
-            sv = _mm256_add_ps(sv, _mm256_mul_ps(ipv, loadu_ps256(tim.add(o))));
-            sv = _mm256_add_ps(sv, _mm256_mul_ps(dpv, loadu_ps256(tdm.add(o))));
+            sv = _mm256_add_ps(
+                sv,
+                _mm256_mul_ps(shifted(m_carry, m_old), loadu_ps256(tmm.add(o))),
+            );
+            sv = _mm256_add_ps(
+                sv,
+                _mm256_mul_ps(shifted(i_carry, i_old), loadu_ps256(tim.add(o))),
+            );
+            sv = _mm256_add_ps(
+                sv,
+                _mm256_mul_ps(shifted(d_carry, d_old), loadu_ps256(tdm.add(o))),
+            );
             sv = _mm256_mul_ps(sv, loadu_ps256(row.add(o)));
             acc = _mm256_add_ps(acc, sv);
             let iv = _mm256_add_ps(
-                _mm256_mul_ps(loadu_ps256(pm.add(o)), loadu_ps256(tmi.add(o))),
-                _mm256_mul_ps(loadu_ps256(pi.add(o)), loadu_ps256(tii.add(o))),
+                _mm256_mul_ps(m_old, loadu_ps256(tmi.add(o))),
+                _mm256_mul_ps(i_old, loadu_ps256(tii.add(o))),
             );
-            storeu_ps256(ci.add(o), iv);
-            // M→D seed pair: [M(qi-1), M(qi)] = [carry, sv.low].
-            let dseed = _mm256_insertf128_ps::<1>(
-                _mm256_castps128_ps256(sv_carry),
-                _mm256_castps256_ps128(sv),
-            );
-            storeu_ps256(cd.add(o), _mm256_mul_ps(dseed, loadu_ps256(tmd.add(o))));
-            storeu_ps256(cm.add(o), sv);
+            storeu_ps256(i.add(o), iv);
+            // M→D seed pair: [M(qi-1), M(qi)].
+            let dseed = shifted(sv_carry, sv);
+            storeu_ps256(d.add(o), _mm256_mul_ps(dseed, loadu_ps256(tmd.add(o))));
+            storeu_ps256(m.add(o), sv);
             sv_carry = _mm256_extractf128_ps::<1>(sv);
+            m_carry = _mm256_extractf128_ps::<1>(m_old);
+            i_carry = _mm256_extractf128_ps::<1>(i_old);
+            d_carry = _mm256_extractf128_ps::<1>(d_old);
         }
         if q % 2 == 1 {
             // Odd trailing vector at 128-bit; its qi = q-1 is even, so
             // it accumulates on the even (low-half) side.
-            let qi = q - 1;
-            let o = 4 * qi;
+            let o = 4 * (q - 1);
             let xbv1 = _mm256_castps256_ps128(xbv);
             let mut sv = _mm_mul_ps(xbv1, loadu_ps(bmk.add(o)));
-            sv = _mm_add_ps(
-                sv,
-                _mm_mul_ps(loadu_ps(pm.add(o - 4)), loadu_ps(tmm.add(o))),
-            );
-            sv = _mm_add_ps(
-                sv,
-                _mm_mul_ps(loadu_ps(pi.add(o - 4)), loadu_ps(tim.add(o))),
-            );
-            sv = _mm_add_ps(
-                sv,
-                _mm_mul_ps(loadu_ps(pd.add(o - 4)), loadu_ps(tdm.add(o))),
-            );
+            sv = _mm_add_ps(sv, _mm_mul_ps(m_carry, loadu_ps(tmm.add(o))));
+            sv = _mm_add_ps(sv, _mm_mul_ps(i_carry, loadu_ps(tim.add(o))));
+            sv = _mm_add_ps(sv, _mm_mul_ps(d_carry, loadu_ps(tdm.add(o))));
             sv = _mm_mul_ps(sv, loadu_ps(row.add(o)));
             acc_tail = sv;
             let iv = _mm_add_ps(
-                _mm_mul_ps(loadu_ps(pm.add(o)), loadu_ps(tmi.add(o))),
-                _mm_mul_ps(loadu_ps(pi.add(o)), loadu_ps(tii.add(o))),
+                _mm_mul_ps(loadu_ps(m.add(o)), loadu_ps(tmi.add(o))),
+                _mm_mul_ps(loadu_ps(i.add(o)), loadu_ps(tii.add(o))),
             );
-            storeu_ps(ci.add(o), iv);
-            storeu_ps(cd.add(o), _mm_mul_ps(sv_carry, loadu_ps(tmd.add(o))));
-            storeu_ps(cm.add(o), sv);
+            storeu_ps(i.add(o), iv);
+            storeu_ps(d.add(o), _mm_mul_ps(sv_carry, loadu_ps(tmd.add(o))));
+            storeu_ps(m.add(o), sv);
             sv_carry = sv;
         }
         let wrap = _mm_mul_ps(shl1_ps_128(sv_carry), loadu_ps(tmd));
-        storeu_ps(cd, _mm_add_ps(loadu_ps(cd), wrap));
+        storeu_ps(d, _mm_add_ps(loadu_ps(d), wrap));
         // (low + tail) rebuilds the scalar even accumulator exactly
         // (same addition sequence), then the canonical reduction.
         let lo = _mm256_castps256_ps128(acc);
@@ -967,8 +916,16 @@ mod tests {
                 let slot = std::slice::from_mut(&mut ws);
                 f.drive(&p, &[&seq], slot, &mut total, |_, ws, st| {
                     let rows = i * f.q..(i + 1) * f.q;
-                    assert_eq!(bits(&ws.cm), bits(&mat.rows_m[rows.clone()]), "M row {i}");
-                    assert_eq!(bits(&ws.ci), bits(&mat.rows_i[rows]), "I row {i}");
+                    assert_eq!(
+                        bits(&ws.rows[..f.q]),
+                        bits(&mat.rows_m[rows.clone()]),
+                        "M row {i}"
+                    );
+                    assert_eq!(
+                        bits(&ws.rows[f.q..2 * f.q]),
+                        bits(&mat.rows_i[rows]),
+                        "I row {i}"
+                    );
                     assert_eq!(st.totscale.to_bits(), mat.scales[i].to_bits());
                     i += 1;
                 });
@@ -1017,8 +974,16 @@ mod tests {
                 f.drive(&p, &refs, &mut slots, &mut out, |s, ws, st| {
                     let (i, mat) = (rows[s], &mats[s]);
                     let span = i * f.q..(i + 1) * f.q;
-                    assert_eq!(bits(&ws.cm), bits(&mat.rows_m[span.clone()]), "M {s}/{i}");
-                    assert_eq!(bits(&ws.ci), bits(&mat.rows_i[span]), "I {s}/{i}");
+                    assert_eq!(
+                        bits(&ws.rows[..f.q]),
+                        bits(&mat.rows_m[span.clone()]),
+                        "M {s}/{i}"
+                    );
+                    assert_eq!(
+                        bits(&ws.rows[f.q..2 * f.q]),
+                        bits(&mat.rows_i[span]),
+                        "I {s}/{i}"
+                    );
                     assert_eq!(st.totscale.to_bits(), mat.scales[i].to_bits(), "{s}/{i}");
                     rows[s] += 1;
                 });

@@ -177,7 +177,7 @@ fn degenerate_inputs() {
 }
 
 /// One pinned case: a profile and its sequences. [`PINNED`] holds the
-/// bits the commit before the subnormal rule (572a5cf) produced for it.
+/// bits an earlier kernel produced for it.
 struct Pinned {
     label: &'static str,
     profile: Profile,
@@ -234,12 +234,22 @@ fn pinned_cases() -> Vec<Pinned> {
             .flat_map(|_| sample_homolog(&mut rng, &core, 3))
             .collect()],
     });
+    // Appended after the rest so their draws leave the cases above as
+    // they were: the odd-q tail (q = 251) and the largest library size.
+    for (label, m) in [("bg100/m1002", 1002usize), ("bg100/m2405", 2405)] {
+        cases.push(Pinned {
+            label,
+            profile: profile(m, 7),
+            seqs: (0..3).map(|_| random_seq(&mut rng, 100)).collect(),
+        });
+    }
     cases
 }
 
 /// `(label, Forward score bits per sequence, FNV-1a hash over every
-/// recorded m_odds / i_odds / scale of the last sequence)`, all recorded
-/// at 572a5cf.
+/// recorded m_odds / i_odds / scale of the last sequence)`, recorded at
+/// 572a5cf except the M = 1002 and 2405 rows, which were recorded at
+/// 8eb1e75, the last commit whose kernel double-buffered its DP rows.
 ///
 /// The unihit lattice is the one thing the rule does move, so it has no
 /// hash: after three rescales with no J state to refill `xB`, whole rows
@@ -251,7 +261,7 @@ fn pinned_cases() -> Vec<Pinned> {
 /// profile, and one rescale later `xN` underflows to zero on either
 /// kernel; the multihit cases, where `xJ` keeps every real cell above
 /// 1e-20, are pinned cell for cell.
-const PINNED: [(&str, &[u32], Option<u64>); 6] = [
+const PINNED: [(&str, &[u32], Option<u64>); 8] = [
     (
         "bg100/m100",
         &[0x3f8946e8, 0x4089bdac, 0xbd4c4900],
@@ -278,6 +288,16 @@ const PINNED: [(&str, &[u32], Option<u64>); 6] = [
         Some(0x8c92ae52808c7d8a),
     ),
     ("unihit-tandem/m60", &[0x42ab2ed1], None),
+    (
+        "bg100/m1002",
+        &[0x4083206e, 0x3f3a1f58, 0x3fc145c0],
+        Some(0x9431bf1b39928a55),
+    ),
+    (
+        "bg100/m2405",
+        &[0x40309b32, 0x4022f450, 0x40171126],
+        Some(0xb96b1669d9e384e4),
+    ),
 ];
 
 /// FNV-1a over every recorded cell and scale of one lattice, plus the

@@ -57,21 +57,15 @@ pub fn write_hmm(model: &CoreModel, stats: Option<&Calibration>) -> String {
     let _ = writeln!(out, "ALPH  amino");
     if let Some(c) = stats {
         // HMMER prints (mu, lambda) per stage; we carry λ in per-nat units.
-        let _ = writeln!(
-            out,
-            "STATS LOCAL MSV      {:9.4} {:8.5}",
-            c.mu_msv, c.lambda
-        );
-        let _ = writeln!(
-            out,
-            "STATS LOCAL VITERBI  {:9.4} {:8.5}",
-            c.mu_vit, c.lambda
-        );
-        let _ = writeln!(
-            out,
-            "STATS LOCAL FORWARD  {:9.4} {:8.5}",
-            c.tau_fwd, c.lambda
-        );
+        // `{}` is the shortest decimal that parses back to the same f32,
+        // so the stored calibration round-trips bit for bit.
+        for (kind, loc) in [
+            ("MSV", c.mu_msv),
+            ("VITERBI", c.mu_vit),
+            ("FORWARD", c.tau_fwd),
+        ] {
+            let _ = writeln!(out, "STATS LOCAL {kind:<8} {loc:9} {:8}", c.lambda);
+        }
     }
     let _ = write!(out, "HMM     ");
     for &ch in &SYMBOLS[..N_STANDARD] {
@@ -386,19 +380,38 @@ mod tests {
     #[test]
     fn round_trip_preserves_stats() {
         let model = synthetic_model(10, 2, &BuildParams::default());
-        let cal = Calibration {
-            mu_msv: -2.5,
-            mu_vit: -1.25,
-            tau_fwd: 4.75,
-            lambda: 1.0,
+        let cal = |[mu_msv, mu_vit, tau_fwd, lambda]: [u32; 4]| Calibration {
+            mu_msv: f32::from_bits(mu_msv),
+            mu_vit: f32::from_bits(mu_vit),
+            tau_fwd: f32::from_bits(tau_fwd),
+            lambda: f32::from_bits(lambda),
         };
-        let text = write_hmm(&model, Some(&cal));
-        let back = read_hmm(&text).unwrap();
-        let s = back.stats.unwrap();
-        assert!((s.mu_msv - cal.mu_msv).abs() < 1e-3);
-        assert!((s.mu_vit - cal.mu_vit).abs() < 1e-3);
-        assert!((s.tau_fwd - cal.tau_fwd).abs() < 1e-3);
-        assert_eq!(s.lambda, 1.0);
+        let bits = |c: &Calibration| [c.mu_msv, c.mu_vit, c.tau_fwd, c.lambda].map(f32::to_bits);
+        // Values exact in four decimals, the calibrations pinned by
+        // `h3w-pipeline`'s calibration_pins.rs (M = 48 and 2405), a λ
+        // off the default, and the extremes of the f32 range.
+        let lambda = crate::calibrate::LAMBDA.to_bits();
+        for want in [
+            [
+                (-2.5f32).to_bits(),
+                (-1.25f32).to_bits(),
+                4.75f32.to_bits(),
+                1.0f32.to_bits(),
+            ],
+            [0xc019a8da, 0xc003dc08, 0x40a6f410, lambda],
+            [0xc0c095be, 0xbfff09cd, 0x40e2c1e8, lambda],
+            [0xc0c2a88c, 0xc0031a03, 0x40f0a698, 0x3f31_7218],
+            [
+                f32::MIN_POSITIVE.to_bits(),
+                1,
+                f32::MAX.to_bits(),
+                0x3f80_0001,
+            ],
+        ] {
+            let text = write_hmm(&model, Some(&cal(want)));
+            let back = read_hmm(&text).unwrap().stats.unwrap();
+            assert_eq!(bits(&back), want, "{text}");
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! flush rule. Both changed after that commit on the argument that
 //! neither can move a bit; this is where the argument is checked: on
 //! every available SIMD backend, on the shared pool and on dedicated
-//! pools of 1 and 2 threads.
+//! pools of 1 and 2 threads. The M = 2405 row was recorded at 8eb1e75,
+//! the last commit whose striped Forward double-buffered its DP rows.
 
 use h3w_cpu::Backend;
 use h3w_hmm::build::{synthetic_model, BuildParams};
@@ -16,7 +17,7 @@ use h3w_pipeline::{Pipeline, PipelineConfig};
 const SEEDS: [u64; 2] = [0x5_eac4, 0x5ca9];
 
 /// `(M, [mu_msv, mu_vit, tau_fwd] bits per seed)`.
-const PINNED: [(usize, [[u32; 3]; 2]); 4] = [
+const PINNED: [(usize, [[u32; 3]; 2]); 5] = [
     (
         48,
         [
@@ -43,6 +44,13 @@ const PINNED: [(usize, [[u32; 3]; 2]); 4] = [
         [
             [0xc0a85ea1, 0xbffc2b7a, 0x40eb5160],
             [0xc0a86e89, 0xbffc23f8, 0x40e9ce0c],
+        ],
+    ),
+    (
+        2405,
+        [
+            [0xc0c2a88c, 0xc0031a03, 0x40f0a698],
+            [0xc0c095be, 0xbfff09cd, 0x40e2c1e8],
         ],
     ),
 ];

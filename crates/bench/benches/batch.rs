@@ -1,6 +1,6 @@
-//! Criterion benches for the batched interleaved MSV kernel —
-//! per-width latency of one length-binned batch against the
-//! single-sequence striped filter on the same sequences. The CI smoke run
+//! Criterion benches for the batched interleaved MSV kernel — the one
+//! MSV row loop — at width 1 (one sequence, what `StripedMsv::run_into`
+//! runs) against widths 2–4 on the same sequences. The CI smoke run
 //! (`cargo test --benches`) executes each once to keep the harness honest;
 //! real numbers come from `cargo bench -p h3w-bench --bench batch` and,
 //! end to end, from `h3w-benchmark` (`crates/benchmark/README.md`).
@@ -50,16 +50,6 @@ fn bench_batched_msv(c: &mut Criterion) {
             b.iter(|| striped.run_batch_into(&om, &refs, &mut ws, &mut out))
         });
     }
-    // The single-sequence kernel over the same total work as width 4.
-    g.throughput(Throughput::Elements((MODEL_M * SEQ_LEN * MAX_BATCH) as u64));
-    g.bench_function("single_sequence_x4", |b| {
-        let mut dp = Vec::new();
-        b.iter(|| {
-            for s in &seqs {
-                std::hint::black_box(striped.run_into(&om, s, &mut dp).score);
-            }
-        })
-    });
     g.finish();
 }
 

@@ -2,7 +2,9 @@
 //! performance of this crate's HMMER3 reimplementation, and the
 //! calibration evidence behind `h3w_bench::CpuModel` (throughput in
 //! cells/s is printed by the `headline`/EXPERIMENTS flow; here we track
-//! per-sequence latency across model sizes).
+//! per-sequence latency across model sizes). Striped MSV here is the
+//! batched kernel at width 1; striped Viterbi is the one lane-generic row
+//! loop on the detected backend.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use h3w_cpu::quantized::{msv_filter_scalar, vit_filter_scalar};
@@ -37,7 +39,7 @@ fn bench_msv(c: &mut Criterion) {
         let (om, _, seq) = setup(m);
         let striped = StripedMsv::new(&om);
         g.throughput(Throughput::Elements((m * SEQ_LEN) as u64));
-        g.bench_with_input(BenchmarkId::new("striped16", m), &m, |b, _| {
+        g.bench_with_input(BenchmarkId::new("striped", m), &m, |b, _| {
             let mut dp = Vec::new();
             b.iter(|| striped.run_into(&om, &seq, &mut dp))
         });
@@ -54,7 +56,7 @@ fn bench_vit(c: &mut Criterion) {
         let (_, om, seq) = setup(m);
         let striped = StripedVit::new(&om);
         g.throughput(Throughput::Elements((m * SEQ_LEN) as u64));
-        g.bench_with_input(BenchmarkId::new("striped8_lazyf", m), &m, |b, _| {
+        g.bench_with_input(BenchmarkId::new("striped_lazyf", m), &m, |b, _| {
             let mut ws = VitWorkspace::default();
             b.iter(|| striped.run_into(&om, &seq, &mut ws))
         });

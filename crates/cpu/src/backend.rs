@@ -1,7 +1,7 @@
 //! Runtime SIMD backend selection for the striped filters.
 //!
-//! The striped MSV and Viterbi filters have three interchangeable
-//! implementations of their inner row loop:
+//! The striped MSV and Viterbi filters each have one row loop, generic over
+//! a lane pipe and monomorphized for three backends:
 //!
 //! * **Scalar** — the portable emulated-lane reference in [`crate::simd`]
 //!   (fixed-size-array loops the compiler may auto-vectorize).

@@ -529,6 +529,8 @@ impl StripedFwd {
     fn dd_resolve<const N: usize>(&self, slots: &mut [FwdWorkspace]) {
         let mut it = slots.iter_mut();
         let cds: [&mut [V4f32]; N] = core::array::from_fn(|_| {
+            // Cannot fire: `drive` passes `N` = live slots, and its row
+            // loop has just indexed `slots[..live]`.
             let [_, _, cd] = it.next().expect("N live slots").rows();
             cd
         });

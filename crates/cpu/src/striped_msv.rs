@@ -7,17 +7,20 @@
 //! why HMMER's CPU filter needs *zero* synchronization and why the paper's
 //! GPU kernel must also be sync-free to compete (§III).
 //!
-//! The inner row loop is backend-dispatched (see [`crate::backend`]):
-//! a portable scalar reference, real SSE2 intrinsics over the same
-//! 16-lane layout, and AVX2 intrinsics over a re-striped 32-lane layout
-//! (`Q = ⌈M/32⌉`). Every backend's output is bit-identical to
+//! This module holds the striped tables. The row loop is the interleaved
+//! kernel in [`crate::batch`], written once over a lane-generic byte pipe;
+//! scoring one sequence ([`StripedMsv::run_into`]) is that kernel at
+//! width 1. The scalar and SSE2 backends walk a 16-lane layout, AVX2 a
+//! re-striped 32-lane one (`Q = ⌈M/32⌉`), and an instance builds only the
+//! layout its backend walks. Every backend's output is bit-identical to
 //! [`msv_filter_scalar`](crate::quantized::msv_filter_scalar): the
 //! recurrence is a pure dataflow of saturating adds and maxes, so the
 //! per-cell values do not depend on which stripe a position lives in.
 
 use crate::backend::Backend;
+use crate::batch::BatchWorkspace;
 use crate::quantized::MsvOutcome;
-use crate::simd::{adds_u8, hmax_u8, max_u8, shift_u8, splat_u8, subs_u8, ByteRow16};
+use crate::simd::ByteRow16;
 use h3w_hmm::alphabet::{Residue, N_CODES};
 use h3w_hmm::msvprofile::MsvProfile;
 
@@ -27,55 +30,36 @@ pub const MSV_LANES: usize = 16;
 /// Lanes in the 256-bit byte pipeline (AVX2 backend).
 pub const MSV_LANES_AVX2: usize = 32;
 
-/// AVX2 re-striped emission costs: `Q = ⌈M/32⌉` vectors of 32 bytes,
-/// code-major, phantoms pinned to 255.
-#[cfg(target_arch = "x86_64")]
+/// `n` tables of `m` model positions each, striped table-major into
+/// `L`-lane vectors: position `k0` of table `t` lands in vector
+/// `t·Q + k0 % Q`, lane `k0 / Q`, with `Q = ⌈m/L⌉` (at least 1). Lanes
+/// past `m` hold `pad`. Exact-size, so collecting allocates once.
+pub(crate) fn striped<T: Copy, const L: usize>(
+    m: usize,
+    n: usize,
+    pad: T,
+    value: impl Fn(usize, usize) -> T,
+) -> impl Iterator<Item = [T; L]> {
+    let q = m.div_ceil(L).max(1);
+    (0..n * q).map(move |v| {
+        let (t, qi) = (v / q, v % q);
+        core::array::from_fn(|z| match z * q + qi {
+            k0 if k0 < m => value(t, k0),
+            _ => pad,
+        })
+    })
+}
+
+/// Striped biased costs, code-major (`[code * q + qi]`), in the one layout
+/// the instance's backend walks. Phantom positions (`k0 ≥ M`) cost 255,
+/// pinning them to the floor.
 #[derive(Debug, Clone)]
-pub(crate) struct AvxMsv {
-    /// Vectors per row: `⌈M/32⌉`.
-    pub(crate) q: usize,
-    /// `rbv[code * q + qi]`, 32-byte aligned rows.
-    pub(crate) rbv: Vec<crate::x86::ByteRow32>,
-}
-
-/// Stripe an [`MsvProfile`]'s biased byte costs into the 16-lane layout
-/// (`Q = ⌈M/16⌉`, code-major, phantoms pinned to 255).
-fn stripe16(om: &MsvProfile) -> (usize, Vec<ByteRow16>) {
-    let m = om.m;
-    let q = m.div_ceil(MSV_LANES).max(1);
-    let mut rbv = vec![ByteRow16([255u8; MSV_LANES]); N_CODES * q];
-    for code in 0..N_CODES {
-        for qi in 0..q {
-            let vec = &mut rbv[code * q + qi].0;
-            for (z, slot) in vec.iter_mut().enumerate() {
-                let k0 = z * q + qi;
-                if k0 < m {
-                    *slot = om.cost(code as u8, k0);
-                }
-            }
-        }
-    }
-    (q, rbv)
-}
-
-/// Stripe into the re-striped 32-lane AVX2 layout (`Q = ⌈M/32⌉`).
-#[cfg(target_arch = "x86_64")]
-fn stripe32(om: &MsvProfile) -> AvxMsv {
-    let m = om.m;
-    let q32 = m.div_ceil(MSV_LANES_AVX2).max(1);
-    let mut rbv32 = vec![crate::x86::ByteRow32([255u8; MSV_LANES_AVX2]); N_CODES * q32];
-    for code in 0..N_CODES {
-        for qi in 0..q32 {
-            let vec = &mut rbv32[code * q32 + qi].0;
-            for (z, slot) in vec.iter_mut().enumerate() {
-                let k0 = z * q32 + qi;
-                if k0 < m {
-                    *slot = om.cost(code as u8, k0);
-                }
-            }
-        }
-    }
-    AvxMsv { q: q32, rbv: rbv32 }
+enum Costs {
+    /// 16 lanes (scalar, SSE2), 16-byte-aligned rows.
+    Lanes16(Vec<ByteRow16>),
+    /// 32 lanes (AVX2), 32-byte-aligned rows.
+    #[cfg(target_arch = "x86_64")]
+    Lanes32(Vec<crate::x86::ByteRow32>),
 }
 
 /// A profile's MSV tables rearranged into the striped layout.
@@ -83,17 +67,14 @@ fn stripe32(om: &MsvProfile) -> AvxMsv {
 pub struct StripedMsv {
     /// Model length.
     pub m: usize,
-    /// Vectors per row in the 16-lane layout: `⌈M/16⌉`.
+    /// Vectors per row of the walked layout: `⌈M/16⌉`, or `⌈M/32⌉` under
+    /// AVX2.
     pub q: usize,
     backend: Backend,
     pub(crate) base: u8,
     pub(crate) bias: u8,
     pub(crate) overflow_at: u8,
-    /// Striped biased costs, code-major: `rbv[code * q + qi]`.
-    /// Phantom positions (`k0 ≥ M`) cost 255, pinning them to the floor.
-    pub(crate) rbv: Vec<ByteRow16>,
-    #[cfg(target_arch = "x86_64")]
-    pub(crate) avx: Option<AvxMsv>,
+    rbv: Costs,
 }
 
 impl StripedMsv {
@@ -110,19 +91,30 @@ impl StripedMsv {
         } else {
             Backend::Scalar
         };
-        let (q, rbv) = stripe16(om);
-        #[cfg(target_arch = "x86_64")]
-        let avx = (backend == Backend::Avx2).then(|| stripe32(om));
+        let cost = |code: usize, k0| om.cost(code as u8, k0);
+        let (lanes, rbv) = match backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 => (
+                MSV_LANES_AVX2,
+                Costs::Lanes32(
+                    striped(om.m, N_CODES, 255, cost)
+                        .map(crate::x86::ByteRow32)
+                        .collect(),
+                ),
+            ),
+            _ => (
+                MSV_LANES,
+                Costs::Lanes16(striped(om.m, N_CODES, 255, cost).map(ByteRow16).collect()),
+            ),
+        };
         StripedMsv {
             m: om.m,
-            q,
+            q: om.m.div_ceil(lanes).max(1),
             backend,
             base: om.base,
             bias: om.bias,
             overflow_at: om.overflow_limit(),
             rbv,
-            #[cfg(target_arch = "x86_64")]
-            avx,
         }
     }
 
@@ -131,198 +123,47 @@ impl StripedMsv {
         self.backend
     }
 
-    /// Stripe count of the table the dispatched backend actually walks:
-    /// `⌈M/32⌉` under AVX2's re-striped 32-lane layout, `⌈M/16⌉`
-    /// otherwise. Models may share a fused multi-profile pack only when
-    /// this matches — the fused row loop walks one common `q`.
-    pub fn active_q(&self) -> usize {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(t) = self.avx.as_ref() {
-            return t.q;
+    /// Lanes per vector of the walked layout.
+    fn lanes(&self) -> usize {
+        match self.rbv {
+            Costs::Lanes16(_) => MSV_LANES,
+            #[cfg(target_arch = "x86_64")]
+            Costs::Lanes32(_) => MSV_LANES_AVX2,
         }
+    }
+
+    /// The striped cost table the backend walks, as raw bytes.
+    pub(crate) fn table_ptr(&self) -> *const u8 {
+        match &self.rbv {
+            Costs::Lanes16(t) => t.as_ptr() as *const u8,
+            #[cfg(target_arch = "x86_64")]
+            Costs::Lanes32(t) => t.as_ptr() as *const u8,
+        }
+    }
+
+    /// Stripe count of the table the backend walks ([`Self::q`]). Models
+    /// may share a fused multi-profile pack only when this matches — the
+    /// fused row loop walks one common `q`.
+    pub fn active_q(&self) -> usize {
         self.q
     }
 
-    /// Score one sequence, reusing `dp` as the row buffer (resized as
-    /// needed). Bit-identical to the scalar reference on every backend.
+    /// Score one sequence: the batched kernel at width 1, with `dp` lent
+    /// to it as the workspace buffer (resized as needed). Bit-identical to
+    /// the scalar reference on every backend.
     pub fn run_into(
         &self,
         om: &MsvProfile,
         seq: &[Residue],
         dp: &mut Vec<ByteRow16>,
     ) -> MsvOutcome {
-        match self.backend {
-            Backend::Scalar => self.run_scalar(om, seq, dp),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: with_backend only selects Sse2/Avx2 when the CPU
-            // reports the feature (SSE2 is the x86_64 baseline).
-            Backend::Sse2 => unsafe { self.run_sse2(om, seq, dp) },
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { self.run_avx2(om, seq, dp) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => self.run_scalar(om, seq, dp),
-        }
-    }
-
-    /// Portable reference row loop (emulated 16-lane vectors).
-    fn run_scalar(&self, om: &MsvProfile, seq: &[Residue], dp: &mut Vec<ByteRow16>) -> MsvOutcome {
-        let q = self.q;
-        let lc = om.len_costs(seq.len());
-        dp.clear();
-        dp.resize(q, ByteRow16::ZERO);
-
-        let biasv = splat_u8(self.bias);
-        let mut xj = 0u8;
-        let mut xbv = splat_u8(self.base.saturating_sub(lc.tjbm));
-        for &x in seq {
-            let row = &self.rbv[x as usize * q..(x as usize + 1) * q];
-            let mut xev = splat_u8(0);
-            let mut mpv = shift_u8(dp[q - 1].0, 0);
-            for (qi, rv) in row.iter().enumerate() {
-                let sv = subs_u8(adds_u8(max_u8(mpv, xbv), biasv), rv.0);
-                xev = max_u8(xev, sv);
-                mpv = dp[qi].0;
-                dp[qi] = ByteRow16(sv);
-            }
-            let xe = hmax_u8(xev);
-            if xe >= self.overflow_at {
-                return Self::overflow_outcome();
-            }
-            xj = xj.max(xe.saturating_sub(lc.tec));
-            xbv = splat_u8(self.base.max(xj).saturating_sub(lc.tjbm));
-        }
-        MsvOutcome {
-            xj,
-            overflow: false,
-            score: om.score_to_nats(xj, seq.len()),
-        }
-    }
-
-    /// SSE2 row loop: identical 16-lane layout, real 128-bit intrinsics.
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn run_sse2(
-        &self,
-        om: &MsvProfile,
-        seq: &[Residue],
-        dp: &mut Vec<ByteRow16>,
-    ) -> MsvOutcome {
-        use crate::x86::{hmax_epu8, loadu128, shl1_u8_128, storeu128};
-        use core::arch::x86_64::*;
-
-        let q = self.q;
-        let lc = om.len_costs(seq.len());
-        dp.clear();
-        dp.resize(q, ByteRow16::ZERO);
-        let dpb = dp.as_mut_ptr() as *mut u8;
-
-        let biasv = _mm_set1_epi8(self.bias as i8);
-        let mut xj = 0u8;
-        let mut xbv = _mm_set1_epi8(self.base.saturating_sub(lc.tjbm) as i8);
-        for &x in seq {
-            let row = self.rbv.as_ptr().add(x as usize * q) as *const u8;
-            let mut xev = _mm_setzero_si128();
-            let mut mpv = shl1_u8_128(loadu128(dpb.add(16 * (q - 1))));
-            for qi in 0..q {
-                let rv = loadu128(row.add(16 * qi));
-                let cur = loadu128(dpb.add(16 * qi));
-                let sv = _mm_subs_epu8(_mm_adds_epu8(_mm_max_epu8(mpv, xbv), biasv), rv);
-                xev = _mm_max_epu8(xev, sv);
-                mpv = cur;
-                storeu128(dpb.add(16 * qi), sv);
-            }
-            let xe = hmax_epu8(xev);
-            if xe >= self.overflow_at {
-                return Self::overflow_outcome();
-            }
-            xj = xj.max(xe.saturating_sub(lc.tec));
-            xbv = _mm_set1_epi8(self.base.max(xj).saturating_sub(lc.tjbm) as i8);
-        }
-        MsvOutcome {
-            xj,
-            overflow: false,
-            score: om.score_to_nats(xj, seq.len()),
-        }
-    }
-
-    /// AVX2 row loop: re-striped 32-lane layout (`Q = ⌈M/32⌉`), 256-bit
-    /// intrinsics. `dp` holds `2Q` 16-byte entries viewed as `Q` 32-byte
-    /// vectors.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn run_avx2(
-        &self,
-        om: &MsvProfile,
-        seq: &[Residue],
-        dp: &mut Vec<ByteRow16>,
-    ) -> MsvOutcome {
-        use crate::x86::{align32, loadu256, shl1_u8_256, storeu256};
-        use core::arch::x86_64::*;
-
-        let t = self
-            .avx
-            .as_ref()
-            .expect("AVX2 tables built at construction");
-        let q = t.q;
-        let lc = om.len_costs(seq.len());
-        dp.clear();
-        // Two spare 16-byte entries let the working pointer snap to a
-        // 32-byte boundary so row loads/stores never split a cache line.
-        dp.resize(2 * q + 2, ByteRow16::ZERO);
-        let dpb = align32(dp.as_mut_ptr() as *mut u8);
-
-        let biasv = _mm256_set1_epi8(self.bias as i8);
-        let basev = _mm256_set1_epi8(self.base as i8);
-        let tecv = _mm256_set1_epi8(lc.tec as i8);
-        let tjbmv = _mm256_set1_epi8(lc.tjbm as i8);
-        let overv = _mm256_set1_epi8(self.overflow_at as i8);
-        // The xJ/xB feedback stays entirely in the vector domain (every
-        // lane carries the same value): a GPR round-trip per row
-        // (hmax → scalar max → broadcast) serializes rows on a ~10-cycle
-        // chain, which dominates once Q is this small.
-        let mut xjv = _mm256_setzero_si256();
-        let mut xbv = _mm256_subs_epu8(basev, tjbmv);
-        for &x in seq {
-            let row = t.rbv.as_ptr().add(x as usize * q) as *const u8;
-            let mut xev = _mm256_setzero_si256();
-            let mut mpv = shl1_u8_256(loadu256(dpb.add(32 * (q - 1))));
-            for qi in 0..q {
-                let rv = loadu256(row.add(32 * qi));
-                let cur = loadu256(dpb.add(32 * qi));
-                let sv = _mm256_subs_epu8(_mm256_adds_epu8(_mm256_max_epu8(mpv, xbv), biasv), rv);
-                xev = _mm256_max_epu8(xev, sv);
-                mpv = cur;
-                storeu256(dpb.add(32 * qi), sv);
-            }
-            // Unsigned `xe >= overflow_at` as a predicted-not-taken branch
-            // off the critical path.
-            let ge = _mm256_cmpeq_epi8(_mm256_max_epu8(xev, overv), xev);
-            if _mm256_movemask_epi8(ge) != 0 {
-                return Self::overflow_outcome();
-            }
-            // Broadcast-hmax of xev: swap 128-bit halves, then rotate
-            // within each half — every lane ends up holding max(xev).
-            let mut a = _mm256_max_epu8(xev, _mm256_permute2x128_si256::<0x01>(xev, xev));
-            a = _mm256_max_epu8(a, _mm256_alignr_epi8::<8>(a, a));
-            a = _mm256_max_epu8(a, _mm256_alignr_epi8::<4>(a, a));
-            a = _mm256_max_epu8(a, _mm256_alignr_epi8::<2>(a, a));
-            a = _mm256_max_epu8(a, _mm256_alignr_epi8::<1>(a, a));
-            xjv = _mm256_max_epu8(xjv, _mm256_subs_epu8(a, tecv));
-            xbv = _mm256_subs_epu8(_mm256_max_epu8(basev, xjv), tjbmv);
-        }
-        let xj = _mm256_extract_epi8::<0>(xjv) as u8;
-        MsvOutcome {
-            xj,
-            overflow: false,
-            score: om.score_to_nats(xj, seq.len()),
-        }
-    }
-
-    fn overflow_outcome() -> MsvOutcome {
-        MsvOutcome {
-            xj: 255,
-            overflow: true,
-            score: MsvProfile::overflow_score(),
-        }
+        let mut ws = BatchWorkspace {
+            buf: std::mem::take(dp),
+        };
+        let mut out = [MsvOutcome::default()];
+        self.run_batch_into(om, &[seq], &mut ws, &mut out);
+        *dp = ws.buf;
+        out[0]
     }
 
     /// Score one sequence with a fresh row buffer.
@@ -337,18 +178,7 @@ impl StripedMsv {
     /// Never mix it with [`Self::real_cells_per_row`] (the `M` cells the
     /// sweep accounting reports).
     pub fn padded_cells_per_row(&self) -> usize {
-        match self.backend {
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => {
-                MSV_LANES_AVX2
-                    * self
-                        .avx
-                        .as_ref()
-                        .map(|t| t.q)
-                        .unwrap_or_else(|| self.m.div_ceil(MSV_LANES_AVX2).max(1))
-            }
-            _ => MSV_LANES * self.q,
-        }
+        self.lanes() * self.q
     }
 
     /// DP cells *meaningful* per residue row — exactly `M`, excluding

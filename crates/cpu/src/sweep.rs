@@ -10,8 +10,8 @@
 //! [length-binned scheduler](length_binned_batches) groups
 //! near-equal-length sequences into batches of `S` and the interleaved
 //! kernel in [`crate::batch`] scores each batch in one fused loop, hiding
-//! the per-row reduction latency behind `S` independent chains (the
-//! single-sequence row loop is latency-bound). Outcomes are bit-identical
+//! the per-row reduction latency behind `S` independent chains (one
+//! sequence alone is latency-bound). Outcomes are bit-identical
 //! to the scalar filters in [`crate::quantized`], the executable spec the
 //! tests compare against, at every width. The shape is one driver
 //! ([`outcomes_batched`]) generic over a [`BatchKernel`] — the MSV,
@@ -444,18 +444,19 @@ pub fn msv_multi_outcomes(
     // Sequence schedules keyed by the per-task sequence share; packs of
     // equal size reuse the same schedule.
     let share = |pack: &[usize]| (width / pack.len()).max(1);
-    let mut schedules: Vec<Option<Vec<Vec<usize>>>> = vec![None; MAX_BATCH + 1];
+    let mut schedules: Vec<Vec<Vec<usize>>> = vec![Vec::new(); MAX_BATCH + 1];
     let mut tasks: Vec<(usize, usize)> = Vec::new();
     for (pi, pack) in packs.iter().enumerate() {
-        let sched = schedules[share(pack)]
-            .get_or_insert_with(|| length_binned_batches(&lens, None, share(pack)));
+        let sched = &mut schedules[share(pack)];
+        if sched.is_empty() {
+            *sched = length_binned_batches(&lens, None, share(pack));
+        }
         tasks.extend((0..sched.len()).map(|bi| (pi, bi)));
     }
     let task = |t: usize| -> (&[usize], &[usize]) {
         let (pi, bi) = tasks[t];
         let pack = &packs[pi];
-        let sched = schedules[share(pack)].as_ref();
-        (pack, &sched.expect("schedule built above")[bi])
+        (pack, &schedules[share(pack)][bi])
     };
     let scored: Vec<[MsvOutcome; MAX_BATCH]> =
         pool.map_collect_init(tasks.len(), BatchWorkspace::default, |ws, t| {

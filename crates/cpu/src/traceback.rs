@@ -92,14 +92,17 @@ pub fn viterbi_trace(p: &Profile, seq: &[Residue]) -> Alignment {
                 vi[idx(i - 1, k - 1)] + p.tim[k - 1],
                 vd[idx(i - 1, k - 1)] + p.tdm[k - 1],
             ];
-            let (arg, best) = cands
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .map(|(a, &v)| (a as u8, v))
-                .unwrap();
+            // The last of equal maxima wins. Scores are sums of finite
+            // log-odds and −∞, so no candidate is NaN.
+            let (arg, best) = (1..cands.len()).fold((0, cands[0]), |(a, v), c| {
+                if cands[c] >= v {
+                    (c, cands[c])
+                } else {
+                    (a, v)
+                }
+            });
             vm[idx(i, k)] = best + p.msc[k][x];
-            bm[idx(i, k)] = arg;
+            bm[idx(i, k)] = arg as u8;
             // I (none at node m).
             if k < m {
                 let from_m = vm[idx(i - 1, k)] + p.tmi[k];
@@ -293,6 +296,12 @@ fn trace_segment(
     }
 }
 
+/// The character of a residue code. Cannot fail: a rendered code is a
+/// digitized residue or a consensus code, and `symbol` maps every one.
+fn sym(code: Residue) -> char {
+    symbol(code).expect("digitized residue code")
+}
+
 impl AlignedSegment {
     /// Render the classic three-line block: consensus / match / target.
     /// `|` marks an exact consensus match, `+` a positive-scoring residue,
@@ -306,24 +315,24 @@ impl AlignedSegment {
                 TraceState::M { k, i } => {
                     let cons = model.consensus[k - 1];
                     let x = seq[i - 1];
-                    cons_line.push(symbol(cons).unwrap().to_ascii_uppercase());
+                    cons_line.push(sym(cons).to_ascii_uppercase());
                     let sc = p.msc[k][x as usize];
                     match_line.push(if x == cons {
-                        symbol(x).unwrap().to_ascii_lowercase()
+                        sym(x).to_ascii_lowercase()
                     } else if sc > 0.0 {
                         '+'
                     } else {
                         ' '
                     });
-                    tgt_line.push(symbol(x).unwrap().to_ascii_uppercase());
+                    tgt_line.push(sym(x).to_ascii_uppercase());
                 }
                 TraceState::I { i, .. } => {
                     cons_line.push('.');
                     match_line.push(' ');
-                    tgt_line.push(symbol(seq[i - 1]).unwrap().to_ascii_lowercase());
+                    tgt_line.push(sym(seq[i - 1]).to_ascii_lowercase());
                 }
                 TraceState::D { k } => {
-                    cons_line.push(symbol(model.consensus[k - 1]).unwrap().to_ascii_uppercase());
+                    cons_line.push(sym(model.consensus[k - 1]).to_ascii_uppercase());
                     match_line.push(' ');
                     tgt_line.push('-');
                 }

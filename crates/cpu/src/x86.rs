@@ -1,7 +1,7 @@
 //! x86_64 intrinsic helpers shared by the SSE2 and AVX2 filter kernels.
 //!
-//! The striped filter buffers are plain `[u8; 16]` / `[i16; 8]` arrays
-//! (alignment 1), so every load/store here is unaligned. The AVX2
+//! Only the MSV byte tables are vector-aligned; the word and float tables
+//! and rows are plain arrays, so every load/store here is unaligned. The AVX2
 //! cross-lane shifts use the `vperm2i128` + `valignr` idiom: build
 //! `t = [fill_lane, a.low]`, then `alignr(a, t, 16 - step)` yields the
 //! whole 256-bit register shifted up by one element with `fill` injected
@@ -28,19 +28,6 @@ use core::arch::x86_64::*;
 #[repr(C, align(32))]
 #[derive(Debug, Clone, Copy)]
 pub struct ByteRow32(pub [u8; 32]);
-
-/// A 32-byte-aligned word vector for AVX2 transition/emission tables.
-#[repr(C, align(32))]
-#[derive(Debug, Clone, Copy)]
-pub struct WordRow16(pub [i16; 16]);
-
-/// Align a raw byte cursor up to a 32-byte boundary (for DP workspaces
-/// whose `Vec<[u8; 16]>` backing store is only byte-aligned). The caller
-/// must have over-allocated by at least 31 bytes.
-#[inline(always)]
-pub unsafe fn align32(p: *mut u8) -> *mut u8 {
-    p.add(p.align_offset(32))
-}
 
 /// Unaligned 128-bit load from a lane-array slice element.
 #[inline(always)]
@@ -120,16 +107,6 @@ pub unsafe fn keep_ge_ps(v: __m128, floor: __m128) -> __m128 {
     _mm_and_ps(v, _mm_cmpge_ps(v, floor))
 }
 
-/// Horizontal max of 16 unsigned bytes.
-#[inline(always)]
-pub unsafe fn hmax_epu8(v: __m128i) -> u8 {
-    let v = _mm_max_epu8(v, _mm_srli_si128::<8>(v));
-    let v = _mm_max_epu8(v, _mm_srli_si128::<4>(v));
-    let v = _mm_max_epu8(v, _mm_srli_si128::<2>(v));
-    let v = _mm_max_epu8(v, _mm_srli_si128::<1>(v));
-    (_mm_cvtsi128_si32(v) & 0xff) as u8
-}
-
 /// Horizontal max of 8 signed words.
 #[inline(always)]
 pub unsafe fn hmax_epi16(v: __m128i) -> i16 {
@@ -156,14 +133,6 @@ pub unsafe fn shl1_i16_128(a: __m128i, fill: i16) -> __m128i {
 #[inline(always)]
 pub unsafe fn any_gt_epi16_128(a: __m128i, b: __m128i) -> bool {
     _mm_movemask_epi8(_mm_cmpgt_epi16(a, b)) != 0
-}
-
-/// Horizontal max of 32 unsigned bytes.
-#[inline]
-#[target_feature(enable = "avx2")]
-pub unsafe fn hmax_epu8_256(v: __m256i) -> u8 {
-    let m = _mm_max_epu8(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
-    hmax_epu8(m)
 }
 
 /// Horizontal max of 16 signed words.
@@ -213,7 +182,6 @@ mod tests {
         unsafe {
             let bytes: [u8; 16] = core::array::from_fn(|i| (i * 13 + 7) as u8);
             let v = loadu128(bytes.as_ptr());
-            assert_eq!(hmax_epu8(v), *bytes.iter().max().unwrap());
 
             let mut out = [0u8; 16];
             storeu128(out.as_mut_ptr(), shl1_u8_128(v));
@@ -266,7 +234,6 @@ mod tests {
     unsafe fn avx2_helper_check() {
         let bytes: [u8; 32] = core::array::from_fn(|i| (i * 11 + 3) as u8);
         let v = loadu256(bytes.as_ptr());
-        assert_eq!(hmax_epu8_256(v), *bytes.iter().max().unwrap());
 
         let mut out = [0u8; 32];
         storeu256(out.as_mut_ptr(), shl1_u8_256(v));

@@ -1,13 +1,16 @@
 //! Property tests: every SIMD backend is bit-identical to the scalar
-//! reference for the striped MSV and P7Viterbi filters — scores, overflow
-//! flags, and the survivor sets they induce — across model sizes that
-//! straddle both the 16/32-lane (MSV) and 8/16-lane (Viterbi) stripe
-//! boundaries, and across degenerate sequences (empty, single-residue,
-//! longer than 64 KiB).
+//! specs ([`msv_filter_scalar`], [`vit_filter_scalar`]) for the striped
+//! MSV and P7Viterbi filters — scores, overflow flags, and the survivor
+//! sets they induce — across model sizes that straddle both the 16/32-lane
+//! (MSV) and 8/16-lane (Viterbi) stripe boundaries, and across degenerate
+//! sequences (empty, single-residue, longer than 64 KiB). The specs are
+//! separate code: the `Scalar` backend runs the same generic row loop as
+//! the others, so agreeing with it alone would not catch a change to
+//! that loop.
 
 use h3w_cpu::striped_msv::StripedMsv;
 use h3w_cpu::striped_vit::{StripedVit, VitWorkspace, VIT_LANES, VIT_LANES_AVX2};
-use h3w_cpu::{vit_filter_scalar, Backend};
+use h3w_cpu::{msv_filter_scalar, vit_filter_scalar, Backend};
 use h3w_hmm::build::{synthetic_model, BuildParams};
 use h3w_hmm::calibrate::random_seq;
 use h3w_hmm::msvprofile::MsvProfile;
@@ -26,24 +29,19 @@ fn profiles(m: usize, seed: u64) -> (MsvProfile, VitProfile) {
     (MsvProfile::from_profile(&p), VitProfile::from_profile(&p))
 }
 
-/// Assert every available backend reproduces the scalar outcome on `seq`,
-/// bit for bit.
+/// Assert every available backend reproduces the scalar specs' outcome on
+/// `seq`, bit for bit.
 fn assert_backends_match(
     msv: &MsvProfile,
     vit: &VitProfile,
     seq: &[u8],
     ctx: &str,
 ) -> Result<(), TestCaseError> {
-    let smsv = StripedMsv::with_backend(msv, Backend::Scalar);
-    let svit = StripedVit::with_backend(vit, Backend::Scalar);
     let mut dp = Vec::new();
     let mut ws = VitWorkspace::default();
-    let m0 = smsv.run_into(msv, seq, &mut dp);
-    let v0 = svit.run_into(vit, seq, &mut ws).0;
+    let m0 = msv_filter_scalar(msv, seq);
+    let v0 = vit_filter_scalar(vit, seq);
     for backend in Backend::all_available() {
-        if backend == Backend::Scalar {
-            continue;
-        }
         let mb = StripedMsv::with_backend(msv, backend).run_into(msv, seq, &mut dp);
         let vb = StripedVit::with_backend(vit, backend)
             .run_into(vit, seq, &mut ws)
@@ -51,13 +49,13 @@ fn assert_backends_match(
         prop_assert_eq!(
             (m0.xj, m0.overflow, m0.score.to_bits()),
             (mb.xj, mb.overflow, mb.score.to_bits()),
-            "MSV {} vs scalar diverged ({ctx})",
+            "MSV {} vs msv_filter_scalar diverged ({ctx})",
             backend
         );
         prop_assert_eq!(
             (v0.xc, v0.score.to_bits()),
             (vb.xc, vb.score.to_bits()),
-            "Viterbi {} vs scalar diverged ({ctx})",
+            "Viterbi {} vs vit_filter_scalar diverged ({ctx})",
             backend
         );
     }
@@ -176,6 +174,35 @@ fn d_heavy_models_close_in_at_most_lanes_walks() {
             if m > (lanes - 1) * m.div_ceil(lanes) {
                 assert_eq!(deepest, lanes, "{backend} m={m}");
             }
+        }
+    }
+}
+
+#[test]
+fn padded_cells_follow_the_walked_layout() {
+    // The cell and byte accounting must describe the layout the backend
+    // walks: ⌈M/lanes⌉ vectors of its own lane count.
+    for m in [17usize, 40, 2405] {
+        let (msv, vit) = profiles(m, 3);
+        for backend in Backend::all_available() {
+            let wide = backend == Backend::Avx2;
+            let lanes = if wide { VIT_LANES_AVX2 } else { VIT_LANES };
+            let sv = StripedVit::with_backend(&vit, backend);
+            assert_eq!(
+                sv.padded_cells_per_row(),
+                3 * lanes * m.div_ceil(lanes),
+                "{backend} m={m}"
+            );
+            assert_eq!(sv.bytes_per_row(), 10 * sv.padded_cells_per_row() as u64);
+            assert_eq!(sv.q, m.div_ceil(lanes), "{backend} m={m}");
+            let lanes = if wide { 32 } else { 16 };
+            let sm = StripedMsv::with_backend(&msv, backend);
+            assert_eq!(
+                sm.padded_cells_per_row(),
+                lanes * m.div_ceil(lanes),
+                "{backend} m={m}"
+            );
+            assert_eq!(sm.bytes_per_row(), 3 * sm.padded_cells_per_row() as u64);
         }
     }
 }

@@ -1,5 +1,6 @@
-//! Property tests: the batched interleaved MSV kernel is bit-identical
-//! to the single-sequence kernel — scores, overflow flags, `xJ` state —
+//! Property tests: the batched interleaved MSV kernel — the one MSV row
+//! loop, which `StripedMsv::run` runs at width 1 — is bit-identical to the
+//! scalar spec [`msv_filter_scalar`] — scores, overflow flags, `xJ` state —
 //! across every available backend, every batch width `1..=MAX_BATCH`, and
 //! the hard cases: overflowing slots dropping out mid-batch, length-skewed
 //! batches where slots retire one by one, and empty/degenerate sequences.
@@ -37,7 +38,7 @@ fn bits(o: &MsvOutcome) -> (u8, bool, u32) {
 }
 
 /// Score `seqs` through the batched kernel at `width` on `backend` and
-/// assert every outcome matches the scalar single-sequence reference.
+/// assert every outcome matches the scalar spec.
 fn assert_batched_matches(
     om: &MsvProfile,
     seqs: &[Vec<u8>],
@@ -133,8 +134,8 @@ proptest! {
         // The full scheduler path: id list → length bins → batched kernel
         // → one outcome per listed id, in list order. A random ascending
         // subset, the empty list and every id, at every width on every
-        // runnable backend, each against the width-1 single-sequence
-        // score of the sequence the id names.
+        // runnable backend, each against the width-1 score of the
+        // sequence the id names.
         let (_, om) = model_and_profile(m, 7);
         let mut rng = StdRng::seed_from_u64(seq_seed);
         let seqs: Vec<DigitalSeq> = (0..10)

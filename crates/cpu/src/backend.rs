@@ -1,20 +1,22 @@
 //! Runtime SIMD backend selection for the striped filters.
 //!
-//! The striped MSV and Viterbi filters each have one row loop, generic over
-//! a lane pipe and monomorphized for three backends:
+//! The striped MSV, Viterbi and Forward filters each have one row loop,
+//! generic over a lane pipe and monomorphized for three backends:
 //!
-//! * **Scalar** — the portable emulated-lane reference in [`crate::simd`]
-//!   (fixed-size-array loops the compiler may auto-vectorize).
+//! * **Scalar** — the portable emulated-lane reference (fixed-size-array
+//!   loops the compiler may auto-vectorize).
 //! * **SSE2** — real `core::arch` 128-bit intrinsics over the *same*
-//!   16 × u8 / 8 × i16 striped layout.
-//! * **AVX2** — 256-bit intrinsics over a *re-striped* layout with
-//!   32 × u8 / 16 × i16 lanes (`Q = ⌈M/32⌉` byte vectors, `⌈M/16⌉` word
-//!   vectors).
+//!   16 × u8 / 8 × i16 / 4 × f32 striped layout.
+//! * **AVX2** — 256-bit intrinsics. MSV and Viterbi re-stripe to 32 × u8
+//!   / 16 × i16 lanes (`Q = ⌈M/32⌉` byte vectors, `⌈M/16⌉` word
+//!   vectors); Forward keeps the 4 × f32 stripe and takes two adjacent
+//!   stripe vectors per register.
 //!
-//! All three produce bit-identical scores: the per-cell recurrence uses
-//! only saturating adds and maxes whose results do not depend on the
-//! striping geometry, and the Lazy-F loop converges to the same fixed
-//! point regardless of lane count. The best available backend is chosen
+//! All three produce bit-identical scores: the byte and word recurrences
+//! use only saturating adds and maxes whose results do not depend on the
+//! striping geometry, the Lazy-F loop converges to the same fixed point
+//! regardless of lane count, and Forward runs the same float operations
+//! in the same order on every backend. The best available backend is chosen
 //! once (at `Pipeline::prepare` via [`Backend::detect`]) and cached.
 
 use std::sync::OnceLock;

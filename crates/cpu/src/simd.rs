@@ -140,71 +140,6 @@ pub fn shift_i16(a: V8i16, fill: i16) -> V8i16 {
     r
 }
 
-/// Broadcast a float to all lanes (`_mm_set1_ps`).
-#[inline(always)]
-pub fn splat_f32(v: f32) -> V4f32 {
-    [v; 4]
-}
-
-/// Lane-wise float add (`_mm_add_ps`).
-#[inline(always)]
-pub fn add_f32(a: V4f32, b: V4f32) -> V4f32 {
-    let mut r = [0.0f32; 4];
-    for i in 0..4 {
-        r[i] = a[i] + b[i];
-    }
-    r
-}
-
-/// Lane-wise float multiply (`_mm_mul_ps`).
-#[inline(always)]
-pub fn mul_f32(a: V4f32, b: V4f32) -> V4f32 {
-    let mut r = [0.0f32; 4];
-    for i in 0..4 {
-        r[i] = a[i] * b[i];
-    }
-    r
-}
-
-/// Shift float lanes up by one, injecting `fill` into lane 0
-/// (`_mm_slli_si128(v, 4)` on the float bits; `fill = 0.0` is the
-/// odds-space −∞ for the striped Forward diagonal move).
-#[inline(always)]
-pub fn shift_f32(a: V4f32, fill: f32) -> V4f32 {
-    [fill, a[0], a[1], a[2]]
-}
-
-/// Horizontal sum with the canonical tree `(v0 + v2) + (v1 + v3)` — the
-/// order a `movehl`/`shufps` SSE reduction produces, so the scalar and
-/// intrinsic backends reduce bit-identically.
-#[inline(always)]
-pub fn hsum_f32(a: V4f32) -> f32 {
-    (a[0] + a[2]) + (a[1] + a[3])
-}
-
-/// Are all four float lanes exactly `0.0`? (`_mm_movemask_ps` of a
-/// `cmpneq` against zero) — the striped Forward D→D carry-pass early exit.
-#[inline(always)]
-pub fn all_zero_f32(a: V4f32) -> bool {
-    a[0] == 0.0 && a[1] == 0.0 && a[2] == 0.0 && a[3] == 0.0
-}
-
-/// Keep the lanes of `a` that are `>= floor`; every other lane (a NaN
-/// included, on every backend alike) becomes `+0.0` — an `and` with a
-/// `cmpge` mask. The striped Forward D→D passes use it to drop an
-/// increment before the multiply that would take it out of the normal
-/// `f32` range.
-#[inline(always)]
-pub fn keep_ge_f32(a: V4f32, floor: V4f32) -> V4f32 {
-    let mut r = [0.0f32; 4];
-    for i in 0..4 {
-        if a[i] >= floor[i] {
-            r[i] = a[i];
-        }
-    }
-    r
-}
-
 /// Lane-wise "any greater than" test (`_mm_movemask` of a compare) —
 /// the Lazy-F loop's continuation condition.
 #[inline(always)]
@@ -253,23 +188,6 @@ mod tests {
         assert_eq!(max_i16(a, b)[7], 4000);
         assert_eq!(adds_i16(splat_i16(i16::MIN), splat_i16(-10))[0], i16::MIN);
         assert_eq!(adds_i16(splat_i16(30000), splat_i16(10000))[0], i16::MAX);
-    }
-
-    #[test]
-    fn f32_ops_lanewise() {
-        let a: V4f32 = [1.0, 2.0, 3.0, 4.0];
-        let b = splat_f32(0.5);
-        assert_eq!(add_f32(a, b), [1.5, 2.5, 3.5, 4.5]);
-        assert_eq!(mul_f32(a, b), [0.5, 1.0, 1.5, 2.0]);
-        assert_eq!(shift_f32(a, 0.0), [0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(hsum_f32(a), (1.0 + 3.0) + (2.0 + 4.0));
-        assert!(all_zero_f32([0.0; 4]));
-        assert!(!all_zero_f32([0.0, 0.0, 1.0e-30, 0.0]));
-        assert_eq!(
-            keep_ge_f32([2.0, 1.0, 0.0, f32::NAN], [1.0, 2.0, f32::INFINITY, 0.0])
-                .map(f32::to_bits),
-            [2.0f32.to_bits(), 0, 0, 0]
-        );
     }
 
     #[test]

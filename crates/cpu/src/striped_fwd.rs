@@ -49,7 +49,7 @@
 //! rescales, one rescale short of `xN` underflowing altogether — keeps
 //! its score bits but not its smallest recorded cells.
 //!
-//! # One stripe, three backends, bit-identical
+//! # One stripe, one row over three pipes, bit-identical
 //!
 //! Unlike the MSV/Viterbi filters (whose AVX2 backends re-stripe to
 //! wider lanes — safe there because saturated max is striping-agnostic),
@@ -76,11 +76,15 @@
 //!   slot sees its width-1 operation sequence plus additions of `+0.0`,
 //!   and no multiply meets a subnormal.
 //!
-//! The AVX2 backend therefore speeds up the *same* arithmetic by
-//! processing two adjacent stripe vectors per 256-bit op (the element
-//! set and rounding of each op is unchanged), and scalar/SSE2/AVX2 all
-//! return bit-identical scores — so hits, calibration, and posterior
-//! values do not depend on `H3W_SIMD_BACKEND`.
+//! Both are written once. The row (`fwd_row`) walks pairs of adjacent
+//! stripe positions through a `RowPipe`: two 128-bit registers on the
+//! scalar and SSE2 pipes, one 256-bit register under AVX2, whose low half
+//! is the even position and high half the odd one (the element set and
+//! rounding of each op is unchanged). An odd `q` leaves one position,
+//! which runs through the same step on the pipe's 128-bit half, and so
+//! does the D→D resolution (`dd_resolve`). Scalar/SSE2/AVX2 all return
+//! bit-identical scores — so hits, calibration, and posterior values do
+//! not depend on `H3W_SIMD_BACKEND`.
 //!
 //! Tables are destination-aligned exactly like
 //! [`h3w_hmm::vitprofile`]: index `k0 = k−1` holds everything entering
@@ -88,9 +92,7 @@
 
 use crate::backend::Backend;
 use crate::batch::MAX_BATCH;
-use crate::simd::{
-    add_f32, all_zero_f32, hsum_f32, keep_ge_f32, mul_f32, shift_f32, splat_f32, V4f32,
-};
+use crate::simd::V4f32;
 use h3w_hmm::alphabet::{Residue, N_CODES};
 use h3w_hmm::profile::{Profile, SpecialScores, NEG_INF};
 
@@ -101,8 +103,6 @@ pub const FWD_LANES: usize = 4;
 /// further row of growth cannot approach `f32::MAX`, high enough that
 /// background sequences (whose `xE` stays O(1)) never pay the `ln`.
 const RESCALE_THRESHOLD: f32 = 1.0e10;
-
-const ZERO4: V4f32 = [0.0; 4];
 
 /// Per-target special transitions in odds space (`exp` of
 /// [`SpecialScores`]); `exp(−∞) = 0` keeps unihit `E→J` exact.
@@ -155,7 +155,7 @@ impl RowState {
     /// [`RESCALE_THRESHOLD`], rescale them and the slot's row.
     /// Scalar and elementwise — identical on every backend by
     /// construction.
-    fn end_row(&mut self, xe: f32, sp: &OddsSpecials, ws: &mut FwdWorkspace) {
+    fn end_row(&mut self, xe: f32, sp: &OddsSpecials, dp: &mut [&mut [V4f32]; 3]) {
         self.xj = self.xj * sp.loop_o + xe * sp.e2j_o;
         self.xc = self.xc * sp.loop_o + xe * sp.e2c_o;
         self.xn *= sp.loop_o;
@@ -167,7 +167,7 @@ impl RowState {
             self.xc *= inv;
             self.xn *= inv;
             self.xb *= inv;
-            for lane in ws.rows.iter_mut().flatten() {
+            for lane in dp.iter_mut().flat_map(|row| row.iter_mut()).flatten() {
                 *lane *= inv;
             }
         }
@@ -188,9 +188,9 @@ impl RowState {
 /// each, in one allocation, updated in place as the integer filters
 /// update theirs. A row loop loads the previous row's M/I/D at `qi`
 /// before it overwrites `qi` and carries them in registers to `qi + 1`,
-/// the diagonal they feed; the AVX2 backend builds a *pair*'s diagonal
-/// `[old(qi−1), old(qi)]` from the carried high half of the previous
-/// pair and the low half of this one. One row per slot rather than two
+/// the diagonal they feed: a *pair*'s diagonal `[old(qi−1), old(qi)]` is
+/// the carried high half of the previous pair and the low half of this
+/// one. One row per slot rather than two
 /// halves what four lockstep slots keep beside the tables in L1d.
 #[derive(Debug, Default)]
 pub struct FwdWorkspace {
@@ -198,14 +198,10 @@ pub struct FwdWorkspace {
 }
 
 impl FwdWorkspace {
-    fn reset(&mut self, q: usize) {
+    /// The M, I and D rows, `q` vectors each, reset to zero.
+    fn rows(&mut self, q: usize) -> [&mut [V4f32]; 3] {
         self.rows.clear();
-        self.rows.resize(3 * q, ZERO4);
-    }
-
-    /// The M, I and D rows.
-    fn rows(&mut self) -> [&mut [V4f32]; 3] {
-        let q = self.rows.len() / 3;
+        self.rows.resize(3 * q, [0.0; 4]);
         let (m, rest) = self.rows.split_at_mut(q);
         let (i, d) = rest.split_at_mut(q);
         [m, i, d]
@@ -435,8 +431,7 @@ impl StripedFwd {
         let mut scales = Vec::with_capacity(l);
         let mut total = [0.0];
         let slot = std::slice::from_mut(ws);
-        self.drive(p, &[seq], slot, &mut total, |_, ws, st| {
-            let (m, i) = ws.rows[..2 * self.q].split_at(self.q);
+        self.drive(p, &[seq], slot, &mut total, |_, [m, i, _], st| {
             rows_m.extend_from_slice(m);
             rows_i.extend_from_slice(i);
             scales.push(st.totscale);
@@ -456,382 +451,498 @@ impl StripedFwd {
     /// `seqs`, so the slots still live on a row are always a prefix.
     /// Each row runs (A) every live slot's M / I / M→D-seed loop, (B) one
     /// D→D resolution over all of them, (C) every live slot's specials
-    /// update and rescale, then hands `on_row` the slot with the index
-    /// of its sequence. Scores land in `out` in the order of `seqs`.
+    /// update and rescale, then hands `on_row` the index of the slot's
+    /// sequence and its M, I and D rows. Scores land in `out` in the
+    /// order of `seqs`.
     fn drive(
         &self,
         p: &Profile,
         seqs: &[&[Residue]],
         slots: &mut [FwdWorkspace],
         out: &mut [f32],
-        mut on_row: impl FnMut(usize, &FwdWorkspace, &RowState),
+        on_row: impl FnMut(usize, &[&mut [V4f32]; 3], &RowState),
     ) {
-        debug_assert_eq!(p.m, self.m);
-        let n = seqs.len();
-        let mut order: [usize; MAX_BATCH] = core::array::from_fn(|j| j);
-        order[..n].sort_by_key(|&i| std::cmp::Reverse(seqs[i].len()));
-        let len = |j: usize| seqs.get(order[j]).map_or(0, |s| s.len());
-        let sps: [OddsSpecials; MAX_BATCH] =
-            core::array::from_fn(|j| OddsSpecials::from_scores(&p.specials_for(len(j))));
-        let mut sts: [RowState; MAX_BATCH] = core::array::from_fn(|j| RowState::start(&sps[j]));
-        for slot in slots.iter_mut() {
-            slot.reset(self.q);
-        }
-        let mut xes = [0.0f32; MAX_BATCH];
-        let (mut r, mut live) = (0, n);
-        loop {
-            while live > 0 && len(live - 1) <= r {
-                live -= 1;
-            }
-            if live == 0 {
-                break;
-            }
-            for j in 0..live {
-                xes[j] = self.row_main(seqs[order[j]][r] as usize, &mut slots[j], sts[j].xb);
-            }
-            match live {
-                1 => self.dd_resolve::<1>(slots),
-                2 => self.dd_resolve::<2>(slots),
-                3 => self.dd_resolve::<3>(slots),
-                _ => self.dd_resolve::<MAX_BATCH>(slots),
-            }
-            for j in 0..live {
-                sts[j].end_row(xes[j], &sps[j], &mut slots[j]);
-                on_row(order[j], &slots[j], &sts[j]);
-            }
-            r += 1;
-        }
-        for j in 0..n {
-            out[order[j]] = sts[j].finish(&sps[j]);
-        }
-    }
-
-    /// Phase A of a row on the instance's backend: M, I and the M→D seed
-    /// of one slot (no D→D); returns the row's `xE`.
-    #[inline]
-    fn row_main(&self, x: usize, ws: &mut FwdWorkspace, xb: f32) -> f32 {
-        match self.backend {
-            Backend::Scalar => self.row_scalar(x, ws, xb),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: with_backend only selects Sse2/Avx2 when the CPU
-            // reports the feature (SSE2 is the x86_64 baseline).
-            Backend::Sse2 => unsafe { self.row_sse2(x, ws, xb) },
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { self.row_avx2(x, ws, xb) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => self.row_scalar(x, ws, xb),
-        }
-    }
-
-    /// Phase B of a row: resolve the D→D chains of the first `N` slots
-    /// together, on the instance's lane family.
-    #[inline]
-    fn dd_resolve<const N: usize>(&self, slots: &mut [FwdWorkspace]) {
-        let mut it = slots.iter_mut();
-        let cds: [&mut [V4f32]; N] = core::array::from_fn(|_| {
-            // Cannot fire: `drive` passes `N` = live slots, and its row
-            // loop has just indexed `slots[..live]`.
-            let [_, _, cd] = it.next().expect("N live slots").rows();
-            cd
-        });
-        match self.backend {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: each pointer covers its slot's `q` stripe vectors
-            // (`FwdWorkspace::reset`), the slots are distinct, and SSE2
-            // is the x86_64 baseline.
-            Backend::Sse2 | Backend::Avx2 => unsafe {
-                self.dd_resolve_x86(cds.map(|cd| cd.as_mut_ptr() as *mut f32))
-            },
-            _ => self.dd_resolve_scalar(cds),
-        }
-    }
-
-    /// Portable reference row loop (emulated 4-lane vectors). This is
-    /// the canonical operation order the intrinsic backends replicate.
-    #[allow(clippy::needless_range_loop)]
-    fn row_scalar(&self, x: usize, ws: &mut FwdWorkspace, xb: f32) -> f32 {
-        let q = self.q;
-        let row = &self.rfv[x * q..(x + 1) * q];
-        let [m, i, d] = ws.rows();
-        let xbv = splat_f32(xb);
-        let mut acc_e = ZERO4;
-        let mut acc_o = ZERO4;
-        // Previous row at qi-1 (the diagonal); qi = 0 wraps to q-1.
-        let mut mpv = shift_f32(m[q - 1], 0.0);
-        let mut ipv = shift_f32(i[q - 1], 0.0);
-        let mut dpv = shift_f32(d[q - 1], 0.0);
-        let mut mcur_prev = ZERO4; // M of position qi-1, current row
-        for qi in 0..q {
-            let (m_old, i_old, d_old) = (m[qi], i[qi], d[qi]);
-            let mut sv = mul_f32(xbv, self.bmk[qi]);
-            sv = add_f32(sv, mul_f32(mpv, self.tmm[qi]));
-            sv = add_f32(sv, mul_f32(ipv, self.tim[qi]));
-            sv = add_f32(sv, mul_f32(dpv, self.tdm[qi]));
-            sv = mul_f32(sv, row[qi]);
-            if qi % 2 == 0 {
-                acc_e = add_f32(acc_e, sv);
-            } else {
-                acc_o = add_f32(acc_o, sv);
-            }
-            i[qi] = add_f32(mul_f32(m_old, self.tmi[qi]), mul_f32(i_old, self.tii[qi]));
-            // M→D seed; the qi=0 wrap and all D→D arrive below.
-            d[qi] = mul_f32(mcur_prev, self.tmd[qi]);
-            (mpv, ipv, dpv) = (m_old, i_old, d_old);
-            m[qi] = sv;
-            mcur_prev = sv;
-        }
-        // Cross-lane M→D seed into qi = 0.
-        d[0] = add_f32(d[0], mul_f32(shift_f32(mcur_prev, 0.0), self.tmd[0]));
-        hsum_f32(add_f32(acc_e, acc_o))
-    }
-
-    /// SSE2 row loop — the same 4-lane stripe and operation order as
-    /// [`StripedFwd::row_scalar`], with real 128-bit intrinsics.
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn row_sse2(&self, x: usize, ws: &mut FwdWorkspace, xb: f32) -> f32 {
-        use crate::x86::{hsum_ps, loadu_ps, shl1_ps_128, storeu_ps};
-        use core::arch::x86_64::*;
-        let q = self.q;
-        let row = self.rfv.as_ptr().add(x * q) as *const f32;
-        let [m, i, d] = ws.rows().map(|r| r.as_mut_ptr() as *mut f32);
-        let tmm = self.tmm.as_ptr() as *const f32;
-        let tim = self.tim.as_ptr() as *const f32;
-        let tdm = self.tdm.as_ptr() as *const f32;
-        let tmd = self.tmd.as_ptr() as *const f32;
-        let tmi = self.tmi.as_ptr() as *const f32;
-        let tii = self.tii.as_ptr() as *const f32;
-        let bmk = self.bmk.as_ptr() as *const f32;
-
-        let xbv = _mm_set1_ps(xb);
-        let mut acc_e = _mm_setzero_ps();
-        let mut acc_o = _mm_setzero_ps();
-        let mut mpv = shl1_ps_128(loadu_ps(m.add(4 * (q - 1))));
-        let mut ipv = shl1_ps_128(loadu_ps(i.add(4 * (q - 1))));
-        let mut dpv = shl1_ps_128(loadu_ps(d.add(4 * (q - 1))));
-        let mut mcur_prev = _mm_setzero_ps();
-        for qi in 0..q {
-            let o = 4 * qi;
-            let (m_old, i_old, d_old) =
-                (loadu_ps(m.add(o)), loadu_ps(i.add(o)), loadu_ps(d.add(o)));
-            let mut sv = _mm_mul_ps(xbv, loadu_ps(bmk.add(o)));
-            sv = _mm_add_ps(sv, _mm_mul_ps(mpv, loadu_ps(tmm.add(o))));
-            sv = _mm_add_ps(sv, _mm_mul_ps(ipv, loadu_ps(tim.add(o))));
-            sv = _mm_add_ps(sv, _mm_mul_ps(dpv, loadu_ps(tdm.add(o))));
-            sv = _mm_mul_ps(sv, loadu_ps(row.add(o)));
-            if qi % 2 == 0 {
-                acc_e = _mm_add_ps(acc_e, sv);
-            } else {
-                acc_o = _mm_add_ps(acc_o, sv);
-            }
-            let iv = _mm_add_ps(
-                _mm_mul_ps(m_old, loadu_ps(tmi.add(o))),
-                _mm_mul_ps(i_old, loadu_ps(tii.add(o))),
-            );
-            storeu_ps(i.add(o), iv);
-            storeu_ps(d.add(o), _mm_mul_ps(mcur_prev, loadu_ps(tmd.add(o))));
-            (mpv, ipv, dpv) = (m_old, i_old, d_old);
-            storeu_ps(m.add(o), sv);
-            mcur_prev = sv;
-        }
-        let wrap = _mm_mul_ps(shl1_ps_128(mcur_prev), loadu_ps(tmd));
-        storeu_ps(d, _mm_add_ps(loadu_ps(d), wrap));
-        hsum_ps(_mm_add_ps(acc_e, acc_o))
-    }
-
-    /// AVX2 row loop: identical stripe and arithmetic, but two adjacent
-    /// stripe vectors (`qi`, `qi+1`) per 256-bit op. The low half maps
-    /// to even `qi` and the high half to odd `qi`, so the single 256-bit
-    /// `xE` accumulator *is* the scalar backend's even/odd accumulator
-    /// pair. Each diagonal pair `[old(qi−1), old(qi)]` is the previous
-    /// pair's carried high half below this pair's low half.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn row_avx2(&self, x: usize, ws: &mut FwdWorkspace, xb: f32) -> f32 {
-        use crate::x86::{hsum_ps, loadu_ps, loadu_ps256, shl1_ps_128, storeu_ps, storeu_ps256};
-        use core::arch::x86_64::*;
-        let q = self.q;
-        if q < 2 {
-            return self.row_sse2(x, ws, xb);
-        }
-        let row = self.rfv.as_ptr().add(x * q) as *const f32;
-        let [m, i, d] = ws.rows().map(|r| r.as_mut_ptr() as *mut f32);
-        let tmm = self.tmm.as_ptr() as *const f32;
-        let tim = self.tim.as_ptr() as *const f32;
-        let tdm = self.tdm.as_ptr() as *const f32;
-        let tmd = self.tmd.as_ptr() as *const f32;
-        let tmi = self.tmi.as_ptr() as *const f32;
-        let tii = self.tii.as_ptr() as *const f32;
-        let bmk = self.bmk.as_ptr() as *const f32;
-
-        let xbv = _mm256_set1_ps(xb);
-        let mut acc = _mm256_setzero_ps();
-        let mut acc_tail = _mm_setzero_ps();
-        // `[carry, v.low]`: a pair moved up one stripe position.
-        let shifted = |carry: __m128, v: __m256| -> __m256 {
-            _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(carry), _mm256_castps256_ps128(v))
-        };
-        // The previous row at qi-1 of the pair; for qi = 0 the
-        // cross-lane wrap of old(q-1).
-        let old_wrap = |p: *mut f32| shl1_ps_128(loadu_ps(p.add(4 * (q - 1))));
-        let (mut m_carry, mut i_carry, mut d_carry) = (old_wrap(m), old_wrap(i), old_wrap(d));
-        let mut sv_carry = _mm_setzero_ps(); // M at the pair's qi-1
-        for pair in 0..q / 2 {
-            let o = 8 * pair;
-            let m_old = loadu_ps256(m.add(o));
-            let i_old = loadu_ps256(i.add(o));
-            let d_old = loadu_ps256(d.add(o));
-            let mut sv = _mm256_mul_ps(xbv, loadu_ps256(bmk.add(o)));
-            sv = _mm256_add_ps(
-                sv,
-                _mm256_mul_ps(shifted(m_carry, m_old), loadu_ps256(tmm.add(o))),
-            );
-            sv = _mm256_add_ps(
-                sv,
-                _mm256_mul_ps(shifted(i_carry, i_old), loadu_ps256(tim.add(o))),
-            );
-            sv = _mm256_add_ps(
-                sv,
-                _mm256_mul_ps(shifted(d_carry, d_old), loadu_ps256(tdm.add(o))),
-            );
-            sv = _mm256_mul_ps(sv, loadu_ps256(row.add(o)));
-            acc = _mm256_add_ps(acc, sv);
-            let iv = _mm256_add_ps(
-                _mm256_mul_ps(m_old, loadu_ps256(tmi.add(o))),
-                _mm256_mul_ps(i_old, loadu_ps256(tii.add(o))),
-            );
-            storeu_ps256(i.add(o), iv);
-            // M→D seed pair: [M(qi-1), M(qi)].
-            let dseed = shifted(sv_carry, sv);
-            storeu_ps256(d.add(o), _mm256_mul_ps(dseed, loadu_ps256(tmd.add(o))));
-            storeu_ps256(m.add(o), sv);
-            sv_carry = _mm256_extractf128_ps::<1>(sv);
-            m_carry = _mm256_extractf128_ps::<1>(m_old);
-            i_carry = _mm256_extractf128_ps::<1>(i_old);
-            d_carry = _mm256_extractf128_ps::<1>(d_old);
-        }
-        if q % 2 == 1 {
-            // Odd trailing vector at 128-bit; its qi = q-1 is even, so
-            // it accumulates on the even (low-half) side.
-            let o = 4 * (q - 1);
-            let xbv1 = _mm256_castps256_ps128(xbv);
-            let mut sv = _mm_mul_ps(xbv1, loadu_ps(bmk.add(o)));
-            sv = _mm_add_ps(sv, _mm_mul_ps(m_carry, loadu_ps(tmm.add(o))));
-            sv = _mm_add_ps(sv, _mm_mul_ps(i_carry, loadu_ps(tim.add(o))));
-            sv = _mm_add_ps(sv, _mm_mul_ps(d_carry, loadu_ps(tdm.add(o))));
-            sv = _mm_mul_ps(sv, loadu_ps(row.add(o)));
-            acc_tail = sv;
-            let iv = _mm_add_ps(
-                _mm_mul_ps(loadu_ps(m.add(o)), loadu_ps(tmi.add(o))),
-                _mm_mul_ps(loadu_ps(i.add(o)), loadu_ps(tii.add(o))),
-            );
-            storeu_ps(i.add(o), iv);
-            storeu_ps(d.add(o), _mm_mul_ps(sv_carry, loadu_ps(tmd.add(o))));
-            storeu_ps(m.add(o), sv);
-            sv_carry = sv;
-        }
-        let wrap = _mm_mul_ps(shl1_ps_128(sv_carry), loadu_ps(tmd));
-        storeu_ps(d, _mm_add_ps(loadu_ps(d), wrap));
-        // (low + tail) rebuilds the scalar even accumulator exactly
-        // (same addition sequence), then the canonical reduction.
-        let lo = _mm256_castps256_ps128(acc);
-        let hi = _mm256_extractf128_ps::<1>(acc);
-        hsum_ps(_mm_add_ps(_mm_add_ps(lo, acc_tail), hi))
-    }
-
-    /// The D→D resolution of `N` slots in lockstep, in emulated 4-lane
-    /// vectors: the canonical operation order [`Self::dd_resolve_x86`]
-    /// mirrors op for op.
-    ///
-    /// Pass 1 is the full in-lane propagation (cross-lane input zero).
-    /// Each correction pass then hands every lane the *increment* the
-    /// previous pass added at `qi = q−1` of the lane below; D is linear
-    /// in its inputs, so propagating increments (never re-reading the D
-    /// row) is exact and cannot double count, and lane 0's chain head is
-    /// exact after pass 1, so ≤ 3 passes close the fixed point. Lanes
-    /// drop to `+0.0` and passes end as the module doc says.
-    #[allow(clippy::needless_range_loop)]
-    fn dd_resolve_scalar<const N: usize>(&self, mut cds: [&mut [V4f32]; N]) {
-        let mut dprev = [ZERO4; N];
-        for qi in 0..self.q {
-            for (cd, dp) in cds.iter_mut().zip(&mut dprev) {
-                cd[qi] = add_f32(cd[qi], dd_mul(*dp, self.tdd[qi]));
-                *dp = cd[qi];
-            }
-        }
-        let mut corr = dprev;
-        for _ in 1..FWD_LANES {
-            corr = corr.map(|c| shift_f32(c, 0.0));
-            for qi in 0..self.q {
-                corr = corr.map(|c| keep_ge_f32(c, self.tdd_floor[qi]));
-                if corr.iter().all(|&c| all_zero_f32(c)) {
-                    break;
-                }
-                for (cd, c) in cds.iter_mut().zip(&mut corr) {
-                    *c = dd_mul(*c, self.tdd[qi]);
-                    cd[qi] = add_f32(cd[qi], *c);
-                }
-            }
-        }
-    }
-
-    /// [`Self::dd_resolve_scalar`] at 128-bit width — shared by the SSE2
-    /// and AVX2 backends, so the order-sensitive part of the row is
-    /// identical everywhere. `tdd` / `tdd_floor` are loaded once per
-    /// `qi` for all `N` chains.
-    ///
-    /// # Safety
-    /// Every pointer of `cds` must be valid for reads and writes of
-    /// `4·q` floats and no two may overlap.
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn dd_resolve_x86<const N: usize>(&self, cds: [*mut f32; N]) {
-        use crate::x86::{all_zero_ps, keep_ge_ps, loadu_ps, shl1_ps_128, storeu_ps};
-        use core::arch::x86_64::*;
-        let q = self.q;
-        let tdd = self.tdd.as_ptr() as *const f32;
-        let floor = self.tdd_floor.as_ptr() as *const f32;
-        let mut corr = [_mm_setzero_ps(); N];
-        for qi in 0..q {
-            let o = 4 * qi;
-            let t = loadu_ps(tdd.add(o));
-            for (&cd, dp) in cds.iter().zip(&mut corr) {
-                *dp = _mm_add_ps(loadu_ps(cd.add(o)), _mm_mul_ps(*dp, t));
-                storeu_ps(cd.add(o), *dp);
-            }
-        }
-        for _ in 1..FWD_LANES {
-            for c in &mut corr {
-                *c = shl1_ps_128(*c);
-            }
-            for qi in 0..q {
-                let o = 4 * qi;
-                let fl = loadu_ps(floor.add(o));
-                let mut any = _mm_setzero_ps();
-                for c in &mut corr {
-                    *c = keep_ge_ps(*c, fl);
-                    any = _mm_or_ps(any, *c);
-                }
-                if all_zero_ps(any) {
-                    break;
-                }
-                let t = loadu_ps(tdd.add(o));
-                for (&cd, c) in cds.iter().zip(&mut corr) {
-                    *c = _mm_mul_ps(*c, t);
-                    storeu_ps(cd.add(o), _mm_add_ps(loadu_ps(cd.add(o)), *c));
-                }
+        // SAFETY: with_backend only selects Sse2/Avx2 when the CPU
+        // reports the feature (SSE2 is the x86_64 baseline), and every
+        // table and row holds `q` stripe vectors.
+        unsafe {
+            match self.backend {
+                #[cfg(target_arch = "x86_64")]
+                Backend::Sse2 => drive_rows::<Regs<Sse2F32, 2>>(self, p, seqs, slots, out, on_row),
+                #[cfg(target_arch = "x86_64")]
+                Backend::Avx2 => drive_avx2(self, p, seqs, slots, out, on_row),
+                _ => drive_rows::<Regs<ScalarF32, 2>>(self, p, seqs, slots, out, on_row),
             }
         }
     }
 }
 
-/// The multiply of the scalar row's D→D passes. Under `cfg(test)` it
-/// also counts every subnormal operand or product on this thread, which
-/// is what the subnormal regression test reads: a count, not a timing.
+/// AVX2 monomorphization behind `#[target_feature]` so the row compiles
+/// to 256-bit code (the `#[inline(always)]` generics fold into this
+/// feature context).
+/// # Safety
+/// As [`drive_rows`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn drive_avx2(
+    t: &StripedFwd,
+    p: &Profile,
+    seqs: &[&[Residue]],
+    slots: &mut [FwdWorkspace],
+    out: &mut [f32],
+    on_row: impl FnMut(usize, &[&mut [V4f32]; 3], &RowState),
+) {
+    drive_rows::<Avx2F32>(t, p, seqs, slots, out, on_row)
+}
+
+/// [`StripedFwd::drive`] on the pipe `P`.
+/// # Safety
+/// `P`'s backend runs on this CPU, and `t` is striped for this profile.
 #[inline(always)]
-fn dd_mul(a: V4f32, b: V4f32) -> V4f32 {
-    let r = mul_f32(a, b);
-    #[cfg(test)]
-    tests::count_subnormals(&[a, b, r]);
-    r
+unsafe fn drive_rows<P: RowPipe>(
+    t: &StripedFwd,
+    p: &Profile,
+    seqs: &[&[Residue]],
+    slots: &mut [FwdWorkspace],
+    out: &mut [f32],
+    mut on_row: impl FnMut(usize, &[&mut [V4f32]; 3], &RowState),
+) {
+    debug_assert_eq!(p.m, t.m);
+    let n = seqs.len();
+    let mut order: [usize; MAX_BATCH] = core::array::from_fn(|j| j);
+    order[..n].sort_by_key(|&i| std::cmp::Reverse(seqs[i].len()));
+    let len = |j: usize| seqs.get(order[j]).map_or(0, |s| s.len());
+    let sps: [OddsSpecials; MAX_BATCH] =
+        core::array::from_fn(|j| OddsSpecials::from_scores(&p.specials_for(len(j))));
+    let mut sts: [RowState; MAX_BATCH] = core::array::from_fn(|j| RowState::start(&sps[j]));
+    let mut dp: [[&mut [V4f32]; 3]; MAX_BATCH] = Default::default();
+    for (rows, slot) in dp.iter_mut().zip(slots) {
+        *rows = slot.rows(t.q);
+    }
+    let mut xes = [0.0f32; MAX_BATCH];
+    let (mut r, mut live) = (0, n);
+    loop {
+        while live > 0 && len(live - 1) <= r {
+            live -= 1;
+        }
+        if live == 0 {
+            break;
+        }
+        for j in 0..live {
+            xes[j] = fwd_row::<P>(t, seqs[order[j]][r] as usize, &mut dp[j], sts[j].xb);
+        }
+        match live {
+            1 => dd_resolve::<P::Half, 1>(t, &mut dp),
+            2 => dd_resolve::<P::Half, 2>(t, &mut dp),
+            3 => dd_resolve::<P::Half, 3>(t, &mut dp),
+            _ => dd_resolve::<P::Half, MAX_BATCH>(t, &mut dp),
+        }
+        for j in 0..live {
+            sts[j].end_row(xes[j], &sps[j], &mut dp[j]);
+            on_row(order[j], &dp[j], &sts[j]);
+        }
+        r += 1;
+    }
+    for j in 0..n {
+        out[order[j]] = sts[j].finish(&sps[j]);
+    }
+}
+
+/// Phase A of a row, once for every backend: M, I and the M→D seed of
+/// one slot (no D→D); returns the row's `xE`. The stripe is walked in
+/// pairs of positions, one `P` vector each, whose low halves accumulate
+/// the even-`qi` `xE` and high halves the odd-`qi` one; an odd `q` runs
+/// its last position through the same step on the 128-bit half.
+/// # Safety
+/// As [`drive_rows`], with `dp` holding `t.q` vectors per row.
+#[inline(always)]
+unsafe fn fwd_row<P: RowPipe>(
+    t: &StripedFwd,
+    x: usize,
+    dp: &mut [&mut [V4f32]; 3],
+    xb: f32,
+) -> f32 {
+    let q = t.q;
+    // Every table and row cut to `q` vectors, so that the scalar pipe's
+    // bounds checks fold away.
+    let tables = &[
+        &t.bmk[..q],
+        &t.tmm[..q],
+        &t.tim[..q],
+        &t.tdm[..q],
+        &t.tmi[..q],
+        &t.tii[..q],
+        &t.tmd[..q],
+    ];
+    let row = &t.rfv[x * q..][..q];
+    let [m, i, d] = dp;
+    let dp = &mut [&mut m[..q], &mut i[..q], &mut d[..q]];
+    // The previous row at qi − 1 (for qi = 0 the cross-lane wrap of
+    // old(q − 1)), then this row's M at qi − 1 for the M→D seed.
+    let wrap = |r: &[V4f32]| P::Half::shl1(P::Half::load(r, q - 1));
+    let mut carry = [wrap(dp[0]), wrap(dp[1]), wrap(dp[2]), P::Half::splat(0.0)];
+    let mut acc = P::splat(0.0);
+    let mut qi = 0;
+    while qi + 1 < q {
+        acc = P::add(acc, step::<P>(tables, row, dp, qi, &mut carry, xb));
+        qi += 2;
+    }
+    let mut tail = P::Half::splat(0.0);
+    if qi < q {
+        [tail] = step::<Regs<P::Half, 1>>(tables, row, dp, qi, &mut carry, xb);
+    }
+    // Cross-lane M→D seed into qi = 0.
+    let wrap = P::Half::mul(P::Half::shl1(carry[3]), P::Half::load(tables[6], 0));
+    P::Half::store(dp[2], 0, P::Half::add(P::Half::load(dp[2], 0), wrap));
+    // (low + tail) is the even accumulator (the last even `qi` is the
+    // tail's), then the canonical reduction.
+    let even = P::Half::add(P::low(acc), tail);
+    P::Half::hsum(P::Half::add(even, P::high(acc)))
+}
+
+/// The cells of one `S` vector at stripe position `qi`. `carry` holds
+/// the previous row's M, I, D and this row's M at the position below
+/// `qi`, and leaves with those at the last position of the vector.
+/// # Safety
+/// As [`drive_rows`], with every slice covering the vector at `qi`.
+#[inline(always)]
+unsafe fn step<S: RowPipe>(
+    [bmk, tmm, tim, tdm, tmi, tii, tmd]: &[&[V4f32]; 7],
+    row: &[V4f32],
+    [m, i, d]: &mut [&mut [V4f32]; 3],
+    qi: usize,
+    carry: &mut [<S::Half as Lanes>::V; 4],
+    xb: f32,
+) -> S::V {
+    let [m_carry, i_carry, d_carry, sv_carry] = *carry;
+    let (m_old, i_old, d_old) = (S::load(m, qi), S::load(i, qi), S::load(d, qi));
+    let mut sv = S::mul(S::splat(xb), S::load(bmk, qi));
+    sv = S::add(sv, S::mul(S::shifted(m_carry, m_old), S::load(tmm, qi)));
+    sv = S::add(sv, S::mul(S::shifted(i_carry, i_old), S::load(tim, qi)));
+    sv = S::add(sv, S::mul(S::shifted(d_carry, d_old), S::load(tdm, qi)));
+    sv = S::mul(sv, S::load(row, qi));
+    let iv = S::add(
+        S::mul(m_old, S::load(tmi, qi)),
+        S::mul(i_old, S::load(tii, qi)),
+    );
+    S::store(i, qi, iv);
+    // M→D seed; the qi = 0 wrap and all D→D arrive later.
+    S::store(d, qi, S::mul(S::shifted(sv_carry, sv), S::load(tmd, qi)));
+    S::store(m, qi, sv);
+    *carry = [S::high(m_old), S::high(i_old), S::high(d_old), S::high(sv)];
+    sv
+}
+
+/// Phase B of a row, once for every backend: the D→D resolution of the
+/// first `N` slots of `dp` in lockstep, on the 128-bit lane family.
+/// `tdd` / `tdd_floor` are loaded once per `qi` for all `N` chains.
+///
+/// Pass 1 is the full in-lane propagation (cross-lane input zero).
+/// Each correction pass then hands every lane the *increment* the
+/// previous pass added at `qi = q−1` of the lane below; D is linear
+/// in its inputs, so propagating increments (never re-reading the D
+/// row) is exact and cannot double count, and lane 0's chain head is
+/// exact after pass 1, so ≤ 3 passes close the fixed point. Lanes
+/// drop to `+0.0` and passes end as the module doc says.
+/// # Safety
+/// As [`drive_rows`], with the first `N` D rows of `dp` `t.q` vectors long.
+#[inline(always)]
+unsafe fn dd_resolve<L: Lanes, const N: usize>(
+    t: &StripedFwd,
+    dp: &mut [[&mut [V4f32]; 3]; MAX_BATCH],
+) {
+    let (q, tdd, floor) = (t.q, &t.tdd[..t.q], &t.tdd_floor[..t.q]);
+    // The first `N` D rows, cut to `q` vectors so that the scalar pipe's
+    // bounds checks fold away.
+    let mut cds = dp.each_mut().map(|[_, _, d]| &mut **d);
+    for cd in &mut cds[..N] {
+        *cd = &mut std::mem::take(cd)[..q];
+    }
+    let mut corr = [L::splat(0.0); N];
+    for qi in 0..q {
+        let tdd = L::load(tdd, qi);
+        for (cd, c) in cds.iter_mut().zip(&mut corr) {
+            *c = L::add(L::load(cd, qi), L::dd_mul(*c, tdd));
+            L::store(cd, qi, *c);
+        }
+    }
+    // Pass 1's increment at `q − 1` is the whole cell. Reading it back
+    // from the row (it is the value just stored) leaves the carry above
+    // unused after its loop, which lets LLVM keep the scalar pipe's
+    // lanes in one vector.
+    for (cd, c) in cds.iter().zip(&mut corr) {
+        *c = L::load(cd, q - 1);
+    }
+    for _ in 1..FWD_LANES {
+        for c in &mut corr {
+            *c = L::shl1(*c);
+        }
+        for qi in 0..q {
+            let floor = L::load(floor, qi);
+            for c in &mut corr {
+                *c = L::keep_ge(*c, floor);
+            }
+            if !L::any_nonzero(&corr) {
+                break;
+            }
+            let tdd = L::load(tdd, qi);
+            for (cd, c) in cds.iter_mut().zip(&mut corr) {
+                *c = L::dd_mul(*c, tdd);
+                L::store(cd, qi, L::add(L::load(cd, qi), *c));
+            }
+        }
+    }
+}
+
+/// The f32 lane algebra the row walks: vectors of one or two adjacent
+/// stripe positions, made of registers of the 128-bit [`Lanes`] family.
+///
+/// # Safety
+///
+/// Implementations may compile to ISA extensions; callers must only
+/// invoke them when [`Backend::available`] said so ([`StripedFwd::drive`]
+/// guarantees this).
+trait RowPipe {
+    type V: Copy;
+    type Half: Lanes;
+    unsafe fn splat(x: f32) -> Self::V;
+    unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
+    unsafe fn mul(a: Self::V, b: Self::V) -> Self::V;
+    /// The vector at stripe position `qi` of a table or row.
+    unsafe fn load(s: &[V4f32], qi: usize) -> Self::V;
+    unsafe fn store(s: &mut [V4f32], qi: usize, v: Self::V);
+    /// `[carry, v.low]`: the vector moved up one stripe position, the
+    /// diagonal it reads.
+    unsafe fn shifted(carry: <Self::Half as Lanes>::V, v: Self::V) -> Self::V;
+    unsafe fn low(v: Self::V) -> <Self::Half as Lanes>::V;
+    unsafe fn high(v: Self::V) -> <Self::Half as Lanes>::V;
+}
+
+/// The 128-bit family: one stripe vector of [`FWD_LANES`] floats. The
+/// D→D passes, the row's wrap and its reduction run on it everywhere.
+/// # Safety
+/// As [`RowPipe`].
+trait Lanes {
+    type V: Copy;
+    unsafe fn splat(x: f32) -> Self::V;
+    unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
+    unsafe fn mul(a: Self::V, b: Self::V) -> Self::V;
+    /// Vector `qi` of a table or row. The scalar pipe checks the bound;
+    /// the intrinsic pipes trust it.
+    unsafe fn load(s: &[V4f32], qi: usize) -> Self::V;
+    unsafe fn store(s: &mut [V4f32], qi: usize, v: Self::V);
+    /// Shift lanes up one, injecting `0.0` (odds-space −∞) into lane 0:
+    /// `_mm_slli_si128(v, 4)` on the float bits.
+    unsafe fn shl1(a: Self::V) -> Self::V;
+    /// Keep the lanes of `a` that are `>= floor`; every other lane (a NaN
+    /// included) becomes `+0.0`: an `and` with a `cmpge` mask.
+    unsafe fn keep_ge(a: Self::V, floor: Self::V) -> Self::V;
+    /// Is any lane of any of `vs` other than `0.0`?
+    unsafe fn any_nonzero(vs: &[Self::V]) -> bool;
+    /// Horizontal sum with the canonical tree `(v0 + v2) + (v1 + v3)`,
+    /// the order a `movehl`/`shufps` SSE reduction produces.
+    unsafe fn hsum(a: Self::V) -> f32;
+    /// The multiply of the D→D passes.
+    #[inline(always)]
+    unsafe fn dd_mul(a: Self::V, b: Self::V) -> Self::V {
+        Self::mul(a, b)
+    }
+}
+
+/// Portable emulated 4-lane pipe (the scalar backend).
+struct ScalarF32;
+
+impl Lanes for ScalarF32 {
+    type V = V4f32;
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> V4f32 {
+        [x; 4]
+    }
+    #[inline(always)]
+    unsafe fn add(a: V4f32, b: V4f32) -> V4f32 {
+        core::array::from_fn(|z| a[z] + b[z])
+    }
+    #[inline(always)]
+    unsafe fn mul(a: V4f32, b: V4f32) -> V4f32 {
+        core::array::from_fn(|z| a[z] * b[z])
+    }
+    #[inline(always)]
+    unsafe fn load(s: &[V4f32], qi: usize) -> V4f32 {
+        s[qi]
+    }
+    #[inline(always)]
+    unsafe fn store(s: &mut [V4f32], qi: usize, v: V4f32) {
+        s[qi] = v
+    }
+    /// Out of line: inlined, the row's wrap carries would reach its loop
+    /// as three lane loads and a constant, and LLVM would then split
+    /// every emulated vector of the loop into mismatched lane groups.
+    #[inline(never)]
+    unsafe fn shl1(a: V4f32) -> V4f32 {
+        [0.0, a[0], a[1], a[2]]
+    }
+    #[inline(always)]
+    unsafe fn keep_ge(a: V4f32, floor: V4f32) -> V4f32 {
+        core::array::from_fn(|z| if a[z] >= floor[z] { a[z] } else { 0.0 })
+    }
+    #[inline(always)]
+    unsafe fn any_nonzero(vs: &[V4f32]) -> bool {
+        !vs.iter()
+            .all(|v| v[0] == 0.0 && v[1] == 0.0 && v[2] == 0.0 && v[3] == 0.0)
+    }
+    #[inline(always)]
+    unsafe fn hsum(a: V4f32) -> f32 {
+        (a[0] + a[2]) + (a[1] + a[3])
+    }
+    /// Under `cfg(test)` this also counts every subnormal operand or
+    /// product on this thread, which is what the subnormal regression
+    /// test reads: a count, not a timing.
+    #[inline(always)]
+    unsafe fn dd_mul(a: V4f32, b: V4f32) -> V4f32 {
+        let r = Self::mul(a, b);
+        #[cfg(test)]
+        tests::count_subnormals(&[a, b, r]);
+        r
+    }
+}
+
+/// Real 128-bit SSE2 pipe over the same 4-lane stripe.
+#[cfg(target_arch = "x86_64")]
+struct Sse2F32;
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for Sse2F32 {
+    type V = core::arch::x86_64::__m128;
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> Self::V {
+        core::arch::x86_64::_mm_set1_ps(x)
+    }
+    #[inline(always)]
+    unsafe fn add(a: Self::V, b: Self::V) -> Self::V {
+        core::arch::x86_64::_mm_add_ps(a, b)
+    }
+    #[inline(always)]
+    unsafe fn mul(a: Self::V, b: Self::V) -> Self::V {
+        core::arch::x86_64::_mm_mul_ps(a, b)
+    }
+    #[inline(always)]
+    unsafe fn load(s: &[V4f32], qi: usize) -> Self::V {
+        core::arch::x86_64::_mm_loadu_ps(s.as_ptr().add(qi) as *const f32)
+    }
+    #[inline(always)]
+    unsafe fn store(s: &mut [V4f32], qi: usize, v: Self::V) {
+        core::arch::x86_64::_mm_storeu_ps(s.as_mut_ptr().add(qi) as *mut f32, v)
+    }
+    #[inline(always)]
+    unsafe fn shl1(a: Self::V) -> Self::V {
+        use core::arch::x86_64::*;
+        _mm_castsi128_ps(_mm_slli_si128::<4>(_mm_castps_si128(a)))
+    }
+    #[inline(always)]
+    unsafe fn keep_ge(a: Self::V, floor: Self::V) -> Self::V {
+        use core::arch::x86_64::*;
+        _mm_and_ps(a, _mm_cmpge_ps(a, floor))
+    }
+    #[inline(always)]
+    unsafe fn any_nonzero(vs: &[Self::V]) -> bool {
+        use core::arch::x86_64::*;
+        let any = vs.iter().fold(_mm_setzero_ps(), |a, &v| _mm_or_ps(a, v));
+        _mm_movemask_ps(_mm_cmpneq_ps(any, _mm_setzero_ps())) != 0
+    }
+    #[inline(always)]
+    unsafe fn hsum(a: Self::V) -> f32 {
+        use core::arch::x86_64::*;
+        // movehl: lanes become (v0+v2, v1+v3, _, _).
+        let pair = _mm_add_ps(a, _mm_movehl_ps(a, a));
+        _mm_cvtss_f32(_mm_add_ss(pair, _mm_shuffle_ps::<0b01>(pair, pair)))
+    }
+}
+
+/// `K` adjacent stripe positions as `K` registers of the 128-bit pipe
+/// `L`: a pair is the scalar and SSE2 row's vector, op for op the AVX2
+/// pipe's halves, and one position is every pipe's odd tail.
+struct Regs<L, const K: usize>(core::marker::PhantomData<L>);
+
+impl<L: Lanes, const K: usize> RowPipe for Regs<L, K> {
+    type V = [L::V; K];
+    type Half = L;
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> Self::V {
+        [L::splat(x); K]
+    }
+    #[inline(always)]
+    unsafe fn add(a: Self::V, b: Self::V) -> Self::V {
+        core::array::from_fn(|z| L::add(a[z], b[z]))
+    }
+    #[inline(always)]
+    unsafe fn mul(a: Self::V, b: Self::V) -> Self::V {
+        core::array::from_fn(|z| L::mul(a[z], b[z]))
+    }
+    #[inline(always)]
+    unsafe fn load(s: &[V4f32], qi: usize) -> Self::V {
+        core::array::from_fn(|z| L::load(s, qi + z))
+    }
+    #[inline(always)]
+    unsafe fn store(s: &mut [V4f32], qi: usize, v: Self::V) {
+        for (z, v) in v.into_iter().enumerate() {
+            L::store(s, qi + z, v);
+        }
+    }
+    #[inline(always)]
+    unsafe fn shifted(carry: L::V, v: Self::V) -> Self::V {
+        core::array::from_fn(|z| if z == 0 { carry } else { v[z - 1] })
+    }
+    #[inline(always)]
+    unsafe fn low(v: Self::V) -> L::V {
+        v[0]
+    }
+    #[inline(always)]
+    unsafe fn high(v: Self::V) -> L::V {
+        v[K - 1]
+    }
+}
+
+/// 256-bit AVX2 pipe: positions `qi` and `qi + 1` in one register.
+#[cfg(target_arch = "x86_64")]
+struct Avx2F32;
+
+#[cfg(target_arch = "x86_64")]
+impl RowPipe for Avx2F32 {
+    type V = core::arch::x86_64::__m256;
+    type Half = Sse2F32;
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> Self::V {
+        core::arch::x86_64::_mm256_set1_ps(x)
+    }
+    #[inline(always)]
+    unsafe fn add(a: Self::V, b: Self::V) -> Self::V {
+        core::arch::x86_64::_mm256_add_ps(a, b)
+    }
+    #[inline(always)]
+    unsafe fn mul(a: Self::V, b: Self::V) -> Self::V {
+        core::arch::x86_64::_mm256_mul_ps(a, b)
+    }
+    #[inline(always)]
+    unsafe fn load(s: &[V4f32], qi: usize) -> Self::V {
+        core::arch::x86_64::_mm256_loadu_ps(s.as_ptr().add(qi) as *const f32)
+    }
+    #[inline(always)]
+    unsafe fn store(s: &mut [V4f32], qi: usize, v: Self::V) {
+        core::arch::x86_64::_mm256_storeu_ps(s.as_mut_ptr().add(qi) as *mut f32, v)
+    }
+    #[inline(always)]
+    unsafe fn shifted(carry: core::arch::x86_64::__m128, v: Self::V) -> Self::V {
+        use core::arch::x86_64::*;
+        _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(carry), _mm256_castps256_ps128(v))
+    }
+    #[inline(always)]
+    unsafe fn low(v: Self::V) -> core::arch::x86_64::__m128 {
+        core::arch::x86_64::_mm256_castps256_ps128(v)
+    }
+    #[inline(always)]
+    unsafe fn high(v: Self::V) -> core::arch::x86_64::__m128 {
+        core::arch::x86_64::_mm256_extractf128_ps::<1>(v)
+    }
 }
 
 #[cfg(test)]
@@ -850,8 +961,8 @@ mod tests {
     }
 
     thread_local! {
-        /// Subnormal operands and products seen by [`dd_mul`] on this
-        /// thread (tests run one per thread).
+        /// Subnormal operands and products seen by the scalar pipe's
+        /// `dd_mul` on this thread (tests run one per thread).
         static DD_SUBNORMALS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
@@ -916,18 +1027,10 @@ mod tests {
                 };
                 let (mut i, mut total) = (0, [0.0]);
                 let slot = std::slice::from_mut(&mut ws);
-                f.drive(&p, &[&seq], slot, &mut total, |_, ws, st| {
+                f.drive(&p, &[&seq], slot, &mut total, |_, [m, i_row, _], st| {
                     let rows = i * f.q..(i + 1) * f.q;
-                    assert_eq!(
-                        bits(&ws.rows[..f.q]),
-                        bits(&mat.rows_m[rows.clone()]),
-                        "M row {i}"
-                    );
-                    assert_eq!(
-                        bits(&ws.rows[f.q..2 * f.q]),
-                        bits(&mat.rows_i[rows]),
-                        "I row {i}"
-                    );
+                    assert_eq!(bits(m), bits(&mat.rows_m[rows.clone()]), "M row {i}");
+                    assert_eq!(bits(i_row), bits(&mat.rows_i[rows]), "I row {i}");
                     assert_eq!(st.totscale.to_bits(), mat.scales[i].to_bits());
                     i += 1;
                 });
@@ -973,19 +1076,11 @@ mod tests {
                 };
                 let mut slots: Vec<FwdWorkspace> = (0..4).map(|_| Default::default()).collect();
                 let (mut rows, mut out) = ([0usize; 4], [0.0; 4]);
-                f.drive(&p, &refs, &mut slots, &mut out, |s, ws, st| {
+                f.drive(&p, &refs, &mut slots, &mut out, |s, [m, i_row, _], st| {
                     let (i, mat) = (rows[s], &mats[s]);
                     let span = i * f.q..(i + 1) * f.q;
-                    assert_eq!(
-                        bits(&ws.rows[..f.q]),
-                        bits(&mat.rows_m[span.clone()]),
-                        "M {s}/{i}"
-                    );
-                    assert_eq!(
-                        bits(&ws.rows[f.q..2 * f.q]),
-                        bits(&mat.rows_i[span]),
-                        "I {s}/{i}"
-                    );
+                    assert_eq!(bits(m), bits(&mat.rows_m[span.clone()]), "M {s}/{i}");
+                    assert_eq!(bits(i_row), bits(&mat.rows_i[span]), "I {s}/{i}");
                     assert_eq!(st.totscale.to_bits(), mat.scales[i].to_bits(), "{s}/{i}");
                     rows[s] += 1;
                 });
@@ -993,6 +1088,57 @@ mod tests {
                     assert_eq!(rows[s], seqs[s].len(), "{backend} m={m} slot {s}");
                     assert_eq!(out[s].to_bits(), mats[s].total.to_bits(), "{backend} m={m}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn f32_ops_lanewise() {
+        // The 128-bit pipes' lane semantics: the scalar pipe's spelled
+        // out, the SSE2 pipe's equal to it bit for bit.
+        let (a, b): (V4f32, V4f32) = ([1.0, 2.0, 3.0, 4.0], [0.5, -1.5, 0.0, 3.25]);
+        let (x, floor) = ([2.0, 1.0, 0.0, f32::NAN], [1.0, 2.0, f32::INFINITY, 0.0]);
+        let bits = |v: V4f32| v.map(f32::to_bits);
+        unsafe {
+            assert_eq!(
+                ScalarF32::add(a, ScalarF32::splat(0.5)),
+                [1.5, 2.5, 3.5, 4.5]
+            );
+            assert_eq!(
+                ScalarF32::mul(a, ScalarF32::splat(0.5)),
+                [0.5, 1.0, 1.5, 2.0]
+            );
+            assert_eq!(ScalarF32::shl1(a), [0.0, 1.0, 2.0, 3.0]);
+            assert_eq!(ScalarF32::hsum(a), (1.0 + 3.0) + (2.0 + 4.0));
+            assert!(!ScalarF32::any_nonzero(&[[0.0; 4], [-0.0; 4]]));
+            assert!(ScalarF32::any_nonzero(&[
+                [0.0; 4],
+                [0.0, 0.0, 1.0e-30, 0.0]
+            ]));
+            assert_eq!(
+                bits(ScalarF32::keep_ge(x, floor)),
+                [2.0f32.to_bits(), 0, 0, 0]
+            );
+            #[cfg(target_arch = "x86_64")]
+            {
+                let ld = |v: V4f32| Sse2F32::load(&[v], 0);
+                let st = |v| {
+                    let mut out = [[0.0; 4]];
+                    Sse2F32::store(&mut out, 0, v);
+                    bits(out[0])
+                };
+                assert_eq!(st(Sse2F32::splat(0.5)), bits(ScalarF32::splat(0.5)));
+                assert_eq!(st(Sse2F32::add(ld(a), ld(b))), bits(ScalarF32::add(a, b)));
+                assert_eq!(st(Sse2F32::mul(ld(a), ld(b))), bits(ScalarF32::mul(a, b)));
+                assert_eq!(st(Sse2F32::shl1(ld(a))), bits(ScalarF32::shl1(a)));
+                assert_eq!(Sse2F32::hsum(ld(b)), ScalarF32::hsum(b));
+                let kept = Sse2F32::keep_ge(ld(x), ld(floor));
+                assert_eq!(st(kept), bits(ScalarF32::keep_ge(x, floor)));
+                assert!(!Sse2F32::any_nonzero(&[ld([0.0; 4]), ld([-0.0; 4])]));
+                assert!(Sse2F32::any_nonzero(&[
+                    ld([0.0; 4]),
+                    ld([0.0, 0.0, 1.0e-30, 0.0])
+                ]));
             }
         }
     }

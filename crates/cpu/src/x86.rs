@@ -1,7 +1,7 @@
 //! x86_64 intrinsic helpers shared by the SSE2 and AVX2 filter kernels.
 //!
-//! Only the MSV byte tables are vector-aligned; the word and float tables
-//! and rows are plain arrays, so every load/store here is unaligned. The AVX2
+//! Only the MSV byte tables are vector-aligned; the word tables and rows
+//! are plain arrays, so every load/store here is unaligned. The AVX2
 //! cross-lane shifts use the `vperm2i128` + `valignr` idiom: build
 //! `t = [fill_lane, a.low]`, then `alignr(a, t, 16 - step)` yields the
 //! whole 256-bit register shifted up by one element with `fill` injected
@@ -51,60 +51,6 @@ pub unsafe fn loadu256<T>(p: *const T) -> __m256i {
 #[inline(always)]
 pub unsafe fn storeu256<T>(p: *mut T, v: __m256i) {
     _mm256_storeu_si256(p as *mut __m256i, v)
-}
-
-/// Unaligned 128-bit float load from a lane-array slice element.
-#[inline(always)]
-pub unsafe fn loadu_ps<T>(p: *const T) -> __m128 {
-    _mm_loadu_ps(p as *const f32)
-}
-
-/// Unaligned 128-bit float store to a lane-array slice element.
-#[inline(always)]
-pub unsafe fn storeu_ps<T>(p: *mut T, v: __m128) {
-    _mm_storeu_ps(p as *mut f32, v)
-}
-
-/// Unaligned 256-bit float load (caller must be in an AVX context).
-#[inline(always)]
-pub unsafe fn loadu_ps256<T>(p: *const T) -> __m256 {
-    _mm256_loadu_ps(p as *const f32)
-}
-
-/// Unaligned 256-bit float store (caller must be in an AVX context).
-#[inline(always)]
-pub unsafe fn storeu_ps256<T>(p: *mut T, v: __m256) {
-    _mm256_storeu_ps(p as *mut f32, v)
-}
-
-/// Shift floats up one lane, injecting exact `0.0` into lane 0
-/// (`_mm_slli_si128(v, 4)` on the float bits; zero is the odds-space −∞).
-#[inline(always)]
-pub unsafe fn shl1_ps_128(a: __m128) -> __m128 {
-    _mm_castsi128_ps(_mm_slli_si128::<4>(_mm_castps_si128(a)))
-}
-
-/// Horizontal sum with the canonical `(v0 + v2) + (v1 + v3)` tree —
-/// bit-identical to [`crate::simd::hsum_f32`].
-#[inline(always)]
-pub unsafe fn hsum_ps(v: __m128) -> f32 {
-    // movehl: lanes become (v0+v2, v1+v3, _, _).
-    let pair = _mm_add_ps(v, _mm_movehl_ps(v, v));
-    let s = _mm_add_ss(pair, _mm_shuffle_ps::<0b01>(pair, pair));
-    _mm_cvtss_f32(s)
-}
-
-/// Are all four float lanes exactly `0.0`?
-#[inline(always)]
-pub unsafe fn all_zero_ps(v: __m128) -> bool {
-    _mm_movemask_ps(_mm_cmpneq_ps(v, _mm_setzero_ps())) == 0
-}
-
-/// Keep the lanes of `v` that are `>= floor`, zero the rest (NaN
-/// included) — bit-identical to [`crate::simd::keep_ge_f32`].
-#[inline(always)]
-pub unsafe fn keep_ge_ps(v: __m128, floor: __m128) -> __m128 {
-    _mm_and_ps(v, _mm_cmpge_ps(v, floor))
 }
 
 /// Horizontal max of 8 signed words.
@@ -198,27 +144,6 @@ mod tests {
 
             assert!(any_gt_epi16_128(w, _mm_set1_epi16(29999)));
             assert!(!any_gt_epi16_128(w, _mm_set1_epi16(30000)));
-        }
-    }
-
-    #[test]
-    fn ps_helpers_match_lane_semantics() {
-        unsafe {
-            let vals: [f32; 4] = [1.5, -2.0, 3.25, 0.0];
-            let v = loadu_ps(vals.as_ptr());
-            let mut out = [9.0f32; 4];
-            storeu_ps(out.as_mut_ptr(), shl1_ps_128(v));
-            assert_eq!(out, [0.0, 1.5, -2.0, 3.25]);
-            assert_eq!(hsum_ps(v), crate::simd::hsum_f32(vals));
-            assert!(all_zero_ps(_mm_setzero_ps()));
-            assert!(!all_zero_ps(_mm_set_ps(0.0, 0.0, 0.0, 1.0e-30)));
-            let (a, floor) = ([2.0, 1.0, 0.0, f32::NAN], [1.0, 2.0, f32::INFINITY, 0.0]);
-            let kept = keep_ge_ps(loadu_ps(a.as_ptr()), loadu_ps(floor.as_ptr()));
-            storeu_ps(out.as_mut_ptr(), kept);
-            assert_eq!(
-                out.map(f32::to_bits),
-                crate::simd::keep_ge_f32(a, floor).map(f32::to_bits)
-            );
         }
     }
 

@@ -192,24 +192,30 @@ impl<'a> Cursor<'a> {
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
         let end = self.pos.checked_add(n).ok_or(ProtocolError::Short)?;
-        if end > self.buf.len() {
-            return Err(ProtocolError::Short);
-        }
-        let s = &self.buf[self.pos..end];
+        let s = self.buf.get(self.pos..end).ok_or(ProtocolError::Short)?;
         self.pos = end;
         Ok(s)
     }
 
+    /// The next `N` bytes, by value.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], ProtocolError> {
+        self.take(N)?
+            .first_chunk()
+            .copied()
+            .ok_or(ProtocolError::Short)
+    }
+
     fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.take(1)?[0])
+        let [b] = self.take_array()?;
+        Ok(b)
     }
 
     fn u32(&mut self) -> Result<u32, ProtocolError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_be_bytes(self.take_array()?))
     }
 
     fn u64(&mut self) -> Result<u64, ProtocolError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_be_bytes(self.take_array()?))
     }
 
     fn string(&mut self) -> Result<String, ProtocolError> {

@@ -66,6 +66,8 @@ impl ResidentDb {
     /// of a FASTA without a packed file).
     pub fn from_seqdb(db: &SeqDb, shard_residues: u64) -> ResidentDb {
         let bytes = DiskDb::to_bytes(db);
+        // Cannot fire: `from_bytes` validates exactly what `to_bytes` writes
+        // (the packed-format round-trip tests pin it).
         let disk = DiskDb::from_bytes(&bytes).expect("freshly packed database validates");
         Self::from_disk(&disk, shard_residues)
     }

@@ -43,7 +43,7 @@ use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Why the server could not start or keep running.
@@ -198,7 +198,7 @@ struct AdmitGuard {
 
 impl Drop for AdmitGuard {
     fn drop(&mut self) {
-        let mut s = self.adm.state.lock().unwrap();
+        let mut s = self.adm.lock();
         s.running -= 1;
         drop(s);
         self.adm.cv.notify_all();
@@ -215,12 +215,18 @@ impl Admission {
         })
     }
 
+    /// The admission state. Nothing that can panic runs under this lock,
+    /// so a poisoned one (which cannot occur) is used as it stands.
+    fn lock(&self) -> std::sync::MutexGuard<'_, AdmState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn admit(
         self: &Arc<Self>,
         deadline: Option<Instant>,
         draining: &AtomicBool,
     ) -> Result<AdmitGuard, AdmitReject> {
-        let mut s = self.state.lock().unwrap();
+        let mut s = self.lock();
         if draining.load(Ordering::SeqCst) {
             return Err(AdmitReject::Draining);
         }
@@ -259,13 +265,13 @@ impl Admission {
             s = self
                 .cv
                 .wait_timeout(s, Duration::from_millis(10))
-                .unwrap()
+                .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
     }
 
     fn depths(&self) -> (usize, usize) {
-        let s = self.state.lock().unwrap();
+        let s = self.lock();
         (s.queue.len(), s.running)
     }
 }
@@ -652,12 +658,22 @@ fn run_query(
         .map_err(|e| QueryError::BadRequest(format!("query HMM: {e}")))?;
     if let Some(name) = &inner.cfg.chaos.panic_model {
         if *name == parsed.model.name {
+            // The injected chaos panic, on purpose: `handle_search` catches
+            // it, which is what the chaos suite checks.
             panic!("chaos: injected panic for model {name:?}");
         }
     }
     let pipe = {
         let key = fnv1a(hmm_text.as_bytes());
-        let cached = inner.pipelines.lock().unwrap().get(&key).cloned();
+        // The cache lock only guards a map lookup or insert, which cannot
+        // panic, so it is never poisoned; a poisoned one is used as is.
+        let cache = || {
+            inner
+                .pipelines
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+        };
+        let cached = cache().get(&key).cloned();
         match cached {
             Some(p) => p,
             None => {
@@ -665,7 +681,7 @@ fn run_query(
                 // is the expensive part). Deterministic, so a racing
                 // duplicate is identical and the entry dedups.
                 let p = Arc::new(Pipeline::prepare(&parsed.model, inner.pipe_cfg, QUERY_SEED));
-                Arc::clone(inner.pipelines.lock().unwrap().entry(key).or_insert(p))
+                Arc::clone(cache().entry(key).or_insert(p))
             }
         }
     };

@@ -193,7 +193,7 @@ const DRIVERS: usize = 4;
 /// so [`Lattice::CASES`] draws visit every axis value and every
 /// (plan, driver) pair.
 pub struct Lattice {
-    decks: RefCell<[Deck; 9]>,
+    decks: RefCell<[Deck; 10]>,
 }
 
 impl Lattice {
@@ -207,7 +207,7 @@ impl Default for Lattice {
         let backends = Backend::all_available().len();
         Lattice {
             decks: RefCell::new(
-                [PLAN_SLOTS * DRIVERS, 4, 6, 2, backends, 5, 2, 5, 6].map(Deck::new),
+                [PLAN_SLOTS * DRIVERS, 4, 6, 2, backends, 5, 2, 5, 6, 5].map(Deck::new),
             ),
         }
     }
@@ -227,7 +227,8 @@ impl Strategy for Lattice {
 
     fn generate(&self, rng: &mut TestRng) -> Point {
         let mut decks = self.decks.borrow_mut();
-        let [pair, m, shape, null2, backend, threads, trace, devices, faults] = &mut *decks;
+        let [pair, m, shape, null2, backend, threads, trace, devices, faults, resumed] =
+            &mut *decks;
         let pair = pair.draw(rng);
         let backends = Backend::all_available();
         let plan = match pair % PLAN_SLOTS {
@@ -264,7 +265,7 @@ impl Strategy for Lattice {
                 cap: draw_cap(rng),
                 kill_after: rng.gen_range(1..=3),
                 backend: backends[rng.gen_range(0..backends.len())],
-                threads: THREADS[rng.gen_range(0..THREADS.len())],
+                threads: THREADS[resumed.draw(rng)],
             },
         };
         Point {
@@ -323,6 +324,9 @@ impl Point {
             };
             visits.extend([("devices", devices.to_string()), ("faults", faults)]);
         }
+        if let Driver::Resumed { threads, .. } = self.driver {
+            visits.push(("resumed threads", threads.to_string()));
+        }
         visits
     }
 }
@@ -330,7 +334,7 @@ impl Point {
 impl Lattice {
     /// Every axis [`Point::visits`] reports, with its number of classes
     /// on this host.
-    pub fn axes() -> [(&'static str, usize); 11] {
+    pub fn axes() -> [(&'static str, usize); 12] {
         [
             ("m", 4),
             ("shape", 6),
@@ -343,6 +347,7 @@ impl Lattice {
             ("driver", DRIVERS),
             ("devices", 5),
             ("faults", 6),
+            ("resumed threads", 5),
         ]
     }
 }
@@ -666,8 +671,8 @@ pub struct ScanPoint {
     pub trace: bool,
 }
 
-/// The lattice of [`ScanPoint`]s: 3–6 models with at least one size
-/// repeated, driver × threads × trace (and backend on the prepared
+/// The lattice of [`ScanPoint`]s: 3–7 models of 24–100 states with at
+/// least one size repeated, driver × threads × trace (and backend on the prepared
 /// drivers) dealt from shuffled decks.
 pub struct ScanLattice {
     decks: RefCell<[Deck; 4]>,
@@ -713,8 +718,8 @@ impl Strategy for ScanLattice {
             ScanDriver::OneShot => Backend::detect(),
             _ => backends[backend.draw(rng)],
         };
-        let mut sizes: Vec<usize> = (0..rng.gen_range(3..=6))
-            .map(|_| rng.gen_range(24..=80))
+        let mut sizes: Vec<usize> = (0..rng.gen_range(3..=7))
+            .map(|_| rng.gen_range(24..=100))
             .collect();
         sizes[1] = sizes[0];
         ScanPoint {

@@ -2,7 +2,10 @@
 //! a search reports the scalar CPU pipeline's hits bit for bit
 //! (`common::lattice`). Each test draws its lattice and then checks that
 //! it visited every axis value, so a lattice that stops reaching a
-//! configuration fails here instead of silently testing less.
+//! configuration fails here instead of silently testing less. Among them:
+//! the global pool (threads 0) and eight workers, every plan, the resumed
+//! driver on each pool size, and the one-shot and fused scans of up to
+//! seven models of up to 100 states.
 
 mod common;
 

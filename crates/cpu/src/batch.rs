@@ -344,10 +344,8 @@ impl BytePipe for Avx2Pipe {
 /// `ovf`. State arrays are `MAX_BATCH`-sized; only `0..S` is live.
 ///
 /// Every slot carries its own striped table pointer and model constants
-/// (`rbv`, `biasv`, `basev`, `overv`, …), so a batch may mix sequences
-/// *and models* — the multi-profile fused scan packs several small HMMs
-/// against one sequence block through this same loop. All slots must
-/// share the stripe count `q`; the model-pack scheduler guarantees it.
+/// (`rbv`, `biasv`, `basev`, `overv`, …); all slots share the stripe
+/// count `q`.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 unsafe fn msv_chunk<P: BytePipe, const S: usize>(
@@ -459,10 +457,8 @@ macro_rules! swap_slots {
 
 /// One (model, sequence) pairing in backend-agnostic raw form: the striped
 /// table pointer the slot walks plus the model constants its state vectors
-/// are built from. The fused drivers are written against this, so the
-/// single-model sequence batch and the multi-profile model pack share one
-/// kernel. The `rbv` pointer must match the dispatched pipeline's lane
-/// width and stay valid for the whole batch call.
+/// are built from. The `rbv` pointer must match the dispatched pipeline's
+/// lane width and stay valid for the whole batch call.
 #[derive(Clone, Copy)]
 struct SlotSpec<'a> {
     rbv: *const u8,
@@ -476,8 +472,8 @@ struct SlotSpec<'a> {
 /// Generic batched MSV driver: dense struct-of-arrays slot state, a common
 /// row cursor (the scheduler keeps batch members near-equal length, so
 /// slots stay fused for most of the sweep), and dropout on early finish or
-/// overflow. Each slot is an independent (model, sequence) pair; all slots
-/// share the stripe count `q`.
+/// overflow. Each slot is an independent sequence; all slots share the
+/// stripe count `q`.
 #[inline(always)]
 unsafe fn msv_batch<P: BytePipe>(
     q: usize,
@@ -601,18 +597,6 @@ unsafe fn msv_batch<P: BytePipe>(
     }
 }
 
-/// One (model, sequence) pairing for the fused multi-profile MSV entry
-/// point [`msv_multi_batch_into`].
-#[derive(Clone, Copy)]
-pub struct MsvPair<'a> {
-    /// Striped tables of the model scoring this slot.
-    pub striped: &'a StripedMsv,
-    /// That model's scoring profile (length costs, nat conversion).
-    pub om: &'a MsvProfile,
-    /// The digitized target sequence.
-    pub seq: &'a [Residue],
-}
-
 /// AVX2 monomorphization behind `#[target_feature]` so the fused loop
 /// compiles to 256-bit code (the `#[inline(always)]` generics fold into
 /// this feature context).
@@ -691,38 +675,6 @@ impl StripedMsv {
     }
 }
 
-/// Score up to [`MAX_BATCH`] (model, sequence) pairs in one fused
-/// interleaved MSV pass — the *model* dimension of the batch. Pairs may
-/// mix models and sequences arbitrarily as long as every model shares the
-/// same backend and the same active stripe count
-/// ([`StripedMsv::active_q`]): the fused row loop walks a single `q`, so
-/// shape-unequal models cannot interleave (the pack scheduler
-/// [`crate::sweep::model_packs`] bins models to guarantee this). `out[i]`
-/// receives `pairs[i]`'s outcome, bit-identical to scoring that pair alone
-/// with [`StripedMsv::run_into`].
-pub fn msv_multi_batch_into(pairs: &[MsvPair], ws: &mut BatchWorkspace, out: &mut [MsvOutcome]) {
-    assert!(pairs.len() <= MAX_BATCH, "pack wider than MAX_BATCH");
-    assert_eq!(pairs.len(), out.len());
-    let Some(first) = pairs.first() else { return };
-    let backend = first.striped.backend();
-    let q = first.striped.active_q();
-    let mut specs = [first.striped.slot_spec(first.om, &[]); MAX_BATCH];
-    for (sp, pair) in specs.iter_mut().zip(pairs) {
-        assert_eq!(
-            pair.striped.backend(),
-            backend,
-            "fused pack members must share a backend"
-        );
-        assert_eq!(
-            pair.striped.active_q(),
-            q,
-            "fused pack members must share the active stripe count"
-        );
-        *sp = pair.striped.slot_spec(pair.om, pair.seq);
-    }
-    unsafe { dispatch_msv(backend, q, &specs[..pairs.len()], ws, out) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,130 +729,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn fused_multi_profile_msv_matches_single_models() {
-        let mut rng = StdRng::seed_from_u64(17);
-        // m = 33/40/48 share ⌈m/16⌉ = 3 and ⌈m/32⌉ = 2, so the three
-        // models pack together on every backend's active stripe count.
-        let oms: Vec<MsvProfile> = [33usize, 40, 48].iter().map(|&m| om(m, m as u64)).collect();
-        let seqs: Vec<Vec<u8>> = [0usize, 9, 44, 130, 301]
-            .iter()
-            .map(|&l| random_seq(&mut rng, l))
-            .collect();
-        for backend in Backend::all_available() {
-            let striped: Vec<StripedMsv> = oms
-                .iter()
-                .map(|om| StripedMsv::with_backend(om, backend))
-                .collect();
-            assert!(striped
-                .windows(2)
-                .all(|w| w[0].active_q() == w[1].active_q()));
-            let mut ws = BatchWorkspace::default();
-            // Model-major pack shapes: (3 models × 1 seq), (2 × 2), and a
-            // full-width mixed pack.
-            let shapes: [&[(usize, usize)]; 3] = [
-                &[(0, 0), (1, 0), (2, 0)],
-                &[(0, 1), (0, 2), (1, 1), (1, 2)],
-                &[(2, 4), (1, 3), (0, 0), (2, 2)],
-            ];
-            for shape in shapes {
-                let pairs: Vec<MsvPair> = shape
-                    .iter()
-                    .map(|&(mi, si)| MsvPair {
-                        striped: &striped[mi],
-                        om: &oms[mi],
-                        seq: &seqs[si],
-                    })
-                    .collect();
-                let mut out = vec![
-                    MsvOutcome {
-                        xj: 0,
-                        overflow: false,
-                        score: 0.0
-                    };
-                    pairs.len()
-                ];
-                msv_multi_batch_into(&pairs, &mut ws, &mut out);
-                for (&(mi, si), o) in shape.iter().zip(&out) {
-                    let want = msv_filter_scalar(&oms[mi], &seqs[si]);
-                    assert_eq!(
-                        (want.xj, want.overflow, want.score.to_bits()),
-                        (o.xj, o.overflow, o.score.to_bits()),
-                        "backend={backend} model={mi} seq={si}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_multi_profile_overflow_drops_one_model_only() {
-        // A homolog that overflows its own model's byte pipeline packed
-        // next to a different model scoring background sequences: the
-        // overflow dropout must not perturb the other model's slots.
-        let bg = NullModel::new();
-        let hot_core = synthetic_model(112, 3, &BuildParams::default());
-        let hot_p = Profile::config(&hot_core, &bg);
-        let hot_om = MsvProfile::from_profile(&hot_p);
-        let cold_om = om(100, 41); // ⌈112/16⌉ = ⌈100/16⌉ = 7, ⌈·/32⌉ = 4
-        let mut rng = StdRng::seed_from_u64(29);
-        let mut hom = Vec::new();
-        for _ in 0..4 {
-            hom.extend(h3w_seqdb::gen::sample_homolog(&mut rng, &hot_core, 3));
-        }
-        assert!(
-            msv_filter_scalar(&hot_om, &hom).overflow,
-            "setup: must overflow"
-        );
-        let b1 = random_seq(&mut rng, hom.len() + 40);
-        let b2 = random_seq(&mut rng, hom.len() / 2);
-        for backend in Backend::all_available() {
-            let hot = StripedMsv::with_backend(&hot_om, backend);
-            let cold = StripedMsv::with_backend(&cold_om, backend);
-            assert_eq!(hot.active_q(), cold.active_q());
-            let mut ws = BatchWorkspace::default();
-            let pairs = [
-                MsvPair {
-                    striped: &cold,
-                    om: &cold_om,
-                    seq: &b1,
-                },
-                MsvPair {
-                    striped: &hot,
-                    om: &hot_om,
-                    seq: &hom,
-                },
-                MsvPair {
-                    striped: &cold,
-                    om: &cold_om,
-                    seq: &b2,
-                },
-            ];
-            let mut out = [MsvOutcome {
-                xj: 0,
-                overflow: false,
-                score: 0.0,
-            }; 3];
-            msv_multi_batch_into(&pairs, &mut ws, &mut out);
-            assert_eq!(
-                msv_filter_scalar(&cold_om, &b1),
-                out[0],
-                "backend={backend}"
-            );
-            assert_eq!(
-                msv_filter_scalar(&hot_om, &hom),
-                out[1],
-                "backend={backend}"
-            );
-            assert_eq!(
-                msv_filter_scalar(&cold_om, &b2),
-                out[2],
-                "backend={backend}"
-            );
-            assert!(out[1].overflow);
         }
     }
 

@@ -29,7 +29,7 @@ pub mod traceback;
 pub mod x86;
 
 pub use backend::Backend;
-pub use batch::{msv_multi_batch_into, BatchWorkspace, MsvPair, MAX_BATCH};
+pub use batch::{BatchWorkspace, MAX_BATCH};
 pub use null2::null2_correction;
 pub use posterior::{find_domains, posterior_decode, posterior_decode_with, Domain, Posterior};
 pub use quantized::{msv_filter_scalar, vit_filter_scalar, MsvOutcome, VitOutcome};
@@ -41,10 +41,8 @@ pub use striped_fwd::{FwdBatchWorkspace, FwdMatrix, FwdWorkspace, StripedFwd};
 pub use striped_msv::StripedMsv;
 pub use striped_vit::{LazyFStats, StripedVit, VitWorkspace};
 pub use sweep::{
-    batch_schedule_stats, fused_pack_width, fwd_sweep_batched, length_binned_batches,
-    model_pack_stats, model_packs, msv_multi_outcomes, msv_sweep_batched, outcomes_batched,
-    sweep_batched, vit_sweep, BatchKernel, BatchScheduleStats, ModelPackStats, SweepTiming,
-    FUSED_PACK_MIN_WORKERS,
+    batch_schedule_stats, fwd_sweep_batched, length_binned_batches, msv_sweep_batched,
+    outcomes_batched, sweep_batched, vit_sweep, BatchKernel, BatchScheduleStats, SweepTiming,
 };
 pub use traceback::{viterbi_trace, AlignedSegment, Alignment, TraceState};
 

@@ -19,17 +19,19 @@
 //! monomorphized per filter, so all three stages share the schedule, the
 //! fan-out and the scatter without sharing a call through a pointer. A
 //! sweep over part of a database selects it by an ascending list of
-//! sequence ids and returns one outcome per id, in that order.
+//! sequence ids and returns one outcome per id, in that order. One call
+//! takes one kernel or many (a search's one model, or every model of a
+//! scan), each with its own selection, and runs them all in one fan-out.
 //!
 //! Every sweep takes the [`ThreadPool`] to fan out on. Each parallel item
-//! (a batch, or a model pack × batch) writes its result into the slot indexed by
+//! (one kernel × one batch) writes its result into the slot indexed by
 //! its position in the selection, so outcomes are **bit-identical at
 //! every thread count**; per-worker workspace arenas are created lazily
 //! once per worker (the `map_collect_init` scratch pattern), so the
 //! steady-state hot loop still performs no allocation.
 
 use crate::backend::Backend;
-use crate::batch::{msv_multi_batch_into, BatchWorkspace, MsvPair, MAX_BATCH};
+use crate::batch::{BatchWorkspace, MAX_BATCH};
 use crate::quantized::{MsvOutcome, VitOutcome};
 use crate::striped_fwd::{FwdBatchWorkspace, StripedFwd};
 use crate::striped_msv::StripedMsv;
@@ -40,6 +42,7 @@ use h3w_hmm::profile::Profile;
 use h3w_hmm::vitprofile::VitProfile;
 use h3w_pool::ThreadPool;
 use h3w_seqdb::{DigitalSeq, SeqDb};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Measured throughput of one sweep, with **both** cell denominators kept
@@ -187,8 +190,9 @@ pub fn length_binned_batches(lens: &[usize], ids: Option<&[u32]>, width: usize) 
 /// A filter the batched sweep driver can run: striped tables paired with
 /// the profile they were built from, scoring up to [`MAX_BATCH`]
 /// sequences per call. The drivers below are generic over this trait and
-/// monomorphized per filter.
-pub trait BatchKernel: Sync {
+/// monomorphized per filter; a kernel is a pair of borrows, so the
+/// driver takes kernels by value.
+pub trait BatchKernel: Sync + Copy {
     /// Per-worker scratch, created lazily once per worker.
     type Workspace: Default + Send;
     /// Per-sequence result.
@@ -280,215 +284,77 @@ fn batch_refs<'a>(
     refs
 }
 
-/// The batched-sweep driver: build the length-binned schedule over the
-/// sequences of `seqs` that `ids` lists (ascending; `None` = all of
-/// them), score batches across the pool (workers steal whole batches),
-/// and return one outcome per selected sequence, aligned with `ids`.
-/// `width = 0` auto-selects the backend's preferred interleave. The
+/// The batched-sweep driver. For each `(kernel, ids)` pair, build the
+/// length-binned schedule over the sequences of `seqs` that `ids` lists
+/// (ascending; `None` = all of them) at the width its backend resolves
+/// `width` to (`0` = the backend's preferred interleave). Then score
+/// every (kernel, batch) task in one fan-out across the pool (workers
+/// steal whole batches) and return, per kernel, one outcome per selected
+/// sequence, aligned with its `ids`.
+///
+/// Tasks are ordered kernel by kernel, widest rows first (padded cells
+/// per row: stripe count × lanes; ties keep input order), each kernel's
+/// batches in their length-binned order, so the pool sees the most
+/// expensive tasks early; one kernel runs exactly its own schedule. The
 /// per-batch refs and outputs live in fixed [`MAX_BATCH`] arrays — a
 /// worker's only heap state is its lazily-created workspace, so the
 /// steady-state hot loop performs no allocation — and slots are fully
 /// independent, so results are bit-identical at every width, thread
-/// count and backend.
+/// count, backend and kernel set.
 pub fn outcomes_batched<K: BatchKernel>(
     pool: &ThreadPool,
-    kernel: &K,
+    kernels: &[(K, Option<&[u32]>)],
     seqs: &[DigitalSeq],
-    ids: Option<&[u32]>,
     width: usize,
-) -> Vec<K::Output> {
-    let width = resolve_batch_width(kernel.backend(), width);
-    // The schedule runs over positions in the selection, which is the
-    // order of the output; `seq_of` maps a position to its sequence.
-    let seq_of = |k: usize| &seqs[ids.map_or(k, |ids| ids[k] as usize)];
-    let n = ids.map_or(seqs.len(), <[u32]>::len);
-    let lens: Vec<usize> = (0..n).map(|k| seq_of(k).len()).collect();
-    let batches = length_binned_batches(&lens, None, width);
+) -> Vec<Vec<K::Output>> {
+    // Each schedule runs over positions in its kernel's selection, which
+    // is the order of that kernel's output; `seq_of` maps a position to
+    // its sequence.
+    let seq_of = |m: usize, k: usize| &seqs[kernels[m].1.map_or(k, |ids| ids[k] as usize)];
+    let selected = |m: usize| kernels[m].1.map_or(seqs.len(), <[u32]>::len);
+    // Kernels that select every sequence at one width share a schedule,
+    // as every model of a scan does in stage 1.
+    let mut whole = HashMap::new();
+    let mut schedules: Vec<Vec<Vec<usize>>> = Vec::new();
+    let sched: Vec<usize> = (0..kernels.len())
+        .map(|m| {
+            let (kernel, ids) = kernels[m];
+            let width = resolve_batch_width(kernel.backend(), width);
+            let mut build = || {
+                let lens: Vec<usize> = (0..selected(m)).map(|k| seq_of(m, k).len()).collect();
+                schedules.push(length_binned_batches(&lens, None, width));
+                schedules.len() - 1
+            };
+            match ids {
+                None => *whole.entry(width).or_insert_with(build),
+                Some(_) => build(),
+            }
+        })
+        .collect();
+    let batches = |m: usize| &schedules[sched[m]];
+    let mut order: Vec<usize> = (0..kernels.len()).collect();
+    order.sort_by_key(|&m| std::cmp::Reverse(kernels[m].0.cells_per_row().1));
+    let tasks: Vec<(usize, usize)> = order
+        .into_iter()
+        .flat_map(|m| (0..batches(m).len()).map(move |b| (m, b)))
+        .collect();
     let scored: Vec<[K::Output; MAX_BATCH]> =
-        pool.map_collect_init(batches.len(), K::Workspace::default, |ws, b| {
-            let batch = &batches[b];
-            let refs = batch_refs(batch, seq_of);
+        pool.map_collect_init(tasks.len(), K::Workspace::default, |ws, t| {
+            let (m, b) = tasks[t];
+            let batch = &batches(m)[b];
+            let refs = batch_refs(batch, |k| seq_of(m, k));
             let mut out = [K::Output::default(); MAX_BATCH];
-            kernel.run_batch_into(&refs[..batch.len()], ws, &mut out[..batch.len()]);
+            kernels[m]
+                .0
+                .run_batch_into(&refs[..batch.len()], ws, &mut out[..batch.len()]);
             out
         });
-    let mut result = vec![K::Output::default(); n];
-    for (batch, outs) in batches.iter().zip(scored) {
-        for (&k, o) in batch.iter().zip(outs) {
-            result[k] = o;
-        }
-    }
-    result
-}
-
-/// Worker count below which the fused scan stops packing models
-/// together (see [`fused_pack_width`]).
-pub const FUSED_PACK_MIN_WORKERS: usize = 4;
-
-/// Auto-select the **model**-pack width for a fused scan from the pool's
-/// worker count. On wide hosts, packing several equal-stripe models into
-/// one interleaved task is the fused win: the pack shares one database
-/// traversal and exhausts the byte lanes. On hosts with fewer than
-/// [`FUSED_PACK_MIN_WORKERS`] workers the packing's share rounding
-/// (`width / pack_len` sequences per task) pads the interleave with
-/// model slots instead of same-length sequences, and with no parallel
-/// traversals to amortize it the fused scan can *lose* to the unfused
-/// one (the `multi_model.fused_speedup_vs_unfused_scan = 0.96` 1-core
-/// regression). Degenerating to single-model packs keeps the fused
-/// single-traversal structure but gives every task the full sequence
-/// interleave — exactly the per-model batched sweep's shape — so fusion
-/// never loses on low-core hosts. Results are bit-identical at every
-/// pack width; this only moves wall time.
-pub fn fused_pack_width(workers: usize, width: usize) -> usize {
-    if workers < FUSED_PACK_MIN_WORKERS {
-        1
-    } else {
-        width
-    }
-}
-
-/// The model-pack schedule for the fused multi-profile sweeps: indices
-/// of the models, grouped into packs of up to `width` members. This is
-/// the model-dimension twin of [`length_binned_batches`] — models are
-/// binned by their stripe count `q` ([`StripedMsv::active_q`]) and only
-/// models with **equal** `q` ever share a pack: the fused row loop walks
-/// one common `qi` range, so a mixed-q pack would either truncate the
-/// longer model or run the shorter one past its table. Within a bin,
-/// packs are emitted widest-q first so the thread pool sees the most
-/// expensive packs early (the same tail-shrinking argument as the
-/// sequence scheduler).
-pub fn model_packs(qs: &[usize], width: usize) -> Vec<Vec<usize>> {
-    let width = width.clamp(1, MAX_BATCH);
-    let mut idx: Vec<usize> = (0..qs.len()).collect();
-    // Stable sort: equal-q models keep their input order inside a pack.
-    idx.sort_by_key(|&i| std::cmp::Reverse(qs[i]));
-    let mut packs = Vec::new();
-    let mut i = 0;
-    while i < idx.len() {
-        let q = qs[idx[i]];
-        let mut pack = Vec::with_capacity(width);
-        while i < idx.len() && qs[idx[i]] == q && pack.len() < width {
-            pack.push(idx[i]);
-            i += 1;
-        }
-        packs.push(pack);
-    }
-    packs
-}
-
-/// Fused-scan schedule accounting: how well the model-packing scheduler
-/// filled the interleave width, derived after the fact from the same
-/// `(qs, width)` inputs (an O(n) pass, nothing counted in the hot loop).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ModelPackStats {
-    /// Interleave width the schedule was built for.
-    pub width: usize,
-    /// Models scheduled.
-    pub models: u64,
-    /// Packs emitted (= fused DB traversal tasks per sequence batch).
-    pub packs: u64,
-    /// Slots actually occupied across all packs × their sequence share
-    /// (`pack_len × (width / pack_len)` per pack).
-    pub slots: u64,
-}
-
-/// Compute [`ModelPackStats`] for the schedule [`model_packs`] builds
-/// over the same `(qs, width)`.
-pub fn model_pack_stats(qs: &[usize], width: usize) -> ModelPackStats {
-    let width = width.clamp(1, MAX_BATCH);
-    let packs = model_packs(qs, width);
-    let mut stats = ModelPackStats {
-        width,
-        models: qs.len() as u64,
-        packs: packs.len() as u64,
-        ..ModelPackStats::default()
-    };
-    for pack in &packs {
-        let per_model_seqs = (width / pack.len()).max(1);
-        stats.slots += (pack.len() * per_model_seqs) as u64;
-    }
-    stats
-}
-
-/// Fused multi-profile MSV sweep: score **every** model against
-/// **every** sequence in one pass over the database. Models are packed
-/// by stripe count ([`model_packs`], up to [`fused_pack_width`] members
-/// per pack), the interleave width is split between pack members and
-/// sequences (`width / pack_len` sequences per task, length-binned), and
-/// each pool task runs one model pack against one sequence batch through
-/// the model-major fused kernel ([`msv_multi_batch_into`]), so a scan
-/// over N small models costs far less than N independent sweeps.
-///
-/// All models must share a backend. Returns `out[model][seq]`,
-/// bit-identical to per-model [`outcomes_batched`] at every width,
-/// pack width and thread count. `width = 0` auto-selects the backend's
-/// preferred interleave.
-pub fn msv_multi_outcomes(
-    pool: &ThreadPool,
-    models: &[(&StripedMsv, &MsvProfile)],
-    seqs: &[DigitalSeq],
-    width: usize,
-) -> Vec<Vec<MsvOutcome>> {
-    let Some(first) = models.first() else {
-        return Vec::new();
-    };
-    let backend = first.0.backend();
-    assert!(
-        models.iter().all(|(s, _)| s.backend() == backend),
-        "fused scan members must share a backend"
-    );
-    let width = resolve_batch_width(backend, width);
-    let qs: Vec<usize> = models.iter().map(|(s, _)| s.active_q()).collect();
-    let packs = model_packs(&qs, fused_pack_width(pool.threads(), width));
-    let lens: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
-    // Sequence schedules keyed by the per-task sequence share; packs of
-    // equal size reuse the same schedule.
-    let share = |pack: &[usize]| (width / pack.len()).max(1);
-    let mut schedules: Vec<Vec<Vec<usize>>> = vec![Vec::new(); MAX_BATCH + 1];
-    let mut tasks: Vec<(usize, usize)> = Vec::new();
-    for (pi, pack) in packs.iter().enumerate() {
-        let sched = &mut schedules[share(pack)];
-        if sched.is_empty() {
-            *sched = length_binned_batches(&lens, None, share(pack));
-        }
-        tasks.extend((0..sched.len()).map(|bi| (pi, bi)));
-    }
-    let task = |t: usize| -> (&[usize], &[usize]) {
-        let (pi, bi) = tasks[t];
-        let pack = &packs[pi];
-        (pack, &schedules[share(pack)][bi])
-    };
-    let scored: Vec<[MsvOutcome; MAX_BATCH]> =
-        pool.map_collect_init(tasks.len(), BatchWorkspace::default, |ws, t| {
-            let (pack, batch) = task(t);
-            let (striped, om) = models[pack[0]];
-            let mut pairs = [MsvPair {
-                striped,
-                om,
-                seq: &[],
-            }; MAX_BATCH];
-            let mut n = 0;
-            for &mi in pack {
-                for &si in batch {
-                    pairs[n] = MsvPair {
-                        striped: models[mi].0,
-                        om: models[mi].1,
-                        seq: &seqs[si].residues,
-                    };
-                    n += 1;
-                }
-            }
-            let mut out = [MsvOutcome::default(); MAX_BATCH];
-            msv_multi_batch_into(&pairs[..n], ws, &mut out[..n]);
-            out
-        });
-    let mut result = vec![vec![MsvOutcome::default(); seqs.len()]; models.len()];
-    for (t, outs) in scored.iter().enumerate() {
-        let (pack, batch) = task(t);
-        for (mp, &mi) in pack.iter().enumerate() {
-            for (sp, &si) in batch.iter().enumerate() {
-                result[mi][si] = outs[mp * batch.len() + sp];
-            }
+    let mut result: Vec<Vec<K::Output>> = (0..kernels.len())
+        .map(|m| vec![K::Output::default(); selected(m)])
+        .collect();
+    for (&(m, b), outs) in tasks.iter().zip(scored) {
+        for (&k, o) in batches(m)[b].iter().zip(outs) {
+            result[m][k] = o;
         }
     }
     result
@@ -504,7 +370,7 @@ pub fn sweep_batched<K: BatchKernel>(
     width: usize,
 ) -> (Vec<K::Output>, SweepTiming) {
     let start = Instant::now();
-    let outcomes = outcomes_batched(pool, kernel, &db.seqs, None, width);
+    let outcomes = outcomes_batched(pool, &[(*kernel, None)], &db.seqs, width).swap_remove(0);
     let secs = start.elapsed().as_secs_f64();
     (outcomes, kernel_timing(kernel, secs, db.total_residues()))
 }
@@ -621,99 +487,59 @@ mod tests {
     }
 
     #[test]
-    fn model_packs_never_mix_stripe_counts() {
-        // q values with runs: three 3s, one 5, two 7s.
-        let qs = [3usize, 7, 3, 5, 7, 3];
-        for width in [1usize, 2, 3, 4] {
-            let packs = model_packs(&qs, width);
-            let mut seen: Vec<usize> = packs.iter().flatten().copied().collect();
-            seen.sort_unstable();
-            assert_eq!(seen, vec![0, 1, 2, 3, 4, 5], "width={width}");
-            for pack in &packs {
-                assert!(!pack.is_empty() && pack.len() <= width, "width={width}");
-                assert!(
-                    pack.iter().all(|&i| qs[i] == qs[pack[0]]),
-                    "mixed q in pack {pack:?}"
-                );
-            }
-            // Widest models first.
-            let flat: Vec<usize> = packs.iter().flatten().map(|&i| qs[i]).collect();
-            assert!(flat.windows(2).all(|w| w[0] >= w[1]), "{flat:?}");
-        }
-        assert!(model_packs(&[], 4).is_empty());
-        // Width 4 over the runs above: [7,7], [5], [3,3,3].
-        let p4 = model_packs(&qs, 4);
-        assert_eq!(p4.len(), 3);
-        assert_eq!(p4[0], vec![1, 4]); // stable within equal q
-        assert_eq!(p4[1], vec![3]);
-        assert_eq!(p4[2], vec![0, 2, 5]);
-    }
-
-    #[test]
-    fn model_pack_stats_account_for_the_schedule() {
-        let qs = [3usize, 7, 3, 5, 7, 3];
-        let s = model_pack_stats(&qs, 4);
-        assert_eq!(s.width, 4);
-        assert_eq!(s.models, 6);
-        assert_eq!(s.packs, 3);
-        // [7,7] → 2 models × 2 seqs; [5] → 1 × 4; [3,3,3] → 3 × 1.
-        assert_eq!(s.slots, 4 + 4 + 3);
-        assert_eq!(model_pack_stats(&[], 4).packs, 0);
-    }
-
-    /// Build a mixed-q model set spanning several stripe-count bins.
-    fn multi_setup() -> (Vec<(MsvProfile, StripedMsv)>, SeqDb) {
+    fn many_kernels_equal_one_kernel_calls() {
+        // Five models over four stripe counts on every backend, each with
+        // its own selection: all, none, or a pattern of ids.
         let bg = NullModel::new();
-        let mut models = Vec::new();
-        for (i, m) in [33usize, 40, 48, 70, 100].into_iter().enumerate() {
-            let core = synthetic_model(m, 400 + i as u64, &BuildParams::default());
-            let p = Profile::config(&core, &bg);
-            let om = MsvProfile::from_profile(&p);
-            let msv = StripedMsv::new(&om);
-            models.push((om, msv));
-        }
         let mut spec = DbGenSpec::swissprot_like().scaled(0.00015);
         spec.homolog_fraction = 0.1;
         let core = synthetic_model(40, 401, &BuildParams::default());
         let db = generate(&spec, Some(&core), 19);
-        (models, db)
-    }
-
-    #[test]
-    fn fused_multi_sweep_matches_per_model_scalar() {
-        let (models, db) = multi_setup();
-        let msv_refs: Vec<(&StripedMsv, &MsvProfile)> =
-            models.iter().map(|(om, s)| (s, om)).collect();
-        for width in [0usize, 1, 2, 3, 4] {
-            let m_out = msv_multi_outcomes(pool(), &msv_refs, &db.seqs, width);
-            assert_eq!(m_out.len(), models.len());
-            for (mi, (om, _)) in models.iter().enumerate() {
-                for (si, seq) in db.seqs.iter().enumerate() {
-                    assert_eq!(
-                        m_out[mi][si],
-                        msv_filter_scalar(om, &seq.residues),
-                        "msv model {mi} seq {si} width {width}"
-                    );
+        let oms: Vec<MsvProfile> = [33usize, 40, 48, 70, 100]
+            .iter()
+            .map(|&m| {
+                let core = synthetic_model(m, 400 + m as u64, &BuildParams::default());
+                MsvProfile::from_profile(&Profile::config(&core, &bg))
+            })
+            .collect();
+        let n = db.len() as u32;
+        let picks: [Vec<u32>; 3] = [
+            (0..n).filter(|i| i % 3 != 1).collect(),
+            Vec::new(),
+            (0..n).filter(|i| i % 5 == 0).collect(),
+        ];
+        let sels: [Option<&[u32]>; 5] = [
+            None,
+            Some(&picks[0]),
+            Some(&picks[1]),
+            None,
+            Some(&picks[2]),
+        ];
+        for backend in crate::Backend::all_available() {
+            let striped: Vec<StripedMsv> = oms
+                .iter()
+                .map(|om| StripedMsv::with_backend(om, backend))
+                .collect();
+            let kernels: Vec<_> = striped.iter().zip(&oms).zip(sels).collect();
+            for threads in [1usize, 2, 4] {
+                let p = ThreadPool::new(threads);
+                for width in 1..=MAX_BATCH {
+                    let all = outcomes_batched(&p, &kernels, &db.seqs, width);
+                    for (m, (kernel, ids)) in kernels.iter().enumerate() {
+                        let one = outcomes_batched(&p, &[(*kernel, *ids)], &db.seqs, width);
+                        let want = ids.map_or(db.len(), <[u32]>::len);
+                        assert_eq!(all[m].len(), want, "{backend} model {m}");
+                        assert_eq!(
+                            all[m], one[0],
+                            "{backend} model {m} threads {threads} width {width}"
+                        );
+                    }
                 }
             }
         }
-        assert!(msv_multi_outcomes(pool(), &[], &db.seqs, 0).is_empty());
-    }
-
-    #[test]
-    fn fused_multi_sweep_is_thread_invariant() {
-        let (models, db) = multi_setup();
-        let refs: Vec<(&StripedMsv, &MsvProfile)> = models.iter().map(|(om, s)| (s, om)).collect();
-        let one = ThreadPool::new(1);
-        let want = msv_multi_outcomes(&one, &refs, &db.seqs, 0);
-        for threads in [2usize, 4, 8] {
-            let p = ThreadPool::new(threads);
-            assert_eq!(
-                want,
-                msv_multi_outcomes(&p, &refs, &db.seqs, 0),
-                "threads={threads}"
-            );
-        }
+        assert!(
+            outcomes_batched::<(&StripedMsv, &MsvProfile)>(pool(), &[], &db.seqs, 0).is_empty()
+        );
     }
 
     #[test]
@@ -721,9 +547,9 @@ mod tests {
         let (msv, _, db) = setup();
         let striped = StripedMsv::new(&msv);
         let ids: Vec<u32> = (0..db.len() as u32).filter(|i| i % 3 != 1).collect();
-        let got = outcomes_batched(pool(), &(&striped, &msv), &db.seqs, Some(&ids), 0);
-        assert_eq!(got.len(), ids.len());
-        for (&i, o) in ids.iter().zip(got) {
+        let got = outcomes_batched(pool(), &[((&striped, &msv), Some(&ids[..]))], &db.seqs, 0);
+        assert_eq!(got[0].len(), ids.len());
+        for (&i, &o) in ids.iter().zip(&got[0]) {
             let seq = &db.seqs[i as usize];
             assert_eq!(o, msv_filter_scalar(&msv, &seq.residues), "seq {i}");
         }
@@ -781,7 +607,8 @@ mod tests {
         let striped = StripedFwd::new(&p);
         let ids: Vec<u32> = (0..db.len() as u32).filter(|i| i % 4 != 2).collect();
         for width in [0usize, 1, 3, 4] {
-            let got = outcomes_batched(pool(), &(&striped, &p), &db.seqs, Some(&ids), width);
+            let kernel = ((&striped, &p), Some(&ids[..]));
+            let got = outcomes_batched(pool(), &[kernel], &db.seqs, width).swap_remove(0);
             assert_eq!(got.len(), ids.len());
             for (&i, s) in ids.iter().zip(got) {
                 let want = striped.run(&p, &db.seqs[i as usize].residues);

@@ -157,9 +157,9 @@ proptest! {
             let kernel = (&striped_msv, &om);
             for width in 1..=MAX_BATCH {
                 for ids in [&picked[..], &[], &all[..]] {
-                    let got_msv = outcomes_batched(pool, &kernel, &seqs, Some(ids), width);
-                    prop_assert_eq!(got_msv.len(), ids.len());
-                    for (k, o) in got_msv.iter().enumerate() {
+                    let got_msv = outcomes_batched(pool, &[(kernel, Some(ids))], &seqs, width);
+                    prop_assert_eq!(got_msv[0].len(), ids.len());
+                    for (k, o) in got_msv[0].iter().enumerate() {
                         prop_assert_eq!(
                             single[ids[k] as usize],
                             bits(o),
@@ -172,8 +172,8 @@ proptest! {
                     }
                 }
                 // `None` is the list of every id.
-                let unlisted = outcomes_batched(pool, &kernel, &seqs, None, width);
-                prop_assert_eq!(unlisted.iter().map(bits).collect::<Vec<_>>(), single.clone());
+                let unlisted = outcomes_batched(pool, &[(kernel, None)], &seqs, width);
+                prop_assert_eq!(unlisted[0].iter().map(bits).collect::<Vec<_>>(), single.clone());
             }
         }
     }

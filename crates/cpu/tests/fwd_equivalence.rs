@@ -393,7 +393,7 @@ fn forward_bits_are_pinned_to_the_pre_flush_kernel() {
                 })
                 .collect();
             for pool in &pools {
-                let got: Vec<u32> = outcomes_batched(pool, &(&f, &c.profile), &db, None, 0)
+                let got: Vec<u32> = outcomes_batched(pool, &[((&f, &c.profile), None)], &db, 0)[0]
                     .iter()
                     .map(|s| s.to_bits())
                     .collect();

@@ -1,21 +1,16 @@
 //! Multi-query search — scan a database with many models (hmmscan-style)
-//! in one **fused** sweep that amortizes the database traversal over
-//! every model.
+//! in one **fused** funnel that amortizes each stage's fan-out over every
+//! model.
 //!
-//! This is the workload §IV's Pfam statistics are about: "about 98.9% of
-//! Pfam database have size less than 1002", so a family sweep spends
-//! nearly all of its time in configurations where small-model packing
-//! pays (the CUDAMPF++ shape: pack several profiles into one pass to
-//! exhaust execution resources). The fused path runs on the CPU tier:
-//! models are binned by stripe count ([`h3w_cpu::model_packs`]), the byte
-//! filters score every (model, sequence) pair in one pass over the
-//! database ([`h3w_cpu::msv_multi_outcomes`]), and each model's survivor
-//! id list — thresholded by the same `Pipeline::survivors` step a
-//! single-model search uses, with the model's own calibration — is
-//! concatenated with the others into one flat (model, sequence) task
-//! list per late stage, on one scan-level pool. Hits, E-values, and
-//! funnel counts are **bit-identical** to running [`Pipeline::search`]
-//! once per model — the fused path is a pure throughput optimization.
+//! The fused scan is the search's own stage sequence
+//! (`Pipeline::funnel`) run over every model at once: each stage is one
+//! `h3w_cpu::outcomes_batched` fan-out over (model, length-binned batch)
+//! tasks on one scan-level pool, each model's survivors are thresholded
+//! by the same `Pipeline::survivors` step a single-model search uses,
+//! with the model's own calibration, and each model's hits are ranked by
+//! the same hit assembly. Hits, E-values, and funnel counts are
+//! **bit-identical** to running [`Pipeline::search`] once per model — the
+//! fused path is a pure throughput optimization.
 //!
 //! [`scan`] is the one-shot entry (`hmmscan`): [`prepare_scan`], then
 //! [`scan_prepared`] fused, plus the per-family telemetry. A resident
@@ -26,19 +21,13 @@
 //! target, which families match?).
 
 use crate::config::{ConfigError, PipelineConfig};
-use crate::report::{Hit, StageStats};
-use crate::run::{ExecPlan, Pipeline};
+use crate::report::{Hit, PipelineResult, StageStats};
+use crate::run::{ExecPlan, Pipeline, HOST_LABELS};
 use h3w_core::fault::SweepError;
-use h3w_cpu::{
-    fused_pack_width, model_pack_stats, msv_multi_outcomes, FwdWorkspace, PoolHandle, StripedMsv,
-    ThreadPool, VitWorkspace,
-};
-use h3w_hmm::alphabet::Residue;
-use h3w_hmm::msvprofile::MsvProfile;
+use h3w_cpu::PoolHandle;
 use h3w_hmm::plan7::CoreModel;
 use h3w_seqdb::SeqDb;
 use h3w_trace::{Telemetry, Trace};
-use std::time::Instant;
 
 /// Why a multi-model [`scan`] failed.
 #[derive(Debug)]
@@ -91,8 +80,8 @@ pub struct FamilyResult {
     /// Funnel: sequences passing (MSV, Viterbi).
     pub passed: (usize, usize),
     /// The full three-stage funnel record. Counts are per family; on the
-    /// fused path the stage times are the fused sweep's aggregate wall
-    /// time (one traversal serves every family, so per-family time has no
+    /// fused path the stage times are the fused stage's aggregate wall
+    /// time (one fan-out serves every family, so per-family time has no
     /// meaningful attribution).
     pub stages: Vec<StageStats>,
 }
@@ -119,13 +108,12 @@ pub struct ScanReport {
 }
 
 /// Search every model against the database on the fused CPU path: one
-/// pass over the database feeds every model (see the module docs).
-/// Results come back in model order regardless of thread count, and are
-/// bit-identical to per-model [`Pipeline::search`] runs at every pack
-/// width, backend, and pool size. With an armed `trace` (`hmmscan
-/// --profile`) per-family funnel counters land under
-/// `scan/families/<name>` and the model-packing schedule under
-/// `scan/packs`; tracing never changes scores or hits.
+/// fan-out per stage feeds every model (see the module docs). Results
+/// come back in model order regardless of thread count, and are
+/// bit-identical to per-model [`Pipeline::search`] runs at every backend
+/// and pool size. With an armed `trace` (`hmmscan --profile`) per-family
+/// funnel counters land under `scan/families/<name>`; tracing never
+/// changes scores or hits.
 pub fn scan(
     models: &[CoreModel],
     db: &SeqDb,
@@ -164,14 +152,15 @@ pub fn scan(
 /// on instead of spawning their own. Preparation — Gumbel calibration —
 /// is the expensive once-per-model half of a scan; resident services
 /// prepare a model library once and [`scan_prepared`] with it many
-/// times. The fan-out is over models: each model's calibration sweeps,
-/// pooled when a pipeline is prepared on its own, run inline on the
-/// worker that took the model (the pool never nests). Calibration cost
-/// grows with the model and the pool shards indices contiguously, so the
-/// models are dispatched largest first (ties by index): a library sorted
-/// by size would otherwise start its largest model last and finish it
-/// alone. Seeds are keyed on the model's own index, so the order changes
-/// no `Calibration` bit.
+/// times. The fan-out is over models, on the pool `config.threads`
+/// sizes: each model's calibration sweeps, pooled when a pipeline is
+/// prepared on its own, run inline on the worker that took the model
+/// (the pool never nests). Calibration cost grows with the model and the
+/// pool shards indices contiguously, so the models are dispatched
+/// largest first (ties by index): a library sorted by size would
+/// otherwise start its largest model last and finish it alone. Seeds are
+/// keyed on the model's own index, so the order changes no
+/// `Calibration` bit.
 pub fn prepare_scan(models: &[CoreModel], config: PipelineConfig, seed: u64) -> Vec<Pipeline> {
     let pipe_cfg = PipelineConfig {
         threads: 0,
@@ -179,27 +168,27 @@ pub fn prepare_scan(models: &[CoreModel], config: PipelineConfig, seed: u64) -> 
     };
     let mut order: Vec<usize> = (0..models.len()).collect();
     order.sort_by_key(|&qi| std::cmp::Reverse(models[qi].len()));
-    let prepared = ThreadPool::global().map_collect(order.len(), |j| {
+    let pool = PoolHandle::with_threads(config.threads);
+    let mut prepared = pool.pool().map_collect(order.len(), |j| {
         let qi = order[j];
-        Pipeline::prepare(&models[qi], pipe_cfg, seed ^ ((qi as u64) << 17))
+        (
+            qi,
+            Pipeline::prepare(&models[qi], pipe_cfg, seed ^ ((qi as u64) << 17)),
+        )
     });
-    let mut pipes: Vec<Option<Pipeline>> = models.iter().map(|_| None).collect();
-    for (qi, pipe) in order.into_iter().zip(prepared) {
-        pipes[qi] = Some(pipe);
-    }
-    pipes
-        .into_iter()
-        .map(|p| p.expect("order is a permutation of the model indices"))
-        .collect()
+    // Scatter back into model order.
+    prepared.sort_unstable_by_key(|&(qi, _)| qi);
+    prepared.into_iter().map(|(_, pipe)| pipe).collect()
 }
 
 /// Scan the database with pipelines built by [`prepare_scan`], skipping
-/// the per-call calibration cost. `fused = true` drives the one-traversal
-/// fused sweep; `fused = false` fans independent per-pipe searches across
-/// the global pool. `config` must be the config the pipes were prepared
-/// with (its thresholds and thread count are read from it). The first failing
-/// model of the unfused arm (in model order — deterministic at every
-/// thread count) reports its error.
+/// the per-call calibration cost, on the pool `config.threads` sizes.
+/// `fused = true` runs the search's stage sequence over every model at
+/// once; `fused = false` fans independent per-pipe searches across the
+/// pool. `config` must be the config the pipes were prepared with; the
+/// thresholds are each pipe's own, as in [`Pipeline::search`]. The first
+/// failing model of the unfused arm (in model order — deterministic at
+/// every thread count) reports its error.
 pub fn scan_prepared(
     pipes: &[Pipeline],
     db: &SeqDb,
@@ -208,171 +197,32 @@ pub fn scan_prepared(
     trace: &Trace,
 ) -> Result<Vec<FamilyResult>, ScanError> {
     config.validate()?;
-    if fused {
-        Ok(scan_fused(pipes, db, config, trace))
-    } else {
-        let results: Vec<Result<FamilyResult, SweepError>> =
-            ThreadPool::global().map_collect(pipes.len(), |qi| {
-                let res = pipes[qi].search(db, &ExecPlan::Cpu)?;
-                Ok(FamilyResult {
-                    family: pipes[qi].profile.name.clone(),
-                    m: pipes[qi].profile.m,
-                    passed: (res.stages[0].seqs_out, res.stages[1].seqs_out),
-                    stages: res.stages.to_vec(),
-                    hits: res.hits,
-                })
-            });
-        let collected: Result<Vec<FamilyResult>, SweepError> = results.into_iter().collect();
-        Ok(collected?)
-    }
-}
-
-/// The fused CPU path over prepared pipelines: drive the three funnel
-/// stages over flattened (model, sequence) work items so each stage is
-/// one pool fan-out for the whole scan instead of one per model.
-///
-/// Equivalence to per-model `search` holds stage by stage: stage 1 is
-/// the fused multi-profile byte sweep (bit-identical to the per-model
-/// batched sweep — slots are independent), stages 2 and 3 run the same
-/// per-sequence kernels the host stages run, and the survivor lists come
-/// from the same thresholding step with each model's own calibration.
-fn scan_fused(
-    pipes: &[Pipeline],
-    db: &SeqDb,
-    config: PipelineConfig,
-    trace: &Trace,
-) -> Vec<FamilyResult> {
-    let n = db.len();
-    let scan_pool = PoolHandle::with_threads(config.threads);
-    let pool = scan_pool.pool();
-    // One late stage: every model's survivor list concatenated,
-    // model-major, into one flat (model, sequence) task list (the
-    // deterministic list the fan-out runs on), and the scores handed
-    // back per model, aligned with that model's list.
-    fn fan_out<W: Send>(
-        pool: &ThreadPool,
-        pipes: &[Pipeline],
-        db: &SeqDb,
-        ids: &[Vec<u32>],
-        workspace: impl Fn() -> W + Sync,
-        score: impl Fn(&Pipeline, &[Residue], &mut W) -> f32 + Sync,
-    ) -> Vec<Vec<f32>> {
-        let tasks: Vec<(usize, u32)> = ids
-            .iter()
-            .enumerate()
-            .flat_map(|(m, ids)| ids.iter().map(move |&i| (m, i)))
-            .collect();
-        let mut flat = pool
-            .map_collect_init(tasks.len(), workspace, |ws, k| {
-                let (m, i) = tasks[k];
-                score(&pipes[m], &db.seqs[i as usize].residues, ws)
-            })
-            .into_iter();
-        ids.iter()
-            .map(|ids| flat.by_ref().take(ids.len()).collect())
-            .collect()
-    }
-
-    // Stage 1: every model against every sequence in one DB traversal.
-    let t0 = Instant::now();
-    let refs: Vec<(&StripedMsv, &MsvProfile)> =
-        pipes.iter().map(|p| (&p.striped_msv, &p.msv)).collect();
-    let msv_scores: Vec<Vec<f32>> = msv_multi_outcomes(pool, &refs, &db.seqs, 0)
-        .iter()
-        .map(|per_seq| per_seq.iter().map(|o| o.score).collect())
-        .collect();
-    let ids1: Vec<Vec<u32>> = pipes
-        .iter()
-        .zip(&msv_scores)
-        .map(|(pipe, scores)| {
-            let pvalue = |s, len| pipe.msv_pvalue(s, len);
-            Pipeline::survivors(db, 0..n as u32, scores, pvalue, config.f1).0
-        })
-        .collect();
-    let msv_time = t0.elapsed().as_secs_f64();
-
-    // Stage 2: Viterbi over every model's stage-1 survivors.
-    let t1 = Instant::now();
-    let vit_scores = fan_out(
-        pool,
-        pipes,
-        db,
-        &ids1,
-        VitWorkspace::default,
-        |pipe, seq, ws| pipe.striped_vit.run_into(&pipe.vit, seq, ws).0.score,
-    );
-    let (ids2, vit_scores): (Vec<Vec<u32>>, Vec<Vec<f32>>) = pipes
-        .iter()
-        .zip(ids1.iter().zip(&vit_scores))
-        .map(|(pipe, (ids, scores))| {
-            let pvalue = |s, len| pipe.vit_pvalue(s, len);
-            Pipeline::survivors(db, ids.iter().copied(), scores, pvalue, config.f2)
-        })
-        .unzip();
-    let vit_time = t1.elapsed().as_secs_f64();
-
-    // Stage 3: Forward over the remainder, same flattened shape. The
-    // striped odds-space kernel scores a slot identically at any batch
-    // width, so single-pair scoring here matches `search`'s batched
-    // sweep bit for bit.
-    let t2 = Instant::now();
-    let fwd_scores = fan_out(
-        pool,
-        pipes,
-        db,
-        &ids2,
-        FwdWorkspace::default,
-        |pipe, seq, ws| pipe.striped_fwd.run_into(&pipe.profile, seq, ws),
-    );
-    let fwd_time = t2.elapsed().as_secs_f64();
-
-    if trace.is_on() {
-        if let Some(first) = pipes.first() {
-            let qs: Vec<usize> = pipes.iter().map(|p| p.striped_msv.active_q()).collect();
-            let width = first.backend().preferred_batch_width();
-            let pack_width = fused_pack_width(pool.threads(), width);
-            let stats = model_pack_stats(&qs, pack_width);
-            trace.add("scan/packs", "models", stats.models);
-            trace.add("scan/packs", "packs", stats.packs);
-            trace.add("scan/packs", "width", stats.width as u64);
-            trace.add("scan/packs", "slots", stats.slots);
-            trace.add("scan/packs", "workers", pool.threads() as u64);
+    let pool = PoolHandle::with_threads(config.threads);
+    let results: Vec<PipelineResult> = if fused {
+        let refs: Vec<&Pipeline> = pipes.iter().collect();
+        let results = Pipeline::funnel(&refs, db, HOST_LABELS, |stage, sels| {
+            Ok(Pipeline::host_stage(pool.pool(), &refs, stage, db, sels))
+        })?;
+        if trace.is_on() {
+            let pairs = |s: usize| results.iter().map(|r| r.stages[s].seqs_in as u64).sum();
+            trace.add("scan/stages", "vit_pairs", pairs(1));
+            trace.add("scan/stages", "fwd_pairs", pairs(2));
         }
-        let pairs = |ids: &[Vec<u32>]| ids.iter().map(Vec::len).sum::<usize>() as u64;
-        trace.add("scan/stages", "vit_pairs", pairs(&ids1));
-        trace.add("scan/stages", "fwd_pairs", pairs(&ids2));
-    }
-
-    // Assemble per family through the same hit assembly `search` uses.
-    pipes
-        .iter()
-        .enumerate()
-        .map(|(mi, pipe)| {
-            let (n1, n2) = (ids1[mi].len(), ids2[mi].len());
-            let stages = [
-                StageStats::new("MSV", n, n1, msv_time).with_residues(db.total_residues()),
-                StageStats::new("P7Viterbi", n1, n2, vit_time)
-                    .with_residues(Pipeline::residues_of(db, &ids1[mi])),
-                StageStats::new("Forward", n2, n2, fwd_time)
-                    .with_residues(Pipeline::residues_of(db, &ids2[mi])),
-            ];
-            let res = pipe.assemble(
-                db,
-                &msv_scores[mi],
-                &ids2[mi],
-                &vit_scores[mi],
-                &fwd_scores[mi],
-                stages,
-            );
-            FamilyResult {
-                family: pipe.profile.name.clone(),
-                m: pipe.profile.m,
-                passed: (n1, n2),
-                stages: res.stages.to_vec(),
-                hits: res.hits,
-            }
-        })
-        .collect()
+        results
+    } else {
+        let searched = pool
+            .pool()
+            .map_collect(pipes.len(), |qi| pipes[qi].search(db, &ExecPlan::Cpu));
+        searched.into_iter().collect::<Result<_, SweepError>>()?
+    };
+    let families = pipes.iter().zip(results).map(|(pipe, res)| FamilyResult {
+        family: pipe.profile.name.clone(),
+        m: pipe.profile.m,
+        passed: (res.stages[0].seqs_out, res.stages[1].seqs_out),
+        stages: res.stages.to_vec(),
+        hits: res.hits,
+    });
+    Ok(families.collect())
 }
 
 /// Invert family results into the per-target view: for each target that
@@ -475,18 +325,13 @@ mod tests {
                 }))
             )
         };
-        assert!(rejected(scan_prepared(
-            &pipes,
-            &db,
-            bad,
-            true,
-            &Trace::off()
-        )));
+        let prepared = scan_prepared(&pipes, &db, bad, true, &Trace::off());
+        assert!(rejected(prepared));
         assert!(rejected(scan_results(&families, &db, bad, 19)));
     }
 
     #[test]
-    fn traced_scan_records_per_family_funnels_and_pack_schedule() {
+    fn traced_scan_records_per_family_funnels() {
         let families: Vec<CoreModel> = (0..3)
             .map(|i| synthetic_model(40 + 8 * i, 6000 + i as u64, &BuildParams::default()))
             .collect();
@@ -496,9 +341,6 @@ mod tests {
         let trace = Trace::on();
         let report = scan(&families, &db, PipelineConfig::default(), 7, &trace).unwrap();
         let tel = report.telemetry.expect("armed trace yields telemetry");
-        let packs = tel.at_path("scan/packs").expect("pack schedule node");
-        assert_eq!(packs.counter("models"), families.len() as u64);
-        assert!(packs.counter("packs") >= 1);
         for fr in &report.results {
             let node = tel
                 .at_path(&format!("scan/families/{}", fr.family))
@@ -516,40 +358,47 @@ mod tests {
     }
 
     #[test]
+    fn prepare_scan_fans_out_on_the_configured_pool() {
+        // With `threads: 1` no job reaches the global pool. Other tests
+        // dispatch there too, so retry until one attempt runs alone.
+        let families = [20, 28].map(|m| synthetic_model(m, 7100, &BuildParams::default()));
+        let config = PipelineConfig {
+            threads: 1,
+            ..Default::default()
+        };
+        let global = h3w_cpu::ThreadPool::global();
+        let start = std::time::Instant::now();
+        while start.elapsed().as_secs() < 30 {
+            let before = global.stats().jobs;
+            prepare_scan(&families, config, 3);
+            if global.stats().jobs == before {
+                return;
+            }
+        }
+        panic!("prepare_scan dispatched on the global pool");
+    }
+
+    #[test]
     fn per_target_inversion_sorts_by_evalue() {
-        let results = vec![
-            FamilyResult {
-                family: "A".into(),
-                m: 10,
-                hits: vec![Hit {
-                    seqid: 3,
-                    name: "t3".into(),
-                    msv_score: 1.0,
-                    vit_score: 2.0,
-                    fwd_score: 30.0,
-                    pvalue: 1e-9,
-                    evalue: 1e-6,
-                    posterior: None,
-                }],
-                passed: (1, 1),
-                stages: Vec::new(),
-            },
-            FamilyResult {
-                family: "B".into(),
-                m: 12,
-                hits: vec![Hit {
-                    seqid: 3,
-                    name: "t3".into(),
-                    msv_score: 1.0,
-                    vit_score: 2.0,
-                    fwd_score: 50.0,
-                    pvalue: 1e-12,
-                    evalue: 1e-9,
-                    posterior: None,
-                }],
-                passed: (1, 1),
-                stages: Vec::new(),
-            },
+        let family = |name: &str, fwd_score, pvalue, evalue| FamilyResult {
+            family: name.into(),
+            m: 10,
+            hits: vec![Hit {
+                seqid: 3,
+                name: "t3".into(),
+                msv_score: 1.0,
+                vit_score: 2.0,
+                fwd_score,
+                pvalue,
+                evalue,
+                posterior: None,
+            }],
+            passed: (1, 1),
+            stages: Vec::new(),
+        };
+        let results = [
+            family("A", 30.0, 1e-9, 1e-6),
+            family("B", 50.0, 1e-12, 1e-9),
         ];
         let per_target = best_hits_per_target(&results);
         assert_eq!(per_target.len(), 1);

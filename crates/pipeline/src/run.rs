@@ -21,6 +21,13 @@
 //! stage's P-value cut-off (and their scores) out. Nothing of database
 //! length exists after stage 1.
 //!
+//! **One stage sequence for one model or many.** `Pipeline::funnel` is
+//! that sequence over a set of pipelines: a search runs it over its one
+//! pipeline, with each stage on its plan's tier; the fused scan
+//! (`crate::multi`) runs it over every model of a library, each stage
+//! one host fan-out over (model, batch) tasks. Device and fault-tolerant
+//! plans are single-model.
+//!
 //! [`Pipeline::search_traced`] is the same driver with a caller-supplied
 //! [`Trace`] for funnel telemetry (`hmmsearch --profile`); tracing is
 //! zero-cost when the trace is disabled and never changes scores or hits
@@ -55,6 +62,21 @@ use std::time::Instant;
 /// Lengths covered by the precomputed `null1(L)` table; longer targets
 /// fall back to the closed-form evaluation.
 const NULL1_TABLE_LEN: usize = 16384;
+
+/// The host tier's stage labels.
+pub(crate) const HOST_LABELS: [&str; 3] = ["MSV", "P7Viterbi", "Forward"];
+
+/// A funnel stage.
+#[derive(Clone, Copy)]
+pub(crate) enum Stage {
+    Msv,
+    Vit,
+    Fwd,
+}
+
+/// One stage over every pipe of a funnel: per pipe, one score per id
+/// that reached it; and the stage's (measured or modeled) seconds.
+pub(crate) type StageOut = (Vec<Vec<f32>>, f64);
 
 /// Where a [`Pipeline::search`] runs each stage.
 ///
@@ -221,9 +243,9 @@ impl Pipeline {
                 .map(|s| self.corrected(s, calibrate::DEFAULT_LEN))
                 .collect()
         };
-        let msv = corrected(self.msv_stage_host(&sample, &Trace::off()).0);
-        let vit = corrected(self.vit_stage_host(&sample, None).0);
-        let fwd = corrected(self.forward_stage(&sample, None).0);
+        let msv = corrected(self.host_stage_one(Stage::Msv, &sample, None).0);
+        let vit = corrected(self.host_stage_one(Stage::Vit, &sample, None).0);
+        let fwd = corrected(self.host_stage_one(Stage::Fwd, &sample, None).0);
         self.cal = Calibration::fit(&msv, &vit, &fwd);
     }
 
@@ -331,7 +353,6 @@ impl Pipeline {
         trace: &Trace,
     ) -> Result<SearchReport, SweepError> {
         let whole = trace.span("pipeline");
-        let n = db.len();
         // Pool occupancy/steal accounting is a snapshot delta taken
         // outside every timed region; with a disabled trace it costs
         // nothing at all.
@@ -355,7 +376,7 @@ impl Pipeline {
             _ => None,
         };
         let labels = match plan {
-            ExecPlan::Cpu => ["MSV", "P7Viterbi", "Forward"],
+            ExecPlan::Cpu => HOST_LABELS,
             ExecPlan::Device { .. } => ["MSV (GPU)", "P7Viterbi (GPU)", "Forward (host)"],
             ExecPlan::DeviceFull { .. } => ["MSV (GPU)", "P7Viterbi (GPU)", "Forward (GPU)"],
             ExecPlan::FaultTolerant { .. } => {
@@ -363,81 +384,52 @@ impl Pipeline {
             }
         };
 
-        // Stage 1: MSV over the whole database.
-        let (msv_scores, msv_time) = match plan {
-            ExecPlan::Cpu => self.msv_stage_host(db, trace),
-            ExecPlan::Device { dev } | ExecPlan::DeviceFull { dev } => {
-                let run = run_msv_device(&self.msv, packed(), dev, None)?;
-                let scores = run.hits.iter().map(|h| h.score);
-                Self::device_stage(trace, labels[0], &run.run, scores)
-            }
-            ExecPlan::FaultTolerant { dev, .. } => {
-                let all: Vec<u32> = (0..n as u32).collect();
-                let ft = ft.as_mut().expect("fault-tolerant plans build a pool");
-                let on_pool = ft.stage("MSV", packed(), &all, |sub, ctx| {
-                    let run = run_msv_device_on(&self.msv, sub, dev, None, ctx)?;
-                    let scores = run.hits.iter().map(|h| h.score).collect();
-                    Ok((scores, run.run.time.total_s))
-                })?;
-                on_pool.unwrap_or_else(|| self.msv_stage_host(db, trace))
-            }
-        };
-        let (ids1, _) = Self::survivors(
-            db,
-            0..n as u32,
-            &msv_scores,
-            |s, len| self.msv_pvalue(s, len),
-            self.config.f1,
-        );
-
-        // Stage 2: Viterbi over the stage-1 survivors. (A stage nothing
-        // reaches does not run on any plan: no launch, no fan-out.)
-        let (vit_scores, vit_time) = match plan {
-            _ if ids1.is_empty() => (Vec::new(), 0.0),
-            ExecPlan::Cpu => self.vit_stage_host(db, Some(&ids1)),
-            ExecPlan::Device { dev } | ExecPlan::DeviceFull { dev } => {
-                let run = run_vit_device(&self.vit, &packed().subset(&ids1), dev, None)?;
-                let scores = run.hits.iter().map(|h| h.score);
-                Self::device_stage(trace, labels[1], &run.run, scores)
-            }
-            ExecPlan::FaultTolerant { dev, .. } => {
-                let ft = ft.as_mut().expect("fault-tolerant plans build a pool");
-                let on_pool = ft.stage("Viterbi", packed(), &ids1, |sub, ctx| {
-                    let run = run_vit_device_on(&self.vit, sub, dev, None, ctx)?;
-                    let scores = run.hits.iter().map(|h| h.score).collect();
-                    Ok((scores, run.run.time.total_s))
-                })?;
-                on_pool.unwrap_or_else(|| self.vit_stage_host(db, Some(&ids1)))
-            }
-        };
-        let (ids2, vit_scores) = Self::survivors(
-            db,
-            ids1.iter().copied(),
-            &vit_scores,
-            |s, len| self.vit_pvalue(s, len),
-            self.config.f2,
-        );
-
-        // Stage 3: Forward over the remainder — on the host for every
-        // plan except the §VI fully-on-device deployment.
-        let (fwd_scores, fwd_time) = match plan {
-            _ if ids2.is_empty() => (Vec::new(), 0.0),
-            ExecPlan::DeviceFull { dev } => {
-                let run = run_fwd_device(&self.profile, &packed().subset(&ids2), dev)?;
-                let scores = run.hits.iter().map(|h| h.score);
-                Self::device_stage(trace, labels[2], &run.run, scores)
-            }
-            _ => self.forward_stage(db, Some(&ids2)),
-        };
-
-        let (n1, n2) = (ids1.len(), ids2.len());
-        let stages = [
-            StageStats::new(labels[0], n, n1, msv_time).with_residues(db.total_residues()),
-            StageStats::new(labels[1], n1, n2, vit_time)
-                .with_residues(Self::residues_of(db, &ids1)),
-            StageStats::new(labels[2], n2, n2, fwd_time)
-                .with_residues(Self::residues_of(db, &ids2)),
-        ];
+        // Each stage on the plan's tier; Forward stays on the host for
+        // every plan except the §VI fully-on-device deployment.
+        let mut results = Self::funnel(&[self], db, labels, |stage, sels| {
+            let ids = sels[0].unwrap_or_default();
+            let (scores, secs) = match (stage, plan) {
+                (Stage::Fwd, ExecPlan::DeviceFull { dev }) => {
+                    let run = run_fwd_device(&self.profile, &packed().subset(ids), dev)?;
+                    let scores = run.hits.iter().map(|h| h.score);
+                    Self::device_stage(trace, labels[2], &run.run, scores)
+                }
+                (Stage::Msv, ExecPlan::Cpu) => self.msv_stage_host(db, trace),
+                (_, ExecPlan::Cpu) | (Stage::Fwd, _) => self.host_stage_one(stage, db, sels[0]),
+                (Stage::Msv, ExecPlan::Device { dev } | ExecPlan::DeviceFull { dev }) => {
+                    let run = run_msv_device(&self.msv, packed(), dev, None)?;
+                    let scores = run.hits.iter().map(|h| h.score);
+                    Self::device_stage(trace, labels[0], &run.run, scores)
+                }
+                (Stage::Vit, ExecPlan::Device { dev } | ExecPlan::DeviceFull { dev }) => {
+                    let run = run_vit_device(&self.vit, &packed().subset(ids), dev, None)?;
+                    let scores = run.hits.iter().map(|h| h.score);
+                    Self::device_stage(trace, labels[1], &run.run, scores)
+                }
+                (Stage::Msv, ExecPlan::FaultTolerant { dev, .. }) => {
+                    let all: Vec<u32> = (0..db.len() as u32).collect();
+                    let ft = ft.as_mut().expect("fault-tolerant plans build a pool");
+                    let on_pool = ft.stage("MSV", packed(), &all, |sub, ctx| {
+                        let run = run_msv_device_on(&self.msv, sub, dev, None, ctx)?;
+                        let scores = run.hits.iter().map(|h| h.score).collect();
+                        Ok((scores, run.run.time.total_s))
+                    })?;
+                    on_pool.unwrap_or_else(|| self.msv_stage_host(db, trace))
+                }
+                (Stage::Vit, ExecPlan::FaultTolerant { dev, .. }) => {
+                    let ft = ft.as_mut().expect("fault-tolerant plans build a pool");
+                    let on_pool = ft.stage("Viterbi", packed(), ids, |sub, ctx| {
+                        let run = run_vit_device_on(&self.vit, sub, dev, None, ctx)?;
+                        let scores = run.hits.iter().map(|h| h.score).collect();
+                        Ok((scores, run.run.time.total_s))
+                    })?;
+                    on_pool.unwrap_or_else(|| self.host_stage_one(stage, db, sels[0]))
+                }
+            };
+            Ok((vec![scores], secs))
+        })?;
+        // One pipe in, one result out.
+        let result = results.swap_remove(0);
         let (journal, degraded) = ft.map_or_else(Default::default, |ft| (ft.journal, ft.degraded));
         if trace.is_on() {
             // Funnel telemetry is recorded *from* the stage records, so
@@ -456,7 +448,7 @@ impl Pipeline {
                 self.striped_vit.bytes_per_row(),
                 self.striped_fwd.bytes_per_row(),
             ];
-            for ((st, cells), bytes) in stages.iter().zip(cells_per_row).zip(bytes_per_row) {
+            for ((st, cells), bytes) in result.stages.iter().zip(cells_per_row).zip(bytes_per_row) {
                 let path = format!("pipeline/{}", st.name);
                 trace.add(&path, "seqs_in", st.seqs_in as u64);
                 trace.add(&path, "seqs_out", st.seqs_out as u64);
@@ -480,7 +472,6 @@ impl Pipeline {
                 trace.add("pipeline/recovery", "cpu_fallbacks", degraded as u64);
             }
         }
-        let result = self.assemble(db, &msv_scores, &ids2, &vit_scores, &fwd_scores, stages);
         trace.add("pipeline/hits", "reported", result.hits.len() as u64);
         if let Some(before) = pool_before {
             // Per-worker spans and occupancy/steal counters for this
@@ -499,11 +490,66 @@ impl Pipeline {
         })
     }
 
+    /// The funnel's one stage sequence, over one pipeline (a search) or
+    /// many (a scan). Each stage scores every pipe's list in one `stage`
+    /// call — given the stage and one selection per pipe, it returns one
+    /// score per listed id per pipe and the stage's seconds. Stage 1
+    /// lists every sequence (`None`); a stage no pipe reaches does not
+    /// run. Between stages [`Pipeline::survivors`] thresholds each pipe
+    /// on its own calibration and config, and [`Pipeline::assemble`]
+    /// ranks each pipe's hits. Returns one result per pipe, in order.
+    pub(crate) fn funnel(
+        pipes: &[&Pipeline],
+        db: &SeqDb,
+        labels: [&str; 3],
+        mut stage: impl FnMut(Stage, &[Option<&[u32]>]) -> Result<StageOut, SweepError>,
+    ) -> Result<Vec<PipelineResult>, SweepError> {
+        let n = db.len();
+        let (msv, msv_s) = stage(Stage::Msv, &vec![None; pipes.len()])?;
+        let mut reached = |next, ids: &[Vec<u32>]| {
+            if ids.iter().all(Vec::is_empty) {
+                return Ok((vec![Vec::new(); ids.len()], 0.0));
+            }
+            let sels: Vec<Option<&[u32]>> = ids.iter().map(|ids| Some(&ids[..])).collect();
+            stage(next, &sels)
+        };
+        let ids1: Vec<Vec<u32>> = pipes
+            .iter()
+            .zip(&msv)
+            .map(|(p, scores)| {
+                let pvalue = |s, len| p.msv_pvalue(s, len);
+                Self::survivors(db, 0..n as u32, scores, pvalue, p.config.f1).0
+            })
+            .collect();
+        let (vit, vit_s) = reached(Stage::Vit, &ids1)?;
+        let (ids2, vit): (Vec<Vec<u32>>, Vec<Vec<f32>>) = pipes
+            .iter()
+            .zip(ids1.iter().zip(&vit))
+            .map(|(p, (ids, scores))| {
+                let pvalue = |s, len| p.vit_pvalue(s, len);
+                Self::survivors(db, ids.iter().copied(), scores, pvalue, p.config.f2)
+            })
+            .unzip();
+        let (fwd, fwd_s) = reached(Stage::Fwd, &ids2)?;
+        let results = pipes.iter().enumerate().map(|(m, p)| {
+            let (n1, n2) = (ids1[m].len(), ids2[m].len());
+            let stages = [
+                StageStats::new(labels[0], n, n1, msv_s).with_residues(db.total_residues()),
+                StageStats::new(labels[1], n1, n2, vit_s)
+                    .with_residues(Self::residues_of(db, &ids1[m])),
+                StageStats::new(labels[2], n2, n2, fwd_s)
+                    .with_residues(Self::residues_of(db, &ids2[m])),
+            ];
+            p.assemble(db, &msv[m], &ids2[m], &vit[m], &fwd[m], stages)
+        });
+        Ok(results.collect())
+    }
+
     /// The funnel's one thresholding step: of `ids` (with `scores`
     /// aligned to them), keep the sequences whose `pvalue(score, length)`
     /// is under `cut`. Returns the surviving ids, still ascending, and
     /// their scores.
-    pub(crate) fn survivors(
+    fn survivors(
         db: &SeqDb,
         ids: impl IntoIterator<Item = u32>,
         scores: &[f32],
@@ -516,18 +562,53 @@ impl Pipeline {
             .unzip()
     }
 
-    /// A host stage: `kernel` over the listed sequences (`None` = every
-    /// sequence) on the length-binned batched sweep. Returns one outcome
-    /// per id and the measured seconds.
-    fn host_stage<K: BatchKernel>(
-        &self,
-        kernel: &K,
+    /// A host stage over every pipe of `pipes`, each on its own selection
+    /// (`None` = every sequence), in one length-binned fan-out on `pool`
+    /// (`h3w_cpu::outcomes_batched`): one score per listed id per pipe,
+    /// and the measured seconds.
+    pub(crate) fn host_stage(
+        pool: &ThreadPool,
+        pipes: &[&Pipeline],
+        stage: Stage,
         db: &SeqDb,
-        ids: Option<&[u32]>,
-    ) -> (Vec<K::Output>, f64) {
-        let t = Instant::now();
-        let out = outcomes_batched(self.pool(), kernel, &db.seqs, ids, 0);
-        (out, t.elapsed().as_secs_f64())
+        sels: &[Option<&[u32]>],
+    ) -> StageOut {
+        fn sweep<K: BatchKernel>(
+            pool: &ThreadPool,
+            kernels: impl Iterator<Item = K>,
+            sels: &[Option<&[u32]>],
+            db: &SeqDb,
+            score: impl Fn(&K::Output) -> f32,
+        ) -> StageOut {
+            let kernels: Vec<(K, Option<&[u32]>)> = kernels.zip(sels.iter().copied()).collect();
+            let t = Instant::now();
+            let out = outcomes_batched(pool, &kernels, &db.seqs, 0);
+            let secs = t.elapsed().as_secs_f64();
+            let scores = out.iter().map(|o| o.iter().map(&score).collect()).collect();
+            (scores, secs)
+        }
+        let pipes = pipes.iter();
+        match stage {
+            Stage::Msv => {
+                let kernels = pipes.map(|p| (&p.striped_msv, &p.msv));
+                sweep(pool, kernels, sels, db, |o| o.score)
+            }
+            Stage::Vit => {
+                let kernels = pipes.map(|p| (&p.striped_vit, &p.vit));
+                sweep(pool, kernels, sels, db, |o| o.0.score)
+            }
+            Stage::Fwd => {
+                let kernels = pipes.map(|p| (&p.striped_fwd, &p.profile));
+                sweep(pool, kernels, sels, db, |&s| s)
+            }
+        }
+    }
+
+    /// One host stage of this pipeline alone, on its own pool (also
+    /// calibration's, and the fault-tolerant plan's CPU fallback).
+    fn host_stage_one(&self, stage: Stage, db: &SeqDb, ids: Option<&[u32]>) -> (Vec<f32>, f64) {
+        let (mut scores, secs) = Self::host_stage(self.pool(), &[self], stage, db, &[ids]);
+        (scores.swap_remove(0), secs)
     }
 
     /// Host stage 1: MSV through the batched interleaved kernel. Returns
@@ -535,7 +616,7 @@ impl Pipeline {
     /// dropout counts) runs outside the timed region and only when the
     /// trace is armed.
     fn msv_stage_host(&self, db: &SeqDb, trace: &Trace) -> (Vec<f32>, f64) {
-        let (msv_out, secs) = self.host_stage(&(&self.striped_msv, &self.msv), db, None);
+        let (scores, secs) = self.host_stage_one(Stage::Msv, db, None);
         if trace.is_on() {
             let width = self.backend.preferred_batch_width();
             let lens: Vec<usize> = db.seqs.iter().map(|s| s.len()).collect();
@@ -549,23 +630,14 @@ impl Pipeline {
                 "early_finish_dropouts",
                 stats.early_finish,
             );
-            let overflow = msv_out.iter().filter(|o| o.overflow).count();
+            // An overflowed pass, and only one, scores +∞.
+            let overflow = scores
+                .iter()
+                .filter(|&&s| s == MsvProfile::overflow_score())
+                .count();
             trace.add("pipeline/batch", "overflow_dropouts", overflow as u64);
         }
-        (msv_out.iter().map(|o| o.score).collect(), secs)
-    }
-
-    /// Host stage 2: the striped Viterbi filter over a survivor list
-    /// (also calibration's, and the fault-tolerant plan's CPU fallback).
-    fn vit_stage_host(&self, db: &SeqDb, ids: Option<&[u32]>) -> (Vec<f32>, f64) {
-        let (out, secs) = self.host_stage(&(&self.striped_vit, &self.vit), db, ids);
-        (out.into_iter().map(|(o, _)| o.score).collect(), secs)
-    }
-
-    /// Stage 3 on the host, for every plan that keeps Forward there: the
-    /// striped odds-space filter over the stage-2 survivor list.
-    fn forward_stage(&self, db: &SeqDb, ids: Option<&[u32]>) -> (Vec<f32>, f64) {
-        self.host_stage(&(&self.striped_fwd, &self.profile), db, ids)
+        (scores, secs)
     }
 
     /// A single-device stage's outcome as the driver wants it: `scores`
@@ -588,14 +660,14 @@ impl Pipeline {
 
     /// Total residues of the listed sequences (the denominator for
     /// per-stage cell rates).
-    pub(crate) fn residues_of(db: &SeqDb, ids: &[u32]) -> u64 {
+    fn residues_of(db: &SeqDb, ids: &[u32]) -> u64 {
         ids.iter().map(|&i| db.seqs[i as usize].len() as u64).sum()
     }
 
     /// Turn the funnel's outputs into the ranked hit list: `msv` is the
     /// dense stage-1 score vector, `ids` the stage-3 survivor list with
     /// its Viterbi (`vit`) and Forward (`fwd`) scores aligned to it.
-    pub(crate) fn assemble(
+    fn assemble(
         &self,
         db: &SeqDb,
         msv: &[f32],

@@ -643,46 +643,46 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Execute one admitted query: parse, fetch/prepare the pipeline, then
-/// sweep the resident shards through the streamed-sweep driver
-/// (`search_chunks`) — the same driver behind `hmmsearch --chunk` — with
-/// deadline checks and chaos injection in the chunk observer. Shards are
-/// borrowed, never cloned; the merged hit list is bit-identical to a
-/// single-pass sweep of the whole database.
+/// Execute one admitted query: fetch the prepared pipeline (parse and
+/// prepare it on a miss), then sweep the resident shards through the
+/// streamed-sweep driver (`search_chunks`) — the same driver behind
+/// `hmmsearch --chunk` — with deadline checks and chaos injection in the
+/// chunk observer. Shards are borrowed, never cloned; the merged hit list
+/// is bit-identical to a single-pass sweep of the whole database.
 fn run_query(
     inner: &Arc<ServerInner>,
     hmm_text: &str,
     deadline: Option<Instant>,
 ) -> Result<(bool, Vec<WireHit>), QueryError> {
-    let parsed = h3w_hmm::hmmio::read_hmm(hmm_text)
-        .map_err(|e| QueryError::BadRequest(format!("query HMM: {e}")))?;
-    if let Some(name) = &inner.cfg.chaos.panic_model {
-        if *name == parsed.model.name {
-            // The injected chaos panic, on purpose: `handle_search` catches
-            // it, which is what the chaos suite checks.
-            panic!("chaos: injected panic for model {name:?}");
-        }
-    }
-    let pipe = {
-        let key = fnv1a(hmm_text.as_bytes());
-        // The cache lock only guards a map lookup or insert, which cannot
-        // panic, so it is never poisoned; a poisoned one is used as is.
-        let cache = || {
-            inner
-                .pipelines
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-        };
-        let cached = cache().get(&key).cloned();
-        match cached {
-            Some(p) => p,
-            None => {
-                // Prepare outside the lock (quantization + calibration
-                // is the expensive part). Deterministic, so a racing
-                // duplicate is identical and the entry dedups.
-                let p = Arc::new(Pipeline::prepare(&parsed.model, inner.pipe_cfg, QUERY_SEED));
-                Arc::clone(cache().entry(key).or_insert(p))
+    // The cache is keyed on the request text, so a hit skips the parse:
+    // the same bytes already parsed and passed the chaos check.
+    let key = fnv1a(hmm_text.as_bytes());
+    // The cache lock only guards a map lookup or insert, which cannot
+    // panic, so it is never poisoned; a poisoned one is used as is.
+    let cache = || {
+        inner
+            .pipelines
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    };
+    let cached = cache().get(&key).cloned();
+    let pipe = match cached {
+        Some(p) => p,
+        None => {
+            let parsed = h3w_hmm::hmmio::read_hmm(hmm_text)
+                .map_err(|e| QueryError::BadRequest(format!("query HMM: {e}")))?;
+            if let Some(name) = &inner.cfg.chaos.panic_model {
+                if *name == parsed.model.name {
+                    // The injected chaos panic, on purpose: `handle_search`
+                    // catches it, which is what the chaos suite checks.
+                    panic!("chaos: injected panic for model {name:?}");
+                }
             }
+            // Prepare outside the lock (quantization + calibration is
+            // the expensive part). Deterministic, so a racing duplicate
+            // is identical and the entry dedups.
+            let p = Arc::new(Pipeline::prepare(&parsed.model, inner.pipe_cfg, QUERY_SEED));
+            Arc::clone(cache().entry(key).or_insert(p))
         }
     };
     let trace = Trace::on();

@@ -260,7 +260,7 @@ impl Telemetry {
     /// Render the per-family funnels of a fused multi-model scan (the
     /// `scan/` tree `h3w-pipeline::multi::scan` records) — the
     /// `hmmscan --profile` view. One row per (family, stage) plus the
-    /// model-pack schedule footer.
+    /// scan's total.
     pub fn render_scan(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -298,16 +298,6 @@ impl Telemetry {
                     first = false;
                 }
             }
-        }
-        if let Some(packs) = scan.child("packs") {
-            let _ = writeln!(
-                out,
-                "packs: {} models in {} packs of width {} ({} slot sweeps)",
-                packs.counter("models"),
-                packs.counter("packs"),
-                packs.counter("width"),
-                packs.counter("slots"),
-            );
         }
         let _ = writeln!(
             out,
@@ -634,7 +624,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_table_renders_per_family_funnels_and_pack_schedule() {
+    fn scan_table_renders_per_family_funnels() {
         let t = Trace::on();
         for fam in ["globin", "kinase"] {
             let base = format!("scan/families/{fam}");
@@ -651,17 +641,13 @@ mod tests {
                 t.add(&path, "residues_in", seqs_in * 300);
             }
         }
-        t.add("scan/packs", "models", 2);
-        t.add("scan/packs", "packs", 1);
-        t.add("scan/packs", "width", 4);
-        t.add("scan/packs", "slots", 4);
         t.add_secs("scan", 0.5);
         let table = t.snapshot().unwrap().render_scan();
         let g = table.find("globin").unwrap();
         let k = table.find("kinase").unwrap();
         assert!(g < k, "{table}");
         assert!(table.contains("P7Viterbi"), "{table}");
-        assert!(table.contains("2 models in 1 packs of width 4"), "{table}");
+        assert!(table.contains("0.5000s total"), "{table}");
         assert!(Trace::on()
             .snapshot()
             .unwrap()

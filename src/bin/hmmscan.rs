@@ -15,13 +15,13 @@
 //! ```
 //!
 //! `models.hmm` may hold any number of concatenated HMMER3 records (as
-//! Pfam releases do). The scan is **fused**: models are length-binned
-//! into packs and the batched MSV kernel interleaves each pack against
-//! every sequence block, so one pass over the database feeds every
-//! resident model (the multi-HMM direction of the paper's §VI); hits and
-//! E-values are bit-identical to one independent pipeline sweep per
-//! family. Targets may be FASTA or a packed `.h3wdb` database. Output
-//! lists, per target, the families that hit it, best E-value first.
+//! Pfam releases do). The scan is **fused**: each filter stage is one
+//! pool fan-out over every model's length-binned sequence batches (the
+//! multi-HMM direction of the paper's §VI); hits and E-values are
+//! bit-identical to one independent pipeline sweep per family.
+//! `--threads` sizes the calibration fan-out too. Targets may be FASTA
+//! or a packed `.h3wdb` database. Output lists, per target, the families
+//! that hit it, best E-value first.
 
 use hmmer3_warp::cli::{self, Args, ToolError};
 use hmmer3_warp::hmm::hmmio::read_hmm_many;

@@ -682,7 +682,7 @@ fn hmmscan_multi_model_library() {
         "packed database changed the report"
     );
 
-    // --profile appends the per-family funnel table and pack schedule.
+    // --profile appends the per-family funnel table and the scan total.
     let out_prof = Command::new(env!("CARGO_BIN_EXE_hmmscan"))
         .args([lib.to_str().unwrap(), fasta.to_str().unwrap(), "--profile"])
         .output()
@@ -690,7 +690,7 @@ fn hmmscan_multi_model_library() {
     assert!(out_prof.status.success());
     let prof = String::from_utf8_lossy(&out_prof.stdout);
     assert!(prof.contains("P7Viterbi"), "{prof}");
-    assert!(prof.contains("models in"), "{prof}");
+    assert!(prof.contains("s total"), "{prof}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,8 +1,9 @@
 //! Criterion benches for the packed on-disk database (`.h3wdb`) on about
 //! 1 Mres of Swissprot-shaped (long) and of Env_nr-shaped (short)
 //! sequences: `DiskDb::from_bytes` (validate and keep the packed image),
-//! `to_seqdb` (decode it into a `SeqDb`), `DiskDb::load` (read + validate,
-//! file in the page cache), `DiskDbWriter` push + finish, and the two bare
+//! `DiskDb::load` (read + validate, file in the page cache),
+//! `load_to_seqdb` (load, then decode into a `SeqDb`, the path `hmmsearch`
+//! takes on a `.h3wdb`), `DiskDbWriter` push + finish, and the two bare
 //! checksums the format is sealed with, over the same file bytes. The
 //! `residues` groups print Melem/s = Mres/s, the `bytes` groups MB/s of
 //! file. The CI smoke run (`cargo test -p h3w-seqdb --bench diskdb`)
@@ -19,7 +20,6 @@ fn bench_shape(c: &mut Criterion, shape: &str, base: DbGenSpec) {
     spec.homolog_fraction = 0.0;
     let db = generate(&spec, None, 17);
     let bytes = DiskDb::to_bytes(&db);
-    let loaded = DiskDb::from_bytes(&bytes).expect("own image loads");
     let dir = std::env::temp_dir().join(format!("h3w-bench-diskdb-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join(format!("{shape}.h3wdb"));
@@ -30,9 +30,11 @@ fn bench_shape(c: &mut Criterion, shape: &str, base: DbGenSpec) {
     g.bench_function("from_bytes", |b| {
         b.iter(|| DiskDb::from_bytes(black_box(&bytes)).expect("valid"))
     });
-    g.bench_function("to_seqdb", |b| b.iter(|| black_box(&loaded).to_seqdb()));
     g.bench_function("load", |b| {
         b.iter(|| DiskDb::load(black_box(&path)).expect("valid"))
+    });
+    g.bench_function("load_to_seqdb", |b| {
+        b.iter(|| DiskDb::load(black_box(&path)).expect("valid").to_seqdb())
     });
     g.bench_function("writer", |b| {
         let out = dir.join(format!("{shape}.written.h3wdb"));

@@ -50,11 +50,11 @@
 //! ([`DiskDb::write`]), so a crash mid-write never leaves a torn file at
 //! the target path.
 
-use crate::pack::{
-    packed_words, unpack_slot, unpack_word, words_for, PackedDb, PackedView, RESIDUES_PER_WORD,
-};
+use crate::pack::{packed_words, unpack_slot, unpack_word, words_for, PackedDb, RESIDUES_PER_WORD};
 use crate::seq::{DigitalSeq, SeqDb};
+use crate::source::Chunker;
 use h3w_hmm::alphabet::{N_DEGENERATE, N_STANDARD, PAD_CODE};
+use std::convert::Infallible;
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -247,16 +247,28 @@ impl ContentHasher {
     }
 }
 
-/// A validated, loaded packed database: the device-ready word image plus
-/// the per-sequence headers needed to report hits. Read-only by
-/// construction — wrap it in an `Arc` to share across service workers.
+/// Words in one block of a loaded database (256 KiB). Whole sequences up
+/// to this many words share a block; only a sequence longer than that
+/// gets a larger block, alone (the chunk boundary rule of
+/// [`crate::source`], counted in words).
+const BLOCK_WORDS: usize = 1 << 16;
+
+/// Bytes before the first section payload: magic, version, section count,
+/// reserved field, content hash, and the five `(id, len, crc)` table rows.
+const TABLE_END: usize = 28 + 16 * 5;
+
+/// A validated, loaded packed database: the device-ready word image, in
+/// blocks of whole sequences, plus the per-sequence headers needed to
+/// report hits. Read-only by construction — wrap it in an `Arc` to share
+/// across service workers.
+///
+/// [`DiskDb::to_seqdb`] and [`DiskDb::shards`] consume it and free each
+/// block as soon as its sequences are decoded, so a decode never holds
+/// the whole word image beside the whole decoded database.
 #[derive(Debug, Clone)]
 pub struct DiskDb {
     /// Database label (`dbgen`'s spec name).
     pub name: String,
-    /// Packed words + offsets + lengths, exactly as [`PackedDb::from_db`]
-    /// would produce from the original database.
-    pub packed: PackedDb,
     /// Per-sequence `(name, desc)` headers, database order.
     pub headers: Vec<(String, String)>,
     /// Total real residues (from META, cross-checked against INDEX).
@@ -265,17 +277,25 @@ pub struct DiskDb {
     pub content_hash: u64,
     /// Power-of-two length histogram.
     pub bins: Vec<LengthBin>,
+    /// The packed words, laid out as [`PackedDb::from_db`] lays out the
+    /// original database, cut between sequences into blocks of at most
+    /// [`BLOCK_WORDS`] words (see its doc for the one exception).
+    blocks: Vec<Block>,
+}
+
+/// A run of whole sequences of a [`DiskDb`]; offsets count from the
+/// block's own first word.
+#[derive(Debug, Clone)]
+struct Block {
+    /// Index of the block's first sequence in the database.
+    first: usize,
+    packed: PackedDb,
 }
 
 impl DiskDb {
     /// Number of sequences.
     pub fn n_seqs(&self) -> usize {
         self.headers.len()
-    }
-
-    /// Zero-copy view of the packed words (what device stages consume).
-    pub fn view(&self) -> PackedView<'_> {
-        self.packed.view()
     }
 
     /// Serialize a database to the `.h3wdb` byte image.
@@ -287,6 +307,10 @@ impl DiskDb {
     /// record. [`DiskDb::write`] and [`DiskDbWriter::push`] report the
     /// same condition as an error.
     pub fn to_bytes(db: &SeqDb) -> Vec<u8> {
+        // The documented panic above: this is the in-memory form for a
+        // caller's own database (tests, benches). Every path that writes a
+        // database from outside input (`write`, `DiskDbWriter`, `dbgen`)
+        // returns the error instead.
         DiskDb::try_to_bytes(db).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -359,18 +383,68 @@ impl DiskDb {
     /// truncation, bit flips, version skew, inconsistent indices — is a
     /// typed [`DbFormatError`]; this function never panics on any input.
     ///
-    /// The structure (header, section table, META, NAMES, INDEX, tiling,
-    /// LENBINS) is read first, with bounds checks and no hashing; then
-    /// one walk over WORDS advances the whole-file hash, the section CRC,
-    /// the residue decode with its code and pad checks, and the content
-    /// hash together, because each of those alone is a byte-serial
-    /// dependency chain that leaves the core idle. A damaged file is
-    /// still judged in the order a trusting reader would meet the damage
-    /// (magic, version, file hash, layout, section CRCs in table order,
-    /// then structure, residues, content hash), so whatever the structure
-    /// pass found is held back until the checksums above it have passed.
+    /// This is [`DiskDb::load`]'s parser run over a slice: one streaming
+    /// pass, front to back, that holds no more of the input than the
+    /// section it is in. The header and section table are read first and
+    /// checked against the input's length before anything is allocated
+    /// for a section. META, NAMES and INDEX are read and cross-checked
+    /// (counts, tiling, totals) with no hashing beyond their own. WORDS
+    /// then streams through one reused buffer into blocks of whole
+    /// sequences, and each block is walked once: the whole-file hash, the
+    /// section CRC, the residue decode with its code and pad checks, and
+    /// the content hash advance together, because each of those alone is
+    /// a byte-serial dependency chain that leaves the core idle. When the
+    /// structure before WORDS is unsound there is nothing to decode, and
+    /// the rest of the file is only hashed.
+    ///
+    /// A damaged file is still judged in the order a trusting reader
+    /// would meet the damage (magic, version, file hash, layout, section
+    /// CRCs in table order, then structure, residues, content hash), so
+    /// whatever the pass found is held back until the checksums above it
+    /// have passed.
     pub fn from_bytes(bytes: &[u8]) -> Result<DiskDb, DbFormatError> {
-        let mut c = Cursor::new(bytes);
+        DiskDb::read_from(bytes, bytes.len(), Path::new(""))
+    }
+
+    /// Load and validate a `.h3wdb` file in one streaming pass (see
+    /// [`DiskDb::from_bytes`]): the file image is never held whole. A
+    /// file that ends before the size it had when opened is
+    /// [`DbFormatError::Truncated`]. A non-regular file (a pipe, say) has
+    /// no size up front, so it is read whole and parsed as a slice.
+    pub fn load(path: &Path) -> Result<DiskDb, DbFormatError> {
+        let io = |e: std::io::Error| DbFormatError::Io {
+            path: path.display().to_string(),
+            msg: e.to_string(),
+        };
+        let mut file = std::fs::File::open(path).map_err(io)?;
+        let meta = file.metadata().map_err(io)?;
+        if !meta.is_file() {
+            let mut bytes = Vec::new();
+            file.read_to_end(&mut bytes).map_err(io)?;
+            return DiskDb::from_bytes(&bytes);
+        }
+        let total = usize::try_from(meta.len()).map_err(|_| DbFormatError::Io {
+            path: path.display().to_string(),
+            msg: format!(
+                "{} bytes do not fit this platform's address space",
+                meta.len()
+            ),
+        })?;
+        DiskDb::read_from(file, total, path)
+    }
+
+    /// The one loader body behind [`DiskDb::from_bytes`] and
+    /// [`DiskDb::load`]: parse the `total` bytes `r` yields.
+    fn read_from(r: impl Read, total: usize, path: &Path) -> Result<DiskDb, DbFormatError> {
+        let mut input = Input {
+            r,
+            path,
+            total,
+            pos: 0,
+        };
+        let mut head = vec![0; total.min(12)];
+        input.fill(&mut head)?;
+        let mut c = Cursor::new(&head);
         if c.take(8)? != DISKDB_MAGIC {
             return Err(DbFormatError::BadMagic);
         }
@@ -378,63 +452,70 @@ impl DiskDb {
         if version != DISKDB_VERSION {
             return Err(DbFormatError::Version { found: version });
         }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let expected = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-        let file_verdict = |found: u64| {
-            if found == expected {
-                Ok(())
-            } else {
-                Err(DbFormatError::FileHash { expected, found })
-            }
-        };
+        // Twelve bytes in, so the body (all but the 8-byte trailer) holds
+        // at least four. Read on through the section table; only a body
+        // shorter than twelve bytes leaves trailer bytes in `head`.
+        let body_len = total - 8;
+        head.resize(body_len.clamp(12, TABLE_END).min(total), 0);
+        input.fill(&mut head[12..])?;
+        let (body_head, trailer_head) = head.split_at(body_len.min(head.len()));
+        let mut file = Fnv::new();
+        file.update(body_head);
 
-        let table = match SectionTable::parse(body) {
+        let table = match SectionTable::parse(body_head, body_len) {
             Ok(table) => table,
             Err(layout) => {
-                file_verdict(fnv1a(body))?;
+                input.skip(body_len - body_head.len(), |b| file.update(b))?;
+                input.trailer_verdict(trailer_head, &file)?;
                 return Err(layout);
             }
         };
-        let words_section = table.sections[WORDS];
-        let structure = Structure::parse(&table.sections);
-
-        // One pass over every byte of the body. When the structure is
-        // sound the WORDS payload goes through `walk_words`; otherwise
-        // there is no tiling to walk and only the checksums are wanted.
-        let mut file = Fnv::new();
+        let [meta_len, names_len, index_len, words_len, lenbins_len] = table.lens;
+        let meta = input.section(meta_len, &mut file)?;
+        let names = input.section(names_len, &mut file)?;
+        let index = input.section(index_len, &mut file)?;
+        let count = input.section(words_len.min(4), &mut file)?;
+        let mut crcs = [crc32(&meta), crc32(&names), crc32(&index), 0, 0];
         let mut words_crc = Crc32::new();
-        let content = match &structure {
+        words_crc.update(&count);
+        let structure = Structure::parse(&meta, &names, &index, &count, words_len);
+        drop((meta, names, index));
+
+        // The rest of WORDS: decoded into blocks when the structure is
+        // sound, otherwise there is no tiling to walk and only the
+        // checksums are wanted.
+        let walked = match structure {
             Ok(s) => {
-                let (count, after) = (table.words_at + 4, table.words_at + words_section.len());
-                file.update(&body[..count]);
-                words_crc.update(&words_section[..4]);
-                let content = s.walk_words(&mut file, &mut words_crc);
-                file.update(&body[after..]);
-                Some(content)
+                let (blocks, residues) = s.read_blocks(&mut input, &mut file, &mut words_crc)?;
+                Ok((s, blocks, residues))
             }
-            Err(_) => {
-                file.update(body);
-                words_crc.update(words_section);
-                None
+            Err(e) => {
+                input.skip(words_len - count.len(), |b| {
+                    file.update(b);
+                    words_crc.update(b);
+                })?;
+                Err(e)
             }
         };
+        crcs[WORDS] = words_crc.finish();
+        let lenbins = input.section(lenbins_len, &mut file)?;
+        crcs[WORDS + 1] = crc32(&lenbins);
+        input.trailer_verdict(&[], &file)?;
 
-        file_verdict(file.finish())?;
-        for (i, (section, &crc)) in table.sections.iter().zip(&table.crcs).enumerate() {
-            let found = match i {
-                WORDS => words_crc.finish(),
-                _ => crc32(section),
-            };
+        for (i, (&found, &crc)) in crcs.iter().zip(&table.crcs).enumerate() {
             if found != crc {
                 return Err(DbFormatError::SectionCrc {
                     section: SECTION_NAMES[i],
                 });
             }
         }
-        let s = structure?;
+        let (s, blocks, residues) = walked?;
+        // LENBINS follows WORDS in the file, so its check is the last of
+        // the structure's, but it still outranks the residues.
+        let bins = parse_bins(&lenbins, s.headers.len())?;
         // Recomputed from the decode, not trusted: this ties the header's
         // logical hash to the payload.
-        let recomputed = content.expect("a parsed structure had its words walked")?;
+        let recomputed = residues?;
         let logical_hash = table.content_hash;
         if recomputed != logical_hash {
             return Err(DbFormatError::Corrupt(format!(
@@ -443,103 +524,197 @@ impl DiskDb {
         }
         Ok(DiskDb {
             name: s.db_name,
-            packed: PackedDb {
-                words: s.words,
-                offsets: s.offsets,
-                lengths: s.lengths,
-            },
             headers: s.headers,
             total_residues: s.total_residues,
             content_hash: logical_hash,
-            bins: s.bins,
+            bins,
+            blocks,
         })
     }
 
-    /// Load and validate a `.h3wdb` file.
-    pub fn load(path: &Path) -> Result<DiskDb, DbFormatError> {
-        let bytes = std::fs::read(path).map_err(|e| DbFormatError::Io {
-            path: path.display().to_string(),
-            msg: e.to_string(),
-        })?;
-        DiskDb::from_bytes(&bytes)
+    /// Unpack into an in-memory [`SeqDb`], freeing each block of packed
+    /// words as soon as its sequences are decoded; headers are moved, not
+    /// copied. Round-trips exactly:
+    /// `DiskDb::from_bytes(&DiskDb::to_bytes(&db))?.to_seqdb() == db`.
+    pub fn to_seqdb(self) -> SeqDb {
+        let mut seqs = Vec::with_capacity(self.n_seqs());
+        let DiskDb {
+            name,
+            headers,
+            blocks,
+            ..
+        } = self;
+        seqs.extend(DiskDb::into_seqs(headers, blocks));
+        SeqDb { name, seqs }
     }
 
-    /// Unpack back into an in-memory [`SeqDb`]. Round-trips exactly:
-    /// `DiskDb::from_bytes(DiskDb::to_bytes(&db))?.to_seqdb() == db`.
-    pub fn to_seqdb(&self) -> SeqDb {
-        let view = self.packed.view();
-        let seqs = self
-            .headers
-            .iter()
-            .enumerate()
-            .map(|(i, (name, desc))| DigitalSeq {
-                name: name.clone(),
-                desc: desc.clone(),
-                residues: view.unpack_seq(i),
-            })
-            .collect();
-        SeqDb {
-            name: self.name.clone(),
-            seqs,
-        }
+    /// Every sequence in database order, decoded block by block; each
+    /// block is dropped once its last sequence is out.
+    fn into_seqs(
+        headers: Vec<(String, String)>,
+        blocks: Vec<Block>,
+    ) -> impl Iterator<Item = DigitalSeq> {
+        let mut headers = headers.into_iter();
+        blocks.into_iter().flat_map(move |block| {
+            let seqs: Vec<DigitalSeq> = headers
+                .by_ref()
+                .take(block.packed.n_seqs())
+                .enumerate()
+                .map(|(i, (name, desc))| DigitalSeq {
+                    name,
+                    desc,
+                    residues: block.packed.unpack_seq(i),
+                })
+                .collect();
+            seqs
+        })
+    }
+
+    /// Every sequence in database order, decoded one at a time from the
+    /// blocks, which stay packed.
+    pub(crate) fn seqs(&self) -> impl Iterator<Item = DigitalSeq> + '_ {
+        self.blocks.iter().flat_map(move |block| {
+            let view = block.packed.view();
+            let headers = &self.headers[block.first..block.first + view.n_seqs()];
+            headers
+                .iter()
+                .enumerate()
+                .map(move |(i, (name, desc))| DigitalSeq {
+                    name: name.clone(),
+                    desc: desc.clone(),
+                    residues: view.unpack_seq(i),
+                })
+        })
     }
 
     /// Decode one sequence (header + unpacked residues) by index.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is not below [`DiskDb::n_seqs`].
     pub fn seq(&self, i: usize) -> DigitalSeq {
         let (name, desc) = &self.headers[i];
+        // Block 0 starts at sequence 0 and `i` is in range, so the
+        // partition point is at least 1.
+        let block = &self.blocks[self.blocks.partition_point(|b| b.first <= i) - 1];
         DigitalSeq {
             name: name.clone(),
             desc: desc.clone(),
-            residues: self.packed.view().unpack_seq(i),
+            residues: block.packed.unpack_seq(i - block.first),
         }
     }
 
     /// Split into read-only shards of at most `max_residues` residues
-    /// each (whole sequences; only a single sequence longer than the cap
-    /// may form an oversized shard, alone). Shard boundaries are where a
-    /// resident service checks query deadlines, so the bound also caps
-    /// deadline latency.
-    pub fn shards(&self, max_residues: u64) -> Vec<SeqDb> {
-        assert!(max_residues > 0);
-        let mut shards = Vec::new();
-        let mut cur = SeqDb::new(self.name.clone());
-        let mut cur_residues = 0u64;
-        for i in 0..self.n_seqs() {
-            let len = self.packed.lengths[i] as u64;
-            // Close the running shard *before* a sequence that would push
-            // it past the cap — never after, which used to let every
-            // shard overshoot by up to one sequence.
-            if !cur.seqs.is_empty() && cur_residues + len > max_residues {
-                shards.push(std::mem::replace(&mut cur, SeqDb::new(self.name.clone())));
-                cur_residues = 0;
+    /// each, under the chunk boundary rule of [`crate::source`] (whole
+    /// sequences; only a single sequence longer than the cap may form an
+    /// oversized shard, alone). Consumes the database and frees its packed
+    /// words block by block. Shard boundaries are where a resident service
+    /// checks query deadlines, so the bound also caps deadline latency.
+    ///
+    /// # Panics
+    ///
+    /// If `max_residues` is zero.
+    pub fn shards(self, max_residues: u64) -> Vec<SeqDb> {
+        let seqs = DiskDb::into_seqs(self.headers, self.blocks).map(Ok::<_, Infallible>);
+        Chunker::new(&self.name, seqs, max_residues)
+            .flatten()
+            .collect()
+    }
+}
+
+/// The bytes of a `.h3wdb` as the loader meets them: `total` of them,
+/// known up front (a slice's length, a file's size), read once, in order.
+struct Input<'p, R> {
+    r: R,
+    /// Named in I/O errors.
+    path: &'p Path,
+    total: usize,
+    /// Bytes read so far.
+    pos: usize,
+}
+
+impl<R: Read> Input<'_, R> {
+    /// Fill `buf` from the next bytes. Input that ends before `total`
+    /// (a file cut short while it is read) is a truncation, whatever the
+    /// parse has seen so far.
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), DbFormatError> {
+        let mut got = 0;
+        while got < buf.len() {
+            match self.r.read(&mut buf[got..]) {
+                Ok(0) => {
+                    return Err(DbFormatError::Truncated {
+                        needed: self.total,
+                        have: self.pos + got,
+                    })
+                }
+                Ok(n) => got += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    return Err(DbFormatError::Io {
+                        path: self.path.display().to_string(),
+                        msg: e.to_string(),
+                    })
+                }
             }
-            cur.seqs.push(self.seq(i));
-            cur_residues += len;
         }
-        if !cur.seqs.is_empty() {
-            shards.push(cur);
+        self.pos += got;
+        Ok(())
+    }
+
+    /// The next `len` bytes, a section payload, absorbed into the file
+    /// hash. `len` passed the section table's check against `total`.
+    fn section(&mut self, len: usize, file: &mut Fnv) -> Result<Vec<u8>, DbFormatError> {
+        let mut payload = vec![0; len];
+        self.fill(&mut payload)?;
+        file.update(&payload);
+        Ok(payload)
+    }
+
+    /// Pass the next `len` bytes through `f` in pieces of at most one
+    /// block, keeping none of them.
+    fn skip(&mut self, mut len: usize, mut f: impl FnMut(&[u8])) -> Result<(), DbFormatError> {
+        let mut buf = vec![0; len.min(4 * BLOCK_WORDS)];
+        while len > 0 {
+            let piece = &mut buf[..len.min(4 * BLOCK_WORDS)];
+            self.fill(piece)?;
+            f(piece);
+            len -= piece.len();
         }
-        shards
+        Ok(())
+    }
+
+    /// Read the rest of the 8-byte trailer (`head` is what of it was
+    /// already read) and check the whole-file hash against it.
+    fn trailer_verdict(&mut self, head: &[u8], file: &Fnv) -> Result<(), DbFormatError> {
+        let mut trailer = [0; 8];
+        let (got, rest) = trailer.split_at_mut(head.len());
+        got.copy_from_slice(head);
+        self.fill(rest)?;
+        let (expected, found) = (u64::from_le_bytes(trailer), file.finish());
+        if expected != found {
+            return Err(DbFormatError::FileHash { expected, found });
+        }
+        Ok(())
     }
 }
 
 /// The fixed header and section table of a file, read without hashing:
-/// where each section's payload lies and the checksum it must match.
-struct SectionTable<'a> {
+/// each section's length and the checksum it must match.
+struct SectionTable {
     /// Logical content hash recorded in the header.
     content_hash: u64,
-    /// Payload of each section, table order.
-    sections: [&'a [u8]; 5],
+    /// Payload length of each section, table order.
+    lens: [usize; 5],
     /// CRC-32 the table records for each section.
     crcs: [u32; 5],
-    /// Offset of the WORDS payload within the body.
-    words_at: usize,
 }
 
-impl<'a> SectionTable<'a> {
-    /// `body` is the file without its 8-byte trailer.
-    fn parse(body: &'a [u8]) -> Result<SectionTable<'a>, DbFormatError> {
-        let mut c = Cursor::new(body);
+impl SectionTable {
+    /// `head` is the start of the body (the file without its 8-byte
+    /// trailer), through the table or to the end of a shorter body;
+    /// `body_len` is the whole body's length.
+    fn parse(head: &[u8], body_len: usize) -> Result<SectionTable, DbFormatError> {
+        let mut c = Cursor::new(head);
         c.take(8)?; // magic, checked by the caller
         c.u32()?; // version, likewise
         let n_sections = c.u32()? as usize;
@@ -568,60 +743,57 @@ impl<'a> SectionTable<'a> {
             }
             let len = c.u64()?;
             crcs[i] = c.u32()?;
-            if len > body.len() as u64 {
+            if len > body_len as u64 {
                 return Err(DbFormatError::Layout(format!(
                     "section {} claims {len} bytes in a {}-byte file",
                     SECTION_NAMES[i],
-                    body.len() + 8
+                    body_len + 8
                 )));
             }
             lens[i] = len as usize;
         }
         let payload_total: usize = lens.iter().sum();
-        let have = body.len() - c.pos;
+        let have = body_len - c.pos;
         if have != payload_total {
             return Err(DbFormatError::Layout(format!(
                 "section table claims {payload_total} payload bytes, file holds {have}"
             )));
         }
-        let words_at = c.pos + lens[..WORDS].iter().sum::<usize>();
-        let mut sections = [&body[..0]; 5];
-        for (section, &len) in sections.iter_mut().zip(&lens) {
-            *section = c.take(len)?;
-        }
         Ok(SectionTable {
             content_hash,
-            sections,
+            lens,
             crcs,
-            words_at,
         })
     }
 }
 
-/// Everything a file says about its database apart from the checksums:
-/// parsed and cross-checked (counts, tiling, totals), residue codes not
-/// yet looked at, nothing yet verified against a hash.
+/// Everything a file says about its database before WORDS apart from the
+/// checksums: parsed and cross-checked (counts, tiling, totals), nothing
+/// yet verified against a hash.
 struct Structure {
     db_name: String,
     headers: Vec<(String, String)>,
     lengths: Vec<u32>,
-    offsets: Vec<u32>,
-    words: Vec<u32>,
     total_residues: u64,
-    bins: Vec<LengthBin>,
 }
 
 impl Structure {
-    fn parse(sections: &[&[u8]; 5]) -> Result<Structure, DbFormatError> {
-        let [meta, names, index, words, lenbins] = *sections;
-
+    /// `count` is the head of WORDS (its word count, or what there is of
+    /// it) and `words_len` the length the table gives the section.
+    fn parse(
+        meta: &[u8],
+        names: &[u8],
+        index: &[u8],
+        count: &[u8],
+        words_len: usize,
+    ) -> Result<Structure, DbFormatError> {
         let mut m = Cursor::new(meta);
         let db_name = m.str16()?;
         let n_seqs = m.u32()? as usize;
         let total_residues = m.u64()?;
         m.end("META")?;
 
-        // `n_seqs` sizes three allocations below, and a checksum is no
+        // `n_seqs` sizes two allocations below, and a checksum is no
         // proof of origin: hold it to what the sections can contain (8
         // INDEX bytes and at least two NAMES length prefixes a sequence).
         if index.len() as u64 != 8 * n_seqs as u64 {
@@ -647,29 +819,22 @@ impl Structure {
         }
         n.end("NAMES")?;
 
-        let le32 = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4 bytes"));
-        let mut lengths = Vec::with_capacity(n_seqs);
-        let mut offsets = Vec::with_capacity(n_seqs);
-        for row in index.chunks_exact(8) {
-            lengths.push(le32(&row[..4]));
-            offsets.push(le32(&row[4..]));
-        }
-
-        let mut w = Cursor::new(words);
-        let n_words = w.u32()? as usize;
-        if words.len() as u64 != 4 + 4 * n_words as u64 {
+        let n_words = Cursor::new(count).u32()? as usize;
+        if words_len as u64 != 4 + 4 * n_words as u64 {
             return Err(DbFormatError::Corrupt(format!(
-                "WORDS claims {n_words} words but section holds {} bytes",
-                words.len()
+                "WORDS claims {n_words} words but section holds {words_len} bytes"
             )));
         }
-        let words: Vec<u32> = words[4..].chunks_exact(4).map(le32).collect();
 
         // Cross-checks: offsets/lengths must tile the word buffer exactly
-        // in database order, and the residue total must match META.
+        // in database order, and the residue total must match META. INDEX
+        // holds exactly `n_seqs` rows (checked above).
+        let mut rows = Cursor::new(index);
+        let mut lengths = Vec::with_capacity(n_seqs);
         let mut expect_off = 0u64;
         let mut residue_total = 0u64;
-        for (i, (&len, &off)) in lengths.iter().zip(&offsets).enumerate() {
+        for i in 0..n_seqs {
+            let (len, off) = (rows.u32()?, rows.u32()?);
             if off as u64 != expect_off {
                 return Err(DbFormatError::Corrupt(format!(
                     "sequence {i} at word offset {off}, expected {expect_off}"
@@ -677,11 +842,11 @@ impl Structure {
             }
             expect_off += words_for(len as usize) as u64;
             residue_total += len as u64;
+            lengths.push(len);
         }
-        if expect_off != words.len() as u64 {
+        if expect_off != n_words as u64 {
             return Err(DbFormatError::Corrupt(format!(
-                "index tiles {expect_off} words, WORDS holds {}",
-                words.len()
+                "index tiles {expect_off} words, WORDS holds {n_words}"
             )));
         }
         if residue_total != total_residues {
@@ -689,87 +854,142 @@ impl Structure {
                 "META says {total_residues} residues, index sums to {residue_total}"
             )));
         }
-
-        let mut lb = Cursor::new(lenbins);
-        let n_bins = lb.u32()? as usize;
-        let mut bins = Vec::with_capacity(n_bins.min(64));
-        for _ in 0..n_bins {
-            bins.push(LengthBin {
-                min_len: lb.u32()?,
-                max_len: lb.u32()?,
-                count: lb.u32()?,
-            });
-        }
-        lb.end("LENBINS")?;
-        let bin_total: u64 = bins.iter().map(|b| b.count as u64).sum();
-        if bin_total != n_seqs as u64 {
-            return Err(DbFormatError::Corrupt(format!(
-                "length bins cover {bin_total} sequences of {n_seqs}"
-            )));
-        }
-
         Ok(Structure {
             db_name,
             headers,
             lengths,
-            offsets,
-            words,
             total_residues,
-            bins,
         })
     }
 
-    /// Walk WORDS once, sequence by sequence and word by word, advancing
-    /// the file hash and the section CRC over each word's bytes and the
-    /// content hash over its decoded residues, so the three serial chains
-    /// overlap. Returns the recomputed content hash, or the first slot
-    /// (sequence order; real residues before pads) that holds a code no
-    /// score table was built for: a real slot outside the alphabet or a
-    /// pad slot that is not `PAD_CODE`. `file` and `crc` are advanced over
-    /// every word either way.
-    fn walk_words(&self, file: &mut Fnv, crc: &mut Crc32) -> Result<u64, DbFormatError> {
+    /// Read the words after WORDS' count into blocks of whole sequences
+    /// (the tiling check sized each one), through one reused byte buffer,
+    /// and walk each block once, sequence by sequence and word by word:
+    /// the file hash and the section CRC advance over each word's bytes
+    /// and the content hash over its decoded residues, so the three serial
+    /// chains overlap. Beside the blocks, returns the recomputed content
+    /// hash, or the first slot (sequence order; real residues before pads)
+    /// that holds a code no score table was built for: a real slot outside
+    /// the alphabet or a pad slot that is not `PAD_CODE`.
+    fn read_blocks<R: Read>(
+        &self,
+        input: &mut Input<'_, R>,
+        file: &mut Fnv,
+        crc: &mut Crc32,
+    ) -> Result<(Vec<Block>, Result<u64, DbFormatError>), DbFormatError> {
         let mut content = ContentHasher::new(&self.db_name);
         let mut finding = None;
-        let mut rest = &self.words[..];
-        for (seqid, ((name, desc), &len)) in self.headers.iter().zip(&self.lengths).enumerate() {
-            let len = len as usize;
-            // In range: the tiling check put every sequence inside `words`.
-            let (seq, after) = rest.split_at(words_for(len));
-            rest = after;
-            content.push_header(name, desc);
-            let (full, last) = seq.split_at(len / RESIDUES_PER_WORD);
-            let (mut f, mut c, mut h) = (file.0, crc.0, content.h.0);
-            let mut suspect = false;
-            for &w in full {
-                f = fnv_word(f, w);
-                c = crc_word(c, w);
-                for r in unpack_word(w) {
-                    suspect |= r >= MAX_RESIDUE_CODE;
-                    h = fnv_step(h, r);
+        let mut blocks = Vec::new();
+        let mut bytes = Vec::new();
+        let mut first = 0;
+        while first < self.lengths.len() {
+            let end = block_end(&self.lengths, first);
+            let lengths = self.lengths[first..end].to_vec();
+            let n_words = lengths
+                .iter()
+                .map(|&len| words_for(len as usize))
+                .sum::<usize>();
+            bytes.resize(4 * n_words, 0);
+            input.fill(&mut bytes)?;
+            let words: Vec<u32> = bytes
+                .as_chunks()
+                .0
+                .iter()
+                .map(|&b| u32::from_le_bytes(b))
+                .collect();
+
+            let mut offsets = Vec::with_capacity(lengths.len());
+            let mut rest = &words[..];
+            let headers = &self.headers[first..end];
+            for (k, ((name, desc), &len)) in headers.iter().zip(&lengths).enumerate() {
+                offsets.push((words.len() - rest.len()) as u32);
+                let len = len as usize;
+                // In range: the block was sized from these lengths.
+                let (seq, after) = rest.split_at(words_for(len));
+                rest = after;
+                content.push_header(name, desc);
+                let (full, last) = seq.split_at(len / RESIDUES_PER_WORD);
+                let (mut f, mut c, mut h) = (file.0, crc.0, content.h.0);
+                let mut suspect = false;
+                for &w in full {
+                    f = fnv_word(f, w);
+                    c = crc_word(c, w);
+                    for r in unpack_word(w) {
+                        suspect |= r >= MAX_RESIDUE_CODE;
+                        h = fnv_step(h, r);
+                    }
+                }
+                // The partly padded word (wholly, for an empty sequence).
+                if let Some(&w) = last.first() {
+                    f = fnv_word(f, w);
+                    c = crc_word(c, w);
+                    let slots = unpack_word(w);
+                    let (real, pad) = slots.split_at(len % RESIDUES_PER_WORD);
+                    for &r in real {
+                        suspect |= r >= MAX_RESIDUE_CODE;
+                        h = fnv_step(h, r);
+                    }
+                    suspect |= pad.iter().any(|&r| r != PAD_CODE);
+                }
+                (file.0, crc.0, content.h.0) = (f, c, fnv_step(h, SEQ_END));
+                if suspect && finding.is_none() {
+                    finding = bad_slot(first + k, seq, len);
                 }
             }
-            // The partly padded word (wholly, for an empty sequence).
-            if let Some(&w) = last.first() {
-                f = fnv_word(f, w);
-                c = crc_word(c, w);
-                let slots = unpack_word(w);
-                let (real, pad) = slots.split_at(len % RESIDUES_PER_WORD);
-                for &r in real {
-                    suspect |= r >= MAX_RESIDUE_CODE;
-                    h = fnv_step(h, r);
-                }
-                suspect |= pad.iter().any(|&r| r != PAD_CODE);
-            }
-            (file.0, crc.0, content.h.0) = (f, c, fnv_step(h, SEQ_END));
-            if suspect && finding.is_none() {
-                finding = bad_slot(seqid, seq, len);
-            }
+            blocks.push(Block {
+                first,
+                packed: PackedDb {
+                    words,
+                    offsets,
+                    lengths,
+                },
+            });
+            first = end;
         }
-        match finding {
+        let residues = match finding {
             Some(e) => Err(e),
             None => Ok(content.finish()),
-        }
+        };
+        Ok((blocks, residues))
     }
+}
+
+/// The end of the block that starts at sequence `first`: whole sequences
+/// while they fit in [`BLOCK_WORDS`] words, and always at least one.
+fn block_end(lengths: &[u32], first: usize) -> usize {
+    let mut words = 0;
+    let mut end = first;
+    for &len in &lengths[first..] {
+        let seq_words = words_for(len as usize);
+        if end > first && words + seq_words > BLOCK_WORDS {
+            break;
+        }
+        words += seq_words;
+        end += 1;
+    }
+    end
+}
+
+/// The LENBINS payload, which must count `n_seqs` sequences in all.
+fn parse_bins(lenbins: &[u8], n_seqs: usize) -> Result<Vec<LengthBin>, DbFormatError> {
+    let mut lb = Cursor::new(lenbins);
+    let n_bins = lb.u32()? as usize;
+    let mut bins = Vec::with_capacity(n_bins.min(64));
+    for _ in 0..n_bins {
+        bins.push(LengthBin {
+            min_len: lb.u32()?,
+            max_len: lb.u32()?,
+            count: lb.u32()?,
+        });
+    }
+    lb.end("LENBINS")?;
+    let bin_total: u64 = bins.iter().map(|b| b.count as u64).sum();
+    if bin_total != n_seqs as u64 {
+        return Err(DbFormatError::Corrupt(format!(
+            "length bins cover {bin_total} sequences of {n_seqs}"
+        )));
+    }
+    Ok(bins)
 }
 
 /// The first offending slot of one sequence's words, as the diagnostic:
@@ -1148,16 +1368,28 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes, by value.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], DbFormatError> {
+        let at = self.pos;
+        self.take(N)?
+            .first_chunk()
+            .copied()
+            .ok_or(DbFormatError::Truncated {
+                needed: at + N,
+                have: self.bytes.len(),
+            })
+    }
+
     fn u16(&mut self) -> Result<u16, DbFormatError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
+        Ok(u16::from_le_bytes(self.take_array()?))
     }
 
     fn u32(&mut self) -> Result<u32, DbFormatError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     fn u64(&mut self) -> Result<u64, DbFormatError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     fn str16(&mut self) -> Result<String, DbFormatError> {
@@ -1377,6 +1609,7 @@ mod differential;
 mod tests {
     use super::*;
     use crate::gen::{generate, DbGenSpec};
+    use crate::source::SeqSource;
 
     fn sample_db() -> SeqDb {
         let mut spec = DbGenSpec::swissprot_like().scaled(2e-4);
@@ -1387,6 +1620,19 @@ mod tests {
     /// Offset of the section table in a file: magic + version +
     /// n_sections + reserved + content hash.
     pub(super) const TABLE_AT: usize = 28;
+
+    /// The blocks of a loaded database joined back into one word image:
+    /// `(words, offsets, lengths)` as [`PackedDb::from_db`] lays them out.
+    pub(super) fn flat_image(db: &DiskDb) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        let (mut words, mut offsets, mut lengths) = (Vec::new(), Vec::new(), Vec::new());
+        for block in &db.blocks {
+            let base = words.len() as u32;
+            words.extend(&block.packed.words);
+            offsets.extend(block.packed.offsets.iter().map(|&off| base + off));
+            lengths.extend(&block.packed.lengths);
+        }
+        (words, offsets, lengths)
+    }
 
     /// Where section `i`'s payload lies, going by the file's own table;
     /// `None` when the table does not fit the file.
@@ -1524,13 +1770,147 @@ mod tests {
         assert_eq!(loaded.n_seqs(), db.len());
         assert_eq!(loaded.total_residues, db.total_residues());
         assert_eq!(loaded.content_hash, content_hash(&db));
-        let back = loaded.to_seqdb();
-        assert_eq!(back.seqs, db.seqs);
         // The packed image matches a direct in-memory packing.
         let direct = PackedDb::from_db(&db);
-        assert_eq!(loaded.packed.words, direct.words);
-        assert_eq!(loaded.packed.offsets, direct.offsets);
-        assert_eq!(loaded.packed.lengths, direct.lengths);
+        let (words, offsets, lengths) = flat_image(&loaded);
+        assert_eq!(words, direct.words);
+        assert_eq!(offsets, direct.offsets);
+        assert_eq!(lengths, direct.lengths);
+        let back = loaded.to_seqdb();
+        assert_eq!(back.seqs, db.seqs);
+    }
+
+    /// A database of the given lengths; residue codes cover the alphabet.
+    fn db_of_lengths(lengths: &[usize]) -> SeqDb {
+        let mut db = SeqDb::new("blocks");
+        for (i, &len) in lengths.iter().enumerate() {
+            db.seqs.push(DigitalSeq {
+                name: format!("s{i}"),
+                desc: if i % 2 == 0 {
+                    format!("d{i}")
+                } else {
+                    String::new()
+                },
+                residues: (0..len).map(|j| ((i * 5 + j * 3) % 26) as u8).collect(),
+            });
+        }
+        db
+    }
+
+    /// Blocks tile the database in order, hold whole sequences, and are
+    /// full: each stays within `BLOCK_WORDS` unless it is one oversized
+    /// sequence alone, and would overflow with the next sequence.
+    fn check_blocks(loaded: &DiskDb) {
+        let mut next = 0;
+        for (k, block) in loaded.blocks.iter().enumerate() {
+            let p = &block.packed;
+            assert_eq!(block.first, next, "block {k} starts out of order");
+            assert!(p.n_seqs() > 0, "block {k} is empty");
+            let mut off = 0u32;
+            for (&o, &len) in p.offsets.iter().zip(&p.lengths) {
+                assert_eq!(o, off, "block {k} does not tile its words");
+                off += words_for(len as usize) as u32;
+            }
+            assert_eq!(
+                off as usize,
+                p.words.len(),
+                "block {k} holds a partial sequence"
+            );
+            assert!(
+                p.words.len() <= BLOCK_WORDS || p.n_seqs() == 1,
+                "block {k}: {} words in {} sequences",
+                p.words.len(),
+                p.n_seqs()
+            );
+            if let Some(after) = loaded.blocks.get(k + 1) {
+                let next_words = words_for(after.packed.lengths[0] as usize);
+                assert!(
+                    p.words.len() + next_words > BLOCK_WORDS,
+                    "block {k} closed early"
+                );
+            }
+            next += p.n_seqs();
+        }
+        assert_eq!(next, loaded.n_seqs());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn blocks_tile_the_database_and_every_decode_equals_it(
+            shapes in proptest::collection::vec((0usize..40_000, 0u8..32), 0..40),
+        ) {
+            // Kind 0: longer than a block; 1-3: empty; else as drawn.
+            let lengths: Vec<usize> = shapes
+                .iter()
+                .map(|&(len, kind)| match kind {
+                    0 => RESIDUES_PER_WORD * BLOCK_WORDS + len % 13,
+                    1..=3 => 0,
+                    _ => len,
+                })
+                .collect();
+            let db = db_of_lengths(&lengths);
+            let loaded = DiskDb::from_bytes(&DiskDb::to_bytes(&db)).unwrap();
+            check_blocks(&loaded);
+            for (i, s) in db.seqs.iter().enumerate() {
+                proptest::prop_assert_eq!(&loaded.seq(i), s);
+            }
+            let cap = 50_000;
+            let chunks: Vec<SeqDb> = loaded.chunks(cap).collect::<Result<_, _>>().unwrap();
+            let shards = loaded.clone().shards(cap);
+            for parts in [&chunks, &shards] {
+                for part in parts.iter() {
+                    proptest::prop_assert!(part.total_residues() <= cap || part.len() == 1);
+                }
+                let joined: Vec<DigitalSeq> = parts.iter().flat_map(|p| p.seqs.clone()).collect();
+                proptest::prop_assert_eq!(&joined, &db.seqs);
+            }
+            proptest::prop_assert_eq!(loaded.to_seqdb().seqs, db.seqs);
+        }
+    }
+
+    #[test]
+    fn a_block_holds_exactly_block_words_and_the_next_sequence_starts_another() {
+        let fill = RESIDUES_PER_WORD * (BLOCK_WORDS - 1);
+        let db = db_of_lengths(&[
+            fill,
+            RESIDUES_PER_WORD,
+            0,
+            RESIDUES_PER_WORD * BLOCK_WORDS + 1,
+        ]);
+        let loaded = DiskDb::from_bytes(&DiskDb::to_bytes(&db)).unwrap();
+        check_blocks(&loaded);
+        let sizes: Vec<usize> = loaded.blocks.iter().map(|b| b.packed.words.len()).collect();
+        assert_eq!(sizes, [BLOCK_WORDS, 1, BLOCK_WORDS + 1]);
+        assert_eq!(loaded.to_seqdb().seqs, db.seqs);
+    }
+
+    #[test]
+    fn input_that_ends_before_its_stated_length_is_truncated_never_short() {
+        // A file cut short while it is read (truncated under a resident
+        // server, say): the loader was promised `len` bytes and must
+        // refuse the rest, wherever the cut falls.
+        let mut db = sample_db();
+        db.seqs.truncate(12);
+        let bytes = DiskDb::to_bytes(&db);
+        for cut in 0..bytes.len() {
+            let outcome = DiskDb::read_from(&bytes[..cut], bytes.len(), Path::new("cut"));
+            assert_eq!(
+                outcome.map(|d| d.n_seqs()),
+                Err(DbFormatError::Truncated {
+                    needed: bytes.len(),
+                    have: cut
+                }),
+                "cut at {cut}"
+            );
+        }
+        // A file of the full length, but not this one: its own verdict.
+        let other = vec![0u8; bytes.len()];
+        assert_eq!(
+            DiskDb::read_from(&other[..], bytes.len(), Path::new("zeros")).map(|d| d.n_seqs()),
+            Err(DbFormatError::BadMagic)
+        );
     }
 
     #[test]

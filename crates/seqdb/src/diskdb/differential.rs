@@ -1,6 +1,8 @@
-//! Differential tests for the rebuilt loader: [`DiskDb::from_bytes`] must
-//! return the same whole `Result` (variant, fields, message, and every
-//! field of the loaded database) as the loader it replaced, which is kept
+//! Differential tests for the rebuilt loader: [`DiskDb::from_bytes`],
+//! [`DiskDb::load`] and the streaming parser behind both, fed a few bytes
+//! per read, must return the same whole `Result` (variant, fields,
+//! message, and every field of the loaded database, its blocks flattened
+//! back into one word image) as the loader they replaced, which is kept
 //! here verbatim as the oracle. The inputs are the corruption strategies
 //! of `tests/diskdb_corruption.rs` plus *re-sealed* files: one or two
 //! bytes edited and the checksums repaired, which is the only way past the
@@ -11,13 +13,15 @@
 //! that the INDEX and NAMES sections cannot hold is now refused before
 //! anything is allocated for it ([`is_count_guard`]).
 
-use super::tests::{reseal, reseal_trailer, section_span, TABLE_AT};
+use super::tests::{flat_image, reseal, reseal_trailer, section_span, TABLE_AT};
 use super::*;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// `DiskDb::from_bytes` as of be2cae8, body unchanged.
-fn from_bytes_at_be2cae8(bytes: &[u8]) -> Result<DiskDb, DbFormatError> {
+/// `DiskDb::from_bytes` as of be2cae8, body unchanged but for the last
+/// statement, which returns the loaded fields as a [`Loaded`] tuple.
+fn from_bytes_at_be2cae8(bytes: &[u8]) -> Result<Loaded, DbFormatError> {
     // Trailer first: the whole-file hash covers header and table too,
     // so a flip anywhere (including inside the CRCs themselves) is
     // caught before any field is trusted. Magic/version are checked
@@ -230,14 +234,13 @@ fn from_bytes_at_be2cae8(bytes: &[u8]) -> Result<DiskDb, DbFormatError> {
         )));
     }
 
-    Ok(DiskDb {
-        name: db_name,
-        packed,
+    Ok((
+        db_name,
+        (packed.words, packed.offsets, packed.lengths),
         headers,
-        total_residues,
-        content_hash: logical_hash,
+        (total_residues, logical_hash),
         bins,
-    })
+    ))
 }
 
 /// Every field of a loaded database, in a form that compares.
@@ -250,13 +253,48 @@ type Loaded = (
 );
 
 fn fields(db: DiskDb) -> Loaded {
+    let image = flat_image(&db);
     (
         db.name,
-        (db.packed.words, db.packed.offsets, db.packed.lengths),
+        image,
         db.headers,
         (db.total_residues, db.content_hash),
         db.bins,
     )
+}
+
+/// `bytes` given to the loader a few bytes per `read`, with an
+/// interruption before every other one.
+struct Dribble<'a> {
+    bytes: &'a [u8],
+    calls: usize,
+}
+
+impl Read for Dribble<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        if self.calls.is_multiple_of(2) {
+            return Err(std::io::ErrorKind::Interrupted.into());
+        }
+        let n = buf.len().min(1 + self.calls % 5).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// `DiskDb::load` of `bytes` written to a file of their own.
+fn load_from_file(bytes: &[u8]) -> Result<DiskDb, DbFormatError> {
+    static FILES: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "h3w-differential-{}-{}.h3wdb",
+        std::process::id(),
+        FILES.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, bytes).unwrap();
+    let loaded = DiskDb::load(&path);
+    std::fs::remove_file(&path).unwrap();
+    loaded
 }
 
 /// The new refusal of a sequence count the sections cannot hold.
@@ -264,9 +302,15 @@ fn is_count_guard(e: &DbFormatError) -> bool {
     matches!(e, DbFormatError::Corrupt(m) if m.starts_with("META says") && m.contains(" sequences but "))
 }
 
-/// Load `bytes` with both loaders and require the same outcome.
+/// Load `bytes` with both loaders and require the same outcome, from a
+/// slice, from a file, and from a reader that hands them over a few at a
+/// time.
 fn agree(bytes: &[u8]) -> Result<Loaded, DbFormatError> {
     let new = DiskDb::from_bytes(bytes).map(fields);
+    assert_eq!(load_from_file(bytes).map(fields), new, "file");
+    let dribble = Dribble { bytes, calls: 0 };
+    let dribbled = DiskDb::read_from(dribble, bytes.len(), Path::new("dribble"));
+    assert_eq!(dribbled.map(fields), new, "dribbled");
     match &new {
         Err(e) if is_count_guard(e) => {
             // The oracle reserves for the claimed count before it looks at
@@ -288,7 +332,7 @@ fn agree(bytes: &[u8]) -> Result<Loaded, DbFormatError> {
                 }
             }
         }
-        _ => assert_eq!(new, from_bytes_at_be2cae8(bytes).map(fields)),
+        _ => assert_eq!(new, from_bytes_at_be2cae8(bytes)),
     }
     new
 }

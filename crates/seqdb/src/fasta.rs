@@ -277,6 +277,8 @@ pub fn render(db: &SeqDb) -> String {
             out.push(b'\n');
         }
     }
+    // Cannot fire: every byte pushed is ASCII or comes whole from a
+    // `String`, so `out` is UTF-8.
     String::from_utf8(out).expect("headers are UTF-8 and residue symbols ASCII")
 }
 
@@ -301,8 +303,8 @@ acdefg
         assert_eq!(db.len(), 2);
         assert_eq!(db.seqs[0].name, "sp|P1|TEST");
         assert_eq!(db.seqs[0].desc, "first test protein");
-        assert_eq!(db.seqs[0].to_text(), "MKVLAYWQRST");
-        assert_eq!(db.seqs[1].to_text(), "ACDEFG");
+        assert_eq!(db.seqs[0].to_text().unwrap(), "MKVLAYWQRST");
+        assert_eq!(db.seqs[1].to_text().unwrap(), "ACDEFG");
     }
 
     #[test]

@@ -189,6 +189,9 @@ impl GenState {
         let mu = spec.mean_len.ln() - spec.sigma * spec.sigma / 2.0;
         GenState {
             rng: StdRng::seed_from_u64(seed ^ SEQDB_SEED_MIX),
+            // A spec is the caller's constant (a preset, `scaled` of one, or
+            // a literal in a harness), never parsed input; a σ outside the
+            // log-normal's domain is the caller's bug (see `generate`).
             lognorm: LogNormal::new(mu, spec.sigma).expect("valid log-normal"),
             next: 0,
         }
@@ -203,9 +206,10 @@ impl GenState {
         let i = self.next;
         self.next += 1;
         let rng = &mut self.rng;
-        let is_homolog = model.is_some() && (rng.gen::<f64>() < spec.homolog_fraction);
-        let residues = if is_homolog {
-            let mut s = sample_homolog(rng, model.unwrap(), spec.mean_len as usize / 4);
+        let homolog_of = model.filter(|_| rng.gen::<f64>() < spec.homolog_fraction);
+        let is_homolog = homolog_of.is_some();
+        let residues = if let Some(model) = homolog_of {
+            let mut s = sample_homolog(rng, model, spec.mean_len as usize / 4);
             s.truncate(spec.max_len);
             if s.len() < spec.min_len {
                 s.extend(random_seq(rng, spec.min_len - s.len()));
@@ -226,6 +230,11 @@ impl GenState {
 /// Generate a database from a spec. `model` supplies the motif embedded in
 /// the homologous fraction; pass `None` for a pure background database
 /// (`homolog_fraction` is then ignored).
+///
+/// # Panics
+///
+/// If `spec.sigma` is negative or not finite (every preset's is 0.45 or
+/// 0.55).
 pub fn generate(spec: &DbGenSpec, model: Option<&CoreModel>, seed: u64) -> SeqDb {
     let mut st = GenState::new(spec, seed);
     let mut db = SeqDb::new(spec.name.clone());
@@ -251,6 +260,10 @@ pub struct GenChunks<'m> {
 }
 
 /// Start a chunked generation stream (see [`GenChunks`]).
+///
+/// # Panics
+///
+/// If `max_residues` is zero, or on a `spec` [`generate`] panics on.
 pub fn gen_chunks<'m>(
     spec: &DbGenSpec,
     model: Option<&'m CoreModel>,

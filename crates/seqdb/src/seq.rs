@@ -35,9 +35,10 @@ impl DigitalSeq {
         self.residues.is_empty()
     }
 
-    /// Render back to one-letter text.
-    pub fn to_text(&self) -> String {
-        textize_seq(&self.residues).expect("digital residues are always valid")
+    /// Render back to one-letter text. `residues` is a public field, so
+    /// a code outside the alphabet is an error, not an assumption.
+    pub fn to_text(&self) -> Result<String, AlphabetError> {
+        textize_seq(&self.residues)
     }
 }
 
@@ -100,7 +101,7 @@ mod tests {
     fn from_text_and_back() {
         let s = DigitalSeq::from_text("s1", "MKVLAY").unwrap();
         assert_eq!(s.len(), 6);
-        assert_eq!(s.to_text(), "MKVLAY");
+        assert_eq!(s.to_text().unwrap(), "MKVLAY");
     }
 
     #[test]

@@ -233,11 +233,7 @@ impl SeqSource for DiskDb {
     ) -> Box<dyn Iterator<Item = Result<SeqDb, SourceError>> + 's> {
         // Decode lazily, one sequence at a time, so only the chunk in
         // flight is ever unpacked.
-        Box::new(Chunker::new(
-            &self.name,
-            (0..self.n_seqs()).map(|i| Ok(self.seq(i))),
-            max_residues,
-        ))
+        Box::new(Chunker::new(&self.name, self.seqs().map(Ok), max_residues))
     }
 }
 
@@ -284,6 +280,7 @@ impl<'t> FastaSource<'t> {
         let stats = match scan_fasta(name, text.as_bytes()) {
             Ok(s) => s,
             Err(ReadSeqError::Fasta(e)) => return Err(e),
+            // An in-memory byte slice cannot fail to read.
             Err(ReadSeqError::Io(e)) => unreachable!("io error on in-memory text: {e}"),
         };
         Ok(FastaSource {
@@ -318,6 +315,7 @@ impl SeqSource for FastaSource<'_> {
         let records = SeqReader::new(self.text.as_bytes()).map(|r| {
             r.map_err(|e| match e {
                 ReadSeqError::Fasta(e) => SourceError::Fasta(e),
+                // An in-memory byte slice cannot fail to read.
                 ReadSeqError::Io(e) => unreachable!("io error on in-memory text: {e}"),
             })
         });
@@ -392,6 +390,8 @@ impl FastaFileSource {
     /// A buffered reader at the start of the file: `open`'s handle the
     /// first time, a fresh one after.
     fn reader(&self) -> Result<BufReader<File>, SourceError> {
+        // Cannot fire: the lock is held only for `Option::take`, which
+        // does not panic, so nothing can poison it.
         let opened = self
             .opened
             .lock()
@@ -569,7 +569,7 @@ mod tests {
         let parsed = fasta::parse("pin", PIN_FASTA).unwrap();
         assert_eq!(content_hash(&parsed), PIN_IDENTITY);
         assert_eq!(parsed.seqs[0].desc, "pinned protein, first");
-        assert_eq!(parsed.seqs[0].to_text(), "MKVLAYWQRSTACDXB");
+        assert_eq!(parsed.seqs[0].to_text().unwrap(), "MKVLAYWQRSTACDXB");
     }
 
     #[test]

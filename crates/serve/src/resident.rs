@@ -8,8 +8,8 @@
 //! are scaled by the *full* database size, so the sharded sweep reports
 //! bit-identical hits to a single-pass one.
 
-use h3w_seqdb::diskdb::DiskDb;
-use h3w_seqdb::{DbFormatError, LengthBin, SeqDb};
+use h3w_seqdb::{content_hash, length_bins, Chunker, DbFormatError, DiskDb, LengthBin, SeqDb};
+use std::convert::Infallible;
 use std::path::Path;
 
 /// Default shard granularity (residues). Small enough that a deadline
@@ -40,36 +40,46 @@ impl ResidentDb {
     /// corruption surfaces as a typed [`DbFormatError`]; this never
     /// panics on hostile bytes.
     pub fn load(path: &Path, shard_residues: u64) -> Result<ResidentDb, DbFormatError> {
-        let disk = DiskDb::load(path)?;
-        Ok(Self::from_disk(&disk, shard_residues))
+        Ok(Self::from_disk(DiskDb::load(path)?, shard_residues))
     }
 
-    /// Build from an already-loaded [`DiskDb`].
-    pub fn from_disk(disk: &DiskDb, shard_residues: u64) -> ResidentDb {
-        let max = if shard_residues == 0 {
-            DEFAULT_SHARD_RESIDUES
-        } else {
-            shard_residues
-        };
-        let shards = disk.shards(max);
+    /// Build from an already-loaded [`DiskDb`], which is consumed: each
+    /// block of packed words is freed as soon as its shard is decoded.
+    pub fn from_disk(disk: DiskDb, shard_residues: u64) -> ResidentDb {
         ResidentDb {
             name: disk.name.clone(),
             content_hash: disk.content_hash,
             total_seqs: disk.n_seqs(),
             total_residues: disk.total_residues,
             bins: disk.bins.clone(),
-            shards,
+            shards: disk.shards(shard_cap(shard_residues)),
         }
     }
 
     /// Build directly from an in-memory [`SeqDb`] (tests, ad-hoc serving
-    /// of a FASTA without a packed file).
+    /// of a FASTA without a packed file): the same identity, histogram and
+    /// shard boundaries a packed copy of `db` would load with.
     pub fn from_seqdb(db: &SeqDb, shard_residues: u64) -> ResidentDb {
-        let bytes = DiskDb::to_bytes(db);
-        // Cannot fire: `from_bytes` validates exactly what `to_bytes` writes
-        // (the packed-format round-trip tests pin it).
-        let disk = DiskDb::from_bytes(&bytes).expect("freshly packed database validates");
-        Self::from_disk(&disk, shard_residues)
+        let seqs = db.seqs.iter().cloned().map(Ok::<_, Infallible>);
+        ResidentDb {
+            name: db.name.clone(),
+            content_hash: content_hash(db),
+            total_seqs: db.len(),
+            total_residues: db.total_residues(),
+            bins: length_bins(db),
+            shards: Chunker::new(&db.name, seqs, shard_cap(shard_residues))
+                .flatten()
+                .collect(),
+        }
+    }
+}
+
+/// The shard cap a `shard_residues` argument asks for (0: the default).
+fn shard_cap(shard_residues: u64) -> u64 {
+    if shard_residues == 0 {
+        DEFAULT_SHARD_RESIDUES
+    } else {
+        shard_residues
     }
 }
 

@@ -14,6 +14,7 @@
 //!   [`SweepError::AllDevicesLost`], and the layer above (the pipeline)
 //!   degrades to the CPU striped backend.
 
+use crate::multi_gpu::partition;
 use h3w_simt::fault::{DeviceFault, FaultInjector};
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -46,17 +47,14 @@ pub enum SweepError {
         /// How many devices the sweep started with.
         n_devices: usize,
     },
+    /// The sweep was given a pool of no devices — a planning error.
+    NoDevices,
 }
 
 impl SweepError {
     /// Worth retrying on the same device?
     pub fn is_transient(&self) -> bool {
         matches!(self, SweepError::Fault(f) if f.kind.is_transient())
-    }
-
-    /// Does this error condemn the device (redistribute its work)?
-    pub fn is_device_fatal(&self) -> bool {
-        matches!(self, SweepError::Fault(f) if !f.kind.is_transient())
     }
 }
 
@@ -73,6 +71,7 @@ impl std::fmt::Display for SweepError {
             SweepError::AllDevicesLost { n_devices } => {
                 write!(f, "all {n_devices} devices lost; CPU fallback required")
             }
+            SweepError::NoDevices => write!(f, "the device pool has no devices"),
         }
     }
 }
@@ -103,19 +102,9 @@ pub struct RetryPolicy {
     pub backoff_cap_ms: u64,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 3,
-            backoff_base_ms: 5,
-            backoff_cap_ms: 250,
-        }
-    }
-}
-
 impl RetryPolicy {
-    /// The default retry count with zero sleeps — for tests and
-    /// simulation, where waiting buys nothing.
+    /// Three retries with zero sleeps — the simulation's policy, where
+    /// waiting buys nothing.
     pub fn no_wait() -> RetryPolicy {
         RetryPolicy {
             max_retries: 3,
@@ -161,20 +150,10 @@ impl SweepTrace {
     }
 }
 
-/// Split `ids` into `n` interleaved slices (order-preserving round-robin)
-/// — how a dead device's partition spreads across survivors.
-pub fn split_round_robin(ids: &[u32], n: usize) -> Vec<Vec<u32>> {
-    assert!(n >= 1);
-    let mut parts: Vec<Vec<u32>> = vec![Vec::with_capacity(ids.len().div_ceil(n)); n];
-    for (i, &id) in ids.iter().enumerate() {
-        parts[i % n].push(id);
-    }
-    parts.retain(|p| !p.is_empty());
-    parts
-}
-
-/// Run a set of id-chunks across a device pool, retrying transient faults
-/// and redistributing dead devices' chunks across survivors.
+/// Run `ids` across a device pool, retrying transient faults and
+/// redistributing dead devices' chunks across survivors. The one
+/// partitioner ([`partition`]) makes both splits: `ids` over `devices`,
+/// and a dead device's chunk over the survivors.
 ///
 /// `devices` are the device ids initially alive (each maps to the same
 /// [`h3w_simt::DeviceSpec`] in the paper's homogeneous deployment, but
@@ -185,10 +164,10 @@ pub fn split_round_robin(ids: &[u32], n: usize) -> Vec<Vec<u32>> {
 /// Returns the per-chunk results (completion order), the makespan across
 /// devices, and the fault journal. Chunk results are position-independent
 /// (every kernel scores sequences independently), so callers may merge
-/// them in any order.
+/// them in any order. An empty `devices` is [`SweepError::NoDevices`].
 #[allow(clippy::type_complexity)]
 pub fn run_chunks_ft<R>(
-    chunks: Vec<Vec<u32>>,
+    ids: &[u32],
     devices: &[usize],
     policy: &RetryPolicy,
     injector: Option<&FaultInjector>,
@@ -196,16 +175,19 @@ pub fn run_chunks_ft<R>(
     time_of: impl Fn(&R) -> f64,
 ) -> Result<(Vec<R>, f64, SweepTrace), SweepError> {
     let n_devices = devices.len();
+    if n_devices == 0 {
+        return Err(SweepError::NoDevices);
+    }
     let mut alive: Vec<usize> = devices.to_vec();
-    let mut queue: VecDeque<Vec<u32>> = chunks.into_iter().filter(|c| !c.is_empty()).collect();
+    let mut queue: VecDeque<Vec<u32>> = partition(ids, n_devices).into();
     let mut per_dev_time: Vec<(usize, f64)> = devices.iter().map(|&d| (d, 0.0)).collect();
     let mut results = Vec::new();
     let mut trace = SweepTrace::default();
     let mut rr = 0usize;
 
     while let Some(ids) = queue.pop_front() {
-        if alive.is_empty() {
-            return Err(SweepError::AllDevicesLost { n_devices });
+        if ids.is_empty() {
+            continue;
         }
         let device = alive[rr % alive.len()];
         rr += 1;
@@ -231,7 +213,7 @@ pub fn run_chunks_ft<R>(
                         std::thread::sleep(wait);
                     }
                 }
-                Err(e) if e.is_device_fatal() || e.is_transient() => {
+                Err(e @ SweepError::Fault(_)) => {
                     // Fatal fault, or a transient one that survived every
                     // retry: the device is gone. Its chunk respreads over
                     // whoever is left.
@@ -247,9 +229,7 @@ pub fn run_chunks_ft<R>(
                         ids.len(),
                         alive.len()
                     ));
-                    for part in split_round_robin(&ids, alive.len()) {
-                        queue.push_back(part);
-                    }
+                    queue.extend(partition(&ids, alive.len()));
                     break;
                 }
                 // Planning errors (no config, launch validation) are not
@@ -304,9 +284,8 @@ mod tests {
         Ok(ids.iter().map(|&i| i * 10).collect())
     }
 
-    fn chunks4() -> Vec<Vec<u32>> {
-        vec![vec![0, 4], vec![1, 5], vec![2, 6], vec![3, 7]]
-    }
+    /// Four devices get `[0, 4]`, `[1, 5]`, `[2, 6]`, `[3, 7]`.
+    const IDS8: &[u32] = &[0, 1, 2, 3, 4, 5, 6, 7];
 
     fn merged(results: Vec<Vec<u32>>) -> Vec<u32> {
         let mut all: Vec<u32> = results.into_iter().flatten().collect();
@@ -317,7 +296,7 @@ mod tests {
     #[test]
     fn fault_free_engine_matches_plain_partitioning() {
         let (res, makespan, trace) = run_chunks_ft(
-            chunks4(),
+            IDS8,
             &[0, 1, 2, 3],
             &RetryPolicy::no_wait(),
             None,
@@ -335,7 +314,7 @@ mod tests {
     fn dead_device_work_redistributes() {
         let inj = FaultInjector::new(FaultPlan::none().kill_device(1, 0), 4);
         let (res, makespan, trace) = run_chunks_ft(
-            chunks4(),
+            IDS8,
             &[0, 1, 2, 3],
             &RetryPolicy::no_wait(),
             Some(&inj),
@@ -355,7 +334,7 @@ mod tests {
         let plan = FaultPlan::none().transient(2, 0, FaultKind::KernelTimeout, 2);
         let inj = FaultInjector::new(plan, 4);
         let (res, _, trace) = run_chunks_ft(
-            chunks4(),
+            IDS8,
             &[0, 1, 2, 3],
             &RetryPolicy::no_wait(),
             Some(&inj),
@@ -374,7 +353,7 @@ mod tests {
         let plan = FaultPlan::none().transient(0, 0, FaultKind::KernelTimeout, 50);
         let inj = FaultInjector::new(plan, 2);
         let (res, _, trace) = run_chunks_ft(
-            vec![vec![0], vec![1]],
+            &[0, 1],
             &[0, 1],
             &RetryPolicy::no_wait(),
             Some(&inj),
@@ -392,7 +371,7 @@ mod tests {
         let plan = FaultPlan::none().kill_device(0, 0).kill_device(1, 0);
         let inj = FaultInjector::new(plan, 2);
         let err = run_chunks_ft(
-            vec![vec![0], vec![1]],
+            &[0, 1],
             &[0, 1],
             &RetryPolicy::no_wait(),
             Some(&inj),
@@ -419,9 +398,15 @@ mod tests {
     }
 
     #[test]
-    fn split_round_robin_preserves_ids() {
-        let parts = split_round_robin(&[9, 8, 7, 6, 5], 3);
-        assert_eq!(parts, vec![vec![9, 6], vec![8, 5], vec![7]]);
-        assert_eq!(split_round_robin(&[1], 4), vec![vec![1]]);
+    fn an_empty_pool_is_a_typed_error() {
+        let err = run_chunks_ft(
+            IDS8,
+            &[],
+            &RetryPolicy::no_wait(),
+            None,
+            fake_runner,
+            |_| 1.0,
+        );
+        assert_eq!(err.unwrap_err(), SweepError::NoDevices);
     }
 }

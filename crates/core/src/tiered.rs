@@ -44,14 +44,21 @@ pub struct StageRun {
     pub time: TimeBreakdown,
 }
 
-/// Functional MSV execution on one simulated device.
+/// Functional execution of one stage on one simulated device.
 #[derive(Debug, Clone)]
-pub struct MsvRun {
+pub struct DeviceRun<H> {
     /// Per-sequence outcomes, indexed by database order.
-    pub hits: Vec<MsvHit>,
+    pub hits: Vec<H>,
     /// Execution report.
     pub run: StageRun,
 }
+
+/// Functional MSV execution on one simulated device.
+pub type MsvRun = DeviceRun<MsvHit>;
+
+/// Functional Forward execution on one device (the §VI future-work
+/// kernel; single global-table configuration).
+pub type FwdRun = DeviceRun<FwdHit>;
 
 /// Functional P7Viterbi execution on one simulated device.
 #[derive(Debug, Clone)]
@@ -176,9 +183,8 @@ fn launch<K: WarpKernel>(
     Ok((r.outputs, run))
 }
 
-/// Run the MSV stage functionally on one device. `mem = None` applies the
-/// automatic switch. Fault-free entry point; the multi-device orchestrator
-/// uses [`run_msv_device_on`] to thread a fault-injection context.
+/// [`run_msv_device_on`] on a fault-free device 0. The pipeline's device
+/// pool calls only the `_on` entries.
 pub fn run_msv_device<'a>(
     om: &MsvProfile,
     db: impl Into<PackedView<'a>>,
@@ -188,7 +194,8 @@ pub fn run_msv_device<'a>(
     run_msv_device_on(om, db, dev, mem, &DeviceCtx::fault_free())
 }
 
-/// [`run_msv_device`] with an explicit device identity and fault injector.
+/// Run the MSV stage functionally on one device of a pool (`ctx`: its id
+/// and fault injector). `mem = None` applies the automatic switch.
 pub fn run_msv_device_on<'a>(
     om: &MsvProfile,
     db: impl Into<PackedView<'a>>,
@@ -212,8 +219,7 @@ pub fn run_msv_device_on<'a>(
     Ok(MsvRun { hits, run })
 }
 
-/// Run the P7Viterbi stage functionally on one device. Fault-free entry
-/// point; see [`run_vit_device_on`].
+/// [`run_vit_device_on`] on a fault-free device 0.
 pub fn run_vit_device<'a>(
     om: &VitProfile,
     db: impl Into<PackedView<'a>>,
@@ -223,7 +229,7 @@ pub fn run_vit_device<'a>(
     run_vit_device_on(om, db, dev, mem, &DeviceCtx::fault_free())
 }
 
-/// [`run_vit_device`] with an explicit device identity and fault injector.
+/// Run the P7Viterbi stage functionally on one device of a pool.
 pub fn run_vit_device_on<'a>(
     om: &VitProfile,
     db: impl Into<PackedView<'a>>,
@@ -252,27 +258,7 @@ pub fn run_vit_device_on<'a>(
     Ok(VitRun { hits, lazy, run })
 }
 
-/// Functional Forward-stage run on one device (the §VI future-work
-/// kernel; single global-table configuration).
-#[derive(Debug, Clone)]
-pub struct FwdRun {
-    /// Per-sequence outcomes, indexed by database order.
-    pub hits: Vec<FwdHit>,
-    /// Execution report.
-    pub run: StageRun,
-}
-
-/// Run the Forward stage functionally on one device. Fault-free entry
-/// point; see [`run_fwd_device_on`].
-pub fn run_fwd_device<'a>(
-    prof: &h3w_hmm::Profile,
-    db: impl Into<PackedView<'a>>,
-    dev: &DeviceSpec,
-) -> Result<FwdRun, SweepError> {
-    run_fwd_device_on(prof, db, dev, &DeviceCtx::fault_free())
-}
-
-/// [`run_fwd_device`] with an explicit device identity and fault injector.
+/// Run the Forward stage functionally on one device of a pool.
 pub fn run_fwd_device_on<'a>(
     prof: &h3w_hmm::Profile,
     db: impl Into<PackedView<'a>>,

@@ -172,15 +172,8 @@ impl StreamCheckpoint {
         if version != CHECKPOINT_VERSION {
             return Err(CheckpointError::Version { found: version });
         }
-        let stages_v = get(obj, "stages")?.as_array("stages")?;
-        if stages_v.len() != 3 {
-            return Err(CheckpointError::Parse(format!(
-                "expected 3 stages, found {}",
-                stages_v.len()
-            )));
-        }
         let mut stages = Vec::with_capacity(3);
-        for v in stages_v {
+        for v in get(obj, "stages")?.as_array("stages")? {
             let st = v.as_object("stage")?;
             stages.push(StageStats {
                 name: get(st, "name")?.as_str("name")?.to_string(),
@@ -204,7 +197,9 @@ impl StreamCheckpoint {
                 posterior: None,
             });
         }
-        let stages: [StageStats; 3] = stages.try_into().expect("length checked above");
+        let stages: [StageStats; 3] = stages.try_into().map_err(|v: Vec<_>| {
+            CheckpointError::Parse(format!("expected 3 stages, found {}", v.len()))
+        })?;
         Ok(StreamCheckpoint {
             chunks_done: get(obj, "chunks_done")?.as_u64("chunks_done")? as usize,
             seq_base: get(obj, "seq_base")?.as_u64("seq_base")? as u32,
@@ -366,7 +361,7 @@ impl<'a> Parser<'a> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), CheckpointError> {
+    fn eat(&mut self, b: u8) -> Result<(), CheckpointError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -386,7 +381,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_object(&mut self) -> Result<Json, CheckpointError> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut entries = Vec::new();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -394,7 +389,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             let key = self.parse_string()?;
-            self.expect(b':')?;
+            self.eat(b':')?;
             entries.push((key, self.parse_value()?));
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -408,7 +403,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_array(&mut self) -> Result<Json, CheckpointError> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut items = Vec::new();
         if self.peek() == Some(b']') {
             self.pos += 1;
@@ -428,7 +423,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_string(&mut self) -> Result<String, CheckpointError> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
             let Some(&b) = self.bytes.get(self.pos) else {
@@ -484,10 +479,11 @@ impl<'a> Parser<'a> {
         while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<u64>()
+        std::str::from_utf8(&self.bytes[start..self.pos])
+            .ok()
+            .and_then(|digits| digits.parse::<u64>().ok())
             .map(Json::Number)
-            .map_err(|_| self.err("integer out of range"))
+            .ok_or_else(|| self.err("integer out of range"))
     }
 }
 
@@ -556,6 +552,12 @@ mod tests {
         ] {
             assert!(StreamCheckpoint::from_json(bad).is_err(), "accepted {bad:?}");
         }
+        let no_stages = "{\"version\":2,\"chunks_done\":0,\"seq_base\":0,\"total_seqs\":1,\"db_hash\":\"0\",\"stages\":[],\"hits\":[]}";
+        let err = StreamCheckpoint::from_json(no_stages).unwrap_err();
+        assert!(
+            err.to_string().contains("expected 3 stages, found 0"),
+            "{err}"
+        );
         assert!(matches!(
             StreamCheckpoint::from_json(
                 "{\"version\":99,\"chunks_done\":0,\"seq_base\":0,\"total_seqs\":1,\"db_hash\":\"0\",\"stages\":[],\"hits\":[]}"

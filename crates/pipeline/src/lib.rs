@@ -5,8 +5,9 @@
 //! ~0.1% at `P < 10⁻³`, and the Forward stage scores the rest in full
 //! precision. [`run::Pipeline`] prepares a query (quantization, striping,
 //! calibration); [`run::Pipeline::search`] sweeps a database under an
-//! [`run::ExecPlan`] — CPU baseline, simulated GPU, fully-on-device, or
-//! fault-tolerant multi-device — through one shared stage driver.
+//! [`run::ExecPlan`] — the CPU baseline, or a pool of simulated GPUs
+//! ([`orchestrator`]) whose pool of one is the paper's deployment —
+//! through one shared stage driver.
 //! [`stream::search_source`] / [`stream::search_chunks`] run that driver
 //! chunk by chunk over a database that is not resident, and
 //! [`multi::scan`] / [`multi::scan_prepared`] run the funnel for a whole

@@ -1,30 +1,28 @@
-//! Fault-tolerant multi-device sweep orchestration.
-//!
-//! [`ExecPlan::FaultTolerant`](crate::run::ExecPlan::FaultTolerant) is
-//! the deployment the paper's §IV-A multi-GPU story needs in practice:
-//! the MSV and Viterbi filter stages fan out across `n` devices through
-//! the recovery engine ([`h3w_core::fault::run_chunks_ft`]) — transient
-//! faults retry with capped backoff, a dead device's partition
-//! redistributes across survivors, and when every device is gone the
-//! stage (and the rest of the sweep) degrades to the striped CPU backend.
-//! Because the CPU and device filters are bit-identical and every
-//! sequence is scored independently, the reported hits and funnel
-//! counters are **always** bit-identical to a fault-free run; only the
-//! modeled stage times and the recovery journal differ.
-//!
-//! The stage sequencing itself lives in
-//! [`Pipeline::search_traced`](crate::run::Pipeline::search_traced); this
-//! module holds the sweep descriptor ([`FtSweep`]) and the one adapter
-//! from a device launch to the recovery engine (`FtPool::stage`), which
-//! speaks the driver's language: ids in, scores aligned with them out.
+//! The device tier: one pool runs every device stage of a device plan —
+//! MSV and Viterbi, and Forward when [`FtSweep::forward_on_device`].
+//! A stage's ids split across the live devices
+//! ([`h3w_core::multi_gpu::partition`]) and run through the recovery
+//! engine ([`h3w_core::fault::run_chunks_ft`]): transient faults retry,
+//! a dead device's partition redistributes across survivors, and with
+//! every device gone the stage (and the rest of the sweep) degrades to
+//! the striped CPU backend. A fault-free pool of one is the paper's
+//! deployment ([`ExecPlan::Device`](crate::run::ExecPlan::Device)): one
+//! launch over the stage's ids in ascending order. The CPU and device
+//! filters are bit-identical and every sequence is scored independently,
+//! so hits and funnel counters never depend on the pool or its faults;
+//! only the modeled stage times and the recovery journal do.
 
-use h3w_core::fault::{run_chunks_ft, DeviceCtx, RetryPolicy, SweepError, SweepTrace};
-use h3w_core::multi_gpu::partition_id_slice;
-use h3w_seqdb::{PackedDb, PackedSubset};
-use h3w_simt::FaultInjector;
+use crate::run::{Pipeline, Stage};
+use h3w_core::fault::{run_chunks_ft, RetryPolicy, SweepError, SweepTrace};
+use h3w_core::tiered::{run_fwd_device_on, run_msv_device_on, run_vit_device_on, StageRun};
+use h3w_seqdb::{PackedDb, SeqDb};
+use h3w_simt::{DeviceSpec, FaultInjector};
+use h3w_trace::Trace;
+use std::borrow::Cow;
 
-/// How a fault-tolerant sweep runs: device pool size, retry policy, and
-/// the (optional) fault injector driving the simulation.
+/// How a device plan's pool runs: its size, retry policy, the (optional)
+/// fault injector driving the simulation, and whether Forward joins the
+/// device stages.
 #[derive(Clone, Copy)]
 pub struct FtSweep<'a> {
     /// Devices in the pool (all the same `DeviceSpec`, per §IV-A).
@@ -33,80 +31,133 @@ pub struct FtSweep<'a> {
     pub policy: RetryPolicy,
     /// Armed fault plan, if simulating faults.
     pub injector: Option<&'a FaultInjector>,
+    /// Run Forward on the pool too (§VI future work); otherwise it stays
+    /// on the host, as in the paper's deployment.
+    pub forward_on_device: bool,
 }
 
 impl FtSweep<'_> {
-    /// An `n`-device sweep with no injected faults and no retry waits.
+    /// An `n`-device pool with no injected faults and no retry waits,
+    /// Forward on the host.
     pub fn fault_free(n_devices: usize) -> FtSweep<'static> {
         FtSweep {
             n_devices,
             policy: RetryPolicy::no_wait(),
             injector: None,
+            forward_on_device: false,
         }
     }
 }
 
-/// The device pool of one fault-tolerant search: which devices are still
-/// alive, what the recovery engine has done across the stages so far,
-/// and whether any stage fell back to the host.
+/// The device pool of one search: the database packed once, its stage
+/// labels, which devices are still alive, what the recovery engine has
+/// done across the stages so far, and whether any stage fell back to the
+/// host.
 pub(crate) struct FtPool<'a> {
+    dev: &'a DeviceSpec,
     sweep: FtSweep<'a>,
+    packed: PackedDb,
+    /// `(GPU)` for one device, `(multi-GPU)` for more; Forward's tier.
+    pub(crate) labels: [&'static str; 3],
     alive: Vec<usize>,
-    pub(crate) journal: SweepTrace,
-    pub(crate) degraded: bool,
+    journal: SweepTrace,
+    degraded: bool,
 }
 
 impl<'a> FtPool<'a> {
-    pub(crate) fn new(sweep: FtSweep<'a>) -> FtPool<'a> {
-        assert!(sweep.n_devices >= 1);
-        FtPool {
+    /// A pool of `sweep.n_devices` simulated `dev`s over `db`, which is
+    /// packed here, once: every stage launches over zero-copy index
+    /// subsets of it. A pool of no devices is [`SweepError::NoDevices`].
+    pub(crate) fn new(
+        dev: &'a DeviceSpec,
+        sweep: FtSweep<'a>,
+        db: &SeqDb,
+        trace: &Trace,
+    ) -> Result<FtPool<'a>, SweepError> {
+        if sweep.n_devices == 0 {
+            return Err(SweepError::NoDevices);
+        }
+        let span = trace.span("pipeline/pack");
+        let packed = PackedDb::from_db(db);
+        drop(span);
+        packed.record_into(trace, "pipeline/pack");
+        let multi = (sweep.n_devices > 1) as usize;
+        let labels = [
+            ["MSV (GPU)", "MSV (multi-GPU)"][multi],
+            ["P7Viterbi (GPU)", "P7Viterbi (multi-GPU)"][multi],
+            ["Forward (host)", "Forward (GPU)"][sweep.forward_on_device as usize],
+        ];
+        Ok(FtPool {
+            dev,
             sweep,
+            packed,
+            labels,
             alive: (0..sweep.n_devices).collect(),
             journal: SweepTrace::default(),
             degraded: false,
-        }
+        })
     }
 
-    /// One filter stage through the recovery engine: ascending `ids` in,
-    /// `Some((scores aligned with ids, makespan))` out. `launch` runs one
-    /// partition on one device and returns its scores in subset order
-    /// with its modeled seconds. `None` means no device is left (lost in
-    /// this stage or an earlier one) and the caller runs the stage on the
-    /// host; no partial device results survive an `AllDevicesLost` (the
-    /// engine drops them), so the host rescoring every id never
-    /// double-scores. Planning errors (`SweepError::NoConfig` /
-    /// `SweepError::Launch`) still propagate, since no amount of
-    /// rerouting fixes those.
-    #[allow(clippy::type_complexity)]
+    /// One stage of `pipe` on the pool: ascending `ids` in (`None` =
+    /// every sequence), `Some((scores aligned with ids, makespan))` out,
+    /// each launch's kernel counters and modeled time recorded under
+    /// `pipeline/{label}/device`. `None` sends the stage to the host: a
+    /// Forward the pool does not own, or any stage once no device is left
+    /// (the engine drops partial results, so nothing is scored twice).
+    /// Planning errors (`NoConfig`, `Launch`) propagate.
     pub(crate) fn stage(
         &mut self,
-        name: &str,
-        packed: &PackedDb,
-        ids: &[u32],
-        launch: impl Fn(&PackedSubset, &DeviceCtx) -> Result<(Vec<f32>, f64), SweepError>,
+        pipe: &Pipeline,
+        stage: Stage,
+        ids: Option<&[u32]>,
+        trace: &Trace,
     ) -> Result<Option<(Vec<f32>, f64)>, SweepError> {
-        if self.alive.is_empty() {
+        let on_host = matches!(stage, Stage::Fwd) && !self.sweep.forward_on_device;
+        if on_host || self.alive.is_empty() {
             return Ok(None);
         }
+        let n = self.packed.n_seqs() as u32;
+        let ids: Cow<[u32]> = ids.map_or_else(|| (0..n).collect(), Cow::Borrowed);
+        let (dev, packed) = (self.dev, &self.packed);
         let swept = run_chunks_ft(
-            partition_id_slice(packed, ids, self.alive.len()),
+            &ids,
             &self.alive,
             &self.sweep.policy,
             self.sweep.injector,
             |chunk, ctx| {
-                let (scores, secs) = launch(&packed.subset(chunk), ctx)?;
+                let sub = packed.subset(chunk);
+                let (scores, run): (Vec<f32>, StageRun) = match stage {
+                    Stage::Msv => {
+                        let r = run_msv_device_on(&pipe.msv, &sub, dev, None, ctx)?;
+                        (r.hits.iter().map(|h| h.score).collect(), r.run)
+                    }
+                    Stage::Vit => {
+                        let r = run_vit_device_on(&pipe.vit, &sub, dev, None, ctx)?;
+                        (r.hits.iter().map(|h| h.score).collect(), r.run)
+                    }
+                    Stage::Fwd => {
+                        let r = run_fwd_device_on(&pipe.profile, &sub, dev, ctx)?;
+                        (r.hits.iter().map(|h| h.score).collect(), r.run)
+                    }
+                };
                 let scored: Vec<(u32, f32)> = chunk.iter().copied().zip(scores).collect();
-                Ok((scored, secs))
+                Ok((scored, run))
             },
-            |(_, secs)| *secs,
+            |(_, run)| run.time.total_s,
         );
         match swept {
-            Ok((runs, makespan, trace)) => {
-                self.alive.retain(|d| !trace.lost_devices.contains(d));
-                self.journal.merge(&trace);
+            Ok((runs, makespan, journal)) => {
+                self.alive.retain(|d| !journal.lost_devices.contains(d));
+                self.journal.merge(&journal);
+                let path = format!("pipeline/{}/device", self.labels[stage as usize]);
                 // Partitions come back in completion order; every id is
                 // in exactly one of them.
-                let mut scored: Vec<(u32, f32)> = runs.into_iter().flat_map(|(s, _)| s).collect();
+                let mut scored = Vec::with_capacity(ids.len());
+                for (part, run) in runs {
+                    run.stats.record_into(trace, &path);
+                    run.time.record_into(trace, &format!("{path}/time"));
+                    scored.extend(part);
+                }
                 scored.sort_unstable_by_key(|&(id, _)| id);
                 Ok(Some((
                     scored.into_iter().map(|(_, s)| s).collect(),
@@ -118,12 +169,27 @@ impl<'a> FtPool<'a> {
                 // The engine's journal dies with the error; every device
                 // still in the pool is gone, so record them here.
                 self.journal.lost_devices.append(&mut self.alive);
-                self.journal
-                    .events
-                    .push(format!("{name}: all devices lost; striped CPU fallback"));
+                let label = self.labels[stage as usize];
+                let event = format!("{label}: all devices lost; striped CPU fallback");
+                self.journal.events.push(event);
                 Ok(None)
             }
             Err(e) => Err(e),
         }
+    }
+
+    /// The pool's recovery journal and fallback flag, with the journal's
+    /// counters recorded under `pipeline/recovery`.
+    pub(crate) fn finish(self, trace: &Trace) -> (SweepTrace, bool) {
+        let journal = self.journal;
+        for (name, value) in [
+            ("retries", journal.retries as u64),
+            ("lost_devices", journal.lost_devices.len() as u64),
+            ("redistributed_seqs", journal.redistributed_seqs as u64),
+            ("cpu_fallbacks", self.degraded as u64),
+        ] {
+            trace.add("pipeline/recovery", name, value);
+        }
+        (journal, self.degraded)
     }
 }

@@ -4,11 +4,11 @@
 //! profile, 8-bit MSV tables, 16-bit Viterbi tables, striped CPU filters)
 //! plus its score calibration. [`Pipeline::search`] is the one entry
 //! point for sweeps of a resident database: an [`ExecPlan`] picks where
-//! each stage runs — the multi-core striped CPU baseline, the simulated
-//! GPU of the paper's deployment (Forward stays on the host), the
-//! fully-on-device §VI variant, or the fault-tolerant multi-device
-//! orchestration — while the stage sequencing, thresholding, and funnel
-//! accounting are written exactly once.
+//! each stage runs — the multi-core striped CPU baseline or a pool of
+//! simulated GPUs (`crate::orchestrator`), whose pool of one with Forward
+//! on the host is the paper's deployment — while the stage sequencing,
+//! thresholding, and funnel accounting are written exactly once. Every
+//! device stage of every device plan goes through that one pool.
 //!
 //! **A stage is ids → scores.** The funnel carries its survivors in one
 //! shape: an ascending list of `u32` sequence ids. Every stage, on every
@@ -25,8 +25,8 @@
 //! that sequence over a set of pipelines: a search runs it over its one
 //! pipeline, with each stage on its plan's tier; the fused scan
 //! (`crate::multi`) runs it over every model of a library, each stage
-//! one host fan-out over (model, batch) tasks. Device and fault-tolerant
-//! plans are single-model.
+//! one host fan-out over (model, batch) tasks. Device plans are
+//! single-model.
 //!
 //! [`Pipeline::search_traced`] is the same driver with a caller-supplied
 //! [`Trace`] for funnel telemetry (`hmmsearch --profile`); tracing is
@@ -37,9 +37,6 @@ use crate::config::PipelineConfig;
 use crate::orchestrator::{FtPool, FtSweep};
 use crate::report::{Hit, PipelineResult, StageStats};
 use h3w_core::fault::{SweepError, SweepTrace};
-use h3w_core::tiered::{
-    run_fwd_device, run_msv_device, run_msv_device_on, run_vit_device, run_vit_device_on, StageRun,
-};
 use h3w_cpu::striped_fwd::StripedFwd;
 use h3w_cpu::striped_msv::StripedMsv;
 use h3w_cpu::striped_vit::StripedVit;
@@ -53,7 +50,7 @@ use h3w_hmm::plan7::CoreModel;
 use h3w_hmm::profile::Profile;
 use h3w_hmm::vitprofile::VitProfile;
 use h3w_hmm::NullModel;
-use h3w_seqdb::{DigitalSeq, PackedDb, SeqDb};
+use h3w_seqdb::{DigitalSeq, SeqDb};
 use h3w_simt::DeviceSpec;
 use h3w_trace::{Telemetry, Trace};
 use std::sync::Arc;
@@ -66,7 +63,7 @@ const NULL1_TABLE_LEN: usize = 16384;
 /// The host tier's stage labels.
 pub(crate) const HOST_LABELS: [&str; 3] = ["MSV", "P7Viterbi", "Forward"];
 
-/// A funnel stage.
+/// A funnel stage (its index into a stage-label array).
 #[derive(Clone, Copy)]
 pub(crate) enum Stage {
     Msv,
@@ -89,24 +86,32 @@ pub enum ExecPlan<'a> {
     /// The multi-core striped CPU baseline.
     Cpu,
     /// MSV + Viterbi on one simulated device, Forward on the host — the
-    /// paper's deployment.
+    /// paper's deployment: a fault-free [`ExecPlan::Devices`] pool of one.
     Device {
         /// The simulated device.
         dev: DeviceSpec,
     },
-    /// All three stages on the simulated device (§VI future work).
-    DeviceFull {
-        /// The simulated device.
-        dev: DeviceSpec,
-    },
-    /// MSV + Viterbi fanned out over a pool of simulated devices through
-    /// the fault-recovery engine, Forward on the host.
-    FaultTolerant {
+    /// The device stages over a pool of simulated devices through the
+    /// fault-recovery engine (`crate::orchestrator`).
+    Devices {
         /// The simulated device every pool member is.
         dev: DeviceSpec,
-        /// Pool size, retry policy, and optional fault injector.
-        sweep: FtSweep<'a>,
+        /// Pool size, retry policy, fault injector, Forward's tier.
+        pool: FtSweep<'a>,
     },
+}
+
+impl<'a> ExecPlan<'a> {
+    /// The one device-plan shape: the device and pool a plan runs its
+    /// device stages on (`Device { dev }` is a fault-free pool of one),
+    /// `None` for the CPU plan.
+    fn device_pool(&self) -> Option<(&DeviceSpec, FtSweep<'a>)> {
+        match self {
+            ExecPlan::Cpu => None,
+            ExecPlan::Device { dev } => Some((dev, FtSweep::fault_free(1))),
+            ExecPlan::Devices { dev, pool } => Some((dev, *pool)),
+        }
+    }
 }
 
 /// A completed [`Pipeline::search_traced`]: results, recovery journal,
@@ -115,9 +120,9 @@ pub enum ExecPlan<'a> {
 pub struct SearchReport {
     /// Hits and funnel counters — plan- and fault-invariant.
     pub result: PipelineResult,
-    /// What the recovery engine did (empty for non-fault-tolerant plans).
+    /// What the recovery engine did (empty for the CPU plan).
     pub recovery: SweepTrace,
-    /// True if a fault-tolerant stage fell back to the striped CPU.
+    /// True if a device stage fell back to the striped CPU.
     pub degraded_to_cpu: bool,
     /// The per-run telemetry tree (`None` when the trace was disabled).
     pub telemetry: Option<Telemetry>,
@@ -328,8 +333,8 @@ impl Pipeline {
     }
 
     /// Sweep a database under an execution plan. **The** entry point:
-    /// every deployment (CPU baseline, single-device, fully-on-device,
-    /// fault-tolerant pool) runs through one stage-sequencing driver, so
+    /// every deployment (CPU baseline, a device pool of any size, with or
+    /// without Forward on it) runs through one stage-sequencing driver, so
     /// the funnel logic and its telemetry hooks exist exactly once.
     ///
     /// Reported hits are plan-invariant (the filters are bit-exact across
@@ -358,79 +363,29 @@ impl Pipeline {
         // nothing at all.
         let pool_before = trace.is_on().then(|| self.pool().stats());
 
-        // Device plans pack the database exactly once; both survivor
-        // hand-offs below are zero-copy index subsets into this packing.
-        let packed: Option<PackedDb> = match plan {
-            ExecPlan::Cpu => None,
-            _ => {
-                let span = trace.span("pipeline/pack");
-                let p = PackedDb::from_db(db);
-                drop(span);
-                p.record_into(trace, "pipeline/pack");
-                Some(p)
-            }
+        let mut devices = match plan.device_pool() {
+            Some((dev, pool)) => Some(FtPool::new(dev, pool, db, trace)?),
+            None => None,
         };
-        let packed = || packed.as_ref().expect("device plans pack");
-        let mut ft = match plan {
-            ExecPlan::FaultTolerant { sweep, .. } => Some(FtPool::new(*sweep)),
-            _ => None,
-        };
-        let labels = match plan {
-            ExecPlan::Cpu => HOST_LABELS,
-            ExecPlan::Device { .. } => ["MSV (GPU)", "P7Viterbi (GPU)", "Forward (host)"],
-            ExecPlan::DeviceFull { .. } => ["MSV (GPU)", "P7Viterbi (GPU)", "Forward (GPU)"],
-            ExecPlan::FaultTolerant { .. } => {
-                ["MSV (multi-GPU)", "P7Viterbi (multi-GPU)", "Forward (host)"]
-            }
-        };
+        let labels = devices.as_ref().map_or(HOST_LABELS, |pool| pool.labels);
 
-        // Each stage on the plan's tier; Forward stays on the host for
-        // every plan except the §VI fully-on-device deployment.
+        // Each stage on the plan's pool when it owns the stage and has a
+        // device left, on the host otherwise.
         let mut results = Self::funnel(&[self], db, labels, |stage, sels| {
-            let ids = sels[0].unwrap_or_default();
-            let (scores, secs) = match (stage, plan) {
-                (Stage::Fwd, ExecPlan::DeviceFull { dev }) => {
-                    let run = run_fwd_device(&self.profile, &packed().subset(ids), dev)?;
-                    let scores = run.hits.iter().map(|h| h.score);
-                    Self::device_stage(trace, labels[2], &run.run, scores)
-                }
-                (Stage::Msv, ExecPlan::Cpu) => self.msv_stage_host(db, trace),
-                (_, ExecPlan::Cpu) | (Stage::Fwd, _) => self.host_stage_one(stage, db, sels[0]),
-                (Stage::Msv, ExecPlan::Device { dev } | ExecPlan::DeviceFull { dev }) => {
-                    let run = run_msv_device(&self.msv, packed(), dev, None)?;
-                    let scores = run.hits.iter().map(|h| h.score);
-                    Self::device_stage(trace, labels[0], &run.run, scores)
-                }
-                (Stage::Vit, ExecPlan::Device { dev } | ExecPlan::DeviceFull { dev }) => {
-                    let run = run_vit_device(&self.vit, &packed().subset(ids), dev, None)?;
-                    let scores = run.hits.iter().map(|h| h.score);
-                    Self::device_stage(trace, labels[1], &run.run, scores)
-                }
-                (Stage::Msv, ExecPlan::FaultTolerant { dev, .. }) => {
-                    let all: Vec<u32> = (0..db.len() as u32).collect();
-                    let ft = ft.as_mut().expect("fault-tolerant plans build a pool");
-                    let on_pool = ft.stage("MSV", packed(), &all, |sub, ctx| {
-                        let run = run_msv_device_on(&self.msv, sub, dev, None, ctx)?;
-                        let scores = run.hits.iter().map(|h| h.score).collect();
-                        Ok((scores, run.run.time.total_s))
-                    })?;
-                    on_pool.unwrap_or_else(|| self.msv_stage_host(db, trace))
-                }
-                (Stage::Vit, ExecPlan::FaultTolerant { dev, .. }) => {
-                    let ft = ft.as_mut().expect("fault-tolerant plans build a pool");
-                    let on_pool = ft.stage("Viterbi", packed(), ids, |sub, ctx| {
-                        let run = run_vit_device_on(&self.vit, sub, dev, None, ctx)?;
-                        let scores = run.hits.iter().map(|h| h.score).collect();
-                        Ok((scores, run.run.time.total_s))
-                    })?;
-                    on_pool.unwrap_or_else(|| self.host_stage_one(stage, db, sels[0]))
-                }
+            let on_pool = match devices.as_mut() {
+                Some(pool) => pool.stage(self, stage, sels[0], trace)?,
+                None => None,
+            };
+            let (scores, secs) = match (on_pool, stage) {
+                (Some(out), _) => out,
+                (None, Stage::Msv) => self.msv_stage_host(db, trace),
+                (None, _) => self.host_stage_one(stage, db, sels[0]),
             };
             Ok((vec![scores], secs))
         })?;
         // One pipe in, one result out.
         let result = results.swap_remove(0);
-        let (journal, degraded) = ft.map_or_else(Default::default, |ft| (ft.journal, ft.degraded));
+        let (journal, degraded) = devices.map_or_else(Default::default, |pool| pool.finish(trace));
         if trace.is_on() {
             // Funnel telemetry is recorded *from* the stage records, so
             // the `--profile` tree and the StageStats report can never
@@ -456,20 +411,6 @@ impl Pipeline {
                 trace.add(&path, "real_cells", st.residues_in * cells);
                 trace.add(&path, "bytes_moved", st.residues_in * bytes);
                 trace.add_secs(&path, st.time_s);
-            }
-            if matches!(plan, ExecPlan::FaultTolerant { .. }) {
-                trace.add("pipeline/recovery", "retries", journal.retries as u64);
-                trace.add(
-                    "pipeline/recovery",
-                    "lost_devices",
-                    journal.lost_devices.len() as u64,
-                );
-                trace.add(
-                    "pipeline/recovery",
-                    "redistributed_seqs",
-                    journal.redistributed_seqs as u64,
-                );
-                trace.add("pipeline/recovery", "cpu_fallbacks", degraded as u64);
             }
         }
         trace.add("pipeline/hits", "reported", result.hits.len() as u64);
@@ -605,7 +546,7 @@ impl Pipeline {
     }
 
     /// One host stage of this pipeline alone, on its own pool (also
-    /// calibration's, and the fault-tolerant plan's CPU fallback).
+    /// calibration's, and a device pool's CPU fallback).
     fn host_stage_one(&self, stage: Stage, db: &SeqDb, ids: Option<&[u32]>) -> (Vec<f32>, f64) {
         let (mut scores, secs) = Self::host_stage(self.pool(), &[self], stage, db, &[ids]);
         (scores.swap_remove(0), secs)
@@ -638,24 +579,6 @@ impl Pipeline {
             trace.add("pipeline/batch", "overflow_dropouts", overflow as u64);
         }
         (scores, secs)
-    }
-
-    /// A single-device stage's outcome as the driver wants it: `scores`
-    /// in launch (= subset) order and the modeled seconds, with the
-    /// kernel counters and modeled time split surfaced under
-    /// `pipeline/{label}/device` in the telemetry tree.
-    fn device_stage(
-        trace: &Trace,
-        label: &str,
-        run: &StageRun,
-        scores: impl Iterator<Item = f32>,
-    ) -> (Vec<f32>, f64) {
-        if trace.is_on() {
-            let path = format!("pipeline/{label}/device");
-            run.stats.record_into(trace, &path);
-            run.time.record_into(trace, &format!("{path}/time"));
-        }
-        (scores.collect(), run.time.total_s)
     }
 
     /// Total residues of the listed sequences (the denominator for
@@ -723,8 +646,10 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use h3w_core::tiered::{run_msv_device, run_vit_device};
     use h3w_hmm::build::{synthetic_model, BuildParams};
     use h3w_seqdb::gen::{generate, DbGenSpec};
+    use h3w_seqdb::PackedDb;
 
     fn setup(hom_frac: f64, scale: f64) -> (Pipeline, SeqDb) {
         let core = synthetic_model(80, 42, &BuildParams::default());
@@ -775,6 +700,57 @@ mod tests {
         );
         let recovered = res.hits.len() as f64 / n_hom as f64;
         assert!(recovered > 0.6, "recovered only {recovered}");
+    }
+
+    /// A pool of one is the single-device kernel call: `ExecPlan::Device`'s
+    /// MSV and Viterbi times and its MSV kernel counters are those of a
+    /// direct launch over the packed database and over the MSV survivors,
+    /// bit for bit. Every sequence passes MSV here, so both launches
+    /// (~1,300 warps) outnumber a K40's resident warp slots and their
+    /// modeled imbalance, a greedy schedule in launch order, sees a pool
+    /// that reordered or split them.
+    #[test]
+    fn a_pool_of_one_is_the_single_device_launch() {
+        let core = synthetic_model(80, 42, &BuildParams::default());
+        let pipe = Pipeline::prepare(&core, PipelineConfig::max_sensitivity(), 7);
+        let db = generate(&DbGenSpec::envnr_like().scaled(0.0002), Some(&core), 3);
+        let dev = DeviceSpec::tesla_k40();
+        let plan = ExecPlan::Device { dev: dev.clone() };
+        let report = pipe.search_traced(&db, &plan, &Trace::on()).unwrap();
+        let packed = PackedDb::from_db(&db);
+        let msv = run_msv_device(&pipe.msv, &packed, &dev, None).unwrap();
+        let scores: Vec<f32> = msv.hits.iter().map(|h| h.score).collect();
+        let pvalue = |s, len| pipe.msv_pvalue(s, len);
+        let all = 0..db.len() as u32;
+        let (ids, _) = Pipeline::survivors(&db, all, &scores, pvalue, pipe.config.f1);
+        assert!(ids.len() > 1_000, "Viterbi sees {} sequences", ids.len());
+        let vit = run_vit_device(&pipe.vit, &packed.subset(&ids), &dev, None).unwrap();
+        let times = report.result.stages.map(|st| st.time_s.to_bits());
+        assert_eq!(
+            times[..2],
+            [msv.run.time, vit.run.time].map(|t| t.total_s.to_bits())
+        );
+        let direct = Trace::on();
+        msv.run.stats.record_into(&direct, "msv");
+        let counters = |tel: Option<Telemetry>, path: &str| {
+            tel.unwrap().at_path(path).unwrap().counters.clone()
+        };
+        assert_eq!(
+            counters(report.telemetry, "pipeline/MSV (GPU)/device"),
+            counters(direct.snapshot(), "msv")
+        );
+    }
+
+    /// A library caller's pool of no devices is a typed error, not a panic.
+    #[test]
+    fn an_empty_device_pool_is_a_typed_error() {
+        let (pipe, db) = setup(0.0, 0.00001);
+        let pool = FtSweep::fault_free(0);
+        let plan = ExecPlan::Devices {
+            dev: DeviceSpec::tesla_k40(),
+            pool,
+        };
+        assert_eq!(pipe.search(&db, &plan).unwrap_err(), SweepError::NoDevices);
     }
 
     #[test]

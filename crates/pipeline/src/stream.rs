@@ -5,9 +5,9 @@
 //! any [`SeqSource`] (in-memory [`SeqDb`], packed `DiskDb`, FASTA text or
 //! file, or a generation recipe that never materializes) in bounded-size
 //! chunks, each swept with the normal parallel pipeline under **any**
-//! [`ExecPlan`] — threads, batching, fused device stages, and fault
-//! injection all apply per chunk; multi-device plans partition each
-//! chunk across the pool, so device recovery operates at source-chunk
+//! [`ExecPlan`] — threads, batching, the device pool, and fault
+//! injection all apply per chunk; a device plan partitions each chunk's
+//! stages across its pool, so device recovery operates at source-chunk
 //! granularity. Per-chunk survivors merge with E-values kept
 //! global (P-values scale by the *whole* database size, exactly as a
 //! single-pass run would), so streamed hits are bit-identical to
@@ -113,7 +113,7 @@ pub type ChunkObserver<'o> = &'o mut dyn FnMut(&ChunkProgress) -> Result<(), Str
 pub struct StreamReport {
     /// Merged hits and funnel counters.
     pub result: PipelineResult,
-    /// True if any chunk's fault-tolerant sweep degraded to the striped
+    /// True if any chunk's device pool degraded to the striped
     /// CPU backend.
     pub degraded_to_cpu: bool,
 }

@@ -698,11 +698,11 @@ fn run_query(
     let plan = match &inner.cfg.device {
         None => ExecPlan::Cpu,
         Some((dev, n)) => {
-            let mut sweep = FtSweep::fault_free(*n);
-            sweep.injector = injector.as_ref();
-            ExecPlan::FaultTolerant {
+            let mut pool = FtSweep::fault_free(*n);
+            pool.injector = injector.as_ref();
+            ExecPlan::Devices {
                 dev: dev.clone(),
-                sweep,
+                pool,
             }
         }
     };

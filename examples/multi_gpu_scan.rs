@@ -4,12 +4,13 @@
 //! cargo run --release --example multi_gpu_scan
 //! ```
 //!
-//! The fault-tolerant execution plan partitions each filter stage's
-//! input length-sorted round-robin across the device pool, every device
-//! runs the same warp-synchronous kernels (shared-memory reductions —
-//! Fermi has no shuffle), and a stage's modeled time is the makespan.
+//! The device plan's pool partitions each filter stage's input
+//! round-robin, in order, across its devices; every device runs the same
+//! warp-synchronous kernels (shared-memory reductions — Fermi has no
+//! shuffle), and a stage's modeled time is the makespan. A pool of one
+//! is `ExecPlan::Device`, the paper's single-GPU deployment.
 
-use hmmer3_warp::core::multi_gpu::partition_id_slice;
+use hmmer3_warp::core::multi_gpu::partition;
 use hmmer3_warp::prelude::*;
 
 fn main() {
@@ -27,11 +28,10 @@ fn main() {
     );
 
     // The stage-1 split: every sequence, as the MSV stage partitions it.
-    let packed = PackedDb::from_db(&db);
     let all: Vec<u32> = (0..db.len() as u32).collect();
     println!();
     println!("MSV partition balance (residues per device):");
-    for (i, part) in partition_id_slice(&packed, &all, 4).iter().enumerate() {
+    for (i, part) in partition(&all, 4).iter().enumerate() {
         let residues: usize = part.iter().map(|&id| db.seqs[id as usize].len()).sum();
         println!(
             "  device {i}: {residues:>8} residues / {:>4} seqs",
@@ -39,9 +39,9 @@ fn main() {
         );
     }
 
-    let plan = ExecPlan::FaultTolerant {
+    let plan = ExecPlan::Devices {
         dev,
-        sweep: FtSweep::fault_free(4),
+        pool: FtSweep::fault_free(4),
     };
     let report = pipe
         .search_traced(&db, &plan, &Trace::off())

@@ -5,8 +5,10 @@
 //!
 //! options:
 //!   --gpu <k40|gtx580>   run MSV+Viterbi on the simulated device
-//!   --devices <n>        fan the device stages over n simulated GPUs
-//!                        (fault-tolerant orchestration; requires --gpu)
+//!   --devices <n>        fan the device stages over a pool of n
+//!                        simulated GPUs (default 1; faults retry,
+//!                        redistribute or fall back to the CPU; requires
+//!                        --gpu)
 //!   --max                disable the filter cascade (full sensitivity)
 //!   -E <evalue>          report threshold (default 10.0)
 //!   --ali                print alignment blocks for each hit
@@ -21,7 +23,9 @@
 //!                        need the database resident)
 //!   --checkpoint <path>  with --chunk: persist sweep state after every
 //!                        chunk and resume from it if it already exists
-//!   --gpu-full           like --gpu, plus the Forward stage on-device
+//!   --gpu-full           put the Forward stage on the device pool too
+//!                        (composes with --gpu and --devices; alone it
+//!                        means --gpu k40)
 //!   --profile            collect funnel telemetry; print the per-stage
 //!                        table and the telemetry JSON after the report
 //!   --profile-json <p>   collect funnel telemetry; write the JSON to p
@@ -32,8 +36,8 @@
 //!
 //! Runs the full HMMER3-style task pipeline (Fig. 1 of the paper):
 //! MSV filter → P7Viterbi filter → Forward, with calibrated E-values.
-//! Every deployment dispatches through `Pipeline::search` with the
-//! matching `ExecPlan`.
+//! Every deployment dispatches through `Pipeline::search`: the CPU plan,
+//! or the one device plan, `ExecPlan::Devices`.
 
 use hmmer3_warp::cli::{self, Args, ToolError};
 use hmmer3_warp::hmm::hmmio::read_hmm;
@@ -145,26 +149,23 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
     let parsed = read_hmm(&hmm_text).map_err(|e| format!("{hmm_path}: {e}"))?;
     let pipe = Pipeline::prepare(&parsed.model, config, 0x5_eac4);
 
-    let plan: ExecPlan = if args.has("--gpu-full") {
-        let dev = gpu.unwrap_or_else(DeviceSpec::tesla_k40);
-        eprintln!("running all three stages on simulated {}", dev.name);
-        ExecPlan::DeviceFull { dev }
-    } else if let Some(dev) = gpu {
-        if devices > 1 {
-            eprintln!(
-                "running MSV + P7Viterbi on {devices} simulated {} devices",
-                dev.name
-            );
-            ExecPlan::FaultTolerant {
-                dev,
-                sweep: FtSweep::fault_free(devices),
-            }
-        } else {
-            eprintln!("running MSV + P7Viterbi on simulated {}", dev.name);
-            ExecPlan::Device { dev }
+    // One device plan: --gpu picks the device (--gpu-full alone means
+    // k40), --devices the pool size, --gpu-full puts Forward on it too.
+    let forward_on_device = args.has("--gpu-full");
+    let plan = match gpu.or_else(|| forward_on_device.then(DeviceSpec::tesla_k40)) {
+        None => ExecPlan::Cpu,
+        Some(dev) => {
+            let stages = match forward_on_device {
+                true => "all three stages",
+                false => "MSV + P7Viterbi",
+            };
+            eprintln!("running {stages} on {devices} simulated {}", dev.name);
+            let pool = FtSweep {
+                forward_on_device,
+                ..FtSweep::fault_free(devices)
+            };
+            ExecPlan::Devices { dev, pool }
         }
-    } else {
-        ExecPlan::Cpu
     };
 
     let banner = |label: &str, n_seqs: usize, residues: u64| {

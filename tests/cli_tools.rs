@@ -475,15 +475,32 @@ fn multi_device_search_matches_single_device() {
             "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        String::from_utf8_lossy(&out.stdout)
-            .lines()
-            .filter(|l| l.contains("E ="))
-            .map(str::to_string)
-            .collect::<Vec<_>>()
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let hits = |out: &str, fields: usize| -> Vec<String> {
+        let hit_lines = out.lines().filter(|l| l.contains("E ="));
+        let cut = |l: &str| {
+            l.split_whitespace()
+                .take(fields)
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        hit_lines.map(cut).collect()
     };
     let single = run(&[]);
     let multi = run(&["--devices", "3"]);
-    assert_eq!(single, multi, "multi-device hits diverge");
+    assert_eq!(
+        hits(&single, 9),
+        hits(&multi, 9),
+        "multi-device hits diverge"
+    );
+    // --gpu-full composes with --devices: two devices, Forward on them
+    // too (its flogsum sums: the same hits, scores within its bias).
+    let full = run(&["--gpu-full", "--devices", "2"]);
+    for label in ["MSV (multi-GPU)", "P7Viterbi (multi-GPU)", "Forward (GPU)"] {
+        assert!(full.contains(label), "no {label:?} stage in\n{full}");
+    }
+    assert_eq!(hits(&full, 1), hits(&single, 1), "Forward-on-device hits");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -8,10 +8,10 @@
 //! on the scalar backend with one thread and searched resident on the CPU
 //! plan with tracing off — and demands the same hits (ids, names, score
 //! and E-value bits), the same funnel and the same timeless report, with
-//! three carve-outs: the fully-on-device plan's Forward sums with the
-//! flogsum table (same ids and funnel, scores within 0.15 nats), a
-//! checkpointed sweep drops posteriors, and a fault-tolerant run reports
-//! a CPU fallback exactly when its whole device pool died.
+//! three carve-outs: a pool with Forward on the device sums Forward with
+//! the flogsum table (same ids and funnel, scores within 0.15 nats), a
+//! checkpointed sweep drops posteriors, and a device run reports a CPU
+//! fallback exactly when its whole pool died.
 //! [`ScanPoint`] / [`check_scan`] are the same for the multi-model scan.
 //!
 //! [`Lattice`] and [`ScanLattice`] draw points; `tests/lattice.rs` runs
@@ -65,20 +65,54 @@ impl Shape {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Plan {
     Cpu,
-    /// MSV and Viterbi on a simulated Tesla K40 (Kepler, shuffles).
-    K40,
-    /// MSV and Viterbi on a simulated GTX 580 (Fermi, no shuffles).
-    Gtx580,
-    /// All three stages on a simulated K40.
-    DeviceFull,
-    /// MSV and Viterbi fanned out over a pool of simulated K40s.
-    FaultTolerant {
+    /// MSV and Viterbi, and Forward if `forward`, over a pool of `devices`
+    /// simulated `spec`s under `faults`.
+    Device {
+        spec: Spec,
         devices: usize,
+        forward: bool,
         faults: Faults,
     },
 }
 
-/// The fault plan a fault-tolerant sweep's pool runs under.
+/// A simulated device.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Spec {
+    /// Tesla K40 (Kepler, shuffles).
+    K40,
+    /// GTX 580 (Fermi, no shuffles).
+    Gtx580,
+}
+
+impl Plan {
+    /// The paper's deployment: one fault-free K40, Forward on the host.
+    pub const K40: Plan = Plan::one(Spec::K40, false);
+    /// The same on a GTX 580.
+    pub const GTX580: Plan = Plan::one(Spec::Gtx580, false);
+    /// All three stages on one K40.
+    pub const K40_FULL: Plan = Plan::one(Spec::K40, true);
+
+    const fn one(spec: Spec, forward: bool) -> Plan {
+        Plan::Device {
+            spec,
+            devices: 1,
+            forward,
+            faults: Faults::None,
+        }
+    }
+
+    /// A pool of `devices` K40s under `faults`, Forward on the host.
+    pub const fn pool(devices: usize, faults: Faults) -> Plan {
+        Plan::Device {
+            spec: Spec::K40,
+            devices,
+            forward: false,
+            faults,
+        }
+    }
+}
+
+/// The fault plan a device pool runs under.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Faults {
     None,
@@ -183,9 +217,9 @@ impl Deck {
     }
 }
 
-/// Plan slots of the (plan, driver) deck: the fault-tolerant plan takes
-/// two, so its device-count and fault-plan axes are covered as soon as
-/// every pair is.
+/// Plan slots of the (plan, driver) deck: the device plan takes five, so
+/// its device, device-count, Forward and fault-plan axes are covered as
+/// soon as every pair is.
 const PLAN_SLOTS: usize = 6;
 const DRIVERS: usize = 4;
 
@@ -193,7 +227,7 @@ const DRIVERS: usize = 4;
 /// so [`Lattice::CASES`] draws visit every axis value and every
 /// (plan, driver) pair.
 pub struct Lattice {
-    decks: RefCell<[Deck; 10]>,
+    decks: RefCell<[Deck; 12]>,
 }
 
 impl Lattice {
@@ -207,7 +241,7 @@ impl Default for Lattice {
         let backends = Backend::all_available().len();
         Lattice {
             decks: RefCell::new(
-                [PLAN_SLOTS * DRIVERS, 4, 6, 2, backends, 5, 2, 5, 6, 5].map(Deck::new),
+                [PLAN_SLOTS * DRIVERS, 4, 6, 2, backends, 5, 2, 2, 5, 2, 6, 5].map(Deck::new),
             ),
         }
     }
@@ -227,15 +261,12 @@ impl Strategy for Lattice {
 
     fn generate(&self, rng: &mut TestRng) -> Point {
         let mut decks = self.decks.borrow_mut();
-        let [pair, m, shape, null2, backend, threads, trace, devices, faults, resumed] =
+        let [pair, m, shape, null2, backend, threads, trace, spec, devices, forward, faults, resumed] =
             &mut *decks;
         let pair = pair.draw(rng);
         let backends = Backend::all_available();
         let plan = match pair % PLAN_SLOTS {
             0 => Plan::Cpu,
-            1 => Plan::K40,
-            2 => Plan::Gtx580,
-            3 => Plan::DeviceFull,
             _ => {
                 let devices = 1 + devices.draw(rng);
                 let faults = match faults.draw(rng) {
@@ -254,7 +285,12 @@ impl Strategy for Lattice {
                         launch: k as u64 - 4,
                     },
                 };
-                Plan::FaultTolerant { devices, faults }
+                Plan::Device {
+                    spec: [Spec::K40, Spec::Gtx580][spec.draw(rng)],
+                    devices,
+                    forward: forward.draw(rng) == 1,
+                    faults,
+                }
             }
         };
         let driver = match pair / PLAN_SLOTS {
@@ -298,10 +334,8 @@ impl Point {
             24..=80 => "24..80".into(),
             _ => "~120".into(),
         };
-        let plan = match self.plan {
-            Plan::FaultTolerant { .. } => "FaultTolerant".into(),
-            plan => format!("{plan:?}"),
-        };
+        let plan = format!("{:?}", self.plan);
+        let plan = plan.split(' ').next().unwrap_or_default().to_string();
         let driver = format!("{:?}", self.driver);
         let driver = driver.split(' ').next().unwrap_or_default().to_string();
         let mut visits = vec![
@@ -315,14 +349,25 @@ impl Point {
             ("plan", plan),
             ("driver", driver),
         ];
-        if let Plan::FaultTolerant { devices, faults } = self.plan {
+        if let Plan::Device {
+            spec,
+            devices,
+            forward,
+            faults,
+        } = self.plan
+        {
             let faults = match faults {
                 Faults::Storm { persist: 0..=3 } => "storm within retries".into(),
                 Faults::Storm { .. } => "storm past retries".into(),
                 Faults::Kill { .. } => "Kill".into(),
                 faults => format!("{faults:?}"),
             };
-            visits.extend([("devices", devices.to_string()), ("faults", faults)]);
+            visits.extend([
+                ("device", format!("{spec:?}")),
+                ("devices", devices.to_string()),
+                ("forward on device", forward.to_string()),
+                ("faults", faults),
+            ]);
         }
         if let Driver::Resumed { threads, .. } = self.driver {
             visits.push(("resumed threads", threads.to_string()));
@@ -334,7 +379,7 @@ impl Point {
 impl Lattice {
     /// Every axis [`Point::visits`] reports, with its number of classes
     /// on this host.
-    pub fn axes() -> [(&'static str, usize); 12] {
+    pub fn axes() -> [(&'static str, usize); 14] {
         [
             ("m", 4),
             ("shape", 6),
@@ -342,10 +387,12 @@ impl Lattice {
             ("backend", Backend::all_available().len()),
             ("threads", 5),
             ("trace", 2),
-            ("pair", 5 * DRIVERS),
-            ("plan", 5),
+            ("pair", 2 * DRIVERS),
+            ("plan", 2),
             ("driver", DRIVERS),
+            ("device", 2),
             ("devices", 5),
+            ("forward on device", 2),
             ("faults", 6),
             ("resumed threads", 5),
         ]
@@ -356,7 +403,10 @@ impl Plan {
     /// The fault injector this plan's pool runs under; each sweep gets a
     /// fresh one (an injector counts launches).
     fn injector(&self) -> Option<FaultInjector> {
-        let Plan::FaultTolerant { devices, faults } = *self else {
+        let Plan::Device {
+            devices, faults, ..
+        } = *self
+        else {
             return None;
         };
         let plan = match faults {
@@ -373,24 +423,32 @@ impl Plan {
         Some(FaultInjector::new(plan, devices))
     }
 
+    /// The plan as the pipeline takes it; a fault-free pool of one with
+    /// Forward on the host goes through the `Device { dev }` shorthand.
     fn exec<'a>(&self, injector: Option<&'a FaultInjector>) -> ExecPlan<'a> {
-        let k40 = DeviceSpec::tesla_k40;
-        match *self {
-            Plan::Cpu => ExecPlan::Cpu,
-            Plan::K40 => ExecPlan::Device { dev: k40() },
-            Plan::Gtx580 => ExecPlan::Device {
-                dev: DeviceSpec::gtx_580(),
-            },
-            Plan::DeviceFull => ExecPlan::DeviceFull { dev: k40() },
-            Plan::FaultTolerant { devices, .. } => ExecPlan::FaultTolerant {
-                dev: k40(),
-                sweep: FtSweep {
-                    n_devices: devices,
-                    policy: RetryPolicy::no_wait(),
-                    injector,
-                },
-            },
+        let Plan::Device {
+            spec,
+            devices,
+            forward,
+            faults,
+        } = *self
+        else {
+            return ExecPlan::Cpu;
+        };
+        let dev = match spec {
+            Spec::K40 => DeviceSpec::tesla_k40(),
+            Spec::Gtx580 => DeviceSpec::gtx_580(),
+        };
+        if (devices, forward, faults) == (1, false, Faults::None) {
+            return ExecPlan::Device { dev };
         }
+        let pool = FtSweep {
+            n_devices: devices,
+            policy: RetryPolicy::no_wait(),
+            injector,
+            forward_on_device: forward,
+        };
+        ExecPlan::Devices { dev, pool }
     }
 }
 
@@ -489,7 +547,7 @@ pub fn check(p: &Point) {
     }
     assert_eq!(got.db_size, want.db_size, "{p:?}: E-value scale");
     assert_eq!(funnel(&got.stages), funnel(&want.stages), "{p:?}: funnel");
-    if p.plan == Plan::DeviceFull {
+    if matches!(p.plan, Plan::Device { forward: true, .. }) {
         // The device Forward sums with the flogsum table, within its
         // bias of the host's odds-space filter.
         let by_id = |r: &PipelineResult| {
@@ -522,13 +580,16 @@ pub fn check(p: &Point) {
 /// (a record with no residues) with the typed error it must give.
 fn run(p: &Point, model: &CoreModel, db: &SeqDb) -> Option<PipelineResult> {
     let pipe = prepare(p, model, p.backend, p.threads);
-    if let Plan::FaultTolerant { devices, faults } = p.plan {
+    if let Plan::Device {
+        devices, faults, ..
+    } = p.plan
+    {
         // Only a resident search reports the recovery journal.
         let injector = p.plan.injector();
         let ft = p.plan.exec(injector.as_ref());
         let report = pipe
             .search_traced(db, &ft, &Trace::off())
-            .expect("FT search");
+            .expect("device search");
         let lost = report.recovery.lost_devices.len();
         assert_eq!(
             report.degraded_to_cpu,

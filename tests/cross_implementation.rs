@@ -198,7 +198,8 @@ fn quantized_filters_track_float_references() {
 /// change to what a warp issues, or to how the grid is sized, moves one.
 #[test]
 fn device_stage_counts_are_pinned() {
-    use hmmer3_warp::core::tiered::run_fwd_device;
+    use hmmer3_warp::core::tiered::run_fwd_device_on;
+    use hmmer3_warp::core::DeviceCtx;
     use hmmer3_warp::core::WarpLazyStats;
     use hmmer3_warp::simt::KernelStats;
 
@@ -258,7 +259,7 @@ fn device_stage_counts_are_pinned() {
     );
     assert_eq!(run.lazy, lazy);
 
-    let run = run_fwd_device(&p, &packed, &dev).unwrap();
+    let run = run_fwd_device_on(&p, &packed, &dev, &DeviceCtx::fault_free()).unwrap();
     assert_eq!(
         counts(&run.run.stats),
         (5259484, 1212165, 598144, 0, 0, 0, 26937, 131)

@@ -1,4 +1,4 @@
-//! The fault-tolerant sweep's recovery journal: transient launch
+//! The device pool's recovery journal: transient launch
 //! failures, kernel timeouts and fatal device loss, up to and including
 //! every device, are retried, redistributed or degraded to the CPU, and
 //! the journal says which. That faults never change the hits or the
@@ -21,17 +21,15 @@ fn fixture() -> (Pipeline, SeqDb) {
     (pipe, db)
 }
 
-/// One fault-tolerant search on `n_devices` K40s under `faults`.
+/// One search on a pool of `n_devices` K40s under `faults`.
 fn ft_search(pipe: &Pipeline, db: &SeqDb, n_devices: usize, faults: FaultPlan) -> SearchReport {
     let injector = FaultInjector::new(faults, n_devices);
-    let plan = ExecPlan::FaultTolerant {
-        dev: DeviceSpec::tesla_k40(),
-        sweep: FtSweep {
-            n_devices,
-            policy: RetryPolicy::no_wait(),
-            injector: Some(&injector),
-        },
+    let pool = FtSweep {
+        injector: Some(&injector),
+        ..FtSweep::fault_free(n_devices)
     };
+    let dev = DeviceSpec::tesla_k40();
+    let plan = ExecPlan::Devices { dev, pool };
     pipe.search_traced(db, &plan, &Trace::off()).unwrap()
 }
 
@@ -89,12 +87,8 @@ fn transient_fault_storms_are_retried_without_score_drift() {
 #[test]
 fn device_count_does_not_change_results() {
     for devices in [1, 2, 5] {
-        let plan = Plan::FaultTolerant {
-            devices,
-            faults: Faults::None,
-        };
         check(&Point {
-            plan,
+            plan: Plan::pool(devices, Faults::None),
             ..Point::default()
         });
     }
@@ -102,13 +96,13 @@ fn device_count_does_not_change_results() {
 
 #[test]
 fn killed_and_resumed_checkpointed_sweep_reports_identical_hits() {
-    let plan = Plan::FaultTolerant {
-        devices: 3,
-        faults: Faults::Kill {
+    let plan = Plan::pool(
+        3,
+        Faults::Kill {
             device: 2,
             launch: 1,
         },
-    };
+    );
     let driver = Driver::Resumed {
         cap: 12_000,
         kill_after: 1,

@@ -81,11 +81,8 @@ fn hostile_inputs_get_the_reference_answer_or_a_typed_refusal() {
     let plans = [
         Plan::Cpu,
         Plan::K40,
-        Plan::DeviceFull,
-        Plan::FaultTolerant {
-            devices: 2,
-            faults: Faults::None,
-        },
+        Plan::K40_FULL,
+        Plan::pool(2, Faults::None),
     ];
     let drivers = [
         Driver::Resident,

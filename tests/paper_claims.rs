@@ -3,7 +3,7 @@
 //! full-size numbers recorded in EXPERIMENTS.md).
 
 use hmmer3_warp::core::layout::{best_config, Stage};
-use hmmer3_warp::core::multi_gpu::{model_multi_time, partition_id_slice};
+use hmmer3_warp::core::multi_gpu::{model_multi_time, partition};
 use hmmer3_warp::core::stats_model::DbAggregates;
 use hmmer3_warp::core::tiered::{auto_mem_config, run_msv_device};
 use hmmer3_warp::prelude::*;
@@ -129,15 +129,15 @@ fn claim_pipeline_funnel_rates() {
 }
 
 /// Partitioning preserves the database exactly: every sequence lands on
-/// exactly one device.
+/// exactly one device, and one device gets it in order.
 #[test]
 fn claim_partition_is_exact_cover() {
     let model = synthetic_model(30, 7, &BuildParams::default());
     let db = generate(&DbGenSpec::swissprot_like().scaled(1e-4), Some(&model), 8);
-    let packed = PackedDb::from_db(&db);
     let all: Vec<u32> = (0..db.len() as u32).collect();
-    for n in [1usize, 2, 4, 7] {
-        let mut ids: Vec<u32> = partition_id_slice(&packed, &all, n).concat();
+    assert_eq!(partition(&all, 1), std::slice::from_ref(&all));
+    for n in [2usize, 4, 7] {
+        let mut ids: Vec<u32> = partition(&all, n).concat();
         ids.sort_unstable();
         assert_eq!(ids, all, "{n} devices");
     }

@@ -19,7 +19,7 @@ fn setup(m: usize, hom: f64, scale: f64, seed: u64) -> (Pipeline, SeqDb) {
 /// CPU plan's hits and funnel (named points of `common::lattice`).
 #[test]
 fn cpu_and_gpu_pipelines_are_hit_identical() {
-    for plan in [Plan::K40, Plan::Gtx580] {
+    for plan in [Plan::K40, Plan::GTX580] {
         check(&Point {
             m: 70,
             seed: 41,

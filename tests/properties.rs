@@ -367,11 +367,8 @@ proptest! {
 #[test]
 fn checkpoint_resumed_stream_matches_unchunked_under_every_plan() {
     use common::lattice::{check, Driver, Faults, Plan, Point};
-    let ft = Plan::FaultTolerant {
-        devices: 2,
-        faults: Faults::None,
-    };
-    for plan in [Plan::Cpu, Plan::K40, Plan::DeviceFull, ft] {
+    let pool = Plan::pool(2, Faults::None);
+    for plan in [Plan::Cpu, Plan::K40, Plan::K40_FULL, pool] {
         let driver = Driver::Resumed {
             cap: 5_000,
             kill_after: 2,

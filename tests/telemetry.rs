@@ -4,7 +4,7 @@
 
 mod common;
 
-use hmmer3_warp::pipeline::Telemetry;
+use hmmer3_warp::pipeline::{StageStats, Telemetry};
 use hmmer3_warp::prelude::*;
 
 fn setup(m: usize, scale: f64, seed: u64) -> (Pipeline, SeqDb) {
@@ -17,8 +17,8 @@ fn setup(m: usize, scale: f64, seed: u64) -> (Pipeline, SeqDb) {
 }
 
 /// Assert the telemetry tree of a traced run mirrors its StageStats
-/// funnel, then return the telemetry for plan-specific checks.
-fn check_consistency(pipe: &Pipeline, db: &SeqDb, plan: &ExecPlan) -> Telemetry {
+/// funnel, then return the telemetry and stages for plan-specific checks.
+fn check_consistency(pipe: &Pipeline, db: &SeqDb, plan: &ExecPlan) -> (Telemetry, [StageStats; 3]) {
     // Baseline: profiling off, twice over (search() and an explicitly
     // disarmed trace) — identical hits, no telemetry.
     let plain = pipe.search(db, plan).unwrap();
@@ -54,13 +54,13 @@ fn check_consistency(pipe: &Pipeline, db: &SeqDb, plan: &ExecPlan) -> Telemetry 
     assert_eq!(root.span_count, 1);
     let staged: f64 = report.result.stages.iter().map(|s| s.time_s).sum();
     assert!(root.seconds >= staged * 0.5, "span should cover the stages");
-    tel
+    (tel, report.result.stages)
 }
 
 #[test]
 fn cpu_plan_telemetry_matches_stage_stats() {
     let (pipe, db) = setup(60, 2e-4, 11);
-    let tel = check_consistency(&pipe, &db, &ExecPlan::Cpu);
+    let (tel, _) = check_consistency(&pipe, &db, &ExecPlan::Cpu);
     // The host batch scheduler surfaces its occupancy accounting.
     let batch = tel.at_path("pipeline/batch").expect("batch node");
     assert!(batch.counter("batches") > 0);
@@ -73,14 +73,30 @@ fn cpu_plan_telemetry_matches_stage_stats() {
     assert!(tel.at_path("pipeline/pool/worker0").is_some());
 }
 
+/// Every device-pool shape reports packing, per-stage kernel counters
+/// and a clean recovery journal; returns the telemetry for shape-specific
+/// checks.
+fn check_device_pool(pipe: &Pipeline, db: &SeqDb, plan: &ExecPlan) -> Telemetry {
+    let (tel, stages) = check_consistency(pipe, db, plan);
+    let pack = tel.at_path("pipeline/pack").expect("pack node");
+    assert_eq!(pack.counter("seqs"), db.len() as u64);
+    for st in stages.iter().filter(|st| !st.name.ends_with("(host)")) {
+        let kernel = tel.at_path(&format!("pipeline/{}/device", st.name));
+        let launched = kernel.map_or(0, |k| k.counter("sequences"));
+        assert_eq!(launched, st.seqs_in as u64, "{}", st.name);
+    }
+    let rec = tel.at_path("pipeline/recovery").expect("recovery node");
+    let faults = ["retries", "lost_devices", "cpu_fallbacks"].map(|c| rec.counter(c));
+    assert_eq!(faults, [0; 3]);
+    tel
+}
+
+/// The `Device` shorthand: a pool of one K40.
 #[test]
 fn device_plan_telemetry_matches_stage_stats() {
     let (pipe, db) = setup(60, 2e-4, 12);
     let dev = DeviceSpec::tesla_k40();
-    let tel = check_consistency(&pipe, &db, &ExecPlan::Device { dev });
-    // Packing and kernel counters surface instead of being dropped.
-    let pack = tel.at_path("pipeline/pack").expect("pack node");
-    assert_eq!(pack.counter("seqs"), db.len() as u64);
+    let tel = check_device_pool(&pipe, &db, &ExecPlan::Device { dev });
     let kernel = tel
         .at_path("pipeline/MSV (GPU)/device")
         .expect("device counters");
@@ -89,28 +105,25 @@ fn device_plan_telemetry_matches_stage_stats() {
     assert!(kernel.counter("shuffles") > 0);
 }
 
+/// One Fermi with Forward on the device.
 #[test]
 fn device_full_plan_telemetry_matches_stage_stats() {
     let (pipe, db) = setup(60, 2e-4, 13);
+    let pool = FtSweep {
+        forward_on_device: true,
+        ..FtSweep::fault_free(1)
+    };
     let dev = DeviceSpec::gtx_580();
-    check_consistency(&pipe, &db, &ExecPlan::DeviceFull { dev });
+    check_device_pool(&pipe, &db, &ExecPlan::Devices { dev, pool });
 }
 
+/// Three fault-free K40s.
 #[test]
 fn fault_free_ft_plan_reports_clean_recovery_counters() {
     let (pipe, db) = setup(60, 2e-4, 14);
-    let tel = check_consistency(
-        &pipe,
-        &db,
-        &ExecPlan::FaultTolerant {
-            dev: DeviceSpec::tesla_k40(),
-            sweep: FtSweep::fault_free(3),
-        },
-    );
-    let rec = tel.at_path("pipeline/recovery").expect("recovery node");
-    assert_eq!(rec.counter("retries"), 0);
-    assert_eq!(rec.counter("lost_devices"), 0);
-    assert_eq!(rec.counter("cpu_fallbacks"), 0);
+    let dev = DeviceSpec::tesla_k40();
+    let pool = FtSweep::fault_free(3);
+    check_device_pool(&pipe, &db, &ExecPlan::Devices { dev, pool });
 }
 
 #[test]
@@ -125,12 +138,11 @@ fn injected_faults_surface_in_recovery_counters() {
     let report = pipe
         .search_traced(
             &db,
-            &ExecPlan::FaultTolerant {
+            &ExecPlan::Devices {
                 dev: dev.clone(),
-                sweep: FtSweep {
-                    n_devices: 4,
-                    policy: RetryPolicy::no_wait(),
+                pool: FtSweep {
                     injector: Some(&inj),
+                    ..FtSweep::fault_free(4)
                 },
             },
             &trace,
@@ -158,12 +170,11 @@ fn injected_faults_surface_in_recovery_counters() {
     let report = pipe
         .search_traced(
             &db,
-            &ExecPlan::FaultTolerant {
+            &ExecPlan::Devices {
                 dev,
-                sweep: FtSweep {
-                    n_devices: 2,
-                    policy: RetryPolicy::no_wait(),
+                pool: FtSweep {
                     injector: Some(&inj),
+                    ..FtSweep::fault_free(2)
                 },
             },
             &trace,

@@ -11,7 +11,7 @@
 //! `a*b + c`: four multiply-adds per M cell, all vectorizable. The price
 //! is dynamic range: a strong homolog's odds overflow `f32` after a few
 //! hundred residues. Per HMMER's fwdfilter, each row's Σ-over-M (`xE`)
-//! is checked against [`RESCALE_THRESHOLD`]; when it trips, the current
+//! is checked against `RESCALE_THRESHOLD` (1e10); when it trips, the current
 //! DP row and the special states are multiplied by `1/xE` and `ln(xE)`
 //! accumulates into a running `totscale`. The final score is
 //! `totscale + ln(xC) + move_sc` — exact in nats, with no overflow

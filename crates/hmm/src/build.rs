@@ -8,6 +8,7 @@
 //! quoted in the paper (84.5% ≤ 400, 14.4% in 401..=1000, 1.1% > 1000).
 
 use crate::alphabet::{BACKGROUND_F, N_STANDARD};
+use crate::categorical;
 use crate::plan7::{CoreModel, Node, NodeTrans};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -72,7 +73,7 @@ pub fn synthetic_model(m: usize, seed: u64, params: &BuildParams) -> CoreModel {
     let mut nodes = Vec::with_capacity(m);
     let mut consensus = Vec::with_capacity(m);
     for _ in 0..m {
-        let cons = sample_background(&mut rng);
+        let cons = categorical::background().draw(rng.gen());
         consensus.push(cons);
         let c = (params.conservation
             + rng.gen_range(-params.conservation_jitter..=params.conservation_jitter))
@@ -136,17 +137,6 @@ pub fn pfam_size_sample(n: usize, seed: u64) -> Vec<usize> {
             x.round() as usize
         })
         .collect()
-}
-
-fn sample_background(rng: &mut StdRng) -> u8 {
-    let mut u: f32 = rng.gen();
-    for (x, &f) in BACKGROUND_F.iter().enumerate() {
-        if u < f {
-            return x as u8;
-        }
-        u -= f;
-    }
-    (N_STANDARD - 1) as u8
 }
 
 fn jitter(rng: &mut StdRng, mean: f32, width: f32) -> f32 {

@@ -11,9 +11,13 @@
 //! This module is scorer-agnostic: [`sample`] draws the random
 //! sequences once, the caller scores them however it sweeps a database
 //! (`h3w-pipeline` uses the pooled batch kernels its funnel runs), and
-//! [`Calibration::fit`] fits the locations from the score vectors.
+//! [`Calibration::fit`] fits the locations from the score vectors. The
+//! residues come from [`random_seq`], the one background sampler of the
+//! workspace: an exact table of [`crate::categorical::scan`], so the
+//! sample is the scan's, bit for bit.
 
-use crate::alphabet::{Residue, BACKGROUND_F};
+use crate::alphabet::Residue;
+use crate::categorical;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,20 +52,12 @@ pub struct Calibration {
 }
 
 /// Draw a random background sequence of length `len` (i.i.d. Swiss-Prot
-/// composition) — HMMER's synthetic calibration targets.
+/// composition) — HMMER's synthetic calibration targets. One uniform per
+/// residue, through a table that returns exactly what
+/// [`categorical::scan`] over `BACKGROUND_F` would.
 pub fn random_seq(rng: &mut StdRng, len: usize) -> Vec<Residue> {
-    (0..len)
-        .map(|_| {
-            let mut u: f32 = rng.gen();
-            for (x, &f) in BACKGROUND_F.iter().enumerate() {
-                if u < f {
-                    return x as Residue;
-                }
-                u -= f;
-            }
-            19
-        })
-        .collect()
+    let table = categorical::background();
+    (0..len).map(|_| table.draw(rng.gen())).collect()
 }
 
 /// Maximum-likelihood Gumbel location fit with fixed slope (HMMER's

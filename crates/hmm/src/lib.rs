@@ -12,6 +12,7 @@
 //! * [`vitprofile`] — the saturating 16-bit ViterbiFilter score system;
 //! * [`build`] — seeded synthetic models standing in for Pfam 27.0;
 //! * [`calibrate`] — Gumbel/exponential score statistics (`λ = log 2`);
+//! * [`categorical`] — the one residue draw, and its exact lookup table;
 //! * [`hmmio`] — the HMMER3 ASCII `.hmm` profile file format;
 //! * [`msa`] — alignment-based model construction (`hmmbuild`-style).
 
@@ -19,6 +20,7 @@ pub mod alphabet;
 pub mod background;
 pub mod build;
 pub mod calibrate;
+pub mod categorical;
 pub mod hmmio;
 pub mod info;
 pub mod logspace;

@@ -67,7 +67,9 @@ pub(crate) struct FtPool<'a> {
 impl<'a> FtPool<'a> {
     /// A pool of `sweep.n_devices` simulated `dev`s over `db`, which is
     /// packed here, once: every stage launches over zero-copy index
-    /// subsets of it. A pool of no devices is [`SweepError::NoDevices`].
+    /// subsets of it. A pool of no devices is [`SweepError::NoDevices`];
+    /// a pool whose every device an earlier search lost sends every
+    /// stage to the host and reports the fallback.
     pub(crate) fn new(
         dev: &'a DeviceSpec,
         sweep: FtSweep<'a>,
@@ -87,14 +89,19 @@ impl<'a> FtPool<'a> {
             ["P7Viterbi (GPU)", "P7Viterbi (multi-GPU)"][multi],
             ["Forward (host)", "Forward (GPU)"][sweep.forward_on_device as usize],
         ];
+        // A device the injector has latched as lost stays lost: a
+        // streamed sweep builds one pool per chunk over one injector.
+        let alive: Vec<usize> = (0..sweep.n_devices)
+            .filter(|&d| !sweep.injector.is_some_and(|inj| inj.is_lost(d)))
+            .collect();
         Ok(FtPool {
             dev,
             sweep,
             packed,
             labels,
-            alive: (0..sweep.n_devices).collect(),
+            degraded: alive.is_empty(),
+            alive,
             journal: SweepTrace::default(),
-            degraded: false,
         })
     }
 

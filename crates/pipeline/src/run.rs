@@ -267,7 +267,7 @@ impl Pipeline {
     }
 
     /// Null-corrected score: `raw − null1(len)` (nats). Table lookup for
-    /// lengths under [`NULL1_TABLE_LEN`]; identical closed form beyond.
+    /// lengths under `NULL1_TABLE_LEN` (16,384); identical closed form beyond.
     pub fn corrected(&self, raw: f32, len: usize) -> f32 {
         let null1 = match self.null1.get(len) {
             Some(&v) => v,

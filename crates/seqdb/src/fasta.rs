@@ -74,7 +74,7 @@ impl From<FastaError> for ReadSeqError {
 /// Lines are read as bytes. A residue line goes through
 /// [`digitize_bytes_into`] in one pass; only a line holding anything but
 /// plain residue letters (whitespace, a gap, a foreign or non-ASCII byte)
-/// is re-read as text by [`residue_line_as_text`], which is where every
+/// is re-read as text by `residue_line_as_text`, which is where every
 /// residue-line diagnostic comes from. Header and comment lines are
 /// validated as UTF-8, so invalid UTF-8 anywhere in the input is the
 /// `InvalidData` I/O error that `BufRead::read_line` raises for it.

@@ -12,14 +12,22 @@
 //! explicit parameters here: lengths are log-normal with the real databases'
 //! means, and a configurable fraction of sequences embeds a motif sampled
 //! from the query model itself.
+//!
+//! Every residue is one [`categorical::scan`] draw from one uniform.
+//! Background residues (pure background sequences and homolog flanks)
+//! come from [`random_seq`], an exact table of that scan over
+//! `BACKGROUND_F`, so the bytes are the scan's; a homolog's match and
+//! insert emissions, one distribution per node, call the scan itself.
 
 use crate::seq::{DigitalSeq, SeqDb};
 use h3w_hmm::alphabet::Residue;
 use h3w_hmm::calibrate::random_seq;
+use h3w_hmm::categorical;
 use h3w_hmm::plan7::CoreModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, LogNormal};
+use std::fmt::Write;
 
 /// Published size of the Swissprot database used in the paper (§IV).
 pub const SWISSPROT_N_SEQS: usize = 459_565;
@@ -135,7 +143,7 @@ fn emit_trace(rng: &mut StdRng, model: &CoreModel, out: &mut Vec<Residue>) {
         let node = &model.nodes[k];
         match state {
             St::M => {
-                out.push(sample_dist(rng, &node.mat));
+                out.push(categorical::scan(&node.mat, rng.gen()));
                 let u: f32 = rng.gen();
                 state = if u < node.t.mm {
                     k += 1;
@@ -148,7 +156,7 @@ fn emit_trace(rng: &mut StdRng, model: &CoreModel, out: &mut Vec<Residue>) {
                 };
             }
             St::I => {
-                out.push(sample_dist(rng, &node.ins));
+                out.push(categorical::scan(&node.ins, rng.gen()));
                 let u: f32 = rng.gen();
                 if u >= node.t.ii {
                     k += 1;
@@ -162,17 +170,6 @@ fn emit_trace(rng: &mut StdRng, model: &CoreModel, out: &mut Vec<Residue>) {
             }
         }
     }
-}
-
-fn sample_dist(rng: &mut StdRng, dist: &[f32; 20]) -> Residue {
-    let mut u: f32 = rng.gen();
-    for (x, &p) in dist.iter().enumerate() {
-        if u < p {
-            return x as Residue;
-        }
-        u -= p;
-    }
-    19
 }
 
 /// The sequential generator state: one RNG stream walked sequence by
@@ -219,8 +216,14 @@ impl GenState {
             let len = (self.lognorm.sample(rng).round() as usize).clamp(spec.min_len, spec.max_len);
             random_seq(rng, len)
         };
+        // One allocation of the right size: `format!` starts empty and
+        // grows, which doubled the cost of the name.
+        let tag = if is_homolog { "hom" } else { "bg" };
+        let mut name = String::with_capacity(tag.len() + 1 + 8);
+        // Writing to a `String` cannot fail.
+        let _ = write!(name, "{tag}|{i:07}");
         Some(DigitalSeq {
-            name: format!("{}|{:07}", if is_homolog { "hom" } else { "bg" }, i),
+            name,
             desc: String::new(),
             residues,
         })

@@ -73,14 +73,14 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
     let mut out = std::io::BufWriter::new(out);
     let mut packed = args
         .value("--packed")
-        .map(|p| DiskDbWriter::create(std::path::Path::new(p), &spec.name))
+        .map(|p| DiskDbWriter::create(std::path::Path::new(p), &spec.name).map(|w| (p, w)))
         .transpose()?;
     let mut n_seqs = 0usize;
     let mut residues = 0u64;
     for chunk in gen_chunks(&spec, model.as_ref(), seed, GEN_CHUNK_RESIDUES) {
         out.write_all(fasta::render(&chunk).as_bytes())
             .map_err(|e| format!("writing {out_path}: {e}"))?;
-        if let Some(w) = packed.as_mut() {
+        if let Some((_, w)) = packed.as_mut() {
             for s in &chunk.seqs {
                 w.push(s)?;
             }
@@ -94,9 +94,8 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
         "wrote {out_path}: {n_seqs} sequences, {residues} residues ({})",
         spec.name
     );
-    if let Some(w) = packed {
+    if let Some((packed_path, w)) = packed {
         let summary = w.finish()?;
-        let packed_path = args.value("--packed").expect("writer exists");
         eprintln!(
             "wrote {packed_path}: packed format v{}, content hash {:016x}",
             hmmer3_warp::seqdb::diskdb::DISKDB_VERSION,

@@ -27,13 +27,11 @@ fn main() -> ExitCode {
 fn run(argv: &[String]) -> Result<(), ToolError> {
     let args = Args::parse(argv, &["--gappy"], &["--synthetic", "--seed", "--name"])?;
     let out_path = args.positional(0, "output path")?;
-    let model = if args.value("--synthetic").is_some() {
+    let model = if let Some(m) = args.parse_value::<usize>("--synthetic")? {
         args.no_extra_positionals(1)?;
-        let m = match args.parse_value::<usize>("--synthetic")? {
-            Some(0) => return Err("--synthetic model length must be at least 1".into()),
-            Some(m) => m,
-            None => unreachable!("presence checked above"),
-        };
+        if m == 0 {
+            return Err("--synthetic model length must be at least 1".into());
+        }
         let seed = args.parse_value::<u64>("--seed")?.unwrap_or(42);
         let params = if args.has("--gappy") {
             BuildParams::gappy()

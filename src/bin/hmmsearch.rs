@@ -254,10 +254,10 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
 
     print!("{}", result.render());
 
-    if args.has("--ali") || args.has("--dom") {
-        let db = resident
-            .as_ref()
-            .expect("--ali/--dom are rejected with --chunk");
+    // --ali/--dom are rejected with --chunk, so they find the database
+    // resident.
+    let alignments = args.has("--ali") || args.has("--dom");
+    if let Some(db) = resident.as_ref().filter(|_| alignments) {
         for hit in result.hits.iter().take(25) {
             println!();
             println!(

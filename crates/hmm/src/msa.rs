@@ -434,7 +434,7 @@ pub fn build_from_msa(
         let best = mat
             .iter()
             .enumerate()
-            .max_by(|x, y| x.1.partial_cmp(y.1).unwrap())
+            .max_by(|x, y| x.1.total_cmp(y.1))
             .map(|(x, _)| x as u8)
             .unwrap_or(0);
         consensus.push(best);

@@ -14,6 +14,7 @@
 //! to an uninterrupted one, with no decimal round-trip drift.
 
 use crate::report::{Hit, StageStats};
+use h3w_trace::json_string;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -238,23 +239,6 @@ fn hex_f32(v: f32) -> String {
 
 fn hex_f64(v: f64) -> String {
     format!("\"{:016x}\"", v.to_bits())
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The strict JSON subset the writer above emits.

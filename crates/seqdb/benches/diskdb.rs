@@ -19,11 +19,15 @@ fn bench_shape(c: &mut Criterion, shape: &str, base: DbGenSpec) {
     let mut spec = base.scaled(1e6 / base.expected_residues() as f64);
     spec.homolog_fraction = 0.0;
     let db = generate(&spec, None, 17);
-    let bytes = DiskDb::to_bytes(&db);
     let dir = std::env::temp_dir().join(format!("h3w-bench-diskdb-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join(format!("{shape}.h3wdb"));
-    std::fs::write(&path, &bytes).expect("write image");
+    let mut w = DiskDbWriter::create(&path, &db.name).expect("create");
+    for s in &db.seqs {
+        w.push(s).expect("push");
+    }
+    w.finish().expect("finish");
+    let bytes = std::fs::read(&path).expect("read image");
 
     let mut g = c.benchmark_group(format!("diskdb/{shape}/residues"));
     g.throughput(Throughput::Elements(db.total_residues()));

@@ -13,7 +13,7 @@
 //! that the INDEX and NAMES sections cannot hold is now refused before
 //! anything is allocated for it ([`is_count_guard`]).
 
-use super::tests::{flat_image, reseal, reseal_trailer, section_span, TABLE_AT};
+use super::tests::{flat_image, image, reseal, reseal_trailer, section_span, TABLE_AT};
 use super::*;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -385,7 +385,7 @@ fn small_file() -> Vec<u8> {
         db.seqs.push(DigitalSeq::from_text(name, text).unwrap());
     }
     db.seqs[3].desc = "a description".into();
-    DiskDb::to_bytes(&db)
+    image(&db)
 }
 
 #[test]
@@ -525,7 +525,7 @@ proptest! {
     #[test]
     fn valid_files_agree(seqs in prop::collection::vec((0usize..120, 0u8..=255), 0..20)) {
         let db = db_from(&seqs);
-        let loaded = agree(&DiskDb::to_bytes(&db));
+        let loaded = agree(&image(&db));
         prop_assert!(loaded.is_ok(), "round trip rejected: {:?}", loaded);
     }
 
@@ -535,7 +535,7 @@ proptest! {
         flip_frac in 0.0f64..1.0,
         bit in 0usize..8,
     ) {
-        let mut bytes = DiskDb::to_bytes(&db_from(&seqs));
+        let mut bytes = image(&db_from(&seqs));
         let byte = ((bytes.len() - 1) as f64 * flip_frac) as usize;
         bytes[byte] ^= 1 << bit;
         prop_assert!(agree(&bytes).is_err());
@@ -546,7 +546,7 @@ proptest! {
         seqs in prop::collection::vec((0usize..60, 0u8..=255), 1..8),
         cut_frac in 0.0f64..1.0,
     ) {
-        let bytes = DiskDb::to_bytes(&db_from(&seqs));
+        let bytes = image(&db_from(&seqs));
         let cut = (bytes.len() as f64 * cut_frac) as usize;
         prop_assert!(agree(&bytes[..cut]).is_err());
     }
@@ -577,7 +577,7 @@ proptest! {
         at_frac in 0.0f64..1.0,
         garbage in prop::collection::vec(0u8..=255, 1..24),
     ) {
-        let mut bytes = DiskDb::to_bytes(&db_from(&seqs));
+        let mut bytes = image(&db_from(&seqs));
         let body = bytes.len() - 8;
         let at = 12 + ((body - 12) as f64 * at_frac) as usize;
         let end = (at + garbage.len()).min(body);
@@ -588,7 +588,7 @@ proptest! {
 
     #[test]
     fn version_skew_agrees(found in 0u32..=u32::MAX) {
-        let mut bytes = DiskDb::to_bytes(&db_from(&[(5, 1)]));
+        let mut bytes = image(&db_from(&[(5, 1)]));
         bytes[8..12].copy_from_slice(&found.to_le_bytes());
         let outcome = agree(&bytes);
         prop_assert_eq!(outcome.is_ok(), found == DISKDB_VERSION);
@@ -600,7 +600,7 @@ proptest! {
         edits in prop::collection::vec((0.0f64..1.0, 1u8..=255), 1..3),
         seal in 0usize..3,
     ) {
-        let mut bytes = DiskDb::to_bytes(&db_from(&seqs));
+        let mut bytes = image(&db_from(&seqs));
         let body = bytes.len() - 8;
         for &(at_frac, mask) in &edits {
             bytes[12 + ((body - 12) as f64 * at_frac) as usize] ^= mask;

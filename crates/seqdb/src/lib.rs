@@ -23,5 +23,5 @@ pub use diskdb::{
 pub use gen::{gen_chunks, gen_identity, generate, DbGenSpec, GenChunks};
 pub use pack::{pack_seq, unpack_slot, PackedDb, PackedSubset, PackedView, RESIDUES_PER_WORD};
 pub use seq::{DigitalSeq, SeqDb};
-pub use source::{Chunker, FastaFileSource, FastaSource, GenSource, SeqSource, SourceError};
+pub use source::{Chunker, FastaFileSource, GenSource, SeqSource, SourceError};
 pub use stats::{db_stats, DbStats};

@@ -32,7 +32,7 @@ use h3w_hmm::plan7::CoreModel;
 use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Why a source failed to deliver its next chunk.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -264,65 +264,6 @@ fn scan_fasta<R: BufRead>(db_name: &str, reader: R) -> Result<FastaStats, ReadSe
     })
 }
 
-/// FASTA text already in memory, exposed as a source, validated when it
-/// is built (the text is resident, so that pass reads no file). The
-/// identity equals `content_hash(&fasta::parse(name, text)?)`, so
-/// checkpoints interoperate with materialized loads of the same file.
-pub struct FastaSource<'t> {
-    name: String,
-    text: &'t str,
-    stats: FastaStats,
-}
-
-impl<'t> FastaSource<'t> {
-    /// Validate `text` in one streaming pass and build the source.
-    pub fn new(name: &str, text: &'t str) -> Result<FastaSource<'t>, FastaError> {
-        let stats = match scan_fasta(name, text.as_bytes()) {
-            Ok(s) => s,
-            Err(ReadSeqError::Fasta(e)) => return Err(e),
-            // An in-memory byte slice cannot fail to read.
-            Err(ReadSeqError::Io(e)) => unreachable!("io error on in-memory text: {e}"),
-        };
-        Ok(FastaSource {
-            name: name.to_string(),
-            text,
-            stats,
-        })
-    }
-}
-
-impl SeqSource for FastaSource<'_> {
-    fn label(&self) -> &str {
-        &self.name
-    }
-
-    fn n_seqs(&self) -> usize {
-        self.stats.n_seqs
-    }
-
-    fn total_residues(&self) -> u64 {
-        self.stats.total_residues
-    }
-
-    fn identity(&self) -> u64 {
-        self.stats.identity
-    }
-
-    fn chunks<'s>(
-        &'s self,
-        max_residues: u64,
-    ) -> Box<dyn Iterator<Item = Result<SeqDb, SourceError>> + 's> {
-        let records = SeqReader::new(self.text.as_bytes()).map(|r| {
-            r.map_err(|e| match e {
-                ReadSeqError::Fasta(e) => SourceError::Fasta(e),
-                // An in-memory byte slice cannot fail to read.
-                ReadSeqError::Io(e) => unreachable!("io error on in-memory text: {e}"),
-            })
-        });
-        Box::new(Chunker::new(&self.name, records, max_residues))
-    }
-}
-
 /// A FASTA file on disk, streamed in constant memory and, unless the
 /// caller asks for its size or identity, read exactly once.
 ///
@@ -390,12 +331,12 @@ impl FastaFileSource {
     /// A buffered reader at the start of the file: `open`'s handle the
     /// first time, a fresh one after.
     fn reader(&self) -> Result<BufReader<File>, SourceError> {
-        // Cannot fire: the lock is held only for `Option::take`, which
-        // does not panic, so nothing can poison it.
+        // The lock guards only an `Option::take`, so a poisoned guard
+        // holds a sound `Option`.
         let opened = self
             .opened
             .lock()
-            .expect("poisoned only if a thread panicked inside this take()")
+            .unwrap_or_else(PoisonError::into_inner)
             .take();
         let file = match opened {
             Some(file) => file,
@@ -495,6 +436,7 @@ impl SeqSource for GenSource<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diskdb::tests::write_db;
     use crate::fasta;
     use crate::gen::generate;
 
@@ -517,16 +459,17 @@ mod tests {
         let fa_path = dir.join("db.fa");
         std::fs::write(&fa_path, &text).unwrap();
 
+        let db_path = dir.join("db.h3wdb");
+        write_db(&db, &db_path).unwrap();
+
         // Parse the text under each source's own label so content hashes
         // are comparable per source.
-        let disk = DiskDb::from_bytes(&DiskDb::to_bytes(&db)).unwrap();
-        let mem_fa = FastaSource::new("mem", &text).unwrap();
+        let disk = DiskDb::load(&db_path).unwrap();
         let file_fa = FastaFileSource::open(&fa_path).unwrap();
 
         let sources: Vec<(&dyn SeqSource, SeqDb)> = vec![
             (&db, db.clone()),
             (&disk, db.clone()),
-            (&mem_fa, fasta::parse("mem", &text).unwrap()),
             (
                 &file_fa,
                 fasta::parse(&fa_path.display().to_string(), &text).unwrap(),
@@ -564,8 +507,10 @@ mod tests {
         const PIN_FASTA: &str = ">sp|P1|PIN pinned protein, first\nMKVLayWQRST\nacdxB\n\
                                  ; comment\n\n>p2\nGHIKLMNPZ\n";
         const PIN_IDENTITY: u64 = 0x9386_30a0_73ac_7343;
-        let streamed = FastaSource::new("pin", PIN_FASTA).unwrap();
-        assert_eq!(streamed.identity(), PIN_IDENTITY);
+        // The pass behind `FastaFileSource::identity`, under the label the
+        // pin was taken with.
+        let streamed = scan_fasta("pin", PIN_FASTA.as_bytes()).unwrap();
+        assert_eq!(streamed.identity, PIN_IDENTITY);
         let parsed = fasta::parse("pin", PIN_FASTA).unwrap();
         assert_eq!(content_hash(&parsed), PIN_IDENTITY);
         assert_eq!(parsed.seqs[0].desc, "pinned protein, first");
@@ -593,7 +538,6 @@ mod tests {
     #[test]
     fn fasta_errors_surface_through_chunks() {
         let bad = ">ok\nMKVL\n>broken\nMK1L\n";
-        assert!(FastaSource::new("bad", bad).is_err());
         // A file source validates as it streams: the chunk that holds the
         // flaw is the one that fails, and the stream ends there.
         let dir = std::env::temp_dir().join(format!("h3w-source-bad-{}", std::process::id()));
@@ -632,8 +576,11 @@ mod tests {
             });
         }
         let text = fasta::render(&db);
-        let src = FastaSource::new("mem", &text).unwrap();
-        let chunks: Vec<SeqDb> = src.chunks(1_000).collect::<Result<_, _>>().unwrap();
+        // The reader and chunker `FastaFileSource::chunks` composes.
+        let records = SeqReader::new(text.as_bytes());
+        let chunks: Vec<SeqDb> = Chunker::new("mem", records, 1_000)
+            .collect::<Result<_, _>>()
+            .unwrap();
         assert!(chunks.len() > 3);
         for s in chunks.iter().flat_map(|c| &c.seqs) {
             assert_eq!(s.residues.capacity(), s.residues.len());

@@ -4,8 +4,28 @@
 //! [`DbFormatError`], never a panic and never silently wrong data.
 
 use h3w_seqdb::diskdb::{content_hash, DbFormatError, DiskDb};
-use h3w_seqdb::{DigitalSeq, SeqDb};
+use h3w_seqdb::{DigitalSeq, DiskDbWriter, SeqDb};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The `.h3wdb` image `DiskDbWriter` (what `dbgen` runs) writes for `db`,
+/// through a temporary file of its own.
+fn image(db: &SeqDb) -> Vec<u8> {
+    static FILES: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "h3w-corruption-{}-{}.h3wdb",
+        std::process::id(),
+        FILES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let mut w = DiskDbWriter::create(&path, &db.name).unwrap();
+    for s in &db.seqs {
+        w.push(s).unwrap();
+    }
+    w.finish().unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    bytes
+}
 
 /// Build a database from generated shape data: `seqs` is a list of
 /// (length, residue-seed) pairs; residue codes stay in the standard+
@@ -35,7 +55,7 @@ proptest! {
     #[test]
     fn round_trip_is_exact(seqs in prop::collection::vec((1usize..120, 0u8..=255), 1..20)) {
         let db = db_from(&seqs);
-        let bytes = DiskDb::to_bytes(&db);
+        let bytes = image(&db);
         let loaded = match DiskDb::from_bytes(&bytes) {
             Ok(d) => d,
             Err(e) => return Err(TestCaseError::fail(format!("round trip rejected: {e}"))),
@@ -52,7 +72,7 @@ proptest! {
         bit in 0usize..8,
     ) {
         let db = db_from(&seqs);
-        let mut bytes = DiskDb::to_bytes(&db);
+        let mut bytes = image(&db);
         let byte = ((bytes.len() - 1) as f64 * flip_frac) as usize;
         bytes[byte] ^= 1 << bit;
         // Must be an Err (typed), and must not panic. A flipped file can
@@ -80,7 +100,7 @@ proptest! {
         cut_frac in 0.0f64..1.0,
     ) {
         let db = db_from(&seqs);
-        let bytes = DiskDb::to_bytes(&db);
+        let bytes = image(&db);
         let cut = (bytes.len() as f64 * cut_frac) as usize; // strictly < len
         let outcome = std::panic::catch_unwind(|| DiskDb::from_bytes(&bytes[..cut]));
         let res = match outcome {
@@ -111,7 +131,7 @@ proptest! {
     #[test]
     fn version_skew_is_reported_as_version(found in 2u32..=u32::MAX) {
         let db = db_from(&[(5, 1)]);
-        let mut bytes = DiskDb::to_bytes(&db);
+        let mut bytes = image(&db);
         bytes[8..12].copy_from_slice(&found.to_le_bytes());
         prop_assert_eq!(
             DiskDb::from_bytes(&bytes).unwrap_err(),

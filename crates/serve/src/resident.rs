@@ -8,8 +8,7 @@
 //! are scaled by the *full* database size, so the sharded sweep reports
 //! bit-identical hits to a single-pass one.
 
-use h3w_seqdb::{content_hash, length_bins, Chunker, DbFormatError, DiskDb, LengthBin, SeqDb};
-use std::convert::Infallible;
+use h3w_seqdb::{DbFormatError, DiskDb, LengthBin, SeqDb};
 use std::path::Path;
 
 /// Default shard granularity (residues). Small enough that a deadline
@@ -55,23 +54,6 @@ impl ResidentDb {
             shards: disk.shards(shard_cap(shard_residues)),
         }
     }
-
-    /// Build directly from an in-memory [`SeqDb`] (tests, ad-hoc serving
-    /// of a FASTA without a packed file): the same identity, histogram and
-    /// shard boundaries a packed copy of `db` would load with.
-    pub fn from_seqdb(db: &SeqDb, shard_residues: u64) -> ResidentDb {
-        let seqs = db.seqs.iter().cloned().map(Ok::<_, Infallible>);
-        ResidentDb {
-            name: db.name.clone(),
-            content_hash: content_hash(db),
-            total_seqs: db.len(),
-            total_residues: db.total_residues(),
-            bins: length_bins(db),
-            shards: Chunker::new(&db.name, seqs, shard_cap(shard_residues))
-                .flatten()
-                .collect(),
-        }
-    }
 }
 
 /// The shard cap a `shard_residues` argument asks for (0: the default).
@@ -84,9 +66,29 @@ fn shard_cap(shard_residues: u64) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use h3w_seqdb::DigitalSeq;
+    use h3w_seqdb::{content_hash, DigitalSeq, DiskDbWriter};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// `db` as the daemon meets it: written by `DiskDbWriter` (what
+    /// `dbgen` runs), then [`ResidentDb::load`]ed.
+    pub(crate) fn resident(db: &SeqDb, shard_residues: u64) -> ResidentDb {
+        static FILES: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "h3w-resident-{}-{}.h3wdb",
+            std::process::id(),
+            FILES.fetch_add(1, Ordering::Relaxed)
+        ));
+        let mut w = DiskDbWriter::create(&path, &db.name).unwrap();
+        for s in &db.seqs {
+            w.push(s).unwrap();
+        }
+        w.finish().unwrap();
+        let res = ResidentDb::load(&path, shard_residues).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        res
+    }
 
     fn db(n: usize, len: usize) -> SeqDb {
         let mut db = SeqDb::new("resident-test");
@@ -103,7 +105,7 @@ mod tests {
     #[test]
     fn shards_concatenate_to_the_full_database() {
         let src = db(23, 37);
-        let res = ResidentDb::from_seqdb(&src, 100);
+        let res = resident(&src, 100);
         assert!(res.shards.len() > 1, "shard size forces a split");
         assert_eq!(res.total_seqs, 23);
         let rejoined: Vec<_> = res
@@ -112,12 +114,12 @@ mod tests {
             .flat_map(|s| s.seqs.iter().cloned())
             .collect();
         assert_eq!(rejoined, src.seqs);
-        assert_eq!(res.content_hash, h3w_seqdb::content_hash(&src));
+        assert_eq!(res.content_hash, content_hash(&src));
     }
 
     #[test]
     fn zero_shard_size_picks_the_default() {
-        let res = ResidentDb::from_seqdb(&db(3, 10), 0);
+        let res = resident(&db(3, 10), 0);
         assert_eq!(res.shards.len(), 1);
         assert_eq!(res.total_residues, 30);
     }

@@ -38,6 +38,7 @@ use h3w_pipeline::{
 use h3w_seqdb::diskdb::fnv1a;
 use h3w_seqdb::DbFormatError;
 use h3w_simt::{DeviceSpec, FaultInjector, FaultPlan};
+use h3w_trace::json_string;
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -440,21 +441,6 @@ impl ServerInner {
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Per-connection loop: frames in, responses out, until EOF, transport
 /// error, or drain. Read timeouts let the loop poll the drain flag.
 fn handle_conn(inner: &Arc<ServerInner>, mut stream: TcpStream) {
@@ -758,6 +744,7 @@ fn run_query(
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::resident::tests::resident;
     use h3w_hmm::build::{synthetic_model, BuildParams};
     use h3w_hmm::hmmio::write_hmm;
     use h3w_seqdb::gen::{generate, DbGenSpec};
@@ -776,7 +763,7 @@ mod tests {
         db: &SeqDb,
         shard_residues: u64,
     ) -> (SocketAddr, Arc<AtomicBool>, std::thread::JoinHandle<String>) {
-        let resident = Arc::new(ResidentDb::from_seqdb(db, shard_residues));
+        let resident = Arc::new(resident(db, shard_residues));
         let server = Server::bind(cfg, resident).unwrap();
         let addr = server.local_addr();
         let stop = Arc::new(AtomicBool::new(false));

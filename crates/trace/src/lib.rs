@@ -25,7 +25,7 @@
 //! Paths are `/`-separated (`"pipeline/msv/device"`); recording at a path
 //! creates the intermediate nodes on demand.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// One node of a telemetry tree: span totals, counters, children.
@@ -54,11 +54,14 @@ impl Node {
 
     fn child_mut(&mut self, name: &str) -> &mut Node {
         // Linear scan: trees are a few dozen nodes at most.
-        if let Some(i) = self.children.iter().position(|c| c.name == name) {
-            return &mut self.children[i];
-        }
-        self.children.push(Node::named(name));
-        self.children.last_mut().expect("just pushed")
+        let i = match self.children.iter().position(|c| c.name == name) {
+            Some(i) => i,
+            None => {
+                self.children.push(Node::named(name));
+                self.children.len() - 1
+            }
+        };
+        &mut self.children[i]
     }
 
     fn at_path_mut(&mut self, path: &str) -> &mut Node {
@@ -131,8 +134,7 @@ impl Node {
         use std::fmt::Write as _;
         let pad = "  ".repeat(indent);
         let pad2 = "  ".repeat(indent + 1);
-        let _ = write!(out, "{{\n{pad2}\"name\": ");
-        write_json_str(out, &self.name);
+        let _ = write!(out, "{{\n{pad2}\"name\": {}", json_string(&self.name));
         let _ = write!(
             out,
             ",\n{pad2}\"spans\": {},\n{pad2}\"seconds\": {:.9}",
@@ -141,9 +143,8 @@ impl Node {
         if !self.counters.is_empty() {
             let _ = write!(out, ",\n{pad2}\"counters\": {{");
             for (i, (k, v)) in self.counters.iter().enumerate() {
-                let _ = write!(out, "{}\n{pad2}  ", if i == 0 { "" } else { "," });
-                write_json_str(out, k);
-                let _ = write!(out, ": {v}");
+                let sep = if i == 0 { "" } else { "," };
+                let _ = write!(out, "{sep}\n{pad2}  {}: {v}", json_string(k));
             }
             let _ = write!(out, "\n{pad2}}}");
         }
@@ -159,23 +160,26 @@ impl Node {
     }
 }
 
-fn write_json_str(out: &mut String, s: &str) {
+/// `s` as a JSON string literal, quotes included: `"` and `\` escaped,
+/// every other control character as `\u00XX`, everything else verbatim.
+/// The one escaper behind the telemetry tree, checkpoints, the serve
+/// metrics document and the figure rows.
+pub fn json_string(s: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
     out.push('"');
+    out
 }
 
 /// An immutable snapshot of one run's telemetry.
@@ -313,6 +317,14 @@ struct Shared {
     root: Node,
 }
 
+/// The tree behind an armed trace. Every update under the lock is a
+/// bump, an add or a node insert, so a thread that panicked holding it
+/// left a tree that is still sound, and a poisoned lock is used as it
+/// stands.
+fn lock(shared: &Mutex<Shared>) -> MutexGuard<'_, Shared> {
+    shared.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A telemetry collector handle. Cheap to clone; all clones feed one
 /// tree. A disabled trace ([`Trace::off`]) carries no allocation and
 /// every method on it is a no-op that returns immediately.
@@ -338,7 +350,7 @@ impl Trace {
     pub fn named(name: &str) -> Trace {
         let trace = Trace::on();
         if let Some(s) = &trace.shared {
-            s.lock().expect("trace poisoned").root.name = name.to_string();
+            lock(s).root.name = name.to_string();
         }
         trace
     }
@@ -368,7 +380,7 @@ impl Trace {
     /// Add `n` to the counter `name` at `path`.
     pub fn add(&self, path: &str, name: &str, n: u64) {
         if let Some(s) = &self.shared {
-            let mut g = s.lock().expect("trace poisoned");
+            let mut g = lock(s);
             g.root.at_path_mut(path).bump(name, n);
         }
     }
@@ -377,7 +389,7 @@ impl Trace {
     /// modeled device time, which is not wall time.
     pub fn add_secs(&self, path: &str, seconds: f64) {
         if let Some(s) = &self.shared {
-            let mut g = s.lock().expect("trace poisoned");
+            let mut g = lock(s);
             let node = g.root.at_path_mut(path);
             node.span_count += 1;
             node.seconds += seconds;
@@ -387,7 +399,7 @@ impl Trace {
     /// Snapshot the tree (None when disabled).
     pub fn snapshot(&self) -> Option<Telemetry> {
         self.shared.as_ref().map(|s| Telemetry {
-            root: s.lock().expect("trace poisoned").root.clone(),
+            root: lock(s).root.clone(),
         })
     }
 
@@ -397,7 +409,7 @@ impl Trace {
     /// no-op on a disabled trace.
     pub fn absorb(&self, tel: &Telemetry) {
         if let Some(s) = &self.shared {
-            let mut g = s.lock().expect("trace poisoned");
+            let mut g = lock(s);
             g.root.merge(&tel.root);
         }
     }
@@ -413,7 +425,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((shared, path, start)) = self.active.take() {
             let dt = start.elapsed().as_secs_f64();
-            let mut g = shared.lock().expect("trace poisoned");
+            let mut g = lock(&shared);
             let node = g.root.at_path_mut(&path);
             node.span_count += 1;
             node.seconds += dt;
@@ -457,6 +469,27 @@ mod rss_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_poisoned_trace_keeps_recording() {
+        let t = Trace::on();
+        t.add("x", "n", 1);
+        let shared = t.shared.clone().unwrap();
+        let poisoner = std::thread::spawn(move || {
+            let _held = shared.lock().unwrap();
+            panic!("poisons the trace");
+        });
+        assert!(poisoner.join().is_err());
+        t.add("x", "n", 2);
+        drop(t.span("x"));
+        assert_eq!(t.snapshot().unwrap().at_path("x").unwrap().counter("n"), 3);
+    }
+
+    #[test]
+    fn json_strings_escape_quotes_backslashes_and_controls() {
+        assert_eq!(json_string("a\"b\\c"), r#""a\"b\\c""#);
+        assert_eq!(json_string("\n\t\u{1f}é"), "\"\\u000a\\u0009\\u001fé\"");
+    }
 
     #[test]
     fn disabled_trace_is_inert() {

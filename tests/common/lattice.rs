@@ -25,11 +25,12 @@ use hmmer3_warp::pipeline::{
 };
 use hmmer3_warp::prelude::*;
 use hmmer3_warp::seqdb::fasta::{self, FastaError};
-use hmmer3_warp::seqdb::{FastaSource, SeqSource, SourceError};
+use hmmer3_warp::seqdb::{DiskDbWriter, FastaFileSource, SeqSource, SourceError};
 use proptest::{Strategy, TestRng};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One database shape: PR 20's four funnels, the empty database, and the
@@ -140,9 +141,11 @@ pub enum Faults {
 pub enum Driver {
     /// `Pipeline::search_traced` over the resident database.
     Resident,
-    /// `search_source` over the database rendered as FASTA text.
+    /// `search_source` over a `FastaFileSource` of the database rendered
+    /// to a FASTA file, as `hmmsearch --chunk` streams it.
     Fasta { cap: u64 },
-    /// `search_source` over the `.h3wdb` bytes of the database.
+    /// `search_source` over the `DiskDb::load` of the `.h3wdb` that
+    /// `DiskDbWriter` (what `dbgen` runs) writes of the database.
     Packed { cap: u64 },
     /// `search_chunks`, checkpointed, killed after `kill_after` chunks and
     /// resumed by a pipeline prepared on `backend` with `threads`.
@@ -612,18 +615,26 @@ fn run(p: &Point, model: &CoreModel, db: &SeqDb) -> Option<PipelineResult> {
             report.result
         }
         Driver::Fasta { cap } => {
-            let text = fasta::render(db);
+            let path = temp_path("fa");
+            std::fs::write(&path, fasta::render(db)).expect("write FASTA");
+            let source = FastaFileSource::open(&path).expect("open FASTA");
+            let streamed = search_source(&pipe, &source, &plan, cap, &trace);
+            let _ = std::fs::remove_file(&path);
             let has_empty = db.seqs.iter().any(|s| s.is_empty());
-            match FastaSource::new("lattice", &text) {
-                Ok(source) => {
+            match streamed {
+                Ok(result) => {
                     assert!(!has_empty, "{p:?}: an empty record was accepted");
-                    search_source(&pipe, &source, &plan, cap, &trace).expect("FASTA stream")
+                    result
                 }
                 Err(e) => {
-                    let e = SourceError::from(e);
                     assert!(
                         has_empty
-                            && matches!(e, SourceError::Fasta(FastaError::EmptyRecord { .. }))
+                            && matches!(
+                                e,
+                                StreamError::Source(SourceError::Fasta(
+                                    FastaError::EmptyRecord { .. }
+                                ))
+                            )
                             && e.to_string().contains("has no residues"),
                         "{p:?}: {e}"
                     );
@@ -632,7 +643,14 @@ fn run(p: &Point, model: &CoreModel, db: &SeqDb) -> Option<PipelineResult> {
             }
         }
         Driver::Packed { cap } => {
-            let disk = DiskDb::from_bytes(&DiskDb::to_bytes(db)).expect("own bytes load");
+            let path = temp_path("h3wdb");
+            let mut writer = DiskDbWriter::create(&path, &db.name).expect("create .h3wdb");
+            for s in &db.seqs {
+                writer.push(s).expect("write .h3wdb");
+            }
+            writer.finish().expect("seal .h3wdb");
+            let disk = DiskDb::load(&path).expect("own file loads");
+            let _ = std::fs::remove_file(&path);
             search_source(&pipe, &disk, &plan, cap, &trace).expect("packed stream")
         }
         Driver::Resumed {
@@ -644,12 +662,7 @@ fn run(p: &Point, model: &CoreModel, db: &SeqDb) -> Option<PipelineResult> {
             let chunks: Vec<SeqDb> = SeqSource::chunks(db, cap)
                 .collect::<Result<_, _>>()
                 .expect("a resident database chunks");
-            static SWEEPS: AtomicUsize = AtomicUsize::new(0);
-            let ckpt = std::env::temp_dir().join(format!(
-                "h3w-lattice-{}-{}.ckpt",
-                std::process::id(),
-                SWEEPS.fetch_add(1, Ordering::Relaxed)
-            ));
+            let ckpt = temp_path("ckpt");
             let sweep = |pipe: &Pipeline, upto: usize| {
                 let injector = p.plan.injector();
                 let options = StreamOptions {
@@ -673,6 +686,16 @@ fn run(p: &Point, model: &CoreModel, db: &SeqDb) -> Option<PipelineResult> {
         }
     };
     Some(result)
+}
+
+/// A fresh path in the temp directory, for one driver's file.
+fn temp_path(ext: &str) -> PathBuf {
+    static FILES: AtomicUsize = AtomicUsize::new(0);
+    std::env::temp_dir().join(format!(
+        "h3w-lattice-{}-{}.{ext}",
+        std::process::id(),
+        FILES.fetch_add(1, Ordering::Relaxed)
+    ))
 }
 
 /// Per-stage `(seqs_in, seqs_out, residues_in)`.

@@ -41,7 +41,10 @@ fn main() {
         max_of("Envnr")
     );
     if let Some(path) = json_path {
-        std::fs::write(&path, h3w_bench::json::pretty_rows(&rows)).unwrap();
+        if let Err(e) = std::fs::write(&path, h3w_bench::json::pretty_rows(&rows)) {
+            eprintln!("fig10_overall: cannot write {path}: {e}");
+            std::process::exit(1);
+        }
         eprintln!("wrote {path}");
     }
 }

@@ -41,8 +41,10 @@ fn main() {
          100% occ below 400; Viterbi peak ~2.9x at 50% occ, decaying past 200"
     );
     if let Some(path) = json_path {
-        let json = h3w_bench::json::pretty_rows(&rows);
-        std::fs::write(&path, json).expect("write json");
+        if let Err(e) = std::fs::write(&path, h3w_bench::json::pretty_rows(&rows)) {
+            eprintln!("fig9_stage_speedup: cannot write {path}: {e}");
+            std::process::exit(1);
+        }
         eprintln!("wrote {path}");
     }
 }

@@ -1,5 +1,6 @@
 //! The prefix-sum alternative for the D→D chain — the \[13\]-style
-//! comparator for the Lazy-F ablation (E8).
+//! comparator for the Lazy-F ablation (E8), and the one implementation of
+//! §VI's prefix scan (the Viterbi kernel always runs Lazy-F).
 //!
 //! Abbas et al. resolve the within-row Delete chain with parallel max-plus
 //! prefix sums (a fixed `log₂`-depth scan), where the paper's Lazy-F

@@ -5,7 +5,7 @@
 //! faults [`h3w_simt::fault`] injects (and that real deployments hit):
 //!
 //! * **transient faults** (kernel timeout, spurious launch failure) are
-//!   retried on the same device with capped exponential backoff;
+//!   retried on the same device, up to [`MAX_RETRIES`] times;
 //! * **fatal faults** (device lost, memory exhaustion) kill the device,
 //!   and its unfinished partition is **redistributed** across the
 //!   survivors — because every kernel scores sequences independently,
@@ -17,7 +17,6 @@
 use crate::multi_gpu::partition;
 use h3w_simt::fault::{DeviceFault, FaultInjector};
 use std::collections::VecDeque;
-use std::time::Duration;
 
 /// Why a device sweep could not complete.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,37 +89,10 @@ impl From<SweepError> for String {
     }
 }
 
-/// Retry/backoff policy for transient faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries per launch before the fault is treated as fatal for the
-    /// device (a kernel that times out forever is a dead device).
-    pub max_retries: u32,
-    /// First backoff; each retry doubles it.
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling.
-    pub backoff_cap_ms: u64,
-}
-
-impl RetryPolicy {
-    /// Three retries with zero sleeps — the simulation's policy, where
-    /// waiting buys nothing.
-    pub fn no_wait() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 3,
-            backoff_base_ms: 0,
-            backoff_cap_ms: 0,
-        }
-    }
-
-    /// Capped exponential backoff before retry number `attempt` (1-based).
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let exp = self
-            .backoff_base_ms
-            .saturating_mul(1u64 << attempt.saturating_sub(1).min(16));
-        Duration::from_millis(exp.min(self.backoff_cap_ms))
-    }
-}
+/// Retries per launch before a transient fault condemns the device (a
+/// kernel that times out forever is a dead device). Retries do not wait:
+/// on the simulator, waiting buys nothing.
+pub const MAX_RETRIES: u32 = 3;
 
 /// Journal of what the recovery engine did — reported alongside results
 /// so operators (and tests) can see the sweep's fault history.
@@ -130,59 +102,44 @@ pub struct SweepTrace {
     pub retries: u32,
     /// Devices condemned, in death order.
     pub lost_devices: Vec<usize>,
-    /// Sequences whose work moved to a surviving device.
+    /// Sequences re-queued on a surviving device.
     pub redistributed_seqs: usize,
-    /// Human-readable event log, in order.
-    pub events: Vec<String>,
 }
 
-impl SweepTrace {
-    /// Fold another stage's trace into this one.
-    pub fn merge(&mut self, other: &SweepTrace) {
-        self.retries += other.retries;
-        for &d in &other.lost_devices {
-            if !self.lost_devices.contains(&d) {
-                self.lost_devices.push(d);
-            }
-        }
-        self.redistributed_seqs += other.redistributed_seqs;
-        self.events.extend(other.events.iter().cloned());
-    }
-}
-
-/// Run `ids` across a device pool, retrying transient faults and
-/// redistributing dead devices' chunks across survivors. The one
-/// partitioner ([`partition`]) makes both splits: `ids` over `devices`,
+/// Run `ids` across the live devices `alive`, retrying transient faults
+/// and redistributing dead devices' chunks across survivors. The one
+/// partitioner ([`partition`]) makes both splits: `ids` over `alive`,
 /// and a dead device's chunk over the survivors.
 ///
-/// `devices` are the device ids initially alive (each maps to the same
-/// [`h3w_simt::DeviceSpec`] in the paper's homogeneous deployment, but
-/// the engine only deals in ids). `run_part` executes one chunk on one
+/// The engine works on the caller's state in place: a condemned device
+/// leaves `alive`, and every retry, loss and re-queue is entered in
+/// `journal` as it happens, so both stay true when the sweep fails.
+/// Devices are ids (each maps to the same [`h3w_simt::DeviceSpec`] in the
+/// paper's homogeneous deployment). `run_part` executes one chunk on one
 /// device; `time_of` extracts its modeled execution time so the engine
 /// can account a per-device makespan.
 ///
-/// Returns the per-chunk results (completion order), the makespan across
-/// devices, and the fault journal. Chunk results are position-independent
-/// (every kernel scores sequences independently), so callers may merge
-/// them in any order. An empty `devices` is [`SweepError::NoDevices`].
-#[allow(clippy::type_complexity)]
+/// Returns the per-chunk results (completion order) and the makespan
+/// across devices. Chunk results are position-independent (every kernel
+/// scores sequences independently), so callers may merge them in any
+/// order. An empty `alive` is [`SweepError::NoDevices`]; losing the last
+/// device is [`SweepError::AllDevicesLost`], and the chunk it held is
+/// not re-queued.
 pub fn run_chunks_ft<R>(
     ids: &[u32],
-    devices: &[usize],
-    policy: &RetryPolicy,
+    alive: &mut Vec<usize>,
+    journal: &mut SweepTrace,
     injector: Option<&FaultInjector>,
     run_part: impl Fn(&[u32], &DeviceCtx) -> Result<R, SweepError>,
     time_of: impl Fn(&R) -> f64,
-) -> Result<(Vec<R>, f64, SweepTrace), SweepError> {
-    let n_devices = devices.len();
+) -> Result<(Vec<R>, f64), SweepError> {
+    let n_devices = alive.len();
     if n_devices == 0 {
         return Err(SweepError::NoDevices);
     }
-    let mut alive: Vec<usize> = devices.to_vec();
     let mut queue: VecDeque<Vec<u32>> = partition(ids, n_devices).into();
-    let mut per_dev_time: Vec<(usize, f64)> = devices.iter().map(|&d| (d, 0.0)).collect();
+    let mut per_dev_time: Vec<(usize, f64)> = alive.iter().map(|&d| (d, 0.0)).collect();
     let mut results = Vec::new();
-    let mut trace = SweepTrace::default();
     let mut rr = 0usize;
 
     while let Some(ids) = queue.pop_front() {
@@ -202,33 +159,20 @@ pub fn run_chunks_ft<R>(
                     results.push(r);
                     break;
                 }
-                Err(e) if e.is_transient() && attempt < policy.max_retries => {
+                Err(e) if e.is_transient() && attempt < MAX_RETRIES => {
                     attempt += 1;
-                    trace.retries += 1;
-                    trace
-                        .events
-                        .push(format!("{e}; retry {attempt}/{}", policy.max_retries));
-                    let wait = policy.backoff(attempt);
-                    if !wait.is_zero() {
-                        std::thread::sleep(wait);
-                    }
+                    journal.retries += 1;
                 }
-                Err(e @ SweepError::Fault(_)) => {
+                Err(SweepError::Fault(_)) => {
                     // Fatal fault, or a transient one that survived every
                     // retry: the device is gone. Its chunk respreads over
                     // whoever is left.
                     alive.retain(|&d| d != device);
-                    trace.lost_devices.push(device);
-                    trace.redistributed_seqs += ids.len();
+                    journal.lost_devices.push(device);
                     if alive.is_empty() {
-                        trace.events.push(format!("{e}; no devices left"));
                         return Err(SweepError::AllDevicesLost { n_devices });
                     }
-                    trace.events.push(format!(
-                        "{e}; device {device} dead, redistributing {} seqs over {} survivors",
-                        ids.len(),
-                        alive.len()
-                    ));
+                    journal.redistributed_seqs += ids.len();
                     queue.extend(partition(&ids, alive.len()));
                     break;
                 }
@@ -240,7 +184,7 @@ pub fn run_chunks_ft<R>(
     }
 
     let makespan = per_dev_time.iter().fold(0.0f64, |m, &(_, t)| m.max(t));
-    Ok((results, makespan, trace))
+    Ok((results, makespan))
 }
 
 /// Identity of the device a kernel launch targets, plus the armed fault
@@ -287,6 +231,26 @@ mod tests {
     /// Four devices get `[0, 4]`, `[1, 5]`, `[2, 6]`, `[3, 7]`.
     const IDS8: &[u32] = &[0, 1, 2, 3, 4, 5, 6, 7];
 
+    /// One sweep of `ids` over a fresh pool of `devices`: the engine's
+    /// result, and the pool's alive list and journal after it.
+    #[allow(clippy::type_complexity)]
+    fn sweep(
+        ids: &[u32],
+        devices: &[usize],
+        injector: Option<&FaultInjector>,
+    ) -> (
+        Result<(Vec<Vec<u32>>, f64), SweepError>,
+        Vec<usize>,
+        SweepTrace,
+    ) {
+        let mut alive = devices.to_vec();
+        let mut journal = SweepTrace::default();
+        let r = run_chunks_ft(ids, &mut alive, &mut journal, injector, fake_runner, |_| {
+            1.0
+        });
+        (r, alive, journal)
+    }
+
     fn merged(results: Vec<Vec<u32>>) -> Vec<u32> {
         let mut all: Vec<u32> = results.into_iter().flatten().collect();
         all.sort_unstable();
@@ -295,36 +259,24 @@ mod tests {
 
     #[test]
     fn fault_free_engine_matches_plain_partitioning() {
-        let (res, makespan, trace) = run_chunks_ft(
-            IDS8,
-            &[0, 1, 2, 3],
-            &RetryPolicy::no_wait(),
-            None,
-            fake_runner,
-            |_| 1.0,
-        )
-        .unwrap();
+        let (r, alive, journal) = sweep(IDS8, &[0, 1, 2, 3], None);
+        let (res, makespan) = r.unwrap();
         assert_eq!(merged(res), vec![0, 10, 20, 30, 40, 50, 60, 70]);
         assert_eq!(makespan, 1.0); // one chunk per device
-        assert_eq!(trace.retries, 0);
-        assert!(trace.lost_devices.is_empty());
+        assert_eq!(alive, vec![0, 1, 2, 3]);
+        assert_eq!(journal.retries, 0);
+        assert!(journal.lost_devices.is_empty());
     }
 
     #[test]
     fn dead_device_work_redistributes() {
         let inj = FaultInjector::new(FaultPlan::none().kill_device(1, 0), 4);
-        let (res, makespan, trace) = run_chunks_ft(
-            IDS8,
-            &[0, 1, 2, 3],
-            &RetryPolicy::no_wait(),
-            Some(&inj),
-            fake_runner,
-            |_| 1.0,
-        )
-        .unwrap();
+        let (r, alive, journal) = sweep(IDS8, &[0, 1, 2, 3], Some(&inj));
+        let (res, makespan) = r.unwrap();
         assert_eq!(merged(res), vec![0, 10, 20, 30, 40, 50, 60, 70]);
-        assert_eq!(trace.lost_devices, vec![1]);
-        assert_eq!(trace.redistributed_seqs, 2);
+        assert_eq!(alive, vec![0, 2, 3]);
+        assert_eq!(journal.lost_devices, vec![1]);
+        assert_eq!(journal.redistributed_seqs, 2);
         // The survivors absorbed device 1's chunk: makespan grows.
         assert!(makespan > 1.0);
     }
@@ -333,80 +285,45 @@ mod tests {
     fn transient_faults_retry_in_place() {
         let plan = FaultPlan::none().transient(2, 0, FaultKind::KernelTimeout, 2);
         let inj = FaultInjector::new(plan, 4);
-        let (res, _, trace) = run_chunks_ft(
-            IDS8,
-            &[0, 1, 2, 3],
-            &RetryPolicy::no_wait(),
-            Some(&inj),
-            fake_runner,
-            |_| 1.0,
-        )
-        .unwrap();
-        assert_eq!(merged(res), vec![0, 10, 20, 30, 40, 50, 60, 70]);
-        assert_eq!(trace.retries, 2);
-        assert!(trace.lost_devices.is_empty());
+        let (r, _, journal) = sweep(IDS8, &[0, 1, 2, 3], Some(&inj));
+        assert_eq!(merged(r.unwrap().0), vec![0, 10, 20, 30, 40, 50, 60, 70]);
+        assert_eq!(journal.retries, 2);
+        assert!(journal.lost_devices.is_empty());
     }
 
     #[test]
     fn persistent_transient_condemns_the_device() {
-        // Times out more often than max_retries allows: treated as dead.
+        // Times out more often than MAX_RETRIES allows: treated as dead.
         let plan = FaultPlan::none().transient(0, 0, FaultKind::KernelTimeout, 50);
         let inj = FaultInjector::new(plan, 2);
-        let (res, _, trace) = run_chunks_ft(
-            &[0, 1],
-            &[0, 1],
-            &RetryPolicy::no_wait(),
-            Some(&inj),
-            fake_runner,
-            |_| 1.0,
-        )
-        .unwrap();
-        assert_eq!(merged(res), vec![0, 10]);
-        assert_eq!(trace.lost_devices, vec![0]);
-        assert_eq!(trace.retries, 3);
+        let (r, alive, journal) = sweep(&[0, 1], &[0, 1], Some(&inj));
+        assert_eq!(merged(r.unwrap().0), vec![0, 10]);
+        assert_eq!(alive, vec![1]);
+        assert_eq!(journal.lost_devices, vec![0]);
+        assert_eq!(journal.retries, MAX_RETRIES);
     }
 
     #[test]
-    fn all_devices_lost_is_reported() {
-        let plan = FaultPlan::none().kill_device(0, 0).kill_device(1, 0);
+    fn all_devices_lost_is_reported_and_journaled() {
+        // Device 0 retries once and dies on the partition device 1's
+        // death handed it: the journal keeps both, in death order, and
+        // only the partition that reached a survivor counts as moved.
+        let plan = FaultPlan::none()
+            .transient(0, 0, FaultKind::LaunchTransient, 1)
+            .kill_device(1, 0)
+            .kill_device(0, 2);
         let inj = FaultInjector::new(plan, 2);
-        let err = run_chunks_ft(
-            &[0, 1],
-            &[0, 1],
-            &RetryPolicy::no_wait(),
-            Some(&inj),
-            fake_runner,
-            |_| 1.0,
-        )
-        .unwrap_err();
-        assert_eq!(err, SweepError::AllDevicesLost { n_devices: 2 });
-    }
-
-    #[test]
-    fn backoff_is_capped_exponential() {
-        let p = RetryPolicy {
-            max_retries: 10,
-            backoff_base_ms: 5,
-            backoff_cap_ms: 60,
-        };
-        assert_eq!(p.backoff(1).as_millis(), 5);
-        assert_eq!(p.backoff(2).as_millis(), 10);
-        assert_eq!(p.backoff(3).as_millis(), 20);
-        assert_eq!(p.backoff(5).as_millis(), 60); // capped
-        assert_eq!(p.backoff(30).as_millis(), 60); // shift saturates too
-        assert!(RetryPolicy::no_wait().backoff(3).is_zero());
+        let (r, alive, journal) = sweep(&[0, 1, 2, 3], &[0, 1], Some(&inj));
+        assert_eq!(r.unwrap_err(), SweepError::AllDevicesLost { n_devices: 2 });
+        assert!(alive.is_empty());
+        assert_eq!(journal.retries, 1);
+        assert_eq!(journal.lost_devices, vec![1, 0]);
+        assert_eq!(journal.redistributed_seqs, 2);
     }
 
     #[test]
     fn an_empty_pool_is_a_typed_error() {
-        let err = run_chunks_ft(
-            IDS8,
-            &[],
-            &RetryPolicy::no_wait(),
-            None,
-            fake_runner,
-            |_| 1.0,
-        );
-        assert_eq!(err.unwrap_err(), SweepError::NoDevices);
+        let (r, _, _) = sweep(IDS8, &[], None);
+        assert_eq!(r.unwrap_err(), SweepError::NoDevices);
     }
 }

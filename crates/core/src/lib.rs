@@ -21,7 +21,7 @@ pub mod stats_model;
 pub mod tiered;
 pub mod vit_warp;
 
-pub use fault::{run_chunks_ft, DeviceCtx, RetryPolicy, SweepError, SweepTrace};
+pub use fault::{run_chunks_ft, DeviceCtx, SweepError, SweepTrace};
 pub use fwd_warp::{FwdHit, FwdWarpKernel};
 pub use layout::{MemConfig, Stage};
 pub use msv_warp::{MsvHit, MsvWarpKernel};

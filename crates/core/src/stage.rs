@@ -84,7 +84,7 @@ mod tests {
     use crate::layout::{best_config, smem_layout, MemConfig, Stage};
     use crate::msv_warp::MsvWarpKernel;
     use crate::ssv_warp::SsvWarpKernel;
-    use crate::vit_warp::{DdMode, VitWarpKernel};
+    use crate::vit_warp::VitWarpKernel;
     use h3w_cpu::quantized::{msv_filter_scalar, vit_filter_scalar};
     use h3w_cpu::reference::forward_generic;
     use h3w_cpu::ssv::ssv_filter_scalar;
@@ -190,7 +190,6 @@ mod tests {
                         mem,
                         layout,
                         use_shfl,
-                        dd_mode: DdMode::default(),
                     },
                     |outs| outs.into_iter().flat_map(|(h, _)| h).collect(),
                     |h| {

@@ -373,7 +373,6 @@ mod tests {
                     mem,
                     layout,
                     use_shfl,
-                    dd_mode: crate::vit_warp::DdMode::default(),
                 };
                 let r = run_grid(&dev, &cfg, &kernel).unwrap();
                 let mut lazy = WarpLazyStats::default();

@@ -14,7 +14,7 @@ use crate::fwd_warp::{FwdHit, FwdWarpKernel};
 use crate::layout::{best_config, smem_layout, MemConfig, SmemLayout, Stage};
 use crate::msv_warp::{MsvHit, MsvWarpKernel};
 use crate::stats_model::{predict_msv, predict_vit, DbAggregates, LaunchShape};
-use crate::vit_warp::{DdMode, VitHit, VitWarpKernel, WarpLazyStats};
+use crate::vit_warp::{VitHit, VitWarpKernel, WarpLazyStats};
 use h3w_hmm::msvprofile::MsvProfile;
 use h3w_hmm::vitprofile::VitProfile;
 use h3w_seqdb::PackedView;
@@ -245,7 +245,6 @@ pub fn run_vit_device_on<'a>(
             mem,
             layout,
             use_shfl: dev.has_shfl,
-            dd_mode: DdMode::default(),
         }
     })?;
     let mut hits = Vec::new();

@@ -14,6 +14,8 @@
 //! sweep reaches the exact fixed point, bit-identical to the in-order
 //! scalar propagation. Rows whose `Dmax` reduction is −∞ skip the
 //! procedure entirely (most rows, which is the point of the heuristic).
+//! §VI's prefix-scan alternative is [`crate::dd_prefix`], measured
+//! against Lazy-F in E8.
 
 use crate::feed::DirectFeed;
 use crate::layout::{MemConfig, SmemLayout, GM_EMIS_BASE, GM_OUT_BASE, GM_TRANS_BASE};
@@ -78,22 +80,6 @@ impl WarpLazyStats {
     }
 }
 
-/// How the within-row D→D chain is resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DdMode {
-    /// The paper's parallel Lazy-F (Fig. 7): vote-terminated, cheap when
-    /// D→D is rarely profitable.
-    #[default]
-    LazyF,
-    /// The §VI future-work alternative (after ref. 13): a max-plus prefix
-    /// scan with fixed `2·log₂32` shuffle depth per chunk — input-
-    /// independent cost, bounding the worst case of very gappy models.
-    /// Computed in i32 (no intermediate saturation), so it equals Lazy-F
-    /// whenever no chain saturates — asserted in tests on realistic
-    /// magnitudes.
-    PrefixScan,
-}
-
 /// Algorithm 2 as a [`WarpKernel`].
 pub struct VitWarpKernel<'a> {
     /// Quantized score system.
@@ -106,8 +92,6 @@ pub struct VitWarpKernel<'a> {
     pub layout: SmemLayout,
     /// Kepler shuffles vs Fermi shared-memory reductions.
     pub use_shfl: bool,
-    /// D→D resolution strategy.
-    pub dd_mode: DdMode,
 }
 
 impl<'a> VitWarpKernel<'a> {
@@ -402,10 +386,7 @@ impl<'a> VitWarpKernel<'a> {
             if dmax == W_NEG_INF {
                 lazy.rows_skipped += 1;
             } else {
-                match self.dd_mode {
-                    DdMode::LazyF => self.lazy_f(ctx, d_off, iters, m, lazy),
-                    DdMode::PrefixScan => self.prefix_scan_dd(ctx, d_off, iters, m, lazy),
-                }
+                self.lazy_f(ctx, d_off, iters, m, lazy);
             }
             ctx.stats.rows += 1;
 
@@ -473,82 +454,6 @@ impl<'a> VitWarpKernel<'a> {
                 ctx.st_smem_i16(own, dcur, pos_active);
                 debug_assert!(guard <= WARP_SIZE as u32 + 2, "Lazy-F failed to converge");
                 if guard > WARP_SIZE as u32 + 2 {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-impl<'a> VitWarpKernel<'a> {
-    /// §VI alternative: close the D→D chain with a max-plus prefix scan.
-    /// Per chunk: an additive `log₂32`-step scan of `tdd` and a max scan
-    /// of `seed − prefix` through `shfl_up`-style exchanges (counted as
-    /// shuffles), then one store — no votes, no data-dependent iteration.
-    #[allow(clippy::needless_range_loop)]
-    fn prefix_scan_dd(
-        &self,
-        ctx: &mut SimtCtx,
-        d_off: usize,
-        iters: usize,
-        m: usize,
-        lazy: &mut WarpLazyStats,
-    ) {
-        let ids = lane_ids();
-        let mut carry: i32 = W_NEG_INF as i32; // final D entering the chunk
-        for j in 0..iters {
-            lazy.chunks += 1;
-            lazy.inner_iters += 1; // fixed single pass
-            let pos_active = ids.map(|t| j * WARP_SIZE + t < m);
-            let tdd = self.trans_chunk(ctx, T_DD, j, pos_active);
-            let own = ids.map(|t| {
-                let k0 = j * WARP_SIZE + t;
-                d_off + (if k0 < m { k0 + 1 } else { 0 }) * 2
-            });
-            let seeds = ctx.ld_smem_i16(own, pos_active);
-            // Fixed-depth scans: 5 shuffle steps each for the additive
-            // prefix of tdd and the running max of (seed − prefix), plus
-            // the combine — count the hardware work.
-            ctx.stats.shuffles += 10;
-            ctx.alu(13);
-            // Functional result (host-side exact i32 scan).
-            let mut prefix = [0i64; WARP_SIZE];
-            let mut acc: i64 = 0;
-            for t in 0..WARP_SIZE {
-                if pos_active.lane(t) {
-                    let d = tdd.lane(t);
-                    acc += if d == W_NEG_INF { -1_000_000 } else { d as i64 };
-                    prefix[t] = acc;
-                }
-            }
-            let mut best_shift = i64::MIN;
-            let mut out = seeds;
-            for t in 0..WARP_SIZE {
-                if !pos_active.lane(t) {
-                    continue;
-                }
-                let seed = seeds.lane(t);
-                if seed > W_NEG_INF {
-                    best_shift = best_shift.max(seed as i64 - prefix[t]);
-                }
-                let from_carry = if carry <= W_NEG_INF as i32 {
-                    i64::MIN
-                } else {
-                    carry as i64 + prefix[t]
-                };
-                let from_seeds = if best_shift == i64::MIN {
-                    i64::MIN
-                } else {
-                    best_shift + prefix[t]
-                };
-                let v = from_carry.max(from_seeds).max(seed as i64);
-                out.set_lane(t, v.clamp(W_NEG_INF as i64, i16::MAX as i64) as i16);
-            }
-            ctx.st_smem_i16(own, out, pos_active);
-            // Carry = final D of the chunk's last active position.
-            for t in (0..WARP_SIZE).rev() {
-                if pos_active.lane(t) {
-                    carry = out.lane(t) as i32;
                     break;
                 }
             }
@@ -643,7 +548,6 @@ mod tests {
             mem,
             layout,
             use_shfl: dev.has_shfl,
-            dd_mode: DdMode::default(),
         };
         let r = run_grid(dev, &cfg, &kernel).unwrap();
         let mut hits = Vec::new();
@@ -701,54 +605,6 @@ mod tests {
                     assert_eq!(stats.shuffles, 0);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn prefix_scan_mode_matches_lazy_f_and_scalar() {
-        // §VI future work: the prefix-scan D→D resolution must agree with
-        // Lazy-F (and hence the scalar spec) on realistic score
-        // magnitudes, at a fixed shuffle budget and zero votes.
-        let dev = DeviceSpec::tesla_k40();
-        for params in [BuildParams::default(), BuildParams::gappy()] {
-            let (om, db, packed) = setup(70, 0.00001, &params);
-            let (mut cfg, _) = best_config(Stage::Viterbi, 70, MemConfig::Shared, &dev).unwrap();
-            cfg.blocks = 2;
-            let layout = smem_layout(
-                Stage::Viterbi,
-                70,
-                cfg.warps_per_block,
-                MemConfig::Shared,
-                &dev,
-            );
-            let mk = |dd_mode| VitWarpKernel {
-                om: &om,
-                db: packed.view(),
-                mem: MemConfig::Shared,
-                layout,
-                use_shfl: true,
-                dd_mode,
-            };
-            let lazy_kernel = mk(DdMode::LazyF);
-            let pfx_kernel = mk(DdMode::PrefixScan);
-            let r_lazy = run_grid(&dev, &cfg, &lazy_kernel).unwrap();
-            let r_pfx = run_grid(&dev, &cfg, &pfx_kernel).unwrap();
-            let (lazy_stats, pfx_stats) = (r_lazy.stats, r_pfx.stats);
-            let flat = |r: h3w_simt::GridResult<(Vec<VitHit>, WarpLazyStats)>| {
-                let mut hits: Vec<VitHit> = r.outputs.into_iter().flat_map(|(h, _)| h).collect();
-                hits.sort_by_key(|h| h.seqid);
-                hits
-            };
-            let hl = flat(r_lazy);
-            let hp = flat(r_pfx);
-            for (a, b) in hl.iter().zip(&hp) {
-                assert_eq!(a.xc, b.xc, "seq {}", a.seqid);
-                let e = vit_filter_scalar(&om, &db.seqs[a.seqid as usize].residues);
-                assert_eq!(a.xc, e.xc);
-            }
-            // Cost structure: prefix mode votes never, shuffles always.
-            assert_eq!(pfx_stats.votes, 0);
-            assert!(pfx_stats.shuffles > lazy_stats.shuffles);
         }
     }
 

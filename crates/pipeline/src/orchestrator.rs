@@ -2,10 +2,11 @@
 //! MSV and Viterbi, and Forward when [`FtSweep::forward_on_device`].
 //! A stage's ids split across the live devices
 //! ([`h3w_core::multi_gpu::partition`]) and run through the recovery
-//! engine ([`h3w_core::fault::run_chunks_ft`]): transient faults retry,
-//! a dead device's partition redistributes across survivors, and with
-//! every device gone the stage (and the rest of the sweep) degrades to
-//! the striped CPU backend. A fault-free pool of one is the paper's
+//! engine ([`h3w_core::fault::run_chunks_ft`]), which works on the
+//! pool's own alive list and journal: transient faults retry, a dead
+//! device's partition redistributes across survivors, and with every
+//! device gone the stage (and the rest of the sweep) degrades to the
+//! striped CPU backend. A fault-free pool of one is the paper's
 //! deployment ([`ExecPlan::Device`](crate::run::ExecPlan::Device)): one
 //! launch over the stage's ids in ascending order. The CPU and device
 //! filters are bit-identical and every sequence is scored independently,
@@ -13,22 +14,20 @@
 //! only the modeled stage times and the recovery journal do.
 
 use crate::run::{Pipeline, Stage};
-use h3w_core::fault::{run_chunks_ft, RetryPolicy, SweepError, SweepTrace};
+use h3w_core::fault::{run_chunks_ft, SweepError, SweepTrace};
 use h3w_core::tiered::{run_fwd_device_on, run_msv_device_on, run_vit_device_on, StageRun};
 use h3w_seqdb::{PackedDb, SeqDb};
 use h3w_simt::{DeviceSpec, FaultInjector};
 use h3w_trace::Trace;
 use std::borrow::Cow;
 
-/// How a device plan's pool runs: its size, retry policy, the (optional)
-/// fault injector driving the simulation, and whether Forward joins the
-/// device stages.
+/// How a device plan's pool runs: its size, the (optional) fault
+/// injector driving the simulation, and whether Forward joins the device
+/// stages.
 #[derive(Clone, Copy)]
 pub struct FtSweep<'a> {
     /// Devices in the pool (all the same `DeviceSpec`, per §IV-A).
     pub n_devices: usize,
-    /// Transient-fault retry policy.
-    pub policy: RetryPolicy,
     /// Armed fault plan, if simulating faults.
     pub injector: Option<&'a FaultInjector>,
     /// Run Forward on the pool too (§VI future work); otherwise it stays
@@ -37,12 +36,10 @@ pub struct FtSweep<'a> {
 }
 
 impl FtSweep<'_> {
-    /// An `n`-device pool with no injected faults and no retry waits,
-    /// Forward on the host.
+    /// An `n`-device pool with no injected faults, Forward on the host.
     pub fn fault_free(n_devices: usize) -> FtSweep<'static> {
         FtSweep {
             n_devices,
-            policy: RetryPolicy::no_wait(),
             injector: None,
             forward_on_device: false,
         }
@@ -128,8 +125,8 @@ impl<'a> FtPool<'a> {
         let (dev, packed) = (self.dev, &self.packed);
         let swept = run_chunks_ft(
             &ids,
-            &self.alive,
-            &self.sweep.policy,
+            &mut self.alive,
+            &mut self.journal,
             self.sweep.injector,
             |chunk, ctx| {
                 let sub = packed.subset(chunk);
@@ -153,9 +150,7 @@ impl<'a> FtPool<'a> {
             |(_, run)| run.time.total_s,
         );
         match swept {
-            Ok((runs, makespan, journal)) => {
-                self.alive.retain(|d| !journal.lost_devices.contains(d));
-                self.journal.merge(&journal);
+            Ok((runs, makespan)) => {
                 let path = format!("pipeline/{}/device", self.labels[stage as usize]);
                 // Partitions come back in completion order; every id is
                 // in exactly one of them.
@@ -173,12 +168,6 @@ impl<'a> FtPool<'a> {
             }
             Err(SweepError::AllDevicesLost { .. }) => {
                 self.degraded = true;
-                // The engine's journal dies with the error; every device
-                // still in the pool is gone, so record them here.
-                self.journal.lost_devices.append(&mut self.alive);
-                let label = self.labels[stage as usize];
-                let event = format!("{label}: all devices lost; striped CPU fallback");
-                self.journal.events.push(event);
                 Ok(None)
             }
             Err(e) => Err(e),

@@ -96,7 +96,7 @@ pub enum ExecPlan<'a> {
     Devices {
         /// The simulated device every pool member is.
         dev: DeviceSpec,
-        /// Pool size, retry policy, fault injector, Forward's tier.
+        /// Pool size, fault injector, Forward's tier.
         pool: FtSweep<'a>,
     },
 }

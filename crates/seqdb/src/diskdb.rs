@@ -48,7 +48,8 @@
 //!
 //! [`DiskDbWriter`], the one serializer, writes through the same
 //! tmp-then-rename discipline as checkpoints, so a crash mid-write never
-//! leaves a torn file at the target path.
+//! leaves a torn file at the target path; a writer that fails or is
+//! dropped before the rename removes every temporary it created.
 
 use crate::pack::{packed_words, unpack_slot, unpack_word, words_for, PackedDb, RESIDUES_PER_WORD};
 use crate::seq::{DigitalSeq, SeqDb};
@@ -930,7 +931,9 @@ pub struct DiskDbSummary {
 /// spilled to per-section temporary files, so a 1.29 G-residue database
 /// can be packed in constant memory. [`DiskDbWriter::finish`] assembles
 /// the final image (header + section table + payloads + trailer) and
-/// renames it into place atomically.
+/// renames it into place atomically. Every temporary file is removed on
+/// every path: a failed `create` or `finish`, and a writer dropped
+/// before `finish`.
 pub struct DiskDbWriter {
     path: PathBuf,
     db_name: String,
@@ -946,11 +949,21 @@ pub struct DiskDbWriter {
     scratch: Vec<u8>,
 }
 
+/// A temporary file the writer created, removed when dropped.
+struct TempPath(PathBuf);
+
+impl Drop for TempPath {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 /// One payload spilled to a temporary file, with its CRC and length
-/// tracked as bytes go out.
+/// tracked as bytes go out. The file is closed before it is removed
+/// (fields drop in declaration order).
 struct SectionSpill {
-    path: PathBuf,
     w: BufWriter<std::fs::File>,
+    path: TempPath,
     crc: Crc32,
     len: u64,
 }
@@ -959,7 +972,7 @@ impl SectionSpill {
     fn create(path: PathBuf) -> std::io::Result<SectionSpill> {
         let file = std::fs::File::create(&path)?;
         Ok(SectionSpill {
-            path,
+            path: TempPath(path),
             w: BufWriter::with_capacity(1 << 20, file),
             crc: Crc32::new(),
             len: 0,
@@ -1043,7 +1056,8 @@ impl DiskDbWriter {
 
     /// Seal the file: build META/LENBINS, stitch the spilled payloads
     /// together under the header + section table, append the whole-file
-    /// FNV trailer, and rename into place. Removes the temporaries.
+    /// FNV trailer, and rename into place. Removes the temporaries, also
+    /// when it fails.
     pub fn finish(self) -> Result<DiskDbSummary, DbFormatError> {
         let path = self.path.clone();
         let io = |e: std::io::Error| DbFormatError::Io {
@@ -1073,7 +1087,7 @@ impl DiskDbWriter {
         put_bins(&mut lenbins, &bins_from_counts(&bin_counts));
 
         // Close the spills and collect (path, len, crc) per section.
-        let close = |s: SectionSpill| -> Result<(PathBuf, u64, Crc32), DbFormatError> {
+        let close = |s: SectionSpill| -> Result<(TempPath, u64, Crc32), DbFormatError> {
             let SectionSpill {
                 path: p,
                 w,
@@ -1081,7 +1095,7 @@ impl DiskDbWriter {
                 len,
             } = s;
             w.into_inner().map_err(|e| DbFormatError::Io {
-                path: p.display().to_string(),
+                path: p.0.display().to_string(),
                 msg: e.to_string(),
             })?;
             Ok((p, len, crc))
@@ -1118,9 +1132,9 @@ impl DiskDbWriter {
             put_u32(&mut head, crc);
         }
 
-        let final_tmp = path.with_extension("h3wdb.tmp");
+        let final_tmp = TempPath(path.with_extension("h3wdb.tmp"));
         {
-            let file = std::fs::File::create(&final_tmp).map_err(io)?;
+            let file = std::fs::File::create(&final_tmp.0).map_err(io)?;
             let mut out = BufWriter::with_capacity(1 << 20, file);
             let mut fnv = Fnv::new();
             let put = |out: &mut BufWriter<std::fs::File>,
@@ -1135,7 +1149,7 @@ impl DiskDbWriter {
             put(&mut out, &mut fnv, &meta).map_err(io)?;
             for p in [&names_p, &index_p] {
                 let mut res = Ok(());
-                stream_file(p, |chunk| {
+                stream_file(&p.0, |chunk| {
                     if res.is_ok() {
                         res = put(&mut out, &mut fnv, chunk);
                     }
@@ -1145,7 +1159,7 @@ impl DiskDbWriter {
             }
             put(&mut out, &mut fnv, &words_prefix).map_err(io)?;
             let mut res = Ok(());
-            stream_file(&words_p, |chunk| {
+            stream_file(&words_p.0, |chunk| {
                 if res.is_ok() {
                     res = put(&mut out, &mut fnv, chunk);
                 }
@@ -1157,10 +1171,7 @@ impl DiskDbWriter {
             out.write_all(&trailer).map_err(io)?;
             out.flush().map_err(io)?;
         }
-        for p in [&names_p, &index_p, &words_p] {
-            let _ = std::fs::remove_file(p);
-        }
-        std::fs::rename(&final_tmp, &path).map_err(io)?;
+        std::fs::rename(&final_tmp.0, &path).map_err(io)?;
         Ok(DiskDbSummary {
             n_seqs,
             total_residues,
@@ -1858,6 +1869,39 @@ pub(crate) mod tests {
         ] {
             assert!(!path.with_extension(ext).exists(), "{ext} left behind");
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_writer_that_stops_short_of_the_rename_leaves_no_temporary() {
+        let dir = std::env::temp_dir().join(format!("h3w-diskdb-tmp-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("db.h3wdb");
+        let seq = &sample_db().seqs[0];
+        let leftovers = || -> Vec<String> {
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .filter(|n| n.ends_with(".tmp"))
+                .collect()
+        };
+        // Dropped before `finish`.
+        let mut w = DiskDbWriter::create(&path, "db").unwrap();
+        w.push(seq).unwrap();
+        drop(w);
+        assert_eq!(leftovers(), Vec::<String>::new(), "dropped writer");
+        // The second spill cannot be created: a directory holds its name.
+        let blocker = path.with_extension("h3wdb.index.tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        assert!(DiskDbWriter::create(&path, "db").is_err());
+        std::fs::remove_dir(&blocker).unwrap();
+        assert_eq!(leftovers(), Vec::<String>::new(), "failed create");
+        // `finish` fails at the rename: a directory holds the target.
+        std::fs::create_dir(&path).unwrap();
+        let mut w = DiskDbWriter::create(&path, "db").unwrap();
+        w.push(seq).unwrap();
+        assert!(matches!(w.finish(), Err(DbFormatError::Io { .. })));
+        assert_eq!(leftovers(), Vec::<String>::new(), "failed finish");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

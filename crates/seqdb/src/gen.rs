@@ -20,6 +20,7 @@
 //! insert emissions, one distribution per node, call the scan itself.
 
 use crate::seq::{DigitalSeq, SeqDb};
+use crate::source::Chunker;
 use h3w_hmm::alphabet::Residue;
 use h3w_hmm::calibrate::random_seq;
 use h3w_hmm::categorical;
@@ -27,6 +28,7 @@ use h3w_hmm::plan7::CoreModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, LogNormal};
+use std::convert::Infallible;
 use std::fmt::Write;
 
 /// Published size of the Swissprot database used in the paper (§IV).
@@ -173,7 +175,7 @@ fn emit_trace(rng: &mut StdRng, model: &CoreModel, out: &mut Vec<Residue>) {
 }
 
 /// The sequential generator state: one RNG stream walked sequence by
-/// sequence. Both [`generate`] and [`GenChunks`] drive this same state,
+/// sequence. Both [`generate`] and [`gen_chunks`] drive this same state,
 /// so chunked generation reproduces the one-shot database bit for bit.
 struct GenState {
     rng: StdRng,
@@ -249,20 +251,11 @@ pub fn generate(spec: &DbGenSpec, model: Option<&CoreModel>, seed: u64) -> SeqDb
 }
 
 /// Bounded-memory chunked generation: the same sequence stream as
-/// [`generate`] delivered as [`SeqDb`] chunks of at most `max_residues`
-/// residues each (whole sequences; a single sequence longer than the cap
-/// forms its own chunk). Concatenating the chunks reproduces
-/// `generate(spec, model, seed)` exactly — same RNG stream, same names,
-/// same residues — without ever materializing the full database.
-pub struct GenChunks<'m> {
-    spec: DbGenSpec,
-    model: Option<&'m CoreModel>,
-    state: GenState,
-    max_residues: u64,
-    pending: Option<DigitalSeq>,
-}
-
-/// Start a chunked generation stream (see [`GenChunks`]).
+/// [`generate`] cut into [`SeqDb`] chunks of at most `max_residues`
+/// residues each by [`Chunker`], under its boundary rule.
+/// Concatenating the chunks reproduces `generate(spec, model, seed)`
+/// exactly — same RNG stream, same names, same residues — without ever
+/// materializing the full database.
 ///
 /// # Panics
 ///
@@ -272,43 +265,11 @@ pub fn gen_chunks<'m>(
     model: Option<&'m CoreModel>,
     seed: u64,
     max_residues: u64,
-) -> GenChunks<'m> {
-    assert!(max_residues > 0, "chunk size must be positive");
-    GenChunks {
-        spec: spec.clone(),
-        model,
-        state: GenState::new(spec, seed),
-        max_residues,
-        pending: None,
-    }
-}
-
-impl Iterator for GenChunks<'_> {
-    type Item = SeqDb;
-
-    fn next(&mut self) -> Option<SeqDb> {
-        let mut chunk = SeqDb::new(self.spec.name.clone());
-        let mut residues = 0u64;
-        if let Some(s) = self.pending.take() {
-            residues += s.len() as u64;
-            chunk.seqs.push(s);
-        }
-        while let Some(s) = self.state.gen_seq(&self.spec, self.model) {
-            // Close before overflow: a sequence that would push the chunk
-            // past the cap starts the next chunk instead (unless the
-            // chunk is empty, in which case it rides alone).
-            if !chunk.seqs.is_empty() && residues + s.len() as u64 > self.max_residues {
-                self.pending = Some(s);
-                return Some(chunk);
-            }
-            residues += s.len() as u64;
-            chunk.seqs.push(s);
-            if residues >= self.max_residues {
-                return Some(chunk);
-            }
-        }
-        (!chunk.seqs.is_empty()).then_some(chunk)
-    }
+) -> impl Iterator<Item = SeqDb> + 'm {
+    let mut state = GenState::new(spec, seed);
+    let owned = spec.clone();
+    let seqs = std::iter::from_fn(move || state.gen_seq(&owned, model).map(Ok::<_, Infallible>));
+    Chunker::new(&spec.name, seqs, max_residues).map(|c| c.unwrap_or_else(|never| match never {}))
 }
 
 /// Stable identity of a generated database, usable as the checkpoint

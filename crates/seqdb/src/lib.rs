@@ -20,7 +20,7 @@ pub use diskdb::{
     content_hash, length_bins, ContentHasher, DbFormatError, DiskDb, DiskDbSummary, DiskDbWriter,
     LengthBin,
 };
-pub use gen::{gen_chunks, gen_identity, generate, DbGenSpec, GenChunks};
+pub use gen::{gen_chunks, gen_identity, generate, DbGenSpec};
 pub use pack::{pack_seq, unpack_slot, PackedDb, PackedSubset, PackedView, RESIDUES_PER_WORD};
 pub use seq::{DigitalSeq, SeqDb};
 pub use source::{Chunker, FastaFileSource, GenSource, SeqSource, SourceError};

@@ -17,12 +17,12 @@
 //! pins both), and a source may have to read itself through to answer:
 //! [`FastaFileSource`] does, once, on first request.
 //!
-//! Chunk boundary rule (shared by every implementation, including
-//! [`crate::gen::GenChunks`] and `DiskDb::shards`): a chunk is closed
-//! *before* admitting a sequence that would push it past `max_residues`;
-//! only a single sequence longer than the cap may form an oversized
-//! chunk, alone. Chunks preserve database order, so sequence ids are
-//! recovered by offsetting with the running count.
+//! Chunk boundary rule, implemented once by [`Chunker`] (which also
+//! cuts [`crate::gen::gen_chunks`] and `DiskDb::shards`): a chunk is
+//! closed *before* admitting a sequence that would push it past
+//! `max_residues`; only a single sequence longer than the cap may form
+//! an oversized chunk, alone. Chunks preserve database order, so
+//! sequence ids are recovered by offsetting with the running count.
 
 use crate::diskdb::{content_hash, ContentHasher, DiskDb};
 use crate::fasta::{FastaError, ReadSeqError, SeqReader};

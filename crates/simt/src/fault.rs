@@ -4,17 +4,17 @@
 //! regime where devices fall off the bus, watchdogs kill kernels, and
 //! memory runs out. Real CUDA surfaces those conditions as error codes at
 //! the launch/synchronize boundary; this module reproduces that surface
-//! for the simulator so the recovery layers above can be tested without
-//! real hardware failures.
+//! for the simulator so the recovery engine above (`h3w_core::fault`)
+//! can be tested without real hardware failures.
 //!
-//! A [`FaultPlan`] schedules faults against `(device, launch ordinal)`
-//! pairs — either explicitly (test fixtures) or pseudo-randomly from a
-//! seed ([`FaultPlan::random`]). A [`FaultInjector`] owns the plan plus
-//! the per-device launch counters and is consulted once per kernel launch
-//! (`on_launch`); when a scheduled fault matches, the launch reports a
-//! [`DeviceFault`] instead of running, exactly where a real
-//! `cudaGetLastError` would have reported it. Device-lost faults latch:
-//! every later launch on that device fails too.
+//! A [`FaultPlan`] schedules faults explicitly against `(device, launch
+//! ordinal)` pairs; the test lattice draws them from its fault axis. A
+//! [`FaultInjector`] owns the plan plus the per-device launch counters
+//! and is consulted once per kernel launch (`on_launch`); when a
+//! scheduled fault matches, the launch reports a [`DeviceFault`] instead
+//! of running, exactly where a real `cudaGetLastError` would have
+//! reported it. Device-lost faults latch: every later launch on that
+//! device fails too.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
@@ -140,50 +140,6 @@ impl FaultPlan {
             persist,
         })
     }
-
-    /// Seed-driven random plan: each of the first `launches` launch slots
-    /// on each of `n_devices` devices faults independently with
-    /// probability `rate`. Fault kinds are drawn uniformly; transient
-    /// faults persist 1–2 attempts. Fully deterministic in `seed`.
-    pub fn random(seed: u64, n_devices: usize, launches: u64, rate: f64) -> FaultPlan {
-        let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
-        let mut next = move || -> u64 {
-            // SplitMix64: tiny, seedable, and dependency-free.
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        let mut plan = FaultPlan::none();
-        for device in 0..n_devices {
-            for launch in 0..launches {
-                let u = (next() >> 11) as f64 / (1u64 << 53) as f64;
-                if u >= rate {
-                    continue;
-                }
-                let kind = match next() % 5 {
-                    0 => FaultKind::DeviceLost,
-                    1 => FaultKind::KernelTimeout,
-                    2 => FaultKind::LaunchTransient,
-                    3 => FaultKind::SmemExhausted,
-                    _ => FaultKind::GmemExhausted,
-                };
-                let persist = if kind.is_transient() {
-                    1 + (next() % 2) as u32
-                } else {
-                    u32::MAX
-                };
-                plan.faults.push(PlannedFault {
-                    device,
-                    launch,
-                    kind,
-                    persist,
-                });
-            }
-        }
-        plan
-    }
 }
 
 /// Runtime state of a [`FaultPlan`]: per-device launch counters, remaining
@@ -212,11 +168,6 @@ impl FaultInjector {
             remaining,
             lost: (0..n_devices).map(|_| AtomicBool::new(false)).collect(),
         }
-    }
-
-    /// Number of devices the injector watches.
-    pub fn n_devices(&self) -> usize {
-        self.launches.len()
     }
 
     /// Launches attempted so far on `device`.
@@ -327,19 +278,6 @@ mod tests {
         let inj = FaultInjector::new(plan, 1);
         assert_eq!(inj.on_launch(0).unwrap_err().kind, FaultKind::SmemExhausted);
         assert!(inj.on_launch(0).is_ok());
-    }
-
-    #[test]
-    fn random_plans_are_deterministic_in_the_seed() {
-        let a = FaultPlan::random(0xfee1, 4, 16, 0.3);
-        let b = FaultPlan::random(0xfee1, 4, 16, 0.3);
-        let c = FaultPlan::random(0xfee2, 4, 16, 0.3);
-        assert_eq!(a, b);
-        assert_ne!(a, c, "different seeds should differ");
-        assert!(!a.faults.is_empty(), "30% over 64 slots should fire");
-        for f in &a.faults {
-            assert!(f.device < 4 && f.launch < 16);
-        }
     }
 
     #[test]

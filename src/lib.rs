@@ -45,7 +45,7 @@ pub mod cli;
 /// The types most applications need.
 pub mod prelude {
     pub use h3w_core::tiered::{run_msv_device, run_vit_device};
-    pub use h3w_core::{MemConfig, RetryPolicy, Stage, SweepError, SweepTrace};
+    pub use h3w_core::{MemConfig, Stage, SweepError, SweepTrace};
     pub use h3w_hmm::build::{synthetic_model, BuildParams, PAPER_MODEL_SIZES};
     pub use h3w_hmm::{CoreModel, MsvProfile, NullModel, Profile, VitProfile};
     pub use h3w_pipeline::{

@@ -18,6 +18,7 @@
 //! them and checks that every axis value was visited. The named suites
 //! pin single points.
 
+use hmmer3_warp::core::fault::MAX_RETRIES;
 use hmmer3_warp::cpu::Backend;
 use hmmer3_warp::pipeline::{
     scan, scan_prepared, search_chunks, search_source, FamilyResult, Hit, PipelineResult,
@@ -123,8 +124,8 @@ pub enum Faults {
         launch: u64,
     },
     /// Every other device (from device 0) sees a transient fault at its
-    /// first launch for `persist` attempts: within `max_retries` (3) it
-    /// is retried, past it the device is condemned.
+    /// first launch for `persist` attempts: within [`MAX_RETRIES`] it is
+    /// retried, past it the device is condemned.
     Storm {
         persist: u32,
     },
@@ -279,10 +280,10 @@ impl Strategy for Lattice {
                         launch: rng.gen_range(0..3),
                     },
                     2 => Faults::Storm {
-                        persist: rng.gen_range(1..=3),
+                        persist: rng.gen_range(1..=MAX_RETRIES),
                     },
                     3 => Faults::Storm {
-                        persist: rng.gen_range(4..=6),
+                        persist: rng.gen_range(MAX_RETRIES + 1..=2 * MAX_RETRIES),
                     },
                     k => Faults::AllLost {
                         launch: k as u64 - 4,
@@ -360,7 +361,9 @@ impl Point {
         } = self.plan
         {
             let faults = match faults {
-                Faults::Storm { persist: 0..=3 } => "storm within retries".into(),
+                Faults::Storm { persist } if persist <= MAX_RETRIES => {
+                    "storm within retries".into()
+                }
                 Faults::Storm { .. } => "storm past retries".into(),
                 Faults::Kill { .. } => "Kill".into(),
                 faults => format!("{faults:?}"),
@@ -447,7 +450,6 @@ impl Plan {
         }
         let pool = FtSweep {
             n_devices: devices,
-            policy: RetryPolicy::no_wait(),
             injector,
             forward_on_device: forward,
         };

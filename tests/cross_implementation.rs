@@ -11,7 +11,7 @@
 
 use hmmer3_warp::core::layout::{best_config, smem_layout};
 use hmmer3_warp::core::msv_warp::MsvWarpKernel;
-use hmmer3_warp::core::vit_warp::{DdMode, VitWarpKernel};
+use hmmer3_warp::core::vit_warp::VitWarpKernel;
 use hmmer3_warp::cpu::quantized::{msv_filter_scalar, vit_filter_scalar};
 use hmmer3_warp::cpu::{StripedMsv, StripedVit};
 use hmmer3_warp::prelude::*;
@@ -140,7 +140,6 @@ fn vit_three_way_equality_all_devices_and_configs() {
                     mem,
                     layout,
                     use_shfl: dev.has_shfl,
-                    dd_mode: DdMode::default(),
                 };
                 let r = run_grid(&dev, &cfg, &kernel).unwrap();
                 assert_eq!(r.stats.hazards, 0, "{} {mem:?}", dev.name);

@@ -8,6 +8,7 @@
 mod common;
 
 use common::lattice::{check, Driver, Faults, Plan, Point};
+use hmmer3_warp::core::multi_gpu::partition;
 use hmmer3_warp::cpu::Backend;
 use hmmer3_warp::pipeline::{
     search_chunks, ChunkProgress, Hit, SearchReport, StreamError, StreamOptions,
@@ -63,6 +64,33 @@ fn losing_every_device_degrades_to_cpu_bit_identically() {
         assert_eq!(report.recovery.lost_devices.len(), 2);
         assert_eq!(report.result.hits, clean.hits);
     }
+}
+
+#[test]
+fn a_pool_that_dies_mid_stage_keeps_the_stage_journal() {
+    let (pipe, db) = fixture();
+    let clean = pipe.search(&db, &ExecPlan::Cpu).unwrap();
+    // MSV over three devices: device 0 retries its partition once;
+    // device 1 dies on its partition, which splits over devices 0 and 2;
+    // device 2 dies on the first half, which goes back to device 0; and
+    // device 0 dies on the second half, with no survivor to take it.
+    let faults = FaultPlan::none()
+        .transient(0, 0, FaultKind::LaunchTransient, 1)
+        .kill_device(1, 0)
+        .kill_device(2, 0)
+        .kill_device(0, 3);
+    let report = ft_search(&pipe, &db, 3, faults);
+    let ids: Vec<u32> = (0..db.len() as u32).collect();
+    let of_1 = &partition(&ids, 3)[1];
+    let first_half = &partition(of_1, 2)[0];
+    assert!(report.degraded_to_cpu);
+    assert_eq!(report.recovery.retries, 1);
+    assert_eq!(report.recovery.lost_devices, vec![1, 2, 0]);
+    assert_eq!(
+        report.recovery.redistributed_seqs,
+        of_1.len() + first_half.len()
+    );
+    assert_eq!(report.result.hits, clean.hits);
 }
 
 #[test]

@@ -8,7 +8,7 @@ use h3w_hmm::calibrate::random_seq;
 use h3w_hmm::vitprofile::W_NEG_INF;
 use h3w_seqdb::pack::{pack_seq, PackedDb};
 use h3w_seqdb::{DigitalSeq, SeqDb};
-use h3w_simt::{butterfly_max, Lanes};
+use h3w_simt::{DeviceSpec, Lanes, SimtCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,8 +33,11 @@ fn bench_packing(c: &mut Criterion) {
 
 fn bench_reduction(c: &mut Criterion) {
     let v: Lanes<i16> = Lanes::from_fn(|i| (i as i16 * 37) % 127 - 60);
+    let mut ctx = SimtCtx::new(&DeviceSpec::tesla_k40(), 0, false);
     let mut g = c.benchmark_group("warp_reduction");
-    g.bench_function("butterfly_max_i16", |b| b.iter(|| butterfly_max(v)));
+    g.bench_function("butterfly_max_i16", |b| {
+        b.iter(|| ctx.warp_max(v, usize::MAX))
+    });
     g.finish();
 }
 

@@ -50,8 +50,6 @@ fn main() {
         db: packed.view(),
         mem: MemConfig::Shared,
         layout,
-        use_shfl: true,
-        double_buffer: true,
     };
     let r_ws = run_grid(&dev, &cfg, &ws).unwrap();
     let t_ws = kernel_time(&dev, &CostParams::default(), &r_ws.stats, &occ_ws, 1.0);
@@ -72,7 +70,6 @@ fn main() {
         layout: naive_layout,
         warps_per_block: 4,
         elide_barriers: elide,
-        use_shfl: true,
     };
     let safe = mk(false);
     let r_nv = run_grid_blocks(&dev, &naive_cfg, &safe).unwrap();

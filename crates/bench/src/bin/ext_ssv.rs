@@ -49,15 +49,12 @@ fn main() {
             db: packed.view(),
             mem,
             layout,
-            use_shfl: true,
-            double_buffer: true,
         };
         let ssv = SsvWarpKernel {
             om: &om,
             db: packed.view(),
             mem,
             layout,
-            use_shfl: true,
         };
         let rm = run_grid(&dev, &cfg, &msv).unwrap();
         let rs = run_grid(&dev, &cfg, &ssv).unwrap();

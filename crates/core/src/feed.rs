@@ -53,7 +53,7 @@ mod tests {
         let spec = DbGenSpec::envnr_like().scaled(5e-6);
         let p = PackedDb::from_db(&generate(&spec, None, 9));
         let db = p.view();
-        let mut ctx = SimtCtx::new(0, false);
+        let mut ctx = SimtCtx::new(&h3w_simt::DeviceSpec::tesla_k40(), 0, false);
         let mut feed = DirectFeed::new(db);
         feed.begin_seq(1);
         for i in 0..db.lengths[1] as usize {

@@ -91,7 +91,7 @@ impl<'a> FwdWarpKernel<'a> {
         let ids = lane_ids();
         let active = ids.map(|t| j * WARP_SIZE + t < m);
         let addrs = ids.map(|t| off + (j * WARP_SIZE + t) * 4);
-        ctx.ld_smem_f32(addrs, active)
+        ctx.ld_smem(addrs, active)
     }
 
     fn clear_row(&self, ctx: &mut SimtCtx, off: usize, m: usize) {
@@ -100,7 +100,7 @@ impl<'a> FwdWarpKernel<'a> {
         while cell <= m {
             let active = ids.map(|t| cell + t <= m);
             let addrs = ids.map(|t| off + (cell + t) * 4);
-            ctx.st_smem_f32(addrs, Lanes::splat(NEG_INF), active);
+            ctx.st_smem(addrs, Lanes::splat(NEG_INF), active);
             cell += WARP_SIZE;
         }
     }
@@ -167,8 +167,8 @@ impl<'a> FwdWarpKernel<'a> {
                     let k0 = j * WARP_SIZE + t;
                     (if k0 < m { k0 + 1 } else { 0 }) * 4
                 });
-                let old_m = ctx.ld_smem_f32(old_addrs.map(|a| m_off + a), pos_active);
-                let old_i = ctx.ld_smem_f32(old_addrs.map(|a| i_off + a), pos_active);
+                let old_m = ctx.ld_smem::<f32>(old_addrs.map(|a| m_off + a), pos_active);
+                let old_i = ctx.ld_smem::<f32>(old_addrs.map(|a| i_off + a), pos_active);
 
                 let emis =
                     self.table_chunk(ctx, &emis_row, GM_EMIS_BASE + x * m * 4, j, pos_active);
@@ -209,11 +209,11 @@ impl<'a> FwdWarpKernel<'a> {
                     let k0 = j * WARP_SIZE + t;
                     (if k0 < m { k0 + 1 } else { 0 }) * 4
                 });
-                ctx.st_smem_f32(st_addrs.map(|a| m_off + a), mv, pos_active);
-                ctx.st_smem_f32(st_addrs.map(|a| i_off + a), iv, pos_active);
+                ctx.st_smem(st_addrs.map(|a| m_off + a), mv, pos_active);
+                ctx.st_smem(st_addrs.map(|a| i_off + a), iv, pos_active);
                 // D seed from the current row's left-neighbour M (cell k0).
                 let m_left =
-                    ctx.ld_smem_f32(ids.map(|t| m_off + (j * WARP_SIZE + t) * 4), pos_active);
+                    ctx.ld_smem::<f32>(ids.map(|t| m_off + (j * WARP_SIZE + t) * 4), pos_active);
                 let dv = Lanes::from_fn(|t| {
                     if pos_active.lane(t) {
                         m_left.lane(t) + tmd_v.lane(t)
@@ -221,7 +221,7 @@ impl<'a> FwdWarpKernel<'a> {
                         NEG_INF
                     }
                 });
-                ctx.st_smem_f32(st_addrs.map(|a| d_off + a), dv, pos_active);
+                ctx.st_smem(st_addrs.map(|a| d_off + a), dv, pos_active);
 
                 mpv = mpv_n;
                 ipv = ipv_n;
@@ -238,7 +238,7 @@ impl<'a> FwdWarpKernel<'a> {
                     let k0 = j * WARP_SIZE + t;
                     d_off + (if k0 < m { k0 + 1 } else { 0 }) * 4
                 });
-                let seeds = ctx.ld_smem_f32(own, pos_active);
+                let seeds = ctx.ld_smem(own, pos_active);
                 ctx.stats.shuffles += 10;
                 ctx.alu(FWD_ALU_PER_SCAN);
                 // Functional scan (exact in f64 prefix space).
@@ -273,7 +273,7 @@ impl<'a> FwdWarpKernel<'a> {
                     let v = lse64(from_carry, scanned + prefix);
                     out.set_lane(t, if v.is_finite() { v as f32 } else { NEG_INF });
                 }
-                ctx.st_smem_f32(own, out, pos_active);
+                ctx.st_smem(own, out, pos_active);
                 for t in (0..WARP_SIZE).rev() {
                     if pos_active.lane(t) {
                         carry = out.lane(t);
@@ -285,7 +285,7 @@ impl<'a> FwdWarpKernel<'a> {
             }
 
             // Row total and specials.
-            let xe = ctx.shfl_reduce_f32(xev, flogsum);
+            let xe = ctx.shfl_reduce(xev, flogsum);
             ctx.alu(8);
             xj = flogsum(xj + xs.loop_sc, xe + xs.e_to_j);
             xc = flogsum(xc + xs.loop_sc, xe + xs.e_to_c);

@@ -14,16 +14,12 @@
 //! This module computes both footprints, plus the register budgets that
 //! cap P7Viterbi occupancy at 50% on Kepler (§IV).
 
-use h3w_simt::{DeviceSpec, KernelConfig};
+use h3w_simt::{DeviceSpec, KernelConfig, FERMI_SCRATCH_PER_WARP};
 
 /// Number of residue codes staged on-device: the 26 emitting codes
 /// (20 standard + 6 degenerate). Gap/pad codes never reach the scorer —
 /// pad (31) terminates the residue loop (Fig. 6).
 pub const STAGED_CODES: usize = 26;
-
-/// Scratch bytes per warp for the Fermi shared-memory reduction fallback
-/// (32 lanes × 2 B).
-pub const FERMI_SCRATCH_PER_WARP: usize = 64;
 
 /// Registers per thread of the MSV kernel (compiler report in the paper's
 /// setting; drives occupancy only).

@@ -60,12 +60,6 @@ pub struct MsvWarpKernel<'a> {
     pub mem: MemConfig,
     /// Shared-memory region map for this launch.
     pub layout: SmemLayout,
-    /// Use `shfl_xor` reductions (Kepler) or shared-memory (Fermi).
-    pub use_shfl: bool,
-    /// Register double-buffering (step ②). Disabling it reproduces the
-    /// warp-boundary overwrite bug the paper's Fig. 5 design eliminates —
-    /// kept as a failure-injection switch for tests.
-    pub double_buffer: bool,
 }
 
 /// Stage the `26 × M` emission-cost table into shared memory at
@@ -83,7 +77,7 @@ pub(crate) fn stage_emission_table(ctx: &mut SimtCtx, om: &MsvProfile, emis_base
             ctx.gmem_access(gaddrs, 1, active);
             let saddrs = ids.map(|t| emis_base + code as usize * m + base + t);
             let vals = Lanes::from_fn(|t| if base + t < m { row[base + t] } else { 0 });
-            ctx.st_smem_u8(saddrs, vals, active);
+            ctx.st_smem(saddrs, vals, active);
             ctx.alu(1);
             base += WARP_SIZE;
         }
@@ -97,7 +91,7 @@ pub(crate) fn zero_row(ctx: &mut SimtCtx, row_base: usize, m: usize) {
     while cell <= m {
         let active = ids.map(|t| cell + t <= m);
         let addrs = ids.map(|t| row_base + cell + t);
-        ctx.st_smem_u8(addrs, Lanes::splat(0), active);
+        ctx.st_smem(addrs, Lanes::splat(0u8), active);
         cell += WARP_SIZE;
     }
 }
@@ -116,7 +110,7 @@ pub(crate) fn preload(
     let ids = lane_ids();
     let active = ids.map(|t| j * WARP_SIZE + t < m);
     let addrs = ids.map(|t| row_base + j * WARP_SIZE + t);
-    ctx.ld_smem_u8(addrs, active)
+    ctx.ld_smem(addrs, active)
 }
 
 /// Emission cost vector for chunk `j` of residue `x`, from the staged
@@ -137,7 +131,7 @@ pub(crate) fn emission(
             // Inactive lanes never touch memory; their addresses are
             // don't-cares.
             let addrs = ids.map(|t| emis_base + x as usize * m + (j * WARP_SIZE + t).min(m - 1));
-            ctx.ld_smem_u8(addrs, active)
+            ctx.ld_smem(addrs, active)
         }
         MemConfig::Global => {
             // The emission table is tens of KB: resident in L2.
@@ -197,11 +191,7 @@ impl<'a> MsvWarpKernel<'a> {
                 let pos_active = ids.map(|t| j * WARP_SIZE + t < m);
                 // Step ②: preload the next chunk's dependencies before the
                 // in-place store below can clobber the boundary cell.
-                let nxt = if self.double_buffer {
-                    preload(ctx, row_base, j + 1, iters, m)
-                } else {
-                    Lanes::splat(0)
-                };
+                let nxt = preload(ctx, row_base, j + 1, iters, m);
                 // Emission costs for positions k0 = j·32 + t.
                 let cost = emission(ctx, om, self.mem, self.layout.emis_base, x, j, pos_active);
                 // sv = max(mpv, xB) ⊕ bias ⊖ cost (inactive lanes stay 0).
@@ -218,21 +208,11 @@ impl<'a> MsvWarpKernel<'a> {
                     let k0 = j * WARP_SIZE + t;
                     row_base + if k0 < m { k0 + 1 } else { 0 }
                 });
-                ctx.st_smem_u8(st_addrs, sv, pos_active);
+                ctx.st_smem(st_addrs, sv, pos_active);
                 // Step ④: advance the double buffer.
-                mpv = if self.double_buffer {
-                    nxt
-                } else {
-                    preload(ctx, row_base, j + 1, iters, m)
-                };
+                mpv = nxt;
             }
-            let xe = if self.use_shfl {
-                ctx.shfl_max_u8(xev)
-            } else {
-                let scratch = self.layout.scratch_base
-                    + ctx.warp_id as usize * crate::layout::FERMI_SCRATCH_PER_WARP;
-                ctx.smem_max_u8(xev, scratch)
-            };
+            let xe = ctx.warp_max(xev, self.layout.scratch_base);
             ctx.stats.rows += 1;
             if xe >= om.overflow_limit() {
                 ctx.gmem_access_uniform(GM_OUT_BASE + seqid * 4, 4);
@@ -325,7 +305,6 @@ mod tests {
         packed: &PackedDb,
         mem: MemConfig,
         dev: &DeviceSpec,
-        double_buffer: bool,
     ) -> (Vec<MsvHit>, h3w_simt::KernelStats) {
         let (mut cfg, _) = best_config(Stage::Msv, om.m, mem, dev).expect("config fits");
         cfg.blocks = 4;
@@ -336,8 +315,6 @@ mod tests {
             db: packed.view(),
             mem,
             layout,
-            use_shfl: dev.has_shfl,
-            double_buffer,
         };
         let r = run_grid(dev, &cfg, &kernel).unwrap();
         let mut hits: Vec<MsvHit> = r.outputs.into_iter().flatten().collect();
@@ -350,7 +327,7 @@ mod tests {
         let dev = DeviceSpec::tesla_k40();
         for m in [5usize, 33, 70] {
             let (om, db, packed) = setup(m, 0.00002); // ~130 seqs
-            let (hits, stats) = launch(&om, &packed, MemConfig::Shared, &dev, true);
+            let (hits, stats) = launch(&om, &packed, MemConfig::Shared, &dev);
             assert_eq!(hits.len(), db.len());
             for hit in &hits {
                 let expect = msv_filter_scalar(&om, &db.seqs[hit.seqid as usize].residues);
@@ -375,7 +352,7 @@ mod tests {
     fn bit_exact_vs_scalar_global_config() {
         let dev = DeviceSpec::tesla_k40();
         let (om, db, packed) = setup(120, 0.00001);
-        let (hits, stats) = launch(&om, &packed, MemConfig::Global, &dev, true);
+        let (hits, stats) = launch(&om, &packed, MemConfig::Global, &dev);
         for hit in &hits {
             let expect = msv_filter_scalar(&om, &db.seqs[hit.seqid as usize].residues);
             assert_eq!((hit.xj, hit.overflow), (expect.xj, expect.overflow));
@@ -390,7 +367,7 @@ mod tests {
     fn bit_exact_on_fermi_smem_reduction_path() {
         let dev = DeviceSpec::gtx_580();
         let (om, db, packed) = setup(64, 0.00001);
-        let (hits, stats) = launch(&om, &packed, MemConfig::Shared, &dev, true);
+        let (hits, stats) = launch(&om, &packed, MemConfig::Shared, &dev);
         for hit in &hits {
             let expect = msv_filter_scalar(&om, &db.seqs[hit.seqid as usize].residues);
             assert_eq!((hit.xj, hit.overflow), (expect.xj, expect.overflow));
@@ -400,28 +377,10 @@ mod tests {
     }
 
     #[test]
-    fn removing_double_buffer_breaks_scores() {
-        // Failure injection: without step ② the warp-boundary cell is read
-        // after being overwritten, exactly the bug Fig. 5 is about. Models
-        // longer than one chunk must then mis-score some sequence.
-        let dev = DeviceSpec::tesla_k40();
-        let (om, db, packed) = setup(70, 0.00002);
-        let (hits, _) = launch(&om, &packed, MemConfig::Shared, &dev, false);
-        let mismatches = hits
-            .iter()
-            .filter(|h| {
-                let e = msv_filter_scalar(&om, &db.seqs[h.seqid as usize].residues);
-                (h.xj, h.overflow) != (e.xj, e.overflow)
-            })
-            .count();
-        assert!(mismatches > 0, "buggy variant unexpectedly matched");
-    }
-
-    #[test]
     fn every_sequence_scored_exactly_once() {
         let dev = DeviceSpec::tesla_k40();
         let (om, db, packed) = setup(20, 0.00003);
-        let (hits, stats) = launch(&om, &packed, MemConfig::Shared, &dev, true);
+        let (hits, stats) = launch(&om, &packed, MemConfig::Shared, &dev);
         assert_eq!(hits.len(), db.len());
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.seqid as usize, i);
@@ -435,7 +394,7 @@ mod tests {
     fn shuffle_reduction_count_matches_rows() {
         let dev = DeviceSpec::tesla_k40();
         let (om, _, packed) = setup(20, 0.00001);
-        let (_, stats) = launch(&om, &packed, MemConfig::Shared, &dev, true);
+        let (_, stats) = launch(&om, &packed, MemConfig::Shared, &dev);
         assert_eq!(stats.shuffles, 5 * stats.rows);
     }
 }

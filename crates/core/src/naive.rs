@@ -35,8 +35,6 @@ pub struct NaiveMsvKernel<'a> {
     /// Elide the per-row barriers — the unsafe variant whose races the
     /// hazard detector must catch.
     pub elide_barriers: bool,
-    /// Kepler shuffle reductions within each warp.
-    pub use_shfl: bool,
 }
 
 impl<'a> NaiveMsvKernel<'a> {
@@ -89,11 +87,11 @@ impl<'a> NaiveMsvKernel<'a> {
             for c in 0..chunks {
                 ctx.warp_id = (c % w) as u16;
                 let active = ids.map(|t| c * WARP_SIZE + t < m);
-                deps[c] = ctx.ld_smem_u8(ids.map(|t| row_base + c * WARP_SIZE + t), active);
+                deps[c] = ctx.ld_smem(ids.map(|t| row_base + c * WARP_SIZE + t), active);
                 let eaddr = ids.map(|t| {
                     self.layout.emis_base + x as usize * m + (c * WARP_SIZE + t).min(m - 1)
                 });
-                costs[c] = ctx.ld_smem_u8(eaddr, active);
+                costs[c] = ctx.ld_smem(eaddr, active);
             }
             // Barrier #1: reads must complete before any in-place write.
             self.barrier(ctx);
@@ -114,7 +112,7 @@ impl<'a> NaiveMsvKernel<'a> {
                     let k0 = c * WARP_SIZE + t;
                     row_base + if k0 < m { k0 + 1 } else { 0 }
                 });
-                ctx.st_smem_u8(st, sv, active);
+                ctx.st_smem(st, sv, active);
             }
             // Barrier #2: writes must complete before the next row's reads.
             self.barrier(ctx);
@@ -123,11 +121,7 @@ impl<'a> NaiveMsvKernel<'a> {
             // scratch, combined by warp 0 — two more barriers (the "further
             // synchronization calls" of §III).
             ctx.warp_id = 0;
-            let xe = if self.use_shfl {
-                ctx.shfl_max_u8(xev)
-            } else {
-                ctx.smem_max_u8(xev, self.layout.scratch_base)
-            };
+            let xe = ctx.warp_max(xev, self.layout.scratch_base);
             self.barrier(ctx);
             ctx.alu(4);
             ctx.stats.rows += 1;
@@ -213,7 +207,6 @@ mod tests {
             layout,
             warps_per_block: 4,
             elide_barriers: elide,
-            use_shfl: true,
         };
         let r = run_grid_blocks(&dev, &cfg, &kernel).unwrap();
         let mut hits: Vec<MsvHit> = r.outputs.into_iter().flatten().collect();
@@ -270,8 +263,6 @@ mod tests {
             db: packed.view(),
             mem: MemConfig::Shared,
             layout,
-            use_shfl: true,
-            double_buffer: true,
         };
         let r = h3w_simt::run_grid(&dev, &cfg, &kernel).unwrap();
         let mut ws_hits: Vec<MsvHit> = r.outputs.into_iter().flatten().collect();

@@ -40,9 +40,6 @@ pub struct SsvWarpKernel<'a> {
     pub mem: MemConfig,
     /// Shared-memory region map (Stage::Msv layout — identical footprint).
     pub layout: SmemLayout,
-    /// Kepler shuffle vs Fermi shared-memory reduction (used once per
-    /// sequence).
-    pub use_shfl: bool,
 }
 
 impl<'a> SsvWarpKernel<'a> {
@@ -88,7 +85,7 @@ impl<'a> SsvWarpKernel<'a> {
                     let k0 = j * WARP_SIZE + t;
                     row_base + if k0 < m { k0 + 1 } else { 0 }
                 });
-                ctx.st_smem_u8(st, sv, pos_active);
+                ctx.st_smem(st, sv, pos_active);
                 mpv = nxt;
             }
             ctx.stats.rows += 1;
@@ -108,13 +105,7 @@ impl<'a> SsvWarpKernel<'a> {
             };
         }
         // The single per-sequence reduction.
-        let xmax = if self.use_shfl {
-            ctx.shfl_max_u8(xmaxv)
-        } else {
-            let scratch = self.layout.scratch_base
-                + ctx.warp_id as usize * crate::layout::FERMI_SCRATCH_PER_WARP;
-            ctx.smem_max_u8(xmaxv, scratch)
-        };
+        let xmax = ctx.warp_max(xmaxv, self.layout.scratch_base);
         ctx.gmem_access_uniform(GM_OUT_BASE + seqid * 4, 4);
         SsvHit {
             seqid: seqid as u32,
@@ -203,7 +194,6 @@ mod tests {
                 db: packed.view(),
                 mem: MemConfig::Shared,
                 layout,
-                use_shfl: true,
             };
             let r = run_grid(&dev, &cfg, &kernel).unwrap();
             assert_eq!(r.stats.hazards, 0);
@@ -236,15 +226,12 @@ mod tests {
             db: packed.view(),
             mem: MemConfig::Shared,
             layout,
-            use_shfl: true,
         };
         let msv = MsvWarpKernel {
             om: &om,
             db: packed.view(),
             mem: MemConfig::Shared,
             layout,
-            use_shfl: true,
-            double_buffer: true,
         };
         let rs = run_grid(&dev, &cfg, &ssv).unwrap();
         let rm = run_grid(&dev, &cfg, &msv).unwrap();

@@ -146,7 +146,6 @@ mod tests {
         let seq = |id: u32| &db.seqs[id as usize].residues[..];
         let mut ran = 0;
         for dev in [DeviceSpec::tesla_k40(), DeviceSpec::gtx_580()] {
-            let use_shfl = dev.has_shfl;
             for mem in [MemConfig::Shared, MemConfig::Global] {
                 ran += matches_cpu(
                     (Stage::Msv, m, mem, &dev),
@@ -156,8 +155,6 @@ mod tests {
                         db: view,
                         mem,
                         layout,
-                        use_shfl,
-                        double_buffer: true,
                     },
                     |outs| outs.into_iter().flatten().collect(),
                     |h| {
@@ -173,7 +170,6 @@ mod tests {
                         db: view,
                         mem,
                         layout,
-                        use_shfl,
                     },
                     |outs| outs.into_iter().flatten().collect(),
                     |h| {
@@ -189,7 +185,6 @@ mod tests {
                         db: view,
                         mem,
                         layout,
-                        use_shfl,
                     },
                     |outs| outs.into_iter().flat_map(|(h, _)| h).collect(),
                     |h| {

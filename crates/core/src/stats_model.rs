@@ -319,10 +319,7 @@ mod tests {
 
     #[test]
     fn msv_prediction_is_exact() {
-        for (dev, use_shfl) in [
-            (DeviceSpec::tesla_k40(), true),
-            (DeviceSpec::gtx_580(), false),
-        ] {
+        for dev in [DeviceSpec::tesla_k40(), DeviceSpec::gtx_580()] {
             for mem in [MemConfig::Shared, MemConfig::Global] {
                 for m in [20usize, 70] {
                     let (om, _, packed) = setup(m);
@@ -334,8 +331,6 @@ mod tests {
                         db: packed.view(),
                         mem,
                         layout,
-                        use_shfl,
-                        double_buffer: true,
                     };
                     let r = run_grid(&dev, &cfg, &kernel).unwrap();
                     assert!(
@@ -345,7 +340,7 @@ mod tests {
                     let agg = DbAggregates::from_packed(&packed);
                     let shape = LaunchShape {
                         mem,
-                        use_shfl,
+                        use_shfl: dev.has_shfl,
                         blocks: cfg.blocks as u64,
                     };
                     let pred = predict_msv(m, &shape, &agg, agg.total_residues, agg.total_words);
@@ -357,10 +352,7 @@ mod tests {
 
     #[test]
     fn vit_prediction_is_exact() {
-        for (dev, use_shfl) in [
-            (DeviceSpec::tesla_k40(), true),
-            (DeviceSpec::gtx_580(), false),
-        ] {
+        for dev in [DeviceSpec::tesla_k40(), DeviceSpec::gtx_580()] {
             for mem in [MemConfig::Shared, MemConfig::Global] {
                 let m = 50usize;
                 let (_, om, packed) = setup(m);
@@ -372,7 +364,6 @@ mod tests {
                     db: packed.view(),
                     mem,
                     layout,
-                    use_shfl,
                 };
                 let r = run_grid(&dev, &cfg, &kernel).unwrap();
                 let mut lazy = WarpLazyStats::default();
@@ -382,7 +373,7 @@ mod tests {
                 let agg = DbAggregates::from_packed(&packed);
                 let shape = LaunchShape {
                     mem,
-                    use_shfl,
+                    use_shfl: dev.has_shfl,
                     blocks: cfg.blocks as u64,
                 };
                 let pred = predict_vit(m, &shape, &agg, &lazy);

@@ -210,8 +210,6 @@ pub fn run_msv_device_on<'a>(
             db,
             mem,
             layout,
-            use_shfl: dev.has_shfl,
-            double_buffer: true,
         }
     })?;
     let mut hits: Vec<MsvHit> = outs.into_iter().flatten().collect();
@@ -244,7 +242,6 @@ pub fn run_vit_device_on<'a>(
             db,
             mem,
             layout,
-            use_shfl: dev.has_shfl,
         }
     })?;
     let mut hits = Vec::new();

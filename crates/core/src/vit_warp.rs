@@ -90,8 +90,6 @@ pub struct VitWarpKernel<'a> {
     pub mem: MemConfig,
     /// Shared-memory region map.
     pub layout: SmemLayout,
-    /// Kepler shuffles vs Fermi shared-memory reductions.
-    pub use_shfl: bool,
 }
 
 impl<'a> VitWarpKernel<'a> {
@@ -126,7 +124,7 @@ impl<'a> VitWarpKernel<'a> {
                         W_NEG_INF
                     }
                 });
-                ctx.st_smem_i16(saddrs, vals, active);
+                ctx.st_smem(saddrs, vals, active);
                 ctx.alu(1);
                 base += WARP_SIZE;
             }
@@ -170,7 +168,7 @@ impl<'a> VitWarpKernel<'a> {
                 // only dereferenced here.
                 let base = smem_region + smem_off;
                 let addrs = ids.map(|t| base + (j * WARP_SIZE + t).min(m - 1) * 2);
-                ctx.ld_smem_i16(addrs, active)
+                ctx.ld_smem(addrs, active)
             }
             MemConfig::Global => {
                 // Emission/transition tables are L2-resident.
@@ -235,7 +233,7 @@ impl<'a> VitWarpKernel<'a> {
         let ids = lane_ids();
         let active = ids.map(|t| j * WARP_SIZE + t < m);
         let addrs = ids.map(|t| off + (j * WARP_SIZE + t) * 2);
-        ctx.ld_smem_i16(addrs, active)
+        ctx.ld_smem(addrs, active)
     }
 
     /// Fill cells `0..=m` of one row with −∞.
@@ -245,7 +243,7 @@ impl<'a> VitWarpKernel<'a> {
         while cell <= m {
             let active = ids.map(|t| cell + t <= m);
             let addrs = ids.map(|t| off + (cell + t) * 2);
-            ctx.st_smem_i16(addrs, Lanes::splat(W_NEG_INF), active);
+            ctx.st_smem(addrs, Lanes::splat(W_NEG_INF), active);
             cell += WARP_SIZE;
         }
     }
@@ -303,8 +301,8 @@ impl<'a> VitWarpKernel<'a> {
                     let k0 = j * WARP_SIZE + t;
                     (if k0 < m { k0 + 1 } else { 0 }) * 2
                 });
-                let old_m = ctx.ld_smem_i16(old_addrs.map(|a| m_off + a), pos_active);
-                let old_i = ctx.ld_smem_i16(old_addrs.map(|a| i_off + a), pos_active);
+                let old_m = ctx.ld_smem(old_addrs.map(|a| m_off + a), pos_active);
+                let old_i = ctx.ld_smem(old_addrs.map(|a| i_off + a), pos_active);
 
                 let emis = self.emis_chunk(ctx, x, j, pos_active);
                 let tmm = self.trans_chunk(ctx, T_MM, j, pos_active);
@@ -346,12 +344,12 @@ impl<'a> VitWarpKernel<'a> {
                     let k0 = j * WARP_SIZE + t;
                     (if k0 < m { k0 + 1 } else { 0 }) * 2
                 });
-                ctx.st_smem_i16(st_addrs.map(|a| m_off + a), sv, pos_active);
-                ctx.st_smem_i16(st_addrs.map(|a| i_off + a), iv, pos_active);
+                ctx.st_smem(st_addrs.map(|a| m_off + a), sv, pos_active);
+                ctx.st_smem(st_addrs.map(|a| i_off + a), iv, pos_active);
                 // D seed: current-row M at k0−1 (cell k0, just stored by the
                 // left neighbour — lockstep makes this safe) plus M→D.
                 let seed_src = ids.map(|t| m_off + (j * WARP_SIZE + t) * 2);
-                let m_left = ctx.ld_smem_i16(seed_src, pos_active);
+                let m_left = ctx.ld_smem(seed_src, pos_active);
                 let dv = m_left.zip(tmd, wadd);
                 let dv = Lanes::from_fn(|t| {
                     if pos_active.lane(t) {
@@ -361,7 +359,7 @@ impl<'a> VitWarpKernel<'a> {
                     }
                 });
                 dmaxv = dmaxv.zip(dv, |a, b| a.max(b));
-                ctx.st_smem_i16(st_addrs.map(|a| d_off + a), dv, pos_active);
+                ctx.st_smem(st_addrs.map(|a| d_off + a), dv, pos_active);
 
                 // Step ④.
                 mpv = mpv_n;
@@ -370,16 +368,8 @@ impl<'a> VitWarpKernel<'a> {
             }
 
             // Algorithm 2 lines 22–23: two warp reductions.
-            let (xe, dmax) = if self.use_shfl {
-                (ctx.shfl_max_i16(xev), ctx.shfl_max_i16(dmaxv))
-            } else {
-                let scratch = self.layout.scratch_base
-                    + ctx.warp_id as usize * crate::layout::FERMI_SCRATCH_PER_WARP;
-                (
-                    ctx.smem_max_i16(xev, scratch),
-                    ctx.smem_max_i16(dmaxv, scratch),
-                )
-            };
+            let xe = ctx.warp_max(xev, self.layout.scratch_base);
+            let dmax = ctx.warp_max(dmaxv, self.layout.scratch_base);
 
             // Line 25: closure of the D→D chain.
             lazy.rows += 1;
@@ -434,14 +424,14 @@ impl<'a> VitWarpKernel<'a> {
                 let k0 = j * WARP_SIZE + t;
                 d_off + (if k0 < m { k0 + 1 } else { 0 }) * 2
             });
-            let mut dcur = ctx.ld_smem_i16(own, pos_active);
+            let mut dcur = ctx.ld_smem(own, pos_active);
             let mut guard = 0u32;
             loop {
                 lazy.inner_iters += 1;
                 guard += 1;
                 // D at k0−1: cell k0 (boundary cell 0 is −∞ forever).
                 let left = ids.map(|t| d_off + (j * WARP_SIZE + t) * 2);
-                let dprev = ctx.ld_smem_i16(left, pos_active);
+                let dprev = ctx.ld_smem(left, pos_active);
                 ctx.alu(VIT_ALU_PER_LAZY_ITER);
                 let cand = dprev.zip(tdd, wadd);
                 let no_improve =
@@ -451,7 +441,7 @@ impl<'a> VitWarpKernel<'a> {
                     break;
                 }
                 dcur = dcur.zip(cand, |a, b| a.max(b));
-                ctx.st_smem_i16(own, dcur, pos_active);
+                ctx.st_smem(own, dcur, pos_active);
                 debug_assert!(guard <= WARP_SIZE as u32 + 2, "Lazy-F failed to converge");
                 if guard > WARP_SIZE as u32 + 2 {
                     break;
@@ -547,7 +537,6 @@ mod tests {
             db: packed.view(),
             mem,
             layout,
-            use_shfl: dev.has_shfl,
         };
         let r = run_grid(dev, &cfg, &kernel).unwrap();
         let mut hits = Vec::new();

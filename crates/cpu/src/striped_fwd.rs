@@ -262,18 +262,6 @@ impl FwdMatrix {
     pub fn scale(&self, i: usize) -> f32 {
         self.scales[i - 1]
     }
-
-    /// `M(i,k)` in nats (−∞ where the odds are zero).
-    #[inline]
-    pub fn m_log(&self, i: usize, k: usize) -> f32 {
-        self.m_odds(i, k).ln() + self.scale(i)
-    }
-
-    /// `I(i,k)` in nats.
-    #[inline]
-    pub fn i_log(&self, i: usize, k: usize) -> f32 {
-        self.i_odds(i, k).ln() + self.scale(i)
-    }
 }
 
 /// A profile's Forward tables in odds space, rearranged into the
@@ -1289,7 +1277,7 @@ mod tests {
         let xb0 = xs.move_sc;
         for k in 1..=p.m {
             let want = xb0 + p.bmk[k] + p.msc[k][seq[0] as usize];
-            let got = mat.m_log(1, k);
+            let got = mat.m_odds(1, k).ln() + mat.scale(1);
             assert!(
                 (want - got).abs() < 1e-4 || (want == NEG_INF && got == NEG_INF),
                 "k={k}: {want} vs {got}"

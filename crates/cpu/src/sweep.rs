@@ -66,18 +66,6 @@ pub struct SweepTiming {
     pub cells_per_sec: f64,
 }
 
-impl SweepTiming {
-    /// `padded_cells / seconds` — hardware-work throughput, for kernel
-    /// calibration only.
-    pub fn padded_cells_per_sec(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.padded_cells as f64 / self.seconds
-        } else {
-            0.0
-        }
-    }
-}
-
 fn timing(seconds: f64, real_cells: u64, padded_cells: u64) -> SweepTiming {
     SweepTiming {
         seconds,
@@ -466,7 +454,6 @@ mod tests {
             assert_eq!(t.real_cells, 40 * db.total_residues());
             assert!(t.padded_cells >= t.real_cells);
             assert!(t.cells_per_sec > 0.0);
-            assert!(t.padded_cells_per_sec() >= t.cells_per_sec);
         }
     }
 

@@ -26,10 +26,6 @@ use rand::{Rng, SeedableRng};
 /// in nats, so the slope per nat is `ln2 / ln2 = 1`.)
 pub const LAMBDA: f32 = 1.0;
 
-/// Euler–Mascheroni constant (kept for reference; the mean of a standard
-/// Gumbel is γ/λ above its location).
-pub const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
-
 /// Default number of random sequences per calibration fit (HMMER uses 200
 /// for the Gumbel fits; we use more because the exponential tail fit keeps
 /// only the top few percent of the sample).

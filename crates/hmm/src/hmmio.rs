@@ -329,17 +329,6 @@ pub fn read_hmm_many(text: &str) -> Result<Vec<HmmFile>, HmmParseError> {
     Ok(out)
 }
 
-/// Serialize several models back to back.
-pub fn write_hmm_many<'a>(
-    models: impl IntoIterator<Item = (&'a CoreModel, Option<&'a Calibration>)>,
-) -> String {
-    let mut out = String::new();
-    for (model, stats) in models {
-        out.push_str(&write_hmm(model, stats));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,7 +422,7 @@ mod tests {
         let models: Vec<CoreModel> = (0..3)
             .map(|i| synthetic_model(10 + i * 7, i as u64, &BuildParams::default()))
             .collect();
-        let text = write_hmm_many(models.iter().map(|m| (m, None)));
+        let text: String = models.iter().map(|m| write_hmm(m, None)).collect();
         let back = read_hmm_many(&text).unwrap();
         assert_eq!(back.len(), 3);
         for (orig, parsed) in models.iter().zip(&back) {

@@ -132,23 +132,6 @@ impl CoreModel {
         }
         Ok(())
     }
-
-    /// Mean model length generated by the core transitions (expected number
-    /// of match+insert emissions on a random traversal, ignoring flanks).
-    /// Used by tests as a sanity metric.
-    pub fn expected_emitted_length(&self) -> f64 {
-        // Expected emissions per node ≈ P(match occupied)·(1 + E[inserts]).
-        let mut occ = 1.0f64; // P(in match at node k), approximate forward walk
-        let mut total = 0.0f64;
-        for node in &self.nodes {
-            total += occ; // match emission
-            let e_ins = occ * node.t.mi as f64 / (1.0 - node.t.ii as f64).max(1e-6);
-            total += e_ins;
-            occ = occ * (node.t.mm + node.t.mi) as f64 + (1.0 - occ) * node.t.dm as f64;
-            occ = occ.clamp(0.0, 1.0);
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -201,12 +184,5 @@ mod tests {
             Err(ModelError::NotNormalized { node: 2, .. }) => {}
             other => panic!("expected NotNormalized node 2, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn expected_length_near_model_length_for_conserved() {
-        let m = tiny_model();
-        let e = m.expected_emitted_length();
-        assert!(e > 2.5 && e < 3.6, "expected ~3, got {e}");
     }
 }

@@ -169,12 +169,6 @@ impl VitProfile {
         let l = len as f32;
         (xc as f32 - self.base as f32) / self.scale + (3.0 / (l + 3.0)).ln()
     }
-
-    /// Device-memory footprint of the word tables in bytes (used by the
-    /// occupancy model: emissions + 8 transition/entry rows).
-    pub fn table_bytes(&self) -> usize {
-        (self.rwv.len() + 8 * self.m) * 2
-    }
 }
 
 /// Saturating add with the SSE `adds_epi16` semantics the filters rely on.
@@ -292,11 +286,5 @@ mod tests {
         for k0 in 0..17 {
             assert_eq!(row[k0], om.emis(3, k0));
         }
-    }
-
-    #[test]
-    fn table_bytes_counts_emissions_and_transitions() {
-        let (_, om) = vp(10);
-        assert_eq!(om.table_bytes(), (N_CODES * 10 + 80) * 2);
     }
 }

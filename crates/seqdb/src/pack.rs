@@ -224,12 +224,6 @@ impl<'a> PackedSubset<'a> {
         self.lengths.is_empty()
     }
 
-    /// The parent database's sequence id behind subset position `i`.
-    #[inline]
-    pub fn parent_id(&self, i: usize) -> usize {
-        self.parent_ids[i] as usize
-    }
-
     /// The full parent-id map (subset order).
     pub fn parent_ids(&self) -> &[u32] {
         &self.parent_ids
@@ -516,8 +510,7 @@ mod tests {
         let packed = PackedDb::from_db(&db);
         let sub = packed.subset(&[2, 0]);
         assert_eq!(sub.n_seqs(), 2);
-        assert_eq!(sub.parent_id(0), 2);
-        assert_eq!(sub.parent_id(1), 0);
+        assert_eq!(sub.parent_ids(), &[2, 0]);
         let view = sub.view();
         // Same underlying word buffer — no residues were copied.
         assert!(std::ptr::eq(view.words.as_ptr(), packed.words.as_ptr()));

@@ -1,4 +1,4 @@
-//! Database statistics — length histograms and workload accounting used by
+//! Database statistics — the workload accounting used by
 //! the figure harnesses and the load-balance discussion (§V).
 
 use crate::seq::SeqDb;
@@ -60,19 +60,6 @@ pub fn db_stats(db: &SeqDb) -> DbStats {
     }
 }
 
-/// Histogram of sequence lengths with fixed-width bins; returns
-/// `(bin_upper_bounds, counts)`.
-pub fn length_histogram(db: &SeqDb, bin_width: usize, n_bins: usize) -> (Vec<usize>, Vec<u64>) {
-    assert!(bin_width > 0 && n_bins > 0);
-    let mut counts = vec![0u64; n_bins];
-    for s in &db.seqs {
-        let bin = (s.len() / bin_width).min(n_bins - 1);
-        counts[bin] += 1;
-    }
-    let bounds = (1..=n_bins).map(|i| i * bin_width).collect();
-    (bounds, counts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,14 +101,5 @@ mod tests {
         let st = db_stats(&SeqDb::new("e"));
         assert_eq!(st.n_seqs, 0);
         assert_eq!(st.length_cv, 0.0);
-    }
-
-    #[test]
-    fn histogram_bins_and_overflow() {
-        let db = db_of_lengths(&[5, 15, 15, 99, 1000]);
-        let (bounds, counts) = length_histogram(&db, 10, 5);
-        assert_eq!(bounds, vec![10, 20, 30, 40, 50]);
-        assert_eq!(counts, vec![1, 2, 0, 0, 2]); // 99 and 1000 land in last bin
-        assert_eq!(counts.iter().sum::<u64>(), 5);
     }
 }

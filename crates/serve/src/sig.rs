@@ -5,7 +5,7 @@
 //! only async-signal-safe thing possible: set a flag. The accept loop
 //! polls [`termination_requested`] and runs the drain itself.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 
 static TERMINATE: AtomicBool = AtomicBool::new(false);
 
@@ -42,9 +42,4 @@ pub fn install() {
 /// shutdown signal, or poll/set it directly in tests.
 pub fn termination_requested() -> &'static AtomicBool {
     &TERMINATE
-}
-
-/// Test/ops helper: request termination as if a signal had arrived.
-pub fn request_termination() {
-    TERMINATE.store(true, Ordering::SeqCst);
 }

@@ -9,8 +9,8 @@
 
 use crate::counters::KernelStats;
 use crate::device::{DeviceSpec, GMEM_SEGMENT, WARP_SIZE};
-use crate::lanes::{butterfly_max, Lanes};
-use crate::smem::SharedMem;
+use crate::lanes::{lane_ids, Lanes};
+use crate::smem::{SharedMem, SmemElem};
 use h3w_pool::ThreadPool;
 
 /// Launch geometry and declared resource usage of a kernel.
@@ -57,6 +57,11 @@ impl KernelConfig {
     }
 }
 
+/// Shared-memory bytes one warp's reduction scratch takes on a device
+/// without `shfl` (Fermi, §IV-A): 32 lanes of the widest element a warp
+/// max-reduces, `i16`.
+pub const FERMI_SCRATCH_PER_WARP: usize = 64;
+
 /// The execution context one kernel body runs against: shared memory of
 /// its block plus event counters. `warp_id` identifies the running warp
 /// within the block (set by the engine; cooperative kernels switch it).
@@ -67,15 +72,19 @@ pub struct SimtCtx {
     pub stats: KernelStats,
     /// Warp currently executing (for hazard attribution).
     pub warp_id: u16,
+    /// The device has warp shuffles ([`DeviceSpec::has_shfl`]); decides
+    /// how [`SimtCtx::warp_max`] reduces.
+    has_shfl: bool,
 }
 
 impl SimtCtx {
-    /// Fresh context for one block.
-    pub fn new(smem_bytes: usize, track_hazards: bool) -> SimtCtx {
+    /// Fresh context for one block on `dev`.
+    pub fn new(dev: &DeviceSpec, smem_bytes: usize, track_hazards: bool) -> SimtCtx {
         SimtCtx {
             smem: SharedMem::new(smem_bytes, track_hazards),
             stats: KernelStats::default(),
             warp_id: 0,
+            has_shfl: dev.has_shfl,
         }
     }
 
@@ -85,82 +94,87 @@ impl SimtCtx {
         self.stats.instructions += n;
     }
 
-    /// Shared-memory byte load.
+    /// Shared-memory load of `T` at per-lane byte addresses.
     #[inline]
-    pub fn ld_smem_u8(&mut self, addrs: Lanes<usize>, active: Lanes<bool>) -> Lanes<u8> {
-        let (v, cost) = self.smem.ld_u8(addrs, active, self.warp_id);
+    pub fn ld_smem<T: SmemElem>(&mut self, addrs: Lanes<usize>, active: Lanes<bool>) -> Lanes<T> {
+        let (v, cost) = self.smem.ld(addrs, active, self.warp_id);
         self.stats.smem_loads += 1;
         self.stats.smem_conflict_extra += cost.transactions.saturating_sub(1) as u64;
         v
     }
 
-    /// Shared-memory byte store.
+    /// Shared-memory store of `T` at per-lane byte addresses.
     #[inline]
-    pub fn st_smem_u8(&mut self, addrs: Lanes<usize>, vals: Lanes<u8>, active: Lanes<bool>) {
-        let cost = self.smem.st_u8(addrs, vals, active, self.warp_id);
-        self.stats.smem_stores += 1;
-        self.stats.smem_conflict_extra += cost.transactions.saturating_sub(1) as u64;
-    }
-
-    /// Shared-memory 16-bit load.
-    #[inline]
-    pub fn ld_smem_i16(&mut self, addrs: Lanes<usize>, active: Lanes<bool>) -> Lanes<i16> {
-        let (v, cost) = self.smem.ld_i16(addrs, active, self.warp_id);
-        self.stats.smem_loads += 1;
-        self.stats.smem_conflict_extra += cost.transactions.saturating_sub(1) as u64;
-        v
-    }
-
-    /// Shared-memory 16-bit store.
-    #[inline]
-    pub fn st_smem_i16(&mut self, addrs: Lanes<usize>, vals: Lanes<i16>, active: Lanes<bool>) {
-        let cost = self.smem.st_i16(addrs, vals, active, self.warp_id);
-        self.stats.smem_stores += 1;
-        self.stats.smem_conflict_extra += cost.transactions.saturating_sub(1) as u64;
-    }
-
-    /// Shared-memory 32-bit float load.
-    #[inline]
-    pub fn ld_smem_f32(&mut self, addrs: Lanes<usize>, active: Lanes<bool>) -> Lanes<f32> {
-        let (v, cost) = self.smem.ld_f32(addrs, active, self.warp_id);
-        self.stats.smem_loads += 1;
-        self.stats.smem_conflict_extra += cost.transactions.saturating_sub(1) as u64;
-        v
-    }
-
-    /// Shared-memory 32-bit float store.
-    #[inline]
-    pub fn st_smem_f32(&mut self, addrs: Lanes<usize>, vals: Lanes<f32>, active: Lanes<bool>) {
-        let cost = self.smem.st_f32(addrs, vals, active, self.warp_id);
-        self.stats.smem_stores += 1;
-        self.stats.smem_conflict_extra += cost.transactions.saturating_sub(1) as u64;
-    }
-
-    /// Butterfly reduction of float lanes under an arbitrary combine
-    /// (e.g. log-sum-exp for the Forward kernel's row total) — 5 shuffle
-    /// steps, result broadcast to all lanes.
-    pub fn shfl_reduce_f32(
+    pub fn st_smem<T: SmemElem>(
         &mut self,
-        v: Lanes<f32>,
-        mut combine: impl FnMut(f32, f32) -> f32,
-    ) -> f32 {
+        addrs: Lanes<usize>,
+        vals: Lanes<T>,
+        active: Lanes<bool>,
+    ) {
+        let cost = self.smem.st(addrs, vals, active, self.warp_id);
+        self.stats.smem_stores += 1;
+        self.stats.smem_conflict_extra += cost.transactions.saturating_sub(1) as u64;
+    }
+
+    /// Butterfly reduction via `shfl_xor` under `combine` (max for the
+    /// filters' row maximum, log-sum for the Forward row total): 5
+    /// exchange steps, after which every lane holds the result — the
+    /// "automatic broadcast" §III-A relies on for the next residue's
+    /// `xB`. Counts 5 shuffles + 5 instructions.
+    pub fn shfl_reduce<T: Copy + Default>(
+        &mut self,
+        mut v: Lanes<T>,
+        mut combine: impl FnMut(T, T) -> T,
+    ) -> T {
         self.stats.shuffles += 5;
         self.stats.instructions += 5;
-        let mut cur = v;
         let mut mask = WARP_SIZE / 2;
         while mask >= 1 {
-            let other = cur.shfl_xor(mask);
-            cur = Lanes::from_fn(|i| combine(cur.lane(i), other.lane(i)));
+            v = v.zip(v.shfl_xor(mask), &mut combine);
             mask /= 2;
+        }
+        v.lane(0)
+    }
+
+    /// Warp-wide maximum, reduced the way the device can: the butterfly
+    /// shuffle on Kepler, or through this warp's
+    /// [`FERMI_SCRATCH_PER_WARP`]-byte slice of the block's scratch at
+    /// `scratch_base` on Fermi, which has no `shfl` (§IV-A).
+    pub fn warp_max<T: SmemElem + Ord>(&mut self, v: Lanes<T>, scratch_base: usize) -> T {
+        if self.has_shfl {
+            self.shfl_reduce(v, Ord::max)
+        } else {
+            self.smem_max(
+                v,
+                scratch_base + self.warp_id as usize * FERMI_SCRATCH_PER_WARP,
+            )
+        }
+    }
+
+    /// Max-reduction through shared memory at `scratch` (32 lanes of
+    /// `T`). No barrier is required within a single warp, but each of the
+    /// 5 halving steps is a store + load pair — the §IV-A cost difference
+    /// vs. Kepler's shuffle.
+    fn smem_max<T: SmemElem + Ord>(&mut self, v: Lanes<T>, scratch: usize) -> T {
+        debug_assert!(WARP_SIZE * T::WIDTH <= FERMI_SCRATCH_PER_WARP);
+        let ids = lane_ids();
+        let addrs = ids.map(|i| scratch + T::WIDTH * i);
+        let mut cur = v;
+        let mut width = WARP_SIZE / 2;
+        while width >= 1 {
+            self.st_smem(addrs, cur, Lanes::splat(true));
+            let partner = ids.map(|i| scratch + T::WIDTH * ((i + width) % WARP_SIZE));
+            let other = self.ld_smem(partner, Lanes::splat(true));
+            cur = cur.zip(other, Ord::max);
+            self.alu(1);
+            width /= 2;
         }
         cur.lane(0)
     }
 
-    /// Account a warp-wide global-memory access: `width`-byte elements at
-    /// per-lane byte addresses. Transactions = distinct 128 B segments
-    /// touched (the coalescing rule); data itself is read by the kernel
-    /// from host slices.
-    pub fn gmem_access(&mut self, addrs: Lanes<usize>, width: usize, active: Lanes<bool>) {
+    /// 128 B segments touched by a warp-wide access of `width`-byte
+    /// elements at per-lane byte addresses (the coalescing rule).
+    fn segments(addrs: Lanes<usize>, width: usize, active: Lanes<bool>) -> u64 {
         let mut segs = [usize::MAX; WARP_SIZE];
         let mut n = 0usize;
         for i in 0..WARP_SIZE {
@@ -176,9 +190,17 @@ impl SimtCtx {
                 }
             }
         }
+        n as u64
+    }
+
+    /// Account a warp-wide global-memory access: `width`-byte elements at
+    /// per-lane byte addresses, one DRAM transaction per segment touched;
+    /// data itself is read by the kernel from host slices.
+    pub fn gmem_access(&mut self, addrs: Lanes<usize>, width: usize, active: Lanes<bool>) {
+        let n = Self::segments(addrs, width, active);
         self.stats.instructions += 1; // the LD/ST instruction itself
-        self.stats.gmem_transactions += n as u64;
-        self.stats.gmem_bytes += (n * GMEM_SEGMENT) as u64;
+        self.stats.gmem_transactions += n;
+        self.stats.gmem_bytes += n * GMEM_SEGMENT as u64;
     }
 
     /// Account a uniform (whole-warp, same address) global read — e.g. the
@@ -192,77 +214,10 @@ impl SimtCtx {
     /// re-reads cost L2 bandwidth, not DRAM (the first-touch fill is
     /// negligible against billions of rows and is folded in here).
     pub fn gmem_access_cached(&mut self, addrs: Lanes<usize>, width: usize, active: Lanes<bool>) {
-        let mut segs = [usize::MAX; WARP_SIZE];
-        let mut n = 0usize;
-        for i in 0..WARP_SIZE {
-            if !active.lane(i) {
-                continue;
-            }
-            let seg = addrs.lane(i) / GMEM_SEGMENT;
-            let last_seg = (addrs.lane(i) + width - 1) / GMEM_SEGMENT;
-            for s in seg..=last_seg {
-                if !segs[..n].contains(&s) {
-                    segs[n] = s;
-                    n += 1;
-                }
-            }
-        }
+        let n = Self::segments(addrs, width, active);
         self.stats.instructions += 1;
-        self.stats.l2_transactions += n as u64;
-        self.stats.l2_bytes += (n * GMEM_SEGMENT) as u64;
-    }
-
-    /// Butterfly max-reduction of byte scores via `shfl_xor` — 5 exchange
-    /// steps, every lane ends with the warp max (§III-A). Counts 5
-    /// shuffles + 5 max instructions.
-    pub fn shfl_max_u8(&mut self, v: Lanes<u8>) -> u8 {
-        self.stats.shuffles += 5;
-        self.stats.instructions += 5;
-        butterfly_max(v).lane(0)
-    }
-
-    /// Butterfly max-reduction of word scores via `shfl_xor`.
-    pub fn shfl_max_i16(&mut self, v: Lanes<i16>) -> i16 {
-        self.stats.shuffles += 5;
-        self.stats.instructions += 5;
-        butterfly_max(v).lane(0)
-    }
-
-    /// Fermi fallback: max-reduction through shared memory scratch at
-    /// `scratch_base` (needs 32 × 2 bytes). No barrier is required within
-    /// a single warp, but each of the 5 halving steps is a store + load
-    /// pair — the §IV-A cost difference vs. Kepler's shuffle.
-    pub fn smem_max_i16(&mut self, v: Lanes<i16>, scratch_base: usize) -> i16 {
-        let ids = crate::lanes::lane_ids();
-        let addrs = ids.map(|i| scratch_base + 2 * i);
-        let mut cur = v;
-        let mut width = WARP_SIZE / 2;
-        while width >= 1 {
-            self.st_smem_i16(addrs, cur, Lanes::splat(true));
-            let partner = ids.map(|i| scratch_base + 2 * ((i + width) % WARP_SIZE));
-            let other = self.ld_smem_i16(partner, Lanes::splat(true));
-            cur = cur.zip(other, |a, b| a.max(b));
-            self.alu(1);
-            width /= 2;
-        }
-        cur.lane(0)
-    }
-
-    /// Fermi fallback: byte max-reduction through shared memory.
-    pub fn smem_max_u8(&mut self, v: Lanes<u8>, scratch_base: usize) -> u8 {
-        let ids = crate::lanes::lane_ids();
-        let addrs = ids.map(|i| scratch_base + i);
-        let mut cur = v;
-        let mut width = WARP_SIZE / 2;
-        while width >= 1 {
-            self.st_smem_u8(addrs, cur, Lanes::splat(true));
-            let partner = ids.map(|i| scratch_base + (i + width) % WARP_SIZE);
-            let other = self.ld_smem_u8(partner, Lanes::splat(true));
-            cur = cur.zip(other, |a, b| a.max(b));
-            self.alu(1);
-            width /= 2;
-        }
-        cur.lane(0)
+        self.stats.l2_transactions += n;
+        self.stats.l2_bytes += n * GMEM_SEGMENT as u64;
     }
 
     /// Warp vote `__all` (the Lazy-F convergence test, Fig. 7).
@@ -332,7 +287,7 @@ pub fn run_grid<K: WarpKernel>(
     let total_warps = cfg.total_warps();
     let per_block: Vec<(KernelStats, Vec<(K::Out, u64)>)> =
         ThreadPool::global().map_collect(cfg.blocks, |block| {
-            let mut ctx = SimtCtx::new(cfg.smem_per_block, cfg.track_hazards);
+            let mut ctx = SimtCtx::new(dev, cfg.smem_per_block, cfg.track_hazards);
             let mut outs = Vec::with_capacity(cfg.warps_per_block);
             for w in 0..cfg.warps_per_block {
                 ctx.warp_id = w as u16;
@@ -370,7 +325,7 @@ pub fn run_grid_blocks<K: BlockKernel>(
     cfg.validate(dev)?;
     let per_block: Vec<(KernelStats, K::Out, u64)> =
         ThreadPool::global().map_collect(cfg.blocks, |block| {
-            let mut ctx = SimtCtx::new(cfg.smem_per_block, cfg.track_hazards);
+            let mut ctx = SimtCtx::new(dev, cfg.smem_per_block, cfg.track_hazards);
             let out = kernel.run_block(&mut ctx, block, cfg.blocks);
             ctx.finish_block();
             let work = ctx.stats.issue_slots();
@@ -394,7 +349,6 @@ pub fn run_grid_blocks<K: BlockKernel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lanes::lane_ids;
 
     struct SumKernel;
     impl WarpKernel for SumKernel {
@@ -452,8 +406,8 @@ mod tests {
         fn run_warp(&self, ctx: &mut SimtCtx, _gw: usize, _tw: usize) -> bool {
             let addrs = lane_ids().map(|i| ctx.warp_id as usize * 32 + i);
             let vals = lane_ids().map(|i| i as u8 + ctx.warp_id as u8);
-            ctx.st_smem_u8(addrs, vals, Lanes::splat(true));
-            let back = ctx.ld_smem_u8(addrs, Lanes::splat(true));
+            ctx.st_smem(addrs, vals, Lanes::splat(true));
+            let back = ctx.ld_smem::<u8>(addrs, Lanes::splat(true));
             back == vals
         }
     }
@@ -476,9 +430,9 @@ mod tests {
         fn run_block(&self, ctx: &mut SimtCtx, _b: usize, _n: usize) {
             // Two warps touch the same cells with no barrier between.
             ctx.warp_id = 0;
-            ctx.st_smem_u8(Lanes::splat(5), Lanes::splat(1), Lanes::splat(true));
+            ctx.st_smem(Lanes::splat(5), Lanes::splat(1u8), Lanes::splat(true));
             ctx.warp_id = 1;
-            let _ = ctx.ld_smem_u8(Lanes::splat(5), Lanes::splat(true));
+            let _ = ctx.ld_smem::<u8>(Lanes::splat(5), Lanes::splat(true));
         }
     }
 
@@ -487,10 +441,10 @@ mod tests {
         type Out = ();
         fn run_block(&self, ctx: &mut SimtCtx, _b: usize, _n: usize) {
             ctx.warp_id = 0;
-            ctx.st_smem_u8(Lanes::splat(5), Lanes::splat(1), Lanes::splat(true));
+            ctx.st_smem(Lanes::splat(5), Lanes::splat(1u8), Lanes::splat(true));
             ctx.barrier();
             ctx.warp_id = 1;
-            let _ = ctx.ld_smem_u8(Lanes::splat(5), Lanes::splat(true));
+            let _ = ctx.ld_smem::<u8>(Lanes::splat(5), Lanes::splat(true));
         }
     }
 
@@ -507,23 +461,55 @@ mod tests {
         assert_eq!(safe.stats.barriers, 1);
     }
 
+    /// A one-warp context on `dev` with room for four warps' scratch.
+    fn ctx_on(dev: &DeviceSpec) -> SimtCtx {
+        SimtCtx::new(dev, 4 * FERMI_SCRATCH_PER_WARP, true)
+    }
+
+    fn warp_max_on_both_devices<T: SmemElem + Ord + std::fmt::Debug>(v: Lanes<T>) {
+        let want = *v.0.iter().max().unwrap();
+        let mut kepler = ctx_on(&DeviceSpec::tesla_k40());
+        assert_eq!(kepler.warp_max(v, usize::MAX), want);
+        assert_eq!(kepler.stats.shuffles, 5);
+        assert_eq!(kepler.stats.instructions, 5);
+        assert_eq!(kepler.stats.smem_loads + kepler.stats.smem_stores, 0);
+        // Fermi path: 5 stores + 5 loads + 5 max instructions instead of
+        // shuffles, conflict-free.
+        let mut fermi = ctx_on(&DeviceSpec::gtx_580());
+        assert_eq!(fermi.warp_max(v, 0), want);
+        assert_eq!(fermi.stats.shuffles, 0);
+        assert_eq!(fermi.stats.instructions, 5);
+        assert_eq!(fermi.stats.smem_stores, 5);
+        assert_eq!(fermi.stats.smem_loads, 5);
+        assert_eq!(fermi.stats.smem_conflict_extra, 0);
+    }
+
     #[test]
-    fn reductions_agree_and_count() {
-        let mut ctx = SimtCtx::new(1024, false);
-        let v = Lanes::from_fn(|i| ((i * 13) % 29) as i16 - 14);
-        let a = ctx.shfl_max_i16(v);
-        let b = ctx.smem_max_i16(v, 0);
-        assert_eq!(a, b);
-        assert_eq!(a, *v.0.iter().max().unwrap());
-        assert_eq!(ctx.stats.shuffles, 5);
-        // Fermi path: 5 stores + 5 loads instead of shuffles.
-        assert_eq!(ctx.stats.smem_stores, 5);
-        assert_eq!(ctx.stats.smem_loads, 5);
+    fn warp_max_agrees_on_both_devices_and_counts() {
+        warp_max_on_both_devices(Lanes::from_fn(|i| ((i * 37) % 61) as u8));
+        warp_max_on_both_devices(Lanes::from_fn(|i| ((i * 13) % 29) as i16 - 14));
+        let mut neg_inf = Lanes::splat(i16::MIN);
+        neg_inf.set_lane(17, -5);
+        warp_max_on_both_devices(neg_inf);
+    }
+
+    #[test]
+    fn fermi_warps_reduce_in_their_own_scratch() {
+        // Two warps reducing in one barrier epoch do not race: each gets
+        // its own slice of the block's scratch.
+        let mut ctx = ctx_on(&DeviceSpec::gtx_580());
+        for w in 0..4u16 {
+            ctx.warp_id = w;
+            let v = Lanes::from_fn(|i| (i as i16) * (w as i16 + 1));
+            assert_eq!(ctx.warp_max(v, 0), 31 * (w as i16 + 1));
+        }
+        ctx.finish_block();
+        assert_eq!(ctx.stats.hazards, 0);
     }
 
     #[test]
     fn gmem_coalescing_counts_segments() {
-        let mut ctx = SimtCtx::new(0, false);
+        let mut ctx = SimtCtx::new(&DeviceSpec::tesla_k40(), 0, false);
         // 32 consecutive u32 = 128 B = 1 segment.
         let addrs = lane_ids().map(|i| i * 4);
         ctx.gmem_access(addrs, 4, Lanes::splat(true));
@@ -536,11 +522,11 @@ mod tests {
 
     #[test]
     fn f32_smem_round_trip_and_conflict_free() {
-        let mut ctx = SimtCtx::new(512, false);
+        let mut ctx = SimtCtx::new(&DeviceSpec::tesla_k40(), 512, false);
         let addrs = lane_ids().map(|i| i * 4);
         let vals = Lanes::from_fn(|i| i as f32 * -1.5);
-        ctx.st_smem_f32(addrs, vals, Lanes::splat(true));
-        let back = ctx.ld_smem_f32(addrs, Lanes::splat(true));
+        ctx.st_smem(addrs, vals, Lanes::splat(true));
+        let back = ctx.ld_smem::<f32>(addrs, Lanes::splat(true));
         assert_eq!(back, vals);
         // 32 consecutive f32 = one word per bank: conflict-free.
         assert_eq!(ctx.stats.smem_conflict_extra, 0);
@@ -549,19 +535,19 @@ mod tests {
     }
 
     #[test]
-    fn shfl_reduce_f32_with_custom_combine() {
-        let mut ctx = SimtCtx::new(0, false);
+    fn shfl_reduce_with_custom_combine() {
+        let mut ctx = SimtCtx::new(&DeviceSpec::tesla_k40(), 0, false);
         let v = Lanes::from_fn(|i| (i as f32) - 15.5);
-        let max = ctx.shfl_reduce_f32(v, f32::max);
+        let max = ctx.shfl_reduce(v, f32::max);
         assert_eq!(max, 15.5); // lane 31 holds 31 − 15.5
-        let sum = ctx.shfl_reduce_f32(Lanes::splat(1.0f32), |a, b| a + b);
+        let sum = ctx.shfl_reduce(Lanes::splat(1.0f32), |a, b| a + b);
         assert_eq!(sum, 32.0);
         assert_eq!(ctx.stats.shuffles, 10);
     }
 
     #[test]
     fn cached_access_counts_l2_not_dram() {
-        let mut ctx = SimtCtx::new(0, false);
+        let mut ctx = SimtCtx::new(&DeviceSpec::tesla_k40(), 0, false);
         let addrs = lane_ids().map(|i| i * 4);
         ctx.gmem_access_cached(addrs, 4, Lanes::splat(true));
         assert_eq!(ctx.stats.l2_transactions, 1);
@@ -573,7 +559,7 @@ mod tests {
 
     #[test]
     fn uniform_access_is_one_segment() {
-        let mut ctx = SimtCtx::new(0, false);
+        let mut ctx = SimtCtx::new(&DeviceSpec::tesla_k40(), 0, false);
         ctx.gmem_access_uniform(1000, 4);
         assert_eq!(ctx.stats.gmem_transactions, 1);
         assert_eq!(ctx.stats.gmem_bytes, 128);

@@ -74,22 +74,6 @@ impl Lanes<bool> {
     }
 }
 
-/// Butterfly max-reduction via XOR shuffles: `log2(32) = 5` exchange steps,
-/// after which **every** lane holds the warp maximum — the "automatic
-/// broadcast" property §III-A relies on for the next residue's `xB`.
-/// Returns the final lanes (all equal) and is the semantic core of the
-/// counting wrapper in `WarpCtx::shfl_max_*`.
-#[inline]
-pub fn butterfly_max<T: Copy + Default + Ord>(mut v: Lanes<T>) -> Lanes<T> {
-    let mut mask = WARP_SIZE / 2;
-    while mask >= 1 {
-        let other = v.shfl_xor(mask);
-        v = v.zip(other, |a, b| a.max(b));
-        mask /= 2;
-    }
-    v
-}
-
 /// The lane indices `0..32` (CUDA's `threadIdx.x` within a warp).
 #[inline]
 pub fn lane_ids() -> Lanes<usize> {
@@ -116,22 +100,6 @@ mod tests {
             let twice = v.shfl_xor(mask).shfl_xor(mask);
             assert_eq!(twice, v, "mask {mask}");
         }
-    }
-
-    #[test]
-    fn butterfly_max_broadcasts_maximum() {
-        let v = Lanes::from_fn(|i| ((i * 37) % 61) as u8);
-        let expected = *v.0.iter().max().unwrap();
-        let r = butterfly_max(v);
-        assert!(r.0.iter().all(|&x| x == expected));
-    }
-
-    #[test]
-    fn butterfly_max_on_i16_with_neg_inf() {
-        let mut v = Lanes::splat(i16::MIN);
-        v.set_lane(17, -5);
-        let r = butterfly_max(v);
-        assert!(r.0.iter().all(|&x| x == -5));
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! counts to time through published device specifications.
 //!
 //! * [`device`] — Tesla K40 / GTX 580 / Core-i5 specs (device facts);
-//! * [`lanes`] — 32-wide lockstep registers, `shfl_xor`, votes, butterfly
-//!   reduction;
+//! * [`lanes`] — 32-wide lockstep registers, `shfl_xor`, votes;
 //! * [`smem`] — banked shared memory: conflict counting and an inter-warp
 //!   race detector (the Fig. 4 argument, mechanized);
 //! * [`counters`] — per-kernel event totals;
@@ -35,11 +34,10 @@ pub use counters::KernelStats;
 pub use device::{Arch, CpuSpec, DeviceSpec, WARP_SIZE};
 pub use exec::{
     run_grid, run_grid_blocks, BlockKernel, GridResult, KernelConfig, SimtCtx, WarpKernel,
+    FERMI_SCRATCH_PER_WARP,
 };
 pub use fault::{DeviceFault, FaultInjector, FaultKind, FaultPlan, PlannedFault};
-pub use lanes::{butterfly_max, lane_ids, Lanes};
-pub use occupancy::{
-    model_packing, occupancy, saturating_grid, ModelFootprint, ModelPacking, OccLimit, Occupancy,
-};
+pub use lanes::{lane_ids, Lanes};
+pub use occupancy::{occupancy, saturating_grid, OccLimit, Occupancy};
 pub use smem::SharedMem;
 pub use timing::{imbalance_factor, kernel_time, CostParams, TimeBreakdown};

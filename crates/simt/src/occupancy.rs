@@ -77,95 +77,6 @@ pub fn saturating_grid(dev: &DeviceSpec, occ: &Occupancy, waves: usize) -> usize
     (occ.resident_blocks.max(1)) * dev.sm_count * waves.max(1)
 }
 
-/// Per-model resource cost of keeping one more profile resident in a
-/// fused multi-profile block — the model-packing axis of the paper's §VI
-/// future work ("the trend of multiple HMMs processing"). Packing `P`
-/// models into one block multiplies throughput per traversal by `P` but
-/// charges `P×` this footprint against the SM's shared memory and
-/// register file; [`model_packing`] finds the sweet spot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ModelFootprint {
-    /// Shared-memory bytes each resident model adds to the block.
-    pub smem_per_model: usize,
-    /// Registers each resident model adds per thread.
-    pub regs_per_model: usize,
-}
-
-/// Per-model register cost of the fused MSV loop: the per-model
-/// `xJ`/`xB` chain, base/bias splats, and table cursor the interleaved
-/// kernel keeps live per resident profile.
-const MSV_PACK_REGS: usize = 6;
-
-/// Residue codes staged on-device per model (20 standard + 6 degenerate;
-/// mirrors the staging layout in `h3w-core::layout`).
-const STAGED_CODES: usize = 26;
-
-impl ModelFootprint {
-    /// Footprint of one `M`-state profile in the fused shared-memory MSV
-    /// kernel: the staged `26 × M` byte emission table plus one
-    /// `(M+1)`-byte DP row per warp, and the per-model score chain in
-    /// registers.
-    pub fn msv(m: usize, warps_per_block: usize) -> ModelFootprint {
-        ModelFootprint {
-            smem_per_model: STAGED_CODES * m + warps_per_block * (m + 1),
-            regs_per_model: MSV_PACK_REGS,
-        }
-    }
-}
-
-/// The residency-maximizing point on the model-packing axis.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ModelPacking {
-    /// Profiles packed into each block.
-    pub models_per_block: usize,
-    /// Blocks resident per SM at that pack width.
-    pub resident_blocks: usize,
-    /// Resident profiles per SM (`resident_blocks × models_per_block`) —
-    /// the quantity packing maximizes: each resident model is one more
-    /// profile scored per database traversal.
-    pub resident_models: usize,
-    /// Warp occupancy at that pack width.
-    pub occupancy: f64,
-    /// The binding constraint at that pack width.
-    pub limit: OccLimit,
-}
-
-/// Sweep pack widths `1..=max_pack` and keep the one maximizing resident
-/// models per SM (ties prefer the narrower pack — fewer models stall
-/// together on an overflow or early finish). `base` is the kernel's
-/// footprint *without* any model tables; each packed model adds
-/// `footprint` on top.
-pub fn model_packing(
-    dev: &DeviceSpec,
-    base: &KernelConfig,
-    footprint: &ModelFootprint,
-    max_pack: usize,
-) -> ModelPacking {
-    let mut best: Option<ModelPacking> = None;
-    for p in 1..=max_pack.max(1) {
-        let cfg = KernelConfig {
-            regs_per_thread: base.regs_per_thread + p * footprint.regs_per_model,
-            smem_per_block: base.smem_per_block + p * footprint.smem_per_model,
-            ..base.clone()
-        };
-        let occ = occupancy(dev, &cfg);
-        let cand = ModelPacking {
-            models_per_block: p,
-            resident_blocks: occ.resident_blocks,
-            resident_models: occ.resident_blocks * p,
-            occupancy: occ.occupancy,
-            limit: occ.limit,
-        };
-        if best
-            .as_ref()
-            .is_none_or(|b| cand.resident_models > b.resident_models)
-        {
-            best = Some(cand);
-        }
-    }
-    best.expect("pack widths 1..=max(1, max_pack) are non-empty")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,73 +150,6 @@ mod tests {
         let o = occupancy(&dev, &cfg(8, 32, 64 * 1024));
         assert_eq!(o.resident_blocks, 0);
         assert_eq!(o.occupancy, 0.0);
-    }
-
-    #[test]
-    fn model_packing_trades_blocks_for_resident_models() {
-        let dev = DeviceSpec::tesla_k40();
-        // Smem-bound packing: base block 2 KB + 3000 B/model. P=1 →
-        // 49152/5048 = 9 blocks, capped at 8 by warp slots → 8 models.
-        // P=2 → 49152/8048 = 6 blocks → 12 models. P=3 → 4 blocks → 12
-        // (tie, wider loses). P=4 → 3 blocks → 12 (tie again).
-        let fp = ModelFootprint {
-            smem_per_model: 3000,
-            regs_per_model: 0,
-        };
-        let p = model_packing(&dev, &cfg(8, 32, 2048), &fp, 4);
-        assert_eq!(p.models_per_block, 2);
-        assert_eq!(p.resident_blocks, 6);
-        assert_eq!(p.resident_models, 12);
-        assert_eq!(p.limit, OccLimit::SharedMem);
-    }
-
-    #[test]
-    fn model_packing_respects_the_register_file() {
-        let dev = DeviceSpec::tesla_k40();
-        // Register-bound packing: 32 base + 16 regs/model. P=1 → 48 regs
-        // → 65536/12288 = 5 blocks → 5 models. P=2 → 64 regs → 4 blocks
-        // → 8. P=3 → 80 regs → 3 blocks → 9. P=4 → 96 regs → 2 → 8.
-        let fp = ModelFootprint {
-            smem_per_model: 0,
-            regs_per_model: 16,
-        };
-        let p = model_packing(&dev, &cfg(8, 32, 1024), &fp, 4);
-        assert_eq!(p.models_per_block, 3);
-        assert_eq!(p.resident_models, 9);
-        assert_eq!(p.limit, OccLimit::Registers);
-    }
-
-    #[test]
-    fn small_models_pack_wider_than_large_ones() {
-        // The §VI question: how many ≤M-state profiles fit one SM? A
-        // 100-state profile's tables are ~8× smaller than an 800-state
-        // profile's, so the packing sweep should keep strictly more of
-        // them resident.
-        let dev = DeviceSpec::tesla_k40();
-        let base = cfg(8, 24, 1024);
-        let small = model_packing(&dev, &base, &ModelFootprint::msv(100, 8), 8);
-        let large = model_packing(&dev, &base, &ModelFootprint::msv(800, 8), 8);
-        assert!(
-            small.resident_models > large.resident_models,
-            "{} vs {}",
-            small.resident_models,
-            large.resident_models
-        );
-        assert!(small.models_per_block > large.models_per_block);
-    }
-
-    #[test]
-    fn packing_never_returns_zero_width() {
-        let dev = DeviceSpec::tesla_k40();
-        // Even when nothing fits (footprint beyond the SM), the sweep
-        // reports width 1 with zero residency rather than panicking.
-        let fp = ModelFootprint {
-            smem_per_model: 64 * 1024,
-            regs_per_model: 0,
-        };
-        let p = model_packing(&dev, &cfg(8, 32, 2048), &fp, 0);
-        assert_eq!(p.models_per_block, 1);
-        assert_eq!(p.resident_models, 0);
     }
 
     #[test]

@@ -24,6 +24,40 @@ pub struct AccessCost {
     pub transactions: u32,
 }
 
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// An element type a warp moves through shared memory: the byte cells
+/// of MSV/SSV, the 16-bit words of Viterbi, the floats of Forward.
+/// Sealed — the simulator's access API is defined for these three only.
+pub trait SmemElem: sealed::Sealed + Copy + Default {
+    /// Bytes per element (≤ one 4-byte bank word).
+    const WIDTH: usize;
+    /// Decode from `WIDTH` little-endian bytes.
+    fn read(bytes: &[u8]) -> Self;
+    /// Encode into `WIDTH` little-endian bytes.
+    fn write(self, bytes: &mut [u8]);
+}
+
+macro_rules! smem_elem {
+    ($($t:ty),*) => {$(
+        impl sealed::Sealed for $t {}
+        impl SmemElem for $t {
+            const WIDTH: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn read(bytes: &[u8]) -> $t {
+                <$t>::from_le_bytes(std::array::from_fn(|i| bytes[i]))
+            }
+            #[inline]
+            fn write(self, bytes: &mut [u8]) {
+                bytes.copy_from_slice(&self.to_le_bytes());
+            }
+        }
+    )*};
+}
+smem_elem!(u8, i16, f32);
+
 #[derive(Debug, Clone, Default)]
 struct HazardTracker {
     epoch: u32,
@@ -62,14 +96,6 @@ impl SharedMem {
     /// Capacity in bytes.
     pub fn size(&self) -> usize {
         self.data.len()
-    }
-
-    /// Zero the contents (fresh block launch); keeps hazard history cleared.
-    pub fn reset(&mut self) {
-        self.data.fill(0);
-        if let Some(t) = &mut self.tracker {
-            t.epoch += 1;
-        }
     }
 
     /// Hazards recorded so far.
@@ -145,110 +171,22 @@ impl SharedMem {
         }
     }
 
-    /// Warp-wide byte load.
-    pub fn ld_u8(
+    /// Warp-wide load of `T` at per-lane byte addresses (naturally
+    /// aligned); inactive lanes read nothing and hold `T::default()`.
+    pub fn ld<T: SmemElem>(
         &mut self,
         addrs: Lanes<usize>,
         active: Lanes<bool>,
         warp: u16,
-    ) -> (Lanes<u8>, AccessCost) {
-        let cost = Self::bank_cost(&addrs, &active, 1);
-        let mut out = Lanes::splat(0u8);
+    ) -> (Lanes<T>, AccessCost) {
+        let cost = Self::bank_cost(&addrs, &active, T::WIDTH);
+        let mut out = Lanes::splat(T::default());
         for i in 0..WARP_SIZE {
             if active.lane(i) {
                 let a = addrs.lane(i);
-                out.set_lane(i, self.data[a]);
-                self.note_read(a, warp);
-            }
-        }
-        (out, cost)
-    }
-
-    /// Warp-wide byte store.
-    pub fn st_u8(
-        &mut self,
-        addrs: Lanes<usize>,
-        vals: Lanes<u8>,
-        active: Lanes<bool>,
-        warp: u16,
-    ) -> AccessCost {
-        let cost = Self::bank_cost(&addrs, &active, 1);
-        for i in 0..WARP_SIZE {
-            if active.lane(i) {
-                let a = addrs.lane(i);
-                self.data[a] = vals.lane(i);
-                self.note_write(a, warp);
-            }
-        }
-        cost
-    }
-
-    /// Warp-wide 16-bit load (byte addresses, 2-aligned).
-    pub fn ld_i16(
-        &mut self,
-        addrs: Lanes<usize>,
-        active: Lanes<bool>,
-        warp: u16,
-    ) -> (Lanes<i16>, AccessCost) {
-        let cost = Self::bank_cost(&addrs, &active, 2);
-        let mut out = Lanes::splat(0i16);
-        for i in 0..WARP_SIZE {
-            if active.lane(i) {
-                let a = addrs.lane(i);
-                debug_assert_eq!(a % 2, 0, "unaligned i16 shared load");
-                let v = i16::from_le_bytes([self.data[a], self.data[a + 1]]);
-                out.set_lane(i, v);
-                self.note_read(a, warp);
-                self.note_read(a + 1, warp);
-            }
-        }
-        (out, cost)
-    }
-
-    /// Warp-wide 16-bit store.
-    pub fn st_i16(
-        &mut self,
-        addrs: Lanes<usize>,
-        vals: Lanes<i16>,
-        active: Lanes<bool>,
-        warp: u16,
-    ) -> AccessCost {
-        let cost = Self::bank_cost(&addrs, &active, 2);
-        for i in 0..WARP_SIZE {
-            if active.lane(i) {
-                let a = addrs.lane(i);
-                debug_assert_eq!(a % 2, 0, "unaligned i16 shared store");
-                let b = vals.lane(i).to_le_bytes();
-                self.data[a] = b[0];
-                self.data[a + 1] = b[1];
-                self.note_write(a, warp);
-                self.note_write(a + 1, warp);
-            }
-        }
-        cost
-    }
-
-    /// Warp-wide 32-bit float load (byte addresses, 4-aligned).
-    pub fn ld_f32(
-        &mut self,
-        addrs: Lanes<usize>,
-        active: Lanes<bool>,
-        warp: u16,
-    ) -> (Lanes<f32>, AccessCost) {
-        let cost = Self::bank_cost(&addrs, &active, 4);
-        let mut out = Lanes::splat(0f32);
-        for i in 0..WARP_SIZE {
-            if active.lane(i) {
-                let a = addrs.lane(i);
-                debug_assert_eq!(a % 4, 0, "unaligned f32 shared load");
-                let v = f32::from_le_bytes([
-                    self.data[a],
-                    self.data[a + 1],
-                    self.data[a + 2],
-                    self.data[a + 3],
-                ]);
-                out.set_lane(i, v);
-                for off in 0..4 {
+                debug_assert_eq!(a % T::WIDTH, 0, "unaligned shared load");
+                out.set_lane(i, T::read(&self.data[a..a + T::WIDTH]));
+                for off in 0..T::WIDTH {
                     self.note_read(a + off, warp);
                 }
             }
@@ -256,22 +194,22 @@ impl SharedMem {
         (out, cost)
     }
 
-    /// Warp-wide 32-bit float store.
-    pub fn st_f32(
+    /// Warp-wide store of `T` at per-lane byte addresses (naturally
+    /// aligned).
+    pub fn st<T: SmemElem>(
         &mut self,
         addrs: Lanes<usize>,
-        vals: Lanes<f32>,
+        vals: Lanes<T>,
         active: Lanes<bool>,
         warp: u16,
     ) -> AccessCost {
-        let cost = Self::bank_cost(&addrs, &active, 4);
+        let cost = Self::bank_cost(&addrs, &active, T::WIDTH);
         for i in 0..WARP_SIZE {
             if active.lane(i) {
                 let a = addrs.lane(i);
-                debug_assert_eq!(a % 4, 0, "unaligned f32 shared store");
-                let b = vals.lane(i).to_le_bytes();
-                self.data[a..a + 4].copy_from_slice(&b);
-                for off in 0..4 {
+                debug_assert_eq!(a % T::WIDTH, 0, "unaligned shared store");
+                vals.lane(i).write(&mut self.data[a..a + T::WIDTH]);
+                for off in 0..T::WIDTH {
                     self.note_write(a + off, warp);
                 }
             }
@@ -294,107 +232,107 @@ mod tests {
         Lanes::splat(true)
     }
 
-    #[test]
-    fn consecutive_bytes_are_conflict_free() {
-        // §III-A: 32 consecutive byte cells span 8 words in 8 distinct
-        // banks, 4 lanes per word → broadcast within word, no conflicts.
-        let mut sm = SharedMem::new(256, false);
-        let addrs = lane_ids();
-        let (_, cost) = sm.ld_u8(addrs, all_active(), 0);
-        assert_eq!(cost.transactions, 1);
+    /// Replays of one warp-wide load of `T` at `addrs`.
+    fn load_cost<T: SmemElem>(addrs: Lanes<usize>, active: Lanes<bool>) -> u32 {
+        let mut sm = SharedMem::new(32 * 128 + 8, false);
+        sm.ld::<T>(addrs, active, 0).1.transactions
     }
 
-    #[test]
-    fn same_bank_different_words_conflict() {
+    /// Every bank-cost case, with element `k` of lane `i` at byte
+    /// `i · stride + k · T::WIDTH`.
+    fn bank_costs<T: SmemElem>() {
+        let w = T::WIDTH;
+        // §III-A: 32 consecutive elements span 32·w/4 words in as many
+        // banks, 4/w lanes per word → broadcast within a word, no
+        // conflicts.
+        assert_eq!(load_cost::<T>(Lanes::from_fn(|i| i * w), all_active()), 1);
         // Stride of 128 bytes = 32 words: every lane hits bank 0 with a
         // distinct word → 32-way serialization.
-        let mut sm = SharedMem::new(32 * 128 + 4, false);
-        let addrs = Lanes::from_fn(|i| i * 128);
-        let (_, cost) = sm.ld_u8(addrs, all_active(), 0);
-        assert_eq!(cost.transactions, 32);
-    }
-
-    #[test]
-    fn stride_two_words_gives_two_way_conflict() {
+        assert_eq!(
+            load_cost::<T>(Lanes::from_fn(|i| i * 128), all_active()),
+            32
+        );
         // Stride 8 bytes = 2 words: lanes hit 16 banks, 2 words each.
-        let mut sm = SharedMem::new(32 * 8 + 8, false);
-        let addrs = Lanes::from_fn(|i| i * 8);
-        let (_, cost) = sm.ld_u8(addrs, all_active(), 0);
-        assert_eq!(cost.transactions, 2);
+        assert_eq!(load_cost::<T>(Lanes::from_fn(|i| i * 8), all_active()), 2);
+        // One address for every lane is a broadcast.
+        assert_eq!(load_cost::<T>(Lanes::splat(12), all_active()), 1);
+        // No active lane, no cycle.
+        let none = Lanes::splat(false);
+        assert_eq!(load_cost::<T>(lane_ids().map(|i| i * w), none), 0);
     }
 
     #[test]
-    fn broadcast_is_one_transaction() {
-        let mut sm = SharedMem::new(64, false);
-        let (_, cost) = sm.ld_u8(Lanes::splat(12), all_active(), 0);
-        assert_eq!(cost.transactions, 1);
+    fn bank_costs_at_every_width() {
+        bank_costs::<u8>();
+        bank_costs::<i16>();
+        bank_costs::<f32>();
     }
 
-    #[test]
-    fn inactive_access_costs_nothing() {
-        let mut sm = SharedMem::new(64, false);
-        let (_, cost) = sm.ld_u8(lane_ids(), Lanes::splat(false), 0);
-        assert_eq!(cost.transactions, 0);
-    }
-
-    #[test]
-    fn store_load_round_trip_u8_and_i16() {
+    fn round_trip<T: SmemElem + PartialEq + std::fmt::Debug>(vals: Lanes<T>) {
         let mut sm = SharedMem::new(256, false);
-        let vals = Lanes::from_fn(|i| (i * 3) as u8);
-        sm.st_u8(lane_ids(), vals, all_active(), 0);
-        let (back, _) = sm.ld_u8(lane_ids(), all_active(), 0);
+        let addrs = Lanes::from_fn(|i| 64 + i * T::WIDTH);
+        sm.st(addrs, vals, all_active(), 0);
+        let (back, _) = sm.ld::<T>(addrs, all_active(), 0);
         assert_eq!(back, vals);
-
-        let waddrs = Lanes::from_fn(|i| 128 + 2 * i);
-        let wvals = Lanes::from_fn(|i| i as i16 * -100);
-        sm.st_i16(waddrs, wvals, all_active(), 0);
-        let (wback, _) = sm.ld_i16(waddrs, all_active(), 0);
-        assert_eq!(wback, wvals);
+        // Inactive lanes neither write nor read.
+        let odd = Lanes::from_fn(|i| i % 2 == 1);
+        sm.st(addrs, Lanes::splat(T::default()), odd, 0);
+        let (mixed, _) = sm.ld::<T>(addrs, all_active(), 0);
+        let want = Lanes::from_fn(|i| {
+            if i % 2 == 1 {
+                T::default()
+            } else {
+                vals.lane(i)
+            }
+        });
+        assert_eq!(mixed, want);
+        // Masked-off lanes of a load hold the default.
+        let (evens, _) = sm.ld::<T>(addrs, odd.map(|b| !b), 0);
+        assert_eq!(evens, want);
     }
 
     #[test]
-    fn hazard_detected_across_warps_without_barrier() {
+    fn store_load_round_trip_at_every_width() {
+        round_trip(Lanes::from_fn(|i| (i * 3) as u8 + 1));
+        round_trip(Lanes::from_fn(|i| i as i16 * -100 - 1));
+        round_trip(Lanes::from_fn(|i| i as f32 * -1.5 - 0.25));
+    }
+
+    /// The cross-warp hazard cases for `T` at one aligned cell.
+    fn hazards<T: SmemElem>(v: T) {
+        let cell = Lanes::splat(8);
+        // Warp 0 writes the cell; warp 1 reads it in the same epoch → race.
         let mut sm = SharedMem::new(64, true);
-        // Warp 0 writes cell 10; warp 1 reads it in the same epoch → race.
-        sm.st_u8(Lanes::splat(10), Lanes::splat(7), all_active(), 0);
+        sm.st(cell, Lanes::splat(v), all_active(), 0);
         assert_eq!(sm.hazards(), 0);
-        sm.ld_u8(Lanes::splat(10), all_active(), 1);
+        sm.ld::<T>(cell, all_active(), 1);
         assert!(sm.hazards() > 0);
-    }
 
-    #[test]
-    fn barrier_clears_hazard_window() {
+        // A barrier between them orders the two accesses.
         let mut sm = SharedMem::new(64, true);
-        sm.st_u8(Lanes::splat(10), Lanes::splat(7), all_active(), 0);
+        sm.st(cell, Lanes::splat(v), all_active(), 0);
         sm.advance_epoch(); // __syncthreads
-        sm.ld_u8(Lanes::splat(10), all_active(), 1);
+        sm.ld::<T>(cell, all_active(), 1);
         assert_eq!(sm.hazards(), 0);
-    }
 
-    #[test]
-    fn same_warp_reuse_is_not_a_hazard() {
+        // One warp reusing its own cell is never a race.
         let mut sm = SharedMem::new(64, true);
-        sm.st_u8(Lanes::splat(10), Lanes::splat(7), all_active(), 3);
-        sm.ld_u8(Lanes::splat(10), all_active(), 3);
-        sm.st_u8(Lanes::splat(10), Lanes::splat(8), all_active(), 3);
+        sm.st(cell, Lanes::splat(v), all_active(), 3);
+        sm.ld::<T>(cell, all_active(), 3);
+        sm.st(cell, Lanes::splat(v), all_active(), 3);
         assert_eq!(sm.hazards(), 0);
-    }
 
-    #[test]
-    fn write_write_race_detected() {
+        // Two warps writing one cell in one epoch race.
         let mut sm = SharedMem::new(64, true);
-        sm.st_u8(Lanes::splat(10), Lanes::splat(7), all_active(), 0);
-        sm.st_u8(Lanes::splat(10), Lanes::splat(9), all_active(), 2);
+        sm.st(cell, Lanes::splat(v), all_active(), 0);
+        sm.st(cell, Lanes::splat(v), all_active(), 2);
         assert!(sm.hazards() > 0);
     }
 
     #[test]
-    fn i16_pair_conflict_free() {
-        // 32 consecutive i16 cells = 64 bytes = 16 words in 16 banks,
-        // 2 lanes per word → conflict-free.
-        let mut sm = SharedMem::new(128, false);
-        let addrs = Lanes::from_fn(|i| 2 * i);
-        let (_, cost) = sm.ld_i16(addrs, all_active(), 0);
-        assert_eq!(cost.transactions, 1);
+    fn cross_warp_hazards_at_every_width() {
+        hazards(7u8);
+        hazards(-7i16);
+        hazards(7.5f32);
     }
 }

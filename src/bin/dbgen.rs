@@ -8,7 +8,10 @@
 //!
 //! Generation streams: sequences are produced in bounded chunks and
 //! written as they go, so an Env_nr-scale database (1.29 G residues at
-//! `--preset envnr --scale 1`) never has to fit in memory. `--packed`
+//! `--preset envnr --scale 1`) never has to fit in memory. The FASTA goes
+//! to `<out>.tmp` and is renamed into place only when complete, so a
+//! failed run leaves no truncated FASTA behind (a target that cannot be
+//! renamed over, such as `/dev/full` or a FIFO, is written in place). `--packed`
 //! additionally streams the crash-safe binary database format (5-bit
 //! packed residues, length-bin index, per-section CRCs, a whole-file
 //! content hash; written atomically via tmp + rename) that `h3w-serve`
@@ -19,7 +22,10 @@ use hmmer3_warp::hmm::hmmio::read_hmm;
 use hmmer3_warp::prelude::*;
 use hmmer3_warp::seqdb::gen::gen_chunks;
 use hmmer3_warp::seqdb::{fasta, DiskDbWriter};
-use std::io::Write;
+use std::ffi::OsString;
+use std::fs::File;
+use std::io::{BufWriter, Write};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str =
@@ -28,6 +34,53 @@ const USAGE: &str =
 
 /// Residues generated per in-memory chunk — the working-set bound.
 const GEN_CHUNK_RESIDUES: u64 = 16 << 20;
+
+/// The FASTA output. A regular-file target (or a new one) is written to
+/// `<out>.tmp`, which [`FastaOut::finish`] renames into place; dropping
+/// the writer before that removes the temporary. Any other target is
+/// written in place.
+struct FastaOut {
+    w: BufWriter<File>,
+    /// `(temporary, target)` until the rename; `None` when in place.
+    tmp: Option<(PathBuf, PathBuf)>,
+}
+
+impl FastaOut {
+    fn create(target: &str) -> Result<FastaOut, String> {
+        let renamable = std::fs::symlink_metadata(target).map_or(true, |m| m.is_file());
+        let tmp = renamable.then(|| {
+            let mut tmp = OsString::from(target);
+            tmp.push(".tmp");
+            (PathBuf::from(tmp), PathBuf::from(target))
+        });
+        let path = tmp
+            .as_ref()
+            .map_or(PathBuf::from(target), |(t, _)| t.clone());
+        let file = File::create(&path).map_err(|e| format!("creating {target}: {e}"))?;
+        Ok(FastaOut {
+            w: BufWriter::new(file),
+            tmp,
+        })
+    }
+
+    /// Flush every byte, then rename the temporary over the target.
+    fn finish(mut self) -> std::io::Result<()> {
+        self.w.flush()?;
+        if let Some((tmp, target)) = &self.tmp {
+            std::fs::rename(tmp, target)?;
+        }
+        self.tmp = None;
+        Ok(())
+    }
+}
+
+impl Drop for FastaOut {
+    fn drop(&mut self) {
+        if let Some((tmp, _)) = &self.tmp {
+            let _ = std::fs::remove_file(tmp);
+        }
+    }
+}
 
 fn main() -> ExitCode {
     cli::guarded_main("dbgen", USAGE, run)
@@ -69,8 +122,7 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
         eprintln!("note: no --model given; homolog fraction is ignored");
     }
 
-    let out = std::fs::File::create(out_path).map_err(|e| format!("creating {out_path}: {e}"))?;
-    let mut out = std::io::BufWriter::new(out);
+    let mut out = FastaOut::create(out_path)?;
     let mut packed = args
         .value("--packed")
         .map(|p| DiskDbWriter::create(std::path::Path::new(p), &spec.name).map(|w| (p, w)))
@@ -78,7 +130,8 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
     let mut n_seqs = 0usize;
     let mut residues = 0u64;
     for chunk in gen_chunks(&spec, model.as_ref(), seed, GEN_CHUNK_RESIDUES) {
-        out.write_all(fasta::render(&chunk).as_bytes())
+        out.w
+            .write_all(fasta::render(&chunk).as_bytes())
             .map_err(|e| format!("writing {out_path}: {e}"))?;
         if let Some((_, w)) = packed.as_mut() {
             for s in &chunk.seqs {
@@ -88,14 +141,21 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
         n_seqs += chunk.len();
         residues += chunk.total_residues();
     }
-    out.flush()
+    out.w
+        .flush()
+        .map_err(|e| format!("writing {out_path}: {e}"))?;
+    // The packed file is sealed before the FASTA is renamed into place, so
+    // a failure in either leaves no FASTA behind.
+    let packed = packed
+        .map(|(packed_path, w)| w.finish().map(|summary| (packed_path, summary)))
+        .transpose()?;
+    out.finish()
         .map_err(|e| format!("writing {out_path}: {e}"))?;
     eprintln!(
         "wrote {out_path}: {n_seqs} sequences, {residues} residues ({})",
         spec.name
     );
-    if let Some((packed_path, w)) = packed {
-        let summary = w.finish()?;
+    if let Some((packed_path, summary)) = packed {
         eprintln!(
             "wrote {packed_path}: packed format v{}, content hash {:016x}",
             hmmer3_warp::seqdb::diskdb::DISKDB_VERSION,

@@ -10,7 +10,7 @@ use hmmer3_warp::hmm::calibrate::{exp_pvalue, gumbel_pvalue, LAMBDA};
 use hmmer3_warp::hmm::vitprofile::W_NEG_INF;
 use hmmer3_warp::prelude::*;
 use hmmer3_warp::seqdb::pack::{pack_seq, unpack_slot, RESIDUES_PER_WORD};
-use hmmer3_warp::simt::{butterfly_max, imbalance_factor, Lanes};
+use hmmer3_warp::simt::{imbalance_factor, Lanes, SimtCtx, FERMI_SCRATCH_PER_WARP};
 use proptest::prelude::*;
 
 fn residue_seq(max_len: usize) -> impl Strategy<Value = Vec<Residue>> {
@@ -47,11 +47,11 @@ proptest! {
 
     #[test]
     fn butterfly_max_equals_iterator_max(vals in prop::array::uniform32(i16::MIN..i16::MAX)) {
-        let lanes = Lanes(vals.map(|v| v));
-        let reduced = butterfly_max(lanes);
         let expect = vals.iter().copied().max().unwrap();
-        for t in 0..32 {
-            prop_assert_eq!(reduced.lane(t), expect);
+        // Kepler's shuffle butterfly and Fermi's shared-memory halving.
+        for dev in [DeviceSpec::tesla_k40(), DeviceSpec::gtx_580()] {
+            let mut ctx = SimtCtx::new(&dev, FERMI_SCRATCH_PER_WARP, false);
+            prop_assert_eq!(ctx.warp_max(Lanes(vals), 0), expect);
         }
     }
 

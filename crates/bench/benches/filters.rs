@@ -1,7 +1,7 @@
 //! Criterion benches for the CPU baseline filters — the real (wall-clock)
 //! performance of this crate's HMMER3 reimplementation, and the
 //! calibration evidence behind `h3w_bench::CpuModel` (throughput in
-//! cells/s is printed by the `headline`/EXPERIMENTS flow; here we track
+//! cells/s is printed by the `reproduce E9`/EXPERIMENTS flow; here we track
 //! per-sequence latency across model sizes). Striped MSV here is the
 //! batched kernel at width 1; striped Viterbi is the one lane-generic row
 //! loop on the detected backend.

@@ -36,7 +36,7 @@ fn bench_reduction(c: &mut Criterion) {
     let mut ctx = SimtCtx::new(&DeviceSpec::tesla_k40(), 0, false);
     let mut g = c.benchmark_group("warp_reduction");
     g.bench_function("butterfly_max_i16", |b| {
-        b.iter(|| ctx.warp_max(v, usize::MAX))
+        b.iter(|| ctx.warp_reduce(v, usize::MAX, Ord::max))
     });
     g.finish();
 }

@@ -7,12 +7,14 @@
 //! one word per bank — conflict-free), register double-buffering for the
 //! diagonal, tables through L2. Two Forward-specific pieces:
 //!
-//! * the row total `xE = ⊕_k M(i,k)` reduces with a butterfly shuffle
-//!   under the log-sum-exp combine;
+//! * the row total `xE = ⊕_k M(i,k)` reduces under the log-sum-exp
+//!   combine the way the device can (a butterfly shuffle on Kepler, the
+//!   warp's shared-memory scratch on Fermi);
 //! * the within-row D chain — `D(k) = lse(seed(k), D(k-1)+tdd(k))`, a
 //!   *sum*, so Lazy-F's "rarely improves" shortcut does not apply — is
 //!   closed with a per-chunk prefix scan in the `(lse, +)` semiring
-//!   (fixed `2·log₂32` shuffle depth, the §VI prefix-sums idea).
+//!   (fixed `2·log₂32` exchange depth, the §VI prefix-sums idea; shuffles
+//!   on Kepler, scratch store/load pairs on Fermi).
 //!
 //! Per-cell arithmetic replicates the CPU Forward's exact combine order
 //! and shares its `flogsum` table, so only reduction/scan *order* differs:
@@ -239,7 +241,7 @@ impl<'a> FwdWarpKernel<'a> {
                     d_off + (if k0 < m { k0 + 1 } else { 0 }) * 4
                 });
                 let seeds = ctx.ld_smem(own, pos_active);
-                ctx.stats.shuffles += 10;
+                ctx.warp_exchanges(10);
                 ctx.alu(FWD_ALU_PER_SCAN);
                 // Functional scan (exact in f64 prefix space).
                 let mut out = seeds;
@@ -285,7 +287,7 @@ impl<'a> FwdWarpKernel<'a> {
             }
 
             // Row total and specials.
-            let xe = ctx.shfl_reduce(xev, flogsum);
+            let xe = ctx.warp_reduce(xev, self.layout.scratch_base, flogsum);
             ctx.alu(8);
             xj = flogsum(xj + xs.loop_sc, xe + xs.e_to_j);
             xc = flogsum(xc + xs.loop_sc, xe + xs.e_to_c);

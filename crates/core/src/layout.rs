@@ -14,7 +14,7 @@
 //! This module computes both footprints, plus the register budgets that
 //! cap P7Viterbi occupancy at 50% on Kepler (§IV).
 
-use h3w_simt::{DeviceSpec, KernelConfig, FERMI_SCRATCH_PER_WARP};
+use h3w_simt::{fermi_scratch_per_warp, DeviceSpec, KernelConfig};
 
 /// Number of residue codes staged on-device: the 26 emitting codes
 /// (20 standard + 6 degenerate). Gap/pad codes never reach the scorer —
@@ -67,9 +67,11 @@ pub enum Stage {
 /// Shared-memory bytes per block for a kernel configuration.
 ///
 /// MSV: one `(M+1)`-byte DP row per warp, plus (shared config) the
-/// `26 × M` byte emission table, plus Fermi reduction scratch.
+/// `26 × M` byte emission table.
 /// Viterbi: three `(M+1)`-word rows per warp, plus (shared config) the
 /// `26 × M`-word emission table and 8 `M`-word transition tables.
+/// Forward: three `(M+1)`-float rows per warp. On Fermi every stage adds
+/// each warp's reduction scratch ([`fermi_scratch_per_warp`]).
 pub fn smem_per_block(
     stage: Stage,
     m: usize,
@@ -93,7 +95,7 @@ pub fn smem_per_block(
     let scratch = if dev.has_shfl {
         0
     } else {
-        warps_per_block * FERMI_SCRATCH_PER_WARP
+        warps_per_block * fermi_scratch_per_warp(elem_width(stage))
     };
     // 256-byte allocation granularity (CUDA shared allocation rounding).
     round_up(rows + tables + scratch, 256)
@@ -207,6 +209,15 @@ pub fn best_config(
     best
 }
 
+/// Bytes per DP cell, and so per lane of the stage's row reduction.
+fn elem_width(stage: Stage) -> usize {
+    match stage {
+        Stage::Msv => 1,
+        Stage::Viterbi => 2,
+        Stage::Forward => 4,
+    }
+}
+
 fn round_up(v: usize, align: usize) -> usize {
     v.div_ceil(align) * align
 }
@@ -309,7 +320,7 @@ mod tests {
         let dev = DeviceSpec::gtx_580();
         let l = smem_layout(Stage::Msv, 50, 4, MemConfig::Global, &dev);
         assert_ne!(l.scratch_base, usize::MAX);
-        assert!(l.scratch_base + 4 * FERMI_SCRATCH_PER_WARP <= l.total);
+        assert!(l.scratch_base + 4 * fermi_scratch_per_warp(1) <= l.total);
         assert_eq!(l.emis_base, usize::MAX);
     }
 

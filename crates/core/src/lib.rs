@@ -15,7 +15,6 @@ pub mod layout;
 pub mod msv_warp;
 pub mod multi_gpu;
 pub mod naive;
-pub mod ssv_warp;
 pub mod stage;
 pub mod stats_model;
 pub mod tiered;

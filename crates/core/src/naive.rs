@@ -121,7 +121,7 @@ impl<'a> NaiveMsvKernel<'a> {
             // scratch, combined by warp 0 — two more barriers (the "further
             // synchronization calls" of §III).
             ctx.warp_id = 0;
-            let xe = ctx.warp_max(xev, self.layout.scratch_base);
+            let xe = ctx.warp_reduce(xev, self.layout.scratch_base, Ord::max);
             self.barrier(ctx);
             ctx.alu(4);
             ctx.stats.rows += 1;

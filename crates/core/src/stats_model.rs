@@ -20,7 +20,7 @@ use crate::vit_warp::{
 };
 use h3w_seqdb::{PackedView, RESIDUES_PER_WORD};
 use h3w_simt::device::GMEM_SEGMENT;
-use h3w_simt::{KernelStats, WARP_SIZE};
+use h3w_simt::{DeviceSpec, KernelStats, WARP_SIZE};
 
 /// Database aggregates the predictor consumes.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,10 +102,22 @@ fn row_sweep_segments(base: usize, m: usize, width: usize) -> u64 {
 pub struct LaunchShape {
     /// Table placement.
     pub mem: MemConfig,
-    /// Kepler shuffle reductions vs Fermi shared-memory fallback.
-    pub use_shfl: bool,
     /// Grid blocks (staging repeats per block).
     pub blocks: u64,
+    /// Kepler shuffle reductions vs Fermi shared-memory fallback: a fact
+    /// of the device, as in [`h3w_simt::SimtCtx::warp_reduce`].
+    use_shfl: bool,
+}
+
+impl LaunchShape {
+    /// The shape of a `blocks`-block launch on `dev` with tables in `mem`.
+    pub fn new(dev: &DeviceSpec, mem: MemConfig, blocks: u64) -> LaunchShape {
+        LaunchShape {
+            mem,
+            blocks,
+            use_shfl: dev.has_shfl,
+        }
+    }
 }
 
 /// Predict the MSV kernel's counters.
@@ -338,11 +350,7 @@ mod tests {
                         "background DB must not overflow"
                     );
                     let agg = DbAggregates::from_packed(&packed);
-                    let shape = LaunchShape {
-                        mem,
-                        use_shfl: dev.has_shfl,
-                        blocks: cfg.blocks as u64,
-                    };
+                    let shape = LaunchShape::new(&dev, mem, cfg.blocks as u64);
                     let pred = predict_msv(m, &shape, &agg, agg.total_residues, agg.total_words);
                     assert_eq!(pred, r.stats, "{} {:?} m={m}", dev.name, mem);
                 }
@@ -371,11 +379,7 @@ mod tests {
                     lazy.merge(l);
                 }
                 let agg = DbAggregates::from_packed(&packed);
-                let shape = LaunchShape {
-                    mem,
-                    use_shfl: dev.has_shfl,
-                    blocks: cfg.blocks as u64,
-                };
+                let shape = LaunchShape::new(&dev, mem, cfg.blocks as u64);
                 let pred = predict_vit(m, &shape, &agg, &lazy);
                 assert_eq!(pred, r.stats, "{} {:?}", dev.name, mem);
             }

@@ -84,11 +84,7 @@ fn predict_stage(
     agg: &DbAggregates,
     lazy: Option<&WarpLazyStats>,
 ) -> Option<KernelStats> {
-    let shape = LaunchShape {
-        mem,
-        use_shfl: dev.has_shfl,
-        blocks: saturating_grid(dev, occ, DEFAULT_WAVES) as u64,
-    };
+    let shape = LaunchShape::new(dev, mem, saturating_grid(dev, occ, DEFAULT_WAVES) as u64);
     Some(match stage {
         Stage::Msv => predict_msv(m, &shape, agg, agg.total_residues, agg.total_words),
         Stage::Viterbi => {

@@ -368,8 +368,8 @@ impl<'a> VitWarpKernel<'a> {
             }
 
             // Algorithm 2 lines 22–23: two warp reductions.
-            let xe = ctx.warp_max(xev, self.layout.scratch_base);
-            let dmax = ctx.warp_max(dmaxv, self.layout.scratch_base);
+            let xe = ctx.warp_reduce(xev, self.layout.scratch_base, Ord::max);
+            let dmax = ctx.warp_reduce(dmaxv, self.layout.scratch_base, Ord::max);
 
             // Line 25: closure of the D→D chain.
             lazy.rows += 1;

@@ -20,7 +20,6 @@ pub mod posterior;
 pub mod quantized;
 pub mod reference;
 pub mod simd;
-pub mod ssv;
 pub mod striped_fwd;
 pub mod striped_msv;
 pub mod striped_vit;
@@ -36,7 +35,6 @@ pub use quantized::{msv_filter_scalar, vit_filter_scalar, MsvOutcome, VitOutcome
 pub use reference::{
     backward_generic, forward_generic, msv_filter_model, msv_generic, viterbi_filter_model,
 };
-pub use ssv::{ssv_filter_scalar, ssv_reference};
 pub use striped_fwd::{FwdBatchWorkspace, FwdMatrix, FwdWorkspace, StripedFwd};
 pub use striped_msv::StripedMsv;
 pub use striped_vit::{LazyFStats, StripedVit, VitWorkspace};

@@ -182,12 +182,6 @@ pub fn is_standard(code: Residue) -> bool {
     (code as usize) < N_STANDARD
 }
 
-/// Is this code a degenerate residue symbol (`B J Z O U X`)?
-#[inline]
-pub fn is_degenerate(code: Residue) -> bool {
-    (N_STANDARD..N_STANDARD + N_DEGENERATE).contains(&(code as usize))
-}
-
 /// Is this code gap-like (`-`, `*`, `~`)?
 #[inline]
 pub fn is_gap(code: Residue) -> bool {
@@ -357,11 +351,18 @@ mod tests {
 
     #[test]
     fn class_predicates_partition() {
+        // Standard and gap codes are disjoint; the codes in neither are
+        // the degenerate symbols `B J Z O U X`.
         for code in 0..N_SYMBOLS as Residue {
-            let n = is_standard(code) as u8 + is_degenerate(code) as u8 + is_gap(code) as u8;
-            assert_eq!(n, 1, "code {code} must be in exactly one class");
+            assert!(!(is_standard(code) && is_gap(code)), "code {code}");
+            let degenerate = !is_standard(code) && !is_gap(code);
+            assert_eq!(
+                degenerate,
+                "BJZOUX".contains(symbol(code).unwrap()),
+                "code {code}"
+            );
         }
-        assert!(!is_standard(PAD_CODE) && !is_degenerate(PAD_CODE) && !is_gap(PAD_CODE));
+        assert!(!is_standard(PAD_CODE) && !is_gap(PAD_CODE));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! All profile scores in this workspace are log-odds in **nats** against
 //! this model.
 
-use crate::alphabet::{expand_scores, Residue, BACKGROUND_F, N_CODES, N_STANDARD};
+use crate::alphabet::{expand_scores, BACKGROUND_F, N_CODES, N_STANDARD};
 
 /// The background model: residue frequencies plus the null length model.
 #[derive(Debug, Clone)]
@@ -49,12 +49,6 @@ impl NullModel {
         len as f32 * self.p1.ln() + (1.0 - self.p1).ln()
     }
 
-    /// Background emission probability of a residue code.
-    #[inline]
-    pub fn freq(&self, code: Residue) -> f32 {
-        self.f[code as usize]
-    }
-
     /// Background frequencies over standard residues only.
     pub fn standard(&self) -> &[f32] {
         &self.f[..N_STANDARD]
@@ -94,7 +88,7 @@ mod tests {
     fn degenerate_freq_is_mean_of_members() {
         let bg = NullModel::new();
         // X averages the whole background: expected value of f under f.
-        let x = bg.freq(25);
+        let x = bg.f[25];
         let mean: f32 = BACKGROUND_F.iter().map(|f| f * f).sum();
         assert!((x - mean).abs() < 1e-5);
     }

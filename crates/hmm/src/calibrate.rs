@@ -95,8 +95,8 @@ pub fn exp_pvalue(score: f32, tau: f32, lambda: f32) -> f64 {
 }
 
 /// Draw the calibration sample: `n` random background sequences of
-/// length `len`, deterministic in `seed`. Every stage of one model (the
-/// optional SSV pre-filter included) is calibrated on this one draw.
+/// length `len`, deterministic in `seed`. Every stage of one model is
+/// calibrated on this one draw.
 pub fn sample(seed: u64, n: usize, len: usize) -> Vec<Vec<Residue>> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n).map(|_| random_seq(&mut rng, len)).collect()

@@ -133,15 +133,6 @@ impl MsvProfile {
     pub fn overflow_score() -> f32 {
         f32::INFINITY
     }
-
-    /// Convert a final **SSV** `xmax` byte to nats (single-hit variant:
-    /// one `E→C` plus the final move, free-loop approximation). Lives
-    /// beside [`MsvProfile::score_to_nats`] because SSV shares this exact
-    /// byte pipeline.
-    pub fn ssv_score_to_nats(&self, xmax: u8, len: usize) -> f32 {
-        let l = len as f32;
-        (xmax as f32 - self.base as f32) / self.scale + 0.5f32.ln() + (3.0 / (l + 3.0)).ln()
-    }
 }
 
 /// Quantize a non-positive nat score to an unsigned byte *cost*

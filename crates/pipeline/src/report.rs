@@ -59,15 +59,6 @@ impl StageStats {
         self.residues_in = residues_in;
         self
     }
-
-    /// Fraction of entering sequences that survive.
-    pub fn pass_rate(&self) -> f64 {
-        if self.seqs_in == 0 {
-            0.0
-        } else {
-            self.seqs_out as f64 / self.seqs_in as f64
-        }
-    }
 }
 
 /// Full pipeline outcome.
@@ -176,12 +167,6 @@ mod tests {
         assert!((funnel[1] - 0.022).abs() < 1e-9);
         assert!((funnel[2] - 0.001).abs() < 1e-9);
         assert!((r.total_time_s() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pass_rate_handles_empty() {
-        assert_eq!(StageStats::new("x", 0, 0, 0.0).pass_rate(), 0.0);
-        assert!((StageStats::new("x", 50, 5, 0.0).pass_rate() - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -285,6 +285,7 @@ pub fn render(db: &SeqDb) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use h3w_hmm::alphabet::textize_seq;
     use proptest::prelude::*;
 
     const SAMPLE: &str = "\
@@ -303,8 +304,8 @@ acdefg
         assert_eq!(db.len(), 2);
         assert_eq!(db.seqs[0].name, "sp|P1|TEST");
         assert_eq!(db.seqs[0].desc, "first test protein");
-        assert_eq!(db.seqs[0].to_text().unwrap(), "MKVLAYWQRST");
-        assert_eq!(db.seqs[1].to_text().unwrap(), "ACDEFG");
+        assert_eq!(textize_seq(&db.seqs[0].residues).unwrap(), "MKVLAYWQRST");
+        assert_eq!(textize_seq(&db.seqs[1].residues).unwrap(), "ACDEFG");
     }
 
     #[test]

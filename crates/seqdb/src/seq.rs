@@ -1,6 +1,6 @@
 //! Digital sequences and in-memory databases.
 
-use h3w_hmm::alphabet::{digitize_seq, textize_seq, AlphabetError, Residue};
+use h3w_hmm::alphabet::{digitize_seq, AlphabetError, Residue};
 
 /// One digitized protein sequence with its header.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -33,12 +33,6 @@ impl DigitalSeq {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.residues.is_empty()
-    }
-
-    /// Render back to one-letter text. `residues` is a public field, so
-    /// a code outside the alphabet is an error, not an assumption.
-    pub fn to_text(&self) -> Result<String, AlphabetError> {
-        textize_seq(&self.residues)
     }
 }
 
@@ -96,12 +90,13 @@ impl SeqDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use h3w_hmm::alphabet::textize_seq;
 
     #[test]
     fn from_text_and_back() {
         let s = DigitalSeq::from_text("s1", "MKVLAY").unwrap();
         assert_eq!(s.len(), 6);
-        assert_eq!(s.to_text().unwrap(), "MKVLAY");
+        assert_eq!(textize_seq(&s.residues).unwrap(), "MKVLAY");
     }
 
     #[test]

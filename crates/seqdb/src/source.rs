@@ -439,6 +439,7 @@ mod tests {
     use crate::diskdb::tests::write_db;
     use crate::fasta;
     use crate::gen::generate;
+    use h3w_hmm::alphabet::textize_seq;
 
     fn sample_db() -> SeqDb {
         let mut spec = DbGenSpec::swissprot_like().scaled(1e-4);
@@ -514,7 +515,10 @@ mod tests {
         let parsed = fasta::parse("pin", PIN_FASTA).unwrap();
         assert_eq!(content_hash(&parsed), PIN_IDENTITY);
         assert_eq!(parsed.seqs[0].desc, "pinned protein, first");
-        assert_eq!(parsed.seqs[0].to_text().unwrap(), "MKVLAYWQRSTACDXB");
+        assert_eq!(
+            textize_seq(&parsed.seqs[0].residues).unwrap(),
+            "MKVLAYWQRSTACDXB"
+        );
     }
 
     #[test]

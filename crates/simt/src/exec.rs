@@ -58,9 +58,12 @@ impl KernelConfig {
 }
 
 /// Shared-memory bytes one warp's reduction scratch takes on a device
-/// without `shfl` (Fermi, §IV-A): 32 lanes of the widest element a warp
-/// max-reduces, `i16`.
-pub const FERMI_SCRATCH_PER_WARP: usize = 64;
+/// without `shfl` (Fermi, §IV-A), for elements `width` bytes wide: 32
+/// lanes, at least `i16` wide, so the two filters (`u8` MSV, `i16`
+/// Viterbi) share one 64-byte slice and Forward's `f32` total takes 128.
+pub const fn fermi_scratch_per_warp(width: usize) -> usize {
+    WARP_SIZE * if width > 2 { width } else { 2 }
+}
 
 /// The execution context one kernel body runs against: shared memory of
 /// its block plus event counters. `warp_id` identifies the running warp
@@ -73,7 +76,8 @@ pub struct SimtCtx {
     /// Warp currently executing (for hazard attribution).
     pub warp_id: u16,
     /// The device has warp shuffles ([`DeviceSpec::has_shfl`]); decides
-    /// how [`SimtCtx::warp_max`] reduces.
+    /// how [`SimtCtx::warp_reduce`] reduces and
+    /// [`SimtCtx::warp_exchanges`] exchanges.
     has_shfl: bool,
 }
 
@@ -136,27 +140,48 @@ impl SimtCtx {
         v.lane(0)
     }
 
-    /// Warp-wide maximum, reduced the way the device can: the butterfly
-    /// shuffle on Kepler, or through this warp's
-    /// [`FERMI_SCRATCH_PER_WARP`]-byte slice of the block's scratch at
-    /// `scratch_base` on Fermi, which has no `shfl` (§IV-A).
-    pub fn warp_max<T: SmemElem + Ord>(&mut self, v: Lanes<T>, scratch_base: usize) -> T {
+    /// Warp-wide reduction under `combine`, made the way the device can:
+    /// the butterfly shuffle on Kepler, or through this warp's
+    /// [`fermi_scratch_per_warp`] slice of the block's scratch at
+    /// `scratch_base` on Fermi, which has no `shfl` (§IV-A). Lane 0 sees
+    /// the same pairings either way, so a non-associative `combine` (the
+    /// Forward log-sum) gives the same bits on both devices.
+    pub fn warp_reduce<T: SmemElem>(
+        &mut self,
+        v: Lanes<T>,
+        scratch_base: usize,
+        combine: impl FnMut(T, T) -> T,
+    ) -> T {
         if self.has_shfl {
-            self.shfl_reduce(v, Ord::max)
+            self.shfl_reduce(v, combine)
         } else {
-            self.smem_max(
-                v,
-                scratch_base + self.warp_id as usize * FERMI_SCRATCH_PER_WARP,
-            )
+            let slice = fermi_scratch_per_warp(T::WIDTH);
+            self.smem_reduce(v, scratch_base + self.warp_id as usize * slice, combine)
         }
     }
 
-    /// Max-reduction through shared memory at `scratch` (32 lanes of
-    /// `T`). No barrier is required within a single warp, but each of the
-    /// 5 halving steps is a store + load pair — the §IV-A cost difference
+    /// Account `n` lane exchanges whose values the kernel computes
+    /// itself (Forward's D-chain scan): a shuffle each on Kepler, a
+    /// store + load pair through the warp's scratch each on Fermi.
+    pub fn warp_exchanges(&mut self, n: u64) {
+        if self.has_shfl {
+            self.stats.shuffles += n;
+        } else {
+            self.stats.smem_stores += n;
+            self.stats.smem_loads += n;
+        }
+    }
+
+    /// Reduction through shared memory at `scratch` (32 lanes of `T`). No
+    /// barrier is required within a single warp, but each of the 5
+    /// halving steps is a store + load pair — the §IV-A cost difference
     /// vs. Kepler's shuffle.
-    fn smem_max<T: SmemElem + Ord>(&mut self, v: Lanes<T>, scratch: usize) -> T {
-        debug_assert!(WARP_SIZE * T::WIDTH <= FERMI_SCRATCH_PER_WARP);
+    fn smem_reduce<T: SmemElem>(
+        &mut self,
+        v: Lanes<T>,
+        scratch: usize,
+        mut combine: impl FnMut(T, T) -> T,
+    ) -> T {
         let ids = lane_ids();
         let addrs = ids.map(|i| scratch + T::WIDTH * i);
         let mut cur = v;
@@ -165,7 +190,7 @@ impl SimtCtx {
             self.st_smem(addrs, cur, Lanes::splat(true));
             let partner = ids.map(|i| scratch + T::WIDTH * ((i + width) % WARP_SIZE));
             let other = self.ld_smem(partner, Lanes::splat(true));
-            cur = cur.zip(other, Ord::max);
+            cur = cur.zip(other, &mut combine);
             self.alu(1);
             width /= 2;
         }
@@ -463,48 +488,79 @@ mod tests {
 
     /// A one-warp context on `dev` with room for four warps' scratch.
     fn ctx_on(dev: &DeviceSpec) -> SimtCtx {
-        SimtCtx::new(dev, 4 * FERMI_SCRATCH_PER_WARP, true)
+        SimtCtx::new(dev, 4 * fermi_scratch_per_warp(4), true)
     }
 
-    fn warp_max_on_both_devices<T: SmemElem + Ord + std::fmt::Debug>(v: Lanes<T>) {
-        let want = *v.0.iter().max().unwrap();
+    /// Reduce `v` under `combine` on both devices: the same value, and
+    /// shuffles on Kepler against 5 conflict-free store/load pairs on Fermi.
+    fn warp_reduce_on_both_devices<T: SmemElem + PartialEq + std::fmt::Debug>(
+        v: Lanes<T>,
+        combine: impl Fn(T, T) -> T + Copy,
+    ) -> T {
         let mut kepler = ctx_on(&DeviceSpec::tesla_k40());
-        assert_eq!(kepler.warp_max(v, usize::MAX), want);
+        let want = kepler.warp_reduce(v, usize::MAX, combine);
         assert_eq!(kepler.stats.shuffles, 5);
         assert_eq!(kepler.stats.instructions, 5);
         assert_eq!(kepler.stats.smem_loads + kepler.stats.smem_stores, 0);
-        // Fermi path: 5 stores + 5 loads + 5 max instructions instead of
-        // shuffles, conflict-free.
         let mut fermi = ctx_on(&DeviceSpec::gtx_580());
-        assert_eq!(fermi.warp_max(v, 0), want);
+        assert_eq!(fermi.warp_reduce(v, 0, combine), want);
         assert_eq!(fermi.stats.shuffles, 0);
         assert_eq!(fermi.stats.instructions, 5);
         assert_eq!(fermi.stats.smem_stores, 5);
         assert_eq!(fermi.stats.smem_loads, 5);
         assert_eq!(fermi.stats.smem_conflict_extra, 0);
+        want
     }
 
     #[test]
-    fn warp_max_agrees_on_both_devices_and_counts() {
-        warp_max_on_both_devices(Lanes::from_fn(|i| ((i * 37) % 61) as u8));
-        warp_max_on_both_devices(Lanes::from_fn(|i| ((i * 13) % 29) as i16 - 14));
+    fn warp_reduce_agrees_on_both_devices_and_counts() {
+        let max_of = |v: Lanes<u8>| warp_reduce_on_both_devices(v, Ord::max);
+        assert_eq!(max_of(Lanes::from_fn(|i| ((i * 37) % 61) as u8)), 60);
+        let v = Lanes::from_fn(|i| ((i * 13) % 29) as i16 - 14);
+        assert_eq!(warp_reduce_on_both_devices(v, Ord::max), 14);
         let mut neg_inf = Lanes::splat(i16::MIN);
         neg_inf.set_lane(17, -5);
-        warp_max_on_both_devices(neg_inf);
+        assert_eq!(warp_reduce_on_both_devices(neg_inf, Ord::max), -5);
+        // A float sum, whose bits depend on the pairing: both devices pair
+        // lane 0's operands alike.
+        let v = Lanes::from_fn(|i| 1.0f32 / (i as f32 + 3.0));
+        let sum = warp_reduce_on_both_devices(v, |a, b| a + b);
+        assert!((sum - v.0.iter().sum::<f32>()).abs() < 1e-5);
     }
 
     #[test]
     fn fermi_warps_reduce_in_their_own_scratch() {
-        // Two warps reducing in one barrier epoch do not race: each gets
-        // its own slice of the block's scratch.
+        // Four warps reducing in one barrier epoch do not race: each gets
+        // its own slice of the block's scratch, at the filters' width and
+        // at Forward's.
         let mut ctx = ctx_on(&DeviceSpec::gtx_580());
         for w in 0..4u16 {
             ctx.warp_id = w;
             let v = Lanes::from_fn(|i| (i as i16) * (w as i16 + 1));
-            assert_eq!(ctx.warp_max(v, 0), 31 * (w as i16 + 1));
+            assert_eq!(ctx.warp_reduce(v, 0, Ord::max), 31 * (w as i16 + 1));
         }
         ctx.finish_block();
         assert_eq!(ctx.stats.hazards, 0);
+        let mut ctx = ctx_on(&DeviceSpec::gtx_580());
+        for w in 0..4u16 {
+            ctx.warp_id = w;
+            let v = Lanes::from_fn(|i| (i as f32) * (w as f32 + 1.0));
+            assert_eq!(ctx.warp_reduce(v, 0, f32::max), 31.0 * (w as f32 + 1.0));
+        }
+        ctx.finish_block();
+        assert_eq!(ctx.stats.hazards, 0);
+    }
+
+    #[test]
+    fn exchanges_are_shuffles_on_kepler_and_scratch_pairs_on_fermi() {
+        let mut kepler = ctx_on(&DeviceSpec::tesla_k40());
+        kepler.warp_exchanges(10);
+        assert_eq!(kepler.stats.shuffles, 10);
+        assert_eq!(kepler.stats.smem_loads + kepler.stats.smem_stores, 0);
+        let mut fermi = ctx_on(&DeviceSpec::gtx_580());
+        fermi.warp_exchanges(10);
+        assert_eq!(fermi.stats.shuffles, 0);
+        assert_eq!((fermi.stats.smem_stores, fermi.stats.smem_loads), (10, 10));
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub mod timing;
 pub use counters::KernelStats;
 pub use device::{Arch, CpuSpec, DeviceSpec, WARP_SIZE};
 pub use exec::{
-    run_grid, run_grid_blocks, BlockKernel, GridResult, KernelConfig, SimtCtx, WarpKernel,
-    FERMI_SCRATCH_PER_WARP,
+    fermi_scratch_per_warp, run_grid, run_grid_blocks, BlockKernel, GridResult, KernelConfig,
+    SimtCtx, WarpKernel,
 };
 pub use fault::{DeviceFault, FaultInjector, FaultKind, FaultPlan, PlannedFault};
 pub use lanes::{lane_ids, Lanes};

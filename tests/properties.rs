@@ -10,7 +10,7 @@ use hmmer3_warp::hmm::calibrate::{exp_pvalue, gumbel_pvalue, LAMBDA};
 use hmmer3_warp::hmm::vitprofile::W_NEG_INF;
 use hmmer3_warp::prelude::*;
 use hmmer3_warp::seqdb::pack::{pack_seq, unpack_slot, RESIDUES_PER_WORD};
-use hmmer3_warp::simt::{imbalance_factor, Lanes, SimtCtx, FERMI_SCRATCH_PER_WARP};
+use hmmer3_warp::simt::{fermi_scratch_per_warp, imbalance_factor, Lanes, SimtCtx};
 use proptest::prelude::*;
 
 fn residue_seq(max_len: usize) -> impl Strategy<Value = Vec<Residue>> {
@@ -50,8 +50,8 @@ proptest! {
         let expect = vals.iter().copied().max().unwrap();
         // Kepler's shuffle butterfly and Fermi's shared-memory halving.
         for dev in [DeviceSpec::tesla_k40(), DeviceSpec::gtx_580()] {
-            let mut ctx = SimtCtx::new(&dev, FERMI_SCRATCH_PER_WARP, false);
-            prop_assert_eq!(ctx.warp_max(Lanes(vals), 0), expect);
+            let mut ctx = SimtCtx::new(&dev, fermi_scratch_per_warp(2), false);
+            prop_assert_eq!(ctx.warp_reduce(Lanes(vals), 0, Ord::max), expect);
         }
     }
 

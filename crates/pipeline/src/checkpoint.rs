@@ -1,27 +1,38 @@
 //! Checkpoint/resume state for chunked streaming sweeps.
 //!
 //! A long Env_nr-scale sweep (§IV-A) should not restart from zero when
-//! the process dies. [`StreamCheckpoint`] captures everything a chunked
-//! sweep has accumulated — the chunk cursor, per-stage funnel counters,
-//! and the survivor hits — as a small JSON file written atomically
-//! (tmp + rename) after every chunk.
+//! the process dies. [`StreamCheckpoint`] holds what a chunked sweep has
+//! accumulated — the chunk cursor, per-stage funnel counters and the
+//! survivor hits — and is saved atomically (tmp + rename) after every
+//! chunk as a counted line record, each line ended by `\n`:
 //!
-//! The repo vendors no serde, so the format is hand-rolled: a strict
-//! subset of JSON (objects, arrays, strings, unsigned integers) with
-//! every float stored as the **hex encoding of its IEEE-754 bits**
-//! (`f32` → 8 hex digits, `f64` → 16). That keeps resume bit-exact: a
-//! killed-then-resumed sweep reports byte-identical scores and E-values
-//! to an uninterrupted one, with no decimal round-trip drift.
+//! ```text
+//! h3w-checkpoint 3
+//! chunks_done <n>
+//! seq_base <n>
+//! total_seqs <n>
+//! db_hash <16 hex>
+//! stage <seqs_in> <seqs_out> <residues_in> <time_s>        × 3
+//! hits <n>
+//! hit <seqid> <msv> <vit> <fwd> <pvalue> <evalue> <name>   × n
+//! ```
+//!
+//! Floats are the lowercase hex of their IEEE-754 bits (`f32` 8 digits,
+//! `f64` 16), so a resumed sweep is bit-exact; integers are plain
+//! decimals; the name takes the rest of its line, with `\` and newline
+//! escaped (`\\`, `\n`). Stages carry no names: the sweep's plan supplies
+//! them ([`ExecPlan::stage_labels`](crate::run::ExecPlan::stage_labels)).
+//! The reader accepts exactly what the writer emits, so a cut file (at a
+//! line boundary too: the `hits` count and the final newline catch it)
+//! is a typed [`CheckpointError`], never a checkpoint with fewer hits.
 
 use crate::report::{Hit, StageStats};
-use h3w_trace::json_string;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// Current checkpoint format version. Version 2 added `db_hash`, the
-/// content hash of the swept database — resume against a different
-/// database is rejected instead of silently merging wrong hits.
-pub const CHECKPOINT_VERSION: u64 = 2;
+/// Current checkpoint format version. Version 3 is the counted line
+/// record; the JSON files of versions 1 and 2 are refused.
+pub const CHECKPOINT_VERSION: u64 = 3;
 
 /// Why a checkpoint could not be saved or loaded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,12 +69,10 @@ impl std::fmt::Display for CheckpointError {
         match self {
             CheckpointError::Io { path, msg } => write!(f, "checkpoint {path}: {msg}"),
             CheckpointError::Parse(msg) => write!(f, "checkpoint parse error: {msg}"),
-            CheckpointError::Version { found } => {
-                write!(
-                    f,
-                    "checkpoint version {found} (this build reads {CHECKPOINT_VERSION})"
-                )
-            }
+            CheckpointError::Version { found } => write!(
+                f,
+                "checkpoint version {found} (this build reads {CHECKPOINT_VERSION})"
+            ),
             CheckpointError::Mismatch(msg) => write!(f, "checkpoint mismatch: {msg}"),
             CheckpointError::DatabaseDrift { expected, found } => write!(
                 f,
@@ -95,7 +104,8 @@ pub struct StreamCheckpoint {
     /// a resume against a database with a different hash is rejected
     /// with [`CheckpointError::DatabaseDrift`].
     pub db_hash: u64,
-    /// Accumulated funnel counters (MSV, P7Viterbi, Forward).
+    /// Accumulated funnel counters (MSV, P7Viterbi, Forward), named by
+    /// the labels the checkpoint was made or read with.
     pub stages: [StageStats; 3],
     /// Survivor hits so far (global seqids, E-values already on the
     /// whole-database scale).
@@ -104,370 +114,184 @@ pub struct StreamCheckpoint {
 
 impl StreamCheckpoint {
     /// A fresh sweep over `total_seqs` sequences of the database hashing
-    /// to `db_hash`: nothing done yet.
-    pub fn fresh(total_seqs: usize, db_hash: u64) -> StreamCheckpoint {
+    /// to `db_hash`, its stages named `labels`: nothing done yet.
+    pub fn fresh(total_seqs: usize, db_hash: u64, labels: [&str; 3]) -> StreamCheckpoint {
         StreamCheckpoint {
             chunks_done: 0,
             seq_base: 0,
             total_seqs,
             db_hash,
-            stages: [
-                StageStats::new("MSV", 0, 0, 0.0),
-                StageStats::new("P7Viterbi", 0, 0, 0.0),
-                StageStats::new("Forward", 0, 0, 0.0),
-            ],
+            stages: labels.map(|name| StageStats::new(name, 0, 0, 0.0)),
             hits: Vec::new(),
         }
     }
 
-    /// Serialize to the checkpoint JSON format.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.hits.len() * 160);
-        s.push('{');
-        let _ = write!(s, "\"version\":{CHECKPOINT_VERSION}");
-        let _ = write!(s, ",\"chunks_done\":{}", self.chunks_done);
-        let _ = write!(s, ",\"seq_base\":{}", self.seq_base);
-        let _ = write!(s, ",\"total_seqs\":{}", self.total_seqs);
-        let _ = write!(s, ",\"db_hash\":\"{:016x}\"", self.db_hash);
-        s.push_str(",\"stages\":[");
-        for (i, st) in self.stages.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"name\":{},\"seqs_in\":{},\"seqs_out\":{},\"residues_in\":{},\"time_s\":{}}}",
-                json_string(&st.name),
-                st.seqs_in,
-                st.seqs_out,
-                st.residues_in,
-                hex_f64(st.time_s),
-            );
+    /// Serialize to the line record (see the module doc).
+    pub fn to_text(&self) -> String {
+        let mut s = format!("h3w-checkpoint {CHECKPOINT_VERSION}\n");
+        let _ = writeln!(s, "chunks_done {}", self.chunks_done);
+        let _ = writeln!(s, "seq_base {}", self.seq_base);
+        let _ = writeln!(s, "total_seqs {}", self.total_seqs);
+        let _ = writeln!(s, "db_hash {:016x}", self.db_hash);
+        for st in &self.stages {
+            let time = st.time_s.to_bits();
+            let (seqs_in, seqs_out, residues_in) = (st.seqs_in, st.seqs_out, st.residues_in);
+            let _ = writeln!(s, "stage {seqs_in} {seqs_out} {residues_in} {time:016x}");
         }
-        s.push_str("],\"hits\":[");
-        for (i, h) in self.hits.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        let _ = writeln!(s, "hits {}", self.hits.len());
+        for h in &self.hits {
+            let [msv, vit, fwd] = [h.msv_score, h.vit_score, h.fwd_score].map(f32::to_bits);
+            let [pvalue, evalue] = [h.pvalue, h.evalue].map(f64::to_bits);
+            let _ = write!(s, "hit {} {msv:08x} {vit:08x} {fwd:08x} ", h.seqid);
+            let _ = write!(s, "{pvalue:016x} {evalue:016x} ");
+            for c in h.name.chars() {
+                match c {
+                    '\\' => s.push_str("\\\\"),
+                    '\n' => s.push_str("\\n"),
+                    c => s.push(c),
+                }
             }
-            let _ = write!(
-                s,
-                "{{\"seqid\":{},\"name\":{},\"msv\":{},\"vit\":{},\"fwd\":{},\"pvalue\":{},\"evalue\":{}}}",
-                h.seqid,
-                json_string(&h.name),
-                hex_f32(h.msv_score),
-                hex_f32(h.vit_score),
-                hex_f32(h.fwd_score),
-                hex_f64(h.pvalue),
-                hex_f64(h.evalue),
-            );
+            s.push('\n');
         }
-        s.push_str("]}");
         s
     }
 
-    /// Parse the checkpoint JSON format.
-    pub fn from_json(text: &str) -> Result<StreamCheckpoint, CheckpointError> {
-        let value = Parser::new(text).parse_document()?;
-        let obj = value.as_object("checkpoint")?;
-        let version = get(obj, "version")?.as_u64("version")?;
-        if version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::Version { found: version });
+    /// Read the line record [`StreamCheckpoint::to_text`] writes, naming
+    /// the stages `labels`. Anything but the writer's exact output is a
+    /// typed error: a version other than [`CHECKPOINT_VERSION`] is
+    /// [`CheckpointError::Version`], the rest [`CheckpointError::Parse`]
+    /// naming the line.
+    pub fn from_text(text: &str, labels: [&str; 3]) -> Result<StreamCheckpoint, CheckpointError> {
+        let body = text
+            .strip_suffix('\n')
+            .ok_or_else(|| CheckpointError::Parse("no final newline".into()))?;
+        let mut r = Lines {
+            lines: body.split('\n'),
+            at: 0,
+        };
+        let found = r.dec_line("h3w-checkpoint")?;
+        if found != CHECKPOINT_VERSION {
+            return Err(CheckpointError::Version { found });
         }
-        let mut stages = Vec::with_capacity(3);
-        for v in get(obj, "stages")?.as_array("stages")? {
-            let st = v.as_object("stage")?;
-            stages.push(StageStats {
-                name: get(st, "name")?.as_str("name")?.to_string(),
-                seqs_in: get(st, "seqs_in")?.as_u64("seqs_in")? as usize,
-                seqs_out: get(st, "seqs_out")?.as_u64("seqs_out")? as usize,
-                residues_in: get(st, "residues_in")?.as_u64("residues_in")?,
-                time_s: get(st, "time_s")?.as_hex_f64("time_s")?,
-            });
+        let mut ck = StreamCheckpoint::fresh(0, 0, labels);
+        ck.chunks_done = r.dec_line("chunks_done")?;
+        ck.seq_base = r.dec_line("seq_base")?;
+        ck.total_seqs = r.dec_line("total_seqs")?;
+        ck.db_hash = r.next("db_hash").and_then(|[hash]| r.hex(hash, 16))?;
+        for st in &mut ck.stages {
+            let [seqs_in, seqs_out, residues_in, time_s] = r.next("stage")?;
+            st.seqs_in = r.dec(seqs_in)?;
+            st.seqs_out = r.dec(seqs_out)?;
+            st.residues_in = r.dec(residues_in)?;
+            st.time_s = f64::from_bits(r.hex(time_s, 16)?);
         }
-        let mut hits = Vec::new();
-        for v in get(obj, "hits")?.as_array("hits")? {
-            let h = v.as_object("hit")?;
-            hits.push(Hit {
-                seqid: get(h, "seqid")?.as_u64("seqid")? as u32,
-                name: get(h, "name")?.as_str("name")?.to_string(),
-                msv_score: get(h, "msv")?.as_hex_f32("msv")?,
-                vit_score: get(h, "vit")?.as_hex_f32("vit")?,
-                fwd_score: get(h, "fwd")?.as_hex_f32("fwd")?,
-                pvalue: get(h, "pvalue")?.as_hex_f64("pvalue")?,
-                evalue: get(h, "evalue")?.as_hex_f64("evalue")?,
+        let n: usize = r.dec_line("hits")?;
+        for _ in 0..n {
+            let [seqid, msv, vit, fwd, pvalue, evalue, name] = r.next("hit")?;
+            let score = |s| r.hex(s, 8).map(|bits| f32::from_bits(bits as u32));
+            ck.hits.push(Hit {
+                seqid: r.dec(seqid)?,
+                name: r.unescape(name)?,
+                msv_score: score(msv)?,
+                vit_score: score(vit)?,
+                fwd_score: score(fwd)?,
+                pvalue: f64::from_bits(r.hex(pvalue, 16)?),
+                evalue: f64::from_bits(r.hex(evalue, 16)?),
                 posterior: None,
             });
         }
-        let stages: [StageStats; 3] = stages.try_into().map_err(|v: Vec<_>| {
-            CheckpointError::Parse(format!("expected 3 stages, found {}", v.len()))
-        })?;
-        Ok(StreamCheckpoint {
-            chunks_done: get(obj, "chunks_done")?.as_u64("chunks_done")? as usize,
-            seq_base: get(obj, "seq_base")?.as_u64("seq_base")? as u32,
-            total_seqs: get(obj, "total_seqs")?.as_u64("total_seqs")? as usize,
-            db_hash: get(obj, "db_hash")?.as_hex_u64("db_hash")?,
-            stages,
-            hits,
-        })
+        if r.lines.next().is_some() {
+            r.at += 1;
+            return Err(r.err(format!("data after the last of {n} hits")));
+        }
+        Ok(ck)
     }
 
-    /// Write atomically: serialize to `<path>.tmp`, then rename over
-    /// `path`, so a crash mid-write never leaves a torn checkpoint.
+    /// Write atomically: serialize to `<path>.tmp` (the whole file name
+    /// with `.tmp` appended, so no two checkpoints share one), then
+    /// rename over `path`, so a crash mid-write never leaves a torn
+    /// checkpoint. A failed write or rename removes the temporary.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let io = |e: std::io::Error| CheckpointError::Io {
-            path: path.display().to_string(),
-            msg: e.to_string(),
-        };
-        let tmp = path.with_extension("ckpt.tmp");
-        std::fs::write(&tmp, self.to_json()).map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        std::fs::write(&tmp, self.to_text())
+            .and_then(|()| std::fs::rename(&tmp, path))
+            .map_err(|e| {
+                let _ = std::fs::remove_file(&tmp);
+                io_error(path, e)
+            })
     }
 
-    /// Load a checkpoint previously written by [`StreamCheckpoint::save`].
-    pub fn load(path: &Path) -> Result<StreamCheckpoint, CheckpointError> {
-        let text = std::fs::read_to_string(path).map_err(|e| CheckpointError::Io {
-            path: path.display().to_string(),
-            msg: e.to_string(),
-        })?;
-        StreamCheckpoint::from_json(&text)
-    }
-}
-
-fn hex_f32(v: f32) -> String {
-    format!("\"{:08x}\"", v.to_bits())
-}
-
-fn hex_f64(v: f64) -> String {
-    format!("\"{:016x}\"", v.to_bits())
-}
-
-/// The strict JSON subset the writer above emits.
-enum Json {
-    Object(Vec<(String, Json)>),
-    Array(Vec<Json>),
-    String(String),
-    Number(u64),
-}
-
-impl Json {
-    fn as_object(&self, what: &str) -> Result<&[(String, Json)], CheckpointError> {
-        match self {
-            Json::Object(o) => Ok(o),
-            _ => Err(CheckpointError::Parse(format!("{what}: expected object"))),
-        }
-    }
-
-    fn as_array(&self, what: &str) -> Result<&[Json], CheckpointError> {
-        match self {
-            Json::Array(a) => Ok(a),
-            _ => Err(CheckpointError::Parse(format!("{what}: expected array"))),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, CheckpointError> {
-        match self {
-            Json::String(s) => Ok(s),
-            _ => Err(CheckpointError::Parse(format!("{what}: expected string"))),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, CheckpointError> {
-        match self {
-            Json::Number(n) => Ok(*n),
-            _ => Err(CheckpointError::Parse(format!("{what}: expected integer"))),
-        }
-    }
-
-    fn as_hex_f32(&self, what: &str) -> Result<f32, CheckpointError> {
-        let s = self.as_str(what)?;
-        let bits = u32::from_str_radix(s, 16)
-            .map_err(|_| CheckpointError::Parse(format!("{what}: bad f32 bits {s:?}")))?;
-        Ok(f32::from_bits(bits))
-    }
-
-    fn as_hex_f64(&self, what: &str) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.as_hex_u64(what)?))
-    }
-
-    fn as_hex_u64(&self, what: &str) -> Result<u64, CheckpointError> {
-        let s = self.as_str(what)?;
-        u64::from_str_radix(s, 16)
-            .map_err(|_| CheckpointError::Parse(format!("{what}: bad hex u64 {s:?}")))
+    /// Load a checkpoint previously written by [`StreamCheckpoint::save`],
+    /// naming its stages `labels`.
+    pub fn load(path: &Path, labels: [&str; 3]) -> Result<StreamCheckpoint, CheckpointError> {
+        let text = std::fs::read_to_string(path).map_err(|e| io_error(path, e))?;
+        StreamCheckpoint::from_text(&text, labels)
     }
 }
 
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, CheckpointError> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| CheckpointError::Parse(format!("missing key {key:?}")))
+fn io_error(path: &Path, e: std::io::Error) -> CheckpointError {
+    let (path, msg) = (path.display().to_string(), e.to_string());
+    CheckpointError::Io { path, msg }
 }
 
-/// Recursive-descent parser over the subset.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// The record's lines, read in order; an error names its line.
+struct Lines<'a> {
+    lines: std::str::Split<'a, char>,
+    at: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
+impl<'a> Lines<'a> {
+    /// The next line: `key`, then `N` fields, each after one space (the
+    /// last takes the rest of the line).
+    fn next<const N: usize>(&mut self, key: &str) -> Result<[&'a str; N], CheckpointError> {
+        self.at += 1;
+        let line = self.lines.next().unwrap_or_default();
+        line.strip_prefix(key)
+            .and_then(|rest| rest.strip_prefix(' '))
+            .and_then(|rest| rest.splitn(N, ' ').collect::<Vec<_>>().try_into().ok())
+            .ok_or_else(|| self.err(format!("expected `{key}` and {N} field(s)")))
     }
 
-    fn err(&self, msg: &str) -> CheckpointError {
-        CheckpointError::Parse(format!("{msg} at byte {}", self.pos))
+    /// The next line, `key` and one decimal.
+    fn dec_line<T: TryFrom<u64>>(&mut self, key: &str) -> Result<T, CheckpointError> {
+        let [v] = self.next(key)?;
+        self.dec(v)
     }
 
-    fn parse_document(&mut self) -> Result<Json, CheckpointError> {
-        let v = self.parse_value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing data"));
-        }
-        Ok(v)
+    /// A decimal that prints back as `s`: digits only, no leading zero.
+    fn dec<T: TryFrom<u64>>(&self, s: &str) -> Result<T, CheckpointError> {
+        let v = s.parse::<u64>().ok().filter(|v| v.to_string() == s);
+        v.and_then(|v| T::try_from(v).ok())
+            .ok_or_else(|| self.err(format!("bad integer {s:?}")))
     }
 
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+    /// Exactly `width` lowercase hex digits: a hash or a float's bits.
+    fn hex(&self, s: &str, width: usize) -> Result<u64, CheckpointError> {
+        let v = u64::from_str_radix(s, 16).ok();
+        v.filter(|v| format!("{v:0width$x}") == s)
+            .ok_or_else(|| self.err(format!("bad {width}-digit hex {s:?}")))
     }
 
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
+    /// A name with its `\\` and `\n` escapes undone; any other is an error.
+    fn unescape(&self, s: &str) -> Result<String, CheckpointError> {
+        let mut out = String::with_capacity(s.len());
+        let mut chars = s.chars();
+        while let Some(c) = chars.next() {
+            out.push(match c {
+                '\\' => match chars.next() {
+                    Some('\\') => '\\',
+                    Some('n') => '\n',
+                    _ => return Err(self.err("bad escape in name")),
+                },
+                c => c,
+            });
+        }
+        Ok(out)
     }
 
-    fn eat(&mut self, b: u8) -> Result<(), CheckpointError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json, CheckpointError> {
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Json::String(self.parse_string()?)),
-            Some(b'0'..=b'9') => self.parse_number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, CheckpointError> {
-        self.eat(b'{')?;
-        let mut entries = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(entries));
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.eat(b':')?;
-            entries.push((key, self.parse_value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(entries));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json, CheckpointError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, CheckpointError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(self.err("unterminated string"));
-            };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            out.push(hex);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8 passes through whole; the input was
-                    // a &str, so slicing at char boundaries is safe here.
-                    let start = self.pos;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|&c| c != b'"' && c != b'\\')
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid UTF-8"))?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, CheckpointError> {
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|digits| digits.parse::<u64>().ok())
-            .map(Json::Number)
-            .ok_or_else(|| self.err("integer out of range"))
+    fn err(&self, msg: impl std::fmt::Display) -> CheckpointError {
+        CheckpointError::Parse(format!("line {}: {msg}", self.at))
     }
 }
 
@@ -475,8 +299,10 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
+    const LABELS: [&str; 3] = ["MSV", "P7Viterbi", "Forward"];
+
     fn sample() -> StreamCheckpoint {
-        let mut ck = StreamCheckpoint::fresh(5000, 0xdead_beef_cafe_f00d);
+        let mut ck = StreamCheckpoint::fresh(5000, 0xdead_beef_cafe_f00d, LABELS);
         ck.chunks_done = 3;
         ck.seq_base = 1234;
         ck.stages[0].seqs_in = 1234;
@@ -485,7 +311,7 @@ mod tests {
         ck.stages[0].time_s = 0.125;
         ck.hits.push(Hit {
             seqid: 17,
-            name: "hom4 \"quoted\" \\slash\u{7}".into(),
+            name: "hom4 \"quoted\" \\slash\nline\u{7} \u{e9}\u{4e2d}".into(),
             msv_score: 12.75,
             vit_score: f32::NEG_INFINITY,
             fwd_score: 31.5,
@@ -493,20 +319,77 @@ mod tests {
             evalue: 1.25e-27,
             posterior: None,
         });
+        ck.hits.push(Hit {
+            seqid: 0,
+            name: String::new(),
+            msv_score: -0.0,
+            vit_score: 1.0,
+            fwd_score: 2.0,
+            pvalue: 1.0,
+            evalue: 5000.0,
+            posterior: None,
+        });
         ck
     }
 
+    fn read(text: &str) -> Result<StreamCheckpoint, CheckpointError> {
+        StreamCheckpoint::from_text(text, LABELS)
+    }
+
     #[test]
-    fn json_round_trip_is_bit_exact() {
+    fn text_round_trip_is_bit_exact() {
         let ck = sample();
-        let back = StreamCheckpoint::from_json(&ck.to_json()).unwrap();
+        let text = ck.to_text();
+        let back = read(&text).unwrap();
         assert_eq!(back, ck);
-        // Float identity down to the bits, including the -inf sentinel.
+        assert_eq!(back.to_text(), text);
+        // Float identity down to the bits, including the -inf sentinel
+        // and the sign of zero.
         assert_eq!(
             back.hits[0].vit_score.to_bits(),
             f32::NEG_INFINITY.to_bits()
         );
         assert_eq!(back.hits[0].pvalue.to_bits(), 2.5e-31f64.to_bits());
+        assert_eq!(back.hits[1].msv_score.to_bits(), (-0.0f32).to_bits());
+        // The record reads as the module doc lays it out.
+        let head = "h3w-checkpoint 3\nchunks_done 3\nseq_base 1234\ntotal_seqs 5000\n\
+                    db_hash deadbeefcafef00d\nstage 1234 27 250000 3fc0000000000000\n";
+        assert!(text.starts_with(head), "{text}");
+        let hit = "\nhits 2\nhit 17 414c0000 ff800000 41fc0000 ";
+        assert!(text.contains(hit), "{text}");
+        assert!(text.contains(" hom4 \"quoted\" \\\\slash\\nline\u{7} \u{e9}\u{4e2d}\n"));
+        assert!(text.ends_with(" \n"), "the empty name ends its line");
+    }
+
+    /// Every cut and every tested byte substitution of a sample record
+    /// is a typed error or reads back to exactly its own text.
+    #[test]
+    fn the_reader_accepts_exactly_what_the_writer_writes() {
+        let text = sample().to_text();
+        let bytes = text.as_bytes();
+        for cut in 0..bytes.len() {
+            // A cut inside a multi-byte character is no text at all.
+            if let Ok(prefix) = std::str::from_utf8(&bytes[..cut]) {
+                assert!(read(prefix).is_err(), "accepted the first {cut} bytes");
+            }
+        }
+        let mut accepted = 0;
+        for at in 0..bytes.len() {
+            for b in *b"09aA- \n\\x" {
+                let mut mutant = bytes.to_vec();
+                mutant[at] = b;
+                let Ok(mutant) = std::str::from_utf8(&mutant) else {
+                    continue;
+                };
+                if let Ok(ck) = read(mutant) {
+                    assert_eq!(ck.to_text(), mutant, "byte {at} as {:?}", b as char);
+                    accepted += 1;
+                }
+            }
+        }
+        // Digits in decimals, hex digits and name bytes may change and
+        // still be a record; most substitutions are not.
+        assert!(accepted > 0);
     }
 
     #[test]
@@ -516,49 +399,83 @@ mod tests {
         let path = dir.join("sweep.ckpt");
         let ck = sample();
         ck.save(&path).unwrap();
-        assert_eq!(StreamCheckpoint::load(&path).unwrap(), ck);
+        assert_eq!(StreamCheckpoint::load(&path, LABELS).unwrap(), ck);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_save_leaves_no_temporary() {
+        let dir = std::env::temp_dir().join(format!("h3w-ckpt-fail-{}", std::process::id()));
+        // The target is an existing directory: the temporary is written,
+        // the rename over the directory fails.
+        let path = dir.join("run.a");
+        std::fs::create_dir_all(&path).unwrap();
+        let err = sample().save(&path).unwrap_err();
+        assert!(matches!(err, CheckpointError::Io { .. }), "{err:?}");
+        let left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(left, ["run.a"]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn corrupt_checkpoints_are_rejected_not_panicked() {
-        for bad in [
-            "",
-            "{",
-            "not json",
-            "{\"version\":2}",
-            "{\"version\":99,\"chunks_done\":0,\"seq_base\":0,\"total_seqs\":1,\"db_hash\":\"0\",\"stages\":[],\"hits\":[]}",
-            "{\"version\":2,\"chunks_done\":0,\"seq_base\":0,\"total_seqs\":1,\"db_hash\":\"0\",\"stages\":[],\"hits\":[]}",
-            // Version-1 files (no db_hash) are rejected, typed.
-            "{\"version\":1,\"chunks_done\":0,\"seq_base\":0,\"total_seqs\":1,\"stages\":[],\"hits\":[]}",
-            "{\"version\":2,\"chunks_done\":0,\"seq_base\":0,\"total_seqs\":1,\"db_hash\":\"zz\",\"stages\":[],\"hits\":[]}",
-            "{\"version\":2,\"chunks_done\":0} trailing",
-        ] {
-            assert!(StreamCheckpoint::from_json(bad).is_err(), "accepted {bad:?}");
+        let good = sample().to_text();
+        let v2 = "{\"version\":2,\"chunks_done\":0,\"seq_base\":0,\"total_seqs\":1,\
+                  \"db_hash\":\"0\",\"stages\":[],\"hits\":[]}";
+        let bad = [
+            String::new(),
+            "\n".into(),
+            "not a checkpoint\n".into(),
+            v2.into(),
+            format!("{v2}\n"),
+            good[..good.len() - 1].into(),
+            format!("{good}\n"),
+            good.replace('\n', "\r\n"),
+            good.replace("hits 2", "hits 1"),
+            good.replace("hits 2", "hits 3"),
+            good.replace("chunks_done 3", "chunks_done 03"),
+            good.replace("chunks_done 3", "chunks_done +3"),
+            good.replace("chunks_done 3", "chunks_done  3"),
+            good.replace("seq_base 1234", "seq_base 4294967296"),
+            good.replace("deadbeefcafef00d", "DEADBEEFCAFEF00D"),
+            good.replace("deadbeefcafef00d", "deadbeef"),
+            good.replace("stage 1234 27 250000", "stage 1234 27"),
+            good.replace("414c0000", "414c000"),
+            good.replace("\\\\slash", "\\slash"),
+            good.replace("\\nline", "\\"),
+        ];
+        for text in &bad {
+            assert!(
+                matches!(read(text), Err(CheckpointError::Parse(_))),
+                "accepted {text:?}"
+            );
         }
-        let no_stages = "{\"version\":2,\"chunks_done\":0,\"seq_base\":0,\"total_seqs\":1,\"db_hash\":\"0\",\"stages\":[],\"hits\":[]}";
-        let err = StreamCheckpoint::from_json(no_stages).unwrap_err();
-        assert!(
-            err.to_string().contains("expected 3 stages, found 0"),
-            "{err}"
-        );
         assert!(matches!(
-            StreamCheckpoint::from_json(
-                "{\"version\":99,\"chunks_done\":0,\"seq_base\":0,\"total_seqs\":1,\"db_hash\":\"0\",\"stages\":[],\"hits\":[]}"
-            ),
+            read("h3w-checkpoint 99\n"),
             Err(CheckpointError::Version { found: 99 })
         ));
         assert!(matches!(
-            StreamCheckpoint::from_json(
-                "{\"version\":1,\"chunks_done\":0,\"seq_base\":0,\"total_seqs\":1,\"stages\":[],\"hits\":[]}"
-            ),
-            Err(CheckpointError::Version { found: 1 })
+            read(&good.replace("h3w-checkpoint 3", "h3w-checkpoint 2")),
+            Err(CheckpointError::Version { found: 2 })
         ));
+        let err = read(&good.replace("hits 2", "hits 3")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "checkpoint parse error: line 12: expected `hit` and 7 field(s)"
+        );
+        let err = read(&good.replace("hits 2", "hits 1")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "checkpoint parse error: line 11: data after the last of 1 hits"
+        );
     }
 
     #[test]
     fn missing_file_is_an_io_error() {
-        let err = StreamCheckpoint::load(Path::new("/nonexistent/sweep.ckpt")).unwrap_err();
+        let err = StreamCheckpoint::load(Path::new("/nonexistent/sweep.ckpt"), LABELS).unwrap_err();
         assert!(matches!(err, CheckpointError::Io { .. }));
     }
 }

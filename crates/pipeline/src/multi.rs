@@ -22,7 +22,7 @@
 
 use crate::config::{ConfigError, PipelineConfig};
 use crate::report::{Hit, PipelineResult, StageStats};
-use crate::run::{ExecPlan, Pipeline, HOST_LABELS};
+use crate::run::{ExecPlan, Pipeline};
 use h3w_core::fault::SweepError;
 use h3w_cpu::PoolHandle;
 use h3w_hmm::plan7::CoreModel;
@@ -200,7 +200,7 @@ pub fn scan_prepared(
     let pool = PoolHandle::with_threads(config.threads);
     let results: Vec<PipelineResult> = if fused {
         let refs: Vec<&Pipeline> = pipes.iter().collect();
-        let results = Pipeline::funnel(&refs, db, HOST_LABELS, |stage, sels| {
+        let results = Pipeline::funnel(&refs, db, ExecPlan::Cpu.stage_labels(), |stage, sels| {
             Ok(Pipeline::host_stage(pool.pool(), &refs, stage, db, sels))
         })?;
         if trace.is_on() {

@@ -54,8 +54,8 @@ pub(crate) struct FtPool<'a> {
     dev: &'a DeviceSpec,
     sweep: FtSweep<'a>,
     packed: PackedDb,
-    /// `(GPU)` for one device, `(multi-GPU)` for more; Forward's tier.
-    pub(crate) labels: [&'static str; 3],
+    /// The plan's stage labels; they name the launches' trace paths.
+    labels: [&'static str; 3],
     alive: Vec<usize>,
     journal: SweepTrace,
     degraded: bool,
@@ -70,6 +70,7 @@ impl<'a> FtPool<'a> {
     pub(crate) fn new(
         dev: &'a DeviceSpec,
         sweep: FtSweep<'a>,
+        labels: [&'static str; 3],
         db: &SeqDb,
         trace: &Trace,
     ) -> Result<FtPool<'a>, SweepError> {
@@ -80,12 +81,6 @@ impl<'a> FtPool<'a> {
         let packed = PackedDb::from_db(db);
         drop(span);
         packed.record_into(trace, "pipeline/pack");
-        let multi = (sweep.n_devices > 1) as usize;
-        let labels = [
-            ["MSV (GPU)", "MSV (multi-GPU)"][multi],
-            ["P7Viterbi (GPU)", "P7Viterbi (multi-GPU)"][multi],
-            ["Forward (host)", "Forward (GPU)"][sweep.forward_on_device as usize],
-        ];
         // A device the injector has latched as lost stays lost: a
         // streamed sweep builds one pool per chunk over one injector.
         let alive: Vec<usize> = (0..sweep.n_devices)

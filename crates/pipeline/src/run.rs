@@ -60,9 +60,6 @@ use std::time::Instant;
 /// fall back to the closed-form evaluation.
 const NULL1_TABLE_LEN: usize = 16384;
 
-/// The host tier's stage labels.
-pub(crate) const HOST_LABELS: [&str; 3] = ["MSV", "P7Viterbi", "Forward"];
-
 /// A funnel stage (its index into a stage-label array).
 #[derive(Clone, Copy)]
 pub(crate) enum Stage {
@@ -111,6 +108,22 @@ impl<'a> ExecPlan<'a> {
             ExecPlan::Device { dev } => Some((dev, FtSweep::fault_free(1))),
             ExecPlan::Devices { dev, pool } => Some((dev, *pool)),
         }
+    }
+
+    /// The labels a search under this plan gives its three stages, and
+    /// the one place they are decided: `MSV` / `P7Viterbi` / `Forward`
+    /// on the host; on a device pool `(GPU)` for one device and
+    /// `(multi-GPU)` for more, with Forward's tier, `(host)` or `(GPU)`.
+    pub fn stage_labels(&self) -> [&'static str; 3] {
+        let Some((_, pool)) = self.device_pool() else {
+            return ["MSV", "P7Viterbi", "Forward"];
+        };
+        let multi = (pool.n_devices > 1) as usize;
+        [
+            ["MSV (GPU)", "MSV (multi-GPU)"][multi],
+            ["P7Viterbi (GPU)", "P7Viterbi (multi-GPU)"][multi],
+            ["Forward (host)", "Forward (GPU)"][pool.forward_on_device as usize],
+        ]
     }
 }
 
@@ -363,11 +376,11 @@ impl Pipeline {
         // nothing at all.
         let pool_before = trace.is_on().then(|| self.pool().stats());
 
+        let labels = plan.stage_labels();
         let mut devices = match plan.device_pool() {
-            Some((dev, pool)) => Some(FtPool::new(dev, pool, db, trace)?),
+            Some((dev, pool)) => Some(FtPool::new(dev, pool, labels, db, trace)?),
             None => None,
         };
-        let labels = devices.as_ref().map_or(HOST_LABELS, |pool| pool.labels);
 
         // Each stage on the plan's pool when it owns the stage and has a
         // device left, on the host otherwise.

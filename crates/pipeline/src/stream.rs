@@ -27,6 +27,9 @@
 //! deadline and chaos hook). [`search_source`] is the plain case: stream
 //! a [`SeqSource`] in chunks of at most `max_residues`, no options, scale
 //! from the stream, the source read exactly once.
+//!
+//! A streamed report names its stages as its plan does
+//! ([`ExecPlan::stage_labels`]); a checkpoint keeps counters, not labels.
 
 use crate::checkpoint::{CheckpointError, StreamCheckpoint};
 use crate::report::PipelineResult;
@@ -175,9 +178,10 @@ where
     }
     // Only a checkpoint reads the scale out of `state`.
     let pinned = total_seqs.unwrap_or(0);
+    let labels = plan.stage_labels();
     let mut state = match ckpt {
         Some((path, db_hash)) if path.exists() => {
-            let ck = StreamCheckpoint::load(path)?;
+            let ck = StreamCheckpoint::load(path, labels)?;
             if ck.total_seqs != pinned {
                 return Err(CheckpointError::Mismatch(format!(
                     "checkpoint is for a {}-sequence sweep, this one has {pinned}",
@@ -194,8 +198,8 @@ where
             }
             ck
         }
-        Some((_, db_hash)) => StreamCheckpoint::fresh(pinned, db_hash),
-        None => StreamCheckpoint::fresh(pinned, 0),
+        Some((_, db_hash)) => StreamCheckpoint::fresh(pinned, db_hash, labels),
+        None => StreamCheckpoint::fresh(pinned, 0, labels),
     };
     let resume_from = state.chunks_done;
     let mut skipped_seqs = 0u32;
@@ -449,7 +453,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let partial: Vec<SeqDb> = all.iter().take(2).cloned().collect();
         sweep(&pipe, partial, db.len(), Some((&path, hash))).unwrap();
-        let ck = StreamCheckpoint::load(&path).unwrap();
+        let ck = StreamCheckpoint::load(&path, ExecPlan::Cpu.stage_labels()).unwrap();
         let cursor = (ck.chunks_done, ck.seq_base as usize, ck.db_hash);
         assert_eq!(cursor, (2, all[0].len() + all[1].len(), hash));
         // Different database size: a different sweep.

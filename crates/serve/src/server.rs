@@ -110,9 +110,6 @@ pub struct ServeConfig {
     /// Default per-query deadline in ms (0 = none) when the request
     /// doesn't carry its own.
     pub default_deadline_ms: u64,
-    /// CPU pool width per pipeline (0 = the shared global pool). Hits
-    /// are bit-identical at any width.
-    pub threads: usize,
     /// Run MSV+Viterbi on this many simulated devices of this spec,
     /// through the fault-recovery engine. `None` = pure CPU.
     pub device: Option<(DeviceSpec, usize)>,
@@ -131,21 +128,10 @@ impl Default for ServeConfig {
             workers: 2,
             queue_depth: 8,
             default_deadline_ms: 0,
-            threads: 0,
             device: None,
             inject_device_loss: false,
             chaos: ChaosConfig::default(),
         }
-    }
-}
-
-impl ServeConfig {
-    fn pipeline_config(&self) -> Result<PipelineConfig, ServeError> {
-        let mut b = PipelineConfig::builder();
-        if self.threads > 0 {
-            b = b.threads(self.threads);
-        }
-        b.build().map_err(|e| ServeError::Config(e.to_string()))
     }
 }
 
@@ -279,7 +265,6 @@ impl Admission {
 
 struct ServerInner {
     cfg: ServeConfig,
-    pipe_cfg: PipelineConfig,
     db: Arc<ResidentDb>,
     counters: Counters,
     admission: Arc<Admission>,
@@ -320,7 +305,6 @@ impl Server {
                 return Err(ServeError::Config("device count must be >= 1".to_string()));
             }
         }
-        let pipe_cfg = cfg.pipeline_config()?;
         let listener = TcpListener::bind(&cfg.addr).map_err(|e| ServeError::Bind {
             addr: cfg.addr.clone(),
             msg: e.to_string(),
@@ -334,7 +318,6 @@ impl Server {
             local,
             inner: Arc::new(ServerInner {
                 cfg,
-                pipe_cfg,
                 db,
                 counters: Counters::default(),
                 admission,
@@ -666,8 +649,11 @@ fn run_query(
             }
             // Prepare outside the lock (quantization + calibration is
             // the expensive part). Deterministic, so a racing duplicate
-            // is identical and the entry dedups.
-            let p = Arc::new(Pipeline::prepare(&parsed.model, inner.pipe_cfg, QUERY_SEED));
+            // is identical and the entry dedups. Every pipeline runs on
+            // the global pool, which `H3W_THREADS` sizes: a pool of its
+            // own would live, workers and all, as long as its entry.
+            let config = PipelineConfig::default();
+            let p = Arc::new(Pipeline::prepare(&parsed.model, config, QUERY_SEED));
             Arc::clone(cache().entry(key).or_insert(p))
         }
     };

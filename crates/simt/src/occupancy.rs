@@ -52,15 +52,20 @@ pub fn occupancy(dev: &DeviceSpec, cfg: &KernelConfig) -> Occupancy {
     let by_slots = dev.max_blocks_per_sm;
     let by_warps = dev.max_warps_per_sm / wpb;
 
+    // The tightest limit; on a tie the first listed names it.
     let (blocks, limit) = [
-        (by_warps, OccLimit::WarpSlots),
         (by_slots, OccLimit::BlockSlots),
         (by_regs, OccLimit::Registers),
         (by_smem, OccLimit::SharedMem),
     ]
     .into_iter()
-    .min_by_key(|&(b, _)| b)
-    .unwrap();
+    .fold((by_warps, OccLimit::WarpSlots), |best, next| {
+        if next.0 < best.0 {
+            next
+        } else {
+            best
+        }
+    });
 
     let warps = blocks * wpb;
     Occupancy {

@@ -135,15 +135,12 @@ pub fn imbalance_factor(work: &[u64], slots: usize) -> f64 {
     let slots = slots.min(work.len());
     let mut loads = vec![0u64; slots];
     for &w in work {
-        // Least-loaded slot; slot count is small (resident warps/SM × SMs).
-        let (i, _) = loads
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &l)| l)
-            .expect("non-empty");
+        // Least-loaded slot, the first on a tie; slot count is small
+        // (resident warps/SM × SMs).
+        let i = (1..slots).fold(0, |best, i| if loads[i] < loads[best] { i } else { best });
         loads[i] += w;
     }
-    let makespan = *loads.iter().max().unwrap() as f64;
+    let makespan = loads.iter().fold(0, |max, &l| max.max(l)) as f64;
     let total: u64 = work.iter().sum();
     if total == 0 {
         return 1.0;

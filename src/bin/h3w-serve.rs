@@ -10,7 +10,6 @@
 //!   --queue-depth N      bounded admission queue; arrivals beyond it are
 //!                        shed with a typed Overloaded error (default 8)
 //!   --deadline-ms MS     default per-query deadline; 0 = none (default 0)
-//!   --threads N          CPU pool width per pipeline (0 = global pool)
 //!   --shard-residues N   shard granularity — deadline checks fire at
 //!                        shard boundaries (0 = default 1 MiResidue)
 //!   --gpu k40|gtx580     run MSV+Viterbi on simulated devices through
@@ -26,6 +25,10 @@
 //! diagnostic and exit 1 — never a panic), serves until SIGTERM/SIGINT,
 //! then drains: stops accepting, finishes in-flight queries, prints the
 //! final metrics document to stdout, exits 0.
+//!
+//! Every query runs on the process-global CPU pool, which
+//! `H3W_THREADS=N` sizes (default: every available core), so the
+//! daemon's thread count does not grow with the query models it caches.
 
 use hmmer3_warp::cli::{self, Args, ToolError};
 use hmmer3_warp::prelude::*;
@@ -34,7 +37,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 const USAGE: &str = "h3w-serve <db.h3wdb> [--addr A:P] [--workers n] [--queue-depth n] \
-[--deadline-ms ms] [--threads n] [--shard-residues n] [--gpu k40|gtx580] [--devices n] \
+[--deadline-ms ms] [--shard-residues n] [--gpu k40|gtx580] [--devices n] \
 [--inject-device-loss] [--chaos-panic-model name] [--chaos-slow-ms ms]";
 
 fn main() -> ExitCode {
@@ -58,7 +61,6 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
             "--workers",
             "--queue-depth",
             "--deadline-ms",
-            "--threads",
             "--shard-residues",
             "--gpu",
             "--devices",
@@ -89,7 +91,6 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
         },
         queue_depth: args.parse_value::<usize>("--queue-depth")?.unwrap_or(8),
         default_deadline_ms: args.parse_value::<u64>("--deadline-ms")?.unwrap_or(0),
-        threads: args.parse_value::<usize>("--threads")?.unwrap_or(0),
         device: gpu.map(|dev| (dev, devices)),
         inject_device_loss: args.has("--inject-device-loss"),
         chaos: ChaosConfig {

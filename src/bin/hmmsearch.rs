@@ -234,9 +234,12 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
                 options,
                 &trace,
             )
-            .map_err(|e| match e {
-                StreamError::Source(e) => format!("{fa_path}: {e}"),
-                other => other.to_string(),
+            .map_err(|e| -> ToolError {
+                match e {
+                    StreamError::Source(e) => format!("{fa_path}: {e}").into(),
+                    StreamError::Checkpoint(e) => e.into(),
+                    other => other.to_string().into(),
+                }
             })?
             .result;
             if res.db_size == 0 {

@@ -552,6 +552,11 @@ pub fn check(p: &Point) {
     }
     assert_eq!(got.db_size, want.db_size, "{p:?}: E-value scale");
     assert_eq!(funnel(&got.stages), funnel(&want.stages), "{p:?}: funnel");
+    // Every driver names the stages as its plan does.
+    let injector = p.plan.injector();
+    let labels = p.plan.exec(injector.as_ref()).stage_labels();
+    let names: Vec<&str> = got.stages.iter().map(|st| st.name.as_str()).collect();
+    assert_eq!(names, labels, "{p:?}: stage labels");
     if matches!(p.plan, Plan::Device { forward: true, .. }) {
         // The device Forward sums with the flogsum table, within its
         // bias of the host's odds-space filter.
@@ -574,7 +579,7 @@ pub fn check(p: &Point) {
             .collect::<Vec<_>>()
     };
     assert!(posteriors(&got) == posteriors(&want), "{p:?}: posteriors");
-    // The report differs only in the plan's stage labels.
+    // The report differs only in the stage labels, checked above.
     for (w, g) in want.stages.iter_mut().zip(&got.stages) {
         w.name.clone_from(&g.name);
     }

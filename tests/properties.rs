@@ -303,7 +303,7 @@ proptest! {
     }
 
     /// Arbitrary bytes (not derived from any valid file) never panic the
-    /// FASTA parser, the HMM reader, or the checkpoint JSON parser.
+    /// FASTA parser, the HMM reader, or the checkpoint reader.
     #[test]
     fn arbitrary_text_never_panics_any_parser(
         bytes in prop::collection::vec(0u8..=255u8, 0..200),
@@ -314,7 +314,7 @@ proptest! {
         let text = String::from_utf8_lossy(&bytes);
         let _ = fasta::parse("fuzz", &text);
         let _ = read_hmm(&text);
-        let _ = StreamCheckpoint::from_json(&text);
+        let _ = StreamCheckpoint::from_text(&text, ["MSV", "P7Viterbi", "Forward"]);
     }
 
     /// Streaming generation: for any seed and chunk bound, generating in

@@ -1,8 +1,9 @@
 //! Chaos tests of the `h3w-serve` daemon binary: bit-identity with the
 //! one-shot `hmmsearch` tool, load shedding, deadlines, panic isolation,
 //! corrupted-database startup, device-loss degradation, and SIGTERM
-//! drain (also behind clients stalled mid-frame) — all driving the real
-//! process over real sockets.
+//! drain (also behind clients stalled mid-frame), and a thread count
+//! that does not grow with the query models served — all driving the
+//! real process over real sockets.
 
 use hmmer3_warp::serve::{Client, ErrorKind, Response};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -74,9 +75,14 @@ struct Daemon {
 
 impl Daemon {
     fn start(db: &Path, extra: &[&str]) -> Daemon {
+        Daemon::start_with_env(db, extra, &[])
+    }
+
+    fn start_with_env(db: &Path, extra: &[&str], env: &[(&str, &str)]) -> Daemon {
         let mut child = Command::new(env!("CARGO_BIN_EXE_h3w-serve"))
             .arg(db)
             .args(extra)
+            .envs(env.iter().copied())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
@@ -448,5 +454,59 @@ fn corrupted_database_is_refused_at_startup_without_panicking() {
         !stderr.contains("panicked") && !stderr.contains("RUST_BACKTRACE"),
         "startup leaked a panic:\n{stderr}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The daemon's thread count (Linux: the entries of `/proc/<pid>/task`).
+#[cfg(target_os = "linux")]
+fn task_count(pid: u32) -> usize {
+    std::fs::read_dir(format!("/proc/{pid}/task"))
+        .unwrap()
+        .count()
+}
+
+/// Every query model runs on the one global pool `H3W_THREADS` sizes:
+/// a model the daemon has not seen before prepares a pipeline and caches
+/// it, and must not bring worker threads of its own. `--threads`, which
+/// gave each cached pipeline a pool, is gone.
+#[cfg(target_os = "linux")]
+#[test]
+fn thread_count_stays_flat_across_distinct_query_models() {
+    let dir = tmpdir("threads");
+    let (_, _, packed, _) = fixture(&dir);
+    let models: Vec<String> = [(30, 11), (40, 12), (50, 13)]
+        .into_iter()
+        .map(|(m, seed)| {
+            let path = dir.join(format!("m{m}.hmm"));
+            let out = Command::new(env!("CARGO_BIN_EXE_hmmbuild"))
+                .args([path.to_str().unwrap(), "--synthetic", &m.to_string()])
+                .args(["--seed", &seed.to_string()])
+                .output()
+                .unwrap();
+            assert!(out.status.success());
+            std::fs::read_to_string(&path).unwrap()
+        })
+        .collect();
+    let mut daemon = Daemon::start_with_env(&packed, &[], &[("H3W_THREADS", "4")]);
+    let pid = daemon.child.id();
+    let mut client = Client::connect(daemon.addr.clone()).unwrap();
+    let mut counts = Vec::new();
+    for hmm_text in &models {
+        let resp = client.search(hmm_text, 0).unwrap();
+        assert!(matches!(resp, Response::Hits { .. }), "{resp:?}");
+        counts.push(task_count(pid));
+    }
+    assert_eq!(counts[2], counts[0], "threads after each model: {counts:?}");
+    drop(client);
+    let (status, _) = daemon.terminate();
+    assert!(status.success());
+
+    let out = Command::new(env!("CARGO_BIN_EXE_h3w-serve"))
+        .args([packed.to_str().unwrap(), "--threads", "4"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert!(stderr.contains("unknown flag \"--threads\""), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }

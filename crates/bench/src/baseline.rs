@@ -15,13 +15,12 @@
 //! Rust implementation actually sustains, recorded in EXPERIMENTS.md next
 //! to these constants.
 
-use h3w_simt::CpuSpec;
-
 /// Fitted per-core throughput constants (cells/s), see module docs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuModel {
-    /// The host description.
-    pub spec: CpuSpec,
+    /// Physical cores used by hmmsearch's worker threads (the quad-core
+    /// i5 of §IV).
+    pub cores: usize,
     /// MSV filter cells/s per core.
     pub msv_cps: f64,
     /// Viterbi filter cells/s per core (a cell = one model column × one
@@ -32,7 +31,7 @@ pub struct CpuModel {
 impl Default for CpuModel {
     fn default() -> Self {
         CpuModel {
-            spec: CpuSpec::core_i5_quad(),
+            cores: 4,
             msv_cps: 11.0e9,
             vit_cps: 2.3e9,
         }
@@ -43,12 +42,12 @@ impl CpuModel {
     /// Modeled MSV stage time over `residues` targets for a model of
     /// length `m`.
     pub fn msv_time(&self, m: usize, residues: u64) -> f64 {
-        (m as u64 * residues) as f64 / (self.spec.cores as f64 * self.msv_cps)
+        (m as u64 * residues) as f64 / (self.cores as f64 * self.msv_cps)
     }
 
     /// Modeled Viterbi stage time.
     pub fn vit_time(&self, m: usize, residues: u64) -> f64 {
-        (m as u64 * residues) as f64 / (self.spec.cores as f64 * self.vit_cps)
+        (m as u64 * residues) as f64 / (self.cores as f64 * self.vit_cps)
     }
 }
 

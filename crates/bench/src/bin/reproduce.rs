@@ -35,9 +35,7 @@ use h3w_hmm::NullModel;
 use h3w_pipeline::{ExecPlan, Pipeline, PipelineConfig};
 use h3w_seqdb::gen::{generate, DbGenSpec};
 use h3w_seqdb::PackedDb;
-use h3w_simt::{
-    kernel_time, occupancy, run_grid, run_grid_blocks, CostParams, DeviceSpec, KernelConfig,
-};
+use h3w_simt::{kernel_time, occupancy, run_grid, run_grid_blocks, DeviceSpec, KernelConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write;
@@ -418,7 +416,7 @@ fn ablation_sync() -> Result<String, HarnessError> {
         layout: smem_layout(Stage::Msv, m, cfg.warps_per_block, shared, &dev),
     };
     let r_ws = run_grid(&dev, &cfg, &ws)?;
-    let t_ws = kernel_time(&dev, &CostParams::default(), &r_ws.stats, &occ_ws, 1.0).total_s;
+    let t_ws = kernel_time(&dev, &r_ws.stats, &occ_ws, 1.0).total_s;
 
     // Fig. 4: four warps share each row, one row per block.
     let layout = smem_layout(Stage::Msv, m, 1, shared, &dev);
@@ -438,7 +436,7 @@ fn ablation_sync() -> Result<String, HarnessError> {
     };
     let r_nv = run_grid_blocks(&dev, &naive_cfg, &naive(false))?;
     let occ_nv = occupancy(&dev, &naive_cfg);
-    let t_nv = kernel_time(&dev, &CostParams::default(), &r_nv.stats, &occ_nv, 1.0).total_s;
+    let t_nv = kernel_time(&dev, &r_nv.stats, &occ_nv, 1.0).total_s;
     let r_racy = run_grid_blocks(&dev, &naive_cfg, &naive(true))?;
 
     o.push_str(

@@ -12,9 +12,8 @@
 
 use crate::baseline::CpuModel;
 use crate::workload::{measure_rates, DbPreset, MeasuredRates, Workload};
-use h3w_core::layout::best_config;
-use h3w_core::stats_model::{predict_msv, predict_vit, DbAggregates, LaunchShape};
-use h3w_core::{MemConfig, Stage};
+use h3w_core::stats_model::DbAggregates;
+use h3w_core::{model_stage_time, Effort, MemConfig, Stage};
 use h3w_hmm::build::{synthetic_model, BuildParams, PAPER_MODEL_SIZES};
 use h3w_hmm::msvprofile::MsvProfile;
 use h3w_hmm::plan7::CoreModel;
@@ -22,7 +21,7 @@ use h3w_hmm::profile::Profile;
 use h3w_hmm::vitprofile::VitProfile;
 use h3w_hmm::NullModel;
 use h3w_pipeline::{Pipeline, PipelineConfig};
-use h3w_simt::{kernel_time, saturating_grid, CostParams, DeviceSpec};
+use h3w_simt::DeviceSpec;
 
 use crate::json::{Json, ToJson};
 
@@ -171,7 +170,9 @@ pub fn prepare_point(
     })
 }
 
-/// Modeled GPU stage time on the full database for one configuration.
+/// Modeled GPU stage time on the full database for one configuration:
+/// the device-time model with the effort measured on the sample, scaled
+/// to `agg`.
 pub fn stage_time_full(
     point: &PreparedPoint,
     stage: Stage,
@@ -179,23 +180,15 @@ pub fn stage_time_full(
     dev: &DeviceSpec,
     agg: &DbAggregates,
 ) -> Option<ConfigPoint> {
-    let m = point.model.len();
-    let (_, occ) = best_config(stage, m, mem, dev)?;
-    let blocks = saturating_grid(dev, &occ, h3w_core::tiered::DEFAULT_WAVES) as u64;
-    let shape = LaunchShape::new(dev, mem, blocks);
-    let stats = match stage {
-        Stage::Msv => {
-            let rows = (agg.total_residues as f64 * point.rates.msv_row_frac).round() as u64;
-            let words = (agg.total_words as f64 * point.rates.msv_word_frac).round() as u64;
-            predict_msv(m, &shape, agg, rows, words)
-        }
-        Stage::Viterbi => {
-            let lazy = point.rates.lazy_scaled(agg.total_residues);
-            predict_vit(m, &shape, agg, &lazy)
-        }
-        Stage::Forward => return None, // no analytic Forward predictor
+    let rates = &point.rates;
+    let effort = Effort {
+        msv: Some((
+            (agg.total_residues as f64 * rates.msv_row_frac).round() as u64,
+            (agg.total_words as f64 * rates.msv_word_frac).round() as u64,
+        )),
+        lazy: Some(rates.lazy_scaled(agg.total_residues)),
     };
-    let t = kernel_time(dev, &CostParams::default(), &stats, &occ, 1.0);
+    let (occ, _, t) = model_stage_time(stage, point.model.len(), dev, mem, agg, &effort)?;
     Some(ConfigPoint {
         speedup: 0.0, // filled by the caller against its CPU baseline
         occupancy: occ.occupancy,

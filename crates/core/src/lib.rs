@@ -25,9 +25,9 @@ pub use fwd_warp::{FwdHit, FwdWarpKernel};
 pub use layout::{MemConfig, Stage};
 pub use msv_warp::{MsvHit, MsvWarpKernel};
 pub use stage::WarpStage;
-pub use stats_model::{predict_msv, predict_vit, DbAggregates, LaunchShape};
+pub use stats_model::DbAggregates;
 pub use tiered::{
     auto_mem_config, model_stage_time, run_msv_device, run_msv_device_on, run_vit_device,
-    run_vit_device_on, MsvRun, StageRun, VitRun,
+    run_vit_device_on, Effort, MsvRun, StageRun, VitRun,
 };
 pub use vit_warp::{VitHit, VitWarpKernel, WarpLazyStats};

@@ -99,7 +99,7 @@ fn row_sweep_segments(base: usize, m: usize, width: usize) -> u64 {
 
 /// Launch-shape inputs shared by both predictors.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LaunchShape {
+pub(crate) struct LaunchShape {
     /// Table placement.
     pub mem: MemConfig,
     /// Grid blocks (staging repeats per block).
@@ -111,7 +111,7 @@ pub struct LaunchShape {
 
 impl LaunchShape {
     /// The shape of a `blocks`-block launch on `dev` with tables in `mem`.
-    pub fn new(dev: &DeviceSpec, mem: MemConfig, blocks: u64) -> LaunchShape {
+    pub(crate) fn new(dev: &DeviceSpec, mem: MemConfig, blocks: u64) -> LaunchShape {
         LaunchShape {
             mem,
             blocks,
@@ -127,7 +127,7 @@ impl LaunchShape {
 /// overflows); `overflowed` rows keep their composition assumption only in
 /// the global config, where a few-percent error is accepted and
 /// documented.
-pub fn predict_msv(
+pub(crate) fn predict_msv(
     m: usize,
     shape: &LaunchShape,
     agg: &DbAggregates,
@@ -205,7 +205,7 @@ pub fn predict_msv(
 
 /// Predict the P7Viterbi kernel's counters. `lazy` carries the measured
 /// (or scaled) Lazy-F effort; its `rows` must equal `agg.total_residues`.
-pub fn predict_vit(
+pub(crate) fn predict_vit(
     m: usize,
     shape: &LaunchShape,
     agg: &DbAggregates,

@@ -19,8 +19,8 @@ use h3w_hmm::msvprofile::MsvProfile;
 use h3w_hmm::vitprofile::VitProfile;
 use h3w_seqdb::PackedView;
 use h3w_simt::{
-    imbalance_factor, kernel_time, run_grid, saturating_grid, CostParams, DeviceSpec, KernelConfig,
-    KernelStats, Occupancy, TimeBreakdown, WarpKernel,
+    imbalance_factor, kernel_time, run_grid, saturating_grid, DeviceSpec, KernelConfig,
+    KernelStats, Occupancy, TimeBreakdown, WarpKernel, WARP_SIZE,
 };
 
 /// Default grid depth: blocks per SM slot, so each warp slot sees several
@@ -71,62 +71,76 @@ pub struct VitRun {
     pub run: StageRun,
 }
 
-/// Predicted counters of one stage at one table placement, for a workload
-/// given by aggregates. Viterbi's Lazy-F effort defaults to the
-/// converge-immediately baseline. `None` for Forward: it has no analytic
-/// predictor (it runs on the 0.1% survivor set; model it functionally).
-fn predict_stage(
+/// The data-dependent effort of one stage, which aggregates alone do not
+/// give. The default is the baseline: MSV executes every row and word (no
+/// overflow early exit) and Viterbi's Lazy-F converges at once.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Effort {
+    /// MSV's executed rows and packed words.
+    pub msv: Option<(u64, u64)>,
+    /// Viterbi's Lazy-F effort; its `rows` must equal the aggregates'
+    /// residues.
+    pub lazy: Option<WarpLazyStats>,
+}
+
+/// The device-time model: one stage at one table placement, for a
+/// workload given by aggregates, on the grid a launch of that placement
+/// saturates ([`DEFAULT_WAVES`]). Returns the residency, the predicted
+/// counters and the modelled time. `None` when the placement does not
+/// fit the device, and for Forward, which has no closed-form predictor
+/// (it runs on the 0.1% survivor set; model it functionally). The
+/// placement switch ([`auto_mem_config`]), the figures and the
+/// multi-device claim all time a stage here.
+pub fn model_stage_time(
     stage: Stage,
     m: usize,
     dev: &DeviceSpec,
     mem: MemConfig,
-    occ: &Occupancy,
     agg: &DbAggregates,
-    lazy: Option<&WarpLazyStats>,
-) -> Option<KernelStats> {
-    let shape = LaunchShape::new(dev, mem, saturating_grid(dev, occ, DEFAULT_WAVES) as u64);
-    Some(match stage {
-        Stage::Msv => predict_msv(m, &shape, agg, agg.total_residues, agg.total_words),
+    effort: &Effort,
+) -> Option<(Occupancy, KernelStats, TimeBreakdown)> {
+    let (_, occ) = best_config(stage, m, mem, dev)?;
+    let shape = LaunchShape::new(dev, mem, saturating_grid(dev, &occ, DEFAULT_WAVES) as u64);
+    let stats = match stage {
+        Stage::Msv => {
+            let (rows, words) = effort.msv.unwrap_or((agg.total_residues, agg.total_words));
+            predict_msv(m, &shape, agg, rows, words)
+        }
         Stage::Viterbi => {
-            let iters = m.div_ceil(h3w_simt::WARP_SIZE) as u64;
+            let iters = m.div_ceil(WARP_SIZE) as u64;
             let baseline = WarpLazyStats {
                 rows: agg.total_residues,
                 rows_skipped: 0,
                 chunks: agg.total_residues * iters,
                 inner_iters: agg.total_residues * iters,
             };
-            predict_vit(m, &shape, agg, lazy.unwrap_or(&baseline))
+            predict_vit(m, &shape, agg, &effort.lazy.unwrap_or(baseline))
         }
         Stage::Forward => return None,
-    })
+    };
+    let time = kernel_time(dev, &stats, &occ, 1.0);
+    Some((occ, stats, time))
 }
 
 /// Pick the table placement by modeled time (the paper's "optimal speedup
-/// strategy", black curve of Fig. 9). `agg` supplies the workload shape;
-/// Lazy-F effort is taken as the converge-immediately baseline, which is
-/// config-independent and cancels in the comparison.
+/// strategy", black curve of Fig. 9), shared on a tie. `agg` supplies the
+/// workload shape; the effort is the baseline, which is
+/// placement-independent and cancels in the comparison. `None` when
+/// neither placement fits, and for Forward (see [`model_stage_time`]).
 pub fn auto_mem_config(
     stage: Stage,
     m: usize,
     dev: &DeviceSpec,
     agg: &DbAggregates,
 ) -> Option<MemConfig> {
-    let mut best: Option<(MemConfig, f64)> = None;
-    for mem in [MemConfig::Shared, MemConfig::Global] {
-        let Some((_, occ)) = best_config(stage, m, mem, dev) else {
-            continue;
-        };
-        // The Forward kernel has a single (global-table) configuration;
-        // there is nothing to choose.
-        let Some(stats) = predict_stage(stage, m, dev, mem, &occ, agg, None) else {
-            return Some(MemConfig::Global);
-        };
-        let t = kernel_time(dev, &CostParams::default(), &stats, &occ, 1.0).total_s;
-        if best.is_none_or(|(_, bt)| t < bt) {
-            best = Some((mem, t));
-        }
-    }
-    best.map(|(mem, _)| mem)
+    [MemConfig::Shared, MemConfig::Global]
+        .into_iter()
+        .filter_map(|mem| {
+            let (_, _, t) = model_stage_time(stage, m, dev, mem, agg, &Effort::default())?;
+            Some((mem, t.total_s))
+        })
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(mem, _)| mem)
 }
 
 /// The launch sequence every device stage shares: pick the table
@@ -167,7 +181,7 @@ fn launch<K: WarpKernel>(
     })?;
     let slots = (occ.resident_warps * dev.sm_count).max(1);
     let imbalance = imbalance_factor(&r.work_per_unit, slots);
-    let time = kernel_time(dev, &CostParams::default(), &r.stats, &occ, imbalance);
+    let time = kernel_time(dev, &r.stats, &occ, imbalance);
     let run = StageRun {
         mem,
         config: cfg,
@@ -267,23 +281,6 @@ pub fn run_fwd_device_on<'a>(
     Ok(FwdRun { hits, run })
 }
 
-/// Analytic (no functional execution) stage timing for a workload given by
-/// aggregates — the extrapolation path of the figure harnesses.
-pub fn model_stage_time(
-    stage: Stage,
-    m: usize,
-    dev: &DeviceSpec,
-    agg: &DbAggregates,
-    mem: Option<MemConfig>,
-    lazy: Option<&WarpLazyStats>,
-) -> Option<(MemConfig, Occupancy, KernelStats, TimeBreakdown)> {
-    let mem = mem.or_else(|| auto_mem_config(stage, m, dev, agg))?;
-    let (_, occ) = best_config(stage, m, mem, dev)?;
-    let stats = predict_stage(stage, m, dev, mem, &occ, agg, lazy)?;
-    let time = kernel_time(dev, &CostParams::default(), &stats, &occ, 1.0);
-    Some((mem, occ, stats, time))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,23 +359,46 @@ mod tests {
         assert!(run.run.config.blocks * run.run.config.warps_per_block <= db.len().max(1) * 2);
     }
 
-    #[test]
-    fn model_stage_time_matches_functional_stats_for_msv() {
-        // The analytic path must agree with the functional run when the
-        // database has no overflows — here on exact stats equality modulo
-        // grid size (blocks differ ⇒ staging counts differ in shared; use
-        // global config which has no per-block staging).
-        let dev = DeviceSpec::tesla_k40();
-        let bg = NullModel::new();
-        let core = synthetic_model(40, 6, &BuildParams::default());
-        let p = Profile::config(&core, &bg);
-        let msv = MsvProfile::from_profile(&p);
+    /// A background database (nothing overflows) and its aggregates, to
+    /// hold the model to a functional launch at the global placement,
+    /// whose counts do not depend on the grid size (no per-block
+    /// staging).
+    fn background(m: usize) -> (Profile, PackedDb, DbAggregates) {
+        let core = synthetic_model(m, 6, &BuildParams::default());
+        let p = Profile::config(&core, &NullModel::new());
         let db = generate(&DbGenSpec::envnr_like().scaled(0.000005), None, 3);
         let packed = PackedDb::from_db(&db);
         let agg = DbAggregates::from_packed(&packed);
+        (p, packed, agg)
+    }
+
+    #[test]
+    fn model_stage_time_matches_functional_stats_for_msv() {
+        let dev = DeviceSpec::tesla_k40();
+        let (p, packed, agg) = background(40);
+        let msv = MsvProfile::from_profile(&p);
         let functional = run_msv_device(&msv, &packed, &dev, Some(MemConfig::Global)).unwrap();
-        let (_, _, stats, _) =
-            model_stage_time(Stage::Msv, 40, &dev, &agg, Some(MemConfig::Global), None).unwrap();
+        let global = MemConfig::Global;
+        let (_, stats, _) =
+            model_stage_time(Stage::Msv, 40, &dev, global, &agg, &Effort::default()).unwrap();
+        assert_eq!(stats, functional.run.stats);
+    }
+
+    #[test]
+    fn model_stage_time_matches_functional_stats_for_vit() {
+        // Lazy-F effort is data-dependent: the launch's measured effort
+        // is the model's input, and the counters then agree exactly.
+        let dev = DeviceSpec::tesla_k40();
+        let (p, packed, agg) = background(40);
+        let vit = VitProfile::from_profile(&p);
+        let functional = run_vit_device(&vit, &packed, &dev, Some(MemConfig::Global)).unwrap();
+        let effort = Effort {
+            lazy: Some(functional.lazy),
+            ..Effort::default()
+        };
+        let global = MemConfig::Global;
+        let (_, stats, _) =
+            model_stage_time(Stage::Viterbi, 40, &dev, global, &agg, &effort).unwrap();
         assert_eq!(stats, functional.run.stats);
     }
 }

@@ -93,18 +93,21 @@ pub struct VitWarpKernel<'a> {
 }
 
 impl<'a> VitWarpKernel<'a> {
+    /// Transition table `idx`, one of the `T_*` constants.
     fn trans_table(&self, idx: usize) -> &[i16] {
-        match idx {
-            T_MM => &self.om.tmm_in,
-            T_IM => &self.om.tim_in,
-            T_DM => &self.om.tdm_in,
-            T_MD => &self.om.tmd_in,
-            T_DD => &self.om.tdd_in,
-            T_MI => &self.om.tmi_self,
-            T_II => &self.om.tii_self,
-            T_BMK => &self.om.bmk_in,
-            _ => unreachable!("transition table index"),
-        }
+        let om = self.om;
+        // In `T_*` order: T_MM, T_IM, T_DM, T_MD, T_DD, T_MI, T_II, T_BMK.
+        let tables: [&[i16]; 8] = [
+            &om.tmm_in,
+            &om.tim_in,
+            &om.tdm_in,
+            &om.tmd_in,
+            &om.tdd_in,
+            &om.tmi_self,
+            &om.tii_self,
+            &om.bmk_in,
+        ];
+        tables[idx]
     }
 
     /// Stage emission + transition tables into shared memory.

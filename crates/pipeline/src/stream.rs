@@ -119,6 +119,9 @@ pub struct StreamReport {
     /// True if any chunk's device pool degraded to the striped
     /// CPU backend.
     pub degraded_to_cpu: bool,
+    /// Chunks a checkpoint resume skipped (already swept in an earlier
+    /// run); 0 when the sweep started fresh.
+    pub resumed_chunks: usize,
 }
 
 /// What a streamed sweep does besides sweeping; the default is nothing.
@@ -316,6 +319,7 @@ where
     Ok(StreamReport {
         result: PipelineResult::new(stages, hits, db_size),
         degraded_to_cpu: degraded,
+        resumed_chunks: resume_from,
     })
 }
 

@@ -949,6 +949,16 @@ pub struct DiskDbWriter {
     scratch: Vec<u8>,
 }
 
+/// `path` with `suffix` appended to its whole file name, so two targets
+/// in one directory never share a temporary (`db.a` and `db.b` would
+/// under `with_extension`). A `*.h3wdb` target keeps the names
+/// `*.h3wdb.tmp`, `*.h3wdb.names.tmp` and so on.
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(suffix);
+    name.into()
+}
+
 /// A temporary file the writer created, removed when dropped.
 struct TempPath(PathBuf);
 
@@ -997,15 +1007,15 @@ impl DiskDbWriter {
             msg: e.to_string(),
         };
         check_str16(db_name, || "database label".into())?;
-        let spill = |ext: &str| -> Result<SectionSpill, DbFormatError> {
-            SectionSpill::create(path.with_extension(ext)).map_err(io)
+        let spill = |suffix: &str| -> Result<SectionSpill, DbFormatError> {
+            SectionSpill::create(with_suffix(path, suffix)).map_err(io)
         };
         Ok(DiskDbWriter {
             path: path.to_path_buf(),
             db_name: db_name.to_string(),
-            names: spill("h3wdb.names.tmp")?,
-            index: spill("h3wdb.index.tmp")?,
-            words: spill("h3wdb.words.tmp")?,
+            names: spill(".names.tmp")?,
+            index: spill(".index.tmp")?,
+            words: spill(".words.tmp")?,
             n_seqs: 0,
             total_residues: 0,
             word_off: 0,
@@ -1132,7 +1142,7 @@ impl DiskDbWriter {
             put_u32(&mut head, crc);
         }
 
-        let final_tmp = TempPath(path.with_extension("h3wdb.tmp"));
+        let final_tmp = TempPath(with_suffix(&path, ".tmp"));
         {
             let file = std::fs::File::create(&final_tmp.0).map_err(io)?;
             let mut out = BufWriter::with_capacity(1 << 20, file);
@@ -1868,6 +1878,40 @@ pub(crate) mod tests {
             "h3wdb.words.tmp",
         ] {
             assert!(!path.with_extension(ext).exists(), "{ext} left behind");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn two_writers_whose_targets_share_a_stem_do_not_collide() {
+        let dir = std::env::temp_dir().join(format!("h3w-diskdb-stem-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // 1.2 MB of words each, past the spills' 1 MiB buffers, so the
+        // writers' bytes interleave on disk while both are open.
+        let long = |name: &str, step: usize| {
+            let mut db = SeqDb::new(name);
+            for i in 0..30 {
+                let text: String = (0..60_000)
+                    .map(|j| b"ACDEFGHIKLMNPQRSTVWY"[(i + j * step) % 20] as char)
+                    .collect();
+                let seq = DigitalSeq::from_text(&format!("{name}{i}"), &text).unwrap();
+                db.seqs.push(seq);
+            }
+            db
+        };
+        let (a, b) = (long("a", 1), long("b", 3));
+        let (path_a, path_b) = (dir.join("db.a"), dir.join("db.b"));
+        let mut wa = DiskDbWriter::create(&path_a, &a.name).unwrap();
+        let mut wb = DiskDbWriter::create(&path_b, &b.name).unwrap();
+        for (sa, sb) in a.seqs.iter().zip(&b.seqs) {
+            wa.push(sa).unwrap();
+            wb.push(sb).unwrap();
+        }
+        wa.finish().unwrap();
+        wb.finish().unwrap();
+        for (path, db) in [(&path_a, &a), (&path_b, &b)] {
+            let loaded = DiskDb::load(path).unwrap().to_seqdb();
+            assert_eq!((&loaded.name, &loaded.seqs), (&db.name, &db.seqs));
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

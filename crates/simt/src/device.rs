@@ -2,20 +2,12 @@
 //!
 //! The two GPUs the paper evaluates on, parameterized from NVIDIA's
 //! published architecture documents (Kepler GK110 whitepaper, Fermi GF110
-//! datasheet), plus the host CPU baseline of §IV. These numbers drive the
-//! occupancy calculator and the analytic timing model; they are *device
-//! facts*, not fitted constants (the few fitted constants live in
-//! [`crate::timing::CostParams`] and are documented there).
-
-/// GPU micro-architecture generation — controls feature availability
-/// (warp shuffle) and per-SM resource pools.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Arch {
-    /// GF110-class (GTX 580): no shuffle, 32 K registers/SM.
-    Fermi,
-    /// GK110-class (Tesla K40): shuffle, 64 K registers/SMX.
-    Kepler,
-}
+//! datasheet). These numbers drive the occupancy calculator (register
+//! file, shared memory, residency limits), the analytic timing model
+//! (clock, issue rate, bandwidths) and the kernels' reduction path
+//! (`has_shfl`); they are *device facts*, not fitted constants (the five
+//! fitted constants live in [`crate::timing`] and are documented there).
+//! The CPU baseline of §IV is `h3w-bench`'s `CpuModel`.
 
 /// Fixed warp width of every CUDA device the paper targets.
 pub const WARP_SIZE: usize = 32;
@@ -34,8 +26,6 @@ pub const GMEM_SEGMENT: usize = 128;
 pub struct DeviceSpec {
     /// Marketing name, for reports.
     pub name: &'static str,
-    /// Architecture generation.
-    pub arch: Arch,
     /// Streaming multiprocessors (SM / SMX).
     pub sm_count: usize,
     /// Core clock in Hz.
@@ -68,7 +58,6 @@ impl DeviceSpec {
     pub fn tesla_k40() -> DeviceSpec {
         DeviceSpec {
             name: "Tesla K40",
-            arch: Arch::Kepler,
             sm_count: 15,
             clock_hz: 745.0e6,
             regs_per_sm: 65_536,
@@ -90,7 +79,6 @@ impl DeviceSpec {
     pub fn gtx_580() -> DeviceSpec {
         DeviceSpec {
             name: "GTX 580",
-            arch: Arch::Fermi,
             sm_count: 16,
             clock_hz: 1544.0e6, // shader clock (Fermi hot clock)
             regs_per_sm: 32_768,
@@ -108,35 +96,6 @@ impl DeviceSpec {
     }
 }
 
-/// The paper's CPU baseline: Intel Core i5 quad core @ 3.4 GHz with SSE
-/// (§IV). Only the fields the CPU-side time model needs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CpuSpec {
-    /// Marketing name, for reports.
-    pub name: &'static str,
-    /// Physical cores used by hmmsearch's worker threads.
-    pub cores: usize,
-    /// Clock in Hz.
-    pub clock_hz: f64,
-    /// SIMD lanes in the byte pipeline (SSE2: 16 × u8).
-    pub byte_lanes: usize,
-    /// SIMD lanes in the word pipeline (SSE2: 8 × i16).
-    pub word_lanes: usize,
-}
-
-impl CpuSpec {
-    /// The quad-core i5 of §IV.
-    pub fn core_i5_quad() -> CpuSpec {
-        CpuSpec {
-            name: "Core i5 quad @ 3.4 GHz",
-            cores: 4,
-            clock_hz: 3.4e9,
-            byte_lanes: 16,
-            word_lanes: 8,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,7 +103,6 @@ mod tests {
     #[test]
     fn k40_facts() {
         let d = DeviceSpec::tesla_k40();
-        assert_eq!(d.arch, Arch::Kepler);
         assert!(d.has_shfl);
         assert_eq!(d.regs_per_sm, 65_536);
         assert_eq!(d.max_warps_per_sm, 64);
@@ -161,12 +119,5 @@ mod tests {
         assert!(!f.has_shfl);
         assert_eq!(f.regs_per_sm, k.regs_per_sm / 2);
         assert!(f.max_warps_per_sm < k.max_warps_per_sm);
-    }
-
-    #[test]
-    fn cpu_baseline() {
-        let c = CpuSpec::core_i5_quad();
-        assert_eq!(c.cores, 4);
-        assert_eq!(c.byte_lanes, 16);
     }
 }

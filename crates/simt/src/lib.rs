@@ -6,7 +6,7 @@
 //! events the paper's performance arguments rest on, and converts those
 //! counts to time through published device specifications.
 //!
-//! * [`device`] — Tesla K40 / GTX 580 / Core-i5 specs (device facts);
+//! * [`device`] — Tesla K40 / GTX 580 specs (device facts);
 //! * [`lanes`] — 32-wide lockstep registers, `shfl_xor`, votes;
 //! * [`smem`] — banked shared memory: conflict counting and an inter-warp
 //!   race detector (the Fig. 4 argument, mechanized);
@@ -31,7 +31,7 @@ pub mod smem;
 pub mod timing;
 
 pub use counters::KernelStats;
-pub use device::{Arch, CpuSpec, DeviceSpec, WARP_SIZE};
+pub use device::{DeviceSpec, WARP_SIZE};
 pub use exec::{
     fermi_scratch_per_warp, run_grid, run_grid_blocks, BlockKernel, GridResult, KernelConfig,
     SimtCtx, WarpKernel,
@@ -40,4 +40,4 @@ pub use fault::{DeviceFault, FaultInjector, FaultKind, FaultPlan, PlannedFault};
 pub use lanes::{lane_ids, Lanes};
 pub use occupancy::{occupancy, saturating_grid, OccLimit, Occupancy};
 pub use smem::SharedMem;
-pub use timing::{imbalance_factor, kernel_time, CostParams, TimeBreakdown};
+pub use timing::{imbalance_factor, kernel_time, TimeBreakdown};

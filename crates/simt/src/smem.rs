@@ -137,10 +137,11 @@ impl SharedMem {
     /// width `width` bytes: replays = max over banks of distinct bank-words
     /// touched in that bank.
     fn bank_cost(addrs: &Lanes<usize>, active: &Lanes<bool>, width: usize) -> AccessCost {
-        // Distinct word indices; 32 lanes max so a fixed scan beats hashing.
-        let mut seen = [usize::MAX; WARP_SIZE];
+        // The first word each bank serves, and the bank's distinct-word
+        // count. The warp kernels' accesses are conflict-free, so they
+        // never scan: every lane's word is its bank's first.
+        let mut first = [usize::MAX; SMEM_BANKS];
         let mut per_bank = [0u32; SMEM_BANKS];
-        let mut n_seen = 0usize;
         for i in 0..WARP_SIZE {
             if !active.lane(i) {
                 continue;
@@ -149,23 +150,19 @@ impl SharedMem {
             // all uses here are naturally aligned u8/u16/f32).
             let word = addrs.lane(i) / BANK_WIDTH;
             debug_assert!(width <= BANK_WIDTH);
-            let mut dup = false;
-            for &w in seen[..n_seen].iter() {
-                if w == word {
-                    dup = true;
-                    break;
-                }
-            }
-            if !dup {
-                seen[n_seen] = word;
-                n_seen += 1;
-                per_bank[word % SMEM_BANKS] += 1;
+            let bank = word % SMEM_BANKS;
+            if first[bank] == usize::MAX {
+                first[bank] = word;
+                per_bank[bank] = 1;
+            } else if first[bank] != word {
+                // Another word in this bank: new unless an earlier lane
+                // touched it too.
+                let seen = (0..i).any(|j| active.lane(j) && addrs.lane(j) / BANK_WIDTH == word);
+                per_bank[bank] += !seen as u32;
             }
         }
-        let replays = per_bank.iter().copied().max().unwrap_or(0).max(
-            // An access with any active lane costs at least one cycle.
-            active.0.iter().any(|&a| a) as u32,
-        );
+        // An access with any active lane counts at least one replay.
+        let replays = per_bank.iter().copied().max().unwrap_or(0);
         AccessCost {
             transactions: replays,
         }

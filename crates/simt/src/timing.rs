@@ -11,51 +11,41 @@
 //! * **memory**: `gmem_bytes / (BW × min(1, occ/knee_m))` — DRAM needs
 //!   fewer warps to saturate than the ALUs do.
 //!
-//! Device facts (clocks, SM counts, bandwidths) live in
-//! [`DeviceSpec`]; the three *fitted* constants
-//! live in [`CostParams`] and are documented as such. Load imbalance across
-//! resident warp slots is modeled by greedy-scheduling the measured
-//! per-warp work ([`imbalance_factor`]).
+//! Device facts (clocks, SM counts, bandwidths) live in [`DeviceSpec`].
+//! The five constants below ([`OCC_KNEE_COMPUTE`], [`OCC_KNEE_MEMORY`],
+//! [`LAUNCH_OVERHEAD_S`], [`BARRIER_EXTRA_SLOTS`], [`L2_EXTRA_SLOTS`]) are
+//! *fitted*, and no measurement on real hardware validates them (ROADMAP
+//! item 14). Load imbalance across resident warp slots is modeled by
+//! greedy-scheduling the measured per-warp work ([`imbalance_factor`]).
 
 use crate::counters::KernelStats;
 use crate::device::DeviceSpec;
 use crate::occupancy::Occupancy;
 
-/// Fitted constants of the timing model (everything else is a device fact).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostParams {
-    /// Occupancy at which the compute pipeline saturates. NVIDIA's tuning
-    /// guides put ALU-latency hiding for dependent integer chains around
-    /// 50% occupancy on Kepler/Fermi.
-    pub occ_knee_compute: f64,
-    /// Occupancy at which DRAM bandwidth saturates (memory-level
-    /// parallelism needs fewer warps; ~25%).
-    pub occ_knee_memory: f64,
-    /// Fixed per-launch overhead in seconds (driver + transfer setup).
-    pub launch_overhead_s: f64,
-    /// Extra issue slots charged per `__syncthreads` beyond the
-    /// instruction itself — the average stall while the slowest warp
-    /// arrives (fitted; NVIDIA profiling literature puts block-barrier
-    /// stalls in the tens of cycles).
-    pub barrier_extra_slots: f64,
-    /// Extra issue slots per L2 transaction beyond the LD instruction —
-    /// L2 hits occupy the load/store pipe several times longer than a
-    /// conflict-free shared-memory access (fitted ≈ 4; this is what makes
-    /// the shared configuration win for small models, §IV).
-    pub l2_extra_slots: f64,
-}
+/// Occupancy at which the compute pipeline saturates. NVIDIA's tuning
+/// guides put ALU-latency hiding for dependent integer chains around 50%
+/// occupancy on Kepler/Fermi. Fitted, unvalidated.
+pub const OCC_KNEE_COMPUTE: f64 = 0.50;
 
-impl Default for CostParams {
-    fn default() -> Self {
-        CostParams {
-            occ_knee_compute: 0.50,
-            occ_knee_memory: 0.25,
-            launch_overhead_s: 20e-6,
-            barrier_extra_slots: 64.0,
-            l2_extra_slots: 4.0,
-        }
-    }
-}
+/// Occupancy at which DRAM bandwidth saturates (memory-level parallelism
+/// needs fewer warps; ~25%). Fitted, unvalidated.
+pub const OCC_KNEE_MEMORY: f64 = 0.25;
+
+/// Fixed per-launch overhead in seconds (driver + transfer setup).
+/// Fitted, unvalidated.
+pub const LAUNCH_OVERHEAD_S: f64 = 20e-6;
+
+/// Extra issue slots charged per `__syncthreads` beyond the instruction
+/// itself: the average stall while the slowest warp arrives (NVIDIA
+/// profiling literature puts block-barrier stalls in the tens of cycles).
+/// Fitted, unvalidated.
+pub const BARRIER_EXTRA_SLOTS: f64 = 64.0;
+
+/// Extra issue slots per L2 transaction beyond the LD instruction: L2
+/// hits occupy the load/store pipe several times longer than a
+/// conflict-free shared-memory access (≈ 4; this is what makes the shared
+/// configuration win for small models, §IV). Fitted, unvalidated.
+pub const L2_EXTRA_SLOTS: f64 = 4.0;
 
 /// Where the time went.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,10 +58,6 @@ pub struct TimeBreakdown {
     pub l2_s: f64,
     /// `max(compute, memory) × imbalance + launch overhead`.
     pub total_s: f64,
-    /// Achieved compute efficiency `min(1, occ/knee_c)`.
-    pub compute_eff: f64,
-    /// Achieved memory efficiency `min(1, occ/knee_m)`.
-    pub memory_eff: f64,
     /// Applied load-imbalance factor (≥ 1).
     pub imbalance: f64,
 }
@@ -96,19 +82,18 @@ impl TimeBreakdown {
 /// factor (1.0 when unknown; see [`imbalance_factor`]).
 pub fn kernel_time(
     dev: &DeviceSpec,
-    params: &CostParams,
     stats: &KernelStats,
     occ: &Occupancy,
     imbalance: f64,
 ) -> TimeBreakdown {
     const EPS: f64 = 1e-9;
     let occv = occ.occupancy.max(EPS);
-    let compute_eff = (occv / params.occ_knee_compute).min(1.0);
-    let memory_eff = (occv / params.occ_knee_memory).min(1.0);
+    let compute_eff = (occv / OCC_KNEE_COMPUTE).min(1.0);
+    let memory_eff = (occv / OCC_KNEE_MEMORY).min(1.0);
     let issue_rate = dev.issue_per_cycle * dev.sm_count as f64 * dev.clock_hz;
     let slots = stats.issue_slots() as f64
-        + stats.barriers as f64 * params.barrier_extra_slots
-        + stats.l2_transactions as f64 * params.l2_extra_slots;
+        + stats.barriers as f64 * BARRIER_EXTRA_SLOTS
+        + stats.l2_transactions as f64 * L2_EXTRA_SLOTS;
     let compute_s = slots / (issue_rate * compute_eff.max(EPS));
     let memory_s = stats.gmem_bytes as f64 / (dev.gmem_bw * memory_eff.max(EPS));
     let l2_s = stats.l2_bytes as f64 / (dev.l2_bw * memory_eff.max(EPS));
@@ -117,9 +102,7 @@ pub fn kernel_time(
         compute_s,
         memory_s,
         l2_s,
-        total_s: compute_s.max(memory_s).max(l2_s) * imbalance + params.launch_overhead_s,
-        compute_eff,
-        memory_eff,
+        total_s: compute_s.max(memory_s).max(l2_s) * imbalance + LAUNCH_OVERHEAD_S,
         imbalance,
     }
 }
@@ -167,43 +150,41 @@ mod tests {
     #[test]
     fn compute_bound_scales_with_instructions() {
         let dev = DeviceSpec::tesla_k40();
-        let p = CostParams::default();
         let mut s = KernelStats {
             instructions: 1_000_000,
             ..Default::default()
         };
-        let t1 = kernel_time(&dev, &p, &s, &occ(&dev, 1.0), 1.0);
+        let t1 = kernel_time(&dev, &s, &occ(&dev, 1.0), 1.0);
         s.instructions *= 10;
-        let t10 = kernel_time(&dev, &p, &s, &occ(&dev, 1.0), 1.0);
-        let ratio = (t10.total_s - p.launch_overhead_s) / (t1.total_s - p.launch_overhead_s);
+        let t10 = kernel_time(&dev, &s, &occ(&dev, 1.0), 1.0);
+        let ratio = (t10.total_s - LAUNCH_OVERHEAD_S) / (t1.total_s - LAUNCH_OVERHEAD_S);
         assert!((ratio - 10.0).abs() < 1e-6);
     }
 
     #[test]
     fn low_occupancy_slows_compute() {
         let dev = DeviceSpec::tesla_k40();
-        let p = CostParams::default();
         let s = KernelStats {
             instructions: 10_000_000,
             ..Default::default()
         };
-        let fast = kernel_time(&dev, &p, &s, &occ(&dev, 0.75), 1.0);
-        let slow = kernel_time(&dev, &p, &s, &occ(&dev, 0.125), 1.0);
+        let fast = kernel_time(&dev, &s, &occ(&dev, 0.75), 1.0);
+        let slow = kernel_time(&dev, &s, &occ(&dev, 0.125), 1.0);
         // 0.75 is above the 0.5 knee (full speed); 0.125 is 4× below.
         assert!((slow.compute_s / fast.compute_s - 4.0).abs() < 1e-6);
-        assert_eq!(fast.compute_eff, 1.0);
+        let full = kernel_time(&dev, &s, &occ(&dev, 1.0), 1.0);
+        assert_eq!(fast.compute_s, full.compute_s);
     }
 
     #[test]
     fn memory_bound_kernel_hits_bandwidth() {
         let dev = DeviceSpec::tesla_k40();
-        let p = CostParams::default();
         let s = KernelStats {
             instructions: 1000,
             gmem_bytes: 288_000_000_000, // 1 second at peak BW
             ..Default::default()
         };
-        let t = kernel_time(&dev, &p, &s, &occ(&dev, 1.0), 1.0);
+        let t = kernel_time(&dev, &s, &occ(&dev, 1.0), 1.0);
         assert!((t.memory_s - 1.0).abs() < 1e-9);
         assert!(t.total_s >= t.memory_s);
         assert!(t.memory_s > t.compute_s);
@@ -214,7 +195,6 @@ mod tests {
         // End-to-end: a register-fat config should cost ~2× the time of a
         // lean one for identical work on the compute side.
         let dev = DeviceSpec::tesla_k40();
-        let p = CostParams::default();
         let s = KernelStats {
             instructions: 50_000_000,
             ..Default::default()
@@ -240,8 +220,8 @@ mod tests {
             },
         );
         assert!(lean.occupancy >= 2.0 * fat.occupancy);
-        let tl = kernel_time(&dev, &p, &s, &lean, 1.0);
-        let tf = kernel_time(&dev, &p, &s, &fat, 1.0);
+        let tl = kernel_time(&dev, &s, &lean, 1.0);
+        let tf = kernel_time(&dev, &s, &fat, 1.0);
         assert!(tf.compute_s > 1.5 * tl.compute_s);
     }
 

@@ -218,15 +218,12 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
                 banner(source.label(), n_seqs, source.total_residues());
             }
             eprintln!("streaming in ≤{max}-residue chunks");
-            if let Some(path) = path.filter(|p| p.exists()) {
-                eprintln!("resuming from checkpoint {}", path.display());
-            }
             let options = StreamOptions {
                 checkpoint: pinned.map(|(p, _, identity)| (p, identity)),
                 observer: None,
             };
             let total_seqs = pinned.map(|(_, n_seqs, _)| n_seqs);
-            let res = search_chunks(
+            let report = search_chunks(
                 &pipe,
                 source.chunks(max),
                 total_seqs,
@@ -240,8 +237,8 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
                     StreamError::Checkpoint(e) => e.into(),
                     other => other.to_string().into(),
                 }
-            })?
-            .result;
+            })?;
+            let res = report.result;
             if res.db_size == 0 {
                 return Err(no_sequences());
             }
@@ -249,6 +246,14 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
                 banner(source.label(), res.db_size, res.stages[0].residues_in);
             }
             if let Some(path) = path {
+                // Only once the file has been read and accepted.
+                if report.resumed_chunks > 0 {
+                    let k = report.resumed_chunks;
+                    eprintln!(
+                        "swept from chunk {k} on, resuming from checkpoint {}",
+                        path.display()
+                    );
+                }
                 eprintln!("checkpoint saved to {}", path.display());
             }
             res

@@ -40,7 +40,8 @@ impl std::fmt::Display for ToolError {
         match self {
             ToolError::Usage(msg) => write!(f, "{msg}"),
             ToolError::Sweep(e) => write!(f, "device sweep failed: {e}"),
-            ToolError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
+            // Every checkpoint error names the checkpoint itself.
+            ToolError::Checkpoint(e) => write!(f, "{e}"),
             ToolError::Config(e) => write!(f, "bad pipeline configuration: {e}"),
             ToolError::Db(e) => write!(f, "packed database: {e}"),
             ToolError::Serve(e) => write!(f, "serve: {e}"),

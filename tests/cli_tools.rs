@@ -585,6 +585,47 @@ fn checkpointed_search_resumes_to_identical_output() {
 }
 
 #[test]
+fn an_old_json_checkpoint_is_refused_before_any_resume_is_announced() {
+    let dir = tmpdir("ckpt-json");
+    let hmm = dir.join("q.hmm");
+    let fasta = dir.join("t.fasta");
+    let ckpt = dir.join("sweep.ckpt");
+    let out = Command::new(env!("CARGO_BIN_EXE_hmmbuild"))
+        .args([hmm.to_str().unwrap(), "--synthetic", "55", "--seed", "3"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = Command::new(env!("CARGO_BIN_EXE_dbgen"))
+        .args([fasta.to_str().unwrap(), "--scale", "0.00008"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    // A version-2 checkpoint, as that format's writer left it: one JSON
+    // object and no final newline.
+    std::fs::write(
+        &ckpt,
+        "{\"version\":2,\"chunks_done\":1,\"seq_base\":40,\"total_seqs\":80,\
+         \"db_hash\":\"0000000000000000\",\"stages\":[],\"hits\":[]}",
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_hmmsearch"))
+        .args([hmm.to_str().unwrap(), fasta.to_str().unwrap()])
+        .args(["--chunk", "5000", "--checkpoint", ckpt.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        !stderr.contains("resum"),
+        "a refused file is no resume:\n{stderr}"
+    );
+    let error = stderr.lines().find(|l| l.starts_with("hmmsearch:"));
+    let error = error.unwrap_or_else(|| panic!("no error line in\n{stderr}"));
+    assert_eq!(error.matches("checkpoint").count(), 1, "{error}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn hmmscan_multi_model_library() {
     let dir = tmpdir("scan");
     let h1 = dir.join("a.hmm");

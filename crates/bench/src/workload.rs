@@ -132,8 +132,9 @@ pub fn measure_rates(
 ) -> Result<MeasuredRates, String> {
     // Any feasible config measures the same data-dependent behaviour; the
     // global config always fits.
-    let msv_run = run_msv_device(msv, &wl.packed, dev, Some(MemConfig::Global))?;
-    let vit_run = run_vit_device(vit, &wl.packed, dev, Some(MemConfig::Global))?;
+    let global = Some(MemConfig::Global);
+    let msv_run = run_msv_device(msv, &wl.packed, dev, global).map_err(|e| e.to_string())?;
+    let vit_run = run_vit_device(vit, &wl.packed, dev, global).map_err(|e| e.to_string())?;
     let total_rows = wl.sample_agg.total_residues.max(1);
     let total_words = wl.sample_agg.total_words.max(1);
     // Executed words: recovered from the stats (each word is one uniform

@@ -4,11 +4,10 @@
 //! across multiple devices without any dependencies" — each device gets a
 //! slice of the database, runs the same kernels, and the wall time is the
 //! makespan. [`partition`] is the one split, order-preserving
-//! round-robin: the recovery engine ([`crate::fault::run_chunks_ft`])
-//! uses it for a stage's first split and for a dead device's
-//! redistribution alike. It beat a length-balanced split on modelled
-//! makespan (EXPERIMENTS.md E22). The functional multi-device sweep is
-//! `h3w-pipeline`'s device plan. Fig. 11's four-device numbers are not
+//! round-robin: `h3w-pipeline`'s device pool gives part `k` of each
+//! stage's ids to device `k`, one launch each, and times the stage as the
+//! slowest launch. It beat a length-balanced split on modelled makespan
+//! (EXPERIMENTS.md E22). Fig. 11's four-device numbers are not
 //! taken from it: they time an even quarter of the aggregates through
 //! [`crate::tiered::model_stage_time`], an assumption [`partition`] does
 //! not bound (modelled, unvalidated: E22).
@@ -18,8 +17,7 @@
 /// `ids` unchanged, so a pool of one launches exactly the single-device
 /// kernel call; an ascending list splits into ascending parts.
 pub fn partition(ids: &[u32], n: usize) -> Vec<Vec<u32>> {
-    // Cannot fire from the engine, which rejects an empty pool and
-    // redistributes only while a device is alive.
+    // Cannot fire from the device pool, which rejects an empty pool.
     assert!(n >= 1);
     let mut parts = vec![Vec::with_capacity(ids.len().div_ceil(n)); n];
     for (i, &id) in ids.iter().enumerate() {

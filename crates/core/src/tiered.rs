@@ -9,7 +9,6 @@
 //! global-memory tables by *modeled time*, which lands the switch near the
 //! paper's observed threshold (≈ model size 1002 for MSV on Kepler).
 
-use crate::fault::{DeviceCtx, SweepError};
 use crate::fwd_warp::{FwdHit, FwdWarpKernel};
 use crate::layout::{best_config, smem_layout, MemConfig, SmemLayout, Stage};
 use crate::msv_warp::{MsvHit, MsvWarpKernel};
@@ -22,6 +21,37 @@ use h3w_simt::{
     imbalance_factor, kernel_time, run_grid, saturating_grid, DeviceSpec, KernelConfig,
     KernelStats, Occupancy, TimeBreakdown, WarpKernel, WARP_SIZE,
 };
+
+/// Why a device stage could not run: each is a planning error that a
+/// real input (a model, a plan) can raise.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SweepError {
+    /// No kernel configuration of this stage fits this model on the device.
+    NoConfig {
+        /// The stage.
+        stage: Stage,
+        /// Model size that fit nothing.
+        m: usize,
+    },
+    /// The engine rejected the launch's geometry or resources.
+    Launch(String),
+    /// The sweep was given a pool of no devices.
+    NoDevices,
+}
+
+impl std::fmt::Display for SweepError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SweepError::NoConfig { stage, m } => {
+                write!(f, "{stage:?}: model size {m} fits no configuration")
+            }
+            SweepError::Launch(msg) => write!(f, "launch rejected: {msg}"),
+            SweepError::NoDevices => write!(f, "the device pool has no devices"),
+        }
+    }
+}
+
+impl std::error::Error for SweepError {}
 
 /// Default grid depth: blocks per SM slot, so each warp slot sees several
 /// sequences and the striding amortizes tails.
@@ -146,27 +176,17 @@ pub fn auto_mem_config(
 /// The launch sequence every device stage shares: pick the table
 /// placement (`mem = None` applies the automatic switch), take the
 /// residency-maximizing block shape, size the grid to the work, lay out
-/// shared memory, build the kernel, and run it. The fault injector is
-/// consulted exactly where a real `cudaLaunchKernel` /
-/// `cudaDeviceSynchronize` error would surface: before the grid runs.
-/// Returns the per-warp outputs in launch order.
+/// shared memory, build the kernel, and run it. Returns the per-warp
+/// outputs in launch order.
 fn launch<K: WarpKernel>(
     stage: Stage,
     m: usize,
     db: PackedView<'_>,
     dev: &DeviceSpec,
     mem: Option<MemConfig>,
-    ctx: &DeviceCtx,
     kernel: impl FnOnce(MemConfig, SmemLayout) -> K,
 ) -> Result<(Vec<K::Out>, StageRun), SweepError> {
-    let no_config = || SweepError::NoConfig {
-        stage: match stage {
-            Stage::Msv => "msv",
-            Stage::Viterbi => "viterbi",
-            Stage::Forward => "forward",
-        },
-        m,
-    };
+    let no_config = || SweepError::NoConfig { stage, m };
     let mem = mem
         .or_else(|| auto_mem_config(stage, m, dev, &DbAggregates::from_packed(db)))
         .ok_or_else(no_config)?;
@@ -174,11 +194,7 @@ fn launch<K: WarpKernel>(
     cfg.blocks = saturating_grid(dev, &occ, DEFAULT_WAVES)
         .min(db.n_seqs().div_ceil(cfg.warps_per_block).max(1));
     let kernel = kernel(mem, smem_layout(stage, m, cfg.warps_per_block, mem, dev));
-    ctx.check_launch()?;
-    let r = run_grid(dev, &cfg, &kernel).map_err(|msg| SweepError::Launch {
-        device: ctx.device,
-        msg,
-    })?;
+    let r = run_grid(dev, &cfg, &kernel).map_err(SweepError::Launch)?;
     let slots = (occ.resident_warps * dev.sm_count).max(1);
     let imbalance = imbalance_factor(&r.work_per_unit, slots);
     let time = kernel_time(dev, &r.stats, &occ, imbalance);
@@ -193,28 +209,16 @@ fn launch<K: WarpKernel>(
     Ok((r.outputs, run))
 }
 
-/// [`run_msv_device_on`] on a fault-free device 0. The pipeline's device
-/// pool calls only the `_on` entries.
+/// Run the MSV stage functionally on one simulated device. `mem = None`
+/// applies the automatic switch.
 pub fn run_msv_device<'a>(
     om: &MsvProfile,
     db: impl Into<PackedView<'a>>,
     dev: &DeviceSpec,
     mem: Option<MemConfig>,
 ) -> Result<MsvRun, SweepError> {
-    run_msv_device_on(om, db, dev, mem, &DeviceCtx::fault_free())
-}
-
-/// Run the MSV stage functionally on one device of a pool (`ctx`: its id
-/// and fault injector). `mem = None` applies the automatic switch.
-pub fn run_msv_device_on<'a>(
-    om: &MsvProfile,
-    db: impl Into<PackedView<'a>>,
-    dev: &DeviceSpec,
-    mem: Option<MemConfig>,
-    ctx: &DeviceCtx,
-) -> Result<MsvRun, SweepError> {
     let db = db.into();
-    let (outs, run) = launch(Stage::Msv, om.m, db, dev, mem, ctx, |mem, layout| {
+    let (outs, run) = launch(Stage::Msv, om.m, db, dev, mem, |mem, layout| {
         MsvWarpKernel {
             om,
             db,
@@ -227,26 +231,15 @@ pub fn run_msv_device_on<'a>(
     Ok(MsvRun { hits, run })
 }
 
-/// [`run_vit_device_on`] on a fault-free device 0.
+/// Run the P7Viterbi stage functionally on one simulated device.
 pub fn run_vit_device<'a>(
     om: &VitProfile,
     db: impl Into<PackedView<'a>>,
     dev: &DeviceSpec,
     mem: Option<MemConfig>,
 ) -> Result<VitRun, SweepError> {
-    run_vit_device_on(om, db, dev, mem, &DeviceCtx::fault_free())
-}
-
-/// Run the P7Viterbi stage functionally on one device of a pool.
-pub fn run_vit_device_on<'a>(
-    om: &VitProfile,
-    db: impl Into<PackedView<'a>>,
-    dev: &DeviceSpec,
-    mem: Option<MemConfig>,
-    ctx: &DeviceCtx,
-) -> Result<VitRun, SweepError> {
     let db = db.into();
-    let (outs, run) = launch(Stage::Viterbi, om.m, db, dev, mem, ctx, |mem, layout| {
+    let (outs, run) = launch(Stage::Viterbi, om.m, db, dev, mem, |mem, layout| {
         VitWarpKernel {
             om,
             db,
@@ -264,16 +257,16 @@ pub fn run_vit_device_on<'a>(
     Ok(VitRun { hits, lazy, run })
 }
 
-/// Run the Forward stage functionally on one device of a pool.
-pub fn run_fwd_device_on<'a>(
+/// Run the Forward stage functionally on one simulated device (global
+/// tables, its one configuration).
+pub fn run_fwd_device<'a>(
     prof: &h3w_hmm::Profile,
     db: impl Into<PackedView<'a>>,
     dev: &DeviceSpec,
-    ctx: &DeviceCtx,
 ) -> Result<FwdRun, SweepError> {
     let db = db.into();
     let global = Some(MemConfig::Global);
-    let (outs, run) = launch(Stage::Forward, prof.m, db, dev, global, ctx, |_, layout| {
+    let (outs, run) = launch(Stage::Forward, prof.m, db, dev, global, |_, layout| {
         FwdWarpKernel { prof, db, layout }
     })?;
     let mut hits: Vec<FwdHit> = outs.into_iter().flatten().collect();
@@ -382,6 +375,30 @@ mod tests {
         let (_, stats, _) =
             model_stage_time(Stage::Msv, 40, &dev, global, &agg, &Effort::default()).unwrap();
         assert_eq!(stats, functional.run.stats);
+    }
+
+    #[test]
+    fn model_stage_time_matches_a_shared_launch_at_the_models_grid() {
+        // Shared tables are staged once per block, so the counts depend
+        // on the grid: launch at the grid the model assumes, however
+        // small the database.
+        let dev = DeviceSpec::tesla_k40();
+        let (p, packed, agg) = background(40);
+        let msv = MsvProfile::from_profile(&p);
+        let shared = MemConfig::Shared;
+        let (mut cfg, occ) = best_config(Stage::Msv, msv.m, shared, &dev).unwrap();
+        cfg.blocks = saturating_grid(&dev, &occ, DEFAULT_WAVES);
+        let db = PackedView::from(&packed);
+        let kernel = MsvWarpKernel {
+            om: &msv,
+            db,
+            mem: shared,
+            layout: smem_layout(Stage::Msv, msv.m, cfg.warps_per_block, shared, &dev),
+        };
+        let functional = run_grid(&dev, &cfg, &kernel).unwrap();
+        let (_, stats, _) =
+            model_stage_time(Stage::Msv, 40, &dev, shared, &agg, &Effort::default()).unwrap();
+        assert_eq!(stats, functional.stats);
     }
 
     #[test]

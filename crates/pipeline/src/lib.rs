@@ -33,13 +33,12 @@ pub mod stream;
 
 pub use checkpoint::{CheckpointError, StreamCheckpoint};
 pub use config::{ConfigError, PipelineConfig, PipelineConfigBuilder};
-pub use h3w_core::fault::SweepError;
+pub use h3w_core::tiered::SweepError;
 pub use h3w_trace::{Telemetry, Trace};
 pub use multi::{
     best_hits_per_target, prepare_scan, scan, scan_prepared, FamilyResult, ScanError, ScanReport,
     TargetMatch,
 };
-pub use orchestrator::FtSweep;
 pub use report::{Hit, PipelineResult, StageStats};
 pub use run::{ExecPlan, Pipeline, SearchReport};
 pub use stream::{

@@ -23,7 +23,7 @@
 use crate::config::{ConfigError, PipelineConfig};
 use crate::report::{Hit, PipelineResult, StageStats};
 use crate::run::{ExecPlan, Pipeline};
-use h3w_core::fault::SweepError;
+use h3w_core::tiered::SweepError;
 use h3w_cpu::PoolHandle;
 use h3w_hmm::plan7::CoreModel;
 use h3w_seqdb::SeqDb;

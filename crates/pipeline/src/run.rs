@@ -34,9 +34,9 @@
 //! when enabled.
 
 use crate::config::PipelineConfig;
-use crate::orchestrator::{FtPool, FtSweep};
+use crate::orchestrator::DevicePool;
 use crate::report::{Hit, PipelineResult, StageStats};
-use h3w_core::fault::{SweepError, SweepTrace};
+use h3w_core::tiered::SweepError;
 use h3w_cpu::striped_fwd::StripedFwd;
 use h3w_cpu::striped_msv::StripedMsv;
 use h3w_cpu::striped_vit::StripedVit;
@@ -78,35 +78,42 @@ pub(crate) type StageOut = (Vec<Vec<f32>>, f64);
 /// identical survivor lists, identical hit assembly. Because the CPU and
 /// device filters are bit-exact, the reported hits are plan-invariant;
 /// only the stage labels and (measured vs modeled) stage times differ.
-#[derive(Clone)]
-pub enum ExecPlan<'a> {
+#[derive(Debug, Clone)]
+pub enum ExecPlan {
     /// The multi-core striped CPU baseline.
     Cpu,
     /// MSV + Viterbi on one simulated device, Forward on the host — the
-    /// paper's deployment: a fault-free [`ExecPlan::Devices`] pool of one.
+    /// paper's deployment: an [`ExecPlan::Devices`] pool of one.
     Device {
         /// The simulated device.
         dev: DeviceSpec,
     },
-    /// The device stages over a pool of simulated devices through the
-    /// fault-recovery engine (`crate::orchestrator`).
+    /// The device stages over a pool of simulated devices, the database
+    /// partitioned across them (`crate::orchestrator`).
     Devices {
-        /// The simulated device every pool member is.
+        /// The simulated device every pool member is (§IV-A).
         dev: DeviceSpec,
-        /// Pool size, fault injector, Forward's tier.
-        pool: FtSweep<'a>,
+        /// Pool size.
+        n_devices: usize,
+        /// Run Forward on the pool too (§VI future work); otherwise it
+        /// stays on the host, as in the paper's deployment.
+        forward_on_device: bool,
     },
 }
 
-impl<'a> ExecPlan<'a> {
-    /// The one device-plan shape: the device and pool a plan runs its
-    /// device stages on (`Device { dev }` is a fault-free pool of one),
-    /// `None` for the CPU plan.
-    fn device_pool(&self) -> Option<(&DeviceSpec, FtSweep<'a>)> {
+impl ExecPlan {
+    /// The one device-plan shape: the device, pool size and Forward tier
+    /// a plan runs its device stages on (`Device { dev }` is a pool of
+    /// one with Forward on the host), `None` for the CPU plan.
+    pub(crate) fn device_pool(&self) -> Option<(&DeviceSpec, usize, bool)> {
         match self {
             ExecPlan::Cpu => None,
-            ExecPlan::Device { dev } => Some((dev, FtSweep::fault_free(1))),
-            ExecPlan::Devices { dev, pool } => Some((dev, *pool)),
+            ExecPlan::Device { dev } => Some((dev, 1, false)),
+            ExecPlan::Devices {
+                dev,
+                n_devices,
+                forward_on_device,
+            } => Some((dev, *n_devices, *forward_on_device)),
         }
     }
 
@@ -115,28 +122,24 @@ impl<'a> ExecPlan<'a> {
     /// on the host; on a device pool `(GPU)` for one device and
     /// `(multi-GPU)` for more, with Forward's tier, `(host)` or `(GPU)`.
     pub fn stage_labels(&self) -> [&'static str; 3] {
-        let Some((_, pool)) = self.device_pool() else {
+        let Some((_, n_devices, forward_on_device)) = self.device_pool() else {
             return ["MSV", "P7Viterbi", "Forward"];
         };
-        let multi = (pool.n_devices > 1) as usize;
+        let multi = (n_devices > 1) as usize;
         [
             ["MSV (GPU)", "MSV (multi-GPU)"][multi],
             ["P7Viterbi (GPU)", "P7Viterbi (multi-GPU)"][multi],
-            ["Forward (host)", "Forward (GPU)"][pool.forward_on_device as usize],
+            ["Forward (host)", "Forward (GPU)"][forward_on_device as usize],
         ]
     }
 }
 
-/// A completed [`Pipeline::search_traced`]: results, recovery journal,
-/// and (when the trace was armed) the telemetry snapshot.
+/// A completed [`Pipeline::search_traced`]: results and (when the trace
+/// was armed) the telemetry snapshot.
 #[derive(Debug)]
 pub struct SearchReport {
-    /// Hits and funnel counters — plan- and fault-invariant.
+    /// Hits and funnel counters — plan-invariant.
     pub result: PipelineResult,
-    /// What the recovery engine did (empty for the CPU plan).
-    pub recovery: SweepTrace,
-    /// True if a device stage fell back to the striped CPU.
-    pub degraded_to_cpu: bool,
     /// The per-run telemetry tree (`None` when the trace was disabled).
     pub telemetry: Option<Telemetry>,
 }
@@ -358,7 +361,7 @@ impl Pipeline {
     }
 
     /// [`Pipeline::search`] with a caller-supplied telemetry trace and
-    /// the full report (recovery journal, telemetry snapshot).
+    /// the full report (telemetry snapshot).
     ///
     /// With a disabled trace every hook is a no-op (no clock reads, no
     /// allocation). With an enabled trace the accounting passes run
@@ -377,28 +380,20 @@ impl Pipeline {
         let pool_before = trace.is_on().then(|| self.pool().stats());
 
         let labels = plan.stage_labels();
-        let mut devices = match plan.device_pool() {
-            Some((dev, pool)) => Some(FtPool::new(dev, pool, labels, db, trace)?),
-            None => None,
-        };
+        let devices = DevicePool::new(plan, db, trace)?;
 
-        // Each stage on the plan's pool when it owns the stage and has a
-        // device left, on the host otherwise.
+        // Each stage on the plan's pool when it owns the stage, on the
+        // host otherwise.
         let mut results = Self::funnel(&[self], db, labels, |stage, sels| {
-            let on_pool = match devices.as_mut() {
-                Some(pool) => pool.stage(self, stage, sels[0], trace)?,
-                None => None,
-            };
-            let (scores, secs) = match (on_pool, stage) {
-                (Some(out), _) => out,
-                (None, Stage::Msv) => self.msv_stage_host(db, trace),
-                (None, _) => self.host_stage_one(stage, db, sels[0]),
+            let (scores, secs) = match devices.as_ref() {
+                Some(pool) if pool.owns(stage) => pool.stage(self, stage, sels[0], trace)?,
+                _ if matches!(stage, Stage::Msv) => self.msv_stage_host(db, trace),
+                _ => self.host_stage_one(stage, db, sels[0]),
             };
             Ok((vec![scores], secs))
         })?;
         // One pipe in, one result out.
         let result = results.swap_remove(0);
-        let (journal, degraded) = devices.map_or_else(Default::default, |pool| pool.finish(trace));
         if trace.is_on() {
             // Funnel telemetry is recorded *from* the stage records, so
             // the `--profile` tree and the StageStats report can never
@@ -438,8 +433,6 @@ impl Pipeline {
         drop(whole);
         Ok(SearchReport {
             result,
-            recovery: journal,
-            degraded_to_cpu: degraded,
             telemetry: trace.snapshot(),
         })
     }
@@ -559,7 +552,7 @@ impl Pipeline {
     }
 
     /// One host stage of this pipeline alone, on its own pool (also
-    /// calibration's, and a device pool's CPU fallback).
+    /// calibration's, and a device plan's host Forward).
     fn host_stage_one(&self, stage: Stage, db: &SeqDb, ids: Option<&[u32]>) -> (Vec<f32>, f64) {
         let (mut scores, secs) = Self::host_stage(self.pool(), &[self], stage, db, &[ids]);
         (scores.swap_remove(0), secs)
@@ -758,10 +751,10 @@ mod tests {
     #[test]
     fn an_empty_device_pool_is_a_typed_error() {
         let (pipe, db) = setup(0.0, 0.00001);
-        let pool = FtSweep::fault_free(0);
         let plan = ExecPlan::Devices {
             dev: DeviceSpec::tesla_k40(),
-            pool,
+            n_devices: 0,
+            forward_on_device: false,
         };
         assert_eq!(pipe.search(&db, &plan).unwrap_err(), SweepError::NoDevices);
     }

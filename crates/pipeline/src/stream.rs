@@ -5,10 +5,9 @@
 //! any [`SeqSource`] (in-memory [`SeqDb`], packed `DiskDb`, FASTA text or
 //! file, or a generation recipe that never materializes) in bounded-size
 //! chunks, each swept with the normal parallel pipeline under **any**
-//! [`ExecPlan`] — threads, batching, the device pool, and fault
-//! injection all apply per chunk; a device plan partitions each chunk's
-//! stages across its pool, so device recovery operates at source-chunk
-//! granularity. Per-chunk survivors merge with E-values kept
+//! [`ExecPlan`] — threads, batching and the device pool all apply per
+//! chunk; a device plan partitions each chunk's stages across its pool.
+//! Per-chunk survivors merge with E-values kept
 //! global (P-values scale by the *whole* database size, exactly as a
 //! single-pass run would), so streamed hits are bit-identical to
 //! single-pass hits. That size is either pinned by the caller or, when
@@ -34,7 +33,7 @@
 use crate::checkpoint::{CheckpointError, StreamCheckpoint};
 use crate::report::PipelineResult;
 use crate::run::{ExecPlan, Pipeline};
-use h3w_core::fault::SweepError;
+use h3w_core::tiered::SweepError;
 use h3w_seqdb::source::{SeqSource, SourceError};
 use h3w_seqdb::{length_bins, SeqDb};
 use h3w_trace::Trace;
@@ -110,15 +109,12 @@ pub struct ChunkProgress {
 /// checks and chaos injection at chunk boundaries.
 pub type ChunkObserver<'o> = &'o mut dyn FnMut(&ChunkProgress) -> Result<(), String>;
 
-/// A completed streamed sweep: the (plan- and fault-invariant) results
-/// plus whether any fault-tolerant chunk fell back to the CPU.
+/// A completed streamed sweep: the (plan-invariant) results and how
+/// much of them a checkpoint resume skipped.
 #[derive(Debug)]
 pub struct StreamReport {
     /// Merged hits and funnel counters.
     pub result: PipelineResult,
-    /// True if any chunk's device pool degraded to the striped
-    /// CPU backend.
-    pub degraded_to_cpu: bool,
     /// Chunks a checkpoint resume skipped (already swept in an earlier
     /// run); 0 when the sweep started fresh.
     pub resumed_chunks: usize,
@@ -207,7 +203,6 @@ where
     let resume_from = state.chunks_done;
     let mut skipped_seqs = 0u32;
     let mut residues_done = 0u64;
-    let mut degraded = false;
     let mut chunks_seen = 0usize;
     for (i, chunk) in chunks.into_iter().enumerate() {
         let chunk = chunk.map_err(Into::<StreamError>::into)?;
@@ -248,9 +243,7 @@ where
             // means more partially-filled batches.
             trace.add("stream", "len_bins", length_bins(chunk).len() as u64);
         }
-        let report = pipe.search_traced(chunk, plan, trace)?;
-        degraded |= report.degraded_to_cpu;
-        let res = report.result;
+        let res = pipe.search_traced(chunk, plan, trace)?.result;
         for (acc, st) in state.stages.iter_mut().zip(&res.stages) {
             acc.seqs_in += st.seqs_in;
             acc.seqs_out += st.seqs_out;
@@ -318,7 +311,6 @@ where
     hits.sort_by(|a, b| a.evalue.total_cmp(&b.evalue));
     Ok(StreamReport {
         result: PipelineResult::new(stages, hits, db_size),
-        degraded_to_cpu: degraded,
         resumed_chunks: resume_from,
     })
 }
@@ -416,8 +408,7 @@ mod tests {
                 &Trace::off(),
             )
         };
-        let report = observed(&mut obs).unwrap();
-        assert!(!report.degraded_to_cpu);
+        observed(&mut obs).unwrap();
         assert_eq!(seen.len(), shards.len());
         assert_eq!(seen[0], (0, 0, 0));
         assert!(seen.windows(2).all(|w| w[0] < w[1]));

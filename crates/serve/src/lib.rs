@@ -2,18 +2,17 @@
 //!
 //! A deployed homology-search pipeline is not a one-shot CLI run: the
 //! target database is loaded once, validated, and served for days, with
-//! queries arriving concurrently, misbehaving, timing out, and the host
-//! occasionally losing an accelerator. This crate is that deployment
-//! shape for the workspace's HMMER3 pipeline, built on the same three
-//! invariants the rest of the tree maintains:
+//! queries arriving concurrently, misbehaving and timing out. This crate
+//! is that deployment shape for the workspace's HMMER3 pipeline, built on
+//! the same three invariants the rest of the tree maintains:
 //!
 //! 1. **Bit-identity** — a served query returns exactly the hits a
 //!    one-shot `hmmsearch` run reports over the same database, down to
 //!    the float bits (scores cross the wire as raw IEEE-754).
 //! 2. **Typed failure** — every way a query can fail (malformed frame,
-//!    unparsable HMM, shed under load, expired deadline, panic, device
-//!    loss, drain) maps to a typed [`protocol::ErrorKind`]; the process
-//!    never crashes and never answers with garbage.
+//!    unparsable HMM, shed under load, expired deadline, panic, drain)
+//!    maps to a typed [`protocol::ErrorKind`]; the process never
+//!    crashes and never answers with garbage.
 //! 3. **Observability** — the service aggregates every query's funnel
 //!    telemetry ([`h3w_trace`]) and serves it, with queue/shed/deadline
 //!    counters, from the metrics endpoint and the final drain flush.

@@ -156,8 +156,6 @@ pub enum Request {
 pub enum Response {
     /// Successful search.
     Hits {
-        /// True if any fault-tolerant device stage fell back to the CPU.
-        degraded: bool,
         /// Reported hits, best E-value first.
         hits: Vec<WireHit>,
     },
@@ -277,9 +275,8 @@ impl Response {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         match self {
-            Response::Hits { degraded, hits } => {
+            Response::Hits { hits } => {
                 buf.push(OP_HITS);
-                buf.push(u8::from(*degraded));
                 buf.extend_from_slice(&(hits.len() as u32).to_be_bytes());
                 for h in hits {
                     buf.extend_from_slice(&h.seqid.to_be_bytes());
@@ -310,7 +307,6 @@ impl Response {
         let mut cur = Cursor::new(payload);
         let resp = match cur.u8()? {
             OP_HITS => {
-                let degraded = cur.u8()? != 0;
                 let n = cur.u32()? as usize;
                 // Each hit is ≥ 36 bytes; reject counts the payload
                 // cannot possibly hold before allocating.
@@ -336,7 +332,7 @@ impl Response {
                         evalue,
                     });
                 }
-                Response::Hits { degraded, hits }
+                Response::Hits { hits }
             }
             OP_ERROR => Response::Error {
                 kind: ErrorKind::from_code(cur.u8()?)?,
@@ -459,10 +455,7 @@ mod tests {
             pvalue: 1.0e-300,
             evalue: 0.1 + 0.2, // not representable exactly: bit transport must preserve it
         };
-        roundtrip_resp(Response::Hits {
-            degraded: true,
-            hits: vec![hit],
-        });
+        roundtrip_resp(Response::Hits { hits: vec![hit] });
     }
 
     #[test]

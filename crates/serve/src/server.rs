@@ -1,5 +1,5 @@
 //! The daemon: accept loop, fair bounded admission, per-query deadlines,
-//! panic isolation, degradation under device loss, graceful drain.
+//! panic isolation, graceful drain.
 //!
 //! ## Failure containment
 //!
@@ -13,8 +13,6 @@
 //! - a panicking query (poisoned model, engine bug, injected chaos) is
 //!   caught at the query boundary → [`ErrorKind::Internal`]; the worker
 //!   slot is released and the daemon keeps serving;
-//! - simulated device loss degrades *that query* to the striped CPU via
-//!   the fault-recovery engine — same hits, `degraded` flagged;
 //! - SIGTERM flips the drain flag: new queries get
 //!   [`ErrorKind::ShuttingDown`], in-flight queries finish, the final
 //!   metrics document is flushed, the process exits 0.
@@ -32,12 +30,11 @@ use crate::protocol::{
 use crate::resident::ResidentDb;
 use crate::QUERY_SEED;
 use h3w_pipeline::{
-    search_chunks, ChunkProgress, ExecPlan, FtSweep, Pipeline, PipelineConfig, StreamError,
-    StreamOptions, Trace,
+    search_chunks, ChunkProgress, ExecPlan, Pipeline, PipelineConfig, StreamError, StreamOptions,
+    Trace,
 };
 use h3w_seqdb::diskdb::fnv1a;
 use h3w_seqdb::DbFormatError;
-use h3w_simt::{DeviceSpec, FaultInjector, FaultPlan};
 use h3w_trace::json_string;
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
@@ -110,13 +107,9 @@ pub struct ServeConfig {
     /// Default per-query deadline in ms (0 = none) when the request
     /// doesn't carry its own.
     pub default_deadline_ms: u64,
-    /// Run MSV+Viterbi on this many simulated devices of this spec,
-    /// through the fault-recovery engine. `None` = pure CPU.
-    pub device: Option<(DeviceSpec, usize)>,
-    /// Kill simulated device 0 at every sweep's first launch — each
-    /// query then exercises loss → recovery → (single-device pools)
-    /// CPU degradation.
-    pub inject_device_loss: bool,
+    /// Where every query's stages run: the CPU plan (the default) or a
+    /// pool of simulated devices, the database partitioned across them.
+    pub plan: ExecPlan,
     /// Chaos hooks.
     pub chaos: ChaosConfig,
 }
@@ -128,8 +121,7 @@ impl Default for ServeConfig {
             workers: 2,
             queue_depth: 8,
             default_deadline_ms: 0,
-            device: None,
-            inject_device_loss: false,
+            plan: ExecPlan::Cpu,
             chaos: ChaosConfig::default(),
         }
     }
@@ -147,7 +139,6 @@ struct Counters {
     panics: std::sync::atomic::AtomicU64,
     internal_errors: std::sync::atomic::AtomicU64,
     bad_requests: std::sync::atomic::AtomicU64,
-    degraded: std::sync::atomic::AtomicU64,
 }
 
 fn bump(c: &std::sync::atomic::AtomicU64) {
@@ -300,10 +291,8 @@ impl Server {
         if cfg.workers == 0 {
             return Err(ServeError::Config("workers must be >= 1".to_string()));
         }
-        if let Some((_, n)) = &cfg.device {
-            if *n == 0 {
-                return Err(ServeError::Config("device count must be >= 1".to_string()));
-            }
+        if matches!(cfg.plan, ExecPlan::Devices { n_devices: 0, .. }) {
+            return Err(ServeError::Config("device count must be >= 1".to_string()));
         }
         let listener = TcpListener::bind(&cfg.addr).map_err(|e| ServeError::Bind {
             addr: cfg.addr.clone(),
@@ -396,8 +385,7 @@ impl ServerInner {
              \"shards\":{},\"length_bins\":[{}]}},\
              \"queue\":{{\"workers\":{},\"capacity\":{},\"waiting\":{},\"running\":{}}},\
              \"counters\":{{\"connections\":{},\"accepted\":{},\"served_ok\":{},\"shed\":{},\
-             \"deadline_missed\":{},\"panics\":{},\"internal_errors\":{},\"bad_requests\":{},\
-             \"degraded\":{}}},\
+             \"deadline_missed\":{},\"panics\":{},\"internal_errors\":{},\"bad_requests\":{}}},\
              \"draining\":{},\"funnel\":{}}}",
             json_string(&self.db.name),
             self.db.total_seqs,
@@ -417,7 +405,6 @@ impl ServerInner {
             ld(&c.panics),
             ld(&c.internal_errors),
             ld(&c.bad_requests),
-            ld(&c.degraded),
             self.draining.load(Ordering::SeqCst),
             funnel,
         )
@@ -564,12 +551,9 @@ fn handle_search(inner: &Arc<ServerInner>, deadline_ms: u32, hmm_text: &str) -> 
     let outcome = catch_unwind(AssertUnwindSafe(|| run_query(inner, hmm_text, deadline)));
     drop(guard);
     match outcome {
-        Ok(Ok((degraded, hits))) => {
+        Ok(Ok(hits)) => {
             bump(&inner.counters.served_ok);
-            if degraded {
-                bump(&inner.counters.degraded);
-            }
-            Response::Hits { degraded, hits }
+            Response::Hits { hits }
         }
         Ok(Err(QueryError::BadRequest(msg))) => {
             bump(&inner.counters.bad_requests);
@@ -622,7 +606,7 @@ fn run_query(
     inner: &Arc<ServerInner>,
     hmm_text: &str,
     deadline: Option<Instant>,
-) -> Result<(bool, Vec<WireHit>), QueryError> {
+) -> Result<Vec<WireHit>, QueryError> {
     // The cache is keyed on the request text, so a hit skips the parse:
     // the same bytes already parsed and passed the chaos check.
     let key = fnv1a(hmm_text.as_bytes());
@@ -658,26 +642,6 @@ fn run_query(
         }
     };
     let trace = Trace::on();
-    // One injector per query: device 0 dies at its first launch of the
-    // sweep and the recovery engine redistributes (or degrades to CPU
-    // for a 1-device pool), flagging the whole query as degraded.
-    let injector = match &inner.cfg.device {
-        Some((_, n)) if inner.cfg.inject_device_loss => {
-            Some(FaultInjector::new(FaultPlan::none().kill_device(0, 0), *n))
-        }
-        _ => None,
-    };
-    let plan = match &inner.cfg.device {
-        None => ExecPlan::Cpu,
-        Some((dev, n)) => {
-            let mut pool = FtSweep::fault_free(*n);
-            pool.injector = injector.as_ref();
-            ExecPlan::Devices {
-                dev: dev.clone(),
-                pool,
-            }
-        }
-    };
     let chaos_ms = inner.cfg.chaos.slow_shard_ms;
     let mut observer = |_: &ChunkProgress| {
         if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -696,7 +660,7 @@ fn run_query(
         &pipe,
         inner.db.shards.iter().map(Ok::<_, StreamError>),
         Some(inner.db.total_seqs),
-        &plan,
+        &inner.cfg.plan,
         options,
         &trace,
     )
@@ -707,23 +671,20 @@ fn run_query(
     if let Some(tel) = trace.snapshot() {
         inner.funnel.absorb(&tel);
     }
-    Ok((
-        report.degraded_to_cpu,
-        report
-            .result
-            .hits
-            .into_iter()
-            .map(|h| WireHit {
-                seqid: h.seqid,
-                name: h.name,
-                msv_score: h.msv_score,
-                vit_score: h.vit_score,
-                fwd_score: h.fwd_score,
-                pvalue: h.pvalue,
-                evalue: h.evalue,
-            })
-            .collect(),
-    ))
+    Ok(report
+        .result
+        .hits
+        .into_iter()
+        .map(|h| WireHit {
+            seqid: h.seqid,
+            name: h.name,
+            msv_score: h.msv_score,
+            vit_score: h.vit_score,
+            fwd_score: h.fwd_score,
+            pvalue: h.pvalue,
+            evalue: h.evalue,
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -822,10 +783,9 @@ mod tests {
         let mut client = Client::connect(addr).unwrap();
         assert!(client.ping().unwrap());
         let resp = client.search(&hmm_text, 0).unwrap();
-        let Response::Hits { degraded, hits } = resp else {
+        let Response::Hits { hits } = resp else {
             panic!("expected hits, got {resp:?}");
         };
-        assert!(!degraded);
         assert_eq!(hits.len(), gold.hits.len());
         for (wire, gold) in hits.iter().zip(&gold.hits) {
             assert_eq!(wire.seqid, gold.seqid);
@@ -884,33 +844,6 @@ mod tests {
         // Same connection, next request: still alive.
         let metrics = client.metrics().unwrap();
         assert!(metrics.contains("\"panics\":1"), "metrics: {metrics}");
-        stop.store(true, Ordering::SeqCst);
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn device_loss_degrades_the_query_not_the_daemon() {
-        let (hmm_text, db) = fixture();
-        let parsed = h3w_hmm::hmmio::read_hmm(&hmm_text).unwrap();
-        let pipe = Pipeline::prepare(&parsed.model, PipelineConfig::default(), QUERY_SEED);
-        let gold = pipe.search(&db, &ExecPlan::Cpu).unwrap();
-
-        let cfg = ServeConfig {
-            device: Some((DeviceSpec::tesla_k40(), 1)),
-            inject_device_loss: true,
-            ..ServeConfig::default()
-        };
-        let (addr, stop, handle) = start(cfg, &db, 0);
-        let mut client = Client::connect(addr).unwrap();
-        let Response::Hits { degraded, hits } = client.search(&hmm_text, 0).unwrap() else {
-            panic!("expected hits");
-        };
-        assert!(degraded, "losing the only device must degrade to CPU");
-        assert_eq!(hits.len(), gold.hits.len());
-        for (wire, gold) in hits.iter().zip(&gold.hits) {
-            assert_eq!(wire.fwd_score.to_bits(), gold.fwd_score.to_bits());
-            assert_eq!(wire.evalue.to_bits(), gold.evalue.to_bits());
-        }
         stop.store(true, Ordering::SeqCst);
         handle.join().unwrap();
     }

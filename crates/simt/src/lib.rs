@@ -16,15 +16,11 @@
 //! * [`occupancy`](mod@occupancy) — NVIDIA residency rules (registers / shared memory /
 //!   slots);
 //! * [`timing`] — counted events × device rates with occupancy-driven
-//!   latency hiding and measured load imbalance;
-//! * [`fault`] — deterministic device-fault injection (device-lost,
-//!   kernel timeout, transient launch failure, memory exhaustion) at the
-//!   launch boundary where real CUDA errors surface.
+//!   latency hiding and measured load imbalance.
 
 pub mod counters;
 pub mod device;
 pub mod exec;
-pub mod fault;
 pub mod lanes;
 pub mod occupancy;
 pub mod smem;
@@ -36,7 +32,6 @@ pub use exec::{
     fermi_scratch_per_warp, run_grid, run_grid_blocks, BlockKernel, GridResult, KernelConfig,
     SimtCtx, WarpKernel,
 };
-pub use fault::{DeviceFault, FaultInjector, FaultKind, FaultPlan, PlannedFault};
 pub use lanes::{lane_ids, Lanes};
 pub use occupancy::{occupancy, saturating_grid, OccLimit, Occupancy};
 pub use smem::SharedMem;

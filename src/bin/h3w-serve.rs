@@ -12,11 +12,9 @@
 //!   --deadline-ms MS     default per-query deadline; 0 = none (default 0)
 //!   --shard-residues N   shard granularity — deadline checks fire at
 //!                        shard boundaries (0 = default 1 MiResidue)
-//!   --gpu k40|gtx580     run MSV+Viterbi on simulated devices through
-//!                        the fault-recovery engine
-//!   --devices N          simulated device pool size (requires --gpu)
-//!   --inject-device-loss kill device 0 at each sweep's first launch
-//!                        (per-query degradation demo; requires --gpu)
+//!   --gpu k40|gtx580     run MSV+Viterbi on simulated devices
+//!   --devices N          simulated device pool size, the database
+//!                        partitioned across it (requires --gpu)
 //!   --chaos-panic-model NAME   panic inside queries for model NAME
 //!   --chaos-slow-ms MS         sleep MS at every shard boundary
 //! ```
@@ -38,7 +36,7 @@ use std::sync::Arc;
 
 const USAGE: &str = "h3w-serve <db.h3wdb> [--addr A:P] [--workers n] [--queue-depth n] \
 [--deadline-ms ms] [--shard-residues n] [--gpu k40|gtx580] [--devices n] \
-[--inject-device-loss] [--chaos-panic-model name] [--chaos-slow-ms ms]";
+[--chaos-panic-model name] [--chaos-slow-ms ms]";
 
 fn main() -> ExitCode {
     cli::guarded_main("h3w-serve", USAGE, run)
@@ -55,7 +53,7 @@ fn device_by_name(name: &str) -> Result<DeviceSpec, String> {
 fn run(argv: &[String]) -> Result<(), ToolError> {
     let args = Args::parse(
         argv,
-        &["--inject-device-loss"],
+        &[],
         &[
             "--addr",
             "--workers",
@@ -78,9 +76,6 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
         Some(_) if gpu.is_none() => return Err("--devices requires --gpu".to_string().into()),
         Some(n) => n,
     };
-    if args.has("--inject-device-loss") && gpu.is_none() {
-        return Err("--inject-device-loss requires --gpu".to_string().into());
-    }
 
     let cfg = ServeConfig {
         addr: args.value("--addr").unwrap_or("127.0.0.1:0").to_string(),
@@ -91,8 +86,11 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
         },
         queue_depth: args.parse_value::<usize>("--queue-depth")?.unwrap_or(8),
         default_deadline_ms: args.parse_value::<u64>("--deadline-ms")?.unwrap_or(0),
-        device: gpu.map(|dev| (dev, devices)),
-        inject_device_loss: args.has("--inject-device-loss"),
+        plan: gpu.map_or(ExecPlan::Cpu, |dev| ExecPlan::Devices {
+            dev,
+            n_devices: devices,
+            forward_on_device: false,
+        }),
         chaos: ChaosConfig {
             panic_model: args.value("--chaos-panic-model").map(str::to_string),
             slow_shard_ms: args.parse_value::<u64>("--chaos-slow-ms")?.unwrap_or(0),

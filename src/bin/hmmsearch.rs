@@ -5,10 +5,9 @@
 //!
 //! options:
 //!   --gpu <k40|gtx580>   run MSV+Viterbi on the simulated device
-//!   --devices <n>        fan the device stages over a pool of n
-//!                        simulated GPUs (default 1; faults retry,
-//!                        redistribute or fall back to the CPU; requires
-//!                        --gpu)
+//!   --devices <n>        partition the device stages over a pool of n
+//!                        simulated GPUs; each stage's time is the
+//!                        slowest device's (default 1; requires --gpu)
 //!   --max                disable the filter cascade (full sensitivity)
 //!   -E <evalue>          report threshold (default 10.0)
 //!   --ali                print alignment blocks for each hit
@@ -42,8 +41,8 @@
 use hmmer3_warp::cli::{self, Args, ToolError};
 use hmmer3_warp::hmm::hmmio::read_hmm;
 use hmmer3_warp::pipeline::{
-    search_chunks, ExecPlan, FtSweep, Pipeline, PipelineConfig, PipelineResult, StreamError,
-    StreamOptions, Trace,
+    search_chunks, ExecPlan, Pipeline, PipelineConfig, PipelineResult, StreamError, StreamOptions,
+    Trace,
 };
 use hmmer3_warp::prelude::*;
 use std::process::ExitCode;
@@ -160,11 +159,11 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
                 false => "MSV + P7Viterbi",
             };
             eprintln!("running {stages} on {devices} simulated {}", dev.name);
-            let pool = FtSweep {
+            ExecPlan::Devices {
+                dev,
+                n_devices: devices,
                 forward_on_device,
-                ..FtSweep::fault_free(devices)
-            };
-            ExecPlan::Devices { dev, pool }
+            }
         }
     };
 

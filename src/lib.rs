@@ -45,16 +45,14 @@ pub mod cli;
 /// The types most applications need.
 pub mod prelude {
     pub use h3w_core::tiered::{run_msv_device, run_vit_device};
-    pub use h3w_core::{MemConfig, Stage, SweepError, SweepTrace};
+    pub use h3w_core::{MemConfig, Stage, SweepError};
     pub use h3w_hmm::build::{synthetic_model, BuildParams, PAPER_MODEL_SIZES};
     pub use h3w_hmm::{CoreModel, MsvProfile, NullModel, Profile, VitProfile};
     pub use h3w_pipeline::{
-        ExecPlan, FtSweep, Pipeline, PipelineConfig, SearchReport, StreamCheckpoint, Telemetry,
-        Trace,
+        ExecPlan, Pipeline, PipelineConfig, SearchReport, StreamCheckpoint, Telemetry, Trace,
     };
     pub use h3w_seqdb::gen::{generate, DbGenSpec};
     pub use h3w_seqdb::{content_hash, DbFormatError, DigitalSeq, DiskDb, PackedDb, SeqDb};
     pub use h3w_serve::{Client, ResidentDb, ServeConfig, Server};
     pub use h3w_simt::DeviceSpec;
-    pub use h3w_simt::{FaultInjector, FaultKind, FaultPlan};
 }

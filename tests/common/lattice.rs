@@ -8,17 +8,15 @@
 //! on the scalar backend with one thread and searched resident on the CPU
 //! plan with tracing off — and demands the same hits (ids, names, score
 //! and E-value bits), the same funnel and the same timeless report, with
-//! three carve-outs: a pool with Forward on the device sums Forward with
-//! the flogsum table (same ids and funnel, scores within 0.15 nats), a
-//! checkpointed sweep drops posteriors, and a device run reports a CPU
-//! fallback exactly when its whole pool died.
+//! two carve-outs: a pool with Forward on the device sums Forward with
+//! the flogsum table (same ids and funnel, scores within 0.15 nats), and
+//! a checkpointed sweep drops posteriors.
 //! [`ScanPoint`] / [`check_scan`] are the same for the multi-model scan.
 //!
 //! [`Lattice`] and [`ScanLattice`] draw points; `tests/lattice.rs` runs
 //! them and checks that every axis value was visited. The named suites
 //! pin single points.
 
-use hmmer3_warp::core::fault::MAX_RETRIES;
 use hmmer3_warp::cpu::Backend;
 use hmmer3_warp::pipeline::{
     scan, scan_prepared, search_chunks, search_source, FamilyResult, Hit, PipelineResult,
@@ -68,12 +66,11 @@ impl Shape {
 pub enum Plan {
     Cpu,
     /// MSV and Viterbi, and Forward if `forward`, over a pool of `devices`
-    /// simulated `spec`s under `faults`.
+    /// simulated `spec`s.
     Device {
         spec: Spec,
         devices: usize,
         forward: bool,
-        faults: Faults,
     },
 }
 
@@ -87,7 +84,7 @@ pub enum Spec {
 }
 
 impl Plan {
-    /// The paper's deployment: one fault-free K40, Forward on the host.
+    /// The paper's deployment: one K40, Forward on the host.
     pub const K40: Plan = Plan::one(Spec::K40, false);
     /// The same on a GTX 580.
     pub const GTX580: Plan = Plan::one(Spec::Gtx580, false);
@@ -99,42 +96,17 @@ impl Plan {
             spec,
             devices: 1,
             forward,
-            faults: Faults::None,
         }
     }
 
-    /// A pool of `devices` K40s under `faults`, Forward on the host.
-    pub const fn pool(devices: usize, faults: Faults) -> Plan {
+    /// A pool of `devices` K40s, Forward on the host.
+    pub const fn pool(devices: usize) -> Plan {
         Plan::Device {
             spec: Spec::K40,
             devices,
             forward: false,
-            faults,
         }
     }
-}
-
-/// The fault plan a device pool runs under.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Faults {
-    None,
-    /// `device` is lost at its `launch`-th kernel launch.
-    Kill {
-        device: usize,
-        launch: u64,
-    },
-    /// Every other device (from device 0) sees a transient fault at its
-    /// first launch for `persist` attempts: within [`MAX_RETRIES`] it is
-    /// retried, past it the device is condemned.
-    Storm {
-        persist: u32,
-    },
-    /// Every device is lost at its `launch`-th launch: at 0 the pool
-    /// dies in MSV; at 1 a device that launched once there dies in
-    /// Viterbi.
-    AllLost {
-        launch: u64,
-    },
 }
 
 /// How the database reaches the pipeline.
@@ -222,8 +194,8 @@ impl Deck {
 }
 
 /// Plan slots of the (plan, driver) deck: the device plan takes five, so
-/// its device, device-count, Forward and fault-plan axes are covered as
-/// soon as every pair is.
+/// its device, device-count and Forward axes are covered as soon as every
+/// pair is.
 const PLAN_SLOTS: usize = 6;
 const DRIVERS: usize = 4;
 
@@ -231,7 +203,7 @@ const DRIVERS: usize = 4;
 /// so [`Lattice::CASES`] draws visit every axis value and every
 /// (plan, driver) pair.
 pub struct Lattice {
-    decks: RefCell<[Deck; 12]>,
+    decks: RefCell<[Deck; 11]>,
 }
 
 impl Lattice {
@@ -245,7 +217,7 @@ impl Default for Lattice {
         let backends = Backend::all_available().len();
         Lattice {
             decks: RefCell::new(
-                [PLAN_SLOTS * DRIVERS, 4, 6, 2, backends, 5, 2, 2, 5, 2, 6, 5].map(Deck::new),
+                [PLAN_SLOTS * DRIVERS, 4, 6, 2, backends, 5, 2, 2, 5, 2, 5].map(Deck::new),
             ),
         }
     }
@@ -265,37 +237,17 @@ impl Strategy for Lattice {
 
     fn generate(&self, rng: &mut TestRng) -> Point {
         let mut decks = self.decks.borrow_mut();
-        let [pair, m, shape, null2, backend, threads, trace, spec, devices, forward, faults, resumed] =
+        let [pair, m, shape, null2, backend, threads, trace, spec, devices, forward, resumed] =
             &mut *decks;
         let pair = pair.draw(rng);
         let backends = Backend::all_available();
         let plan = match pair % PLAN_SLOTS {
             0 => Plan::Cpu,
-            _ => {
-                let devices = 1 + devices.draw(rng);
-                let faults = match faults.draw(rng) {
-                    0 => Faults::None,
-                    1 => Faults::Kill {
-                        device: rng.gen_range(0..devices),
-                        launch: rng.gen_range(0..3),
-                    },
-                    2 => Faults::Storm {
-                        persist: rng.gen_range(1..=MAX_RETRIES),
-                    },
-                    3 => Faults::Storm {
-                        persist: rng.gen_range(MAX_RETRIES + 1..=2 * MAX_RETRIES),
-                    },
-                    k => Faults::AllLost {
-                        launch: k as u64 - 4,
-                    },
-                };
-                Plan::Device {
-                    spec: [Spec::K40, Spec::Gtx580][spec.draw(rng)],
-                    devices,
-                    forward: forward.draw(rng) == 1,
-                    faults,
-                }
-            }
+            _ => Plan::Device {
+                spec: [Spec::K40, Spec::Gtx580][spec.draw(rng)],
+                devices: 1 + devices.draw(rng),
+                forward: forward.draw(rng) == 1,
+            },
         };
         let driver = match pair / PLAN_SLOTS {
             0 => Driver::Resident,
@@ -357,22 +309,12 @@ impl Point {
             spec,
             devices,
             forward,
-            faults,
         } = self.plan
         {
-            let faults = match faults {
-                Faults::Storm { persist } if persist <= MAX_RETRIES => {
-                    "storm within retries".into()
-                }
-                Faults::Storm { .. } => "storm past retries".into(),
-                Faults::Kill { .. } => "Kill".into(),
-                faults => format!("{faults:?}"),
-            };
             visits.extend([
                 ("device", format!("{spec:?}")),
                 ("devices", devices.to_string()),
                 ("forward on device", forward.to_string()),
-                ("faults", faults),
             ]);
         }
         if let Driver::Resumed { threads, .. } = self.driver {
@@ -385,7 +327,7 @@ impl Point {
 impl Lattice {
     /// Every axis [`Point::visits`] reports, with its number of classes
     /// on this host.
-    pub fn axes() -> [(&'static str, usize); 14] {
+    pub fn axes() -> [(&'static str, usize); 13] {
         [
             ("m", 4),
             ("shape", 6),
@@ -399,44 +341,19 @@ impl Lattice {
             ("device", 2),
             ("devices", 5),
             ("forward on device", 2),
-            ("faults", 6),
             ("resumed threads", 5),
         ]
     }
 }
 
 impl Plan {
-    /// The fault injector this plan's pool runs under; each sweep gets a
-    /// fresh one (an injector counts launches).
-    fn injector(&self) -> Option<FaultInjector> {
-        let Plan::Device {
-            devices, faults, ..
-        } = *self
-        else {
-            return None;
-        };
-        let plan = match faults {
-            Faults::None => return None,
-            Faults::Kill { device, launch } => FaultPlan::none().kill_device(device, launch),
-            Faults::Storm { persist } => (0..devices).step_by(2).fold(FaultPlan::none(), |p, d| {
-                let kind = [FaultKind::LaunchTransient, FaultKind::KernelTimeout][d / 2 % 2];
-                p.transient(d, 0, kind, persist)
-            }),
-            Faults::AllLost { launch } => {
-                (0..devices).fold(FaultPlan::none(), |p, d| p.kill_device(d, launch))
-            }
-        };
-        Some(FaultInjector::new(plan, devices))
-    }
-
-    /// The plan as the pipeline takes it; a fault-free pool of one with
-    /// Forward on the host goes through the `Device { dev }` shorthand.
-    fn exec<'a>(&self, injector: Option<&'a FaultInjector>) -> ExecPlan<'a> {
+    /// The plan as the pipeline takes it; a pool of one with Forward on
+    /// the host goes through the `Device { dev }` shorthand.
+    fn exec(&self) -> ExecPlan {
         let Plan::Device {
             spec,
             devices,
             forward,
-            faults,
         } = *self
         else {
             return ExecPlan::Cpu;
@@ -445,15 +362,14 @@ impl Plan {
             Spec::K40 => DeviceSpec::tesla_k40(),
             Spec::Gtx580 => DeviceSpec::gtx_580(),
         };
-        if (devices, forward, faults) == (1, false, Faults::None) {
+        if (devices, forward) == (1, false) {
             return ExecPlan::Device { dev };
         }
-        let pool = FtSweep {
+        ExecPlan::Devices {
+            dev,
             n_devices: devices,
-            injector,
             forward_on_device: forward,
-        };
-        ExecPlan::Devices { dev, pool }
+        }
     }
 }
 
@@ -553,8 +469,7 @@ pub fn check(p: &Point) {
     assert_eq!(got.db_size, want.db_size, "{p:?}: E-value scale");
     assert_eq!(funnel(&got.stages), funnel(&want.stages), "{p:?}: funnel");
     // Every driver names the stages as its plan does.
-    let injector = p.plan.injector();
-    let labels = p.plan.exec(injector.as_ref()).stage_labels();
+    let labels = p.plan.exec().stage_labels();
     let names: Vec<&str> = got.stages.iter().map(|st| st.name.as_str()).collect();
     assert_eq!(names, labels, "{p:?}: stage labels");
     if matches!(p.plan, Plan::Device { forward: true, .. }) {
@@ -590,29 +505,8 @@ pub fn check(p: &Point) {
 /// (a record with no residues) with the typed error it must give.
 fn run(p: &Point, model: &CoreModel, db: &SeqDb) -> Option<PipelineResult> {
     let pipe = prepare(p, model, p.backend, p.threads);
-    if let Plan::Device {
-        devices, faults, ..
-    } = p.plan
-    {
-        // Only a resident search reports the recovery journal.
-        let injector = p.plan.injector();
-        let ft = p.plan.exec(injector.as_ref());
-        let report = pipe
-            .search_traced(db, &ft, &Trace::off())
-            .expect("device search");
-        let lost = report.recovery.lost_devices.len();
-        assert_eq!(
-            report.degraded_to_cpu,
-            lost == devices,
-            "{p:?}: {lost} lost"
-        );
-        if faults == Faults::None {
-            assert_eq!((report.recovery.retries, lost), (0, 0), "{p:?}");
-        }
-    }
     let trace = if p.trace { Trace::on() } else { Trace::off() };
-    let injector = p.plan.injector();
-    let plan = p.plan.exec(injector.as_ref());
+    let plan = p.plan.exec();
     let result = match p.driver {
         Driver::Resident => {
             let report = pipe
@@ -671,7 +565,6 @@ fn run(p: &Point, model: &CoreModel, db: &SeqDb) -> Option<PipelineResult> {
                 .expect("a resident database chunks");
             let ckpt = temp_path("ckpt");
             let sweep = |pipe: &Pipeline, upto: usize| {
-                let injector = p.plan.injector();
                 let options = StreamOptions {
                     checkpoint: Some((ckpt.as_path(), content_hash(db))),
                     observer: None,
@@ -680,7 +573,7 @@ fn run(p: &Point, model: &CoreModel, db: &SeqDb) -> Option<PipelineResult> {
                     pipe,
                     chunks[..upto].iter().map(Ok::<_, StreamError>),
                     Some(db.len()),
-                    &p.plan.exec(injector.as_ref()),
+                    &plan,
                     options,
                     &trace,
                 )

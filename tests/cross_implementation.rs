@@ -192,7 +192,7 @@ fn quantized_filters_track_float_references() {
 /// exactly, on Kepler (shuffle reductions) and on Fermi (reductions
 /// through shared-memory scratch). The first eight fields of the K40
 /// stage launches were recorded at commit 1ae5c64, before the kernels'
-/// striding loop and the three `run_*_device_on` launch sequences were
+/// striding loop and the three `run_*_device` launch sequences were
 /// each written once; the other fields, the GTX 580 launches and the
 /// Fig. 4 naive kernel at c684945, before the simulator's shared-memory
 /// accesses and warp reductions were each written once. The GTX 580
@@ -203,8 +203,7 @@ fn quantized_filters_track_float_references() {
 #[test]
 fn device_stage_counts_are_pinned() {
     use hmmer3_warp::core::naive::NaiveMsvKernel;
-    use hmmer3_warp::core::tiered::run_fwd_device_on;
-    use hmmer3_warp::core::DeviceCtx;
+    use hmmer3_warp::core::tiered::run_fwd_device;
     use hmmer3_warp::core::WarpLazyStats;
     use hmmer3_warp::simt::{run_grid_blocks, KernelConfig, KernelStats};
 
@@ -288,7 +287,7 @@ fn device_stage_counts_are_pinned() {
         assert_eq!(run.lazy, lazy, "{}", dev.name);
         got.push(("vit global", counts(&run.run.stats)));
 
-        let run = run_fwd_device_on(&p, &packed, &dev, &DeviceCtx::fault_free()).unwrap();
+        let run = run_fwd_device(&p, &packed, &dev).unwrap();
         got.push(("fwd", counts(&run.run.stats)));
 
         // Fig. 4: four warps share each row, one row per block; the

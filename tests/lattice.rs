@@ -10,7 +10,7 @@
 mod common;
 
 use common::lattice::{
-    check, check_scan, database, Driver, Faults, Lattice, Plan, Point, ScanLattice, Shape, Visit,
+    check, check_scan, database, Driver, Lattice, Plan, Point, ScanLattice, Shape, Visit,
 };
 use hmmer3_warp::cpu::{msv_filter_scalar, Backend};
 use hmmer3_warp::prelude::*;
@@ -78,12 +78,7 @@ fn every_scan_point_reports_per_model_scalar_hits() {
 /// The consensus repeat saturates the byte MSV.
 #[test]
 fn hostile_inputs_get_the_reference_answer_or_a_typed_refusal() {
-    let plans = [
-        Plan::Cpu,
-        Plan::K40,
-        Plan::K40_FULL,
-        Plan::pool(2, Faults::None),
-    ];
+    let plans = [Plan::Cpu, Plan::K40, Plan::K40_FULL, Plan::pool(2)];
     let drivers = [
         Driver::Resident,
         Driver::Fasta { cap: 100 },

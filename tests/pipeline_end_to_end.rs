@@ -2,7 +2,7 @@
 
 mod common;
 
-use common::lattice::{check, Plan, Point};
+use common::lattice::{check, Driver, Plan, Point};
 use hmmer3_warp::cpu::Backend;
 use hmmer3_warp::prelude::*;
 
@@ -27,6 +27,37 @@ fn cpu_and_gpu_pipelines_are_hit_identical() {
             ..Point::default()
         });
     }
+}
+
+/// The database partition never shows in the hits: pools of one, two
+/// and five K40s report the CPU plan's hits and funnel.
+#[test]
+fn device_count_does_not_change_results() {
+    for devices in [1, 2, 5] {
+        check(&Point {
+            plan: Plan::pool(devices),
+            ..Point::default()
+        });
+    }
+}
+
+/// A checkpointed sweep on a three-device pool, killed after its first
+/// chunk and resumed, reports the unchunked CPU sweep's hits.
+#[test]
+fn killed_and_resumed_checkpointed_sweep_reports_identical_hits() {
+    let driver = Driver::Resumed {
+        cap: 12_000,
+        kill_after: 1,
+        backend: Backend::detect(),
+        threads: 1,
+    };
+    check(&Point {
+        m: 70,
+        seed: 11,
+        plan: Plan::pool(3),
+        driver,
+        ..Point::default()
+    });
 }
 
 /// The reference configuration itself, searched twice.

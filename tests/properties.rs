@@ -366,8 +366,8 @@ proptest! {
 /// named row of the lattice's checkpointed driver (`common::lattice`).
 #[test]
 fn checkpoint_resumed_stream_matches_unchunked_under_every_plan() {
-    use common::lattice::{check, Driver, Faults, Plan, Point};
-    let pool = Plan::pool(2, Faults::None);
+    use common::lattice::{check, Driver, Plan, Point};
+    let pool = Plan::pool(2);
     for plan in [Plan::Cpu, Plan::K40, Plan::K40_FULL, pool] {
         let driver = Driver::Resumed {
             cap: 5_000,

@@ -1,6 +1,6 @@
 //! Chaos tests of the `h3w-serve` daemon binary: bit-identity with the
 //! one-shot `hmmsearch` tool, load shedding, deadlines, panic isolation,
-//! corrupted-database startup, device-loss degradation, and SIGTERM
+//! corrupted-database startup, a device-pool daemon, and SIGTERM
 //! drain (also behind clients stalled mid-frame), and a thread count
 //! that does not grow with the query models served — all driving the
 //! real process over real sockets.
@@ -172,10 +172,7 @@ fn daemon_matches_one_shot_hmmsearch_under_concurrency() {
                 s.spawn(move || {
                     let mut client = Client::connect(addr).unwrap();
                     match client.search(hmm_text, 0).unwrap() {
-                        Response::Hits { degraded, hits } => {
-                            assert!(!degraded);
-                            hits.iter().map(tbl_line).collect::<Vec<_>>()
-                        }
+                        Response::Hits { hits } => hits.iter().map(tbl_line).collect::<Vec<_>>(),
                         other => panic!("expected hits, got {other:?}"),
                     }
                 })
@@ -381,8 +378,8 @@ fn sigterm_drains_past_clients_stalled_mid_frame() {
 }
 
 #[test]
-fn device_loss_degrades_queries_without_crashing() {
-    let dir = tmpdir("devloss");
+fn a_device_pool_daemon_serves_the_cpu_tools_hits() {
+    let dir = tmpdir("devpool");
     let (hmm_text, _, packed, fasta) = fixture(&dir);
     // CPU gold via the one-shot tool.
     let tbl = dir.join("gold.tsv");
@@ -403,16 +400,16 @@ fn device_loss_degrades_queries_without_crashing() {
         .map(str::to_string)
         .collect();
 
-    let mut daemon = Daemon::start(&packed, &["--gpu", "k40", "--inject-device-loss"]);
+    // Two simulated K40s share each shard's MSV and Viterbi.
+    let mut daemon = Daemon::start(&packed, &["--gpu", "k40", "--devices", "2"]);
     let mut client = Client::connect(daemon.addr.clone()).unwrap();
-    let Response::Hits { degraded, hits } = client.search(&hmm_text, 0).unwrap() else {
-        panic!("device loss must degrade, not fail the query");
+    let Response::Hits { hits } = client.search(&hmm_text, 0).unwrap() else {
+        panic!("a device-pool query must return hits");
     };
-    assert!(degraded, "losing the only device must flag degradation");
     let lines: Vec<String> = hits.iter().map(tbl_line).collect();
-    assert_eq!(lines, gold, "degraded sweep must still match CPU hits");
+    assert_eq!(lines, gold, "the pool must match the CPU tool");
     let metrics = client.metrics().unwrap();
-    assert!(metrics.contains("\"degraded\":1"), "metrics: {metrics}");
+    assert!(metrics.contains("\"served_ok\":1"), "metrics: {metrics}");
     drop(client);
     let (status, _) = daemon.terminate();
     assert!(status.success());

@@ -4,6 +4,7 @@
 
 mod common;
 
+use hmmer3_warp::core::multi_gpu::partition;
 use hmmer3_warp::pipeline::{StageStats, Telemetry};
 use hmmer3_warp::prelude::*;
 
@@ -73,9 +74,8 @@ fn cpu_plan_telemetry_matches_stage_stats() {
     assert!(tel.at_path("pipeline/pool/worker0").is_some());
 }
 
-/// Every device-pool shape reports packing, per-stage kernel counters
-/// and a clean recovery journal; returns the telemetry for shape-specific
-/// checks.
+/// Every device-pool shape reports packing and per-stage kernel
+/// counters; returns the telemetry for shape-specific checks.
 fn check_device_pool(pipe: &Pipeline, db: &SeqDb, plan: &ExecPlan) -> Telemetry {
     let (tel, stages) = check_consistency(pipe, db, plan);
     let pack = tel.at_path("pipeline/pack").expect("pack node");
@@ -85,9 +85,6 @@ fn check_device_pool(pipe: &Pipeline, db: &SeqDb, plan: &ExecPlan) -> Telemetry 
         let launched = kernel.map_or(0, |k| k.counter("sequences"));
         assert_eq!(launched, st.seqs_in as u64, "{}", st.name);
     }
-    let rec = tel.at_path("pipeline/recovery").expect("recovery node");
-    let faults = ["retries", "lost_devices", "cpu_fallbacks"].map(|c| rec.counter(c));
-    assert_eq!(faults, [0; 3]);
     tel
 }
 
@@ -109,83 +106,44 @@ fn device_plan_telemetry_matches_stage_stats() {
 #[test]
 fn device_full_plan_telemetry_matches_stage_stats() {
     let (pipe, db) = setup(60, 2e-4, 13);
-    let pool = FtSweep {
+    let plan = ExecPlan::Devices {
+        dev: DeviceSpec::gtx_580(),
+        n_devices: 1,
         forward_on_device: true,
-        ..FtSweep::fault_free(1)
     };
-    let dev = DeviceSpec::gtx_580();
-    check_device_pool(&pipe, &db, &ExecPlan::Devices { dev, pool });
+    check_device_pool(&pipe, &db, &plan);
 }
 
-/// Three fault-free K40s.
+/// Three K40s: MSV's ids split round-robin, one launch per device. The
+/// stage's counters are the three launches' sum and its time is their
+/// makespan.
 #[test]
-fn fault_free_ft_plan_reports_clean_recovery_counters() {
+fn a_three_device_pool_sums_its_launches_and_times_their_makespan() {
     let (pipe, db) = setup(60, 2e-4, 14);
     let dev = DeviceSpec::tesla_k40();
-    let pool = FtSweep::fault_free(3);
-    check_device_pool(&pipe, &db, &ExecPlan::Devices { dev, pool });
-}
-
-#[test]
-fn injected_faults_surface_in_recovery_counters() {
-    let (pipe, db) = setup(60, 2e-4, 15);
-    let dev = DeviceSpec::tesla_k40();
-    let clean = pipe.search(&db, &ExecPlan::Cpu).unwrap();
-
-    // One device dies after its first launch: retries + a lost device.
-    let inj = FaultInjector::new(FaultPlan::none().kill_device(1, 1), 4);
-    let trace = Trace::on();
-    let report = pipe
-        .search_traced(
-            &db,
-            &ExecPlan::Devices {
-                dev: dev.clone(),
-                pool: FtSweep {
-                    injector: Some(&inj),
-                    ..FtSweep::fault_free(4)
-                },
-            },
-            &trace,
-        )
-        .unwrap();
-    assert_eq!(report.result.hits, clean.hits);
-    let tel = report.telemetry.unwrap();
-    let rec = tel.at_path("pipeline/recovery").expect("recovery node");
-    assert_eq!(rec.counter("retries"), report.recovery.retries as u64);
+    let plan = ExecPlan::Devices {
+        dev: dev.clone(),
+        n_devices: 3,
+        forward_on_device: false,
+    };
+    let tel = check_device_pool(&pipe, &db, &plan);
+    let packed = PackedDb::from_db(&db);
+    let ids: Vec<u32> = (0..db.len() as u32).collect();
+    let direct = Trace::on();
+    let mut makespan = 0.0f64;
+    for part in partition(&ids, 3) {
+        let run = run_msv_device(&pipe.msv, &packed.subset(&part), &dev, None).unwrap();
+        run.run.stats.record_into(&direct, "msv");
+        makespan = makespan.max(run.run.time.total_s);
+    }
+    let direct = direct.snapshot().unwrap();
+    let counters = |tel: &Telemetry, path: &str| tel.at_path(path).unwrap().counters.clone();
     assert_eq!(
-        rec.counter("redistributed_seqs"),
-        report.recovery.redistributed_seqs as u64
+        counters(&tel, "pipeline/MSV (multi-GPU)/device"),
+        counters(&direct, "msv")
     );
-    assert!(
-        rec.counter("redistributed_seqs") >= 1,
-        "a dead device's work must be redistributed"
-    );
-    assert_eq!(rec.counter("lost_devices"), 1);
-    assert_eq!(rec.counter("cpu_fallbacks"), 0);
-
-    // Total device loss: the run degrades to the CPU path and says so.
-    let plan = FaultPlan::none().kill_device(0, 0).kill_device(1, 1);
-    let inj = FaultInjector::new(plan, 2);
-    let trace = Trace::on();
-    let report = pipe
-        .search_traced(
-            &db,
-            &ExecPlan::Devices {
-                dev,
-                pool: FtSweep {
-                    injector: Some(&inj),
-                    ..FtSweep::fault_free(2)
-                },
-            },
-            &trace,
-        )
-        .unwrap();
-    assert!(report.degraded_to_cpu);
-    assert_eq!(report.result.hits, clean.hits);
-    let tel = report.telemetry.unwrap();
-    let rec = tel.at_path("pipeline/recovery").expect("recovery node");
-    assert_eq!(rec.counter("lost_devices"), 2);
-    assert_eq!(rec.counter("cpu_fallbacks"), 1);
+    let msv_s = pipe.search(&db, &plan).unwrap().stages[0].time_s;
+    assert_eq!(msv_s.to_bits(), makespan.to_bits());
 }
 
 #[test]

@@ -61,48 +61,5 @@ fn bench_vit_kernel(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_fwd_kernel(c: &mut Criterion) {
-    use h3w_core::fwd_warp::FwdWarpKernel;
-    use h3w_core::layout::{best_config, smem_layout, Stage};
-    use h3w_hmm::profile::Profile;
-    use h3w_hmm::NullModel;
-    use h3w_simt::run_grid;
-    let dev = DeviceSpec::tesla_k40();
-    let mut g = c.benchmark_group("sim_fwd_kernel");
-    g.sample_size(10);
-    let m = 100usize;
-    let bg = NullModel::new();
-    let core = h3w_hmm::synthetic_model(m, 3, &h3w_hmm::BuildParams::default());
-    let prof = Profile::config(&core, &bg);
-    let db = generate(&DbGenSpec::envnr_like().scaled(1e-6), Some(&core), 4);
-    let packed = PackedDb::from_db(&db);
-    g.throughput(Throughput::Elements(m as u64 * packed.total_residues()));
-    let (mut cfg, _) = best_config(Stage::Forward, m, MemConfig::Global, &dev).unwrap();
-    cfg.blocks = 2;
-    let layout = smem_layout(
-        Stage::Forward,
-        m,
-        cfg.warps_per_block,
-        MemConfig::Global,
-        &dev,
-    );
-    g.bench_function("global_tables", |b| {
-        b.iter(|| {
-            let kernel = FwdWarpKernel {
-                prof: &prof,
-                db: packed.view(),
-                layout,
-            };
-            run_grid(&dev, &cfg, &kernel).unwrap()
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_msv_kernel,
-    bench_vit_kernel,
-    bench_fwd_kernel
-);
+criterion_group!(benches, bench_msv_kernel, bench_vit_kernel);
 criterion_main!(benches);

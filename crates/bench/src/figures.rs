@@ -202,9 +202,7 @@ pub fn fig9_row(point: &PreparedPoint, stage: Stage, dev: &DeviceSpec, cpu: &Cpu
     let m = point.model.len();
     let cpu_time_s = match stage {
         Stage::Msv => cpu.msv_time(m, agg.total_residues),
-        // The figures only sweep the two filter stages; Forward is costed
-        // like Viterbi if ever requested here.
-        Stage::Viterbi | Stage::Forward => cpu.vit_time(m, agg.total_residues),
+        Stage::Viterbi => cpu.vit_time(m, agg.total_residues),
     };
     let fill = |p: Option<ConfigPoint>| {
         p.map(|mut c| {
@@ -224,7 +222,7 @@ pub fn fig9_row(point: &PreparedPoint, stage: Stage, dev: &DeviceSpec, cpu: &Cpu
         m,
         stage: match stage {
             Stage::Msv => "MSV".to_string(),
-            Stage::Viterbi | Stage::Forward => "P7Viterbi".to_string(),
+            Stage::Viterbi => "P7Viterbi".to_string(),
         },
         shared,
         global,

@@ -30,10 +30,6 @@ pub const MSV_REGS_PER_THREAD: usize = 32;
 /// what limits Viterbi occupancy to 50% (§IV).
 pub const VIT_REGS_PER_THREAD: usize = 63;
 
-/// Registers per thread of the Forward kernel (float triple rows + the
-/// log-sum working set; §VI future work, implemented here).
-pub const FWD_REGS_PER_THREAD: usize = 64;
-
 /// Synthetic device-global address of the packed residue stream (for
 /// coalescing accounting; regions are spaced so they never share segments).
 pub const GM_RES_BASE: usize = 0x1000_0000;
@@ -60,8 +56,6 @@ pub enum Stage {
     Msv,
     /// 16-bit P7Viterbi filter.
     Viterbi,
-    /// Float Forward (the §VI future-work stage; tables always global/L2).
-    Forward,
 }
 
 /// Shared-memory bytes per block for a kernel configuration.
@@ -70,8 +64,7 @@ pub enum Stage {
 /// `26 × M` byte emission table.
 /// Viterbi: three `(M+1)`-word rows per warp, plus (shared config) the
 /// `26 × M`-word emission table and 8 `M`-word transition tables.
-/// Forward: three `(M+1)`-float rows per warp. On Fermi every stage adds
-/// each warp's reduction scratch ([`fermi_scratch_per_warp`]).
+/// On Fermi every stage adds each warp's reduction scratch ([`fermi_scratch_per_warp`]).
 pub fn smem_per_block(
     stage: Stage,
     m: usize,
@@ -82,15 +75,11 @@ pub fn smem_per_block(
     let rows = match stage {
         Stage::Msv => warps_per_block * (m + 1),
         Stage::Viterbi => warps_per_block * 3 * (m + 1) * 2,
-        Stage::Forward => warps_per_block * 3 * (m + 1) * 4,
     };
     let tables = match (mem, stage) {
         (MemConfig::Global, _) => 0,
         (MemConfig::Shared, Stage::Msv) => STAGED_CODES * m,
         (MemConfig::Shared, Stage::Viterbi) => (STAGED_CODES + 8) * m * 2,
-        // Forward's float tables would not fit for useful M; it always
-        // reads them through L2 (its shared config differs only by name).
-        (MemConfig::Shared, Stage::Forward) => 0,
     };
     let scratch = if dev.has_shfl {
         0
@@ -107,7 +96,6 @@ pub fn regs_per_thread(stage: Stage) -> usize {
     match stage {
         Stage::Msv => MSV_REGS_PER_THREAD,
         Stage::Viterbi => VIT_REGS_PER_THREAD,
-        Stage::Forward => FWD_REGS_PER_THREAD,
     }
 }
 
@@ -140,13 +128,10 @@ pub fn smem_layout(
     let row_stride = match stage {
         Stage::Msv => m + 1,
         Stage::Viterbi => 3 * (m + 1) * 2,
-        Stage::Forward => 3 * (m + 1) * 4,
     };
     let rows_end = warps_per_block * row_stride;
     let (emis_base, trans_base, tables_end) = match (mem, stage) {
-        (MemConfig::Global, _) | (MemConfig::Shared, Stage::Forward) => {
-            (usize::MAX, usize::MAX, rows_end)
-        }
+        (MemConfig::Global, _) => (usize::MAX, usize::MAX, rows_end),
         (MemConfig::Shared, Stage::Msv) => (rows_end, usize::MAX, rows_end + STAGED_CODES * m),
         (MemConfig::Shared, Stage::Viterbi) => {
             let emis = rows_end;
@@ -214,7 +199,6 @@ fn elem_width(stage: Stage) -> usize {
     match stage {
         Stage::Msv => 1,
         Stage::Viterbi => 2,
-        Stage::Forward => 4,
     }
 }
 

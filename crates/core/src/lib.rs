@@ -9,7 +9,6 @@
 
 pub mod dd_prefix;
 pub mod feed;
-pub mod fwd_warp;
 pub mod layout;
 pub mod msv_warp;
 pub mod multi_gpu;
@@ -19,13 +18,12 @@ pub mod stats_model;
 pub mod tiered;
 pub mod vit_warp;
 
-pub use fwd_warp::{FwdHit, FwdWarpKernel};
 pub use layout::{MemConfig, Stage};
 pub use msv_warp::{MsvHit, MsvWarpKernel};
 pub use stage::WarpStage;
 pub use stats_model::DbAggregates;
 pub use tiered::{
-    auto_mem_config, model_stage_time, run_fwd_device, run_msv_device, run_vit_device, Effort,
-    MsvRun, StageRun, SweepError, VitRun,
+    auto_mem_config, model_stage_time, run_msv_device, run_vit_device, Effort, MsvRun, StageRun,
+    SweepError, VitRun,
 };
 pub use vit_warp::{VitHit, VitWarpKernel, WarpLazyStats};

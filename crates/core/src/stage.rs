@@ -80,12 +80,10 @@ pub fn run_stage<K: WarpStage>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fwd_warp::FwdWarpKernel;
     use crate::layout::{best_config, smem_layout, MemConfig, Stage};
     use crate::msv_warp::MsvWarpKernel;
     use crate::vit_warp::VitWarpKernel;
     use h3w_cpu::quantized::{msv_filter_scalar, vit_filter_scalar};
-    use h3w_cpu::reference::forward_generic;
     use h3w_hmm::background::NullModel;
     use h3w_hmm::build::{synthetic_model, BuildParams};
     use h3w_hmm::msvprofile::MsvProfile;
@@ -179,29 +177,8 @@ mod tests {
                         )
                     },
                 ) as usize;
-                // Float scores agree within reduction-order drift.
-                ran += matches_cpu(
-                    (Stage::Forward, m, mem, &dev),
-                    n,
-                    |layout| FwdWarpKernel {
-                        prof: &prof,
-                        db: view,
-                        layout,
-                    },
-                    |outs| outs.into_iter().flatten().collect(),
-                    |h| {
-                        let cpu = forward_generic(&prof, seq(h.seqid));
-                        let tol = 0.05 + 0.002 * seq(h.seqid).len() as f32;
-                        assert!(
-                            (h.score - cpu).abs() < tol,
-                            "fwd {}: {} vs {cpu}",
-                            h.seqid,
-                            h.score
-                        );
-                    },
-                ) as usize;
             }
         }
-        assert_eq!(ran, 12, "every stage × placement × device fits at M = {m}");
+        assert_eq!(ran, 8, "every stage × placement × device fits at M = {m}");
     }
 }

@@ -9,7 +9,6 @@
 //! global-memory tables by *modeled time*, which lands the switch near the
 //! paper's observed threshold (≈ model size 1002 for MSV on Kepler).
 
-use crate::fwd_warp::{FwdHit, FwdWarpKernel};
 use crate::layout::{best_config, smem_layout, MemConfig, SmemLayout, Stage};
 use crate::msv_warp::{MsvHit, MsvWarpKernel};
 use crate::stats_model::{predict_msv, predict_vit, DbAggregates, LaunchShape};
@@ -86,10 +85,6 @@ pub struct DeviceRun<H> {
 /// Functional MSV execution on one simulated device.
 pub type MsvRun = DeviceRun<MsvHit>;
 
-/// Functional Forward execution on one device (the §VI future-work
-/// kernel; single global-table configuration).
-pub type FwdRun = DeviceRun<FwdHit>;
-
 /// Functional P7Viterbi execution on one simulated device.
 #[derive(Debug, Clone)]
 pub struct VitRun {
@@ -117,9 +112,7 @@ pub struct Effort {
 /// workload given by aggregates, on the grid a launch of that placement
 /// saturates ([`DEFAULT_WAVES`]). Returns the residency, the predicted
 /// counters and the modelled time. `None` when the placement does not
-/// fit the device, and for Forward, which has no closed-form predictor
-/// (it runs on the 0.1% survivor set; model it functionally). The
-/// placement switch ([`auto_mem_config`]), the figures and the
+/// fit the device. The placement switch ([`auto_mem_config`]), the figures and the
 /// multi-device claim all time a stage here.
 pub fn model_stage_time(
     stage: Stage,
@@ -146,7 +139,6 @@ pub fn model_stage_time(
             };
             predict_vit(m, &shape, agg, &effort.lazy.unwrap_or(baseline))
         }
-        Stage::Forward => return None,
     };
     let time = kernel_time(dev, &stats, &occ, 1.0);
     Some((occ, stats, time))
@@ -156,7 +148,7 @@ pub fn model_stage_time(
 /// strategy", black curve of Fig. 9), shared on a tie. `agg` supplies the
 /// workload shape; the effort is the baseline, which is
 /// placement-independent and cancels in the comparison. `None` when
-/// neither placement fits, and for Forward (see [`model_stage_time`]).
+/// neither placement fits.
 pub fn auto_mem_config(
     stage: Stage,
     m: usize,
@@ -255,23 +247,6 @@ pub fn run_vit_device<'a>(
     }
     hits.sort_by_key(|h| h.seqid);
     Ok(VitRun { hits, lazy, run })
-}
-
-/// Run the Forward stage functionally on one simulated device (global
-/// tables, its one configuration).
-pub fn run_fwd_device<'a>(
-    prof: &h3w_hmm::Profile,
-    db: impl Into<PackedView<'a>>,
-    dev: &DeviceSpec,
-) -> Result<FwdRun, SweepError> {
-    let db = db.into();
-    let global = Some(MemConfig::Global);
-    let (outs, run) = launch(Stage::Forward, prof.m, db, dev, global, |_, layout| {
-        FwdWarpKernel { prof, db, layout }
-    })?;
-    let mut hits: Vec<FwdHit> = outs.into_iter().flatten().collect();
-    hits.sort_by_key(|h| h.seqid);
-    Ok(FwdRun { hits, run })
 }
 
 #[cfg(test)]

@@ -1,28 +1,32 @@
-//! The device tier: one pool runs every device stage of a device plan —
-//! MSV and Viterbi, and Forward when the plan puts it on the device.
-//! A stage's ids split over the pool's `n` devices
+//! The device tier: one pool runs both filter stages of a device plan,
+//! MSV and Viterbi; Forward runs on the host under every plan, as in the
+//! paper's deployment. A stage's ids split over the pool's `n` devices
 //! ([`h3w_core::multi_gpu::partition`], order-preserving round-robin),
 //! device `k` runs part `k` in one launch, and the stage's modelled time
 //! is the makespan of those launches (§IV-A). A pool of one is the
-//! paper's deployment ([`ExecPlan::Device`]): one launch over the stage's
-//! ids in ascending order. The CPU and device filters are bit-identical
+//! paper's ([`ExecPlan::Device`]): one launch over the stage's ids in
+//! ascending order. The CPU and device filters are bit-identical
 //! and every sequence is scored independently, so hits and funnel
 //! counters never depend on the pool; only the modelled stage times do.
 
 use crate::run::{ExecPlan, Pipeline, Stage};
 use h3w_core::multi_gpu::partition;
-use h3w_core::tiered::{run_fwd_device, run_msv_device, run_vit_device, StageRun, SweepError};
-use h3w_seqdb::{PackedDb, SeqDb};
+use h3w_core::tiered::{run_msv_device, run_vit_device, StageRun, SweepError};
+use h3w_seqdb::{PackedDb, PackedView, SeqDb};
 use h3w_simt::DeviceSpec;
 use h3w_trace::Trace;
 use std::borrow::Cow;
+
+/// One filter stage's launch over a packed subset: its scores in subset
+/// order, and the launch's report.
+type Launch =
+    fn(&Pipeline, PackedView<'_>, &DeviceSpec) -> Result<(Vec<f32>, StageRun), SweepError>;
 
 /// The device pool of one search: `n_devices` simulated `dev`s (all the
 /// same spec, per §IV-A), the database packed once, and the stage labels.
 pub(crate) struct DevicePool<'a> {
     dev: &'a DeviceSpec,
     n_devices: usize,
-    forward_on_device: bool,
     packed: PackedDb,
     /// The plan's stage labels; they name the launches' trace paths.
     labels: [&'static str; 3],
@@ -38,7 +42,7 @@ impl<'a> DevicePool<'a> {
         db: &SeqDb,
         trace: &Trace,
     ) -> Result<Option<DevicePool<'a>>, SweepError> {
-        let Some((dev, n_devices, forward_on_device)) = plan.device_pool() else {
+        let Some((dev, n_devices)) = plan.device_pool() else {
             return Ok(None);
         };
         if n_devices == 0 {
@@ -51,30 +55,35 @@ impl<'a> DevicePool<'a> {
         Ok(Some(DevicePool {
             dev,
             n_devices,
-            forward_on_device,
             packed,
             labels: plan.stage_labels(),
         }))
     }
 
-    /// Whether `stage` runs on the pool: MSV and Viterbi always, Forward
-    /// when the plan puts it there.
-    pub(crate) fn owns(&self, stage: Stage) -> bool {
-        !matches!(stage, Stage::Fwd) || self.forward_on_device
-    }
-
-    /// One stage of `pipe` on the pool: ascending `ids` in (`None` =
-    /// every sequence), scores aligned with `ids` and the makespan out,
-    /// each launch's kernel counters and modelled time recorded under
-    /// `pipeline/{label}/device`, in device order. Planning errors
-    /// (`NoConfig`, `Launch`) propagate.
+    /// One filter stage of `pipe` on the pool: ascending `ids` in
+    /// (`None` = every sequence), scores aligned with `ids` and the
+    /// makespan out, each launch's kernel counters and modelled time
+    /// recorded under `pipeline/{label}/device`, in device order. `None`
+    /// for Forward, which the host runs. Planning errors (`NoConfig`,
+    /// `Launch`) propagate.
     pub(crate) fn stage(
         &self,
         pipe: &Pipeline,
         stage: Stage,
         ids: Option<&[u32]>,
         trace: &Trace,
-    ) -> Result<(Vec<f32>, f64), SweepError> {
+    ) -> Result<Option<(Vec<f32>, f64)>, SweepError> {
+        let launch: Launch = match stage {
+            Stage::Msv => |pipe, db, dev| {
+                let r = run_msv_device(&pipe.msv, db, dev, None)?;
+                Ok((r.hits.iter().map(|h| h.score).collect(), r.run))
+            },
+            Stage::Vit => |pipe, db, dev| {
+                let r = run_vit_device(&pipe.vit, db, dev, None)?;
+                Ok((r.hits.iter().map(|h| h.score).collect(), r.run))
+            },
+            Stage::Fwd => return Ok(None),
+        };
         let n = self.packed.n_seqs() as u32;
         let ids: Cow<[u32]> = ids.map_or_else(|| (0..n).collect(), Cow::Borrowed);
         let path = format!("pipeline/{}/device", self.labels[stage as usize]);
@@ -84,21 +93,7 @@ impl<'a> DevicePool<'a> {
             if part.is_empty() {
                 continue;
             }
-            let sub = self.packed.subset(&part);
-            let (scores, run): (Vec<f32>, StageRun) = match stage {
-                Stage::Msv => {
-                    let r = run_msv_device(&pipe.msv, &sub, self.dev, None)?;
-                    (r.hits.iter().map(|h| h.score).collect(), r.run)
-                }
-                Stage::Vit => {
-                    let r = run_vit_device(&pipe.vit, &sub, self.dev, None)?;
-                    (r.hits.iter().map(|h| h.score).collect(), r.run)
-                }
-                Stage::Fwd => {
-                    let r = run_fwd_device(&pipe.profile, &sub, self.dev)?;
-                    (r.hits.iter().map(|h| h.score).collect(), r.run)
-                }
-            };
+            let (scores, run) = launch(pipe, (&self.packed.subset(&part)).into(), self.dev)?;
             run.stats.record_into(trace, &path);
             run.time.record_into(trace, &format!("{path}/time"));
             makespan = makespan.max(run.time.total_s);
@@ -106,6 +101,7 @@ impl<'a> DevicePool<'a> {
         }
         // Round-robin interleaves the parts; every id is in exactly one.
         scored.sort_unstable_by_key(|&(id, _)| id);
-        Ok((scored.into_iter().map(|(_, s)| s).collect(), makespan))
+        let scores = scored.into_iter().map(|(_, s)| s).collect();
+        Ok(Some((scores, makespan)))
     }
 }

@@ -5,10 +5,10 @@
 //! plus its score calibration. [`Pipeline::search`] is the one entry
 //! point for sweeps of a resident database: an [`ExecPlan`] picks where
 //! each stage runs — the multi-core striped CPU baseline or a pool of
-//! simulated GPUs (`crate::orchestrator`), whose pool of one with Forward
-//! on the host is the paper's deployment — while the stage sequencing,
-//! thresholding, and funnel accounting are written exactly once. Every
-//! device stage of every device plan goes through that one pool.
+//! simulated GPUs (`crate::orchestrator`) for the two filter stages,
+//! whose pool of one is the paper's deployment — while the stage
+//! sequencing, thresholding, and funnel accounting are written exactly
+//! once. Forward runs on the host under every plan, as in the paper.
 //!
 //! **A stage is ids → scores.** The funnel carries its survivors in one
 //! shape: an ascending list of `u32` sequence ids. Every stage, on every
@@ -88,48 +88,42 @@ pub enum ExecPlan {
         /// The simulated device.
         dev: DeviceSpec,
     },
-    /// The device stages over a pool of simulated devices, the database
-    /// partitioned across them (`crate::orchestrator`).
+    /// MSV + Viterbi over a pool of simulated devices, the database
+    /// partitioned across them (`crate::orchestrator`); Forward on the
+    /// host.
     Devices {
         /// The simulated device every pool member is (§IV-A).
         dev: DeviceSpec,
         /// Pool size.
         n_devices: usize,
-        /// Run Forward on the pool too (§VI future work); otherwise it
-        /// stays on the host, as in the paper's deployment.
-        forward_on_device: bool,
     },
 }
 
 impl ExecPlan {
-    /// The one device-plan shape: the device, pool size and Forward tier
-    /// a plan runs its device stages on (`Device { dev }` is a pool of
-    /// one with Forward on the host), `None` for the CPU plan.
-    pub(crate) fn device_pool(&self) -> Option<(&DeviceSpec, usize, bool)> {
+    /// The one device-plan shape: the device and pool size a plan runs
+    /// its filter stages on (`Device { dev }` is a pool of one), `None`
+    /// for the CPU plan.
+    pub(crate) fn device_pool(&self) -> Option<(&DeviceSpec, usize)> {
         match self {
             ExecPlan::Cpu => None,
-            ExecPlan::Device { dev } => Some((dev, 1, false)),
-            ExecPlan::Devices {
-                dev,
-                n_devices,
-                forward_on_device,
-            } => Some((dev, *n_devices, *forward_on_device)),
+            ExecPlan::Device { dev } => Some((dev, 1)),
+            ExecPlan::Devices { dev, n_devices } => Some((dev, *n_devices)),
         }
     }
 
     /// The labels a search under this plan gives its three stages, and
     /// the one place they are decided: `MSV` / `P7Viterbi` / `Forward`
-    /// on the host; on a device pool `(GPU)` for one device and
-    /// `(multi-GPU)` for more, with Forward's tier, `(host)` or `(GPU)`.
+    /// on the host; on a device pool the filters read `(GPU)` for one
+    /// device and `(multi-GPU)` for more, and Forward `(host)`.
     pub fn stage_labels(&self) -> [&'static str; 3] {
-        let Some((_, n_devices, forward_on_device)) = self.device_pool() else {
+        let Some((_, n_devices)) = self.device_pool() else {
             return ["MSV", "P7Viterbi", "Forward"];
         };
         let multi = (n_devices > 1) as usize;
         [
             ["MSV (GPU)", "MSV (multi-GPU)"][multi],
             ["P7Viterbi (GPU)", "P7Viterbi (multi-GPU)"][multi],
-            ["Forward (host)", "Forward (GPU)"][forward_on_device as usize],
+            "Forward (host)",
         ]
     }
 }
@@ -349,8 +343,8 @@ impl Pipeline {
     }
 
     /// Sweep a database under an execution plan. **The** entry point:
-    /// every deployment (CPU baseline, a device pool of any size, with or
-    /// without Forward on it) runs through one stage-sequencing driver, so
+    /// every deployment (CPU baseline, a device pool of any size) runs
+    /// through one stage-sequencing driver, so
     /// the funnel logic and its telemetry hooks exist exactly once.
     ///
     /// Reported hits are plan-invariant (the filters are bit-exact across
@@ -382,13 +376,17 @@ impl Pipeline {
         let labels = plan.stage_labels();
         let devices = DevicePool::new(plan, db, trace)?;
 
-        // Each stage on the plan's pool when it owns the stage, on the
-        // host otherwise.
+        // The filter stages on the plan's pool when it has one; Forward,
+        // and every stage of the CPU plan, on the host.
         let mut results = Self::funnel(&[self], db, labels, |stage, sels| {
-            let (scores, secs) = match devices.as_ref() {
-                Some(pool) if pool.owns(stage) => pool.stage(self, stage, sels[0], trace)?,
-                _ if matches!(stage, Stage::Msv) => self.msv_stage_host(db, trace),
-                _ => self.host_stage_one(stage, db, sels[0]),
+            let pooled = match &devices {
+                Some(pool) => pool.stage(self, stage, sels[0], trace)?,
+                None => None,
+            };
+            let (scores, secs) = match pooled {
+                Some(out) => out,
+                None if matches!(stage, Stage::Msv) => self.msv_stage_host(db, trace),
+                None => self.host_stage_one(stage, db, sels[0]),
             };
             Ok((vec![scores], secs))
         })?;
@@ -754,7 +752,6 @@ mod tests {
         let plan = ExecPlan::Devices {
             dev: DeviceSpec::tesla_k40(),
             n_devices: 0,
-            forward_on_device: false,
         };
         assert_eq!(pipe.search(&db, &plan).unwrap_err(), SweepError::NoDevices);
     }

@@ -60,7 +60,7 @@ impl KernelConfig {
 /// Shared-memory bytes one warp's reduction scratch takes on a device
 /// without `shfl` (Fermi, §IV-A), for elements `width` bytes wide: 32
 /// lanes, at least `i16` wide, so the two filters (`u8` MSV, `i16`
-/// Viterbi) share one 64-byte slice and Forward's `f32` total takes 128.
+/// Viterbi) share one 64-byte slice and an `f32` takes 128.
 pub const fn fermi_scratch_per_warp(width: usize) -> usize {
     WARP_SIZE * if width > 2 { width } else { 2 }
 }
@@ -76,8 +76,7 @@ pub struct SimtCtx {
     /// Warp currently executing (for hazard attribution).
     pub warp_id: u16,
     /// The device has warp shuffles ([`DeviceSpec::has_shfl`]); decides
-    /// how [`SimtCtx::warp_reduce`] reduces and
-    /// [`SimtCtx::warp_exchanges`] exchanges.
+    /// how [`SimtCtx::warp_reduce`] reduces.
     has_shfl: bool,
 }
 
@@ -121,7 +120,7 @@ impl SimtCtx {
     }
 
     /// Butterfly reduction via `shfl_xor` under `combine` (max for the
-    /// filters' row maximum, log-sum for the Forward row total): 5
+    /// filters' row maximum): 5
     /// exchange steps, after which every lane holds the result — the
     /// "automatic broadcast" §III-A relies on for the next residue's
     /// `xB`. Counts 5 shuffles + 5 instructions.
@@ -144,8 +143,8 @@ impl SimtCtx {
     /// the butterfly shuffle on Kepler, or through this warp's
     /// [`fermi_scratch_per_warp`] slice of the block's scratch at
     /// `scratch_base` on Fermi, which has no `shfl` (§IV-A). Lane 0 sees
-    /// the same pairings either way, so a non-associative `combine` (the
-    /// Forward log-sum) gives the same bits on both devices.
+    /// the same pairings either way, so a non-associative `combine` (a
+    /// float sum) gives the same bits on both devices.
     pub fn warp_reduce<T: SmemElem>(
         &mut self,
         v: Lanes<T>,
@@ -157,18 +156,6 @@ impl SimtCtx {
         } else {
             let slice = fermi_scratch_per_warp(T::WIDTH);
             self.smem_reduce(v, scratch_base + self.warp_id as usize * slice, combine)
-        }
-    }
-
-    /// Account `n` lane exchanges whose values the kernel computes
-    /// itself (Forward's D-chain scan): a shuffle each on Kepler, a
-    /// store + load pair through the warp's scratch each on Fermi.
-    pub fn warp_exchanges(&mut self, n: u64) {
-        if self.has_shfl {
-            self.stats.shuffles += n;
-        } else {
-            self.stats.smem_stores += n;
-            self.stats.smem_loads += n;
         }
     }
 
@@ -532,7 +519,7 @@ mod tests {
     fn fermi_warps_reduce_in_their_own_scratch() {
         // Four warps reducing in one barrier epoch do not race: each gets
         // its own slice of the block's scratch, at the filters' width and
-        // at Forward's.
+        // at `f32`'s.
         let mut ctx = ctx_on(&DeviceSpec::gtx_580());
         for w in 0..4u16 {
             ctx.warp_id = w;
@@ -549,18 +536,6 @@ mod tests {
         }
         ctx.finish_block();
         assert_eq!(ctx.stats.hazards, 0);
-    }
-
-    #[test]
-    fn exchanges_are_shuffles_on_kepler_and_scratch_pairs_on_fermi() {
-        let mut kepler = ctx_on(&DeviceSpec::tesla_k40());
-        kepler.warp_exchanges(10);
-        assert_eq!(kepler.stats.shuffles, 10);
-        assert_eq!(kepler.stats.smem_loads + kepler.stats.smem_stores, 0);
-        let mut fermi = ctx_on(&DeviceSpec::gtx_580());
-        fermi.warp_exchanges(10);
-        assert_eq!(fermi.stats.shuffles, 0);
-        assert_eq!((fermi.stats.smem_stores, fermi.stats.smem_loads), (10, 10));
     }
 
     #[test]

@@ -29,7 +29,7 @@ mod sealed {
 }
 
 /// An element type a warp moves through shared memory: the byte cells
-/// of MSV, the 16-bit words of Viterbi, the floats of Forward.
+/// of MSV, the 16-bit words of Viterbi, and 4-byte floats.
 /// Sealed — the simulator's access API is defined for these three only.
 pub trait SmemElem: sealed::Sealed + Copy + Default {
     /// Bytes per element (≤ one 4-byte bank word).

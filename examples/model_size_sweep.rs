@@ -50,7 +50,6 @@ fn main() {
                 match stage {
                     Stage::Msv => "MSV",
                     Stage::Viterbi => "P7Viterbi",
-                    Stage::Forward => "Forward",
                 },
                 so,
                 sw,

@@ -46,11 +46,7 @@ fn main() {
     }
     println!("  makespan: {:.3} ms", makespan * 1e3);
 
-    let plan = ExecPlan::Devices {
-        dev,
-        n_devices: 4,
-        forward_on_device: false,
-    };
+    let plan = ExecPlan::Devices { dev, n_devices: 4 };
     let result = pipe.search(&db, &plan).expect("multi-GPU search");
     println!();
     println!("per-stage time (makespan across the pool for device stages):");

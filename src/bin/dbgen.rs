@@ -1,10 +1,6 @@
 //! `dbgen` — generate a synthetic FASTA target database (the workspace's
-//! substitute for Swiss-Prot / Env_nr; DESIGN.md §2).
-//!
-//! ```sh
-//! dbgen <out.fasta> [--preset swissprot|envnr] [--scale F]
-//!       [--hom FRAC --model query.hmm] [--seed S] [--packed out.h3wdb]
-//! ```
+//! substitute for Swiss-Prot / Env_nr; DESIGN.md §2). `dbgen --help`
+//! prints the options (`OPTIONS`).
 //!
 //! Generation streams: sequences are produced in bounded chunks and
 //! written as they go, so an Env_nr-scale database (1.29 G residues at
@@ -31,6 +27,15 @@ use std::process::ExitCode;
 const USAGE: &str =
     "dbgen <out.fasta> [--preset swissprot|envnr] [--scale F] [--hom FRAC --model query.hmm] \
 [--seed S] [--packed out.h3wdb]";
+
+const OPTIONS: &str = "  --preset <name>      swissprot (long sequences, the default) or envnr
+                       (short sequences)
+  --scale <F>          fraction of the preset's full size (default 1e-3)
+  --hom <FRAC>         fraction of sequences that are homologs of
+                       --model (default: the preset's)
+  --model <query.hmm>  model the homologs are sampled from
+  --seed <S>           generator seed (default 1)
+  --packed <out.h3wdb> also write the packed binary database";
 
 /// Residues generated per in-memory chunk — the working-set bound.
 const GEN_CHUNK_RESIDUES: u64 = 16 << 20;
@@ -83,7 +88,7 @@ impl Drop for FastaOut {
 }
 
 fn main() -> ExitCode {
-    cli::guarded_main("dbgen", USAGE, run)
+    cli::guarded_main("dbgen", USAGE, OPTIONS, run)
 }
 
 fn run(argv: &[String]) -> Result<(), ToolError> {

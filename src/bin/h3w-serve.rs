@@ -1,23 +1,5 @@
-//! `h3w-serve` — the long-lived search daemon.
-//!
-//! ```sh
-//! h3w-serve <db.h3wdb> [options]
-//!
-//! options:
-//!   --addr A:P           listen address (default 127.0.0.1:0; the bound
-//!                        address is printed once the listener is up)
-//!   --workers N          concurrent query slots (default 2)
-//!   --queue-depth N      bounded admission queue; arrivals beyond it are
-//!                        shed with a typed Overloaded error (default 8)
-//!   --deadline-ms MS     default per-query deadline; 0 = none (default 0)
-//!   --shard-residues N   shard granularity — deadline checks fire at
-//!                        shard boundaries (0 = default 1 MiResidue)
-//!   --gpu k40|gtx580     run MSV+Viterbi on simulated devices
-//!   --devices N          simulated device pool size, the database
-//!                        partitioned across it (requires --gpu)
-//!   --chaos-panic-model NAME   panic inside queries for model NAME
-//!   --chaos-slow-ms MS         sleep MS at every shard boundary
-//! ```
+//! `h3w-serve` — the long-lived search daemon. `h3w-serve --help`
+//! prints the options (`OPTIONS`).
 //!
 //! Loads the packed database (rejecting any corruption with a typed
 //! diagnostic and exit 1 — never a panic), serves until SIGTERM/SIGINT,
@@ -38,8 +20,23 @@ const USAGE: &str = "h3w-serve <db.h3wdb> [--addr A:P] [--workers n] [--queue-de
 [--deadline-ms ms] [--shard-residues n] [--gpu k40|gtx580] [--devices n] \
 [--chaos-panic-model name] [--chaos-slow-ms ms]";
 
+const OPTIONS: &str = "  --addr A:P           listen address (default 127.0.0.1:0; the bound
+                       address is printed once the listener is up)
+  --workers N          concurrent query slots (default 2)
+  --queue-depth N      bounded admission queue; arrivals beyond it are
+                       shed with a typed Overloaded error (default 8)
+  --deadline-ms MS     default per-query deadline; 0 = none (default 0)
+  --shard-residues N   shard granularity — deadline checks fire at
+                       shard boundaries (0 = default 1 MiResidue)
+  --gpu k40|gtx580     run MSV + P7Viterbi on simulated devices;
+                       Forward stays on the host
+  --devices N          simulated device pool size, the database
+                       partitioned across it (requires --gpu)
+  --chaos-panic-model NAME   panic inside queries for model NAME
+  --chaos-slow-ms MS         sleep MS at every shard boundary";
+
 fn main() -> ExitCode {
-    cli::guarded_main("h3w-serve", USAGE, run)
+    cli::guarded_main("h3w-serve", USAGE, OPTIONS, run)
 }
 
 fn device_by_name(name: &str) -> Result<DeviceSpec, String> {
@@ -89,7 +86,6 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
         plan: gpu.map_or(ExecPlan::Cpu, |dev| ExecPlan::Devices {
             dev,
             n_devices: devices,
-            forward_on_device: false,
         }),
         chaos: ChaosConfig {
             panic_model: args.value("--chaos-panic-model").map(str::to_string),

@@ -1,9 +1,5 @@
 //! `hmmbuild` — build and calibrate a profile HMM from an alignment.
-//!
-//! ```sh
-//! hmmbuild <out.hmm> <alignment.afa> [--name NAME]
-//! hmmbuild <out.hmm> --synthetic M [--seed S] [--gappy]
-//! ```
+//! `hmmbuild --help` prints the options (`OPTIONS`).
 //!
 //! The alignment is aligned FASTA (`-`/`.` gaps). `--synthetic M`
 //! generates a seeded M-column model instead (useful for benchmarks).
@@ -20,8 +16,15 @@ use std::process::ExitCode;
 const USAGE: &str = "hmmbuild <out.hmm> <alignment.afa> [--name NAME]\n       \
 hmmbuild <out.hmm> --synthetic M [--seed S] [--gappy]";
 
+const OPTIONS: &str = "  --name <NAME>        model name (default: the alignment file's stem)
+  --synthetic <M>      generate a seeded M-column model instead of
+                       reading an alignment
+  --seed <S>           seed of the --synthetic model (default 42)
+  --gappy              give the --synthetic model high D->D transitions
+                       (the Lazy-F ablation's regime)";
+
 fn main() -> ExitCode {
-    cli::guarded_main("hmmbuild", USAGE, run)
+    cli::guarded_main("hmmbuild", USAGE, OPTIONS, run)
 }
 
 fn run(argv: &[String]) -> Result<(), ToolError> {

@@ -1,18 +1,6 @@
 //! `hmmscan` — scan target sequences against a library of profile HMMs
 //! (the per-target inverse of `hmmsearch`; Pfam-annotation style).
-//!
-//! ```sh
-//! hmmscan <models.hmm> <targets.fasta|targets.h3wdb> [options]
-//!
-//! options:
-//!   -E <evalue>          report threshold (default 10.0)
-//!   --threads <n>        size the CPU worker pool (0 or absent = the
-//!                        shared global pool; hits are bit-identical
-//!                        either way)
-//!   --profile            collect scan telemetry; print the per-family
-//!                        funnel table and the telemetry JSON
-//!   --profile-json <p>   collect scan telemetry; write the JSON to p
-//! ```
+//! `hmmscan --help` prints the options (`OPTIONS`).
 //!
 //! `models.hmm` may hold any number of concatenated HMMER3 records (as
 //! Pfam releases do). The scan is **fused**: each filter stage is one
@@ -31,8 +19,16 @@ use std::process::ExitCode;
 const USAGE: &str = "hmmscan <models.hmm> <targets.fasta|targets.h3wdb> [-E evalue] \
 [--threads n] [--profile] [--profile-json path]";
 
+const OPTIONS: &str = "  -E <evalue>          report threshold (default 10.0)
+  --threads <n>        size the CPU worker pool (0 or absent = the
+                       shared global pool; hits are bit-identical
+                       either way)
+  --profile            collect scan telemetry; print the per-family
+                       funnel table and the telemetry JSON
+  --profile-json <p>   collect scan telemetry; write the JSON to p";
+
 fn main() -> ExitCode {
-    cli::guarded_main("hmmscan", USAGE, run)
+    cli::guarded_main("hmmscan", USAGE, OPTIONS, run)
 }
 
 fn run(argv: &[String]) -> Result<(), ToolError> {

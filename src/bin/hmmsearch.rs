@@ -1,42 +1,11 @@
 //! `hmmsearch` — search a profile HMM against a FASTA database.
 //!
-//! ```sh
-//! hmmsearch <query.hmm> <targets.fasta|targets.h3wdb> [options]
-//!
-//! options:
-//!   --gpu <k40|gtx580>   run MSV+Viterbi on the simulated device
-//!   --devices <n>        partition the device stages over a pool of n
-//!                        simulated GPUs; each stage's time is the
-//!                        slowest device's (default 1; requires --gpu)
-//!   --max                disable the filter cascade (full sensitivity)
-//!   -E <evalue>          report threshold (default 10.0)
-//!   --ali                print alignment blocks for each hit
-//!   --dom                print posterior-decoded domain intervals
-//!   --null2              apply the biased-composition score correction
-//!   --tbl <path>         write a tab-separated hit table
-//!   --chunk <residues>   stream the database (FASTA or .h3wdb) through
-//!                        the pipeline in bounded-memory chunks; composes
-//!                        with any execution plan, memory stays bounded
-//!                        by the chunk size, hits are bit-identical to an
-//!                        unchunked run (but excludes --ali/--dom, which
-//!                        need the database resident)
-//!   --checkpoint <path>  with --chunk: persist sweep state after every
-//!                        chunk and resume from it if it already exists
-//!   --gpu-full           put the Forward stage on the device pool too
-//!                        (composes with --gpu and --devices; alone it
-//!                        means --gpu k40)
-//!   --profile            collect funnel telemetry; print the per-stage
-//!                        table and the telemetry JSON after the report
-//!   --profile-json <p>   collect funnel telemetry; write the JSON to p
-//!   --threads <n>        size the CPU worker pool (0 or absent = the
-//!                        shared global pool, sized by H3W_THREADS or
-//!                        the machine; hits are bit-identical either way)
-//! ```
-//!
 //! Runs the full HMMER3-style task pipeline (Fig. 1 of the paper):
 //! MSV filter → P7Viterbi filter → Forward, with calibrated E-values.
 //! Every deployment dispatches through `Pipeline::search`: the CPU plan,
-//! or the one device plan, `ExecPlan::Devices`.
+//! or the one device plan, `ExecPlan::Devices`, which runs the two
+//! filters on simulated GPUs and Forward on the host, as in the paper.
+//! `hmmsearch --help` prints the options (`OPTIONS`).
 
 use hmmer3_warp::cli::{self, Args, ToolError};
 use hmmer3_warp::hmm::hmmio::read_hmm;
@@ -50,10 +19,36 @@ use std::process::ExitCode;
 const USAGE: &str =
     "hmmsearch <query.hmm> <targets.fasta|targets.h3wdb> [--gpu k40|gtx580] [--devices n] \
 [--max] [-E evalue] [--ali] [--dom] [--null2] [--tbl path] [--chunk residues] \
-[--checkpoint path] [--gpu-full] [--profile] [--profile-json path] [--threads n]";
+[--checkpoint path] [--profile] [--profile-json path] [--threads n]";
+
+const OPTIONS: &str = "  --gpu <k40|gtx580>   run MSV + P7Viterbi on the simulated device;
+                       Forward stays on the host
+  --devices <n>        partition the device stages over a pool of n
+                       simulated GPUs; each stage's time is the
+                       slowest device's (default 1; requires --gpu)
+  --max                disable the filter cascade (full sensitivity)
+  -E <evalue>          report threshold (default 10.0)
+  --ali                print alignment blocks for each hit
+  --dom                print posterior-decoded domain intervals
+  --null2              apply the biased-composition score correction
+  --tbl <path>         write a tab-separated hit table
+  --chunk <residues>   stream the database (FASTA or .h3wdb) through
+                       the pipeline in bounded-memory chunks; composes
+                       with any execution plan, memory stays bounded
+                       by the chunk size, hits are bit-identical to an
+                       unchunked run (but excludes --ali/--dom, which
+                       need the database resident)
+  --checkpoint <path>  with --chunk: persist sweep state after every
+                       chunk and resume from it if it already exists
+  --profile            collect funnel telemetry; print the per-stage
+                       table and the telemetry JSON after the report
+  --profile-json <p>   collect funnel telemetry; write the JSON to p
+  --threads <n>        size the CPU worker pool (0 or absent = the
+                       shared global pool, sized by H3W_THREADS or
+                       the machine; hits are bit-identical either way)";
 
 fn main() -> ExitCode {
-    cli::guarded_main("hmmsearch", USAGE, run)
+    cli::guarded_main("hmmsearch", USAGE, OPTIONS, run)
 }
 
 fn device_by_name(name: &str) -> Result<DeviceSpec, String> {
@@ -67,14 +62,7 @@ fn device_by_name(name: &str) -> Result<DeviceSpec, String> {
 fn run(argv: &[String]) -> Result<(), ToolError> {
     let args = Args::parse(
         argv,
-        &[
-            "--max",
-            "--ali",
-            "--dom",
-            "--null2",
-            "--gpu-full",
-            "--profile",
-        ],
+        &["--max", "--ali", "--dom", "--null2", "--profile"],
         &[
             "--gpu",
             "--devices",
@@ -148,21 +136,17 @@ fn run(argv: &[String]) -> Result<(), ToolError> {
     let parsed = read_hmm(&hmm_text).map_err(|e| format!("{hmm_path}: {e}"))?;
     let pipe = Pipeline::prepare(&parsed.model, config, 0x5_eac4);
 
-    // One device plan: --gpu picks the device (--gpu-full alone means
-    // k40), --devices the pool size, --gpu-full puts Forward on it too.
-    let forward_on_device = args.has("--gpu-full");
-    let plan = match gpu.or_else(|| forward_on_device.then(DeviceSpec::tesla_k40)) {
+    // One device plan: --gpu picks the device, --devices the pool size.
+    let plan = match gpu {
         None => ExecPlan::Cpu,
         Some(dev) => {
-            let stages = match forward_on_device {
-                true => "all three stages",
-                false => "MSV + P7Viterbi",
-            };
-            eprintln!("running {stages} on {devices} simulated {}", dev.name);
+            eprintln!(
+                "running MSV + P7Viterbi on {devices} simulated {}",
+                dev.name
+            );
             ExecPlan::Devices {
                 dev,
                 n_devices: devices,
-                forward_on_device,
             }
         }
     };

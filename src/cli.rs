@@ -2,7 +2,8 @@
 //!
 //! Every tool gets the same contract: unknown flags, malformed values,
 //! and missing operands exit with status 1 and a one-line diagnostic
-//! plus the usage string — never a panic backtrace. A panic that does
+//! plus the usage string — never a panic backtrace. `--help` prints the
+//! usage string and each tool's option descriptions. A panic that does
 //! escape a tool (a bug, by definition) is caught at the top level and
 //! reported as an internal error, still with a nonzero exit.
 
@@ -276,15 +277,17 @@ pub fn render_scan(results: &[FamilyResult], db: &SeqDb) -> String {
 /// typed pipeline errors — [`ToolError::Sweep`], [`ToolError::Checkpoint`],
 /// [`ToolError::Config`] — print their diagnostic alone); an escaped
 /// panic prints an internal-error line (no backtrace) and also exits 1.
-/// `--help`/`-h` anywhere prints usage and exits 0.
+/// `--help`/`-h` anywhere prints the usage string, then `options` (one
+/// description per option), and exits 0.
 pub fn guarded_main(
     tool: &str,
     usage: &str,
+    options: &str,
     run: impl FnOnce(&[String]) -> Result<(), ToolError>,
 ) -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "--help" || a == "-h") {
-        println!("usage: {usage}");
+        println!("usage: {usage}\n\noptions:\n{options}");
         return ExitCode::SUCCESS;
     }
     let hook = std::panic::take_hook();

@@ -8,9 +8,7 @@
 //! on the scalar backend with one thread and searched resident on the CPU
 //! plan with tracing off — and demands the same hits (ids, names, score
 //! and E-value bits), the same funnel and the same timeless report, with
-//! two carve-outs: a pool with Forward on the device sums Forward with
-//! the flogsum table (same ids and funnel, scores within 0.15 nats), and
-//! a checkpointed sweep drops posteriors.
+//! one carve-out: a checkpointed sweep drops posteriors.
 //! [`ScanPoint`] / [`check_scan`] are the same for the multi-model scan.
 //!
 //! [`Lattice`] and [`ScanLattice`] draw points; `tests/lattice.rs` runs
@@ -65,12 +63,11 @@ impl Shape {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Plan {
     Cpu,
-    /// MSV and Viterbi, and Forward if `forward`, over a pool of `devices`
-    /// simulated `spec`s.
+    /// MSV and Viterbi over a pool of `devices` simulated `spec`s,
+    /// Forward on the host.
     Device {
         spec: Spec,
         devices: usize,
-        forward: bool,
     },
 }
 
@@ -84,27 +81,22 @@ pub enum Spec {
 }
 
 impl Plan {
-    /// The paper's deployment: one K40, Forward on the host.
-    pub const K40: Plan = Plan::one(Spec::K40, false);
+    /// The paper's deployment: one K40.
+    pub const K40: Plan = Plan::Device {
+        spec: Spec::K40,
+        devices: 1,
+    };
     /// The same on a GTX 580.
-    pub const GTX580: Plan = Plan::one(Spec::Gtx580, false);
-    /// All three stages on one K40.
-    pub const K40_FULL: Plan = Plan::one(Spec::K40, true);
+    pub const GTX580: Plan = Plan::Device {
+        spec: Spec::Gtx580,
+        devices: 1,
+    };
 
-    const fn one(spec: Spec, forward: bool) -> Plan {
-        Plan::Device {
-            spec,
-            devices: 1,
-            forward,
-        }
-    }
-
-    /// A pool of `devices` K40s, Forward on the host.
+    /// A pool of `devices` K40s.
     pub const fn pool(devices: usize) -> Plan {
         Plan::Device {
             spec: Spec::K40,
             devices,
-            forward: false,
         }
     }
 }
@@ -194,8 +186,8 @@ impl Deck {
 }
 
 /// Plan slots of the (plan, driver) deck: the device plan takes five, so
-/// its device, device-count and Forward axes are covered as soon as every
-/// pair is.
+/// its device and device-count axes are covered as soon as every pair
+/// is.
 const PLAN_SLOTS: usize = 6;
 const DRIVERS: usize = 4;
 
@@ -203,7 +195,7 @@ const DRIVERS: usize = 4;
 /// so [`Lattice::CASES`] draws visit every axis value and every
 /// (plan, driver) pair.
 pub struct Lattice {
-    decks: RefCell<[Deck; 11]>,
+    decks: RefCell<[Deck; 10]>,
 }
 
 impl Lattice {
@@ -217,7 +209,7 @@ impl Default for Lattice {
         let backends = Backend::all_available().len();
         Lattice {
             decks: RefCell::new(
-                [PLAN_SLOTS * DRIVERS, 4, 6, 2, backends, 5, 2, 2, 5, 2, 5].map(Deck::new),
+                [PLAN_SLOTS * DRIVERS, 4, 6, 2, backends, 5, 2, 2, 5, 5].map(Deck::new),
             ),
         }
     }
@@ -237,8 +229,7 @@ impl Strategy for Lattice {
 
     fn generate(&self, rng: &mut TestRng) -> Point {
         let mut decks = self.decks.borrow_mut();
-        let [pair, m, shape, null2, backend, threads, trace, spec, devices, forward, resumed] =
-            &mut *decks;
+        let [pair, m, shape, null2, backend, threads, trace, spec, devices, resumed] = &mut *decks;
         let pair = pair.draw(rng);
         let backends = Backend::all_available();
         let plan = match pair % PLAN_SLOTS {
@@ -246,7 +237,6 @@ impl Strategy for Lattice {
             _ => Plan::Device {
                 spec: [Spec::K40, Spec::Gtx580][spec.draw(rng)],
                 devices: 1 + devices.draw(rng),
-                forward: forward.draw(rng) == 1,
             },
         };
         let driver = match pair / PLAN_SLOTS {
@@ -305,16 +295,10 @@ impl Point {
             ("plan", plan),
             ("driver", driver),
         ];
-        if let Plan::Device {
-            spec,
-            devices,
-            forward,
-        } = self.plan
-        {
+        if let Plan::Device { spec, devices } = self.plan {
             visits.extend([
                 ("device", format!("{spec:?}")),
                 ("devices", devices.to_string()),
-                ("forward on device", forward.to_string()),
             ]);
         }
         if let Driver::Resumed { threads, .. } = self.driver {
@@ -327,7 +311,7 @@ impl Point {
 impl Lattice {
     /// Every axis [`Point::visits`] reports, with its number of classes
     /// on this host.
-    pub fn axes() -> [(&'static str, usize); 13] {
+    pub fn axes() -> [(&'static str, usize); 12] {
         [
             ("m", 4),
             ("shape", 6),
@@ -340,35 +324,28 @@ impl Lattice {
             ("driver", DRIVERS),
             ("device", 2),
             ("devices", 5),
-            ("forward on device", 2),
             ("resumed threads", 5),
         ]
     }
 }
 
 impl Plan {
-    /// The plan as the pipeline takes it; a pool of one with Forward on
-    /// the host goes through the `Device { dev }` shorthand.
+    /// The plan as the pipeline takes it; a pool of one goes through the
+    /// `Device { dev }` shorthand.
     fn exec(&self) -> ExecPlan {
-        let Plan::Device {
-            spec,
-            devices,
-            forward,
-        } = *self
-        else {
+        let Plan::Device { spec, devices } = *self else {
             return ExecPlan::Cpu;
         };
         let dev = match spec {
             Spec::K40 => DeviceSpec::tesla_k40(),
             Spec::Gtx580 => DeviceSpec::gtx_580(),
         };
-        if (devices, forward) == (1, false) {
+        if devices == 1 {
             return ExecPlan::Device { dev };
         }
         ExecPlan::Devices {
             dev,
             n_devices: devices,
-            forward_on_device: forward,
         }
     }
 }
@@ -472,20 +449,6 @@ pub fn check(p: &Point) {
     let labels = p.plan.exec().stage_labels();
     let names: Vec<&str> = got.stages.iter().map(|st| st.name.as_str()).collect();
     assert_eq!(names, labels, "{p:?}: stage labels");
-    if matches!(p.plan, Plan::Device { forward: true, .. }) {
-        // The device Forward sums with the flogsum table, within its
-        // bias of the host's odds-space filter.
-        let by_id = |r: &PipelineResult| {
-            let mut hits: Vec<(u32, f32)> = r.hits.iter().map(|h| (h.seqid, h.fwd_score)).collect();
-            hits.sort_by_key(|h| h.0);
-            hits
-        };
-        let (got, want) = (by_id(&got), by_id(&want));
-        let close = |(g, w): (&(u32, f32), &(u32, f32))| g.0 == w.0 && (g.1 - w.1).abs() < 0.15;
-        let same = got.len() == want.len() && got.iter().zip(&want).all(close);
-        assert!(same, "{p:?}: hits {got:?} vs {want:?}");
-        return;
-    }
     assert_eq!(hit_bits(&got.hits), hit_bits(&want.hits), "{p:?}: hits");
     let posteriors = |r: &PipelineResult| {
         r.hits

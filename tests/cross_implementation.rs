@@ -195,15 +195,11 @@ fn quantized_filters_track_float_references() {
 /// striding loop and the three `run_*_device` launch sequences were
 /// each written once; the other fields, the GTX 580 launches and the
 /// Fig. 4 naive kernel at c684945, before the simulator's shared-memory
-/// accesses and warp reductions were each written once. The GTX 580
-/// Forward row was re-recorded when Fermi's Forward stopped counting
-/// shuffles (1,212,165 exchanges moved to shared-memory stores and
-/// loads). Any change to what a warp issues, or to how the grid is sized,
-/// moves one.
+/// accesses and warp reductions were each written once. Any change to
+/// what a warp issues, or to how the grid is sized, moves one.
 #[test]
 fn device_stage_counts_are_pinned() {
     use hmmer3_warp::core::naive::NaiveMsvKernel;
-    use hmmer3_warp::core::tiered::run_fwd_device;
     use hmmer3_warp::core::WarpLazyStats;
     use hmmer3_warp::simt::{run_grid_blocks, KernelConfig, KernelStats};
 
@@ -241,8 +237,8 @@ fn device_stage_counts_are_pinned() {
         inner_iters: 417074,
     };
 
-    // (launch, counts) for each of one device's seven launches.
-    type Pins = [(&'static str, [u64; 14]); 7];
+    // (launch, counts) for each of one device's six launches.
+    type Pins = [(&'static str, [u64; 14]); 6];
     #[rustfmt::skip]
     let pins: [(DeviceSpec, Pins); 2] = [
         (DeviceSpec::tesla_k40(), [
@@ -250,19 +246,16 @@ fn device_stage_counts_are_pinned() {
             ("vit shared", [3432796, 2073202, 626342, 0, 5408, 692224, 0, 0, 258770, 417074, 5, 0, 25877, 131]),
             ("msv global", [1064859, 103272, 103796, 0, 4487, 574336, 120061, 15367808, 129090, 0, 0, 0, 25818, 131]),
             ("vit global", [4363008, 1141630, 625662, 0, 4498, 575744, 1250110, 160014080, 258770, 417074, 0, 0, 25877, 131]),
-            ("fwd", [5259484, 754236, 432564, 0, 4673, 598144, 1632566, 208968448, 1212165, 0, 0, 0, 26937, 131]),
             ("naive", [1065483, 206544, 104108, 0, 4853, 621184, 0, 0, 129090, 0, 77588, 0, 25818, 131]),
             ("naive elided", [1065483, 206544, 104108, 0, 4853, 621184, 0, 0, 129090, 0, 3, 188701, 25818, 131]),
         ]),
         // No shuffles on Fermi: every row reduction is five shared-memory
-        // store/load pairs instead, and Forward's D-chain scan exchanges
-        // through the same scratch.
+        // store/load pairs instead.
         (DeviceSpec::gtx_580(), [
             ("msv shared", [962627, 335634, 233406, 0, 5097, 652416, 0, 0, 0, 0, 5, 0, 25818, 131]),
             ("vit shared", [3433884, 2331972, 885656, 0, 6136, 785408, 0, 0, 0, 417074, 9, 0, 25877, 131]),
             ("msv global", [1064859, 232362, 232886, 0, 4487, 574336, 120061, 15367808, 0, 0, 0, 0, 25818, 131]),
             ("vit global", [4363008, 1400400, 884432, 0, 4498, 575744, 1250110, 160014080, 0, 417074, 0, 0, 25877, 131]),
-            ("fwd", [5259484, 1966401, 1644729, 0, 4673, 598144, 1632566, 208968448, 0, 0, 0, 0, 26937, 131]),
             ("naive", [1065483, 335634, 233198, 0, 4853, 621184, 0, 0, 0, 0, 77588, 0, 25818, 131]),
             ("naive elided", [1065483, 335634, 233198, 0, 4853, 621184, 0, 0, 0, 0, 3, 188701, 25818, 131]),
         ]),
@@ -286,9 +279,6 @@ fn device_stage_counts_are_pinned() {
         let run = run_vit_device(&vit, &packed, &dev, global).unwrap();
         assert_eq!(run.lazy, lazy, "{}", dev.name);
         got.push(("vit global", counts(&run.run.stats)));
-
-        let run = run_fwd_device(&p, &packed, &dev).unwrap();
-        got.push(("fwd", counts(&run.run.stats)));
 
         // Fig. 4: four warps share each row, one row per block; the
         // elided variant keeps only the staging barrier and races.

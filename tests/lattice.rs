@@ -78,7 +78,7 @@ fn every_scan_point_reports_per_model_scalar_hits() {
 /// The consensus repeat saturates the byte MSV.
 #[test]
 fn hostile_inputs_get_the_reference_answer_or_a_typed_refusal() {
-    let plans = [Plan::Cpu, Plan::K40, Plan::K40_FULL, Plan::pool(2)];
+    let plans = [Plan::Cpu, Plan::K40, Plan::GTX580, Plan::pool(2)];
     let drivers = [
         Driver::Resident,
         Driver::Fasta { cap: 100 },

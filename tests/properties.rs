@@ -368,7 +368,7 @@ proptest! {
 fn checkpoint_resumed_stream_matches_unchunked_under_every_plan() {
     use common::lattice::{check, Driver, Plan, Point};
     let pool = Plan::pool(2);
-    for plan in [Plan::Cpu, Plan::K40, Plan::K40_FULL, pool] {
+    for plan in [Plan::Cpu, Plan::K40, Plan::GTX580, pool] {
         let driver = Driver::Resumed {
             cap: 5_000,
             kill_after: 2,

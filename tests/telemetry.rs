@@ -102,16 +102,24 @@ fn device_plan_telemetry_matches_stage_stats() {
     assert!(kernel.counter("shuffles") > 0);
 }
 
-/// One Fermi with Forward on the device.
+/// A pool of one Fermi, spelled as a pool: its filters reduce through
+/// shared memory (no shuffles) and Forward runs on the host, with no
+/// device counters.
 #[test]
-fn device_full_plan_telemetry_matches_stage_stats() {
+fn fermi_pool_of_one_telemetry_matches_stage_stats() {
     let (pipe, db) = setup(60, 2e-4, 13);
     let plan = ExecPlan::Devices {
         dev: DeviceSpec::gtx_580(),
         n_devices: 1,
-        forward_on_device: true,
     };
-    check_device_pool(&pipe, &db, &plan);
+    let tel = check_device_pool(&pipe, &db, &plan);
+    let kernel = tel
+        .at_path("pipeline/MSV (GPU)/device")
+        .expect("device counters");
+    assert_eq!(kernel.counter("sequences"), db.len() as u64);
+    assert_eq!(kernel.counter("shuffles"), 0);
+    assert!(tel.at_path("pipeline/Forward (host)").is_some());
+    assert!(tel.at_path("pipeline/Forward (host)/device").is_none());
 }
 
 /// Three K40s: MSV's ids split round-robin, one launch per device. The
@@ -124,7 +132,6 @@ fn a_three_device_pool_sums_its_launches_and_times_their_makespan() {
     let plan = ExecPlan::Devices {
         dev: dev.clone(),
         n_devices: 3,
-        forward_on_device: false,
     };
     let tel = check_device_pool(&pipe, &db, &plan);
     let packed = PackedDb::from_db(&db);

@@ -344,8 +344,8 @@ impl Pipeline {
 
     /// Sweep a database under an execution plan. **The** entry point:
     /// every deployment (CPU baseline, a device pool of any size) runs
-    /// through one stage-sequencing driver, so
-    /// the funnel logic and its telemetry hooks exist exactly once.
+    /// through one stage-sequencing driver, so the funnel logic and its
+    /// telemetry hooks exist exactly once.
     ///
     /// Reported hits are plan-invariant (the filters are bit-exact across
     /// backends); stage labels and times reflect the plan.
